@@ -14,102 +14,15 @@
 //! [`crate::SpecRequest`]-based core, for readers following the paper
 //! side-by-side. Parameter indices are **1-based** as in the paper.
 //! New code should use [`crate::SpecRequest`] directly.
-//!
-//! It is also home to the *manager* compatibility surface: the
-//! `with_*`/`set_*` constructors and the split invalidation methods that
-//! predate [`ManagerBuilder`](crate::manager::ManagerBuilder) and
-//! [`Invalidation`]. They live on below as
-//! `#[deprecated]` one-line delegations, so code written against earlier
-//! releases keeps compiling (with a nudge) while new code gets exactly one
-//! way to do each thing.
 
 #![allow(non_snake_case)]
 
 use crate::config::{ArgValue, ParamSpec, RewriteConfig};
 use crate::error::RewriteError;
-use crate::manager::{EventSink, Invalidation, NegativePolicy, PublishGate, SpecializationManager};
 use crate::passes::PassConfig;
 use crate::request::SpecRequest;
 use crate::{RewriteResult, Rewriter};
 use brew_image::Image;
-use std::ops::Range;
-
-/// The pre-[`ManagerBuilder`](crate::manager::ManagerBuilder) construction and mutation surface, each
-/// method a deprecated delegation to its replacement. Kept in one impl
-/// block here (not in `manager`) so the migration target is obvious from
-/// the deprecation note and the old spelling is easy to delete wholesale.
-impl SpecializationManager {
-    /// Manager bounded by `budget_bytes` of cached code.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SpecializationManager::builder().budget(..).build()`"
-    )]
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        Self::builder().budget(budget_bytes).build()
-    }
-
-    /// Manager bounded by `budget_bytes`, with `shards` cache shards.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SpecializationManager::builder().budget(..).shards(..).build()`"
-    )]
-    pub fn with_budget_and_shards(budget_bytes: usize, shards: usize) -> Self {
-        Self::builder().budget(budget_bytes).shards(shards).build()
-    }
-
-    /// Replace the negative-cache policy, dropping existing entries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SpecializationManager::builder().negative_policy(..)`"
-    )]
-    pub fn with_negative_policy(mut self, policy: NegativePolicy) -> Self {
-        self.replace_negative_policy(policy);
-        self
-    }
-
-    /// Attach an event sink (replacing any previous one).
-    #[deprecated(since = "0.2.0", note = "use `ManagerBuilder::event_sink`")]
-    pub fn set_sink(&self, sink: Box<dyn EventSink>) {
-        self.install_sink(sink);
-    }
-
-    /// Enable `verify_on_publish` with `gate` (replacing any previous
-    /// gate).
-    #[deprecated(since = "0.2.0", note = "use `ManagerBuilder::publish_gate`")]
-    pub fn set_publish_gate(&self, gate: Box<dyn PublishGate>) {
-        self.install_gate(gate);
-    }
-
-    /// Drop every cached variant of `func`; returns how many were
-    /// dropped.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `apply_invalidation(Invalidation::Func(func))`"
-    )]
-    pub fn invalidate(&self, func: u64) -> usize {
-        self.apply_invalidation(Invalidation::Func(func))
-    }
-
-    /// Drop every cached variant whose folded ranges overlap `range`;
-    /// returns how many were dropped.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `apply_invalidation(Invalidation::Data(range))`"
-    )]
-    pub fn invalidate_data(&self, range: Range<u64>) -> usize {
-        self.apply_invalidation(Invalidation::Data(range))
-    }
-
-    /// Re-hash every variant's snapshot against `img` and drop the stale
-    /// ones; returns how many were dropped.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `apply_invalidation(Invalidation::Revalidate(img))`"
-    )]
-    pub fn revalidate(&self, img: &Image) -> usize {
-        self.apply_invalidation(Invalidation::Revalidate(img))
-    }
-}
 
 /// `BREW_UNKNOWN`: the parameter varies at runtime.
 pub const BREW_UNKNOWN: ParamSpec = ParamSpec::Unknown;
@@ -208,35 +121,5 @@ mod tests {
         let mut conf = brew_initConf();
         brew_setmem(&mut conf, 0x1000, 0x1100);
         assert!(conf.addr_known(0x1000, 8));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_manager_shims_delegate() {
-        use crate::manager::RecordingSink;
-
-        let m = SpecializationManager::with_budget_and_shards(4096, 2);
-        assert_eq!(m.budget_bytes(), 4096);
-        let m = m.with_negative_policy(NegativePolicy {
-            base_backoff: 1,
-            attempt_cap: 3,
-        });
-
-        m.set_sink(Box::new(RecordingSink::default()));
-        assert!(m.take_sink().is_some());
-        m.set_publish_gate(Box::new(
-            |_: &Image, _: u64, _: &SpecRequest, _: &RewriteResult| Ok(()),
-        ));
-        assert!(m.take_publish_gate().is_some());
-
-        // The split invalidation methods reach the unified entry point.
-        assert_eq!(m.invalidate(0x1234), 0);
-        assert_eq!(m.invalidate_data(0..16), 0);
-        assert_eq!(m.revalidate(&Image::new()), 0);
-
-        assert_eq!(
-            SpecializationManager::with_budget(1 << 20).budget_bytes(),
-            1 << 20
-        );
     }
 }

@@ -202,7 +202,7 @@ pub struct CacheStats {
     pub denied: u64,
     /// Variants dropped by invalidation (explicit or via revalidate).
     pub invalidated: u64,
-    /// Variants found stale by [`SpecializationManager::revalidate`]
+    /// Variants found stale by [`Invalidation::Revalidate`]
     /// (their folded known-memory bytes had changed).
     pub stale: u64,
     /// Rewrite-pipeline panics converted into
@@ -285,7 +285,7 @@ pub enum Event {
         /// Failed attempts memoized for the key so far.
         attempts: u32,
     },
-    /// [`SpecializationManager::revalidate`] found a variant whose folded
+    /// [`Invalidation::Revalidate`] found a variant whose folded
     /// known-memory bytes no longer match its snapshot. Always followed
     /// by an `Invalidated` event for the same variant.
     Stale {
@@ -489,8 +489,9 @@ impl Dispatch {
 /// important, what it could *not* write. Per-entry problems never abort
 /// the save (persistence is best-effort on save, strict on load), but
 /// they are never silent either: every non-written entry is accounted
-/// here, failures are counted in `brew_persist_save_failed_total`, and
-/// each failure records a `SAVE_FAIL` flight event.
+/// here, failures are counted in `brew_persist_save_failed_total` (each
+/// with a `SAVE_FAIL` flight event) and unportable variants in
+/// `brew_persist_save_unportable_total` (and the `SAVE` event).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveReport {
     /// Variants serialized into the checkpoint.
@@ -501,6 +502,12 @@ pub struct SaveReport {
     /// Variants whose code read-back failed even though their entry is
     /// in this image's JIT segment — a genuine per-entry I/O error.
     pub failed: usize,
+    /// Variants the format cannot carry: their code reads constants from a
+    /// literal pool in the image's data segment (`stats.pool_bytes > 0`),
+    /// and a checkpoint holds code bytes only. Warm-started, such a variant
+    /// would pass every load check and compute with zeros, so it is not
+    /// written; its key cold-starts in the next process.
+    pub unportable: usize,
     /// Total checkpoint size in bytes.
     pub bytes: usize,
 }
@@ -617,27 +624,9 @@ impl SpecializationManager {
         unpoison(self.last_panic.lock()).clone()
     }
 
-    /// Attach an event sink, replacing any previous one (the deprecated
-    /// `set_sink` shim and [`ManagerBuilder::event_sink`] land here).
-    pub(crate) fn install_sink(&self, sink: Box<dyn EventSink>) {
-        *unpoison(self.sink.write()) = Some(sink);
-    }
-
     /// Detach and return the current sink.
     pub fn take_sink(&self) -> Option<Box<dyn EventSink>> {
         unpoison(self.sink.write()).take()
-    }
-
-    /// Install a publish gate, replacing any previous one (the deprecated
-    /// `set_publish_gate` shim lands here).
-    pub(crate) fn install_gate(&self, gate: Box<dyn PublishGate>) {
-        *unpoison(self.gate.write()) = Some(gate);
-    }
-
-    /// Replace the negative-cache policy, dropping existing entries (the
-    /// deprecated `with_negative_policy` shim lands here).
-    pub(crate) fn replace_negative_policy(&mut self, policy: NegativePolicy) {
-        self.negative = NegativeCache::new(shards::DEFAULT_SHARDS, policy);
     }
 
     /// Detach and return the current publish gate.
@@ -1016,19 +1005,29 @@ impl SpecializationManager {
     /// [`save_variant_bytes`](Self::save_variant_bytes) plus the save
     /// accounting: per-entry problems do not abort the save, but each
     /// one lands in the [`SaveReport`] as `skipped` (entry not in this
-    /// image — a foreign image) or `failed` (read-back error, counted in
+    /// image — a foreign image), `failed` (read-back error, counted in
     /// `brew_persist_save_failed_total` with a `SAVE_FAIL` flight event)
-    /// instead of disappearing.
+    /// or `unportable` (reads a literal pool the format does not carry,
+    /// counted in `brew_persist_save_unportable_total`) instead of
+    /// disappearing.
     pub fn save_variant_bytes_report(&self, img: &Image) -> (Vec<u8>, SaveReport) {
         let mut entries = self.cache.snapshot_all();
         entries.sort_by_key(|(_, _, v)| v.entry);
         let mut vars = Vec::with_capacity(entries.len());
-        let (mut skipped, mut failed) = (0usize, 0usize);
+        let (mut skipped, mut failed, mut unportable) = (0usize, 0usize, 0usize);
         for (key, req, v) in entries {
             if !matches!(img.segment_of(v.entry), Some(SegKind::Jit)) {
                 // Not this image's code (a foreign image): legitimately
                 // not ours to save.
                 skipped += 1;
+                continue;
+            }
+            if v.stats.pool_bytes > 0 {
+                // The literal pool lives in the data segment and would not
+                // come along: refuse rather than reload a variant that
+                // computes with zeros.
+                unportable += 1;
+                self.metrics.count(Ctr::PersistSaveUnportable, 1);
                 continue;
             }
             let mut code = vec![0u8; v.code_len];
@@ -1055,12 +1054,13 @@ impl SpecializationManager {
         let bytes = persist::encode_variants(&vars);
         self.flight.record(
             FlightKind::PersistSave,
-            [vars.len() as u64, bytes.len() as u64, 0, 0],
+            [vars.len() as u64, bytes.len() as u64, unportable as u64, 0],
         );
         let report = SaveReport {
             written: vars.len(),
             skipped,
             failed,
+            unportable,
             bytes: bytes.len(),
         };
         (bytes, report)

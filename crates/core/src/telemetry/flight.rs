@@ -160,7 +160,7 @@ flight_kinds! {
     TickEnd        = 16, "TICK_END",   [("tick", Dec), ("sampled", Dec), ("promoted", Dec), ("demoted", Dec)];
     EpochPublish   = 17, "EPOCH_PUB",  [("shard", Dec), ("epoch", Dec)];
     EpochReclaim   = 18, "EPOCH_FREE", [("shard", Dec), ("freed", Dec)];
-    PersistSave    = 19, "SAVE",       [("variants", Dec), ("bytes", Dec)];
+    PersistSave    = 19, "SAVE",       [("variants", Dec), ("bytes", Dec), ("unportable", Dec)];
     PersistLoad    = 20, "LOAD",       [("published", Dec), ("rejected", Dec)];
     PanicContained = 21, "PANIC",      [];
     VerifyPass     = 22, "VERIFY_OK",  [("func", Hex), ("ns", Dec)];

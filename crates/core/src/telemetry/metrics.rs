@@ -224,13 +224,14 @@ pub enum Ctr {
     PersistLoaded,
     PersistRejected,
     PersistSaveFailed,
+    PersistSaveUnportable,
     OverBudget,
     RegallocFallback,
 }
 
 impl Ctr {
     /// Every counter, in exposition order.
-    pub const ALL: [Ctr; 31] = [
+    pub const ALL: [Ctr; 32] = [
         Ctr::CacheHits,
         Ctr::CacheMisses,
         Ctr::CacheCoalesced,
@@ -260,6 +261,7 @@ impl Ctr {
         Ctr::PersistLoaded,
         Ctr::PersistRejected,
         Ctr::PersistSaveFailed,
+        Ctr::PersistSaveUnportable,
         Ctr::OverBudget,
         Ctr::RegallocFallback,
     ];
@@ -296,6 +298,7 @@ impl Ctr {
             Ctr::PersistLoaded => "brew_persist_loaded_total",
             Ctr::PersistRejected => "brew_persist_rejected_total",
             Ctr::PersistSaveFailed => "brew_persist_save_failed_total",
+            Ctr::PersistSaveUnportable => "brew_persist_save_unportable_total",
             Ctr::OverBudget => "brew_over_budget_total",
             Ctr::RegallocFallback => "brew_regalloc_fallback_total",
         }
@@ -340,6 +343,9 @@ impl Ctr {
             }
             Ctr::PersistSaveFailed => {
                 "Variants that failed to serialize during a save (I/O or read error)"
+            }
+            Ctr::PersistSaveUnportable => {
+                "Variants left out of a save: they read a literal pool the format cannot carry"
             }
             Ctr::OverBudget => {
                 "Finished variants refused at publish: code alone exceeds the global budget"

@@ -177,22 +177,28 @@ impl PgasArray {
         Ok((out.ret_f64, out.stats))
     }
 
-    /// Specialize `gsum` for the current distribution: the descriptor is
-    /// `PTR_TO_KNOWN`, `gread`/`remote_fetch` inline, the sum loop is kept
-    /// (bounded unrolling via world migration).
-    pub fn specialize_gsum(&mut self) -> Result<RewriteResult, brew_core::RewriteError> {
+    /// The request `gsum` is specialized under for the current
+    /// distribution: the descriptor is `PTR_TO_KNOWN`,
+    /// `gread`/`remote_fetch` inline, the sum loop is kept (bounded
+    /// unrolling via world migration).
+    pub fn gsum_request(&self) -> SpecRequest {
         let gsum = self.prog.func("gsum").unwrap();
-        let dist = self.dist();
-        let req = SpecRequest::new()
+        SpecRequest::new()
             .unknown_int() // storage pointer
-            .ptr_to_known(dist, 24)
+            .ptr_to_known(self.dist(), 24)
             .unknown_int() // n (traced bound comes from the emulated call)
             .ret(RetKind::F64)
             .func(gsum, |o| {
                 o.branch_unknown = true;
                 o.max_variants = 2;
             })
-            .max_trace_insts(8_000_000);
+            .max_trace_insts(8_000_000)
+    }
+
+    /// Specialize `gsum` under [`PgasArray::gsum_request`].
+    pub fn specialize_gsum(&mut self) -> Result<RewriteResult, brew_core::RewriteError> {
+        let gsum = self.prog.func("gsum").unwrap();
+        let req = self.gsum_request();
         Rewriter::new(&self.img).rewrite(gsum, &req)
     }
 

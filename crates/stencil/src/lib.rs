@@ -161,17 +161,14 @@ impl Stencil {
         Rewriter::new(&self.img).rewrite(f, &req)
     }
 
-    /// §V.B outlook: rewrite the *whole sweep* with controlled unrolling
-    /// (`unroll` loop-body variants before world migration closes the
-    /// loop). Matrix pointers stay unknown; `xs`, `ys` and the stencil are
-    /// fixed; `apply` is inlined and specialized per unrolled body.
-    pub fn specialize_sweep(
-        &mut self,
-        unroll: u32,
-    ) -> Result<RewriteResult, brew_core::RewriteError> {
+    /// The §V.B outlook request: the *whole sweep* with controlled
+    /// unrolling (`unroll` loop-body variants before world migration closes
+    /// the loop). Matrix pointers stay unknown; `xs`, `ys` and the stencil
+    /// are fixed; `apply` is inlined and specialized per unrolled body.
+    pub fn sweep_request(&self, unroll: u32) -> SpecRequest {
         let sweep = self.prog.func("sweep_generic").expect("sweep_generic");
         let s5 = self.s5();
-        let req = SpecRequest::new()
+        SpecRequest::new()
             .unknown_int() // src matrix
             .unknown_int() // dst matrix
             .known_int(self.xs)
@@ -183,7 +180,17 @@ impl Stencil {
                 o.max_variants = unroll.max(1);
             })
             .max_code_bytes(1 << 22)
-            .max_trace_insts(16_000_000);
+            .max_trace_insts(16_000_000)
+    }
+
+    /// §V.B outlook: rewrite `sweep_generic` under
+    /// [`Stencil::sweep_request`].
+    pub fn specialize_sweep(
+        &mut self,
+        unroll: u32,
+    ) -> Result<RewriteResult, brew_core::RewriteError> {
+        let sweep = self.prog.func("sweep_generic").expect("sweep_generic");
+        let req = self.sweep_request(unroll);
         Rewriter::new(&self.img).rewrite(sweep, &req)
     }
 

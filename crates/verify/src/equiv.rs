@@ -3,28 +3,38 @@
 //!
 //! Both sides — the captured block list from [`brew_core::EquivCapture`] and
 //! the freshly decoded emitted bytes — are executed over the same term-level
-//! abstract machine ([`crate::term`]). Blocks are walked in lock step through
-//! a joint fixpoint; at every block boundary the two machine states are
-//! joined with shared phi atoms so that a value the passes merely *moved*
-//! (renamed registers, forwarded loads, compressed frame slots) still interns
-//! to the identical term id on both sides. Equivalence is then decided by
-//! comparing the observable event streams (heap stores, call-boundary
-//! register/stack state, the return-value / callee-saved contract, branch
-//! polarity). Terms that fail to intern equal are *unproven*, never a
-//! counterexample: the caller treats a rejection as "fall back to the
-//! conservative emission", not "the pass is wrong".
+//! abstract machine ([`crate::term`], with the stack frame of
+//! [`crate::frame`]). Blocks are walked in lock step through a joint
+//! fixpoint; at every block boundary the two machine states are joined with
+//! shared phi atoms so that a value the passes merely *moved* (renamed
+//! registers, forwarded loads, compressed frame slots) still interns to the
+//! identical term id on both sides. Equivalence is then decided by comparing
+//! the observable event streams (heap stores, call-boundary register/stack
+//! state, the return-value / callee-saved contract, branch polarity) each
+//! block's last walk of the fixpoint recorded. Terms that fail to intern
+//! equal are *unproven*, never a counterexample: the caller treats a
+//! rejection as "fall back to the conservative emission", not "the pass is
+//! wrong".
+//!
+//! A proof allocates per proof, not per operand: terms live inline in one
+//! arena, a block walk runs in buffers the [`Prover`] reuses, flags are
+//! interned only when something reads them, and the heap sees the arena, one
+//! entry state per block and the event streams.
 
-use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms};
-use crate::{cfg, Finding, Rule, Severity, VerifyReport};
+use crate::frame::{Digest, Frame};
+use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms, WordHasher};
+use crate::{Finding, Region, Rule, Severity, VerifyReport};
 use brew_core::capture::Terminator;
-use brew_core::{EquivCapture, KnownSnapshot, RetKind, RewriteResult, SpecRequest};
+use brew_core::{EquivCapture, RetKind, RewriteResult, SpecRequest};
 use brew_image::Image;
 use brew_x86::alu::{AluOp, UnOp};
 use brew_x86::cond::Cond;
 use brew_x86::inst::{Inst, ShiftCount, SseOp};
 use brew_x86::operand::{MemRef, Operand};
 use brew_x86::reg::{Gpr, Width};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
 
 /// Caller-saved integer registers (SysV): rax, rcx, rdx, rsi, rdi, r8-r11.
 const CALLER_SAVED: [usize; 9] = [0, 1, 2, 6, 7, 8, 9, 10, 11];
@@ -33,45 +43,48 @@ const CALLEE_SAVED: [usize; 6] = [3, 5, 12, 13, 14, 15];
 /// Integer argument registers in ABI order: rdi, rsi, rdx, rcx, r8, r9.
 const SYSV_INT_ARGS: [usize; 6] = [7, 6, 2, 1, 8, 9];
 
+/// Layout of [`SideState::r`]: the 16 GPRs by hardware number, then the low
+/// and high XMM lanes, the five flags (cf, zf, sf, of, pf), the symbolic
+/// heap (everything that is not the tracked frame) and the frame epoch
+/// (changes when an escaped frame is havocked by a call).
+const XLO: usize = 16;
+const XHI: usize = 32;
+const FLAGS: usize = 48;
+const MEM: usize = 53;
+const EPOCH: usize = 54;
+const NREGS: usize = 55;
+
 /// Per-side abstract machine state at a program point.
 #[derive(Clone, PartialEq)]
 struct SideState {
-    gpr: [TermId; 16],
-    xmm_lo: [TermId; 16],
-    xmm_hi: [TermId; 16],
-    /// cf, zf, sf, of, pf.
-    flags: [TermId; 5],
-    /// The symbolic heap (everything that is not the tracked frame).
-    mem: TermId,
-    /// Frame epoch: changes when an escaped frame is havocked by a call.
-    epoch: TermId,
-    /// Byte-granular frame contents keyed by offset from entry rsp.
-    frame: BTreeMap<i64, TermId>,
+    r: [TermId; NREGS],
+    /// Frame contents keyed by offset from entry rsp.
+    frame: Frame,
 }
 
 impl SideState {
     fn entry(terms: &mut Terms) -> SideState {
-        let mut gpr = [TermId::default(); 16];
-        let mut xmm_lo = [TermId::default(); 16];
-        let mut xmm_hi = [TermId::default(); 16];
+        let mut r = [TermId::default(); NREGS];
         for i in 0..16u8 {
-            gpr[i as usize] = terms.atom(Atom::Gpr(i));
-            xmm_lo[i as usize] = terms.atom(Atom::XmmLo(i));
-            xmm_hi[i as usize] = terms.atom(Atom::XmmHi(i));
+            r[i as usize] = terms.atom(Atom::Gpr(i));
+            r[XLO + i as usize] = terms.atom(Atom::XmmLo(i));
+            r[XHI + i as usize] = terms.atom(Atom::XmmHi(i));
         }
-        let mut flags = [TermId::default(); 5];
         for f in 0..5u8 {
-            flags[f as usize] = terms.atom(Atom::Flag(f));
+            r[FLAGS + f as usize] = terms.atom(Atom::Flag(f));
         }
+        r[MEM] = terms.atom(Atom::Mem);
+        r[EPOCH] = terms.atom(Atom::Frame);
         SideState {
-            gpr,
-            xmm_lo,
-            xmm_hi,
-            flags,
-            mem: terms.atom(Atom::Mem),
-            epoch: terms.atom(Atom::Frame),
-            frame: BTreeMap::new(),
+            r,
+            frame: Frame::default(),
         }
+    }
+
+    /// `*self = src.clone()` into the existing allocation.
+    fn assign(&mut self, src: &SideState) {
+        self.r = src.r;
+        self.frame.assign(&src.frame);
     }
 }
 
@@ -88,7 +101,7 @@ enum Event {
         rsp: TermId,
         args: [TermId; 6],
         fargs: [TermId; 8],
-        frame: Option<Vec<(i64, TermId)>>,
+        frame: Option<Digest>,
     },
     /// Function exit: everything the caller may observe.
     Ret {
@@ -96,93 +109,99 @@ enum Event {
         saved: [TermId; 6],
         rsp: TermId,
         ret_slot: Option<TermId>,
-        frame: Vec<(i64, TermId)>,
+        frame: Digest,
     },
-    /// A conditional branch: normalized condition code + the flag terms read.
-    Branch { cc: u8, flags: Vec<TermId> },
+    /// A conditional branch: normalized condition code + the flag terms
+    /// read, in [`cond_flags`] order.
+    Branch { cc: u8, flags: [Option<TermId>; 3] },
     /// A trapping instruction (ud2).
     Trap,
     /// Anything the walker cannot model; compared textually.
     Other(String),
 }
 
-/// Symbolic executor for one side of one block.
-struct Walker<'w> {
-    terms: &'w mut Terms,
-    img: &'w Image,
-    snap: &'w KnownSnapshot,
+/// What one proof fixes for every walk.
+struct Ctx<'a> {
+    img: &'a Image,
+    /// The snapshot's sorted, coalesced ranges of folded known memory.
+    known: &'a [Range<u64>],
     rsp0: TermId,
     escaped: bool,
     ret_kind: RetKind,
+}
+
+/// A flag write not yet interned: flag `k` is `Tag::Flag(k, src)` over
+/// `args[..n]`. Almost no flag an ALU instruction writes is ever read.
+#[derive(Clone, Copy)]
+struct Pending {
+    src: FlagSrc,
+    args: [TermId; 3],
+    n: u8,
+}
+
+/// Symbolic executor for one side of one block.
+struct Walker<'w> {
+    cx: &'w Ctx<'w>,
+    terms: &'w mut Terms,
     block: u32,
     calls: u16,
-    st: SideState,
-    events: Vec<Event>,
+    st: &'w mut SideState,
+    /// Overrides `st.r[FLAGS + k]` until read or block exit.
+    lazy: [Option<Pending>; 5],
+    events: &'w mut Vec<Event>,
     halted: bool,
 }
 
-impl<'w> Walker<'w> {
+impl Walker<'_> {
     fn gpr(&self, r: Gpr) -> TermId {
-        self.st.gpr[r as usize]
+        self.st.r[r as usize]
+    }
+
+    fn frame_off(&self, addr: TermId) -> Option<i64> {
+        self.terms.offset_of(addr, self.cx.rsp0)
     }
 
     fn write_gpr(&mut self, r: Gpr, t: TermId) {
         if r == Gpr::Rsp {
             // Raising rsp abandons everything below the new top: those
             // bytes are dead on both sides regardless of what was stored.
-            let old = self.terms.offset_of(self.st.gpr[r as usize], self.rsp0);
-            let new = self.terms.offset_of(t, self.rsp0);
-            if let (Some(o), Some(n)) = (old, new) {
+            if let (Some(o), Some(n)) = (self.frame_off(self.gpr(r)), self.frame_off(t)) {
                 if n > o {
-                    let dead: Vec<i64> = self.st.frame.range(o..n).map(|(k, _)| *k).collect();
-                    for k in dead {
-                        self.st.frame.remove(&k);
-                    }
+                    self.st.frame.kill(self.terms, o, n);
                 }
             }
         }
-        self.st.gpr[r as usize] = t;
+        self.st.r[r as usize] = t;
     }
 
     fn addr_term(&mut self, m: &MemRef) -> TermId {
         let mut t = self.terms.constant(m.disp as i64 as u64);
         if let Some(b) = m.base {
-            let bt = self.st.gpr[b as usize];
-            t = self.terms.add64(t, bt);
+            t = self.terms.add64(t, self.st.r[b as usize]);
         }
         if let Some((i, scale)) = m.index {
-            let it = self.st.gpr[i as usize];
-            let scaled = self.terms.mul_const(it, scale as i64);
+            let scaled = self.terms.mul_const(self.st.r[i as usize], scale as i64);
             t = self.terms.add64(t, scaled);
         }
         t
     }
 
-    fn frame_byte(&mut self, off: i64) -> TermId {
-        if let Some(&t) = self.st.frame.get(&off) {
-            return t;
-        }
-        let offc = self.terms.constant(off as u64);
-        self.terms.op(Tag::FrameFresh, vec![self.st.epoch, offc])
-    }
-
     fn load_t(&mut self, addr: TermId, len: u8) -> TermId {
-        if let Some(off) = self.terms.offset_of(addr, self.rsp0) {
-            let bytes: Vec<TermId> = (0..len as i64).map(|k| self.frame_byte(off + k)).collect();
-            return self.terms.pack(bytes);
+        if let Some(off) = self.frame_off(addr) {
+            return self.st.frame.load(self.terms, self.st.r[EPOCH], off, len);
         }
         if let Some(a) = self.terms.as_const(addr) {
-            let inside =
-                self.snap.ranges().iter().any(|r| {
-                    a >= r.start && a.checked_add(len as u64).is_some_and(|end| end <= r.end)
-                });
+            let known = self.cx.known;
+            let inside = known[..known.partition_point(|r| r.start <= a)]
+                .last()
+                .is_some_and(|r| a.checked_add(len as u64).is_some_and(|end| end <= r.end));
             if inside {
-                if let Ok(v) = self.img.read_uint(a, len as u64) {
+                if let Ok(v) = self.cx.img.read_uint(a, len as u64) {
                     return self.terms.constant(v);
                 }
             }
         }
-        self.terms.op(Tag::Select(len), vec![self.st.mem, addr])
+        self.terms.op(Tag::Select(len), &[self.st.r[MEM], addr])
     }
 
     fn store_t(&mut self, addr: TermId, val: TermId, len: u8) {
@@ -191,21 +210,17 @@ impl<'w> Walker<'w> {
             4 => self.terms.low32(val),
             _ => val,
         };
-        if let Some(off) = self.terms.offset_of(addr, self.rsp0) {
-            for k in 0..len as i64 {
-                let b = self.terms.byte(canon, k as u8);
-                self.st.frame.insert(off + k, b);
-            }
-            return;
+        if let Some(off) = self.frame_off(addr) {
+            return self.st.frame.put(self.terms, off, len, canon);
         }
         self.events.push(Event::Store {
             len,
             addr,
             val: canon,
         });
-        self.st.mem = self
+        self.st.r[MEM] = self
             .terms
-            .op(Tag::Store(len), vec![self.st.mem, addr, canon]);
+            .op(Tag::Store(len), &[self.st.r[MEM], addr, canon]);
     }
 
     fn load(&mut self, m: &MemRef, len: u8) -> TermId {
@@ -223,10 +238,7 @@ impl<'w> Walker<'w> {
         match op {
             Operand::Reg(r) => Some(self.gpr(*r)),
             Operand::Imm(i) => Some(self.terms.constant(*i as u64)),
-            Operand::Mem(m) => {
-                let m = *m;
-                Some(self.load(&m, w.bytes() as u8))
-            }
+            Operand::Mem(m) => Some(self.load(m, w.bytes() as u8)),
             Operand::Xmm(_) => None,
         }
     }
@@ -235,10 +247,7 @@ impl<'w> Walker<'w> {
         let t = match w {
             Width::W64 => val,
             Width::W32 => self.terms.low32(val),
-            Width::W8 => {
-                let old = self.gpr(r);
-                self.terms.op(Tag::InsertByte0, vec![old, val])
-            }
+            Width::W8 => self.terms.op(Tag::InsertByte0, &[self.gpr(r), val]),
         };
         self.write_gpr(r, t);
     }
@@ -246,10 +255,7 @@ impl<'w> Walker<'w> {
     fn write_dst(&mut self, dst: &Operand, w: Width, val: TermId) {
         match dst {
             Operand::Reg(r) => self.write_gpr_w(*r, w, val),
-            Operand::Mem(m) => {
-                let m = *m;
-                self.store(&m, val, w.bytes() as u8);
-            }
+            Operand::Mem(m) => self.store(m, val, w.bytes() as u8),
             _ => self.other_str("write to unsupported operand"),
         }
     }
@@ -270,14 +276,37 @@ impl<'w> Walker<'w> {
                 let s = self.terms.sub64(a, b);
                 self.terms.low32(s)
             }
-            _ => self.terms.op(Tag::Alu(op, w), vec![a, b]),
+            _ => self.terms.op(Tag::Alu(op, w), &[a, b]),
         }
     }
 
+    /// All five flags now come from `src` over `args`.
     fn set_flags(&mut self, src: FlagSrc, args: &[TermId]) {
-        for k in 0..5u8 {
-            self.st.flags[k as usize] = self.terms.op(Tag::Flag(k, src), args.to_vec());
+        let mut p = Pending {
+            src,
+            args: [TermId::default(); 3],
+            n: args.len() as u8,
+        };
+        p.args[..args.len()].copy_from_slice(args);
+        self.lazy = [Some(p); 5];
+    }
+
+    /// Flag `k`, interning its pending producer first.
+    fn flag(&mut self, k: usize) -> TermId {
+        if let Some(p) = self.lazy[k].take() {
+            let tag = Tag::Flag(k as u8, p.src);
+            self.st.r[FLAGS + k] = self.terms.op(tag, &p.args[..p.n as usize]);
         }
+        self.st.r[FLAGS + k]
+    }
+
+    /// The flags `c` reads, in [`cond_flags`] order.
+    fn cond_terms(&mut self, c: Cond) -> [Option<TermId>; 3] {
+        let mut out = [None; 3];
+        for (o, &k) in out.iter_mut().zip(cond_flags(c)) {
+            *o = Some(self.flag(k));
+        }
+        out
     }
 
     fn other_str(&mut self, s: &str) {
@@ -291,10 +320,20 @@ impl<'w> Walker<'w> {
     /// Low 64-bit lane of an SSE source operand.
     fn sse_lo(&mut self, src: &Operand) -> Option<TermId> {
         match src {
-            Operand::Xmm(x) => Some(self.st.xmm_lo[*x as usize]),
+            Operand::Xmm(x) => Some(self.st.r[XLO + *x as usize]),
+            Operand::Mem(m) => Some(self.load(m, 8)),
+            _ => None,
+        }
+    }
+
+    /// Both lanes of a packed SSE source operand.
+    fn sse_pair(&mut self, src: &Operand) -> Option<(TermId, TermId)> {
+        match src {
+            Operand::Xmm(x) => Some((self.st.r[XLO + *x as usize], self.st.r[XHI + *x as usize])),
             Operand::Mem(m) => {
-                let m = *m;
-                Some(self.load(&m, 8))
+                let a = self.addr_term(m);
+                let ahi = self.terms.add_const(a, 8);
+                Some((self.load_t(a, 8), self.load_t(ahi, 8)))
             }
             _ => None,
         }
@@ -304,21 +343,15 @@ impl<'w> Walker<'w> {
         let idx = self.calls;
         self.calls += 1;
         let rsp = self.gpr(Gpr::Rsp);
-        let rsp_off = self.terms.offset_of(rsp, self.rsp0);
-        let mut args = [TermId::default(); 6];
-        for (i, &r) in SYSV_INT_ARGS.iter().enumerate() {
-            args[i] = self.st.gpr[r];
-        }
+        let rsp_off = self.frame_off(rsp);
+        let args = SYSV_INT_ARGS.map(|r| self.st.r[r]);
         let mut fargs = [TermId::default(); 8];
-        fargs.copy_from_slice(&self.st.xmm_lo[0..8]);
+        fargs.copy_from_slice(&self.st.r[XLO..XLO + 8]);
         // If the frame escaped, the callee may read it: its live contents
         // (everything at or above the callee's view of the stack top)
         // become observable at this boundary.
-        let frame = if self.escaped {
-            Some(self.digest(rsp_off.unwrap_or(i64::MIN)))
-        } else {
-            None
-        };
+        let escaped = self.cx.escaped;
+        let frame = escaped.then(|| self.digest(rsp_off.unwrap_or(i64::MIN)));
         self.events.push(Event::Call {
             target,
             ind,
@@ -328,67 +361,42 @@ impl<'w> Walker<'w> {
             frame,
         });
         // Havoc everything a SysV callee may clobber, with per-call-site
-        // atoms so both sides agree on the (unknown) returned values.
+        // atoms so both sides agree on the (unknown) returned values:
+        // slots 0-15 the GPRs, 16-47 the xmm lanes, 48-52 the flags.
         let block = self.block;
-        for &r in CALLER_SAVED.iter() {
-            self.st.gpr[r] = self.terms.atom(Atom::CallOut {
+        let clobbered = CALLER_SAVED.into_iter().chain(XLO..MEM);
+        for slot in clobbered {
+            self.st.r[slot] = self.terms.atom(Atom::CallOut {
                 block,
                 idx,
-                slot: r as u8,
+                slot: slot as u8,
             });
         }
-        for x in 0..16usize {
-            self.st.xmm_lo[x] = self.terms.atom(Atom::CallOut {
-                block,
-                idx,
-                slot: 16 + x as u8,
-            });
-            self.st.xmm_hi[x] = self.terms.atom(Atom::CallOut {
-                block,
-                idx,
-                slot: 32 + x as u8,
-            });
-        }
-        for f in 0..5usize {
-            self.st.flags[f] = self.terms.atom(Atom::CallOut {
-                block,
-                idx,
-                slot: 48 + f as u8,
-            });
-        }
-        self.st.mem = self.terms.atom(Atom::CallMem { block, idx });
-        if self.escaped {
-            // The callee may rewrite any frame byte it can reach.
-            self.st.frame.clear();
-            self.st.epoch = self.terms.atom(Atom::CallFrame { block, idx });
-        } else if let Some(off) = rsp_off {
+        self.lazy = [None; 5];
+        self.st.r[MEM] = self.terms.atom(Atom::CallMem { block, idx });
+        match rsp_off {
             // Private frame: the callee still owns everything below the
             // current stack top (red zone is not preserved across calls).
-            let dead: Vec<i64> = self.st.frame.range(..off).map(|(k, _)| *k).collect();
-            for k in dead {
-                self.st.frame.remove(&k);
-            }
-        } else {
-            self.st.frame.clear();
+            Some(off) if !escaped => self.st.frame.kill(self.terms, i64::MIN, off),
+            _ => self.st.frame.clear(),
+        }
+        if escaped {
+            // The callee may rewrite any frame byte it can reach.
+            self.st.r[EPOCH] = self.terms.atom(Atom::CallFrame { block, idx });
         }
     }
 
     fn do_ret(&mut self) {
         let rsp = self.gpr(Gpr::Rsp);
-        let rsp_off = self.terms.offset_of(rsp, self.rsp0);
-        let val = match self.ret_kind {
-            RetKind::Int => Some(self.st.gpr[0]),
-            RetKind::F64 => Some(self.st.xmm_lo[0]),
+        let rsp_off = self.frame_off(rsp);
+        let val = match self.cx.ret_kind {
+            RetKind::Int => Some(self.st.r[0]),
+            RetKind::F64 => Some(self.st.r[XLO]),
             RetKind::Void => None,
         };
-        let mut saved = [TermId::default(); 6];
-        for (i, &r) in CALLEE_SAVED.iter().enumerate() {
-            saved[i] = self.st.gpr[r];
-        }
-        let ret_slot = rsp_off.map(|off| {
-            let bytes: Vec<TermId> = (0..8).map(|k| self.frame_byte(off + k)).collect();
-            self.terms.pack(bytes)
-        });
+        let saved = CALLEE_SAVED.map(|r| self.st.r[r]);
+        let epoch = self.st.r[EPOCH];
+        let ret_slot = rsp_off.map(|off| self.st.frame.load(self.terms, epoch, off, 8));
         // The caller owns everything above the return address: stores into
         // the caller's stack area must match even for a private frame.
         let frame = self.digest(rsp_off.map(|o| o + 8).unwrap_or(i64::MIN));
@@ -404,18 +412,8 @@ impl<'w> Walker<'w> {
 
     /// The live frame contents at or above `lo`, dropping bytes that still
     /// hold their untouched initial value.
-    fn digest(&mut self, lo: i64) -> Vec<(i64, TermId)> {
-        let entries: Vec<(i64, TermId)> =
-            self.st.frame.range(lo..).map(|(&k, &v)| (k, v)).collect();
-        let epoch = self.st.epoch;
-        entries
-            .into_iter()
-            .filter(|&(off, v)| {
-                let offc = self.terms.constant(off as u64);
-                let fresh = self.terms.op(Tag::FrameFresh, vec![epoch, offc]);
-                v != fresh
-            })
-            .collect()
+    fn digest(&mut self, lo: i64) -> Digest {
+        self.st.frame.digest(self.terms, self.st.r[EPOCH], lo)
     }
 
     fn exec(&mut self, inst: &Inst) {
@@ -438,7 +436,7 @@ impl<'w> Walker<'w> {
             }
             Inst::Movsxd { dst, ref src } => {
                 if let Some(v) = self.int_value(src, Width::W32) {
-                    let t = self.terms.op(Tag::Movsxd, vec![v]);
+                    let t = self.terms.op(Tag::Movsxd, &[v]);
                     self.write_gpr(dst, t);
                 } else {
                     self.other(inst);
@@ -446,15 +444,14 @@ impl<'w> Walker<'w> {
             }
             Inst::Movzx8 { w: _, dst, ref src } => {
                 if let Some(v) = self.int_value(src, Width::W8) {
-                    let t = self.terms.op(Tag::Movzx8, vec![v]);
+                    let t = self.terms.op(Tag::Movzx8, &[v]);
                     self.write_gpr(dst, t);
                 } else {
                     self.other(inst);
                 }
             }
             Inst::Lea { dst, ref src } => {
-                let src = *src;
-                let t = self.addr_term(&src);
+                let t = self.addr_term(src);
                 self.write_gpr(dst, t);
             }
             Inst::Alu {
@@ -489,15 +486,11 @@ impl<'w> Walker<'w> {
             }
             Inst::Imul { w, dst, ref src } => {
                 let a = self.gpr(dst);
-                let b = match self.int_value(src, w) {
-                    Some(b) => b,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(b) = self.int_value(src, w) else {
+                    return self.other(inst);
                 };
                 self.set_flags(FlagSrc::Imul(w), &[a, b]);
-                let t = self.terms.op(Tag::Imul(w), vec![a, b]);
+                let t = self.terms.op(Tag::Imul(w), &[a, b]);
                 self.write_gpr_w(dst, w, t);
             }
             Inst::ImulImm {
@@ -506,29 +499,21 @@ impl<'w> Walker<'w> {
                 ref src,
                 imm,
             } => {
-                let a = match self.int_value(src, w) {
-                    Some(a) => a,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(a) = self.int_value(src, w) else {
+                    return self.other(inst);
                 };
                 let b = self.terms.constant(imm as i64 as u64);
                 self.set_flags(FlagSrc::Imul(w), &[a, b]);
-                let t = self.terms.op(Tag::Imul(w), vec![a, b]);
+                let t = self.terms.op(Tag::Imul(w), &[a, b]);
                 self.write_gpr_w(dst, w, t);
             }
             Inst::Unary { op, w, ref dst } => {
-                let v = match self.int_value(dst, w) {
-                    Some(v) => v,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(v) = self.int_value(dst, w) else {
+                    return self.other(inst);
                 };
                 match op {
                     UnOp::Not => {
-                        let t = self.terms.op(Tag::Not(w), vec![v]);
+                        let t = self.terms.op(Tag::Not(w), &[v]);
                         self.write_dst(dst, w, t);
                     }
                     UnOp::Neg => {
@@ -545,10 +530,10 @@ impl<'w> Walker<'w> {
                         } else {
                             AluOp::Sub
                         };
-                        // inc/dec leave CF untouched.
-                        let prev_cf = self.st.flags[0];
+                        // inc/dec leave CF untouched, pending or not.
+                        let prev_cf = self.lazy[0];
                         self.set_flags(FlagSrc::Alu(alu, w), &[v, one]);
-                        self.st.flags[0] = prev_cf;
+                        self.lazy[0] = prev_cf;
                         let t = self.alu_value(alu, w, v, one);
                         self.write_dst(dst, w, t);
                     }
@@ -560,12 +545,8 @@ impl<'w> Walker<'w> {
                 ref dst,
                 count,
             } => {
-                let v = match self.int_value(dst, w) {
-                    Some(v) => v,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(v) = self.int_value(dst, w) else {
+                    return self.other(inst);
                 };
                 match count {
                     ShiftCount::Imm(c) => {
@@ -581,7 +562,7 @@ impl<'w> Walker<'w> {
                         } else {
                             let cnt = self.terms.constant(masked as u64);
                             self.set_flags(FlagSrc::Shift(op, w), &[v, cnt]);
-                            let t = self.terms.op(Tag::ShiftVal(op, w), vec![v, cnt]);
+                            let t = self.terms.op(Tag::ShiftVal(op, w), &[v, cnt]);
                             self.write_dst(dst, w, t);
                         }
                     }
@@ -589,46 +570,39 @@ impl<'w> Walker<'w> {
                         let cl = self.gpr(Gpr::Rcx);
                         // Flags are conditional on the masked count being
                         // nonzero: each new flag depends on its prior value.
-                        let prev = self.st.flags;
-                        for k in 0..5u8 {
-                            self.st.flags[k as usize] = self.terms.op(
-                                Tag::Flag(k, FlagSrc::ShiftCl(op, w)),
-                                vec![v, cl, prev[k as usize]],
-                            );
+                        for k in 0..5 {
+                            let prev = self.flag(k);
+                            self.lazy[k] = Some(Pending {
+                                src: FlagSrc::ShiftCl(op, w),
+                                args: [v, cl, prev],
+                                n: 3,
+                            });
                         }
-                        let t = self.terms.op(Tag::ShiftVal(op, w), vec![v, cl]);
+                        let t = self.terms.op(Tag::ShiftVal(op, w), &[v, cl]);
                         self.write_dst(dst, w, t);
                     }
                 }
             }
             Inst::Cqo { w } => {
                 let rax = self.gpr(Gpr::Rax);
-                let t = self.terms.op(Tag::Cqo(w), vec![rax]);
+                let t = self.terms.op(Tag::Cqo(w), &[rax]);
                 self.write_gpr(Gpr::Rdx, t);
             }
             Inst::Idiv { w, ref src } => {
-                let d = match self.int_value(src, w) {
-                    Some(d) => d,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(d) = self.int_value(src, w) else {
+                    return self.other(inst);
                 };
                 let hi = self.gpr(Gpr::Rdx);
                 let lo = self.gpr(Gpr::Rax);
-                let q = self.terms.op(Tag::Quot(w), vec![hi, lo, d]);
-                let r = self.terms.op(Tag::Rem(w), vec![hi, lo, d]);
+                let q = self.terms.op(Tag::Quot(w), &[hi, lo, d]);
+                let r = self.terms.op(Tag::Rem(w), &[hi, lo, d]);
                 self.set_flags(FlagSrc::Idiv(w), &[hi, lo, d]);
                 self.write_gpr(Gpr::Rax, q);
                 self.write_gpr(Gpr::Rdx, r);
             }
             Inst::Push { ref src } => {
-                let v = match self.int_value(src, Width::W64) {
-                    Some(v) => v,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(v) = self.int_value(src, Width::W64) else {
+                    return self.other(inst);
                 };
                 let rsp = self.gpr(Gpr::Rsp);
                 let nrsp = self.terms.add_const(rsp, -8);
@@ -643,8 +617,7 @@ impl<'w> Walker<'w> {
                 match dst {
                     Operand::Reg(r) => self.write_gpr(*r, v),
                     Operand::Mem(m) => {
-                        let m = *m;
-                        self.store(&m, v, 8);
+                        self.store(m, v, 8);
                     }
                     _ => self.other(inst),
                 }
@@ -653,10 +626,7 @@ impl<'w> Walker<'w> {
             Inst::CallInd { ref src } => {
                 let t = match src {
                     Operand::Reg(r) => Some(self.gpr(*r)),
-                    Operand::Mem(m) => {
-                        let m = *m;
-                        Some(self.load(&m, 8))
-                    }
+                    Operand::Mem(m) => Some(self.load(m, 8)),
                     _ => None,
                 };
                 match t {
@@ -671,60 +641,48 @@ impl<'w> Walker<'w> {
                 self.other(inst);
             }
             Inst::Setcc { cond, ref dst } => {
-                let flags: Vec<TermId> =
-                    cond_flags(cond).iter().map(|&k| self.st.flags[k]).collect();
-                let t = self.terms.op(Tag::Setcc(cond), flags);
+                let flags = self.cond_terms(cond).map(Option::unwrap_or_default);
+                let n = cond_flags(cond).len();
+                let t = self.terms.op(Tag::Setcc(cond), &flags[..n]);
                 self.write_dst(dst, Width::W8, t);
             }
             Inst::MovSd { ref dst, ref src } => match (dst, src) {
                 (Operand::Xmm(d), Operand::Xmm(s)) => {
                     // Register form copies only the low lane.
-                    self.st.xmm_lo[*d as usize] = self.st.xmm_lo[*s as usize];
+                    self.st.r[XLO + *d as usize] = self.st.r[XLO + *s as usize];
                 }
                 (Operand::Xmm(d), Operand::Mem(m)) => {
-                    let m = *m;
-                    let lo = self.load(&m, 8);
-                    self.st.xmm_lo[*d as usize] = lo;
+                    self.st.r[XLO + *d as usize] = self.load(m, 8);
                     // Load form zeroes the high lane.
-                    self.st.xmm_hi[*d as usize] = self.terms.constant(0);
+                    self.st.r[XHI + *d as usize] = self.terms.constant(0);
                 }
                 (Operand::Mem(m), Operand::Xmm(s)) => {
-                    let m = *m;
-                    let lo = self.st.xmm_lo[*s as usize];
-                    self.store(&m, lo, 8);
+                    self.store(m, self.st.r[XLO + *s as usize], 8);
                 }
                 _ => self.other(inst),
             },
             Inst::MovUpd { ref dst, ref src } => match (dst, src) {
-                (Operand::Xmm(d), Operand::Xmm(s)) => {
-                    self.st.xmm_lo[*d as usize] = self.st.xmm_lo[*s as usize];
-                    self.st.xmm_hi[*d as usize] = self.st.xmm_hi[*s as usize];
-                }
-                (Operand::Xmm(d), Operand::Mem(m)) => {
-                    let m = *m;
-                    let a = self.addr_term(&m);
-                    let lo = self.load_t(a, 8);
-                    let ahi = self.terms.add_const(a, 8);
-                    let hi = self.load_t(ahi, 8);
-                    self.st.xmm_lo[*d as usize] = lo;
-                    self.st.xmm_hi[*d as usize] = hi;
-                }
+                (Operand::Xmm(d), src) => match self.sse_pair(src) {
+                    Some((lo, hi)) => {
+                        self.st.r[XLO + *d as usize] = lo;
+                        self.st.r[XHI + *d as usize] = hi;
+                    }
+                    None => self.other(inst),
+                },
                 (Operand::Mem(m), Operand::Xmm(s)) => {
-                    let m = *m;
-                    let a = self.addr_term(&m);
-                    let lo = self.st.xmm_lo[*s as usize];
-                    let hi = self.st.xmm_hi[*s as usize];
-                    self.store_t(a, lo, 8);
+                    let a = self.addr_term(m);
+                    self.store_t(a, self.st.r[XLO + *s as usize], 8);
                     let ahi = self.terms.add_const(a, 8);
-                    self.store_t(ahi, hi, 8);
+                    self.store_t(ahi, self.st.r[XHI + *s as usize], 8);
                 }
                 _ => self.other(inst),
             },
             Inst::Sse { op, dst, ref src } => {
+                let (lo, hi) = (XLO + dst as usize, XHI + dst as usize);
                 if op == SseOp::Unpcklpd {
                     // dst = [dst.lo, src.lo]; the low lane is unchanged.
                     match self.sse_lo(src) {
-                        Some(slo) => self.st.xmm_hi[dst as usize] = slo,
+                        Some(slo) => self.st.r[hi] = slo,
                         None => self.other(inst),
                     }
                 } else if op.is_packed() {
@@ -735,76 +693,41 @@ impl<'w> Walker<'w> {
                         SseOp::Divpd => SseOp::Divsd,
                         other => other,
                     };
-                    let (blo, bhi) = match src {
-                        Operand::Xmm(s) => {
-                            (self.st.xmm_lo[*s as usize], self.st.xmm_hi[*s as usize])
-                        }
-                        Operand::Mem(m) => {
-                            let m = *m;
-                            let a = self.addr_term(&m);
-                            let lo = self.load_t(a, 8);
-                            let ahi = self.terms.add_const(a, 8);
-                            let hi = self.load_t(ahi, 8);
-                            (lo, hi)
-                        }
-                        _ => {
-                            self.other(inst);
-                            return;
-                        }
+                    let Some((blo, bhi)) = self.sse_pair(src) else {
+                        return self.other(inst);
                     };
-                    let alo = self.st.xmm_lo[dst as usize];
-                    let ahi = self.st.xmm_hi[dst as usize];
-                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(scalar), vec![alo, blo]);
-                    self.st.xmm_hi[dst as usize] = self.terms.op(Tag::Sse(scalar), vec![ahi, bhi]);
+                    self.st.r[lo] = self.terms.op(Tag::Sse(scalar), &[self.st.r[lo], blo]);
+                    self.st.r[hi] = self.terms.op(Tag::Sse(scalar), &[self.st.r[hi], bhi]);
                 } else {
-                    let b = match self.sse_lo(src) {
-                        Some(b) => b,
-                        None => {
-                            self.other(inst);
-                            return;
-                        }
+                    let Some(b) = self.sse_lo(src) else {
+                        return self.other(inst);
                     };
-                    let a = self.st.xmm_lo[dst as usize];
-                    self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Sse(op), vec![a, b]);
+                    self.st.r[lo] = self.terms.op(Tag::Sse(op), &[self.st.r[lo], b]);
                 }
             }
             Inst::Ucomisd { a, ref b } => {
-                let av = self.st.xmm_lo[a as usize];
-                let bv = match self.sse_lo(b) {
-                    Some(bv) => bv,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let av = self.st.r[XLO + a as usize];
+                let Some(bv) = self.sse_lo(b) else {
+                    return self.other(inst);
                 };
-                let zero = self.terms.constant(0);
-                for k in [0u8, 1, 4] {
-                    self.st.flags[k as usize] =
-                        self.terms.op(Tag::Flag(k, FlagSrc::Ucomisd), vec![av, bv]);
+                self.set_flags(FlagSrc::Ucomisd, &[av, bv]);
+                for k in [2, 3] {
+                    self.lazy[k] = None;
+                    self.st.r[FLAGS + k] = self.terms.constant(0);
                 }
-                self.st.flags[2] = zero;
-                self.st.flags[3] = zero;
             }
             Inst::Cvtsi2sd { w, dst, ref src } => {
-                let v = match self.int_value(src, w) {
-                    Some(v) => v,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(v) = self.int_value(src, w) else {
+                    return self.other(inst);
                 };
-                self.st.xmm_lo[dst as usize] = self.terms.op(Tag::Cvtsi2sd(w), vec![v]);
+                self.st.r[XLO + dst as usize] = self.terms.op(Tag::Cvtsi2sd(w), &[v]);
                 // High lane is preserved by cvtsi2sd.
             }
             Inst::Cvttsd2si { w, dst, ref src } => {
-                let v = match self.sse_lo(src) {
-                    Some(v) => v,
-                    None => {
-                        self.other(inst);
-                        return;
-                    }
+                let Some(v) = self.sse_lo(src) else {
+                    return self.other(inst);
                 };
-                let t = self.terms.op(Tag::Cvttsd2si(w), vec![v]);
+                let t = self.terms.op(Tag::Cvttsd2si(w), &[v]);
                 self.write_gpr(dst, t);
             }
             Inst::Ud2 => {
@@ -815,51 +738,62 @@ impl<'w> Walker<'w> {
     }
 }
 
-/// Execute one block's instruction list from `entry`, recording events.
-/// Returns the out state, the events, and whether execution halted inside
-/// the block (ret or trap).
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    terms: &mut Terms,
-    img: &Image,
-    snap: &KnownSnapshot,
-    rsp0: TermId,
-    escaped: bool,
-    ret_kind: RetKind,
-    block: u32,
-    entry: SideState,
-    insts: &[Inst],
-    branch: Option<Cond>,
-) -> (SideState, Vec<Event>, bool) {
-    let mut w = Walker {
-        terms,
-        img,
-        snap,
-        rsp0,
-        escaped,
-        ret_kind,
-        block,
-        calls: 0,
-        st: entry,
-        events: Vec::new(),
-        halted: false,
-    };
-    for inst in insts {
-        if w.halted {
-            break;
+/// Walk buffers one proof reuses across every block visit.
+struct Prover<'a> {
+    cx: Ctx<'a>,
+    terms: Terms,
+    /// Working state of the side being walked; the out state afterwards.
+    out: [SideState; 2],
+    /// Every event either side recorded, visit after visit; a block's
+    /// current streams are the ranges in its [`BlockPlan`].
+    events: [Vec<Event>; 2],
+    join: JoinScratch,
+}
+
+impl Prover<'_> {
+    /// Execute side `side` of block `block` from `entry`, leaving the out
+    /// state in `self.out[side]`. Returns the range of events recorded and
+    /// whether execution halted inside the block (ret or trap).
+    fn walk<'i>(
+        &mut self,
+        side: usize,
+        block: u32,
+        entry: &SideState,
+        insts: impl Iterator<Item = &'i Inst>,
+        branch: Option<Cond>,
+    ) -> (Range<usize>, bool) {
+        self.out[side].assign(entry);
+        let start = self.events[side].len();
+        let mut w = Walker {
+            cx: &self.cx,
+            terms: &mut self.terms,
+            block,
+            calls: 0,
+            st: &mut self.out[side],
+            lazy: [None; 5],
+            events: &mut self.events[side],
+            halted: false,
+        };
+        for inst in insts {
+            if w.halted {
+                break;
+            }
+            w.exec(inst);
         }
-        w.exec(inst);
-    }
-    if !w.halted {
-        if let Some(c) = branch {
-            let flags: Vec<TermId> = cond_flags(c).iter().map(|&k| w.st.flags[k]).collect();
-            w.events.push(Event::Branch {
-                cc: c.code() & !1,
-                flags,
-            });
+        if !w.halted {
+            if let Some(c) = branch {
+                let cc = c.code() & !1;
+                let flags = w.cond_terms(c);
+                w.events.push(Event::Branch { cc, flags });
+            }
+            // The out state crosses a block boundary: no flag stays pending.
+            for k in 0..5 {
+                w.flag(k);
+            }
         }
+        let halted = w.halted;
+        (start..self.events[side].len(), halted)
     }
-    (w.st, w.events, w.halted)
 }
 
 /// How many instructions at the tail of an emitted block slice realize the
@@ -928,134 +862,96 @@ fn match_term(
 
 /// One captured block paired with its emitted counterpart.
 struct BlockPlan {
-    pre: Vec<Inst>,
-    post: Vec<Inst>,
+    /// The emitted body: a range of the region's instruction list.
+    post: Range<usize>,
     branch: Option<Cond>,
-    succs: Vec<usize>,
     addr: u64,
+    /// The event streams (pre, post) of the block's latest walk.
+    events: [Range<usize>; 2],
+}
+
+/// Buffers [`join`] reuses.
+#[derive(Default)]
+struct JoinScratch {
+    /// Phi class of each differing (accumulated, incoming) value pair.
+    class: HashMap<(TermId, TermId), u32, BuildHasherDefault<WordHasher>>,
+    chunks: Vec<(i64, u8)>,
+    /// Frame writes `(side, offset, len, bytes' source)` to apply once
+    /// every chunk of both sides has been read.
+    puts: Vec<(usize, i64, u8, TermId)>,
 }
 
 /// Join the incoming state into the accumulated state for a block, using
 /// shared phi atoms so that matching differences on the two sides stay
 /// term-identical. Returns true if anything changed.
+///
+/// A joint location is a register-file entry or a frame chunk
+/// ([`Frame::chunks`] over the two states' written bytes), numbered pre
+/// side first. Locations that disagree between accumulated and incoming
+/// state get a phi. The phi class is keyed by the (current, incoming) value
+/// pair so that two locations carrying the same moved value — e.g. the pre
+/// side's register and the post side's coalesced register — receive the
+/// *same* phi atom, keeping them provably equal downstream.
 fn join(
     terms: &mut Terms,
-    cur: &mut (SideState, SideState),
-    inc_pre: &SideState,
-    inc_post: &SideState,
+    js: &mut JoinScratch,
+    cur: &mut [SideState; 2],
+    inc: [&SideState; 2],
     block: u32,
 ) -> bool {
-    /// Maximal consecutive byte runs of the joint key set, chopped into
-    /// 8/4/1-byte chunks. Joining the frame at chunk granularity (packed
-    /// back into wholes) is what lets a value that one side keeps spilled
-    /// and the other keeps in a register share a phi class: the chunk's
-    /// pack collapses to the same whole term the register holds.
-    fn chunks(a: &SideState, b: &SideState) -> Vec<(i64, u8)> {
-        let mut keys: Vec<i64> = a.frame.keys().chain(b.frame.keys()).copied().collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < keys.len() {
-            let mut j = i + 1;
-            while j < keys.len() && keys[j] == keys[j - 1] + 1 {
-                j += 1;
-            }
-            let mut off = keys[i];
-            let mut len = (j - i) as i64;
-            while len > 0 {
-                let c: i64 = if len >= 8 {
-                    8
-                } else if len >= 4 {
-                    4
-                } else {
-                    1
-                };
-                out.push((off, c as u8));
-                off += c;
-                len -= c;
-            }
-            i = j;
-        }
-        out
+    if cur[0] == *inc[0] && cur[1] == *inc[1] {
+        return false;
     }
-    fn frame_byte_of(terms: &mut Terms, s: &SideState, off: i64) -> TermId {
-        match s.frame.get(&off) {
-            Some(&t) => t,
-            None => {
-                let offc = terms.constant(off as u64);
-                terms.op(Tag::FrameFresh, vec![s.epoch, offc])
-            }
-        }
-    }
-    fn flatten(terms: &mut Terms, s: &SideState, chunks: &[(i64, u8)]) -> Vec<TermId> {
-        let mut v = Vec::with_capacity(55 + chunks.len());
-        v.extend_from_slice(&s.gpr);
-        v.extend_from_slice(&s.xmm_lo);
-        v.extend_from_slice(&s.xmm_hi);
-        v.extend_from_slice(&s.flags);
-        v.push(s.mem);
-        v.push(s.epoch);
-        for &(off, len) in chunks {
-            let bytes: Vec<TermId> = (0..len as i64)
-                .map(|k| frame_byte_of(terms, s, off + k))
-                .collect();
-            let packed = terms.pack(bytes);
-            v.push(packed);
-        }
-        v
-    }
-    fn unflatten(terms: &mut Terms, s: &mut SideState, chunks: &[(i64, u8)], v: &[TermId]) {
-        s.gpr.copy_from_slice(&v[0..16]);
-        s.xmm_lo.copy_from_slice(&v[16..32]);
-        s.xmm_hi.copy_from_slice(&v[32..48]);
-        s.flags.copy_from_slice(&v[48..53]);
-        s.mem = v[53];
-        s.epoch = v[54];
-        s.frame.clear();
-        for (ci, &(off, len)) in chunks.iter().enumerate() {
-            let t = v[55 + ci];
-            for k in 0..len as i64 {
-                let b = terms.byte(t, k as u8);
-                let offc = terms.constant((off + k) as u64);
-                let fresh = terms.op(Tag::FrameFresh, vec![s.epoch, offc]);
-                if b != fresh {
-                    s.frame.insert(off + k, b);
-                }
-            }
-        }
-    }
-
-    let pre_chunks = chunks(&cur.0, inc_pre);
-    let post_chunks = chunks(&cur.1, inc_post);
-    let mut cur_flat = flatten(terms, &cur.0, &pre_chunks);
-    let pre_len = cur_flat.len();
-    cur_flat.extend(flatten(terms, &cur.1, &post_chunks));
-    let mut inc_flat = flatten(terms, inc_pre, &pre_chunks);
-    inc_flat.extend(flatten(terms, inc_post, &post_chunks));
-
-    // Locations that disagree between accumulated and incoming state get a
-    // phi. The phi class is keyed by the (current, incoming) value pair so
-    // that two locations carrying the same moved value — e.g. the pre side's
-    // register and the post side's coalesced register — receive the *same*
-    // phi atom, keeping them provably equal downstream.
-    let mut class: HashMap<(TermId, TermId), u32> = HashMap::new();
+    js.class.clear();
+    js.puts.clear();
+    let mut at = 0u32;
     let mut changed = false;
-    for i in 0..cur_flat.len() {
-        let (c, v) = (cur_flat[i], inc_flat[i]);
-        if c == v {
-            continue;
+    for (side, cur) in cur.iter_mut().enumerate() {
+        let inc = inc[side];
+        // The phi `c` becomes when `v` comes in, unless it already is it.
+        let mut phi = |terms: &mut Terms, c: TermId, v: TermId| {
+            at += 1;
+            if c == v {
+                return None;
+            }
+            let class = *js.class.entry((c, v)).or_insert(at - 1);
+            let phi = terms.atom(Atom::Phi { block, class });
+            (c != phi).then_some(phi)
+        };
+        let epoch = cur.r[EPOCH];
+        for (c, &v) in cur.r.iter_mut().zip(&inc.r) {
+            if let Some(p) = phi(terms, *c, v) {
+                *c = p;
+                changed = true;
+            }
         }
-        let cls = *class.entry((c, v)).or_insert(i as u32);
-        let phi = terms.atom(Atom::Phi { block, class: cls });
-        if cur_flat[i] != phi {
-            cur_flat[i] = phi;
-            changed = true;
+        let (a, b) = (cur.frame.slots(), inc.frame.slots());
+        Frame::chunks(a, b, i64::MIN, &mut js.chunks);
+        for &(off, len) in &js.chunks {
+            let c = cur.frame.load(terms, epoch, off, len);
+            let v = inc.frame.load(terms, inc.r[EPOCH], off, len);
+            match phi(terms, c, v) {
+                Some(p) => {
+                    changed = true;
+                    js.puts.push((side, off, len, p));
+                }
+                // A chunk that stays is still its packed term split into
+                // bytes again once anything changes. For a whole slot that
+                // is the slot; loose bytes come back re-derived, and an
+                // unwritten one pinned to the epoch it was fresh under.
+                None if !cur.frame.has_slot(off, len) => js.puts.push((side, off, len, c)),
+                None => {}
+            }
         }
     }
     if changed {
-        unflatten(terms, &mut cur.0, &pre_chunks, &cur_flat[..pre_len]);
-        unflatten(terms, &mut cur.1, &post_chunks, &cur_flat[pre_len..]);
+        for &(side, off, len, t) in &js.puts {
+            cur[side].frame.put(terms, off, len, t);
+        }
+        // A byte that reads as untouched under the joined epoch is.
+        for s in cur {
+            s.frame.drop_fresh(terms, s.r[EPOCH]);
+        }
     }
     changed
 }
@@ -1094,7 +990,7 @@ fn render_event(terms: &Terms, e: &Event) -> String {
             format!("ret {} rsp={}", v, terms.render(*rsp))
         }
         Event::Branch { cc, flags } => {
-            let f: Vec<String> = flags.iter().map(|&t| terms.render(t)).collect();
+            let f: Vec<String> = flags.iter().flatten().map(|&t| terms.render(t)).collect();
             format!("branch cc={cc} on [{}]", f.join(", "))
         }
         Event::Trap => "trap".into(),
@@ -1111,31 +1007,18 @@ fn reject(report: &mut VerifyReport, addr: u64, detail: String) {
     });
 }
 
-/// Translation-validate `res` (the emitted, optimized code) against `cap`
-/// (the pre-pass captured CFG). Pushes `Rule::Equivalence` findings into
-/// `report` on any failure to prove equivalence.
+/// Translation-validate `res` (the emitted, optimized code, decoded into
+/// `region` by the structural tier) against `cap` (the pre-pass captured
+/// CFG). Pushes `Rule::Equivalence` findings into `report` on any failure
+/// to prove equivalence.
 pub(crate) fn check(
     img: &Image,
     req: &SpecRequest,
     res: &RewriteResult,
     cap: &EquivCapture,
+    region: &Region,
     report: &mut VerifyReport,
 ) {
-    // Decode the emitted region independently (a scratch report: decode
-    // problems are already covered by the structural tiers).
-    let mut scratch = VerifyReport::default();
-    let region = match cfg::decode_region(img, res.entry, res.code_len, &mut scratch) {
-        Some(r) => r,
-        None => {
-            reject(
-                report,
-                res.entry,
-                "emitted region failed to decode for equivalence checking".into(),
-            );
-            return;
-        }
-    };
-
     let nblocks = cap.blocks.len();
     if cap.entry_block >= nblocks || cap.block_addrs.len() != nblocks {
         reject(report, res.entry, "malformed equivalence capture".into());
@@ -1185,17 +1068,13 @@ pub(crate) fn check(
     let mut sorted_addrs: Vec<u64> = order.iter().map(|&b| cap.block_addrs[b]).collect();
     sorted_addrs.sort_unstable();
     sorted_addrs.dedup();
-    let region_end = res.entry + res.code_len as u64;
 
     let mut plans: Vec<Option<BlockPlan>> = (0..nblocks).map(|_| None).collect();
     for &b in &order {
         let blk = &cap.blocks[b];
         let addr = cap.block_addrs[b];
-        let mut end = sorted_addrs
-            .iter()
-            .find(|&&a| a > addr)
-            .copied()
-            .unwrap_or(region_end);
+        let next = sorted_addrs.partition_point(|&a| a <= addr);
+        let mut end = sorted_addrs.get(next).copied().unwrap_or(region.end);
         // A block whose body was fully optimized away and whose jmp was
         // elided occupies zero bytes: it shares its address with its jump
         // target, and every instruction at that address belongs to the
@@ -1218,10 +1097,7 @@ pub(crate) fn check(
                 return;
             }
         };
-        let mut stop = start;
-        while stop < region.insts.len() && region.insts[stop].0 < end {
-            stop += 1;
-        }
+        let stop = start + region.insts[start..].partition_point(|&(a, _, _)| a < end);
         let slice = &region.insts[start..stop];
         let body_len = match match_term(slice, end, &blk.term, &cap.block_addrs) {
             Ok(n) => n,
@@ -1234,28 +1110,36 @@ pub(crate) fn check(
             Terminator::Jcc { cond, .. } => Some(cond),
             _ => None,
         };
-        let succs: Vec<usize> = blk.term.successors().map(|s| s.0).collect();
         plans[b] = Some(BlockPlan {
-            pre: blk.insts.iter().map(|ci| ci.inst).collect(),
-            post: slice[..body_len].iter().map(|&(_, i, _)| i).collect(),
+            post: start..start + body_len,
             branch,
-            succs,
             addr,
+            events: [0..0, 0..0],
         });
     }
 
-    let snap = &res.snapshot;
-    let escaped = cap.frame_escaped;
-    let ret_kind = req.config().ret;
-
-    let mut terms = Terms::default();
+    let mut terms = Terms::with_capacity(region.insts.len());
     let init = SideState::entry(&mut terms);
-    let rsp0 = init.gpr[Gpr::Rsp as usize];
+    let mut px = Prover {
+        cx: Ctx {
+            img,
+            known: res.snapshot.ranges(),
+            rsp0: init.r[Gpr::Rsp as usize],
+            escaped: cap.frame_escaped,
+            ret_kind: req.config().ret,
+        },
+        terms,
+        out: [init.clone(), init.clone()],
+        events: [Vec::new(), Vec::new()],
+        join: JoinScratch::default(),
+    };
 
-    // Joint fixpoint over (pre, post) states.
-    let mut states: Vec<Option<(SideState, SideState)>> = (0..nblocks).map(|_| None).collect();
+    // Joint fixpoint over (pre, post) states. A block is walked again after
+    // every change to its entry state, so the event streams its last walk
+    // left behind are the ones its final entry state produces.
+    let mut states: Vec<Option<[SideState; 2]>> = (0..nblocks).map(|_| None).collect();
     let mut visits = vec![0u32; nblocks];
-    states[cap.entry_block] = Some((init.clone(), init));
+    states[cap.entry_block] = Some([init.clone(), init]);
     let mut work: VecDeque<usize> = VecDeque::new();
     work.push_back(cap.entry_block);
     while let Some(b) = work.pop_front() {
@@ -1268,108 +1152,56 @@ pub(crate) fn check(
             );
             return;
         }
-        let plan = match plans[b].as_ref() {
-            Some(p) => p,
-            None => continue,
+        let (Some(plan), Some([spre, spost])) = (plans[b].as_mut(), states[b].as_ref()) else {
+            continue;
         };
-        let (spre, spost) = match states[b].clone() {
-            Some(s) => s,
-            None => continue,
-        };
-        let (out_pre, _, halt_pre) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spre,
-            &plan.pre,
-            plan.branch,
-        );
-        let (out_post, _, halt_post) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spost,
-            &plan.post,
-            plan.branch,
-        );
+        let pre = cap.blocks[b].insts.iter().map(|ci| &ci.inst);
+        let post = region.insts[plan.post.clone()].iter().map(|(_, i, _)| i);
+        let (ev_pre, halt_pre) = px.walk(0, b as u32, spre, pre, plan.branch);
+        let (ev_post, halt_post) = px.walk(1, b as u32, spost, post, plan.branch);
+        plan.events = [ev_pre, ev_post];
         if halt_pre || halt_post {
             continue;
         }
-        for &s in &plan.succs {
-            match states[s].as_mut() {
+        for s in cap.blocks[b].term.successors().map(|s| s.0) {
+            let changed = match states[s].as_mut() {
                 None => {
-                    states[s] = Some((out_pre.clone(), out_post.clone()));
-                    work.push_back(s);
+                    states[s] = Some(px.out.clone());
+                    true
                 }
                 Some(cur) => {
-                    if join(&mut terms, cur, &out_pre, &out_post, s as u32) {
-                        work.push_back(s);
-                    }
+                    let out = [&px.out[0], &px.out[1]];
+                    join(&mut px.terms, &mut px.join, cur, out, s as u32)
                 }
+            };
+            if changed {
+                work.push_back(s);
             }
         }
     }
 
-    // Phase B: with stable per-block entry states, compare the observable
-    // event streams of the two sides block by block.
+    #[cfg(test)]
+    tests::check_retained_streams(&mut px, cap, region, &plans, &states, &visits);
+
+    // With stable per-block entry states, compare the observable event
+    // streams of the two sides block by block.
     for &b in &order {
-        let plan = match plans[b].as_ref() {
-            Some(p) => p,
-            None => continue,
+        let (Some(plan), Some(_)) = (plans[b].as_ref(), states[b].as_ref()) else {
+            continue;
         };
-        let (spre, spost) = match states[b].clone() {
-            Some(s) => s,
-            None => continue,
-        };
-        let (_, ev_pre, _) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spre,
-            &plan.pre,
-            plan.branch,
-        );
-        let (_, ev_post, _) = walk(
-            &mut terms,
-            img,
-            snap,
-            rsp0,
-            escaped,
-            ret_kind,
-            b as u32,
-            spost,
-            &plan.post,
-            plan.branch,
-        );
-        let mut diverged = false;
-        for (i, (pe, qe)) in ev_pre.iter().zip(ev_post.iter()).enumerate() {
-            if pe != qe {
-                reject(
-                    report,
-                    plan.addr,
-                    format!(
-                        "block {b} event {i} diverges: baseline {} vs optimized {}",
-                        render_event(&terms, pe),
-                        render_event(&terms, qe)
-                    ),
-                );
-                diverged = true;
-                break;
-            }
-        }
-        if !diverged && ev_pre.len() != ev_post.len() {
+        let ev_pre = &px.events[0][plan.events[0].clone()];
+        let ev_post = &px.events[1][plan.events[1].clone()];
+        if let Some(i) = ev_pre.iter().zip(ev_post).position(|(pe, qe)| pe != qe) {
+            reject(
+                report,
+                plan.addr,
+                format!(
+                    "block {b} event {i} diverges: baseline {} vs optimized {}",
+                    render_event(&px.terms, &ev_pre[i]),
+                    render_event(&px.terms, &ev_post[i])
+                ),
+            );
+        } else if ev_pre.len() != ev_post.len() {
             reject(
                 report,
                 plan.addr,
@@ -1379,6 +1211,411 @@ pub(crate) fn check(
                     ev_post.len()
                 ),
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::fresh;
+    use crate::frame::tests::{value_pool, ByteFrame};
+    use crate::{verify, VerifyOptions};
+    use brew_core::Rewriter;
+    use brew_x86::alu::ShOp;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Most visits the fixpoint of the last proof paid to one block.
+        static MAX_VISITS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Runs inside every proof a unit test makes: the streams each block's
+    /// last fixpoint walk left behind must be what a fresh walk from its
+    /// final entry state records — the second pass this prover no longer
+    /// makes.
+    pub(super) fn check_retained_streams(
+        px: &mut Prover,
+        cap: &EquivCapture,
+        region: &Region,
+        plans: &[Option<BlockPlan>],
+        states: &[Option<[SideState; 2]>],
+        visits: &[u32],
+    ) {
+        MAX_VISITS.with(|m| m.set(visits.iter().copied().max().unwrap_or(0)));
+        for (b, (plan, st)) in plans.iter().zip(states).enumerate() {
+            let (Some(plan), Some([spre, spost])) = (plan, st) else {
+                continue;
+            };
+            let pre = cap.blocks[b].insts.iter().map(|ci| &ci.inst);
+            let post = region.insts[plan.post.clone()].iter().map(|(_, i, _)| i);
+            let again = [
+                px.walk(0, b as u32, spre, pre, plan.branch).0,
+                px.walk(1, b as u32, spost, post, plan.branch).0,
+            ];
+            for side in 0..2 {
+                let ev = &px.events[side];
+                assert_eq!(
+                    ev[plan.events[side].clone()],
+                    ev[again[side].clone()],
+                    "block {b} side {side}: retained stream is stale"
+                );
+            }
+        }
+    }
+
+    fn proves_with_revisits(img: &Image, func: u64, req: &SpecRequest, what: &str) {
+        let res = Rewriter::new(img).rewrite(func, req).expect(what);
+        let report = verify(img, func, req, &res, &VerifyOptions::default());
+        assert!(report.passed(), "{what}: {:?}", report.findings);
+        assert!(
+            MAX_VISITS.with(Cell::get) > 1,
+            "{what}: no block was walked twice, the test proves nothing"
+        );
+    }
+
+    #[test]
+    fn retained_streams_equal_a_fresh_walk_on_multi_visit_cfgs() {
+        // The kept `gsum` loop: world migration closes it, its head joins.
+        let pg = brew_pgas::PgasArray::new(64, 4, 0);
+        let gsum = pg.prog.func("gsum").unwrap();
+        proves_with_revisits(&pg.img, gsum, &pg.gsum_request(), "gsum.64");
+
+        // The whole sweep, four body variants before migration.
+        let st = brew_stencil::Stencil::new(16, 16);
+        let sweep = st.prog.func("sweep_generic").unwrap();
+        proves_with_revisits(&st.img, sweep, &st.sweep_request(4), "sweep_generic.u4");
+
+        // Forks that meet again, and a loop with an unknown trip count.
+        let img = Image::new();
+        let prog = brew_minic::compile_into(
+            r#"
+            int clamp(int x, int lo, int hi) {
+                int r = x;
+                if (x < lo) r = lo;
+                if (x > hi) r = hi;
+                return r;
+            }
+            int sum(int* p, int n) {
+                int s = 0;
+                for (int i = 0; i < n; i++) s += p[i];
+                return s;
+            }
+            "#,
+            &img,
+        )
+        .unwrap();
+        let unknown3 = SpecRequest::new()
+            .unknown_int()
+            .unknown_int()
+            .unknown_int()
+            .ret(RetKind::Int);
+        let clamp = prog.func("clamp").unwrap();
+        let forks = unknown3.func(clamp, |o| o.max_variants = 1);
+        proves_with_revisits(&img, clamp, &forks, "clamp forks");
+        let sum = prog.func("sum").unwrap();
+        let looped = SpecRequest::new()
+            .unknown_int()
+            .unknown_int()
+            .ret(RetKind::Int)
+            .func(sum, |o| {
+                o.branch_unknown = true;
+                o.max_variants = 2;
+            });
+        proves_with_revisits(&img, sum, &looped, "sum loop");
+    }
+
+    // ---- lazy flags ---------------------------------------------------------
+
+    struct Rig {
+        cx: Ctx<'static>,
+        terms: Terms,
+        st: SideState,
+        events: Vec<Event>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let img: &'static Image = Box::leak(Box::new(Image::new()));
+            let mut terms = Terms::default();
+            let st = SideState::entry(&mut terms);
+            let cx = Ctx {
+                img,
+                known: &[],
+                rsp0: st.r[Gpr::Rsp as usize],
+                escaped: false,
+                ret_kind: RetKind::Int,
+            };
+            Rig {
+                cx,
+                terms,
+                st,
+                events: Vec::new(),
+            }
+        }
+
+        /// Walk `insts` as one block ending in `branch`; the out state stays
+        /// in `self.st`.
+        fn walk(&mut self, insts: &[Inst], branch: Option<Cond>) {
+            let mut px = Prover {
+                cx: Ctx { ..self.cx },
+                terms: std::mem::take(&mut self.terms),
+                out: [self.st.clone(), self.st.clone()],
+                events: [Vec::new(), Vec::new()],
+                join: JoinScratch::default(),
+            };
+            px.walk(0, 0, &self.st, insts.iter(), branch);
+            self.terms = px.terms;
+            self.st = px.out[0].clone();
+            self.events = std::mem::take(&mut px.events[0]);
+        }
+
+        fn flag_term(&mut self, k: u8, src: FlagSrc, args: &[TermId]) -> TermId {
+            self.terms.op(Tag::Flag(k, src), args)
+        }
+    }
+
+    fn alu(op: AluOp, dst: Gpr, src: Gpr) -> Inst {
+        Inst::Alu {
+            op,
+            w: Width::W64,
+            dst: Operand::Reg(dst),
+            src: Operand::Reg(src),
+        }
+    }
+
+    #[test]
+    fn inc_and_dec_preserve_a_pending_carry() {
+        let mut rig = Rig::new();
+        let (rax, rbx, rcx) = (rig.st.r[0], rig.st.r[3], rig.st.r[1]);
+        let inc = Inst::Unary {
+            op: UnOp::Inc,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rcx),
+        };
+        // CF is still the add's when `jb` reads it after the inc; ZF is the
+        // inc's.
+        rig.walk(&[alu(AluOp::Add, Gpr::Rax, Gpr::Rbx), inc], Some(Cond::Be));
+        let cf = rig.flag_term(0, FlagSrc::Alu(AluOp::Add, Width::W64), &[rax, rbx]);
+        let one = rig.terms.constant(1);
+        let zf = rig.flag_term(1, FlagSrc::Alu(AluOp::Add, Width::W64), &[rcx, one]);
+        let want = Event::Branch {
+            cc: Cond::Be.code() & !1,
+            flags: [Some(cf), Some(zf), None],
+        };
+        assert_eq!(rig.events, vec![want]);
+        // Every flag is interned at block exit.
+        assert_eq!(rig.st.r[FLAGS], cf);
+        assert_eq!(rig.st.r[FLAGS + 1], zf);
+    }
+
+    #[test]
+    fn cl_shift_flags_chain_through_a_pending_producer() {
+        let mut rig = Rig::new();
+        let (rax, rbx, rcx) = (rig.st.r[0], rig.st.r[3], rig.st.r[1]);
+        let shl = Inst::Shift {
+            op: ShOp::Shl,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rbx),
+            count: ShiftCount::Cl,
+        };
+        rig.walk(&[alu(AluOp::Cmp, Gpr::Rax, Gpr::Rbx), shl], Some(Cond::E));
+        // The shift's ZF keeps the cmp's ZF as its "count was zero" case.
+        let cmp_zf = rig.flag_term(1, FlagSrc::Alu(AluOp::Sub, Width::W64), &[rax, rbx]);
+        let zf = rig.flag_term(
+            1,
+            FlagSrc::ShiftCl(ShOp::Shl, Width::W64),
+            &[rbx, rcx, cmp_zf],
+        );
+        assert_eq!(
+            rig.events,
+            vec![Event::Branch {
+                cc: Cond::E.code() & !1,
+                flags: [Some(zf), None, None],
+            }]
+        );
+    }
+
+    #[test]
+    fn flags_survive_a_block_boundary_and_a_join() {
+        // Two predecessors end in different producers nobody read...
+        let mut left = Rig::new();
+        let (rax, rbx) = (left.st.r[0], left.st.r[3]);
+        let entry = left.st.clone();
+        left.walk(&[alu(AluOp::Cmp, Gpr::Rax, Gpr::Rbx)], None);
+        let cmp_zf = left.flag_term(1, FlagSrc::Alu(AluOp::Sub, Width::W64), &[rax, rbx]);
+        assert_eq!(left.st.r[FLAGS + 1], cmp_zf);
+        let out_left = left.st.clone();
+        left.st = entry;
+        left.walk(
+            &[Inst::Test {
+                w: Width::W64,
+                a: Operand::Reg(Gpr::Rax),
+                b: Operand::Reg(Gpr::Rbx),
+            }],
+            None,
+        );
+        let out_right = left.st.clone();
+        assert_ne!(out_left.r[FLAGS + 1], out_right.r[FLAGS + 1]);
+        // ...their join phis each flag once, the same on both sides...
+        let mut cur = [out_left.clone(), out_left];
+        let changed = join(
+            &mut left.terms,
+            &mut JoinScratch::default(),
+            &mut cur,
+            [&out_right, &out_right],
+            7,
+        );
+        assert!(changed);
+        assert_eq!(cur[0].r[FLAGS + 1], cur[1].r[FLAGS + 1]);
+        assert!(matches!(
+            left.terms.get(cur[0].r[FLAGS + 1]),
+            crate::term::Node::Atom(Atom::Phi { block: 7, .. })
+        ));
+        // ...and the successor's branch reads the phi.
+        left.st = cur[0].clone();
+        left.walk(&[], Some(Cond::Ne));
+        assert_eq!(
+            left.events,
+            vec![Event::Branch {
+                cc: Cond::E.code() & !1,
+                flags: [Some(cur[0].r[FLAGS + 1]), None, None],
+            }]
+        );
+    }
+
+    // ---- join against the byte-granular oracle ---------------------------------
+
+    /// The join this prover replaced, over byte-granular frames: flatten
+    /// both states over the joint key set's chunks, phi what differs,
+    /// rebuild everything from the flat vector.
+    type ByteSide = ([TermId; NREGS], ByteFrame);
+
+    fn byte_join(
+        terms: &mut Terms,
+        cur: &mut (ByteSide, ByteSide),
+        inc: [&ByteSide; 2],
+        block: u32,
+    ) -> bool {
+        fn chunks(a: &ByteSide, b: &ByteSide) -> Vec<(i64, u8)> {
+            let mut keys: Vec<i64> = a.1 .0.keys().chain(b.1 .0.keys()).copied().collect();
+            keys.sort_unstable();
+            keys.dedup();
+            ByteFrame::chunks(&keys)
+        }
+        fn flatten(terms: &mut Terms, s: &ByteSide, chunks: &[(i64, u8)]) -> Vec<TermId> {
+            let mut v = s.0.to_vec();
+            for &(off, len) in chunks {
+                v.push(s.1.load(terms, s.0[EPOCH], off, len));
+            }
+            v
+        }
+        fn unflatten(terms: &mut Terms, s: &mut ByteSide, chunks: &[(i64, u8)], v: &[TermId]) {
+            s.0.copy_from_slice(&v[..NREGS]);
+            s.1 .0.clear();
+            for (&(off, len), &t) in chunks.iter().zip(&v[NREGS..]) {
+                for k in 0..len {
+                    let at = off + k as i64;
+                    let b = terms.byte(t, k);
+                    if b != fresh(terms, s.0[EPOCH], at) {
+                        s.1 .0.insert(at, b);
+                    }
+                }
+            }
+        }
+        let pre_chunks = chunks(&cur.0, inc[0]);
+        let post_chunks = chunks(&cur.1, inc[1]);
+        let mut cur_flat = flatten(terms, &cur.0, &pre_chunks);
+        let pre_len = cur_flat.len();
+        cur_flat.extend(flatten(terms, &cur.1, &post_chunks));
+        let mut inc_flat = flatten(terms, inc[0], &pre_chunks);
+        inc_flat.extend(flatten(terms, inc[1], &post_chunks));
+        let mut class: HashMap<(TermId, TermId), u32> = HashMap::new();
+        let mut changed = false;
+        for i in 0..cur_flat.len() {
+            let (c, v) = (cur_flat[i], inc_flat[i]);
+            if c == v {
+                continue;
+            }
+            let cls = *class.entry((c, v)).or_insert(i as u32);
+            let phi = terms.atom(Atom::Phi { block, class: cls });
+            if cur_flat[i] != phi {
+                cur_flat[i] = phi;
+                changed = true;
+            }
+        }
+        if changed {
+            unflatten(terms, &mut cur.0, &pre_chunks, &cur_flat[..pre_len]);
+            unflatten(terms, &mut cur.1, &post_chunks, &cur_flat[pre_len..]);
+        }
+        changed
+    }
+
+    /// `(offset, len, value)` stores and `(register, value)` writes that
+    /// build one state; `epoch` picks one of two frame epochs.
+    type Recipe = (Vec<(i64, u8, usize)>, Vec<(usize, usize)>, bool);
+
+    fn recipe() -> impl Strategy<Value = Recipe> {
+        let len = proptest::sample::select(&[1u8, 4, 8][..]);
+        (
+            proptest::collection::vec((-16i64..32, len, 0usize..64), 0..8),
+            proptest::collection::vec((0usize..NREGS - 2, 0usize..64), 0..6),
+            any::<bool>(),
+        )
+    }
+
+    fn build(terms: &mut Terms, pool: &[TermId], epochs: [TermId; 2], rx: &Recipe) -> SideState {
+        let mut st = SideState::entry(terms);
+        st.r[EPOCH] = epochs[rx.2 as usize];
+        for &(off, len, v) in &rx.0 {
+            let val = pool[v % pool.len()];
+            let src = if len == 1 { terms.byte(val, 0) } else { val };
+            st.frame.put(terms, off, len, src);
+        }
+        for &(r, v) in &rx.1 {
+            st.r[r] = pool[v % pool.len()];
+        }
+        st
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Three rounds of joins into one accumulated state leave the same
+        /// registers, the same frame bytes and the same verdict as the
+        /// byte-granular join, misaligned chunks, moved epochs and
+        /// fresh-equal bytes included.
+        #[test]
+        fn slot_join_matches_the_byte_join(
+            start in (recipe(), recipe()),
+            rounds in proptest::collection::vec((recipe(), recipe()), 1..4),
+        ) {
+            let mut terms = Terms::default();
+            let mut pool = value_pool(&mut terms);
+            let epochs = [terms.atom(Atom::Frame), terms.atom(Atom::CallFrame { block: 1, idx: 0 })];
+            // Unwritten bytes read under one epoch, stored back in place
+            // (offset 8) under either: explicit fresh-equal bytes.
+            pool.push(Frame::default().load(&mut terms, epochs[0], 8, 8));
+            let mut cur = [
+                build(&mut terms, &pool, epochs, &start.0),
+                build(&mut terms, &pool, epochs, &start.1),
+            ];
+            let bytes = |terms: &mut Terms, s: &SideState| (s.r, s.frame.bytes(terms));
+            let mut old = (bytes(&mut terms, &cur[0]), bytes(&mut terms, &cur[1]));
+            let mut js = JoinScratch::default();
+            for (i, (pre, post)) in rounds.iter().enumerate() {
+                let inc = [
+                    build(&mut terms, &pool, epochs, pre),
+                    build(&mut terms, &pool, epochs, post),
+                ];
+                let old_inc = [bytes(&mut terms, &inc[0]), bytes(&mut terms, &inc[1])];
+                let changed = join(&mut terms, &mut js, &mut cur, [&inc[0], &inc[1]], 3);
+                let old_changed = byte_join(&mut terms, &mut old, [&old_inc[0], &old_inc[1]], 3);
+                prop_assert_eq!(changed, old_changed, "round {}", i);
+                prop_assert_eq!(bytes(&mut terms, &cur[0]), old.0.clone(), "round {} pre", i);
+                prop_assert_eq!(bytes(&mut terms, &cur[1]), old.1.clone(), "round {} post", i);
+            }
         }
     }
 }

@@ -51,6 +51,7 @@ use std::ops::Range;
 
 mod cfg;
 mod equiv;
+mod frame;
 mod mem;
 pub mod mutate;
 mod render;
@@ -249,17 +250,19 @@ pub fn verify(
     res: &RewriteResult,
     opts: &VerifyOptions,
 ) -> VerifyReport {
-    let mut report = verify_region(img, func, req, res.entry, res.code_len, &res.snapshot, opts);
+    let (mut report, region) =
+        structural(img, func, req, res.entry, res.code_len, &res.snapshot, opts);
     // Third tier: symbolic translation validation against the captured
-    // pre-pass CFG. Only meaningful when the emitted bytes decode cleanly
-    // and the rewrite carried its capture along.
-    if let Some(cap) = res.equiv.as_ref() {
+    // pre-pass CFG, over the structural tier's decoding. Only meaningful
+    // when the emitted bytes decode cleanly and the rewrite carried its
+    // capture along.
+    if let (Some(cap), Some(region)) = (res.equiv.as_ref(), region) {
         let decodes = !report
             .findings
             .iter()
             .any(|f| f.rule == Rule::Roundtrip && f.severity == Severity::Error);
         if decodes {
-            equiv::check(img, req, res, cap, &mut report);
+            equiv::check(img, req, res, cap, &region, &mut report);
         }
     }
     report
@@ -276,12 +279,25 @@ pub fn verify_region(
     snapshot: &KnownSnapshot,
     opts: &VerifyOptions,
 ) -> VerifyReport {
+    structural(img, func, req, entry, code_len, snapshot, opts).0
+}
+
+/// The structural tiers, and the decoded region they ran over (`None` when
+/// it does not decode end to end).
+fn structural(
+    img: &Image,
+    func: u64,
+    req: &SpecRequest,
+    entry: u64,
+    code_len: usize,
+    snapshot: &KnownSnapshot,
+    opts: &VerifyOptions,
+) -> (VerifyReport, Option<Region>) {
     let mut report = VerifyReport::default();
-    let region = match cfg::decode_region(img, entry, code_len, &mut report) {
-        Some(r) => r,
+    let Some(region) = cfg::decode_region(img, entry, code_len, &mut report) else {
         // Undecodable regions cannot be analyzed further; the roundtrip
         // findings already block publication.
-        None => return report,
+        return (report, None);
     };
     report.insts = region.insts.len();
     cfg::check_closure(img, &region, opts, &mut report);
@@ -289,7 +305,7 @@ pub fn verify_region(
     let orig = mem::summarize_original(img, func, req);
     mem::check_writes(img, &region, req, snapshot, &orig, opts, &mut report);
     mem::check_provenance(img, &region, req, snapshot, &orig, opts, &mut report);
-    report
+    (report, Some(region))
 }
 
 /// The pipeline packaged as a manager publish gate (`verify_on_publish`).

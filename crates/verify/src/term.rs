@@ -8,8 +8,8 @@
 //! commutative operators sort their operands, constants fold through the
 //! *shared* ALU semantics in [`brew_x86::alu`] (the same code the rewriter
 //! folds with, so the validator can never disagree with the optimizer
-//! about arithmetic), and byte-granular frame traffic collapses back into
-//! whole values via the `Pack`/`Byte` rules.
+//! about arithmetic), and frame traffic that cuts across a stored value
+//! splits it into `Byte` terms that `Pack` collapses back into wholes.
 //!
 //! Everything here is *syntactic modulo these rules*: a term inequality is
 //! never a proof of difference, only an unproven equality — the checker
@@ -20,8 +20,8 @@ use brew_x86::alu::{self, AluOp, ShOp};
 use brew_x86::cond::Cond;
 use brew_x86::inst::SseOp;
 use brew_x86::reg::Width;
-use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// Interned term handle. Equal ids ⇔ provably equal values.
 pub(crate) type TermId = u32;
@@ -132,20 +132,30 @@ pub(crate) enum Tag {
     FrameFresh,
 }
 
-/// One interned node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One interned node. `Copy`: operands live inline (or, for linear sums,
+/// in the arena's side pool), so building and matching a node never touches
+/// the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Node {
     /// A known 64-bit constant.
     Const(u64),
     /// An abstract input.
     Atom(Atom),
-    /// Canonical wrapping 64-bit linear sum `k + Σ coeffᵢ·partᵢ`; parts
-    /// are sorted by id, coefficients are nonzero, and no part is itself
-    /// a `Lin` or `Const`.
-    Lin { k: u64, parts: Vec<(TermId, i64)> },
-    /// Structural operator application.
-    Op { tag: Tag, args: Vec<TermId> },
+    /// Canonical wrapping 64-bit linear sum `k + Σ coeffᵢ·partᵢ`; the `n`
+    /// parts sit at `at..at + n` of the arena's part pool, sorted by id,
+    /// coefficients nonzero, and no part is itself a `Lin` or `Const`.
+    Lin { k: u64, at: u32, n: u32 },
+    /// Structural operator application over `args[..n]` (the rest is zero,
+    /// so derived equality is operand equality).
+    Op {
+        tag: Tag,
+        n: u8,
+        args: [TermId; MAX_ARGS],
+    },
 }
+
+/// Most operands any operator takes (`Pack` of an 8-byte load).
+const MAX_ARGS: usize = 8;
 
 /// The flag indices a condition code reads, in fixed (cf, zf, sf, of, pf)
 /// order — the set is identical for a condition and its negation, which
@@ -163,36 +173,148 @@ pub(crate) fn cond_flags(c: Cond) -> &'static [usize] {
     }
 }
 
+/// Multiplicative word hasher for the intern table and the join's phi
+/// classes. The keys are term ids and tags the prover made itself, so the
+/// collision resistance of SipHash buys nothing here.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Hash-consing arena. Deterministic: interning the same build sequence
 /// yields the same ids, so repeated checks of one variant produce
 /// byte-identical reports.
 #[derive(Default)]
 pub(crate) struct Terms {
     nodes: Vec<Node>,
-    map: HashMap<Node, TermId>,
+    /// Linear-sum parts of every `Node::Lin`, back to back.
+    parts: Vec<(TermId, i64)>,
+    /// Open-addressing index over `nodes`: `(hash, id + 1)`, 0 = empty,
+    /// power-of-two length, at most half full.
+    table: Vec<(u32, u32)>,
+    /// Scratch for assembling a linear sum before it is interned.
+    sum: Vec<(TermId, i64)>,
 }
 
 impl Terms {
+    /// An arena sized for a proof over `insts` emitted instructions: the
+    /// corpus interns 0.7 to 1.2 terms per emitted instruction beyond the
+    /// entry state's hundred.
+    pub fn with_capacity(insts: usize) -> Terms {
+        let n = insts + 128;
+        Terms {
+            nodes: Vec::with_capacity(n),
+            parts: Vec::with_capacity(n / 4),
+            table: vec![(0, 0); (2 * n).next_power_of_two()],
+            sum: Vec::with_capacity(16),
+        }
+    }
+
     pub fn get(&self, t: TermId) -> &Node {
         &self.nodes[t as usize]
     }
 
-    fn intern(&mut self, n: Node) -> TermId {
-        if let Some(&id) = self.map.get(&n) {
-            return id;
+    /// Interned terms so far.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `t` as an operator application.
+    pub fn as_op(&self, t: TermId) -> Option<(Tag, &[TermId])> {
+        match self.get(t) {
+            Node::Op { tag, n, args } => Some((*tag, &args[..*n as usize])),
+            _ => None,
         }
-        let id = self.nodes.len() as TermId;
-        self.nodes.push(n.clone());
-        self.map.insert(n, id);
-        id
+    }
+
+    /// The operand of `t` if it is a one-operand `tag` application.
+    fn arg_of(&self, t: TermId, tag: Tag) -> Option<TermId> {
+        self.as_op(t).filter(|o| o.0 == tag).map(|o| o.1[0])
+    }
+
+    fn lin_parts(&self, at: u32, n: u32) -> &[(TermId, i64)] {
+        &self.parts[at as usize..(at + n) as usize]
+    }
+
+    /// Find the node with hash `h` that `same` accepts, or intern the one
+    /// `make` builds.
+    fn intern(
+        &mut self,
+        h: u64,
+        same: impl Fn(&Terms, &Node) -> bool,
+        make: impl FnOnce(&mut Terms) -> Node,
+    ) -> TermId {
+        if 2 * (self.nodes.len() + 1) > self.table.len() {
+            let old = std::mem::take(&mut self.table);
+            self.table = vec![(0, 0); (2 * old.len()).max(512)];
+            for e in old.into_iter().filter(|e| e.1 != 0) {
+                let i = self.probe(e.0, |_| false).unwrap_or_else(|i| i);
+                self.table[i] = e;
+            }
+        }
+        let h = (h >> 32) as u32;
+        match self.probe(h, |id| same(self, &self.nodes[id as usize])) {
+            Ok(i) => self.table[i].1 - 1,
+            Err(i) => {
+                let node = make(self);
+                self.nodes.push(node);
+                self.table[i] = (h, self.nodes.len() as u32);
+                self.nodes.len() as TermId - 1
+            }
+        }
+    }
+
+    /// Linear probe for hash `h`: the slot of the entry `same` accepts, or
+    /// the empty slot where it belongs.
+    fn probe(&self, h: u32, same: impl Fn(TermId) -> bool) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            match self.table[i] {
+                (_, 0) => return Err(i),
+                (eh, id) if eh == h && same(id - 1) => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn intern_node(&mut self, n: Node) -> TermId {
+        let mut h = WordHasher::default();
+        match &n {
+            Node::Const(v) => (0u8, v).hash(&mut h),
+            Node::Atom(a) => (1u8, a).hash(&mut h),
+            Node::Op { tag, n, args } => (2u8, tag, &args[..*n as usize]).hash(&mut h),
+            Node::Lin { .. } => unreachable!("linear sums intern through `lin`"),
+        }
+        self.intern(h.finish(), |_, m| *m == n, |_| n)
     }
 
     pub fn constant(&mut self, v: u64) -> TermId {
-        self.intern(Node::Const(v))
+        self.intern_node(Node::Const(v))
     }
 
     pub fn atom(&mut self, a: Atom) -> TermId {
-        self.intern(Node::Atom(a))
+        self.intern_node(Node::Atom(a))
     }
 
     pub fn as_const(&self, t: TermId) -> Option<u64> {
@@ -204,76 +326,80 @@ impl Terms {
 
     // ---- linear arithmetic -------------------------------------------
 
-    /// View any term as a linear sum (constant + weighted parts).
-    fn lin_view(&self, t: TermId) -> (u64, Vec<(TermId, i64)>) {
-        match self.get(t) {
-            Node::Const(v) => (*v, Vec::new()),
-            Node::Lin { k, parts } => (*k, parts.clone()),
-            _ => (0, vec![(t, 1)]),
-        }
-    }
-
-    /// Intern a linear sum in canonical form.
-    fn lin(&mut self, k: u64, mut parts: Vec<(TermId, i64)>) -> TermId {
-        parts.sort_by_key(|&(t, _)| t);
-        // Merge duplicate parts, drop zero coefficients.
-        let mut merged: Vec<(TermId, i64)> = Vec::with_capacity(parts.len());
-        for (t, c) in parts {
-            match merged.last_mut() {
-                Some((lt, lc)) if *lt == t => *lc = lc.wrapping_add(c),
-                _ => merged.push((t, c)),
+    /// Canonical wrapping 64-bit `k + Σ cᵢ·tᵢ` over arbitrary terms: each
+    /// term is viewed as a linear sum (constant + weighted parts), the
+    /// parts are merged by id and zero coefficients dropped.
+    fn lin(&mut self, mut k: u64, items: &[(TermId, i64)]) -> TermId {
+        let mut sum = std::mem::take(&mut self.sum);
+        sum.clear();
+        for &(t, c) in items {
+            match *self.get(t) {
+                Node::Const(v) => k = k.wrapping_add(v.wrapping_mul(c as u64)),
+                Node::Lin { k: tk, at, n } => {
+                    k = k.wrapping_add(tk.wrapping_mul(c as u64));
+                    let parts = self.lin_parts(at, n).iter();
+                    sum.extend(parts.map(|&(p, pc)| (p, pc.wrapping_mul(c))));
+                }
+                _ => sum.push((t, c)),
             }
         }
-        merged.retain(|&(_, c)| c != 0);
-        if merged.is_empty() {
-            return self.constant(k);
-        }
-        if k == 0 && merged.len() == 1 && merged[0].1 == 1 {
-            return merged[0].0;
-        }
-        self.intern(Node::Lin { k, parts: merged })
+        sum.sort_unstable_by_key(|&(t, _)| t);
+        // Merge duplicate parts, drop zero coefficients.
+        sum.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.wrapping_add(next.1);
+            }
+            same
+        });
+        sum.retain(|&(_, c)| c != 0);
+        let id = match sum[..] {
+            [] => self.constant(k),
+            [(t, 1)] if k == 0 => t,
+            _ => {
+                let mut h = WordHasher::default();
+                (3u8, k, &sum[..]).hash(&mut h);
+                self.intern(
+                    h.finish(),
+                    |ts, m| matches!(*m, Node::Lin { k: mk, at, n } if mk == k && ts.lin_parts(at, n) == &sum[..]),
+                    |ts| {
+                        let at = ts.parts.len() as u32;
+                        ts.parts.extend_from_slice(&sum);
+                        Node::Lin { k, at, n: sum.len() as u32 }
+                    },
+                )
+            }
+        };
+        self.sum = sum;
+        id
     }
 
     /// Wrapping 64-bit `a + b`.
     pub fn add64(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.lin_view(a);
-        let (kb, pb) = self.lin_view(b);
-        pa.extend(pb);
-        self.lin(ka.wrapping_add(kb), pa)
+        self.lin(0, &[(a, 1), (b, 1)])
     }
 
     /// Wrapping 64-bit `a - b`.
     pub fn sub64(&mut self, a: TermId, b: TermId) -> TermId {
-        let (ka, mut pa) = self.lin_view(a);
-        let (kb, pb) = self.lin_view(b);
-        for (t, c) in pb {
-            pa.push((t, c.wrapping_neg()));
-        }
-        self.lin(ka.wrapping_sub(kb), pa)
+        self.lin(0, &[(a, 1), (b, -1)])
     }
 
     /// Wrapping 64-bit `a + k`.
     pub fn add_const(&mut self, a: TermId, k: i64) -> TermId {
-        let (ka, pa) = self.lin_view(a);
-        self.lin(ka.wrapping_add(k as u64), pa)
+        self.lin(k as u64, &[(a, 1)])
     }
 
     /// Wrapping 64-bit `a * c` for a small constant scale.
     pub fn mul_const(&mut self, a: TermId, c: i64) -> TermId {
-        let (ka, pa) = self.lin_view(a);
-        let parts = pa
-            .into_iter()
-            .map(|(t, co)| (t, co.wrapping_mul(c)))
-            .collect();
-        self.lin(ka.wrapping_mul(c as u64), parts)
+        self.lin(0, &[(a, c)])
     }
 
     /// If `t` is exactly `base + k` for the single unit-weight part
     /// `base`, return `k` — the frame-offset extractor.
     pub fn offset_of(&self, t: TermId, base: TermId) -> Option<i64> {
-        match self.get(t) {
+        match *self.get(t) {
             _ if t == base => Some(0),
-            Node::Lin { k, parts } if parts.len() == 1 && parts[0] == (base, 1) => Some(*k as i64),
+            Node::Lin { k, at, n: 1 } if self.parts[at as usize] == (base, 1) => Some(k as i64),
             _ => None,
         }
     }
@@ -281,8 +407,8 @@ impl Terms {
     /// Does the linear view of `t` mention `base` at all?
     #[cfg(test)]
     pub fn mentions(&self, t: TermId, base: TermId) -> bool {
-        match self.get(t) {
-            Node::Lin { parts, .. } => parts.iter().any(|&(p, _)| p == base),
+        match *self.get(t) {
+            Node::Lin { at, n, .. } => self.lin_parts(at, n).iter().any(|&(p, _)| p == base),
             _ => t == base,
         }
     }
@@ -293,7 +419,7 @@ impl Terms {
     pub fn is_zext32(&self, t: TermId) -> bool {
         match self.get(t) {
             Node::Const(v) => *v <= u32::MAX as u64,
-            Node::Op { tag, args } => match tag {
+            Node::Op { tag, n, .. } => match tag {
                 Tag::Low32 | Tag::Movzx8 | Tag::Setcc(_) | Tag::Flag(..) => true,
                 Tag::Alu(op, Width::W32) => op.writes_dst(),
                 Tag::Imul(Width::W32)
@@ -303,7 +429,7 @@ impl Terms {
                 | Tag::Rem(Width::W32)
                 | Tag::Cqo(Width::W32)
                 | Tag::Cvttsd2si(Width::W32) => true,
-                Tag::Pack => args.len() <= 4,
+                Tag::Pack => *n <= 4,
                 _ => false,
             },
             _ => false,
@@ -314,9 +440,9 @@ impl Terms {
     fn is_zext8(&self, t: TermId) -> bool {
         match self.get(t) {
             Node::Const(v) => *v <= u8::MAX as u64,
-            Node::Op { tag, args } => {
+            Node::Op { tag, n, .. } => {
                 matches!(tag, Tag::Movzx8 | Tag::Setcc(_) | Tag::Flag(..))
-                    || (*tag == Tag::Pack && args.len() == 1)
+                    || (*tag == Tag::Pack && *n == 1)
             }
             _ => false,
         }
@@ -324,17 +450,31 @@ impl Terms {
 
     /// Zero-extended low 32 bits of `t`.
     pub fn low32(&mut self, t: TermId) -> TermId {
-        self.op(Tag::Low32, vec![t])
+        self.op(Tag::Low32, &[t])
     }
 
     /// Byte `k` of `t`.
     pub fn byte(&mut self, t: TermId, k: u8) -> TermId {
-        self.op(Tag::Byte(k), vec![t])
+        self.op(Tag::Byte(k), &[t])
     }
 
     /// Little-endian packing of 1, 4 or 8 byte terms.
-    pub fn pack(&mut self, bytes: Vec<TermId>) -> TermId {
+    pub fn pack(&mut self, bytes: &[TermId]) -> TermId {
         self.op(Tag::Pack, bytes)
+    }
+
+    /// The term `pack(byte(t, 0), .., byte(t, len - 1))` normalizes to, for
+    /// `len` 4 or 8, without interning the bytes: `t` (or its low half)
+    /// whenever no byte of `t` resolves into a different term's byte.
+    /// `None` when one may (`t` is an `InsertByte0` or a `Pack`, possibly
+    /// under a `Low32`) — the frame then keeps `t` byte by byte.
+    pub fn whole(&mut self, t: TermId, len: u8) -> Option<TermId> {
+        let inner = self.arg_of(t, Tag::Low32).unwrap_or(t);
+        match self.as_op(inner) {
+            Some((Tag::InsertByte0 | Tag::Pack, _)) => None,
+            _ if len == 8 => Some(t),
+            _ => Some(self.low32(t)),
+        }
     }
 
     // ---- the normalizing constructor ---------------------------------
@@ -343,63 +483,61 @@ impl Terms {
     /// canonicalization (`Low32` stripping where the operator reads at
     /// most 32 bits), commutative sorting, constant folding through
     /// [`brew_x86::alu`], and the structural collapse rules.
-    pub fn op(&mut self, tag: Tag, mut args: Vec<TermId>) -> TermId {
-        self.canon_args(tag, &mut args);
-        if let Some(t) = self.collapse(tag, &args) {
+    pub fn op(&mut self, tag: Tag, operands: &[TermId]) -> TermId {
+        let n = operands.len();
+        let mut args = [TermId::default(); MAX_ARGS];
+        args[..n].copy_from_slice(operands);
+        self.canon_args(tag, &mut args[..n]);
+        if let Some(t) = self.collapse(tag, &args[..n]) {
             return t;
         }
-        if let Some(v) = self.fold(tag, &args) {
+        if let Some(v) = self.fold(tag, &args[..n]) {
             return self.constant(v);
         }
-        if commutative(tag) && args.len() == 2 && args[0] > args[1] {
+        if commutative(tag) && n == 2 && args[0] > args[1] {
             args.swap(0, 1);
         }
-        self.intern(Node::Op { tag, args })
+        self.intern_node(Node::Op {
+            tag,
+            n: n as u8,
+            args,
+        })
     }
 
     /// Strip `Low32` wrappers from operands the operator only reads the
     /// low 32 (or 8) bits of — renamed chains then compare equal whether
     /// or not a 32-bit copy sat in between.
-    fn canon_args(&mut self, tag: Tag, args: &mut [TermId]) {
-        let strip = |terms: &Terms, t: TermId| -> TermId {
-            match terms.get(t) {
-                Node::Op {
-                    tag: Tag::Low32,
-                    args,
-                } => args[0],
-                _ => t,
-            }
-        };
-        let mut strip_at = |this: &mut Terms, idxs: &[usize]| {
+    fn canon_args(&self, tag: Tag, args: &mut [TermId]) {
+        let mut strip_at = |idxs: &[usize]| {
             for &i in idxs {
-                if i < args.len() {
-                    args[i] = strip(this, args[i]);
+                if let Some(a) = args.get_mut(i) {
+                    *a = self.arg_of(*a, Tag::Low32).unwrap_or(*a);
                 }
             }
         };
         match tag {
-            Tag::Alu(_, Width::W32 | Width::W8) | Tag::Imul(Width::W32) => strip_at(self, &[0, 1]),
+            Tag::Alu(_, Width::W32 | Width::W8) | Tag::Imul(Width::W32) => strip_at(&[0, 1]),
             Tag::Not(Width::W32) | Tag::Movsxd | Tag::Movzx8 | Tag::Cvtsi2sd(Width::W32) => {
-                strip_at(self, &[0])
+                strip_at(&[0])
             }
             // Shift counts are masked to at most 6 bits at any width.
             Tag::ShiftVal(_, w) => {
                 if w == Width::W32 {
-                    strip_at(self, &[0]);
+                    strip_at(&[0]);
                 }
-                strip_at(self, &[1]);
+                strip_at(&[1]);
             }
-            Tag::Cqo(Width::W32) => strip_at(self, &[0]),
-            Tag::Byte(k) if k < 4 => strip_at(self, &[0]),
-            Tag::InsertByte0 => strip_at(self, &[1]),
+            Tag::Cqo(Width::W32) => strip_at(&[0]),
+            Tag::Byte(k) if k < 4 => strip_at(&[0]),
+            Tag::InsertByte0 => strip_at(&[1]),
             Tag::Flag(_, FlagSrc::Alu(_, Width::W32 | Width::W8))
             | Tag::Flag(_, FlagSrc::Test(Width::W32 | Width::W8))
-            | Tag::Flag(_, FlagSrc::Imul(Width::W32)) => strip_at(self, &[0, 1]),
+            | Tag::Flag(_, FlagSrc::Imul(Width::W32)) => strip_at(&[0, 1]),
             Tag::Flag(_, FlagSrc::Shift(_, w) | FlagSrc::ShiftCl(_, w)) => {
                 if w == Width::W32 {
-                    strip_at(self, &[0]);
+                    strip_at(&[0]);
                 }
-                strip_at(self, &[1]);
+                strip_at(&[1]);
             }
             _ => {}
         }
@@ -409,47 +547,29 @@ impl Terms {
     fn collapse(&mut self, tag: Tag, args: &[TermId]) -> Option<TermId> {
         match tag {
             Tag::Low32 => {
-                if self.is_zext32(args[0]) {
-                    return Some(args[0]);
-                }
-                if let Node::Op {
-                    tag: Tag::Low32, ..
-                } = self.get(args[0])
-                {
-                    return Some(args[0]);
-                }
-                None
+                let narrow = self.is_zext32(args[0]) || self.arg_of(args[0], Tag::Low32).is_some();
+                narrow.then_some(args[0])
             }
-            Tag::Byte(k) => match self.get(args[0]).clone() {
-                Node::Op {
-                    tag: Tag::InsertByte0,
-                    args: ia,
-                } => {
-                    if k == 0 {
-                        Some(self.byte(ia[1], 0))
+            Tag::Byte(k) => match self.as_op(args[0]) {
+                Some((Tag::InsertByte0, ia)) => {
+                    let (old, v) = (ia[0], ia[1]);
+                    Some(if k == 0 {
+                        self.byte(v, 0)
                     } else {
-                        Some(self.byte(ia[0], k))
-                    }
+                        self.byte(old, k)
+                    })
                 }
-                Node::Op {
-                    tag: Tag::Pack,
-                    args: pa,
-                } => {
-                    if (k as usize) < pa.len() {
-                        Some(pa[k as usize])
+                Some((Tag::Pack, pa)) => match pa.get(k as usize) {
+                    Some(&b) => Some(b),
+                    None => Some(self.constant(0)),
+                },
+                Some((Tag::Low32, la)) => {
+                    let v = la[0];
+                    Some(if k < 4 {
+                        self.byte(v, k)
                     } else {
-                        Some(self.constant(0))
-                    }
-                }
-                Node::Op {
-                    tag: Tag::Low32,
-                    args: la,
-                } => {
-                    if k < 4 {
-                        Some(self.byte(la[0], k))
-                    } else {
-                        Some(self.constant(0))
-                    }
+                        self.constant(0)
+                    })
                 }
                 _ => {
                     if k == 0 && self.is_zext8(args[0]) {
@@ -469,15 +589,13 @@ impl Terms {
                 // provably narrow may be followed by literal zero bytes —
                 // byte 0 of a zero-extended value collapses to the value
                 // itself, so scattered narrow stores still reassemble.
-                let zero = self.constant(0);
                 let mut src: Option<TermId> = None;
                 let mut run = 0usize;
                 for (i, &b) in args.iter().enumerate() {
-                    match self.get(b) {
-                        Node::Op {
-                            tag: Tag::Byte(k),
-                            args: ba,
-                        } if *k as usize == i && (src.is_none() || src == Some(ba[0])) => {
+                    match self.as_op(b) {
+                        Some((Tag::Byte(k), ba))
+                            if k as usize == i && (src.is_none() || src == Some(ba[0])) =>
+                        {
                             src = Some(ba[0]);
                             run = i + 1;
                         }
@@ -489,7 +607,7 @@ impl Terms {
                     }
                 }
                 let src = src?;
-                if args[run..].iter().any(|&b| b != zero) {
+                if args[run..].iter().any(|&b| self.as_const(b) != Some(0)) {
                     return None;
                 }
                 // The packed whole is the zero-extension of the prefix.
@@ -506,10 +624,7 @@ impl Terms {
                 let v0 = self.byte(args[1], 0);
                 (b0 == v0).then_some(args[0])
             }
-            Tag::Alu(AluOp::Xor | AluOp::Sub, w) if args[0] == args[1] => {
-                let _ = w;
-                Some(self.constant(0))
-            }
+            Tag::Alu(AluOp::Xor | AluOp::Sub, _) if args[0] == args[1] => Some(self.constant(0)),
             Tag::Sse(SseOp::Xorpd) if args[0] == args[1] => Some(self.constant(0)),
             // A CL shift whose count became known folds into the immediate
             // form: a count of zero is the identity (and keeps old flags),
@@ -524,7 +639,7 @@ impl Terms {
                     })
                 } else if c != masked as u64 {
                     let cnt = self.constant(masked as u64);
-                    Some(self.op(Tag::ShiftVal(op, w), vec![args[0], cnt]))
+                    Some(self.op(Tag::ShiftVal(op, w), &[args[0], cnt]))
                 } else {
                     None
                 }
@@ -537,7 +652,7 @@ impl Terms {
                     Some(args[2])
                 } else {
                     let cnt = self.constant(masked as u64);
-                    Some(self.op(Tag::Flag(k, FlagSrc::Shift(op, w)), vec![args[0], cnt]))
+                    Some(self.op(Tag::Flag(k, FlagSrc::Shift(op, w)), &[args[0], cnt]))
                 }
             }
             Tag::Select(len) => self.select_through_stores(len, args[0], args[1]),
@@ -550,16 +665,12 @@ impl Terms {
     fn select_through_stores(&mut self, len: u8, mut mem: TermId, addr: TermId) -> Option<TermId> {
         let mut moved = false;
         loop {
-            let store = match self.get(mem) {
-                Node::Op {
-                    tag: Tag::Store(slen),
-                    args,
-                } => (*slen, args[0], args[1], args[2]),
+            let (slen, sprev, saddr, sval) = match self.as_op(mem) {
+                Some((Tag::Store(slen), a)) => (slen, a[0], a[1], a[2]),
                 // Reading through untouched memory: nothing to collapse
                 // unless we skipped at least one store.
-                _ => return moved.then(|| self.op(Tag::Select(len), vec![mem, addr])),
+                _ => return moved.then(|| self.op(Tag::Select(len), &[mem, addr])),
             };
-            let (slen, sprev, saddr, sval) = store;
             if saddr == addr && slen == len {
                 return Some(sval);
             }
@@ -571,7 +682,7 @@ impl Terms {
                     mem = sprev;
                     moved = true;
                 }
-                _ => return moved.then(|| self.op(Tag::Select(len), vec![mem, addr])),
+                _ => return moved.then(|| self.op(Tag::Select(len), &[mem, addr])),
             }
         }
     }
@@ -653,14 +764,13 @@ impl Terms {
                     Atom::Phi { block, class } => write!(out, "φ{block}.{class}"),
                 };
             }
-            Node::Lin { k, parts } => {
+            Node::Lin { k, at, n } => {
                 let _ = write!(out, "(");
-                let mut first = true;
-                if *k != 0 || parts.is_empty() {
+                let mut first = *k == 0;
+                if !first {
                     let _ = write!(out, "{:#x}", *k as i64);
-                    first = false;
                 }
-                for (p, c) in parts {
+                for (p, c) in self.lin_parts(*at, *n) {
                     if !first {
                         let _ = write!(out, " + ");
                     }
@@ -672,9 +782,9 @@ impl Terms {
                 }
                 let _ = write!(out, ")");
             }
-            Node::Op { tag, args } => {
+            Node::Op { tag, n, args } => {
                 let _ = write!(out, "{tag:?}(");
-                for (i, a) in args.iter().enumerate() {
+                for (i, a) in args[..*n as usize].iter().enumerate() {
                     if i > 0 {
                         let _ = write!(out, ", ");
                     }
@@ -738,15 +848,15 @@ mod tests {
     #[test]
     fn commuted_operands_intern_equal() {
         let (mut t, a, b) = arena();
-        let x = t.op(Tag::Imul(Width::W64), vec![a, b]);
-        let y = t.op(Tag::Imul(Width::W64), vec![b, a]);
+        let x = t.op(Tag::Imul(Width::W64), &[a, b]);
+        let y = t.op(Tag::Imul(Width::W64), &[b, a]);
         assert_eq!(x, y);
         // subtraction must NOT commute
-        let s1 = t.op(Tag::Alu(AluOp::Sub, Width::W32), vec![a, b]);
-        let s2 = t.op(Tag::Alu(AluOp::Sub, Width::W32), vec![b, a]);
+        let s1 = t.op(Tag::Alu(AluOp::Sub, Width::W32), &[a, b]);
+        let s2 = t.op(Tag::Alu(AluOp::Sub, Width::W32), &[b, a]);
         assert_ne!(s1, s2);
-        let f1 = t.op(Tag::Sse(SseOp::Divsd), vec![a, b]);
-        let f2 = t.op(Tag::Sse(SseOp::Divsd), vec![b, a]);
+        let f1 = t.op(Tag::Sse(SseOp::Divsd), &[a, b]);
+        let f2 = t.op(Tag::Sse(SseOp::Divsd), &[b, a]);
         assert_ne!(f1, f2);
     }
 
@@ -755,13 +865,13 @@ mod tests {
         let (mut t, _, _) = arena();
         let c7 = t.constant(7);
         let c5 = t.constant(5);
-        let p = t.op(Tag::Imul(Width::W64), vec![c7, c5]);
+        let p = t.op(Tag::Imul(Width::W64), &[c7, c5]);
         assert_eq!(t.as_const(p), Some(35));
-        let shifted = t.op(Tag::ShiftVal(ShOp::Shl, Width::W64), vec![c7, c5]);
+        let shifted = t.op(Tag::ShiftVal(ShOp::Shl, Width::W64), &[c7, c5]);
         assert_eq!(t.as_const(shifted), Some(7 << 5));
         let zf = t.op(
             Tag::Flag(1, FlagSrc::Alu(AluOp::Sub, Width::W64)),
-            vec![c7, c7],
+            &[c7, c7],
         );
         assert_eq!(t.as_const(zf), Some(1));
     }
@@ -770,14 +880,14 @@ mod tests {
     fn byte_pack_roundtrip_collapses() {
         let (mut t, a, _) = arena();
         let bytes: Vec<TermId> = (0..8).map(|k| t.byte(a, k)).collect();
-        assert_eq!(t.pack(bytes), a);
+        assert_eq!(t.pack(&bytes), a);
         let low: Vec<TermId> = (0..4).map(|k| t.byte(a, k)).collect();
-        let packed = t.pack(low);
+        let packed = t.pack(&low);
         let l32 = t.low32(a);
         assert_eq!(packed, l32);
         // low32 of an already-32-bit value is the identity
         assert_eq!(t.low32(l32), l32);
-        let mz = t.op(Tag::Movzx8, vec![a]);
+        let mz = t.op(Tag::Movzx8, &[a]);
         assert_eq!(t.low32(mz), mz);
         // high bytes of a zero-extended value are zero
         let hi = t.byte(l32, 5);
@@ -790,14 +900,14 @@ mod tests {
         let mem0 = t.atom(Atom::Mem);
         let a1 = t.constant(0x1000);
         let a2 = t.constant(0x2000);
-        let m1 = t.op(Tag::Store(8), vec![mem0, a1, a]);
-        let m2 = t.op(Tag::Store(8), vec![m1, a2, b]);
+        let m1 = t.op(Tag::Store(8), &[mem0, a1, a]);
+        let m2 = t.op(Tag::Store(8), &[m1, a2, b]);
         // read back through the unrelated store
-        let r = t.op(Tag::Select(8), vec![m2, a1]);
+        let r = t.op(Tag::Select(8), &[m2, a1]);
         assert_eq!(r, a);
         // overlapping read stays structural
         let a1p4 = t.constant(0x1004);
-        let r2 = t.op(Tag::Select(8), vec![m2, a1p4]);
+        let r2 = t.op(Tag::Select(8), &[m2, a1p4]);
         assert!(matches!(
             t.get(r2),
             Node::Op {
@@ -810,9 +920,9 @@ mod tests {
     #[test]
     fn xor_and_sub_self_are_zero() {
         let (mut t, a, _) = arena();
-        let z = t.op(Tag::Alu(AluOp::Xor, Width::W32), vec![a, a]);
+        let z = t.op(Tag::Alu(AluOp::Xor, Width::W32), &[a, a]);
         assert_eq!(t.as_const(z), Some(0));
-        let z2 = t.op(Tag::Sse(SseOp::Xorpd), vec![a, a]);
+        let z2 = t.op(Tag::Sse(SseOp::Xorpd), &[a, a]);
         assert_eq!(t.as_const(z2), Some(0));
     }
 }

@@ -7,7 +7,7 @@
 
 use brew_core::{PassConfig, RetKind, Rewriter, SpecRequest};
 use brew_image::Image;
-use brew_verify::{verify, VerifyOptions};
+use brew_verify::{mutate, verify, VerifyOptions};
 use proptest::prelude::*;
 
 const PROG: &str = r#"
@@ -94,5 +94,18 @@ proptest! {
         prop_assert_eq!(a.insts, b.insts);
         prop_assert_eq!(a.findings, b.findings,
             "two checks of the same variant disagreed");
+        // A clean variant has next to no findings to disagree about. A
+        // miscompiled one carries the prover's divergence trace — rendered
+        // terms, arena ids past the depth limit — and each check builds its
+        // arena from scratch: the whole report must still repeat.
+        for kind in [mutate::Mutation::WrongRegSub, mutate::Mutation::CommutedNonCommutative] {
+            let Some(m) = mutate::apply(&img, &res, kind) else { continue };
+            let a = verify(&img, f, &req, &res, &opts);
+            let b = verify(&img, f, &req, &res, &opts);
+            m.revert(&img);
+            prop_assert!(!a.passed(), "mutant `{}` escaped", kind.name());
+            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"),
+                "two checks of the same mutant disagreed");
+        }
     }
 }

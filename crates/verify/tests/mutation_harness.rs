@@ -5,7 +5,7 @@
 
 use brew_core::{RetKind, RewriteResult, Rewriter, SpecRequest};
 use brew_image::Image;
-use brew_verify::{mutate, verify, VerifyOptions};
+use brew_verify::{mutate, verify, Rule, Severity, VerifyOptions};
 use std::collections::HashSet;
 
 const PROG: &str = r#"
@@ -187,4 +187,72 @@ fn corpus_exercises_every_mutation_kind() {
         missing.is_empty(),
         "mutation kinds with no site in the corpus: {missing:?}"
     );
+}
+
+/// `(case, mutation, address of the first equivalence finding)` for every
+/// corpus mutant the equivalence rule rejects, as the byte-granular,
+/// two-pass prover reported them. The address is the emitted block the
+/// event streams diverge in (or the variant entry for a malformed capture),
+/// so a prover that compared less, or joined differently, moves it.
+const EQUIVALENCE_REJECTIONS: &[(&str, &str, u64)] = &[
+    ("poly n=6", "dropped-push", 0x90002a),
+    ("poly n=6", "dropped-pop", 0x90002a),
+    ("poly n=6", "frame-skew", 0x90002a),
+    ("poly n=6", "wrong-reg-sub", 0x90002a),
+    ("poly n=6", "clobber-callee-saved", 0x90002a),
+    ("scale k=123456789", "folded-imm-tweak", 0x900040),
+    ("scale k=123456789", "wrong-reg-sub", 0x900040),
+    ("scale k=123456789", "clobber-callee-saved", 0x900040),
+    ("clamp unknown bounds", "branch-off-by-two", 0x900060),
+    ("clamp unknown bounds", "wild-jump", 0x900060),
+    ("clamp unknown bounds", "dropped-push", 0x900086),
+    ("clamp unknown bounds", "dropped-pop", 0x900086),
+    ("clamp unknown bounds", "frame-skew", 0x900086),
+    ("clamp unknown bounds", "wrong-reg-sub", 0x900060),
+    ("clamp unknown bounds", "clobber-callee-saved", 0x900060),
+    ("clamp unknown bounds", "commuted-noncommutative", 0x900060),
+    ("hooked sum", "call-into-data", 0x9000c0),
+    ("hooked sum", "dropped-push", 0x9000c0),
+    ("hooked sum", "dropped-pop", 0x90023b),
+    ("hooked sum", "frame-skew", 0x9000c0),
+    ("hooked sum", "folded-imm-tweak", 0x9000c0),
+    ("hooked sum", "wrong-reg-sub", 0x90023b),
+    ("hooked sum", "clobber-callee-saved", 0x9000c0),
+    ("hooked sum", "dropped-spill-store", 0x90023b),
+    ("dotk known xs", "dropped-push", 0x900322),
+    ("dotk known xs", "dropped-pop", 0x900322),
+    ("dotk known xs", "frame-skew", 0x900322),
+    ("dotk known xs", "store-into-known", 0x900250),
+    ("dotk known xs", "store-into-jit", 0x900250),
+    ("dotk known xs", "dangling-data-ref", 0x900250),
+    ("dotk known xs", "load-from-code", 0x900250),
+    ("dotk known xs", "wrong-reg-sub", 0x900322),
+    ("dotk known xs", "clobber-callee-saved", 0x900322),
+];
+
+#[test]
+fn equivalence_rejections_stay_at_the_same_block() {
+    let img = Image::new();
+    let opts = VerifyOptions {
+        strict_provenance: true,
+        ..VerifyOptions::default()
+    };
+    let mut seen: Vec<(&str, &str, u64)> = Vec::new();
+    for case in &corpus(&img) {
+        for kind in mutate::Mutation::ALL {
+            let Some(m) = mutate::apply(&img, &case.res, kind) else {
+                continue;
+            };
+            let report = verify(&img, case.func, &case.req, &case.res, &opts);
+            m.revert(&img);
+            let first = report
+                .findings
+                .iter()
+                .find(|f| f.rule == Rule::Equivalence && f.severity == Severity::Error);
+            if let Some(f) = first {
+                seen.push((case.what, kind.name(), f.addr));
+            }
+        }
+    }
+    assert_eq!(seen, EQUIVALENCE_REJECTIONS);
 }

@@ -23,6 +23,11 @@
 #                               # corpus bit-identical with the pass on/off,
 #                               # verifier clean on allocated variants, E2
 #                               # body <= 40 insts, A2 ladder monotone
+#   scripts/check.sh bench      # benchmark gate: benchmark/ (its own
+#                               # workspace) builds against the crates'
+#                               # facade, its tests pass, a smoke run of all
+#                               # five workloads checks every output, and
+#                               # the deterministic section repeats
 #
 # The stress stage reruns the timing-sensitive suites under `--release`
 # so single-flight/eviction races get exercised with optimization on.
@@ -321,6 +326,18 @@ if [ "$stage" = "all" ] || [ "$stage" = "regalloc" ]; then
         prev="$c"
     done
     echo "register-allocation gate passed (E2 ${e2_insts} insts, A2 monotone over ${rows} rows)"
+fi
+
+if [ "$stage" = "all" ] || [ "$stage" = "bench" ]; then
+    echo "==> benchmark gate (benchmark/ builds, smoke run, determinism)"
+    # benchmark/ is not a workspace member: nothing above compiles it, so a
+    # facade break in crates/* would otherwise surface only in the driver.
+    # `run --smoke` exits non-zero on any failed operation or output
+    # mismatch; `check-determinism` on any byte that differs between runs.
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- check-determinism
+    echo "benchmark gate passed (facade intact, outputs checked, deterministic section repeats)"
 fi
 
 echo "All checks passed ($stage)."
