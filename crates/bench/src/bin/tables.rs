@@ -70,10 +70,13 @@ fn run_experiment(exp: &str) -> String {
         ),
         "e5" => e5_make_dynamic(),
         "a1" => a1_variants(),
-        "a2" => render(
-            "A2 — optimization-pass ablation",
-            &passes_study(XS, YS, ITERS),
-        ),
+        "a2" => {
+            let ladder = render(
+                "A2 — optimization-pass ablation",
+                &passes_study(XS, YS, ITERS),
+            );
+            format!("{ladder}\n{}", pass_removed_table(XS, YS))
+        }
         "a3" => render(
             "A3 — inlining ablation (§IV: 'the most important aspect')",
             &inline_study(XS, YS, ITERS),

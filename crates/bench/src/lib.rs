@@ -147,7 +147,7 @@ pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
             },
         ),
         (
-            "+ redundant-load elim",
+            "+ const-prop + DCE",
             PassConfig {
                 dead_store_elim: true,
                 redundant_load_elim: true,
@@ -196,6 +196,36 @@ pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
             cycles: st.cycles,
             insts: st.insts,
         });
+    }
+    out
+}
+
+/// A2's companion: instructions removed per pass stage (the `removed`
+/// argument of each `cat:"pass"` span) for the specialized `apply` and the
+/// whole-sweep rewrite, so each pass's share is visible next to the ladder.
+pub fn pass_removed_table(xs: i64, ys: i64) -> String {
+    let s = Stencil::new(xs, ys);
+    let spans = |func: &str, req: brew_core::SpecRequest| -> Vec<(String, String)> {
+        let f = s.prog.func(func).unwrap();
+        let (_, rec) = brew_core::Rewriter::new(&s.img)
+            .rewrite_with_trace(f, &req)
+            .expect("traced rewrite");
+        rec.events_in("pass")
+            .iter()
+            .map(|e| {
+                let removed = e.args.iter().find(|a| a.0 == "removed");
+                (e.name.clone(), removed.map_or("-".into(), |a| a.1.clone()))
+            })
+            .collect()
+    };
+    let apply = spans("apply", s.apply_request());
+    let sweep = spans("sweep_generic", s.sweep_request(4));
+    let mut out = format!(
+        "### instructions removed per pass\n\n{:<22} {:>8} {:>10}\n",
+        "pass", "apply", "sweep.u4"
+    );
+    for ((name, a), (_, w)) in apply.iter().zip(&sweep) {
+        out.push_str(&format!("{name:<22} {a:>8} {w:>10}\n"));
     }
     out
 }

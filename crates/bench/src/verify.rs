@@ -144,6 +144,20 @@ fn corpus(img: &Image) -> Vec<(String, u64, SpecRequest)> {
                 .known_int(6)
                 .ret(RetKind::Int),
         ),
+        // A loop world migration keeps: the sites of the dataflow-pass-
+        // shaped mutants (constant counters, flag writer + jcc).
+        (
+            "sum n=6 kept loop".into(),
+            f("sum"),
+            SpecRequest::new()
+                .unknown_int()
+                .known_int(6)
+                .ret(RetKind::Int)
+                .func(f("sum"), |o| {
+                    o.branch_unknown = true;
+                    o.max_variants = 2;
+                }),
+        ),
     ]
 }
 

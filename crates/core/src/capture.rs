@@ -85,6 +85,10 @@ pub struct CapturedBlock {
     /// Some path enters this block via migration compensation with
     /// architecturally untrusted flags.
     pub entered_untrusted: bool,
+    /// The rewritten function starts here: the one block whose entry state
+    /// (`rsp` at the return address, nothing else known) is given rather
+    /// than joined from predecessors.
+    pub is_entry: bool,
 }
 
 impl CapturedBlock {
@@ -97,6 +101,7 @@ impl CapturedBlock {
             reads_flags_on_entry: false,
             traced: false,
             entered_untrusted: false,
+            is_entry: false,
         }
     }
 }

@@ -2084,7 +2084,7 @@ impl Tracer<'_> {
 }
 
 /// Can `c` be an immediate for a `w`-width integer instruction?
-fn imm_for(w: Width, c: u64) -> Option<i64> {
+pub(crate) fn imm_for(w: Width, c: u64) -> Option<i64> {
     match w {
         Width::W64 => {
             let v = c as i64;

@@ -149,8 +149,19 @@ fn compress_one(b: &mut CapturedBlock) -> u64 {
             Inst::Push {
                 src: Operand::Reg(r),
             } => Some(r),
+            // A push of an immediate, or what the dead-code sweep left of
+            // a push into a dead slot.
             Inst::Push {
                 src: Operand::Imm(_),
+            }
+            | Inst::Lea {
+                dst: Gpr::Rsp,
+                src:
+                    MemRef {
+                        base: Some(Gpr::Rsp),
+                        index: None,
+                        disp: -8,
+                    },
             } => None,
             _ => continue,
         };
@@ -181,7 +192,11 @@ fn compress_one(b: &mut CapturedBlock) -> u64 {
                     if touched_rx {
                         continue 'outer;
                     }
-                    return try_rewrite(b, i, j, slot, went_deeper);
+                    match try_rewrite(b, i, j, slot, went_deeper) {
+                        // Nothing to gain from this pair; try the others.
+                        0 => continue 'outer,
+                        n => return n,
+                    }
                 }
                 // The `lea rsp, [rsp+K]` left by elided pops / merged
                 // epilogues. K == 8 at slot depth: exact dead-slot close.
@@ -199,11 +214,18 @@ fn compress_one(b: &mut CapturedBlock) -> u64 {
                 } if *disp > 0 => {
                     let k = *disp as i64;
                     if depth == slot && k == 8 {
-                        return try_rewrite(b, i, j, slot, went_deeper);
+                        match try_rewrite(b, i, j, slot, went_deeper) {
+                            0 => continue 'outer,
+                            n => return n,
+                        }
                     }
                     if depth <= slot && depth + k > slot {
-                        // Crossing release: convert the push to a bump.
-                        return convert_push(b, i);
+                        // Crossing release: convert the push to a bump
+                        // (a bump already is one).
+                        if matches!(b.insts[i].inst, Inst::Push { .. }) {
+                            return convert_push(b, i);
+                        }
+                        continue 'outer;
                     }
                 }
                 _ => {}
@@ -413,6 +435,33 @@ mod tests {
         ])];
         assert_eq!(compress_frames(&mut blocks), 2);
         assert_eq!(blocks[0].insts.len(), 2);
+    }
+
+    #[test]
+    fn bump_left_by_a_dead_push_pairs_with_its_release() {
+        // lea rsp,[rsp-8]; mov rax,[rsp+16]; lea rsp,[rsp+8]  →  mov rax,[rsp+8]
+        // — and a pair that cannot be rewritten does not hide the next one.
+        let bump = |by| Inst::Lea {
+            dst: Gpr::Rsp,
+            src: MemRef::base_disp(Gpr::Rsp, by),
+        };
+        let load = |disp| Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, disp)),
+        };
+        let mut blocks = vec![block(vec![
+            bump(-8),
+            load(16),
+            bump(8),
+            // The slot itself is read: this pair must stay.
+            bump(-8),
+            load(0),
+            bump(8),
+        ])];
+        assert_eq!(compress_frames(&mut blocks), 2);
+        let left: Vec<Inst> = blocks[0].insts.iter().map(|ci| ci.inst).collect();
+        assert_eq!(left, vec![load(8), bump(-8), load(0), bump(8)]);
     }
 
     #[test]

@@ -60,6 +60,7 @@
 pub mod capture;
 pub mod compat;
 pub mod config;
+pub mod dataflow;
 pub mod emit;
 pub mod error;
 mod exec;
@@ -349,6 +350,8 @@ impl<'a> Rewriter<'a> {
             }
         }
 
+        blocks[entry_block.0].is_entry = true;
+
         // Keep the pre-pass CFG: the translation validator replays it
         // against the emitted bytes, and the manager re-runs the passes
         // over it (conservatively) when an aggressive allocation fails
@@ -406,9 +409,11 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Re-run the optimization passes over a previous rewrite's captured
-    /// CFG with aggressive register allocation turned *off*, and emit the
-    /// result as a fresh variant — the publish gate's fallback path when
-    /// an aggressive allocation fails its equivalence proof. No second
+    /// CFG without the proof-carrying ones ([`PassConfig::conservative`]:
+    /// no constant propagation, the dead-code sweeps back to flag-neutral
+    /// moves, no aggressive register allocation), and emit the result as
+    /// a fresh variant — the publish gate's fallback path when an
+    /// emission fails its equivalence proof. No second
     /// trace happens: the captured blocks in `res.equiv` are replayed
     /// as-is, and the returned result keeps the original trace statistics
     /// and snapshot (only pass/emit numbers are re-measured).
@@ -422,8 +427,7 @@ impl<'a> Rewriter<'a> {
         })?;
         let mut blocks = cap.blocks.clone();
         let entry_block = capture::BlockId(cap.entry_block);
-        let mut pc = req.passes;
-        pc.regalloc_aggressive = false;
+        let pc = req.passes.conservative();
         let mut stats = res.stats;
 
         let t_pass = Instant::now();

@@ -377,10 +377,11 @@ pub struct PublishRejection {
     /// The first finding, rendered for operators.
     pub summary: String,
     /// True when the rejection came from the translation-validation tier
-    /// (an equivalence-class finding). For an aggressive-regalloc request
-    /// the manager treats this as "the optimization was wrong, not the
-    /// variant": it re-runs the passes conservatively over the captured
-    /// CFG and re-gates the result instead of caching a failure.
+    /// (an equivalence-class finding). For a request whose passes carry
+    /// a proof obligation (`PassConfig::proof_carrying`) the manager
+    /// treats this as "the optimization was wrong, not the variant": it
+    /// re-runs the passes conservatively over the captured CFG and
+    /// re-gates the result instead of caching a failure.
     pub equivalence: bool,
 }
 
@@ -1363,9 +1364,10 @@ impl SpecializationManager {
                 // variant; a rejection becomes a rewrite failure like any
                 // other (negatively cached, followers see the error,
                 // dispatch falls back to the original) — with one
-                // exception: an *equivalence* rejection of an aggressive
-                // register allocation means the optimization (not the
-                // trace) was wrong, so the manager re-runs the passes
+                // exception: an *equivalence* rejection of an emission
+                // made with proof-carrying passes (constant propagation,
+                // aggressive register allocation) means the optimization
+                // (not the trace) was wrong, so the manager re-runs the passes
                 // conservatively over the captured CFG and re-gates that,
                 // never caching a failure for a provable function.
                 let rewritten =
@@ -1373,7 +1375,7 @@ impl SpecializationManager {
                         Ok(()) => Ok(res),
                         Err(failure)
                             if failure.equivalence
-                                && req.pass_config().regalloc_aggressive
+                                && req.pass_config().proof_carrying()
                                 && res.equiv.is_some() =>
                         {
                             self.regalloc_fallback(img, func, req, &res, &failure)
@@ -1501,10 +1503,10 @@ impl SpecializationManager {
     }
 
     /// The equivalence-rejection fallback: re-run the passes over the
-    /// captured pre-pass CFG with `regalloc_aggressive` off (no second
+    /// captured pre-pass CFG with the proof-carrying ones off (no second
     /// trace — the returned result keeps the original trace statistics,
     /// so `traced_total` counts the function once) and re-gate the
-    /// conservative emission. The aggressive attempt's JIT bytes stay
+    /// conservative emission. The rejected attempt's JIT bytes stay
     /// allocated but unreachable — wasted bump-allocator space, accepted:
     /// equivalence rejections are rare and the alternative is a free-list
     /// the allocator does not have.

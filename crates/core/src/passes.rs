@@ -6,6 +6,7 @@
 //! are individually switchable for the A2 ablation experiment.
 
 use crate::capture::{CapturedBlock, CapturedInst};
+use crate::dataflow::{liveness, propagate_constants};
 use brew_x86::prelude::*;
 use std::collections::HashSet;
 
@@ -14,7 +15,12 @@ use std::collections::HashSet;
 pub struct PassConfig {
     /// Remove stores to frame slots that no emitted instruction reads.
     pub dead_store_elim: bool,
-    /// Forward stored/loaded values to later loads within a block.
+    /// Forward dataflow over the captured CFG: propagate constants and
+    /// copies through registers and frame slots (store-to-load forwarding
+    /// is the block-local case), then collect what that kills with the
+    /// flags- and slot-aware dead-code elimination. Publishable only when
+    /// the translation-validation proof in `brew-verify` passes; the
+    /// manager re-emits without it on proof failure.
     pub redundant_load_elim: bool,
     /// Remove no-op moves and lea identities.
     pub peephole: bool,
@@ -63,11 +69,25 @@ impl PassConfig {
             regalloc_aggressive: false,
         }
     }
+
+    /// The same selection without the passes that stand on the
+    /// equivalence proof — what the manager re-emits after a rejection.
+    pub fn conservative(mut self) -> Self {
+        self.redundant_load_elim = false;
+        self.regalloc_aggressive = false;
+        self
+    }
+
+    /// Does the selection include a pass only the equivalence proof
+    /// justifies (so that a rejection is worth a conservative retry)?
+    pub fn proof_carrying(&self) -> bool {
+        self.redundant_load_elim || self.regalloc_aggressive
+    }
 }
 
 /// Run the configured passes; returns the number of removed instructions.
 ///
-/// `frame_escaped` disables frame dead-store elimination (an escaped frame
+/// `frame_escaped` disables every frame-slot argument (an escaped frame
 /// address means unknown loads may legally alias the frame).
 pub fn run_passes(
     blocks: &mut [CapturedBlock],
@@ -99,9 +119,17 @@ pub fn run_passes_traced(
         }
         n
     };
+    // With the forward pass on, every dead-code sweep also judges flag
+    // writers, frame stores and push/pop; off, the sweeps keep to
+    // flag-neutral register moves.
+    let full = pc.redundant_load_elim;
+    let ret_live = liveness::abi_ret(pc.regalloc && pc.regalloc_aggressive, ret);
     if pc.redundant_load_elim {
-        removed += staged(&mut rec, "redundant-load-elim", &mut || {
-            blocks.iter_mut().map(forward_loads).sum()
+        removed += staged(&mut rec, "const-prop", &mut || {
+            propagate_constants(blocks, frame_escaped)
+        });
+        removed += staged(&mut rec, "dce", &mut || {
+            liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full)
         });
     }
     if pc.dead_store_elim && !frame_escaped {
@@ -121,7 +149,7 @@ pub fn run_passes_traced(
         // First peephole round: cancel adjacent stack-temp pairs so frame
         // compression sees the minimal push population.
         removed += staged(&mut rec, "peephole", &mut || {
-            blocks.iter_mut().map(peephole).sum()
+            blocks.iter_mut().map(|b| peephole(b, false)).sum()
         });
     }
     if pc.frame_compression {
@@ -133,129 +161,23 @@ pub fn run_passes_traced(
         // Register allocation proper: promote surviving slots across the
         // CFG, then coalesce the copy chains promotion leaves behind.
         removed += staged(&mut rec, "regalloc", &mut || {
-            crate::regalloc::allocate(blocks, frame_escaped, ret, pc.regalloc_aggressive)
+            crate::regalloc::allocate(blocks, frame_escaped, ret, pc)
         });
     }
     if pc.peephole {
         // Second round: merge the RSP bumps frame compression introduced
         // and drop register writes orphaned by removed consumers.
         removed += staged(&mut rec, "peephole-2", &mut || {
-            blocks
-                .iter_mut()
-                .map(|b| peephole(b) + dead_reg_writes(b) + peephole(b))
-                .sum()
+            let mut n: u64 = blocks.iter_mut().map(|b| peephole(b, true)).sum();
+            // The allocator's own sweep has left nothing dead behind.
+            if !pc.regalloc {
+                n += liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full);
+                n += blocks.iter_mut().map(|b| peephole(b, true)).sum::<u64>();
+            }
+            n
         });
     }
     removed
-}
-
-/// Backward dead-write elimination for flag-neutral, side-effect-free
-/// register moves: a `lea`/`mov`/`movabs` whose destination is overwritten
-/// before any read (within the block) does nothing. Registers are assumed
-/// live-out at the block boundary, and calls/indirect jumps read
-/// everything, so this never crosses an ABI or control edge.
-/// Does the instruction overwrite its destination register(s) completely?
-/// (32-bit GPR writes zero-extend and count; 8-bit and scalar-SSE writes
-/// merge and do not.)
-fn fully_defines(inst: &Inst) -> bool {
-    match inst {
-        Inst::Mov {
-            w: Width::W32 | Width::W64,
-            dst: Operand::Reg(_),
-            ..
-        }
-        | Inst::MovAbs { .. }
-        | Inst::Movsxd { .. }
-        | Inst::Movzx8 { .. }
-        | Inst::Lea { .. }
-        | Inst::Imul { .. }
-        | Inst::ImulImm { .. }
-        | Inst::Cvttsd2si { .. }
-        | Inst::Pop {
-            dst: Operand::Reg(_),
-        }
-        | Inst::MovUpd {
-            dst: Operand::Xmm(_),
-            ..
-        } => true,
-        // movsd xmm <- mem zeroes the high lane: a full definition.
-        Inst::MovSd {
-            dst: Operand::Xmm(_),
-            src: Operand::Mem(_),
-        } => true,
-        Inst::Alu {
-            op,
-            w: Width::W32 | Width::W64,
-            dst: Operand::Reg(_),
-            ..
-        } => op.writes_dst(),
-        _ => false,
-    }
-}
-
-fn dead_reg_writes(b: &mut CapturedBlock) -> u64 {
-    use defuse::Loc;
-    let mut live_gpr = [true; 16];
-    let mut live_xmm = [true; 16];
-    let mut keep = vec![true; b.insts.len()];
-    for (idx, ci) in b.insts.iter().enumerate().rev() {
-        let inst = &ci.inst;
-        if defuse::is_barrier(inst) {
-            live_gpr = [true; 16];
-            live_xmm = [true; 16];
-            continue;
-        }
-        // Candidate: flag-neutral pure register producer.
-        let removable_shape = matches!(
-            inst,
-            Inst::Mov {
-                dst: Operand::Reg(_),
-                src: Operand::Reg(_) | Operand::Imm(_),
-                ..
-            } | Inst::MovAbs { .. }
-                | Inst::Lea { .. }
-                | Inst::MovSd {
-                    dst: Operand::Xmm(_),
-                    src: Operand::Xmm(_)
-                }
-                | Inst::MovUpd {
-                    dst: Operand::Xmm(_),
-                    src: Operand::Xmm(_)
-                }
-        ) && !matches!(inst, Inst::Lea { dst: Gpr::Rsp, .. });
-        if removable_shape {
-            let mut all_dead = true;
-            let mut any_write = false;
-            defuse::for_each_write(inst, &mut |l| {
-                any_write = true;
-                match l {
-                    Loc::Gpr(g) => all_dead &= !live_gpr[g.number() as usize],
-                    Loc::Xmm(x) => all_dead &= !live_xmm[x.number() as usize],
-                }
-            });
-            if any_write && all_dead {
-                keep[idx] = false;
-                continue; // removed: no liveness effect
-            }
-        }
-        // Only *full* definitions kill liveness: byte moves, setcc and
-        // scalar SSE writes leave the rest of the register intact, so an
-        // earlier producer is still (partially) read through them.
-        if fully_defines(inst) {
-            defuse::for_each_write(inst, &mut |l| match l {
-                Loc::Gpr(g) => live_gpr[g.number() as usize] = false,
-                Loc::Xmm(x) => live_xmm[x.number() as usize] = false,
-            });
-        }
-        defuse::for_each_read(inst, &mut |l| match l {
-            Loc::Gpr(g) => live_gpr[g.number() as usize] = true,
-            Loc::Xmm(x) => live_xmm[x.number() as usize] = true,
-        });
-    }
-    let before = b.insts.len();
-    let mut it = keep.iter();
-    b.insts.retain(|_| *it.next().unwrap());
-    (before - b.insts.len()) as u64
 }
 
 /// Global frame dead-store elimination: a plain store (`mov`/`movsd` to a
@@ -304,156 +226,17 @@ fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
     removed
 }
 
-/// Intra-block store-to-load forwarding and redundant-load elimination for
-/// 8-byte GPR/XMM moves with `rsp`-relative or absolute addresses.
-fn forward_loads(b: &mut CapturedBlock) -> u64 {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Home {
-        Gpr(Gpr),
-        Xmm(Xmm),
-    }
-    // Available equivalences: memory operand -> register holding the value.
-    let mut avail: Vec<(MemRef, Home)> = Vec::new();
-    let mut removed = 0;
-
-    fn trackable(m: &MemRef) -> bool {
-        // rsp-based (frame) or absolute; anything else may change meaning.
-        (m.base == Some(Gpr::Rsp) && m.index.is_none()) || (m.base.is_none() && m.index.is_none())
-    }
-
-    let mut out: Vec<CapturedInst> = Vec::with_capacity(b.insts.len());
-    for mut ci in b.insts.drain(..) {
-        // Kill facts invalidated by this instruction.
-        let kills_all =
-            defuse::is_barrier(&ci.inst) || matches!(ci.inst, Inst::Push { .. } | Inst::Pop { .. });
-        let mut writes_rsp = false;
-        defuse::for_each_write(&ci.inst, &mut |l| {
-            if l == defuse::Loc::Gpr(Gpr::Rsp) {
-                writes_rsp = true;
-            }
-        });
-
-        match &ci.inst {
-            Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(d),
-                src: Operand::Mem(m),
-            } if trackable(m) => {
-                if let Some((_, home)) = avail.iter().find(|(am, _)| am == m) {
-                    match home {
-                        Home::Gpr(r) if r == d => {
-                            removed += 1; // value already in place
-                            continue;
-                        }
-                        Home::Gpr(r) => {
-                            ci = CapturedInst {
-                                inst: Inst::Mov {
-                                    w: Width::W64,
-                                    dst: Operand::Reg(*d),
-                                    src: Operand::Reg(*r),
-                                },
-                                frame_store: None,
-                                frame_load: None,
-                            };
-                        }
-                        Home::Xmm(_) => {} // cross-file move: leave as load
-                    }
-                }
-            }
-            Inst::MovSd {
-                dst: Operand::Xmm(d),
-                src: Operand::Mem(m),
-            } if trackable(m) => {
-                if let Some((_, Home::Xmm(x))) = avail.iter().find(|(am, _)| am == m) {
-                    if x == d {
-                        removed += 1;
-                        continue;
-                    }
-                    ci = CapturedInst {
-                        inst: Inst::MovSd {
-                            dst: Operand::Xmm(*d),
-                            src: Operand::Xmm(*x),
-                        },
-                        frame_store: None,
-                        frame_load: None,
-                    };
-                }
-            }
-            _ => {}
-        }
-
-        // Update the fact set with this (possibly replaced) instruction.
-        if kills_all {
-            avail.clear();
-        } else {
-            // A store invalidates overlapping facts, then adds one.
-            if let Some(sm) = ci.inst.mem_store() {
-                avail.retain(|(am, _)| !may_overlap(am, &sm));
-            }
-            if writes_rsp {
-                avail.retain(|(am, _)| am.base != Some(Gpr::Rsp));
-            }
-            // Register redefinition invalidates facts homed there.
-            defuse::for_each_write(&ci.inst, &mut |l| match l {
-                defuse::Loc::Gpr(g) => avail.retain(|(_, h)| *h != Home::Gpr(g)),
-                defuse::Loc::Xmm(x) => avail.retain(|(_, h)| *h != Home::Xmm(x)),
-            });
-            match &ci.inst {
-                Inst::Mov {
-                    w: Width::W64,
-                    dst: Operand::Mem(m),
-                    src: Operand::Reg(s),
-                } if trackable(m) => {
-                    avail.push((*m, Home::Gpr(*s)));
-                }
-                Inst::Mov {
-                    w: Width::W64,
-                    dst: Operand::Reg(d),
-                    src: Operand::Mem(m),
-                } if trackable(m) => {
-                    avail.push((*m, Home::Gpr(*d)));
-                }
-                Inst::MovSd {
-                    dst: Operand::Mem(m),
-                    src: Operand::Xmm(s),
-                } if trackable(m) => {
-                    avail.push((*m, Home::Xmm(*s)));
-                }
-                Inst::MovSd {
-                    dst: Operand::Xmm(d),
-                    src: Operand::Mem(m),
-                } if trackable(m) => {
-                    avail.push((*m, Home::Xmm(*d)));
-                }
-                _ => {}
-            }
-        }
-        out.push(ci);
-    }
-    b.insts = out;
-    removed
-}
-
-fn may_overlap(a: &MemRef, b: &MemRef) -> bool {
-    match (a.base, b.base) {
-        (Some(Gpr::Rsp), Some(Gpr::Rsp)) => (a.disp - b.disp).abs() < 16,
-        (None, None) => (a.disp - b.disp).abs() < 16,
-        // Absolute (global/pool) vs rsp (frame) cannot alias; pools and
-        // frame are disjoint regions.
-        (Some(Gpr::Rsp), None) | (None, Some(Gpr::Rsp)) => false,
-        _ => true,
-    }
-}
-
 /// Remove no-op instructions and cancel dead stack-temp pairs left behind
 /// by constant folding (`push X; lea rsp,[rsp+8]`, `push X; pop Y`, ...).
-/// Runs to a fixpoint so cancellations cascade.
-fn peephole(b: &mut CapturedBlock) -> u64 {
+/// Runs to a fixpoint so cancellations cascade. `merge_bumps` also folds
+/// adjacent `lea rsp` bumps into one — not before frame compression, which
+/// pairs a single-slot bump with its release.
+fn peephole(b: &mut CapturedBlock, merge_bumps: bool) -> u64 {
     let before = b.insts.len();
     loop {
         let n = b.insts.len();
         peephole_singletons(b);
-        peephole_pairs(b);
+        peephole_pairs(b, merge_bumps);
         if b.insts.len() == n {
             break;
         }
@@ -491,7 +274,7 @@ fn is_rsp_bump8(i: &Inst) -> bool {
     )
 }
 
-fn peephole_pairs(b: &mut CapturedBlock) {
+fn peephole_pairs(b: &mut CapturedBlock, merge_bumps: bool) {
     let mut out: Vec<CapturedInst> = Vec::with_capacity(b.insts.len());
     let mut i = 0;
     while i < b.insts.len() {
@@ -565,7 +348,7 @@ fn peephole_pairs(b: &mut CapturedBlock) {
                 },
             ) = (a, c)
             {
-                if let Some(d) = d1.checked_add(*d2) {
+                if let Some(d) = d1.checked_add(*d2).filter(|_| merge_bumps) {
                     if d != 0 {
                         out.push(CapturedInst::plain(Inst::Lea {
                             dst: Gpr::Rsp,
@@ -593,7 +376,48 @@ mod tests {
         b.insts = insts;
         b.term = Terminator::Ret;
         b.traced = true;
+        b.is_entry = true;
         b
+    }
+
+    fn xmm_store(off: i32, src: Xmm) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::MovSd {
+                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+                src: Operand::Xmm(src),
+            },
+            frame_store: Some(off as i64),
+            frame_load: None,
+        }
+    }
+
+    fn xmm_load(dst: Xmm, off: i32) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::MovSd {
+                dst: Operand::Xmm(dst),
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+            },
+            frame_store: None,
+            frame_load: Some(off as i64),
+        }
+    }
+
+    fn xmm_mov(dst: Xmm, src: Xmm) -> Inst {
+        Inst::MovSd {
+            dst: Operand::Xmm(dst),
+            src: Operand::Xmm(src),
+        }
+    }
+
+    /// Constant/copy propagation and its dead-code sweep, nothing else.
+    fn forward(insts: Vec<CapturedInst>) -> Vec<Inst> {
+        let pc = PassConfig {
+            redundant_load_elim: true,
+            ..PassConfig::none()
+        };
+        let mut blocks = vec![block(insts)];
+        run_passes(&mut blocks, &pc, false, crate::config::RetKind::F64);
+        blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
     fn mov_store(off: i32, src: Gpr) -> CapturedInst {
@@ -659,105 +483,78 @@ mod tests {
 
     #[test]
     fn store_to_load_forwarding() {
-        let mut blocks = vec![block(vec![
-            mov_store(-8, Gpr::Rdi),
-            mov_load(Gpr::Rax, -8), // becomes mov rax, rdi
-        ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            peephole: false,
-            redundant_load_elim: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
+        // The load becomes a register move; the store, its only reader
+        // gone, dies with the frame.
+        let out = forward(vec![xmm_store(-8, Xmm::Xmm3), xmm_load(Xmm::Xmm0, -8)]);
+        assert_eq!(out, vec![xmm_mov(Xmm::Xmm0, Xmm::Xmm3)]);
+        // An absolute cell forwards integers too (and its store stays).
+        let cell = MemRef::abs(0x60_1000);
+        let store = Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Mem(cell),
+            src: Operand::Reg(Gpr::Rdi),
         };
-        run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
+        let load = Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Mem(cell),
+        };
+        let out = forward(vec![CapturedInst::plain(store), CapturedInst::plain(load)]);
         assert_eq!(
-            blocks[0].insts[1].inst,
+            out[1],
             Inst::Mov {
                 w: Width::W64,
                 dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Reg(Gpr::Rdi)
+                src: Operand::Reg(Gpr::Rdi),
             }
         );
     }
 
     #[test]
     fn forwarding_invalidated_by_overlapping_store() {
-        let mut blocks = vec![block(vec![
-            mov_store(-8, Gpr::Rdi),
-            mov_store(-8, Gpr::Rsi),
-            mov_load(Gpr::Rax, -8),
-        ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            peephole: false,
-            redundant_load_elim: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        };
-        run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
-        assert_eq!(
-            blocks[0].insts[2].inst,
-            Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Reg(Gpr::Rsi)
-            }
-        );
+        let out = forward(vec![
+            xmm_store(-8, Xmm::Xmm3),
+            xmm_store(-8, Xmm::Xmm4),
+            xmm_load(Xmm::Xmm0, -8),
+        ]);
+        assert_eq!(out, vec![xmm_mov(Xmm::Xmm0, Xmm::Xmm4)]);
     }
 
     #[test]
     fn forwarding_invalidated_by_register_redefinition() {
-        let mut blocks = vec![block(vec![
-            mov_store(-8, Gpr::Rdi),
-            CapturedInst::plain(Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rdi),
-                src: Operand::Imm(0),
+        let reload = xmm_load(Xmm::Xmm0, -8);
+        let out = forward(vec![
+            xmm_store(-8, Xmm::Xmm3),
+            CapturedInst::plain(Inst::Sse {
+                op: SseOp::Addsd,
+                dst: Xmm::Xmm3,
+                src: Operand::Xmm(Xmm::Xmm1),
             }),
-            mov_load(Gpr::Rax, -8), // must stay a load
-        ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            peephole: false,
-            redundant_load_elim: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        };
-        run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
-        assert!(matches!(
-            blocks[0].insts[2].inst,
-            Inst::Mov {
-                src: Operand::Mem(_),
-                ..
-            }
-        ));
+            reload,
+        ]);
+        assert!(
+            out.contains(&reload.inst),
+            "xmm3 no longer holds the stored value: {out:?}"
+        );
     }
 
     #[test]
     fn redundant_second_load_removed() {
-        let mut blocks = vec![block(vec![
-            mov_load(Gpr::Rax, -8),
-            mov_load(Gpr::Rax, -8), // exact repeat -> removed
-        ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            peephole: false,
-            redundant_load_elim: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        };
-        let removed = run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
-        assert_eq!(removed, 1);
-        assert_eq!(blocks[0].insts.len(), 1);
+        let out = forward(vec![xmm_load(Xmm::Xmm0, -8), xmm_load(Xmm::Xmm0, -8)]);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn call_kills_facts() {
+        // The callee owns the stack below rsp: the reload stays a load
+        // (and so does the store it might still read).
+        let insts = vec![
+            xmm_store(-8, Xmm::Xmm3),
+            CapturedInst::plain(Inst::CallRel { target: 0x400000 }),
+            xmm_load(Xmm::Xmm0, -8),
+        ];
+        let out = forward(insts.clone());
+        assert_eq!(out, insts.iter().map(|ci| ci.inst).collect::<Vec<_>>());
     }
 
     #[test]
@@ -805,93 +602,56 @@ mod tests {
         );
         assert_eq!(removed, 0);
     }
-
-    #[test]
-    fn call_kills_facts() {
-        let mut blocks = vec![block(vec![
-            mov_store(-8, Gpr::Rdi),
-            CapturedInst::plain(Inst::CallRel { target: 0x400000 }),
-            mov_load(Gpr::Rax, -8), // must stay: callee may have changed it
-        ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            peephole: false,
-            redundant_load_elim: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        };
-        run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
-        assert!(matches!(
-            blocks[0].insts[2].inst,
-            Inst::Mov {
-                src: Operand::Mem(_),
-                ..
-            }
-        ));
-    }
 }
 
 #[cfg(test)]
 mod dead_write_tests {
     use super::*;
     use crate::capture::Terminator;
+    use crate::dataflow::liveness::LiveSet;
 
-    fn block(insts: Vec<Inst>) -> CapturedBlock {
+    /// The dead-code sweep on its own: conservative (`full = false`, what
+    /// `dead_reg_writes` used to do block by block) or with flags, frame
+    /// slots and the `ret` contract.
+    fn sweep(insts: Vec<Inst>, full: bool) -> Vec<Inst> {
         let mut b = CapturedBlock::pending(0x1000);
         b.insts = insts.into_iter().map(CapturedInst::plain).collect();
         b.term = Terminator::Ret;
         b.traced = true;
-        b
+        let mut blocks = vec![b];
+        liveness::eliminate_dead_code(&mut blocks, false, LiveSet::ABI_RET, full);
+        blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
-    fn run_dw(insts: Vec<Inst>) -> Vec<Inst> {
-        let mut b = block(insts);
-        dead_reg_writes(&mut b);
-        b.insts.iter().map(|ci| ci.inst).collect()
+    fn lea(dst: Gpr, disp: i32) -> Inst {
+        Inst::Lea {
+            dst,
+            src: MemRef::base_disp(Gpr::Rsp, disp),
+        }
     }
 
     #[test]
     fn overwritten_lea_is_removed() {
-        let out = run_dw(vec![
-            Inst::Lea {
-                dst: Gpr::Rbp,
-                src: MemRef::base_disp(Gpr::Rsp, 16),
-            },
-            Inst::Lea {
-                dst: Gpr::Rbp,
-                src: MemRef::base_disp(Gpr::Rsp, 32),
-            },
-            Inst::Ret,
-        ]);
-        assert_eq!(out.len(), 2, "first lea is dead");
-        assert!(matches!(
-            out[0],
-            Inst::Lea {
-                src: MemRef { disp: 32, .. },
-                ..
-            }
-        ));
+        for full in [false, true] {
+            let out = sweep(vec![lea(Gpr::Rbp, 16), lea(Gpr::Rbp, 32), Inst::Ret], full);
+            assert_eq!(out, vec![lea(Gpr::Rbp, 32), Inst::Ret]);
+        }
     }
 
     #[test]
     fn live_out_registers_are_kept() {
-        // No redefinition before block end: assume live-out.
-        let out = run_dw(vec![
-            Inst::Lea {
-                dst: Gpr::Rbp,
-                src: MemRef::base_disp(Gpr::Rsp, 16),
-            },
-            Inst::Ret,
-        ]);
-        assert_eq!(out.len(), 2);
+        for full in [false, true] {
+            assert_eq!(sweep(vec![lea(Gpr::Rbp, 16), Inst::Ret], full).len(), 2);
+        }
+        // rcx means nothing to a caller, but only the full sweep says so.
+        assert_eq!(sweep(vec![lea(Gpr::Rcx, 16), Inst::Ret], false).len(), 2);
+        assert_eq!(sweep(vec![lea(Gpr::Rcx, 16), Inst::Ret], true).len(), 1);
     }
 
     #[test]
     fn partial_write_does_not_kill_producer() {
         // mov rax, 5 ; mov al, 1 ; use rax — the full write is NOT dead.
-        let out = run_dw(vec![
+        let insts = vec![
             Inst::Mov {
                 w: Width::W64,
                 dst: Operand::Reg(Gpr::Rax),
@@ -908,8 +668,8 @@ mod dead_write_tests {
                 src: Operand::Reg(Gpr::Rax),
             },
             Inst::Ret,
-        ]);
-        assert_eq!(out.len(), 4, "nothing removable");
+        ];
+        assert_eq!(sweep(insts.clone(), true), insts);
     }
 
     #[test]
@@ -917,7 +677,7 @@ mod dead_write_tests {
         // movupd xmm1 <- [mem]; movsd xmm1 <- xmm0; movupd [mem] <- xmm1:
         // the first load still provides lane 1.
         let m = MemRef::abs(0x601000);
-        let out = run_dw(vec![
+        let insts = vec![
             Inst::MovUpd {
                 dst: Operand::Xmm(Xmm::Xmm1),
                 src: Operand::Mem(m),
@@ -931,24 +691,24 @@ mod dead_write_tests {
                 src: Operand::Xmm(Xmm::Xmm1),
             },
             Inst::Ret,
-        ]);
-        assert_eq!(out.len(), 4);
+        ];
+        assert_eq!(sweep(insts.clone(), true), insts);
     }
 
     #[test]
     fn calls_make_everything_live() {
-        let out = run_dw(vec![
-            Inst::Lea {
-                dst: Gpr::Rbp,
-                src: MemRef::base_disp(Gpr::Rsp, 16),
+        let insts = vec![
+            lea(Gpr::Rcx, 16),
+            Inst::Alu {
+                op: AluOp::Cmp,
+                w: Width::W64,
+                dst: Operand::Reg(Gpr::Rdi),
+                src: Operand::Imm(0),
             },
             Inst::CallRel { target: 0x40_0000 },
-            Inst::Lea {
-                dst: Gpr::Rbp,
-                src: MemRef::base_disp(Gpr::Rsp, 32),
-            },
+            lea(Gpr::Rcx, 32),
             Inst::Ret,
-        ]);
-        assert_eq!(out.len(), 4, "the callee may observe rbp");
+        ];
+        assert_eq!(sweep(insts, true).len(), 4, "only the second lea goes");
     }
 }

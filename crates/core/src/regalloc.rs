@@ -24,9 +24,10 @@
 //!    * cancellation of balanced `sub rsp, k` / `add rsp, k` pairs with no
 //!      intervening `rsp` reference, gated on the removed ALU's flags
 //!      being dead;
-//!    * dead "pure load" elimination: a register write (including a load
-//!      from an `rsp`-relative or absolute address, which cannot fault)
-//!      whose destination is dead across the block boundary;
+//!    * the shared dead-code sweep ([`crate::dataflow`]): any
+//!      side-effect-free instruction (including a load from an
+//!      `rsp`-relative or absolute address, which cannot fault) whose
+//!      writes are dead across the block boundary;
 //!    * address folding: `mov a, b; add a, k; ... [a+d] ...` becomes
 //!      `[b+d+k]` when `a` dies at the use;
 //!    * backward copy coalescing: `mov d, s` where `s` dies is removed by
@@ -36,13 +37,6 @@
 //!    * forward copy propagation: `mov d, s` is removed by rewriting the
 //!      downstream reads of `d` to `s` while `s` is unclobbered.
 //!
-//! XMM high lanes: register-to-register `movsd` and `cvtsi2sd` merge the
-//! destination's upper 64 bits, so they are not full definitions — unless
-//! the captured code is *scalar only* (no packed SSE, no `movupd`, no
-//! kept calls), in which case no instruction can ever observe a high lane
-//! and both count as full defs. The pass computes that predicate globally
-//! and threads it through every liveness query.
-//!
 //! `frame_escaped` blocks phase 1 exactly as it blocks dead-store
 //! elimination: an escaped frame address means untracked loads may alias
 //! any slot. Phase 2 still runs — it touches only registers and balanced
@@ -51,356 +45,94 @@
 //! static verifier unchanged — rsp-pair removal is balanced so stack
 //! discipline holds, and no transform introduces a memory write.
 
-use crate::capture::{CapturedBlock, CapturedInst, Terminator};
+use crate::capture::{CapturedBlock, CapturedInst};
 use crate::config::RetKind;
+use crate::dataflow::liveness::{
+    abi_ret, flags_dead_at, flags_live_out, for_each_read_so, full_def, live_after, references,
+    writes_loc, Live, LiveSet, Liveness,
+};
+use crate::passes::PassConfig;
 use brew_x86::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 /// Run the allocator; returns the number of instructions removed.
 ///
-/// `ret` and `aggressive` pick the `ret`-boundary live-out contract (see
-/// `abi_ret`): conservatively everything an observer might read, or —
-/// under `PassConfig::regalloc_aggressive`, translation-validated by
-/// `brew-verify` before publication — exactly the declared return class
-/// plus the callee-saved set.
+/// `pc.regalloc_aggressive` picks the `ret`-boundary live-out contract
+/// (`liveness::abi_ret`): conservatively everything an observer might read, or
+/// — translation-validated by `brew-verify` before publication — exactly
+/// the declared return class plus the callee-saved set.
+/// `pc.redundant_load_elim` picks the strength of the dead-code sweep.
 pub fn allocate(
     blocks: &mut [CapturedBlock],
     frame_escaped: bool,
     ret: RetKind,
-    aggressive: bool,
+    pc: &PassConfig,
 ) -> u64 {
+    let aggressive = pc.regalloc_aggressive;
     let ret_live = abi_ret(aggressive, ret);
     allocate_slots(blocks, frame_escaped, ret_live);
+    let n = blocks.len();
+    let mut lv = Liveness::new(blocks, frame_escaped, ret_live, pc.redundant_load_elim);
+    // The live-out state a block was last processed under, while nothing
+    // has touched the block since: processing it again would find nothing.
+    let mut settled: Vec<Option<Live>> = vec![None; n];
     let mut removed = 0;
     loop {
         loop {
-            let so = scalar_only(blocks);
-            let live_out = register_liveness(blocks, so, ret_live);
-            let flags_out = flags_liveness(blocks);
             let mut round = 0;
-            for i in 0..blocks.len() {
+            for i in 0..n {
+                let out = lv.live_out(blocks, i);
+                if settled[i] == Some(out) {
+                    continue;
+                }
+                let swept = lv.sweep(blocks, i);
+                let so = lv.cx.so;
                 let b = &mut blocks[i];
-                round += cancel_rsp_pairs(b, flags_out[i]);
-                round += dead_loads(b, live_out[i], so);
-                round += fold_addresses(b, live_out[i], flags_out[i], so);
-                round += coalesce_backward(b, live_out[i], so);
-                round += propagate_copies(b, live_out[i], so);
+                let edits = cancel_rsp_pairs(b, out.flags)
+                    + fold_addresses(b, out.regs, out.flags, so)
+                    + coalesce_backward(b, out.regs, so)
+                    + propagate_copies(b, out.regs, so);
+                if edits > 0 {
+                    lv.invalidate(i);
+                }
+                settled[i] = (swept + edits == 0).then_some(out);
+                round += swept + edits;
             }
             removed += round;
             if round == 0 {
                 break;
             }
+            lv.solve(blocks);
+        }
+        // Nothing cancels any more: what is left of adjacent adjustments
+        // can become one.
+        let mut extra = 0;
+        for i in 0..n {
+            let flags_out = lv.live_out(blocks, i).flags;
+            let merged = merge_rsp_adjustments(&mut blocks[i], flags_out);
+            if merged > 0 {
+                lv.invalidate(i);
+                settled[i] = None;
+            }
+            extra += merged;
         }
         // The cross-block eliminations only run in aggressive mode: their
         // justification is the translation-validation proof that gates the
         // variant before publication, not a local syntactic argument.
-        if !aggressive {
-            return removed;
+        if aggressive {
+            let elided = elide_frame_and_saves(blocks);
+            if elided > 0 {
+                (0..n).for_each(|i| lv.invalidate(i));
+                settled.fill(None);
+            }
+            extra += elided;
         }
-        let extra = elide_frame_and_saves(blocks);
         removed += extra;
         if extra == 0 {
             return removed;
         }
+        lv.solve(blocks);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Register liveness over the captured CFG
-// ---------------------------------------------------------------------------
-
-/// Bitset of live registers (bit = hardware register number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct LiveSet {
-    gpr: u16,
-    xmm: u16,
-}
-
-impl LiveSet {
-    const EMPTY: LiveSet = LiveSet { gpr: 0, xmm: 0 };
-    const ALL: LiveSet = LiveSet { gpr: !0, xmm: !0 };
-    /// What an observer can read after `ret`: the integer and float return
-    /// registers, the stack/frame pointers, and the callee-saved set. Our
-    /// harnesses only compare `rax`/`xmm0` (plus `rdx:rax` and `xmm1` for
-    /// wide returns), but the callee-saved registers are part of the
-    /// contract with any real caller.
-    const ABI_RET: LiveSet = LiveSet {
-        gpr: (1 << 0) | (1 << 2) | (1 << 3) | (1 << 4) | (1 << 5) | 0xf000,
-        xmm: 0b11,
-    };
-
-    fn has(self, l: Loc) -> bool {
-        match l {
-            Loc::Gpr(g) => self.gpr & (1 << g.number()) != 0,
-            Loc::Xmm(x) => self.xmm & (1 << x.number()) != 0,
-        }
-    }
-    fn set(&mut self, l: Loc) {
-        match l {
-            Loc::Gpr(g) => self.gpr |= 1 << g.number(),
-            Loc::Xmm(x) => self.xmm |= 1 << x.number(),
-        }
-    }
-    fn clear(&mut self, l: Loc) {
-        match l {
-            Loc::Gpr(g) => self.gpr &= !(1 << g.number()),
-            Loc::Xmm(x) => self.xmm &= !(1 << x.number()),
-        }
-    }
-    fn union(self, o: LiveSet) -> LiveSet {
-        LiveSet {
-            gpr: self.gpr | o.gpr,
-            xmm: self.xmm | o.xmm,
-        }
-    }
-}
-
-/// The `ret`-boundary live-out contract. Conservative mode is
-/// [`LiveSet::ABI_RET`] regardless of the declared return class.
-/// Aggressive mode keeps only what the SysV ABI actually promises a
-/// caller: the callee-saved registers, the stack/frame pointers, and the
-/// one register carrying the declared return value — `rdx`, `xmm1` and
-/// the unreturned class all become dead at `ret`, which is exactly what
-/// lets the cleanup sub-passes coalesce the per-point XMM temporaries
-/// and the `rax` address chain. Unsound against a hand-argued contract,
-/// which is why the manager only publishes aggressive variants after the
-/// equivalence proof in `brew-verify` passes.
-fn abi_ret(aggressive: bool, ret: RetKind) -> LiveSet {
-    if !aggressive {
-        return LiveSet::ABI_RET;
-    }
-    let mut l = LiveSet {
-        gpr: (1 << 3) | (1 << 4) | (1 << 5) | 0xf000, // rbx, rsp, rbp, r12-r15
-        xmm: 0,
-    };
-    match ret {
-        RetKind::Int => l.gpr |= 1, // rax
-        RetKind::F64 => l.xmm |= 1, // xmm0
-        RetKind::Void => {}
-    }
-    l
-}
-
-/// No packed SSE, no 16-byte moves, no kept calls anywhere: XMM high
-/// lanes are unobservable, so scalar moves may be treated as full defs.
-fn scalar_only(blocks: &[CapturedBlock]) -> bool {
-    !blocks.iter().any(|b| {
-        b.insts.iter().any(|ci| {
-            matches!(
-                ci.inst,
-                Inst::MovUpd { .. } | Inst::CallRel { .. } | Inst::CallInd { .. }
-            ) || matches!(
-                defuse::xmm_hi_effect(&ci.inst),
-                Some((_, defuse::XmmHi::Written))
-            )
-        })
-    })
-}
-
-/// Does the instruction overwrite its destination register(s) completely?
-/// Mirrors the peephole's notion, extended with the scalar-only cases.
-fn full_def(inst: &Inst, so: bool) -> bool {
-    match inst {
-        Inst::Mov {
-            w: Width::W32 | Width::W64,
-            dst: Operand::Reg(_),
-            ..
-        }
-        | Inst::MovAbs { .. }
-        | Inst::Movsxd { .. }
-        | Inst::Movzx8 { .. }
-        | Inst::Lea { .. }
-        | Inst::Imul { .. }
-        | Inst::ImulImm { .. }
-        | Inst::Cvttsd2si { .. }
-        | Inst::Pop {
-            dst: Operand::Reg(_),
-        }
-        | Inst::MovUpd {
-            dst: Operand::Xmm(_),
-            ..
-        } => true,
-        Inst::MovSd {
-            dst: Operand::Xmm(_),
-            src: Operand::Mem(_),
-        } => true,
-        // Register-to-register movsd / cvtsi2sd merge the high lane; with
-        // no possible high-lane observer they define the register fully.
-        Inst::MovSd {
-            dst: Operand::Xmm(_),
-            src: Operand::Xmm(_),
-        }
-        | Inst::Cvtsi2sd { .. } => so,
-        Inst::Alu {
-            op,
-            w: Width::W32 | Width::W64,
-            dst: Operand::Reg(_),
-            ..
-        } => op.writes_dst(),
-        _ => false,
-    }
-}
-
-/// `for_each_read`, minus the high-lane merge artifacts that stop being
-/// reads in scalar-only code (`movsd d, s` and `cvtsi2sd d, r` "read" `d`
-/// only to preserve its upper 64 bits).
-fn for_each_read_so(inst: &Inst, so: bool, f: &mut impl FnMut(Loc)) {
-    // `xmm_read_is_hi_merge_only` is the lane contract the emulator
-    // cross-validates in `defuse_differential`; we only apply it when the
-    // whole capture is scalar-only (no possible high-lane observer).
-    let skip = if so && defuse::xmm_read_is_hi_merge_only(inst) {
-        match inst {
-            Inst::MovSd {
-                dst: Operand::Xmm(d),
-                ..
-            } => Some(Loc::Xmm(*d)),
-            Inst::Cvtsi2sd { dst, .. } => Some(Loc::Xmm(*dst)),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    defuse::for_each_read(inst, &mut |l| {
-        if Some(l) != skip {
-            f(l)
-        }
-    });
-}
-
-fn references(inst: &Inst, l: Loc, so: bool) -> bool {
-    let mut hit = false;
-    for_each_read_so(inst, so, &mut |r| hit |= r == l);
-    defuse::for_each_write(inst, &mut |w| hit |= w == l);
-    hit
-}
-
-fn writes_loc(inst: &Inst, l: Loc) -> bool {
-    let mut hit = false;
-    defuse::for_each_write(inst, &mut |w| hit |= w == l);
-    hit
-}
-
-/// Backward transfer of one instruction over a live set.
-fn step_back(live: &mut LiveSet, inst: &Inst, so: bool) {
-    if defuse::is_barrier(inst) {
-        *live = LiveSet::ALL;
-        return;
-    }
-    if full_def(inst, so) {
-        defuse::for_each_write(inst, &mut |l| live.clear(l));
-    }
-    for_each_read_so(inst, so, &mut |l| live.set(l));
-}
-
-/// Liveness just after `b.insts[pos]` (i.e. before `pos + 1`).
-fn live_after(b: &CapturedBlock, pos: usize, live_out: LiveSet, so: bool) -> LiveSet {
-    let mut live = live_out;
-    for ci in b.insts[pos + 1..].iter().rev() {
-        step_back(&mut live, &ci.inst, so);
-    }
-    live
-}
-
-/// Per-block live-out register sets via backward fixpoint over the CFG.
-/// `ret_live` is the `ret`-boundary contract from [`abi_ret`].
-fn register_liveness(blocks: &[CapturedBlock], so: bool, ret_live: LiveSet) -> Vec<LiveSet> {
-    let n = blocks.len();
-    let mut live_in = vec![LiveSet::EMPTY; n];
-    let mut live_out = vec![LiveSet::EMPTY; n];
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            let mut out = match blocks[i].term {
-                Terminator::Ret => ret_live,
-                _ => {
-                    let mut o = LiveSet::EMPTY;
-                    for s in blocks[i].term.successors() {
-                        o = o.union(if s.0 < n { live_in[s.0] } else { LiveSet::ALL });
-                    }
-                    o
-                }
-            };
-            // The stack and frame pointers are structural: never dead.
-            out.set(Loc::Gpr(Gpr::Rsp));
-            out.set(Loc::Gpr(Gpr::Rbp));
-            let mut inn = out;
-            for ci in blocks[i].insts.iter().rev() {
-                step_back(&mut inn, &ci.inst, so);
-            }
-            changed |= out != live_out[i] || inn != live_in[i];
-            live_out[i] = out;
-            live_in[i] = inn;
-        }
-        if !changed {
-            return live_out;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flags liveness
-// ---------------------------------------------------------------------------
-
-/// Only these define *every* arithmetic flag; the other flag writers
-/// (shifts, imul, unary) leave some flags undefined or unchanged, so they
-/// never count as kills.
-fn kills_flags(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::Alu { .. } | Inst::Test { .. } | Inst::Ucomisd { .. }
-    )
-}
-
-/// Per-block "are flags read after the block's last instruction": true
-/// when the terminator branches on them or a successor consumes them
-/// before writing any. Backward fixpoint; unknown edges stay conservative.
-fn flags_liveness(blocks: &[CapturedBlock]) -> Vec<bool> {
-    let n = blocks.len();
-    let mut f_in = vec![true; n];
-    let mut f_out = vec![true; n];
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            let out = match blocks[i].term {
-                Terminator::Jcc { .. } => true,
-                Terminator::Ret => false,
-                Terminator::Jmp(t) => t.0 >= n || f_in[t.0],
-            };
-            let mut inn = blocks[i].reads_flags_on_entry;
-            if !inn {
-                inn = out;
-                for ci in &blocks[i].insts {
-                    if ci.inst.reads_flags() {
-                        inn = true;
-                        break;
-                    }
-                    if kills_flags(&ci.inst) {
-                        inn = false;
-                        break;
-                    }
-                }
-            }
-            changed |= out != f_out[i] || inn != f_in[i];
-            f_out[i] = out;
-            f_in[i] = inn;
-        }
-        if !changed {
-            return f_out;
-        }
-    }
-}
-
-/// Are the flags as left by `b.insts[pos - 1]` provably never read?
-fn flags_dead_at(b: &CapturedBlock, pos: usize, flags_out: bool) -> bool {
-    for ci in &b.insts[pos..] {
-        if ci.inst.reads_flags() || defuse::is_barrier(&ci.inst) {
-            return false;
-        }
-        if kills_flags(&ci.inst) {
-            return true;
-        }
-    }
-    !flags_out
 }
 
 // ---------------------------------------------------------------------------
@@ -524,20 +256,11 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
     // Register availability per block: the registers referenced by any
     // instruction, plus block-boundary liveness, plus an "any barrier"
     // flag (a barrier makes every register live mid-block).
-    let so = scalar_only(blocks);
-    let live_out = register_liveness(blocks, so, ret_live);
-    let live_in_of = |i: usize, lo: &[LiveSet]| {
-        // recompute live-in cheaply from live-out
-        let mut l = lo[i];
-        for ci in blocks[i].insts.iter().rev() {
-            step_back(&mut l, &ci.inst, so);
-        }
-        l
-    };
+    let lv = Liveness::new(blocks, frame_escaped, ret_live, false);
     let mut busy = vec![LiveSet::EMPTY; n];
     let mut has_barrier = vec![false; n];
     for (bi, b) in blocks.iter().enumerate() {
-        let mut u = live_out[bi].union(live_in_of(bi, &live_out));
+        let mut u = lv.live_out(blocks, bi).regs.union(lv.live_in(bi).regs);
         for ci in &b.insts {
             defuse::for_each_read(&ci.inst, &mut |l| u.set(l));
             defuse::for_each_write(&ci.inst, &mut |l| u.set(l));
@@ -723,6 +446,44 @@ fn cancel_rsp_pairs(b: &mut CapturedBlock, flags_out: bool) -> u64 {
     removed
 }
 
+/// Merge adjacent rsp adjustments into one — what a dead `push` next to a
+/// frame allocation leaves behind. Runs once nothing cancels any more: a
+/// merged adjustment has lost its partner. A removed ALU adjustment must
+/// not leave flags anyone reads; the merged one is flag-neutral unless the
+/// second of the pair already wrote (dead) flags.
+fn merge_rsp_adjustments(b: &mut CapturedBlock, flags_out: bool) -> u64 {
+    let mut removed = 0;
+    let mut i = 0;
+    while i + 1 < b.insts.len() {
+        let pair = rsp_adjust(&b.insts[i].inst).zip(rsp_adjust(&b.insts[i + 1].inst));
+        let merged = pair.and_then(|((d1, f1), (d2, f2))| {
+            let d = i32::try_from(d1 + d2).ok()?;
+            ((!f1 && !f2) || flags_dead_at(b, i + 2, flags_out)).then_some(if f2 {
+                Inst::Alu {
+                    op: if d < 0 { AluOp::Sub } else { AluOp::Add },
+                    w: Width::W64,
+                    dst: Operand::Reg(Gpr::Rsp),
+                    src: Operand::Imm(i64::from(d).abs()),
+                }
+            } else {
+                Inst::Lea {
+                    dst: Gpr::Rsp,
+                    src: MemRef::base_disp(Gpr::Rsp, d),
+                }
+            })
+        });
+        match merged {
+            Some(inst) => {
+                b.insts[i + 1] = CapturedInst::plain(inst);
+                b.insts.remove(i);
+                removed += 1;
+            }
+            None => i += 1,
+        }
+    }
+    removed
+}
+
 // ---------------------------------------------------------------------------
 // Phase 2a': cross-block frame & dead-save elision (aggressive only)
 // ---------------------------------------------------------------------------
@@ -760,7 +521,7 @@ fn elide_frame_and_saves(blocks: &mut [CapturedBlock]) -> u64 {
     }) {
         return 0;
     }
-    let flags_out = flags_liveness(blocks);
+    let flags_out = flags_live_out(blocks);
     // Partition every rsp-referencing instruction; anything outside the
     // three known shapes keeps the whole frame.
     let mut adjusts: Vec<(usize, usize, i64, bool)> = Vec::new();
@@ -793,22 +554,8 @@ fn elide_frame_and_saves(blocks: &mut [CapturedBlock]) -> u64 {
         }
     }
     let mut drop: Vec<(usize, usize)> = Vec::new();
-    // Like `flags_dead_at`, but `ret` counts as killing the flags: they
-    // are not part of the return ABI.
-    let flags_ok = |bi: usize, ii: usize, f: bool| {
-        if !f {
-            return true;
-        }
-        for ci in &blocks[bi].insts[ii + 1..] {
-            if matches!(ci.inst, Inst::Ret) || kills_flags(&ci.inst) {
-                return true;
-            }
-            if ci.inst.reads_flags() || defuse::is_barrier(&ci.inst) {
-                return false;
-            }
-        }
-        !flags_out[bi]
-    };
+    let flags_ok =
+        |bi: usize, ii: usize, f: bool| !f || flags_dead_at(&blocks[bi], ii + 1, flags_out[bi]);
     // The frame pair. Exactly two adjustments that balance: correct input
     // code executes the allocation before the release on every path, so
     // removing both leaves rsp at its entry value throughout.
@@ -853,68 +600,6 @@ fn elide_frame_and_saves(blocks: &mut [CapturedBlock]) -> u64 {
         });
     }
     removed
-}
-
-// ---------------------------------------------------------------------------
-// Phase 2b: CFG-liveness dead "pure load" elimination
-// ---------------------------------------------------------------------------
-
-/// `rsp`-relative (frame) or absolute (pool) address: provably mapped, so
-/// eliding the load cannot change fault behaviour.
-fn trackable(m: &MemRef) -> bool {
-    (m.base == Some(Gpr::Rsp) && m.index.is_none()) || (m.base.is_none() && m.index.is_none())
-}
-
-fn dead_loads(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
-    let mut live = live_out;
-    let mut keep = vec![true; b.insts.len()];
-    for (idx, ci) in b.insts.iter().enumerate().rev() {
-        let inst = &ci.inst;
-        if defuse::is_barrier(inst) {
-            live = LiveSet::ALL;
-            continue;
-        }
-        let removable = match inst {
-            Inst::Mov {
-                w: Width::W32 | Width::W64,
-                dst: Operand::Reg(d),
-                src: Operand::Reg(_) | Operand::Imm(_),
-            } => *d != Gpr::Rsp,
-            Inst::Mov {
-                w: Width::W32 | Width::W64,
-                dst: Operand::Reg(d),
-                src: Operand::Mem(m),
-            } => *d != Gpr::Rsp && trackable(m),
-            Inst::MovAbs { dst, .. } => *dst != Gpr::Rsp,
-            Inst::Lea { dst, .. } => *dst != Gpr::Rsp,
-            Inst::MovSd {
-                dst: Operand::Xmm(_),
-                src: Operand::Xmm(_),
-            } => true,
-            Inst::MovSd {
-                dst: Operand::Xmm(_),
-                src: Operand::Mem(m),
-            } => trackable(m),
-            _ => false,
-        };
-        if removable {
-            let mut all_dead = true;
-            let mut any = false;
-            defuse::for_each_write(inst, &mut |l| {
-                any = true;
-                all_dead &= !live.has(l);
-            });
-            if any && all_dead {
-                keep[idx] = false;
-                continue;
-            }
-        }
-        step_back(&mut live, inst, so);
-    }
-    let before = b.insts.len();
-    let mut it = keep.iter();
-    b.insts.retain(|_| *it.next().unwrap());
-    (before - b.insts.len()) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,44 +694,54 @@ fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
     })
 }
 
-/// `mov a, b [; add/sub a, k] ; use [a+d]` → `use [b+d±k]` when `a` dies
-/// at the use and the (removed) ALU's flags are dead.
+/// `[mov a, b ;] [add/sub a, k ;] use [a+d]` → `use [b+d±k]` (with `b = a`
+/// when there is no copy) when `a` dies at the use and the (removed) ALU's
+/// flags are dead.
 fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so: bool) -> u64 {
     let mut removed = 0;
     let mut i = 0;
     while i < b.insts.len() {
-        let Inst::Mov {
-            w: Width::W64,
-            dst: Operand::Reg(a),
-            src: Operand::Reg(base),
-        } = b.insts[i].inst
-        else {
-            i += 1;
-            continue;
+        let copy = match b.insts[i].inst {
+            Inst::Mov {
+                w: Width::W64,
+                dst: Operand::Reg(a),
+                src: Operand::Reg(base),
+            } if a != base && base != Gpr::Rsp => Some((a, base)),
+            _ => None,
         };
-        if a == base || a == Gpr::Rsp || base == Gpr::Rsp || a == Gpr::Rbp {
-            i += 1;
-            continue;
-        }
-        // Optional immediate adjustment of `a` right after the copy.
-        let (delta, j) = match b.insts.get(i + 1).map(|ci| ci.inst) {
+        // Optional immediate adjustment of `a` (right after the copy).
+        let at = i + copy.is_some() as usize;
+        let adjust = match b.insts.get(at).map(|ci| ci.inst) {
             Some(Inst::Alu {
                 op: op @ (AluOp::Add | AluOp::Sub),
                 w: Width::W64,
                 dst: Operand::Reg(r),
                 src: Operand::Imm(k),
-            }) if r == a => (if op == AluOp::Add { k } else { -k }, i + 2),
-            _ => (0, i + 1),
+            }) if copy.is_none_or(|(a, _)| a == r) => {
+                Some((r, if op == AluOp::Add { k } else { -k }))
+            }
+            _ => None,
         };
-        let needs_flags = j == i + 2;
+        let (a, base) = match (copy, adjust) {
+            (Some(c), _) => c,
+            (None, Some((r, _))) => (r, r),
+            (None, None) => {
+                i += 1;
+                continue;
+            }
+        };
+        let j = at + adjust.is_some() as usize;
         let fold = b.insts.get(j).and_then(|cj| {
+            if a == Gpr::Rsp || a == Gpr::Rbp {
+                return None;
+            }
             let m = sole_base_use(&cj.inst, a)?;
-            let disp = i64::from(m.disp).checked_add(delta)?;
+            let disp = i64::from(m.disp).checked_add(adjust.map_or(0, |(_, k)| k))?;
             let disp = i32::try_from(disp).ok()?;
             if live_after(b, j, live_out, so).has(Loc::Gpr(a)) {
                 return None;
             }
-            if needs_flags && !flags_dead_at(b, j, flags_out) {
+            if adjust.is_some() && !flags_dead_at(b, j, flags_out) {
                 return None;
             }
             replace_mem(
@@ -1409,7 +1104,7 @@ fn propagate_copies(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::BlockId;
+    use crate::capture::{BlockId, Terminator};
 
     fn block(insts: Vec<Inst>) -> CapturedBlock {
         let mut b = CapturedBlock::pending(0x1000);
@@ -1421,7 +1116,7 @@ mod tests {
 
     fn run(insts: Vec<Inst>) -> Vec<Inst> {
         let mut blocks = vec![block(insts)];
-        allocate(&mut blocks, false, RetKind::Int, false);
+        allocate(&mut blocks, false, RetKind::Int, &PassConfig::default());
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
@@ -1694,7 +1389,7 @@ mod tests {
             src: Operand::Reg(Gpr::Rcx),
         }]);
         let mut blocks = vec![b0, b1];
-        allocate(&mut blocks, false, RetKind::Int, false);
+        allocate(&mut blocks, false, RetKind::Int, &PassConfig::default());
         assert_eq!(blocks[0].insts.len(), 1, "def feeds the successor");
     }
 

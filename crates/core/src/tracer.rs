@@ -43,6 +43,9 @@ pub struct Tracer<'a> {
     queue: VecDeque<Pending>,
     pool8: HashMap<u64, u64>,
     pool16: HashMap<(u64, u64), u64>,
+    /// Every guest instruction decoded so far: an unrolled loop visits the
+    /// same few hundred addresses tens of thousands of times.
+    decoded: HashMap<u64, Decoded>,
     pub(crate) stats: RewriteStats,
     /// Every known-memory load folded into a constant, recorded for the
     /// variant's staleness snapshot. `RefCell` because the fold sites sit
@@ -72,6 +75,7 @@ impl<'a> Tracer<'a> {
             queue: VecDeque::new(),
             pool8: HashMap::new(),
             pool16: HashMap::new(),
+            decoded: HashMap::new(),
             stats: RewriteStats::default(),
             read_set: std::cell::RefCell::new(crate::snapshot::ReadSet::default()),
             escaped: false,
@@ -352,12 +356,20 @@ impl<'a> Tracer<'a> {
             self.budget -= 1;
             self.stats.traced += 1;
 
-            let window = self
-                .img
-                .code_window(rip, 16)
-                .map_err(|_| RewriteError::BadAddress { addr: rip })?;
-            let d =
-                decode(&window, rip).map_err(|err| RewriteError::Undecodable { addr: rip, err })?;
+            let d = match self.decoded.get(&rip) {
+                Some(d) => *d,
+                None => {
+                    let mut window = [0u8; 16];
+                    let n = self
+                        .img
+                        .code_window_into(rip, &mut window)
+                        .map_err(|_| RewriteError::BadAddress { addr: rip })?;
+                    let d = decode(&window[..n], rip)
+                        .map_err(|err| RewriteError::Undecodable { addr: rip, err })?;
+                    self.decoded.insert(rip, d);
+                    d
+                }
+            };
             match self.exec_inst(&mut cx, &d.inst, rip, rip + d.len as u64)? {
                 Step::Continue(next) => rip = next,
                 Step::End(t) => break t,

@@ -150,9 +150,10 @@ fn equivalence_rejection_of_aggressive_regalloc_falls_back_conservatively() {
 #[test]
 fn non_aggressive_equivalence_rejection_is_denied_without_a_second_trace() {
     let (img, poly) = setup();
-    // With `regalloc_aggressive` off there is no optimization to retreat
+    // Without a proof-carrying pass there is no optimization to retreat
     // from: an equivalence rejection is a plain verification failure —
     // denied, negatively cached, and never re-traced.
+    let poly_req = |n| poly_req(n).passes(brew_core::PassConfig::default().conservative());
     let mgr = SpecializationManager::builder()
         .negative_policy(NegativePolicy {
             base_backoff: 1_000_000,
@@ -179,6 +180,52 @@ fn non_aggressive_equivalence_rejection_is_denied_without_a_second_trace() {
     assert!(!d.is_specialized());
     assert_eq!(mgr.stats().denied, 1);
     assert_eq!(mgr.stats().misses, 1, "no second trace for the denied key");
+}
+
+#[test]
+fn equivalence_rejection_of_the_default_passes_drops_constant_propagation() {
+    let (img, poly) = setup();
+    // The default selection carries a proof obligation (constant
+    // propagation and the dead-code sweep behind it): a prover gap costs a
+    // second emission from the same captured CFG, never the request.
+    let lens = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let lens2 = Arc::clone(&lens);
+    let mgr = SpecializationManager::builder()
+        .publish_gate(Box::new(
+            move |_: &Image, _: u64, _: &SpecRequest, res: &brew_core::RewriteResult| {
+                let mut lens = lens2.lock().unwrap();
+                lens.push(res.code_len);
+                if lens.len() == 1 {
+                    Err(PublishRejection {
+                        findings: 1,
+                        summary: "events diverge at block 0".into(),
+                        equivalence: true,
+                    })
+                } else {
+                    Ok(())
+                }
+            },
+        ))
+        .build();
+    assert!(poly_req(5).pass_config().proof_carrying());
+    let v = mgr
+        .get_or_rewrite(&img, poly, &poly_req(5))
+        .expect("the conservative re-emission publishes");
+    let lens = lens.lock().unwrap();
+    assert_eq!(lens.len(), 2, "gate runs on both emissions");
+    assert_eq!(v.code_len, lens[1]);
+    assert_eq!(mgr.metrics().counter(Ctr::RegallocFallback).get(), 1);
+    assert_eq!(mgr.stats().misses, 1, "fallback must not re-trace");
+    assert_eq!(mgr.stats().negative_entries, 0);
+
+    // What it re-emits is what the conservative selection emits.
+    let plain = brew_core::Rewriter::new(&img)
+        .rewrite(
+            poly,
+            &poly_req(5).passes(brew_core::PassConfig::default().conservative()),
+        )
+        .unwrap();
+    assert_eq!(plain.code_len, lens[1]);
 }
 
 #[test]

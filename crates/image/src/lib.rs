@@ -429,10 +429,13 @@ impl Image {
     /// Write `data` at `addr`.
     pub fn write_bytes(&self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
         self.check(addr, data.len() as u64, true)?;
+        self.mem.write(addr, data);
+        // Bump only once the bytes have landed (as `alloc_code`/`alloc_jit`
+        // do): an engine that sees the new version and drops its decode
+        // cache must not be able to refill it from the old bytes.
         if matches!(self.segment_of(addr), Some(SegKind::Code | SegKind::Jit)) {
             self.bump_code_version();
         }
-        self.mem.write(addr, data);
         Ok(())
     }
 
@@ -472,6 +475,15 @@ impl Image {
     /// Read up to `max` code bytes starting at `addr` (clamped to the
     /// containing segment) — the rewriter's window for decoding.
     pub fn code_window(&self, addr: u64, max: usize) -> Result<Vec<u8>, MemFault> {
+        let mut buf = vec![0u8; max];
+        let n = self.code_window_into(addr, &mut buf)?;
+        buf.truncate(n);
+        Ok(buf)
+    }
+
+    /// [`Image::code_window`] into a caller-provided buffer; returns how
+    /// many bytes of it were filled.
+    pub fn code_window_into(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemFault> {
         let seg = self
             .segments
             .iter()
@@ -481,10 +493,9 @@ impl Image {
                 size: 1,
                 write: false,
             })?;
-        let avail = (seg.base + seg.size - addr).min(max as u64);
-        let mut buf = vec![0u8; avail as usize];
-        self.mem.read(addr, &mut buf);
-        Ok(buf)
+        let n = (seg.base + seg.size - addr).min(buf.len() as u64) as usize;
+        self.mem.read(addr, &mut buf[..n]);
+        Ok(n)
     }
 }
 

@@ -77,3 +77,37 @@ proptest! {
         prop_assert_ne!(a.uid(), b.uid());
     }
 }
+
+/// A code patch is visible before its version bump is: whoever reads
+/// `code_version()` and then the bytes can never pair a new version with
+/// old bytes (an execution engine would cache the stale decode under the
+/// new version forever). The patch spans many pages so that "bumped but not
+/// yet written" would be a window wide enough to hit.
+#[test]
+fn code_version_is_bumped_after_the_bytes_land() {
+    const WRITES: u64 = 1500;
+    const WORDS: usize = 32 * 4096 / 8;
+    let img = Image::new();
+    let addr = img.alloc_jit(&vec![0u8; WORDS * 8]);
+    let last = addr + (WORDS as u64 - 1) * 8;
+    let v0 = img.code_version();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in 1..=WRITES {
+                img.write_bytes(addr, &k.to_le_bytes().repeat(WORDS))
+                    .unwrap();
+            }
+        });
+        loop {
+            let completed = img.code_version() - v0;
+            let seen = img.read_u64(last).unwrap();
+            assert!(
+                seen >= completed,
+                "version says {completed} patches landed, the bytes still hold patch {seen}"
+            );
+            if completed == WRITES {
+                break;
+            }
+        }
+    });
+}

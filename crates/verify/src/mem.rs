@@ -37,19 +37,6 @@ fn abs_addr(m: &MemRef) -> Option<u64> {
     (m.base.is_none() && m.index.is_none()).then_some(m.disp as i64 as u64)
 }
 
-/// Bytes written by a store instruction (callers ensure `inst` stores).
-fn store_width(inst: &Inst) -> u64 {
-    match inst {
-        Inst::Mov { w, .. } | Inst::Unary { w, .. } | Inst::Shift { w, .. } => w.bytes(),
-        Inst::Alu { w, .. } => w.bytes(),
-        Inst::Setcc { .. } => 1,
-        Inst::Pop { .. } => 8,
-        Inst::MovSd { .. } => 8,
-        Inst::MovUpd { .. } => 16,
-        _ => 8,
-    }
-}
-
 /// Visit every encoded immediate of `inst` (as a sign-extended u64).
 fn for_each_imm(inst: &Inst, f: &mut impl FnMut(u64)) {
     let mut op = |o: &Operand| {
@@ -174,7 +161,7 @@ pub(crate) fn summarize_original(img: &Image, func: u64, req: &SpecRequest) -> O
             }
         }
         if let Some(a) = d.inst.mem_store().as_ref().and_then(abs_addr) {
-            sum.abs_stores.push(a..a + store_width(&d.inst));
+            sum.abs_stores.push(a..a + d.inst.mem_width() as u64);
         }
         if let Some(t) = d.inst.static_target() {
             queue.push_back(t);
@@ -219,7 +206,7 @@ pub(crate) fn check_writes(
         let Some(target) = inst.mem_store().as_ref().and_then(abs_addr) else {
             continue;
         };
-        let store = target..target + store_width(inst);
+        let store = target..target + inst.mem_width() as u64;
         if opts.counter_pages.iter().any(|p| overlaps(p, &store)) {
             continue;
         }

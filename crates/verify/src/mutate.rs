@@ -59,12 +59,27 @@ pub enum Mutation {
     /// The operands of a non-commutative reg-reg op (`sub`, `cmp`,
     /// `subsd`, `divsd`) swapped.
     CommutedNonCommutative,
+    /// A constant moved or stored where the captured code stores it to a
+    /// frame slot, replaced by a constant another store gives the same slot
+    /// — constant propagation forwarding a slot across an intervening
+    /// store. (This and the two kinds below model the dataflow passes:
+    /// seed them into code those passes emitted. Pass-less code is full of
+    /// dead instructions, and changing one of those is not a miscompile.)
+    StaleSlotConst,
+    /// A small immediate of an ALU or multiply instruction off by one — a
+    /// constant fold that computed the wrong value (too small for
+    /// provenance to question).
+    FoldedImmOffByOne,
+    /// A `cmp`/`test`/`ucomisd` whose flags a `jcc` or `setcc` still reads,
+    /// replaced by NOPs — dead-code elimination with the flags left out of
+    /// liveness.
+    DroppedFlagWriter,
 }
 
 impl Mutation {
     /// Every mutation kind, grouped by the rule family expected to
     /// catch it.
-    pub const ALL: [Mutation; 17] = [
+    pub const ALL: [Mutation; 20] = [
         Mutation::UnknownOpcode,
         Mutation::TruncatedTail,
         Mutation::BranchOffByTwo,
@@ -82,6 +97,9 @@ impl Mutation {
         Mutation::ClobberCalleeSaved,
         Mutation::DroppedSpillStore,
         Mutation::CommutedNonCommutative,
+        Mutation::StaleSlotConst,
+        Mutation::FoldedImmOffByOne,
+        Mutation::DroppedFlagWriter,
     ];
 
     /// Short stable name (used in the V1 table).
@@ -104,6 +122,9 @@ impl Mutation {
             Mutation::ClobberCalleeSaved => "clobber-callee-saved",
             Mutation::DroppedSpillStore => "dropped-spill-store",
             Mutation::CommutedNonCommutative => "commuted-noncommutative",
+            Mutation::StaleSlotConst => "stale-slot-const",
+            Mutation::FoldedImmOffByOne => "folded-imm-off-by-one",
+            Mutation::DroppedFlagWriter => "dropped-flag-writer",
         }
     }
 
@@ -123,12 +144,16 @@ impl Mutation {
             Mutation::FoldedImmTweak | Mutation::DanglingDataRef | Mutation::LoadFromCode => {
                 Rule::Provenance
             }
-            // Register-allocation-shaped miscompiles are structurally
-            // well-formed: only translation validation can see them.
+            // Register-allocation- and dataflow-pass-shaped miscompiles
+            // are structurally well-formed: only translation validation
+            // can see them.
             Mutation::WrongRegSub
             | Mutation::ClobberCalleeSaved
             | Mutation::DroppedSpillStore
-            | Mutation::CommutedNonCommutative => Rule::Equivalence,
+            | Mutation::CommutedNonCommutative
+            | Mutation::StaleSlotConst
+            | Mutation::FoldedImmOffByOne
+            | Mutation::DroppedFlagWriter => Rule::Equivalence,
         }
     }
 }
@@ -410,6 +435,107 @@ pub fn apply(img: &Image, res: &RewriteResult, kind: Mutation) -> Option<Applied
             let bytes = encode_same_len(&m, *addr, *len)?;
             patch(img, *addr, &bytes, kind)
         }),
+        Mutation::StaleSlotConst => {
+            // (slot, constant, block) of every constant store in the
+            // captured code; the emitted block of one of them is where its
+            // constant should have ended up.
+            let cap = res.equiv.as_ref()?;
+            let mut stores: Vec<(i64, i64, usize)> = Vec::new();
+            for (b, blk) in cap.blocks.iter().enumerate() {
+                for ci in &blk.insts {
+                    let (Some(off), Some(c)) = (ci.frame_store, stored_const(&ci.inst)) else {
+                        continue;
+                    };
+                    stores.push((off, c, b));
+                }
+            }
+            stores.iter().find_map(|&(off, fresh, b)| {
+                let stale = stores.iter().find(|s| s.0 == off && s.1 != fresh)?.1;
+                let start = *cap.block_addrs.get(b)?;
+                let end = cap
+                    .block_addrs
+                    .iter()
+                    .filter(|&&a| a > start && a != u64::MAX)
+                    .min()
+                    .map_or(region.end, |&a| a);
+                insts.iter().find_map(|(addr, inst, len)| {
+                    ((start..end).contains(addr) && stored_const(inst) == Some(fresh))
+                        .then_some(())?;
+                    let mut m = *inst;
+                    if let Inst::Mov { src, .. } | Inst::Push { src } = &mut m {
+                        *src = Operand::Imm(stale);
+                    }
+                    let bytes = encode_same_len(&m, *addr, *len)?;
+                    patch(img, *addr, &bytes, kind)
+                })
+            })
+        }
+        Mutation::FoldedImmOffByOne => insts.iter().find_map(|(addr, inst, len)| {
+            const SMALL: i64 = 32_768;
+            [1i64, -1].into_iter().find_map(|delta| {
+                let m = match *inst {
+                    Inst::Alu {
+                        op,
+                        w,
+                        dst,
+                        src: Operand::Imm(v),
+                    } if dst != Operand::Reg(Gpr::Rsp) && (v + delta).abs() < SMALL => Inst::Alu {
+                        op,
+                        w,
+                        dst,
+                        src: Operand::Imm(v + delta),
+                    },
+                    Inst::ImulImm { w, dst, src, imm }
+                        if (i64::from(imm) + delta).abs() < SMALL =>
+                    {
+                        Inst::ImulImm {
+                            w,
+                            dst,
+                            src,
+                            imm: imm + delta as i32,
+                        }
+                    }
+                    _ => return None,
+                };
+                let bytes = encode_same_len(&m, *addr, *len)?;
+                patch(img, *addr, &bytes, kind)
+            })
+        }),
+        Mutation::DroppedFlagWriter => {
+            insts.iter().enumerate().find_map(|(k, (addr, inst, len))| {
+                let only_flags = matches!(
+                    inst,
+                    Inst::Alu { op: AluOp::Cmp, .. } | Inst::Test { .. } | Inst::Ucomisd { .. }
+                );
+                // The next instruction that touches the flags reads them.
+                let read = insts[k + 1..].iter().find_map(|(_, i, _)| {
+                    if i.reads_flags() {
+                        Some(true)
+                    } else if i.writes_flags() || i.is_control() {
+                        Some(false)
+                    } else {
+                        None
+                    }
+                });
+                (only_flags && read == Some(true)).then_some(())?;
+                patch(img, *addr, &vec![0x90; *len], kind)
+            })
+        }
+    }
+}
+
+/// The constant a `mov`/`push` moves (into a register or a slot).
+fn stored_const(inst: &Inst) -> Option<i64> {
+    match inst {
+        Inst::Mov {
+            w: brew_x86::Width::W64,
+            src: Operand::Imm(c),
+            ..
+        }
+        | Inst::Push {
+            src: Operand::Imm(c),
+        } => Some(*c),
+        _ => None,
     }
 }
 

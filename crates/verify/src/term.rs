@@ -625,6 +625,25 @@ impl Terms {
                 (b0 == v0).then_some(args[0])
             }
             Tag::Alu(AluOp::Xor | AluOp::Sub, _) if args[0] == args[1] => Some(self.constant(0)),
+            // The identities the constant-propagation pass folds and its
+            // dead-code sweep deletes: `x | 0`, `x ^ 0`, `x & -1` (add and
+            // sub are linear sums already), `x * 0` and `x * 1`.
+            Tag::Alu(op @ (AluOp::Or | AluOp::Xor | AluOp::And), Width::W64) => {
+                let unit = if op == AluOp::And { u64::MAX } else { 0 };
+                let at = |i: usize| self.as_const(args[i]) == Some(unit);
+                (at(1).then_some(args[0])).or(at(0).then_some(args[1]))
+            }
+            Tag::Imul(w) => {
+                let is = |i: usize, k: u64| self.as_const(args[i]).map(|c| w.trunc(c)) == Some(k);
+                if is(0, 0) || is(1, 0) {
+                    return Some(self.constant(0));
+                }
+                let other = (is(1, 1).then_some(args[0])).or(is(0, 1).then_some(args[1]))?;
+                Some(match w {
+                    Width::W64 => other,
+                    _ => self.low32(other),
+                })
+            }
             Tag::Sse(SseOp::Xorpd) if args[0] == args[1] => Some(self.constant(0)),
             // A CL shift whose count became known folds into the immediate
             // form: a count of zero is the identity (and keeps old flags),
@@ -723,6 +742,14 @@ impl Terms {
                     _ => return None,
                 };
                 u64::from([f.cf, f.zf, f.sf, f.of, f.pf][which as usize])
+            }
+            Tag::Setcc(cond) => {
+                let mut bits = [false; 5];
+                for (i, &k) in cond_flags(cond).iter().enumerate() {
+                    bits[k] = c(i)? != 0;
+                }
+                let [cf, zf, sf, of, pf] = bits;
+                u64::from(brew_x86::cond::Flags { cf, zf, sf, of, pf }.cond(cond))
             }
             // Quotients can trap; FP arithmetic is kept structural so the
             // checker never has to reason about rounding or NaNs.

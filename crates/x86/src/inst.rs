@@ -252,6 +252,27 @@ impl Inst {
         }
     }
 
+    /// Bytes the instruction's memory operand (or, for `push`/`pop`, its
+    /// implicit stack slot) covers; meaningless without such an access.
+    pub fn mem_width(&self) -> u8 {
+        match self {
+            Inst::Mov { w, .. }
+            | Inst::Alu { w, .. }
+            | Inst::Test { w, .. }
+            | Inst::Imul { w, .. }
+            | Inst::ImulImm { w, .. }
+            | Inst::Unary { w, .. }
+            | Inst::Shift { w, .. }
+            | Inst::Idiv { w, .. }
+            | Inst::Cvtsi2sd { w, .. } => w.bytes() as u8,
+            Inst::Movsxd { .. } => 4,
+            Inst::Movzx8 { .. } | Inst::Setcc { .. } => 1,
+            Inst::MovUpd { .. } => 16,
+            Inst::Sse { op, .. } if op.is_packed() => 16,
+            _ => 8,
+        }
+    }
+
     /// The memory reference this instruction stores to, if any.
     pub fn mem_store(&self) -> Option<MemRef> {
         match self {

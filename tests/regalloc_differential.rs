@@ -1,51 +1,90 @@
-//! Differential gate for the post-rewrite register allocator: every
-//! program the differential generator can produce must run **bit-
-//! identically** with `PassConfig::regalloc` on and off, and the static
-//! verifier must accept every allocated variant with zero findings.
+//! Differential gate for the two pass groups that rewrite registers and
+//! frame slots — the post-rewrite register allocator
+//! (`PassConfig::regalloc`) and the dataflow pair, constant propagation
+//! plus the flags- and slot-aware dead-code sweep
+//! (`PassConfig::redundant_load_elim`): every program the differential
+//! generator can produce must run **bit-identically** with the pass on and
+//! off, the pass must never retire more instructions (the dataflow pair:
+//! nor emit more bytes), and the static verifier must accept every
+//! optimized variant with zero findings.
 //!
-//! This is the pass's soundness contract from the issue: spilling back to
-//! the original frame slot is always legal, so the allocator can refuse
-//! work but never change behavior — and because it runs before publish,
-//! the verifier's five rules (round-trip, CFG closure, stack discipline,
-//! write containment, provenance) must hold on its output exactly as they
-//! do on unallocated code.
+//! This is the soundness contract: spilling back to the original frame
+//! slot, or leaving an instruction as it was, is always legal, so a pass
+//! can refuse work but never change behavior — and because it runs before
+//! publish, all six verifier rules (round-trip, CFG closure, stack
+//! discipline, write containment, provenance, equivalence) must hold on
+//! its output exactly as they do on unoptimized code.
 
 use brew_suite::prelude::*;
 use brew_suite::static_verify::{verify, VerifyOptions};
 use proptest::prelude::*;
 
-/// All other passes stay at their defaults: the comparison isolates the
-/// allocator, not the whole pipeline.
-fn with_regalloc(on: bool) -> PassConfig {
-    PassConfig {
-        regalloc: on,
-        ..PassConfig::default()
+/// The pass group under test. All other passes stay at their defaults:
+/// the comparison isolates one group, not the whole pipeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pass {
+    Regalloc,
+    Dataflow,
+}
+
+impl Pass {
+    fn config(self, on: bool) -> PassConfig {
+        match self {
+            Pass::Regalloc => PassConfig {
+                regalloc: on,
+                ..PassConfig::default()
+            },
+            Pass::Dataflow => PassConfig {
+                redundant_load_elim: on,
+                ..PassConfig::default()
+            },
+        }
     }
 }
 
-/// Rewrite `f` twice — allocator off, then on — and return both results.
+fn with_regalloc(on: bool) -> PassConfig {
+    Pass::Regalloc.config(on)
+}
+
+/// Rewrite `f` twice — pass off, then on — and return both results.
 /// Returns `None` when tracing itself faults (a legitimate outcome that
 /// must be identical for both configurations).
-fn rewrite_pair(img: &Image, f: u64, req: &SpecRequest) -> Option<(RewriteResult, RewriteResult)> {
-    let off = Rewriter::new(img).rewrite(f, &req.clone().passes(with_regalloc(false)));
-    let on = Rewriter::new(img).rewrite(f, &req.clone().passes(with_regalloc(true)));
+fn rewrite_pair(
+    pass: Pass,
+    img: &Image,
+    f: u64,
+    req: &SpecRequest,
+) -> Option<(RewriteResult, RewriteResult)> {
+    let off = Rewriter::new(img).rewrite(f, &req.clone().passes(pass.config(false)));
+    let on = Rewriter::new(img).rewrite(f, &req.clone().passes(pass.config(true)));
     match (off, on) {
-        (Ok(off), Ok(on)) => Some((off, on)),
-        // The allocator runs after tracing: a trace fault cannot depend
-        // on the pass selection.
+        (Ok(off), Ok(on)) => {
+            if pass == Pass::Dataflow {
+                assert!(
+                    on.code_len <= off.code_len,
+                    "the dataflow passes grew the code: {} -> {} bytes",
+                    off.code_len,
+                    on.code_len
+                );
+            }
+            Some((off, on))
+        }
+        // The passes run after tracing: a trace fault cannot depend on
+        // the pass selection.
         (Err(RewriteError::TraceFault { .. }), Err(RewriteError::TraceFault { .. })) => None,
         (off, on) => panic!("pass selection changed the rewrite outcome: {off:?} vs {on:?}"),
     }
 }
 
-/// The verifier must have zero false positives on allocated code: the
-/// allocator only renames frame slots to registers and cleans up the
-/// residue, all of which the five rules permit.
+/// The verifier must have zero false positives on optimized code: the
+/// passes only rename frame slots to registers, fold what is constant and
+/// drop what is dead, all of which the rules permit (and the equivalence
+/// rule proves).
 fn assert_verifier_clean(img: &Image, f: u64, req: &SpecRequest, res: &RewriteResult) {
     let report = verify(img, f, req, res, &VerifyOptions::default());
     assert!(
         report.passed(),
-        "verifier false positive on allocated variant: {:?}",
+        "verifier false positive on optimized variant: {:?}",
         report.first_error()
     );
 }
@@ -107,14 +146,182 @@ fn arb_expr() -> impl Strategy<Value = E> {
     })
 }
 
+/// Integer corpus: branches, a bounded loop, safe division — under
+/// every known/unknown marking. Both variants must agree with the
+/// original and with each other on every probe, the pass must never
+/// execute more instructions than the code without it, and the verifier
+/// must pass the optimized variant.
+#[allow(clippy::too_many_arguments)]
+fn int_program_case(
+    pass: Pass,
+    init: E,
+    cond: E,
+    then_e: E,
+    loop_e: E,
+    loop_n: u8,
+    spec_mask: u8,
+    pins: [i64; 3],
+    probes: Vec<[i64; 3]>,
+) -> Result<(), TestCaseError> {
+    let src = format!(
+        r#"
+        int f(int a, int b, int c) {{
+            int t = 0;
+            t = {init};
+            if ({cond}) {{ t = t + {then_e}; }} else {{ t = t - 3; }}
+            for (int i = 0; i < {loop_n}; i++) {{ t += {loop_e}; }}
+            return t;
+        }}
+        "#,
+        init = init.render(),
+        cond = cond.render(),
+        then_e = then_e.render(),
+        loop_e = loop_e.render(),
+    );
+    let img = Image::new();
+    let compiled = compile_into(&src, &img).unwrap();
+    let f = compiled.func("f").unwrap();
+
+    let mut req = SpecRequest::new().ret(RetKind::Int);
+    for (i, &pin) in pins.iter().enumerate() {
+        req = if spec_mask & (1 << i) != 0 {
+            req.known_int(pin)
+        } else {
+            req.unknown_int()
+        };
+    }
+    let Some((off, on)) = rewrite_pair(pass, &img, f, &req) else {
+        return Ok(());
+    };
+    assert_verifier_clean(&img, f, &req, &on);
+
+    let mut m = Machine::new();
+    for probe in &probes {
+        let mut vals = *probe;
+        for i in 0..3 {
+            if spec_mask & (1 << i) != 0 {
+                vals[i] = pins[i];
+            }
+        }
+        let call = CallArgs::new().int(vals[0]).int(vals[1]).int(vals[2]);
+        let orig = m.call(&img, f, &call);
+        let a = m.call(&img, off.entry, &call);
+        let b = m.call(&img, on.entry, &call);
+        match (&orig, a, b) {
+            (Ok(o), Ok(a), Ok(b)) => {
+                prop_assert_eq!(o.ret_int, a.ret_int, "unallocated diverged\n{}", src);
+                prop_assert_eq!(a.ret_int, b.ret_int, "regalloc changed behavior\n{}", src);
+                // "Never make code worse": spill fallback is the
+                // identity, so the allocated body cannot retire more
+                // instructions than the unallocated one.
+                prop_assert!(
+                    b.stats.insts <= a.stats.insts,
+                    "regalloc grew the dynamic path: {} -> {} insts\n{}",
+                    a.stats.insts,
+                    b.stats.insts,
+                    src
+                );
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            (o, a, b) => panic!("divergent fault behavior: {o:?} / {a:?} / {b:?}\n{src}"),
+        }
+    }
+    Ok(())
+}
+
+/// Mixed-ABI corpus: a double parameter, an int parameter, and a
+/// pointer-to-struct parameter feeding both integer control flow and
+/// double arithmetic. Doubles compare by bits.
+#[allow(clippy::too_many_arguments)]
+fn double_program_case(
+    pass: Pass,
+    u: i16,
+    w_num: i16,
+    iexpr: E,
+    loop_n: u8,
+    know_a: bool,
+    know_x: bool,
+    know_p: bool,
+    a_pin: i64,
+    x_pin: f64,
+    probes: Vec<(i64, f64)>,
+) -> Result<(), TestCaseError> {
+    let src = format!(
+        r#"
+        struct Pt {{ double w; int u; int v; }};
+        struct Pt pt = {{{w:?}, {u}, 7}};
+        double f(int a, double x, struct Pt* p) {{
+            int b = p->u;
+            int c = p->v;
+            int t = 0;
+            t = {iexpr};
+            double acc = x;
+            if (t < b) {{ acc = acc * p->w + x; }} else {{ acc = acc - p->w; }}
+            for (int i = 0; i < {loop_n}; i++) {{ acc = acc * 0.5 + p->w; }}
+            return acc;
+        }}
+        "#,
+        w = w_num as f64 / 16.0,
+        iexpr = iexpr.render(),
+    );
+    let img = Image::new();
+    let compiled = compile_into(&src, &img).unwrap();
+    let f = compiled.func("f").unwrap();
+    let pt = compiled.global("pt").unwrap();
+
+    let mut req = SpecRequest::new().ret(RetKind::F64);
+    req = if know_a {
+        req.known_int(a_pin)
+    } else {
+        req.unknown_int()
+    };
+    req = if know_x {
+        req.known_f64(x_pin)
+    } else {
+        req.unknown_f64()
+    };
+    req = if know_p {
+        req.ptr_to_known(pt, 24)
+    } else {
+        req.unknown_int()
+    };
+    let Some((off, on)) = rewrite_pair(pass, &img, f, &req) else {
+        return Ok(());
+    };
+    assert_verifier_clean(&img, f, &req, &on);
+
+    let mut m = Machine::new();
+    for (pa, px) in &probes {
+        let a = if know_a { a_pin } else { *pa };
+        let x = if know_x { x_pin } else { *px };
+        let call = CallArgs::new().int(a).f64(x).ptr(pt);
+        let orig = m.call(&img, f, &call);
+        let va = m.call(&img, off.entry, &call);
+        let vb = m.call(&img, on.entry, &call);
+        match (&orig, va, vb) {
+            (Ok(o), Ok(va), Ok(vb)) => {
+                prop_assert_eq!(o.ret_f64.to_bits(), va.ret_f64.to_bits(), "{}", src);
+                prop_assert_eq!(
+                    va.ret_f64.to_bits(),
+                    vb.ret_f64.to_bits(),
+                    "regalloc changed f64 bits (know a={} x={} p={})\n{}",
+                    know_a,
+                    know_x,
+                    know_p,
+                    src
+                );
+                prop_assert!(vb.stats.insts <= va.stats.insts, "{}", src);
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            (o, a, b) => panic!("divergent fault behavior: {o:?} / {a:?} / {b:?}\n{src}"),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Integer corpus: branches, a bounded loop, safe division — under
-    /// every known/unknown marking. Both variants must agree with the
-    /// original and with each other on every probe, the allocator must
-    /// never execute more instructions than the unallocated code, and
-    /// the verifier must pass the allocated variant.
     #[test]
     fn regalloc_int_programs_bit_identical(
         init in arb_expr(),
@@ -126,65 +333,21 @@ proptest! {
         pins in proptest::array::uniform3(-40i64..40),
         probes in proptest::collection::vec(proptest::array::uniform3(-50i64..50), 4),
     ) {
-        let src = format!(
-            r#"
-            int f(int a, int b, int c) {{
-                int t = 0;
-                t = {init};
-                if ({cond}) {{ t = t + {then_e}; }} else {{ t = t - 3; }}
-                for (int i = 0; i < {loop_n}; i++) {{ t += {loop_e}; }}
-                return t;
-            }}
-            "#,
-            init = init.render(),
-            cond = cond.render(),
-            then_e = then_e.render(),
-            loop_e = loop_e.render(),
-        );
-        let img = Image::new();
-        let compiled = compile_into(&src, &img).unwrap();
-        let f = compiled.func("f").unwrap();
+        int_program_case(Pass::Regalloc, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
+    }
 
-        let mut req = SpecRequest::new().ret(RetKind::Int);
-        for (i, &pin) in pins.iter().enumerate() {
-            req = if spec_mask & (1 << i) != 0 {
-                req.known_int(pin)
-            } else {
-                req.unknown_int()
-            };
-        }
-        let Some((off, on)) = rewrite_pair(&img, f, &req) else { return Ok(()); };
-        assert_verifier_clean(&img, f, &req, &on);
-
-        let mut m = Machine::new();
-        for probe in &probes {
-            let mut vals = *probe;
-            for i in 0..3 {
-                if spec_mask & (1 << i) != 0 {
-                    vals[i] = pins[i];
-                }
-            }
-            let call = CallArgs::new().int(vals[0]).int(vals[1]).int(vals[2]);
-            let orig = m.call(&img, f, &call);
-            let a = m.call(&img, off.entry, &call);
-            let b = m.call(&img, on.entry, &call);
-            match (&orig, a, b) {
-                (Ok(o), Ok(a), Ok(b)) => {
-                    prop_assert_eq!(o.ret_int, a.ret_int, "unallocated diverged\n{}", src);
-                    prop_assert_eq!(a.ret_int, b.ret_int, "regalloc changed behavior\n{}", src);
-                    // "Never make code worse": spill fallback is the
-                    // identity, so the allocated body cannot retire more
-                    // instructions than the unallocated one.
-                    prop_assert!(
-                        b.stats.insts <= a.stats.insts,
-                        "regalloc grew the dynamic path: {} -> {} insts\n{}",
-                        a.stats.insts, b.stats.insts, src
-                    );
-                }
-                (Err(_), Err(_), Err(_)) => {}
-                (o, a, b) => panic!("divergent fault behavior: {o:?} / {a:?} / {b:?}\n{src}"),
-            }
-        }
+    #[test]
+    fn dataflow_int_programs_bit_identical(
+        init in arb_expr(),
+        cond in arb_expr(),
+        then_e in arb_expr(),
+        loop_e in arb_expr(),
+        loop_n in 0u8..6,
+        spec_mask in 0u8..8,
+        pins in proptest::array::uniform3(-40i64..40),
+        probes in proptest::collection::vec(proptest::array::uniform3(-50i64..50), 4),
+    ) {
+        int_program_case(Pass::Dataflow, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
     }
 
     /// Mixed-ABI corpus from the issue: a double parameter, an int
@@ -203,58 +366,27 @@ proptest! {
         x_pin in -16.0f64..16.0,
         probes in proptest::collection::vec((-50i64..50, -24.0f64..24.0), 4),
     ) {
-        let src = format!(
-            r#"
-            struct Pt {{ double w; int u; int v; }};
-            struct Pt pt = {{{w:?}, {u}, 7}};
-            double f(int a, double x, struct Pt* p) {{
-                int b = p->u;
-                int c = p->v;
-                int t = 0;
-                t = {iexpr};
-                double acc = x;
-                if (t < b) {{ acc = acc * p->w + x; }} else {{ acc = acc - p->w; }}
-                for (int i = 0; i < {loop_n}; i++) {{ acc = acc * 0.5 + p->w; }}
-                return acc;
-            }}
-            "#,
-            w = w_num as f64 / 16.0,
-            iexpr = iexpr.render(),
-        );
-        let img = Image::new();
-        let compiled = compile_into(&src, &img).unwrap();
-        let f = compiled.func("f").unwrap();
-        let pt = compiled.global("pt").unwrap();
+        double_program_case(
+            Pass::Regalloc, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
+        )?;
+    }
 
-        let mut req = SpecRequest::new().ret(RetKind::F64);
-        req = if know_a { req.known_int(a_pin) } else { req.unknown_int() };
-        req = if know_x { req.known_f64(x_pin) } else { req.unknown_f64() };
-        req = if know_p { req.ptr_to_known(pt, 24) } else { req.unknown_int() };
-        let Some((off, on)) = rewrite_pair(&img, f, &req) else { return Ok(()); };
-        assert_verifier_clean(&img, f, &req, &on);
-
-        let mut m = Machine::new();
-        for (pa, px) in &probes {
-            let a = if know_a { a_pin } else { *pa };
-            let x = if know_x { x_pin } else { *px };
-            let call = CallArgs::new().int(a).f64(x).ptr(pt);
-            let orig = m.call(&img, f, &call);
-            let va = m.call(&img, off.entry, &call);
-            let vb = m.call(&img, on.entry, &call);
-            match (&orig, va, vb) {
-                (Ok(o), Ok(va), Ok(vb)) => {
-                    prop_assert_eq!(o.ret_f64.to_bits(), va.ret_f64.to_bits(), "{}", src);
-                    prop_assert_eq!(
-                        va.ret_f64.to_bits(), vb.ret_f64.to_bits(),
-                        "regalloc changed f64 bits (know a={} x={} p={})\n{}",
-                        know_a, know_x, know_p, src
-                    );
-                    prop_assert!(vb.stats.insts <= va.stats.insts, "{}", src);
-                }
-                (Err(_), Err(_), Err(_)) => {}
-                (o, a, b) => panic!("divergent fault behavior: {o:?} / {a:?} / {b:?}\n{src}"),
-            }
-        }
+    #[test]
+    fn dataflow_doubles_and_struct_pointers_bit_identical(
+        u in any::<i16>(),
+        w_num in -300i16..300,
+        iexpr in arb_expr(),
+        loop_n in 0u8..5,
+        know_a in any::<bool>(),
+        know_x in any::<bool>(),
+        know_p in any::<bool>(),
+        a_pin in -40i64..40,
+        x_pin in -16.0f64..16.0,
+        probes in proptest::collection::vec((-50i64..50, -24.0f64..24.0), 4),
+    ) {
+        double_program_case(
+            Pass::Dataflow, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
+        )?;
     }
 
     /// Random stencil descriptors through the Figure-5 pipeline: the
@@ -298,7 +430,8 @@ proptest! {
             .known_int(xs)
             .ptr_to_known(st, 8 + n as u64 * 24)
             .ret(RetKind::F64);
-        let (off, on) = rewrite_pair(&img, apply, &req).expect("stencil traces cleanly");
+        let (off, on) =
+            rewrite_pair(Pass::Regalloc, &img, apply, &req).expect("stencil traces cleanly");
         assert_verifier_clean(&img, apply, &req, &on);
 
         let m0 = img.alloc_heap(25 * 8, 8);
@@ -372,6 +505,118 @@ fn allocated_stencil_and_grouped_variants_verify_and_agree() {
                 "unallocated diverged at ({x},{y})"
             );
             assert_eq!(a.to_bits(), b.to_bits(), "regalloc diverged at ({x},{y})");
+        }
+    }
+}
+
+/// Both emissions of one request with the dataflow pair off and on, for
+/// the named workloads below (which must all trace).
+fn dataflow_pair(img: &Image, f: u64, req: &SpecRequest) -> (RewriteResult, RewriteResult) {
+    let (off, on) = rewrite_pair(Pass::Dataflow, img, f, req).expect("workload traces cleanly");
+    assert_verifier_clean(img, f, req, &on);
+    (off, on)
+}
+
+/// The workloads the dataflow pair was written for — the whole-sweep
+/// rewrite under controlled unrolling, the `makeDynamic` sweep that unrolls
+/// to its variant threshold, the PGAS sum whose loop world migration keeps,
+/// and the served `madd` family: same results to the bit, never more
+/// retired instructions, never more bytes, proved equivalent.
+#[test]
+fn dataflow_sweeps_gsum_and_madd_agree_and_never_grow() {
+    use brew_stencil::{Stencil, Variant};
+
+    // sweep_generic.u4: two sweeps ping-ponging the matrices, each
+    // emission in a world of its own.
+    let sweep_under = |on: bool| {
+        let mut s = Stencil::new(16, 12);
+        let sweep = s.prog.func("sweep_generic").unwrap();
+        let req = s.sweep_request(4);
+        let (off_res, on_res) = dataflow_pair(&s.img, sweep, &req);
+        let entry = if on { on_res.entry } else { off_res.entry };
+        let stats = s
+            .run(&mut Machine::new(), Variant::SpecializedSweep(entry), 2)
+            .unwrap();
+        assert_eq!(s.checksum(2), s.host_checksum(2));
+        (s.checksum(2).to_bits(), stats.insts)
+    };
+    let ((sum_off, insts_off), (sum_on, insts_on)) = (sweep_under(false), sweep_under(true));
+    assert_eq!(sum_off, sum_on);
+    assert!(insts_on < insts_off, "{insts_off} -> {insts_on} insts");
+
+    // sweep_dynamic_transformed behind the makeDynamic barrier.
+    let img = Image::new();
+    let prog = compile_into(brew_stencil::programs::MAKE_DYNAMIC_PROGRAM, &img).unwrap();
+    let f = prog.func("sweep_dynamic_transformed").unwrap();
+    let s5 = prog.global("s5").unwrap();
+    let (xs, ys) = (10i64, 8i64);
+    let req = SpecRequest::new()
+        .unknown_int()
+        .unknown_int()
+        .known_int(xs)
+        .known_int(ys)
+        .known_mem(s5..s5 + brew_stencil::S_SIZE)
+        .ret(RetKind::Void)
+        .func(prog.func("makeDynamic").unwrap(), |o| o.inline = false)
+        .max_trace_insts(8_000_000)
+        .max_code_bytes(1 << 22);
+    let (off, on) = dataflow_pair(&img, f, &req);
+    let cells = (xs * ys) as u64;
+    let (m1, m2) = (img.alloc_heap(cells * 8, 16), img.alloc_heap(cells * 8, 16));
+    let sweep_with = |entry: u64| {
+        for i in 0..cells {
+            img.write_f64(m1 + i * 8, ((i * 7) % 11) as f64).unwrap();
+            img.write_f64(m2 + i * 8, 0.0).unwrap();
+        }
+        let call = CallArgs::new().ptr(m1).ptr(m2).int(xs).int(ys);
+        let out = Machine::new().call(&img, entry, &call).unwrap();
+        let result: Vec<u64> = (0..cells)
+            .map(|i| img.read_u64(m2 + i * 8).unwrap())
+            .collect();
+        (result, out.stats.insts)
+    };
+    let (orig, _) = sweep_with(f);
+    let ((res_off, insts_off), (res_on, insts_on)) = (sweep_with(off.entry), sweep_with(on.entry));
+    assert_eq!(orig, res_off);
+    assert_eq!(res_off, res_on);
+    assert!(insts_on <= insts_off, "{insts_off} -> {insts_on} insts");
+
+    // gsum: the loop stays, gread/remote_fetch inline.
+    let mut pg = brew_suite::pgas::PgasArray::new(64, 4, 1);
+    let gsum = pg.prog.func("gsum").unwrap();
+    let (off, on) = dataflow_pair(&pg.img, gsum, &pg.gsum_request());
+    let mut m = Machine::new();
+    let (generic, _) = pg.gsum_generic(&mut m).unwrap();
+    let (sum_off, stats_off) = pg.gsum_with(&mut m, off.entry).unwrap();
+    let (sum_on, stats_on) = pg.gsum_with(&mut m, on.entry).unwrap();
+    assert_eq!(generic.to_bits(), sum_off.to_bits());
+    assert_eq!(sum_off.to_bits(), sum_on.to_bits());
+    assert!(stats_on.insts <= stats_off.insts);
+
+    // The madd family: one straight-line variant per known trip count.
+    let img = Image::new();
+    let prog = compile_into(
+        "int madd(int x, int b) { int acc = 0; for (int i = 0; i < b; i++) { \
+         int k = (i * 3 + b) * (i * 5 + 7); acc = acc + x + k + i; } return acc; }",
+        &img,
+    )
+    .unwrap();
+    let madd = prog.func("madd").unwrap();
+    for b in [1i64, 2, 7, 48] {
+        let req = SpecRequest::new()
+            .unknown_int()
+            .known_int(b)
+            .ret(RetKind::Int);
+        let (off, on) = dataflow_pair(&img, madd, &req);
+        let mut m = Machine::new();
+        for x in [-1000i64, -1, 0, 3, 999] {
+            let call = CallArgs::new().int(x).int(b);
+            let orig = m.call(&img, madd, &call).unwrap();
+            let a = m.call(&img, off.entry, &call).unwrap();
+            let c = m.call(&img, on.entry, &call).unwrap();
+            assert_eq!(orig.ret_int, a.ret_int);
+            assert_eq!(a.ret_int, c.ret_int, "madd.{b}({x})");
+            assert!(c.stats.insts <= a.stats.insts);
         }
     }
 }
