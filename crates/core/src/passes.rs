@@ -8,7 +8,7 @@
 use crate::capture::{CapturedBlock, CapturedInst};
 use crate::dataflow::{liveness, propagate_constants};
 use brew_x86::prelude::*;
-use std::collections::HashSet;
+use brew_x86::WordSet;
 
 /// Which passes run after tracing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +186,7 @@ pub fn run_passes_traced(
 /// effects). Sound because the frame is dead after return and, with no
 /// escaped frame address, no untracked access can alias it.
 fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
-    let mut loaded: HashSet<i64> = HashSet::new();
+    let mut loaded: WordSet<i64> = WordSet::default();
     for b in blocks.iter() {
         for ci in &b.insts {
             if let Some(off) = ci.frame_load {

@@ -21,7 +21,7 @@
 
 use crate::capture::{CapturedBlock, CapturedInst};
 use brew_x86::prelude::*;
-use std::collections::{HashMap, HashSet};
+use brew_x86::{WordMap, WordSet};
 
 /// Run slot promotion; returns the number of instructions converted from
 /// memory form to register form.
@@ -36,8 +36,8 @@ pub fn promote_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) -> u64 {
     let mut used_xmm = [false; 16];
     let mut any_call = false;
     // slot -> (gpr_ok, xmm_ok, access count)
-    let mut slots: HashMap<i64, (bool, bool, u64)> = HashMap::new();
-    let mut disqualified: HashSet<i64> = HashSet::new();
+    let mut slots: WordMap<i64, (bool, bool, u64)> = WordMap::default();
+    let mut disqualified: WordSet<i64> = WordSet::default();
 
     for b in blocks.iter() {
         for ci in &b.insts {
@@ -98,8 +98,8 @@ pub fn promote_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) -> u64 {
         Xmm::Xmm9,
         Xmm::Xmm8,
     ];
-    let mut gpr_map: HashMap<i64, Gpr> = HashMap::new();
-    let mut xmm_map: HashMap<i64, Xmm> = HashMap::new();
+    let mut gpr_map: WordMap<i64, Gpr> = WordMap::default();
+    let mut xmm_map: WordMap<i64, Xmm> = WordMap::default();
     let mut gi = 0;
     let mut xi = 0;
     for (off, is_xmm, _) in cands {

@@ -53,6 +53,7 @@ use crate::dataflow::liveness::{
 };
 use crate::passes::PassConfig;
 use brew_x86::prelude::*;
+use brew_x86::{WordMap, WordSet};
 use std::collections::{HashMap, HashSet};
 
 /// Run the allocator; returns the number of instructions removed.
@@ -180,8 +181,8 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
     let n = blocks.len();
 
     // Candidate slots: every access is a plain classified move of one class.
-    let mut class: HashMap<i64, (Option<Class>, u64)> = HashMap::new();
-    let mut disqualified: HashSet<i64> = HashSet::new();
+    let mut class: WordMap<i64, (Option<Class>, u64)> = WordMap::default();
+    let mut disqualified: WordSet<i64> = WordSet::default();
     for b in blocks.iter() {
         for ci in &b.insts {
             for off in [ci.frame_store, ci.frame_load].into_iter().flatten() {
@@ -216,7 +217,7 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
     // slot's value must survive — is access ∪ live-through, which is what
     // a linearized interval would get wrong across loop back-edges.
     let offsets: Vec<i64> = cands.iter().map(|c| c.0).collect();
-    let slot_ix: HashMap<i64, usize> = offsets.iter().enumerate().map(|(i, o)| (*o, i)).collect();
+    let slot_ix: WordMap<i64, usize> = offsets.iter().enumerate().map(|(i, o)| (*o, i)).collect();
     let ns = offsets.len();
     let mut gen = vec![vec![false; ns]; n];
     let mut kill = vec![vec![false; ns]; n];
@@ -283,8 +284,8 @@ fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: L
         Xmm::Xmm9,
         Xmm::Xmm8,
     ];
-    let mut gpr_map: HashMap<i64, Gpr> = HashMap::new();
-    let mut xmm_map: HashMap<i64, Xmm> = HashMap::new();
+    let mut gpr_map: WordMap<i64, Gpr> = WordMap::default();
+    let mut xmm_map: WordMap<i64, Xmm> = WordMap::default();
     for (off, c, _) in &cands {
         let s = slot_ix[off];
         let extent: Vec<usize> = (0..n)

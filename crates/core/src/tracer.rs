@@ -8,7 +8,8 @@ use crate::value::Value;
 use crate::world::{MaterializeSet, World};
 use brew_image::Image;
 use brew_x86::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use brew_x86::WordMap;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// A block waiting to be traced.
@@ -39,13 +40,13 @@ pub struct Tracer<'a> {
     pub(crate) known_mem: Vec<Range<u64>>,
     pub(crate) blocks: Vec<CapturedBlock>,
     pub(crate) worlds: Vec<World>,
-    variants: HashMap<u64, Vec<(usize, BlockId)>>,
+    variants: WordMap<u64, Vec<(usize, BlockId)>>,
     queue: VecDeque<Pending>,
-    pool8: HashMap<u64, u64>,
-    pool16: HashMap<(u64, u64), u64>,
+    pool8: WordMap<u64, u64>,
+    pool16: WordMap<(u64, u64), u64>,
     /// Every guest instruction decoded so far: an unrolled loop visits the
     /// same few hundred addresses tens of thousands of times.
-    decoded: HashMap<u64, Decoded>,
+    decoded: WordMap<u64, Decoded>,
     pub(crate) stats: RewriteStats,
     /// Every known-memory load folded into a constant, recorded for the
     /// variant's staleness snapshot. `RefCell` because the fold sites sit
@@ -71,11 +72,11 @@ impl<'a> Tracer<'a> {
             known_mem,
             blocks: Vec::new(),
             worlds: Vec::new(),
-            variants: HashMap::new(),
+            variants: WordMap::default(),
             queue: VecDeque::new(),
-            pool8: HashMap::new(),
-            pool16: HashMap::new(),
-            decoded: HashMap::new(),
+            pool8: WordMap::default(),
+            pool16: WordMap::default(),
+            decoded: WordMap::default(),
             stats: RewriteStats::default(),
             read_set: std::cell::RefCell::new(crate::snapshot::ReadSet::default()),
             escaped: false,

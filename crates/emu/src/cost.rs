@@ -66,6 +66,13 @@ impl CostModel {
     /// Cycles charged for one executed instruction. `taken` matters only
     /// for conditional branches.
     pub fn cost(&self, inst: &Inst, taken: bool) -> u64 {
+        let (loads, stores) = (inst.mem_load().is_some(), inst.mem_store().is_some());
+        self.cost_of(inst, taken, loads, stores)
+    }
+
+    /// [`CostModel::cost`] for a caller that already knows whether `inst`
+    /// loads and stores (the emulator's decode cache does).
+    pub(crate) fn cost_of(&self, inst: &Inst, taken: bool, loads: bool, stores: bool) -> u64 {
         let base = match inst {
             Inst::Mov { .. }
             | Inst::MovAbs { .. }
@@ -102,9 +109,7 @@ impl CostModel {
             Inst::Cvtsi2sd { .. } | Inst::Cvttsd2si { .. } => self.cvt,
             Inst::Ud2 => 0,
         };
-        let mem = inst.mem_load().map_or(0, |_| self.load_extra)
-            + inst.mem_store().map_or(0, |_| self.store_extra);
-        base + mem
+        base + if loads { self.load_extra } else { 0 } + if stores { self.store_extra } else { 0 }
     }
 }
 
@@ -136,14 +141,24 @@ pub struct Stats {
 impl Stats {
     /// Record one executed instruction.
     pub fn record(&mut self, inst: &Inst, taken: bool, cycles: u64) {
+        let (loads, stores) = (inst.mem_load().is_some(), inst.mem_store().is_some());
+        self.record_of(inst, taken, cycles, loads, stores);
+    }
+
+    /// [`Stats::record`] for a caller that already knows whether `inst`
+    /// loads and stores.
+    pub(crate) fn record_of(
+        &mut self,
+        inst: &Inst,
+        taken: bool,
+        cycles: u64,
+        loads: bool,
+        stores: bool,
+    ) {
         self.insts += 1;
         self.cycles += cycles;
-        if inst.mem_load().is_some() {
-            self.loads += 1;
-        }
-        if inst.mem_store().is_some() {
-            self.stores += 1;
-        }
+        self.loads += loads as u64;
+        self.stores += stores as u64;
         match inst {
             Inst::Jcc { .. } => {
                 self.branches += 1;

@@ -5,7 +5,7 @@ use crate::cost::{CostModel, Stats};
 use crate::state::CpuState;
 use brew_image::{Image, MemFault};
 use brew_x86::prelude::*;
-use std::collections::HashMap;
+use brew_x86::WordMap;
 use std::fmt;
 
 /// Sentinel return address marking the end of a harness call. Lives outside
@@ -117,6 +117,16 @@ pub struct CallOutcome {
 /// `(call-site, target, cpu-state-before-entry)`.
 pub type CallObserver<'o> = dyn FnMut(u64, u64, &CpuState) + 'o;
 
+/// One decode-cache entry: the instruction, and whether it loads or stores
+/// — what the cost model and the statistics ask of every executed
+/// instruction, answered once per decode.
+#[derive(Clone, Copy)]
+struct Cached {
+    d: Decoded,
+    loads: bool,
+    stores: bool,
+}
+
 /// The virtual machine: CPU state + cost model + decode cache.
 ///
 /// The image is borrowed per [`Machine::call`], so the rewriter can own and
@@ -129,7 +139,7 @@ pub struct Machine<'o> {
     pub cost: CostModel,
     /// Instruction budget per harness call.
     pub fuel: u64,
-    cache: HashMap<u64, Decoded>,
+    cache: WordMap<u64, Cached>,
     cache_key: (u64, u64),
     observer: Option<Box<CallObserver<'o>>>,
     stack_top: Option<u64>,
@@ -148,7 +158,7 @@ impl<'o> Machine<'o> {
             cpu: CpuState::default(),
             cost: CostModel::default(),
             fuel: 1 << 33,
-            cache: HashMap::new(),
+            cache: WordMap::default(),
             cache_key: (0, u64::MAX),
             observer: None,
             stack_top: None,
@@ -242,31 +252,41 @@ impl<'o> Machine<'o> {
         Ok(v)
     }
 
-    fn decode_at(&mut self, img: &Image, addr: u64) -> Result<Decoded, EmuError> {
+    fn decode_at(&mut self, img: &Image, addr: u64) -> Result<Cached, EmuError> {
         let key = (img.uid(), img.code_version());
         if key != self.cache_key {
             self.cache.clear();
             self.cache_key = key;
         }
-        if let Some(d) = self.cache.get(&addr) {
-            return Ok(*d);
+        if let Some(c) = self.cache.get(&addr) {
+            return Ok(*c);
         }
-        let window = img.code_window(addr, 16).map_err(|_| {
+        let mut window = [0u8; 16];
+        let n = img.code_window_into(addr, &mut window).map_err(|_| {
             EmuError::Mem(MemFault {
                 addr,
                 size: 1,
                 write: false,
             })
         })?;
-        let d = decode(&window, addr).map_err(|err| EmuError::Decode { addr, err })?;
-        self.cache.insert(addr, d);
-        Ok(d)
+        let d = decode(&window[..n], addr).map_err(|err| EmuError::Decode { addr, err })?;
+        let c = Cached {
+            d,
+            loads: d.inst.mem_load().is_some(),
+            stores: d.inst.mem_store().is_some(),
+        };
+        self.cache.insert(addr, c);
+        Ok(c)
     }
 
     /// Execute one instruction at `cpu.rip`. Returns the cycles charged.
     pub fn step(&mut self, img: &Image, stats: &mut Stats) -> Result<(), EmuError> {
         let addr = self.cpu.rip;
-        let Decoded { inst, len } = self.decode_at(img, addr)?;
+        let Cached {
+            d: Decoded { inst, len },
+            loads,
+            stores,
+        } = self.decode_at(img, addr)?;
         let next = addr + len as u64;
         let mut new_rip = next;
         let mut taken = false;
@@ -465,8 +485,8 @@ impl<'o> Machine<'o> {
             Inst::Ud2 => return Err(EmuError::Trap { addr }),
         }
 
-        let cycles = self.cost.cost(&inst, taken);
-        stats.record(&inst, taken, cycles);
+        let cycles = self.cost.cost_of(&inst, taken, loads, stores);
+        stats.record_of(&inst, taken, cycles, loads, stores);
         self.cpu.rip = new_rip;
         Ok(())
     }

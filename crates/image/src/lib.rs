@@ -276,6 +276,17 @@ impl Image {
             .map(|s| s.kind)
     }
 
+    /// How many of the `len` bytes at `addr` lie inside the segment that
+    /// maps `addr` — 0 when `addr` is unmapped. A reader handed a length it
+    /// cannot trust (a declared known range, a checkpoint) clips to this
+    /// before it reads or allocates.
+    pub fn mapped_prefix(&self, addr: u64, len: u64) -> u64 {
+        self.segments
+            .iter()
+            .find(|s| s.contains(addr, 1))
+            .map_or(0, |s| len.min(s.base + s.size - addr))
+    }
+
     fn check(&self, addr: u64, size: u64, write: bool) -> Result<(), MemFault> {
         if self.segments.iter().any(|s| s.contains(addr, size)) {
             Ok(())

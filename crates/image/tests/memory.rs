@@ -111,3 +111,20 @@ fn code_version_is_bumped_after_the_bytes_land() {
         }
     });
 }
+
+#[test]
+fn mapped_prefix_clips_to_the_segment_of_the_start() {
+    let img = Image::new();
+    let data_end = layout::DATA_BASE + layout::DATA_SIZE;
+    assert_eq!(img.mapped_prefix(layout::DATA_BASE, 136), 136);
+    assert_eq!(img.mapped_prefix(data_end - 10, 136), 10);
+    assert_eq!(img.mapped_prefix(data_end - 10, 1 << 40), 10);
+    assert_eq!(
+        img.mapped_prefix(layout::DATA_BASE, u64::MAX),
+        layout::DATA_SIZE
+    );
+    assert_eq!(img.mapped_prefix(layout::DATA_BASE, 0), 0);
+    // Between segments, and past the last one.
+    assert_eq!(img.mapped_prefix(layout::CODE_BASE - 1, 8), 0);
+    assert_eq!(img.mapped_prefix(layout::STACK_TOP, 8), 0);
+}

@@ -40,7 +40,9 @@ pub(crate) fn decode_region(
         ));
         return None;
     }
-    let mut insts = Vec::new();
+    // Emitted instructions average a little over four bytes.
+    let mut insts = Vec::with_capacity(bytes.len() / 4 + 1);
+    let mut enc = Vec::with_capacity(16);
     let mut off = 0usize;
     while off < bytes.len() {
         let addr = entry + off as u64;
@@ -57,7 +59,7 @@ pub(crate) fn decode_region(
         // decoded form must reproduce the bytes exactly; any deviation
         // means the region was not produced (or was corrupted after
         // production) by our pipeline.
-        let mut enc = Vec::new();
+        enc.clear();
         match encode(&d.inst, addr, &mut enc) {
             Ok(n) => {
                 if n != d.len || enc[..n] != bytes[off..off + d.len] {

@@ -22,7 +22,7 @@
 //! entry state per block and the event streams.
 
 use crate::frame::{Digest, Frame};
-use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms, WordHasher};
+use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms};
 use crate::{Finding, Region, Rule, Severity, VerifyReport};
 use brew_core::capture::Terminator;
 use brew_core::{EquivCapture, RetKind, RewriteResult, SpecRequest};
@@ -32,8 +32,8 @@ use brew_x86::cond::Cond;
 use brew_x86::inst::{Inst, ShiftCount, SseOp};
 use brew_x86::operand::{MemRef, Operand};
 use brew_x86::reg::{Gpr, Width};
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use brew_x86::WordMap;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Caller-saved integer registers (SysV): rax, rcx, rdx, rsi, rdi, r8-r11.
@@ -874,7 +874,7 @@ struct BlockPlan {
 #[derive(Default)]
 struct JoinScratch {
     /// Phi class of each differing (accumulated, incoming) value pair.
-    class: HashMap<(TermId, TermId), u32, BuildHasherDefault<WordHasher>>,
+    class: WordMap<(TermId, TermId), u32>,
     chunks: Vec<(i64, u8)>,
     /// Frame writes `(side, offset, len, bytes' source)` to apply once
     /// every chunk of both sides has been read.
@@ -1531,7 +1531,7 @@ mod tests {
         cur_flat.extend(flatten(terms, &cur.1, &post_chunks));
         let mut inc_flat = flatten(terms, inc[0], &pre_chunks);
         inc_flat.extend(flatten(terms, inc[1], &post_chunks));
-        let mut class: HashMap<(TermId, TermId), u32> = HashMap::new();
+        let mut class: WordMap<(TermId, TermId), u32> = WordMap::default();
         let mut changed = false;
         for i in 0..cur_flat.len() {
             let (c, v) = (cur_flat[i], inc_flat[i]);

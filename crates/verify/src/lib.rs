@@ -58,6 +58,15 @@ mod render;
 mod stack;
 mod term;
 
+// For the unit tests of the structural tier: the request corpora its
+// integration tests share, and the differential suite's program generator.
+#[cfg(test)]
+#[path = "../tests/corpus/mod.rs"]
+mod corpus;
+#[cfg(test)]
+#[path = "../../../tests/progs.rs"]
+mod progs;
+
 pub use render::render_report;
 
 /// The five rule families of the pipeline.
@@ -228,11 +237,15 @@ pub(crate) struct Region {
 }
 
 impl Region {
+    /// The position in `insts` of the instruction at `addr`, if `addr` is
+    /// an instruction boundary of the region.
+    pub fn position(&self, addr: u64) -> Option<usize> {
+        self.insts.binary_search_by_key(&addr, |(a, _, _)| *a).ok()
+    }
+
     /// Whether `addr` is an instruction boundary of the region.
     pub fn is_boundary(&self, addr: u64) -> bool {
-        self.insts
-            .binary_search_by_key(&addr, |(a, _, _)| *a)
-            .is_ok()
+        self.position(addr).is_some()
     }
 
     /// Whether `addr` lies inside the region (boundary or not).
@@ -293,6 +306,18 @@ fn structural(
     snapshot: &KnownSnapshot,
     opts: &VerifyOptions,
 ) -> (VerifyReport, Option<Region>) {
+    let facts = mem::Facts::new(img, func, req, snapshot, opts);
+    structural_over(&facts, entry, code_len)
+}
+
+/// [`structural`] over facts the caller holds on to (the tests read their
+/// demand counters afterwards).
+fn structural_over(
+    facts: &mem::Facts,
+    entry: u64,
+    code_len: usize,
+) -> (VerifyReport, Option<Region>) {
+    let (img, opts) = (facts.img, facts.opts);
     let mut report = VerifyReport::default();
     let Some(region) = cfg::decode_region(img, entry, code_len, &mut report) else {
         // Undecodable regions cannot be analyzed further; the roundtrip
@@ -302,9 +327,8 @@ fn structural(
     report.insts = region.insts.len();
     cfg::check_closure(img, &region, opts, &mut report);
     stack::check_stack(&region, &mut report);
-    let orig = mem::summarize_original(img, func, req);
-    mem::check_writes(img, &region, req, snapshot, &orig, opts, &mut report);
-    mem::check_provenance(img, &region, req, snapshot, &orig, opts, &mut report);
+    mem::check_writes(facts, &region, &mut report);
+    mem::check_provenance(facts, &region, &mut report);
     (report, Some(region))
 }
 
@@ -351,4 +375,80 @@ pub fn publish_gate() -> Box<dyn PublishGate> {
 /// A boxed [`VerifyGate`] with explicit options.
 pub fn publish_gate_with(opts: VerifyOptions) -> Box<dyn PublishGate> {
     Box::new(VerifyGate { opts })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use brew_core::Rewriter;
+
+    /// `[window-table builds, original-function walks]` of one
+    /// `structural()` call per `corpus-cold` request.
+    fn demand_of_the_cold_corpus(opts: &VerifyOptions) -> Vec<(String, [u32; 2])> {
+        let img = Image::new();
+        corpus::cold(&img)
+            .iter()
+            .map(|c| {
+                let res = Rewriter::new(&img)
+                    .rewrite(c.func, &c.req)
+                    .expect("rewrite");
+                let facts = mem::Facts::new(&img, c.func, &c.req, &res.snapshot, opts);
+                let (report, region) = structural_over(&facts, res.entry, res.code_len);
+                assert!(report.passed() && region.is_some(), "{}", c.label);
+                (c.label.clone(), facts.demand())
+            })
+            .collect()
+    }
+
+    /// The structural tier builds its expensive facts only where a finding's
+    /// truth depends on them: nowhere on nine of the ten `corpus-cold`
+    /// kernels. `dotk` keeps an absolute store, and R4's "absent from the
+    /// original" arm is the one that reads `abs_stores`, so the original
+    /// function is walked once. `scale`'s folded `k / 3` is one step from
+    /// the argument `k`, which the O(1) rules settle; no clean kernel needs
+    /// the window table. A constant nothing cheap explains demands both,
+    /// once each.
+    #[test]
+    fn facts_are_built_on_demand_only() {
+        for strict_provenance in [false, true] {
+            let opts = VerifyOptions {
+                strict_provenance,
+                ..VerifyOptions::default()
+            };
+            let demand = demand_of_the_cold_corpus(&opts);
+            let want: [(&str, [u32; 2]); 10] = [
+                ("apply", [0, 0]),
+                ("apply_grouped", [0, 0]),
+                ("poly.16", [0, 0]),
+                ("madd.48", [0, 0]),
+                ("dotk", [0, 1]),
+                ("clamp", [0, 0]),
+                ("scale", [0, 0]),
+                ("sum.4", [0, 0]),
+                ("gsum.64", [0, 0]),
+                ("sweep_generic.u4", [0, 0]),
+            ];
+            let got: Vec<(&str, [u32; 2])> = demand.iter().map(|(l, d)| (l.as_str(), *d)).collect();
+            assert_eq!(got, want);
+        }
+
+        // `scale` specialized for one `k`, judged under a request that
+        // declares another: `k` and `k / 3` are open to the last rule.
+        let img = Image::new();
+        let cold = corpus::cold(&img);
+        let scale = cold.iter().find(|c| c.label == "scale").expect("scale");
+        let res = Rewriter::new(&img)
+            .rewrite(scale.func, &scale.req)
+            .expect("rewrite");
+        let other = SpecRequest::new().unknown_int().known_int(-77_000_000_001);
+        let opts = VerifyOptions::default();
+        let facts = mem::Facts::new(&img, scale.func, &other, &res.snapshot, &opts);
+        let (report, _) = structural_over(&facts, res.entry, res.code_len);
+        let unexplained = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::Provenance && f.severity == Severity::Info)
+            .count();
+        assert_eq!((unexplained, facts.demand()), (2, [1, 1]));
+    }
 }

@@ -5,7 +5,6 @@
 
 use crate::{Finding, Region, Rule, Severity, VerifyReport};
 use brew_x86::{defuse, AluOp, Gpr, Inst, MemRef, Operand};
-use std::collections::HashMap;
 
 /// The RSP displacement of a frame-adjusting `lea rsp, [rsp+disp]`, the
 /// emitter's preferred frame idiom (it leaves flags untouched).
@@ -34,31 +33,50 @@ pub(crate) fn check_stack(region: &Region, report: &mut VerifyReport) {
         })
     };
     // Depth (bytes RSP sits *below* its entry value) at each instruction
-    // boundary reached so far. A worklist walk: conflicting depths at a
-    // join mean some path mis-balances.
-    let mut depth: HashMap<u64, i64> = HashMap::new();
-    let mut work: Vec<(u64, i64)> = vec![(region.entry, 0)];
-    while let Some((addr, d)) = work.pop() {
-        match depth.get(&addr) {
-            Some(&seen) => {
-                if seen != d {
-                    err(
-                        addr,
-                        format!("conflicting stack depths at join ({seen} vs {d} bytes)"),
-                    );
-                }
-                continue;
+    // boundary reached so far, by position in `region.insts` (one slot past
+    // the end for the fall-through address of the last instruction). A
+    // worklist walk: conflicting depths at a join mean some path
+    // mis-balances. Fall-through is the next position; only a branch
+    // target costs a search.
+    const UNSEEN: i64 = i64::MIN;
+    let mut depth = vec![UNSEEN; region.insts.len() + 1];
+    // Mid-instruction targets are already R2 errors and are not walked;
+    // their depths are kept only so a second, conflicting arrival reads as
+    // it always has.
+    let mut stray: Vec<(u64, i64)> = Vec::new();
+    let locate = |target: u64| region.position(target).ok_or(target);
+    let mut work: Vec<(Result<usize, u64>, i64)> = Vec::with_capacity(16);
+    work.push((locate(region.entry), 0));
+    while let Some((at, d)) = work.pop() {
+        let (addr, slot) = match at {
+            Ok(i) => (
+                region.insts.get(i).map_or(region.end, |(a, _, _)| *a),
+                &mut depth[i],
+            ),
+            Err(addr) => {
+                let known = stray.iter().position(|(a, _)| *a == addr);
+                let k = known.unwrap_or_else(|| {
+                    stray.push((addr, UNSEEN));
+                    stray.len() - 1
+                });
+                (addr, &mut stray[k].1)
             }
-            None => {
-                depth.insert(addr, d);
+        };
+        let seen = *slot;
+        if seen != UNSEEN {
+            if seen != d {
+                err(
+                    addr,
+                    format!("conflicting stack depths at join ({seen} vs {d} bytes)"),
+                );
             }
+            continue;
         }
-        // Mid-instruction targets are already R2 errors; don't walk them.
-        let Ok(idx) = region.insts.binary_search_by_key(&addr, |(a, _, _)| *a) else {
+        *slot = d;
+        let Some((_, inst, _)) = at.ok().and_then(|i| region.insts.get(i)) else {
             continue;
         };
-        let (_, inst, len) = &region.insts[idx];
-        let next = addr + *len as u64;
+        let next = at.map(|i| i + 1);
         match inst {
             Inst::Push { .. } => work.push((next, d + 8)),
             Inst::Pop { .. } => {
@@ -100,7 +118,7 @@ pub(crate) fn check_stack(region: &Region, report: &mut VerifyReport) {
             }
             Inst::JmpRel { target } => {
                 if region.contains(*target) {
-                    work.push((*target, d));
+                    work.push((locate(*target), d));
                 } else if d != 0 {
                     err(
                         addr,
@@ -110,7 +128,7 @@ pub(crate) fn check_stack(region: &Region, report: &mut VerifyReport) {
             }
             Inst::Jcc { target, .. } => {
                 if region.contains(*target) {
-                    work.push((*target, d));
+                    work.push((locate(*target), d));
                 } else if d != 0 {
                     err(
                         addr,

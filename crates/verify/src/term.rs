@@ -20,6 +20,7 @@ use brew_x86::alu::{self, AluOp, ShOp};
 use brew_x86::cond::Cond;
 use brew_x86::inst::SseOp;
 use brew_x86::reg::Width;
+use brew_x86::WordHasher;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 
@@ -170,33 +171,6 @@ pub(crate) fn cond_flags(c: Cond) -> &'static [usize] {
         Cond::P | Cond::Np => &[4],
         Cond::L | Cond::Ge => &[2, 3],
         Cond::Le | Cond::G => &[1, 2, 3],
-    }
-}
-
-/// Multiplicative word hasher for the intern table and the join's phi
-/// classes. The keys are term ids and tags the prover made itself, so the
-/// collision resistance of SipHash buys nothing here.
-#[derive(Default)]
-pub(crate) struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b as u64));
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

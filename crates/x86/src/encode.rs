@@ -131,15 +131,14 @@ fn encode_mem(out: &mut Vec<u8>, reg3: u8, m: &MemRef) -> Result<(), EncodeError
             let base3 = base.number() & 7;
             let needs_sib = index.is_some() || base3 == 0b100; // rsp/r12
                                                                // rbp/r13 cannot use mod=00 (that means disp32/RIP); force disp8.
+            let d32 = m.disp.to_le_bytes();
             let (modbits, disp): (u8, &[u8]) = if m.disp == 0 && base3 != 0b101 {
                 (0b00, &[])
-            } else if let Ok(d8) = i8::try_from(m.disp) {
-                (0b01, &[d8 as u8][..])
+            } else if i8::try_from(m.disp).is_ok() {
+                (0b01, &d32[..1])
             } else {
-                (0b10, &m.disp.to_le_bytes()[..])
+                (0b10, &d32)
             };
-            // Copy disp before mutating out.
-            let disp: Vec<u8> = disp.to_vec();
             if needs_sib {
                 out.push(modbits << 6 | reg3 << 3 | 0b100);
                 let (idx3, scale) = match index {
@@ -150,7 +149,7 @@ fn encode_mem(out: &mut Vec<u8>, reg3: u8, m: &MemRef) -> Result<(), EncodeError
             } else {
                 out.push(modbits << 6 | reg3 << 3 | base3);
             }
-            out.extend_from_slice(&disp);
+            out.extend_from_slice(disp);
         }
     }
     Ok(())

@@ -29,6 +29,7 @@ pub mod cond;
 pub mod decode;
 pub mod defuse;
 pub mod encode;
+pub mod hash;
 pub mod inst;
 pub mod operand;
 pub mod reg;
@@ -45,4 +46,5 @@ pub mod prelude {
     pub use crate::reg::{Gpr, Width, Xmm};
 }
 
+pub use hash::{WordBuild, WordHasher, WordMap, WordSet};
 pub use prelude::*;

@@ -26,6 +26,8 @@
 #                               # E2 <= 31 (<= 27 aggressive), A2 ladder
 #                               # monotone, whole-sweep rewrite faster than
 #                               # the specialized apply
+#   scripts/check.sh hotpath    # hot-path gate: no default-hasher
+#                               # (SipHash) map on a per-instruction path
 #   scripts/check.sh bench      # benchmark gate: benchmark/ (its own
 #                               # workspace) builds against the crates'
 #                               # facade, its tests pass, a smoke run of all
@@ -117,6 +119,10 @@ fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "verify" ]; then
     echo "==> static-verifier gate (translation validation, V1)"
+    # Every brew-verify test in release — among them the pinned structural
+    # reports (tests/structural_pins.rs), the eager-`explained` oracle
+    # (src/mem.rs) and the demand counters (src/lib.rs) that hold the
+    # demand-driven structural tier to the verdicts of the eager one.
     cargo test --release --offline -q -p brew-verify
 
     # The V1 experiment is the acceptance bar: every seeded mutant caught,
@@ -355,6 +361,27 @@ if [ "$stage" = "all" ] || [ "$stage" = "regalloc" ]; then
         exit 1
     fi
     echo "generated-code gate passed (E2 ${e2_insts}/${e2_aggr} insts, A2 monotone over ${rows} rows, sweep ${sweep_cycles} < apply ${apply_cycles} cycles)"
+fi
+
+if [ "$stage" = "all" ] || [ "$stage" = "hotpath" ]; then
+    echo "==> hot-path gate (no SipHash map per traced, verified or emulated instruction)"
+    # These files run once per instruction of every gated miss (tracer,
+    # structural tier) or of every emulated call. Their maps are keyed by
+    # guest addresses and frame offsets the program made itself, so they use
+    # brew_x86::WordMap/WordSet or a plain index; `HashMap::new()` and
+    # `HashSet::new()` exist only for the default hasher.
+    hot="crates/core/src/tracer.rs crates/core/src/exec.rs
+        crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs
+        crates/emu/src/machine.rs"
+    for f in $hot; do
+        # The eager oracle in mem.rs is test-only and keeps std's hasher on
+        # purpose; everything from its `#[cfg(test)]` on is exempt.
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Hash\(Map\|Set\)::new()'; then
+            echo "FAIL: default-hasher map on a per-instruction path in $f" >&2
+            exit 1
+        fi
+    done
+    echo "hot-path gate passed"
 fi
 
 if [ "$stage" = "all" ] || [ "$stage" = "bench" ]; then

@@ -11,6 +11,10 @@ use brew_suite::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+#[path = "progs.rs"]
+mod progs;
+use progs::{arb_expr, arb_prog, Prog, E};
+
 /// Run `req` through the `SpecializationManager` three ways — cold miss,
 /// warm hit, and re-request after a forced eviction — and return the
 /// specialized entries the caller must probe for bit-identical behavior.
@@ -48,128 +52,6 @@ fn manager_entries(img: &Image, f: u64, req: &SpecRequest) -> Vec<u64> {
     assert_eq!(tiny.stats().misses, 3, "post-eviction re-request re-traces");
 
     vec![cold.entry, again.entry]
-}
-
-/// A tiny expression AST rendered to mini-C over variables a, b, c, t.
-#[derive(Debug, Clone)]
-enum E {
-    A,
-    B,
-    C,
-    T,
-    Lit(i8),
-    Add(Box<E>, Box<E>),
-    Sub(Box<E>, Box<E>),
-    Mul(Box<E>, Box<E>),
-    // Division by a never-zero expression.
-    DivSafe(Box<E>, Box<E>),
-    Lt(Box<E>, Box<E>),
-    Eq(Box<E>, Box<E>),
-    Neg(Box<E>),
-}
-
-impl E {
-    fn render(&self) -> String {
-        match self {
-            E::A => "a".into(),
-            E::B => "b".into(),
-            E::C => "c".into(),
-            E::T => "t".into(),
-            E::Lit(v) => format!("({v})"),
-            E::Add(x, y) => format!("({} + {})", x.render(), y.render()),
-            E::Sub(x, y) => format!("({} - {})", x.render(), y.render()),
-            E::Mul(x, y) => format!("({} * {})", x.render(), y.render()),
-            E::DivSafe(x, y) => {
-                format!("({} / (({}) % 13 + 14))", x.render(), y.render())
-            }
-            E::Lt(x, y) => format!("({} < {})", x.render(), y.render()),
-            E::Eq(x, y) => format!("({} == {})", x.render(), y.render()),
-            E::Neg(x) => format!("(-{})", x.render()),
-        }
-    }
-}
-
-fn arb_expr() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![
-        Just(E::A),
-        Just(E::B),
-        Just(E::C),
-        Just(E::T),
-        any::<i8>().prop_map(E::Lit),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::Add(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::Sub(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::Mul(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::DivSafe(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::Lt(Box::new(x), Box::new(y))),
-            (inner.clone(), inner.clone()).prop_map(|(x, y)| E::Eq(Box::new(x), Box::new(y))),
-            inner.prop_map(|x| E::Neg(Box::new(x))),
-        ]
-    })
-}
-
-/// A random function body: locals, an if/else, a bounded loop, arithmetic.
-#[derive(Debug, Clone)]
-struct Prog {
-    init: E,
-    cond: E,
-    then_e: E,
-    else_e: E,
-    loop_n: u8,
-    loop_e: E,
-    ret: E,
-}
-
-fn arb_prog() -> impl Strategy<Value = Prog> {
-    (
-        arb_expr(),
-        arb_expr(),
-        arb_expr(),
-        arb_expr(),
-        0u8..6,
-        arb_expr(),
-        arb_expr(),
-    )
-        .prop_map(|(init, cond, then_e, else_e, loop_n, loop_e, ret)| Prog {
-            init,
-            cond,
-            then_e,
-            else_e,
-            loop_n,
-            loop_e,
-            ret,
-        })
-}
-
-impl Prog {
-    fn render(&self) -> String {
-        format!(
-            r#"
-            int f(int a, int b, int c) {{
-                int t = 0;
-                t = {init};
-                if ({cond}) {{
-                    t = t + {then_e};
-                }} else {{
-                    t = t - {else_e};
-                }}
-                for (int i = 0; i < {n}; i++) {{
-                    t += {loop_e};
-                }}
-                return t + {ret};
-            }}
-            "#,
-            init = self.init.render(),
-            cond = self.cond.render(),
-            then_e = self.then_e.render(),
-            else_e = self.else_e.render(),
-            n = self.loop_n,
-            loop_e = self.loop_e.render(),
-            ret = self.ret.render(),
-        )
-    }
 }
 
 /// Run one differential check: compile, rewrite with `spec_mask` selecting
