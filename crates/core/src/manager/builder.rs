@@ -27,7 +27,7 @@ use super::negative::{NegativeCache, NegativePolicy};
 use super::shards::{ShardedCache, DEFAULT_SHARDS};
 use super::tiering::{DecayedThreshold, Tiering, TieringConfig, TieringPolicy};
 use super::worker::JobQueue;
-use super::{Counters, EventSink, InflightTable, PublishGate, SpecializationManager};
+use super::{EventSink, InflightTable, PublishGate, SpecializationManager};
 use crate::telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use crate::telemetry::{FlightRecorder, MetricsRegistry, SymbolTable};
 use brew_image::layout;
@@ -196,7 +196,6 @@ impl ManagerBuilder {
             budget_bytes: self.budget_bytes,
             deferred_cfg: self.deferred,
             tiering,
-            counters: Counters::default(),
             metrics,
             flight,
             symbols: Arc::new(SymbolTable::new()),

@@ -40,13 +40,15 @@
 //!   safe — callers swap the returned pointer in whole.
 //! - **Observability** — hits/misses/evictions plus the concurrency
 //!   counters (coalesced, deferred, published) and per-phase rewrite
-//!   timings are aggregated in [`CacheStats`] and streamed to a pluggable
-//!   [`EventSink`], which must be `Send + Sync` because events now come
-//!   from many threads. Independently of any sink, every event is folded
-//!   into a lock-free [`crate::telemetry::MetricsRegistry`] (shared via
-//!   [`metrics`](SpecializationManager::metrics)), so counters, gauges
-//!   and rewrite-phase histograms are *always* populated — an absent sink
-//!   no longer means silent event loss.
+//!   timings are streamed to a pluggable [`EventSink`], which must be
+//!   `Send + Sync` because events now come from many threads.
+//!   Independently of any sink, every decision is written once, through
+//!   the decision table in [`crate::telemetry::table`], into a lock-free
+//!   [`crate::telemetry::MetricsRegistry`] (shared via
+//!   [`metrics`](SpecializationManager::metrics)) and the flight journal,
+//!   so counters, gauges and rewrite-phase histograms are *always*
+//!   populated — an absent sink no longer means silent event loss.
+//!   [`CacheStats`] is a view over that registry.
 //! - **Negative caching** — a failed rewrite is memoized per key (see
 //!   [`negative`]): repeats of the same doomed request are *denied* at
 //!   shard-lookup cost instead of re-tracing to rediscover the failure,
@@ -103,7 +105,7 @@ use crate::request::SpecRequest;
 use crate::snapshot::KnownSnapshot;
 use crate::telemetry::flight::{milli, FlightKind};
 use crate::telemetry::{
-    metrics::Ctr, metrics::Gge, metrics::Hst, FlightRecorder, MetricsRegistry, SymbolTable,
+    self, metrics::Ctr, metrics::Gge, metrics::Hst, FlightRecorder, MetricsRegistry, SymbolTable,
 };
 use crate::Rewriter;
 use brew_image::{Image, SegKind};
@@ -115,7 +117,6 @@ use shards::ShardedCache;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use tiering::Tiering;
 pub use tiering::{DecayedThreshold, TickSummary, TierAction, TieringConfig, TieringPolicy};
@@ -171,6 +172,16 @@ pub struct Variant {
 }
 
 /// Aggregated manager counters; cheap to copy, comparable in tests.
+///
+/// A *view*: every cumulative field reads the counter (or histogram sum) of
+/// the manager's [`MetricsRegistry`] that the same decision feeds, so the
+/// two can never disagree; `resident_bytes` and `negative_entries` read the
+/// caches' own accounting. One consequence: while the registry is switched
+/// off ([`MetricsRegistry::set_enabled`]`(false)`) decisions are not
+/// counted anywhere, and the cumulative fields freeze until it is back on.
+/// The counters are `Relaxed` statistics: a value read here publishes
+/// nothing else, so join (or otherwise synchronize with) the threads whose
+/// requests a total must include before comparing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
@@ -183,7 +194,9 @@ pub struct CacheStats {
     /// Misses answered with the original entry while the rewrite was
     /// queued for a background worker.
     pub deferred: u64,
-    /// Variants published by background workers.
+    /// Variants published by background workers — `Published` events less
+    /// the warm-start loads, which announce themselves the same way (a load
+    /// in progress is subtracted when it finishes).
     pub published: u64,
     /// Variants evicted under byte-budget pressure.
     pub evictions: u64,
@@ -533,23 +546,6 @@ enum Outcome {
     Rewrote,
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    deferred: AtomicU64,
-    published: AtomicU64,
-    evictions: AtomicU64,
-    traced_total: AtomicU64,
-    rewrite_ns_total: AtomicU64,
-    dispatchers_built: AtomicU64,
-    denied: AtomicU64,
-    invalidated: AtomicU64,
-    stale: AtomicU64,
-    panics_contained: AtomicU64,
-}
-
 /// The memoizing, thread-safe specialization layer over [`Rewriter`]. All
 /// methods take `&self`; share it across threads by reference (e.g. from
 /// `std::thread::scope`) or in an `Arc`. See the module docs for the
@@ -562,7 +558,6 @@ pub struct SpecializationManager {
     budget_bytes: usize,
     deferred_cfg: DeferredConfig,
     tiering: Option<Tiering>,
-    counters: Counters,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     symbols: Arc<SymbolTable>,
@@ -635,26 +630,27 @@ impl SpecializationManager {
         unpoison(self.gate.write()).take()
     }
 
-    /// Aggregated counters (a consistent-enough snapshot: each field is
-    /// individually exact, cross-field skew is bounded by in-flight
-    /// requests).
+    /// Aggregated counters, read off the metrics registry and the caches
+    /// (a consistent-enough snapshot: each field is individually exact,
+    /// cross-field skew is bounded by in-flight requests). See
+    /// [`CacheStats`] for what switching the registry off means here.
     pub fn stats(&self) -> CacheStats {
-        let c = &self.counters;
+        let c = |c: Ctr| self.metrics.counter(c).get();
         CacheStats {
-            hits: c.hits.load(Ordering::Acquire),
-            misses: c.misses.load(Ordering::Acquire),
-            coalesced: c.coalesced.load(Ordering::Acquire),
-            deferred: c.deferred.load(Ordering::Acquire),
-            published: c.published.load(Ordering::Acquire),
-            evictions: c.evictions.load(Ordering::Acquire),
+            hits: c(Ctr::CacheHits),
+            misses: c(Ctr::CacheMisses),
+            coalesced: c(Ctr::CacheCoalesced),
+            deferred: c(Ctr::CacheDeferred),
+            published: c(Ctr::CachePublished).saturating_sub(c(Ctr::PersistLoaded)),
+            evictions: c(Ctr::CacheEvictions),
             resident_bytes: self.cache.resident_bytes(),
-            traced_total: c.traced_total.load(Ordering::Acquire),
-            rewrite_ns_total: c.rewrite_ns_total.load(Ordering::Acquire),
-            dispatchers_built: c.dispatchers_built.load(Ordering::Acquire),
-            denied: c.denied.load(Ordering::Acquire),
-            invalidated: c.invalidated.load(Ordering::Acquire),
-            stale: c.stale.load(Ordering::Acquire),
-            panics_contained: c.panics_contained.load(Ordering::Acquire),
+            traced_total: c(Ctr::TracedInsts),
+            rewrite_ns_total: self.metrics.histogram(Hst::TotalNs).sum(),
+            dispatchers_built: c(Ctr::DispatchersBuilt),
+            denied: c(Ctr::NegativeHits),
+            invalidated: c(Ctr::CacheInvalidated),
+            stale: c(Ctr::CacheStale),
+            panics_contained: c(Ctr::PanicsContained),
             negative_entries: self.negative.len(),
         }
     }
@@ -684,91 +680,31 @@ impl SpecializationManager {
         self.sync_resident_gauges();
     }
 
-    fn emit(&self, ev: Event) {
-        // The registry comes first and unconditionally: metrics must not
-        // depend on a sink being attached.
-        self.metrics.record_event(&ev);
-        let (kind, args) = self.flight_of(&ev);
-        self.flight.record(kind, args);
-        if let Some(sink) = unpoison(self.sink.read()).as_ref() {
-            sink.event(&ev);
-        }
+    /// Record one decision: the counters its [`FlightKind`] row lists
+    /// and the flight journal, together — the only place the manager
+    /// writes either.
+    fn note(&self, kind: FlightKind, args: [u64; 4]) {
+        telemetry::note(&self.metrics, &self.flight, kind, args);
     }
 
-    /// Map a manager [`Event`] to its flight-recorder encoding. Tiering
-    /// verdicts carry the threshold that justified them alongside the
-    /// heat score, so a dump answers "why" without the config at hand.
-    fn flight_of(&self, ev: &Event) -> (FlightKind, [u64; 4]) {
-        let bar = |demote: bool| -> u64 {
-            self.tiering
-                .as_ref()
-                .map(|t| {
-                    milli(if demote {
-                        t.cfg.demote_heat
-                    } else {
-                        t.cfg.promote_heat
-                    })
-                })
-                .unwrap_or(0)
-        };
-        match ev {
-            Event::Hit { func, entry } => (FlightKind::Hit, [*func, *entry, 0, 0]),
-            Event::Miss { func } => (FlightKind::Miss, [*func, 0, 0, 0]),
-            Event::Coalesced { func } => (FlightKind::Coalesced, [*func, 0, 0, 0]),
-            Event::Deferred { func } => (FlightKind::Deferred, [*func, 0, 0, 0]),
-            Event::Rewritten {
-                func,
-                entry,
-                code_len,
-                stats,
-            } => (
-                FlightKind::Rewritten,
-                [*func, *entry, *code_len as u64, stats.total_ns()],
-            ),
-            Event::Published { func, entry } => (FlightKind::Published, [*func, *entry, 0, 0]),
-            Event::Evicted {
-                func,
-                entry,
-                code_len,
-            } => (FlightKind::Evicted, [*func, *entry, *code_len as u64, 0]),
-            Event::DispatcherBuilt {
-                func,
-                entry,
-                variants,
-            } => (
-                FlightKind::DispatcherBuilt,
-                [*func, *entry, *variants as u64, 0],
-            ),
-            Event::Denied { func, attempts } => {
-                (FlightKind::Denied, [*func, *attempts as u64, 0, 0])
+    /// Announce a decision that has a public [`Event`]: registry and
+    /// journal first and unconditionally (metrics must not depend on a
+    /// sink being attached), then the sink.
+    fn emit(&self, ev: Event) {
+        let (kind, mut args) = ev.encode();
+        // Tiering verdicts carry the threshold that justified them
+        // alongside the heat score, so a dump answers "why" without the
+        // config at hand.
+        if let Some(t) = &self.tiering {
+            match kind {
+                FlightKind::Promoted => args[3] = milli(t.cfg.promote_heat),
+                FlightKind::Demoted => args[3] = milli(t.cfg.demote_heat),
+                _ => {}
             }
-            Event::Stale { func, entry } => (FlightKind::Stale, [*func, *entry, 0, 0]),
-            Event::Invalidated { func, entry } => (FlightKind::Invalidated, [*func, *entry, 0, 0]),
-            Event::Promoted {
-                func,
-                fingerprint,
-                heat,
-            } => (
-                FlightKind::Promoted,
-                [*func, *fingerprint, milli(*heat), bar(false)],
-            ),
-            Event::Demoted {
-                func,
-                fingerprint,
-                heat,
-                ..
-            } => (
-                FlightKind::Demoted,
-                [*func, *fingerprint, milli(*heat), bar(true)],
-            ),
-            Event::Respecialized {
-                func,
-                fingerprint,
-                heat,
-            } => (
-                FlightKind::Respecialized,
-                [*func, *fingerprint, milli(*heat), 0],
-            ),
+        }
+        self.note(kind, args);
+        if let Some(sink) = unpoison(self.sink.read()).as_ref() {
+            sink.event(&ev);
         }
     }
 
@@ -778,7 +714,12 @@ impl SpecializationManager {
         let sym =
             self.symbols
                 .publish_variant(key.func, key.fingerprint, v.entry, v.code_len as u64);
-        self.flight.record(
+        self.note_symbol(&sym);
+    }
+
+    /// Journal a live JIT placement (variant or dispatch stub).
+    fn note_symbol(&self, sym: &telemetry::JitSymbol) {
+        self.note(
             FlightKind::SymbolPublish,
             [sym.entry, sym.len, sym.generation, 0],
         );
@@ -788,8 +729,7 @@ impl SpecializationManager {
     /// invalidation, clear) and journal it.
     fn retire_symbol(&self, v: Arc<Variant>) {
         if self.symbols.retire(v.entry).is_some() {
-            self.flight
-                .record(FlightKind::SymbolRetire, [v.entry, 0, 0, 0]);
+            self.note(FlightKind::SymbolRetire, [v.entry, 0, 0, 0]);
         }
     }
 
@@ -809,30 +749,17 @@ impl SpecializationManager {
     }
 
     fn note_hit(&self, func: u64, v: &Arc<Variant>) {
-        self.counters.hits.fetch_add(1, Ordering::AcqRel);
         self.emit(Event::Hit {
             func,
             entry: v.entry,
         });
     }
 
-    fn note_denied(&self, func: u64, key: &CacheKey) {
-        self.counters.denied.fetch_add(1, Ordering::AcqRel);
-        self.emit(Event::Denied {
-            func,
-            attempts: self.negative.attempts(key).unwrap_or(0),
-        });
-    }
-
     fn note_panic_contained(&self) {
-        self.counters
-            .panics_contained
-            .fetch_add(1, Ordering::AcqRel);
-        self.metrics.count(Ctr::PanicsContained, 1);
         // Freeze the flight recorder's view of the events leading up to
         // the blast: journal the containment, then capture the dump for
         // post-mortem retrieval via `last_panic_dump()`.
-        self.flight.record(FlightKind::PanicContained, [0; 4]);
+        self.note(FlightKind::PanicContained, [0; 4]);
         let dump = self.flight.dump().render_text();
         *unpoison(self.last_panic.lock()) = Some(dump);
     }
@@ -891,20 +818,19 @@ impl SpecializationManager {
         // the first unlucky caller, decides what is worth rewriting.
         if let Some(t) = &self.tiering {
             t.observe_miss(key, req);
-            if let Verdict::Deny(_) = self.negative.consult(&key) {
-                self.note_denied(func, &key);
-            }
-            return Ok(Dispatch::Original {
-                func,
-                deferred: false,
-            });
         }
         // A key already known to fail is answered with the original entry
         // at shard-lookup cost: no queueing, no tracing, no error — the
         // caller asked "what should I call" and the answer is "the
         // original, same as when the rewrite first failed".
-        if let Verdict::Deny(_) = self.negative.consult(&key) {
-            self.note_denied(func, &key);
+        let denied = match self.negative.consult(&key) {
+            Verdict::Deny { attempts, .. } => {
+                self.emit(Event::Denied { func, attempts });
+                true
+            }
+            _ => false,
+        };
+        if denied || self.tiering.is_some() {
             return Ok(Dispatch::Original {
                 func,
                 deferred: false,
@@ -916,7 +842,6 @@ impl SpecializationManager {
             req: req.clone(),
         }) {
             Enqueue::Queued => {
-                self.counters.deferred.fetch_add(1, Ordering::AcqRel);
                 self.emit(Event::Deferred { func });
                 Ok(Dispatch::Original {
                     func,
@@ -1028,7 +953,6 @@ impl SpecializationManager {
                 // come along: refuse rather than reload a variant that
                 // computes with zeros.
                 unportable += 1;
-                self.metrics.count(Ctr::PersistSaveUnportable, 1);
                 continue;
             }
             let mut code = vec![0u8; v.code_len];
@@ -1036,9 +960,7 @@ impl SpecializationManager {
                 // In our JIT segment but unreadable: a genuine per-entry
                 // I/O failure. The save goes on, but loudly.
                 failed += 1;
-                self.metrics.count(Ctr::PersistSaveFailed, 1);
-                self.flight
-                    .record(FlightKind::PersistSaveFailed, [key.func, v.entry, 0, 0]);
+                self.note(FlightKind::PersistSaveFailed, [key.func, v.entry, 0, 0]);
                 continue;
             }
             vars.push(PersistedVariant {
@@ -1051,9 +973,8 @@ impl SpecializationManager {
                 req,
             });
         }
-        self.metrics.count(Ctr::PersistSaved, vars.len() as u64);
         let bytes = persist::encode_variants(&vars);
-        self.flight.record(
+        self.note(
             FlightKind::PersistSave,
             [vars.len() as u64, bytes.len() as u64, unportable as u64, 0],
         );
@@ -1128,8 +1049,9 @@ impl SpecializationManager {
     ) -> Result<LoadReport, PersistError> {
         let decoded = persist::decode_variants(bytes).inspect_err(|_| {
             // File-level corruption (magic, version, framing) rejects the
-            // whole checkpoint — count it like any other load rejection.
-            self.metrics.count(Ctr::PersistRejected, 1);
+            // whole checkpoint — a load with one rejection and nothing
+            // published, counted like any other.
+            self.note(FlightKind::PersistLoad, [0, 1, 0, 0]);
         })?;
         let mut report = LoadReport {
             published: 0,
@@ -1139,10 +1061,7 @@ impl SpecializationManager {
         for item in decoded {
             match item {
                 Ok(pv) => entries.push(pv),
-                Err(e) => {
-                    self.metrics.count(Ctr::PersistRejected, 1);
-                    report.rejected.push((0, 0, e));
-                }
+                Err(e) => report.rejected.push((0, 0, e)),
             }
         }
         // Ascending entry order makes placement a single monotone sweep.
@@ -1155,7 +1074,6 @@ impl SpecializationManager {
             match self.load_one(img, &pv) {
                 Ok(variant) => {
                     self.negative.forget(&key);
-                    self.metrics.count(Ctr::PersistLoaded, 1);
                     self.emit(Event::Published {
                         func: pv.func,
                         entry: variant.entry,
@@ -1168,7 +1086,6 @@ impl SpecializationManager {
                     report.published += 1;
                 }
                 Err(e) => {
-                    self.metrics.count(Ctr::PersistRejected, 1);
                     self.negative.record_failure(&key, &e.as_rewrite_error());
                     report.rejected.push((pv.func, pv.fingerprint, e));
                 }
@@ -1176,7 +1093,9 @@ impl SpecializationManager {
         }
         self.sync_resident_gauges();
         self.sync_negative_gauge();
-        self.flight.record(
+        // The load's counters come off this one record: published and
+        // rejected entries, file-level and per-entry alike.
+        self.note(
             FlightKind::PersistLoad,
             [report.published as u64, report.rejected.len() as u64, 0, 0],
         );
@@ -1293,7 +1212,6 @@ impl SpecializationManager {
             // error to a caller.
             let contained = catch_unwind(AssertUnwindSafe(|| {
                 if let Ok((v, Outcome::Rewrote)) = self.obtain(img, job.func, &job.req) {
-                    self.counters.published.fetch_add(1, Ordering::AcqRel);
                     self.emit(Event::Published {
                         func: job.func,
                         entry: v.entry,
@@ -1326,13 +1244,12 @@ impl SpecializationManager {
         // memoized error at shard-lookup cost. `Retry` means the backoff
         // window elapsed; the request falls through to the single-flight
         // path, so concurrent retriers still trace at most once.
-        if let Verdict::Deny(e) = self.negative.consult(&key) {
-            self.note_denied(func, &key);
-            return Err(e);
+        if let Verdict::Deny { err, attempts } = self.negative.consult(&key) {
+            self.emit(Event::Denied { func, attempts });
+            return Err(err);
         }
         match self.inflight.join(key) {
             Join::Follower(flight) => {
-                self.counters.coalesced.fetch_add(1, Ordering::AcqRel);
                 self.emit(Event::Coalesced { func });
                 flight.wait().map(|v| (v, Outcome::Coalesced))
             }
@@ -1344,7 +1261,6 @@ impl SpecializationManager {
                     lease.resolve(Ok(Arc::clone(&v)));
                     return Ok((v, Outcome::Hit));
                 }
-                self.counters.misses.fetch_add(1, Ordering::AcqRel);
                 self.emit(Event::Miss { func });
                 self.metrics.gauge_add(Gge::InflightRewrites, 1);
                 // Contain pipeline panics at this boundary: one
@@ -1390,8 +1306,7 @@ impl SpecializationManager {
                 // falls back to the original code.
                 let rewritten = rewritten.and_then(|res| {
                     if res.code_len > self.budget_bytes {
-                        self.metrics.count(Ctr::OverBudget, 1);
-                        self.flight.record(
+                        self.note(
                             FlightKind::OverBudget,
                             [func, res.code_len as u64, self.budget_bytes as u64, 0],
                         );
@@ -1407,12 +1322,7 @@ impl SpecializationManager {
                     Ok(res) => {
                         self.negative.forget(&key);
                         self.sync_negative_gauge();
-                        self.counters
-                            .traced_total
-                            .fetch_add(res.stats.traced, Ordering::AcqRel);
-                        self.counters
-                            .rewrite_ns_total
-                            .fetch_add(res.stats.total_ns(), Ordering::AcqRel);
+                        self.metrics.observe_rewrite(Ok(&res.stats));
                         self.emit(Event::Rewritten {
                             func,
                             entry: res.entry,
@@ -1437,7 +1347,7 @@ impl SpecializationManager {
                         Ok((variant, Outcome::Rewrote))
                     }
                     Err(e) => {
-                        self.metrics.count(Ctr::RewriteFailures, 1);
+                        self.metrics.observe_rewrite(Err(&e));
                         self.negative.record_failure(&key, &e);
                         self.sync_negative_gauge();
                         lease.resolve(Err(e.clone()));
@@ -1464,21 +1374,17 @@ impl SpecializationManager {
         };
         let t0 = std::time::Instant::now();
         let verdict = catch_unwind(AssertUnwindSafe(|| gate.inspect(img, func, req, res)));
-        self.metrics
-            .observe(Hst::VerifyNs, t0.elapsed().as_nanos() as u64);
+        // One clock read per gate run: the histogram and the journal must
+        // agree about it.
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.metrics.observe(Hst::VerifyNs, ns);
         match verdict {
             Ok(Ok(())) => {
-                self.metrics.count(Ctr::VerifyPassed, 1);
-                self.flight.record(
-                    FlightKind::VerifyPass,
-                    [func, t0.elapsed().as_nanos() as u64, 0, 0],
-                );
+                self.note(FlightKind::VerifyPass, [func, ns, 0, 0]);
                 Ok(())
             }
             Ok(Err(r)) => {
-                self.metrics.count(Ctr::VerifyRejected, 1);
-                self.flight
-                    .record(FlightKind::VerifyReject, [func, r.findings as u64, 0, 0]);
+                self.note(FlightKind::VerifyReject, [func, r.findings as u64, 0, 0]);
                 Err(GateFailure {
                     err: RewriteError::VerifyRejected {
                         findings: r.findings,
@@ -1518,8 +1424,7 @@ impl SpecializationManager {
         res: &crate::RewriteResult,
         failure: &GateFailure,
     ) -> Result<crate::RewriteResult, RewriteError> {
-        self.metrics.count(Ctr::RegallocFallback, 1);
-        self.flight.record(
+        self.note(
             FlightKind::RegallocFallback,
             [func, failure.findings as u64, 0, 0],
         );
@@ -1551,7 +1456,6 @@ impl SpecializationManager {
             if let Some(t) = &self.tiering {
                 t.retain_request(key, req);
             }
-            self.counters.evictions.fetch_add(1, Ordering::AcqRel);
             self.emit(Event::Evicted {
                 func: v.func,
                 entry: v.entry,
@@ -1578,7 +1482,7 @@ impl SpecializationManager {
         let Some(t) = &self.tiering else {
             return TickSummary::default();
         };
-        self.flight.record(
+        self.note(
             FlightKind::TickBegin,
             [unpoison(t.state.lock()).tick + 1, 0, 0, 0],
         );
@@ -1770,7 +1674,7 @@ impl SpecializationManager {
             promoted,
             demoted: demote.len(),
         };
-        self.flight.record(
+        self.note(
             FlightKind::TickEnd,
             [
                 tick,
@@ -1844,7 +1748,6 @@ impl SpecializationManager {
     fn revalidate_sweep(&self, img: &Image) -> usize {
         let dropped = self.cache.remove_matching(|v| !v.snapshot.matches(img));
         for (_, _, v) in &dropped {
-            self.counters.stale.fetch_add(1, Ordering::AcqRel);
             self.emit(Event::Stale {
                 func: v.func,
                 entry: v.entry,
@@ -1882,7 +1785,6 @@ impl SpecializationManager {
     /// resync gauges.
     fn note_invalidated(&self, dropped: &[(CacheKey, SpecRequest, Arc<Variant>)]) {
         for (_, _, v) in dropped {
-            self.counters.invalidated.fetch_add(1, Ordering::AcqRel);
             self.emit(Event::Invalidated {
                 func: v.func,
                 entry: v.entry,
@@ -2017,9 +1919,6 @@ impl SpecializationManager {
     }
 
     fn note_dispatcher(&self, func: u64, entry: u64, variants: usize, len: u64) {
-        self.counters
-            .dispatchers_built
-            .fetch_add(1, Ordering::AcqRel);
         self.emit(Event::DispatcherBuilt {
             func,
             entry,
@@ -2027,11 +1926,7 @@ impl SpecializationManager {
         });
         // Stubs are live JIT placements too — symbolize them so profiler
         // samples inside the dispatch chain don't read as bare hex.
-        let sym = self.symbols.publish_stub(func, entry, len);
-        self.flight.record(
-            FlightKind::SymbolPublish,
-            [sym.entry, sym.len, sym.generation, 0],
-        );
+        self.note_symbol(&self.symbols.publish_stub(func, entry, len));
     }
 }
 
@@ -2091,5 +1986,99 @@ mod tests {
         let left: Vec<u64> = m.variants_of(1).iter().map(|v| v.entry).collect();
         assert_eq!(left, vec![200]);
         assert_eq!(m.stats().evictions, 1);
+    }
+
+    /// Every `Event` variant through `emit`, as the flight dump prints it
+    /// (timestamp and thread id cut off). The lines were generated at the
+    /// commit before the encoding moved into the decision table.
+    #[test]
+    fn every_event_variant_journals_its_pinned_line() {
+        let m = SpecializationManager::builder()
+            .tiering(TieringConfig::default())
+            .build();
+        let (func, entry, fingerprint) = (0x40_1000, 0x90_0040, 0xfeed_beef);
+        let stats = RewriteStats {
+            traced: 77,
+            trace_ns: 1_000,
+            pass_ns: 200,
+            emit_ns: 30,
+            ..RewriteStats::default()
+        };
+        let events = [
+            Event::Hit { func, entry },
+            Event::Miss { func },
+            Event::Coalesced { func },
+            Event::Deferred { func },
+            Event::Rewritten {
+                func,
+                entry,
+                code_len: 96,
+                stats,
+            },
+            Event::Published { func, entry },
+            Event::Evicted {
+                func,
+                entry,
+                code_len: 96,
+            },
+            Event::DispatcherBuilt {
+                func,
+                entry,
+                variants: 3,
+            },
+            Event::Denied { func, attempts: 2 },
+            Event::Stale { func, entry },
+            Event::Invalidated { func, entry },
+            Event::Promoted {
+                func,
+                fingerprint,
+                heat: 9.5,
+            },
+            Event::Demoted {
+                func,
+                fingerprint,
+                heat: 0.25,
+                code_len: 96,
+            },
+            Event::Respecialized {
+                func,
+                fingerprint,
+                heat: 4.0,
+            },
+        ];
+        for ev in events {
+            m.emit(ev);
+        }
+        let lines: Vec<String> = m
+            .flight
+            .dump()
+            .entries
+            .iter()
+            .map(|e| e.render_line().split_once(" kind=").unwrap().1.to_string())
+            .collect();
+        let pinned = [
+            "HIT func=0x401000 entry=0x900040",
+            "MISS func=0x401000",
+            "COALESCED func=0x401000",
+            "DEFERRED func=0x401000",
+            "REWRITTEN func=0x401000 entry=0x900040 len=96 ns=1230",
+            "PUBLISHED func=0x401000 entry=0x900040",
+            "EVICTED func=0x401000 entry=0x900040 len=96",
+            "DISPATCHER func=0x401000 entry=0x900040 variants=3",
+            "DENIED func=0x401000 attempts=2",
+            "STALE func=0x401000 entry=0x900040",
+            "INVALIDATED func=0x401000 entry=0x900040",
+            "PROMOTED func=0x401000 fp=0xfeedbeef heat=9.500 bar=8.000",
+            "DEMOTED func=0x401000 fp=0xfeedbeef heat=0.250 bar=1.000",
+            "RESPEC func=0x401000 fp=0xfeedbeef heat=4.000",
+        ];
+        assert_eq!(lines, pinned);
+        // Each event bumped exactly the counters its table row lists.
+        let reg = &m.metrics;
+        for c in [Ctr::Rewrites, Ctr::CacheEvictions, Ctr::TierDemoted] {
+            assert_eq!(reg.counter(c).get(), 1, "{}", c.name());
+        }
+        assert_eq!(reg.counter(Ctr::JitCodeBytes).get(), 96);
+        assert_eq!(reg.counter(Ctr::CacheEvictedBytes).get(), 96);
     }
 }

@@ -58,7 +58,13 @@ pub enum Verdict {
     Miss,
     /// Known-bad and inside the backoff window (or permanently capped):
     /// answer with the memoized error without tracing anything.
-    Deny(RewriteError),
+    Deny {
+        /// The memoized failure.
+        err: RewriteError,
+        /// Failed attempts memoized for the key, read under the same lock
+        /// as the verdict — what the `Denied` event reports.
+        attempts: u32,
+    },
     /// Known-bad but the backoff window has elapsed: let this request
     /// re-attempt the rewrite.
     Retry,
@@ -108,14 +114,16 @@ impl NegativeCache {
         let Some(e) = map.get_mut(key) else {
             return Verdict::Miss;
         };
-        if e.attempts >= self.policy.attempt_cap {
-            return Verdict::Deny(e.err.clone());
-        }
-        if e.denials < self.backoff(e.attempts) {
+        if e.attempts < self.policy.attempt_cap {
+            if e.denials >= self.backoff(e.attempts) {
+                return Verdict::Retry;
+            }
             e.denials += 1;
-            return Verdict::Deny(e.err.clone());
         }
-        Verdict::Retry
+        Verdict::Deny {
+            err: e.err.clone(),
+            attempts: e.attempts,
+        }
     }
 
     /// Non-mutating probe: would [`consult`](Self::consult) deny `key`
@@ -142,13 +150,6 @@ impl NegativeCache {
         e.err = err.clone();
         e.attempts = e.attempts.saturating_add(1);
         e.denials = 0;
-    }
-
-    /// Number of failed attempts memoized for `key`, if any.
-    pub fn attempts(&self, key: &CacheKey) -> Option<u32> {
-        unpoison(self.shard(key).lock())
-            .get(key)
-            .map(|e| e.attempts)
     }
 
     /// The memoized error for `key`, if any.
@@ -219,15 +220,15 @@ mod tests {
         assert!(matches!(neg.consult(&k), Verdict::Miss));
         neg.record_failure(&k, &RewriteError::TraceBudget);
         // Two denials, then a retry slot opens.
-        assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
-        assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
+        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
+        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
         assert!(matches!(neg.consult(&k), Verdict::Retry));
         // Retry is not consumed until the attempt fails again.
         assert!(matches!(neg.consult(&k), Verdict::Retry));
         // Second failure doubles the window.
         neg.record_failure(&k, &RewriteError::TraceBudget);
         for _ in 0..4 {
-            assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
+            assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
         }
         assert!(matches!(neg.consult(&k), Verdict::Retry));
     }
@@ -245,9 +246,35 @@ mod tests {
         neg.record_failure(&k, &RewriteError::TraceBudget);
         neg.record_failure(&k, &RewriteError::TraceBudget);
         for _ in 0..100 {
-            assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
+            assert!(matches!(neg.consult(&k), Verdict::Deny { attempts: 2, .. }));
         }
-        assert_eq!(neg.attempts(&k), Some(2));
+    }
+
+    /// The attempt count travels with the denial, read under the lock that
+    /// decided it — a second lookup could lose a race with `forget` and
+    /// report `attempts = 0` for a denial that happened.
+    #[test]
+    fn a_denial_carries_the_attempts_it_was_decided_on() {
+        let neg = NegativeCache::new(
+            1,
+            NegativePolicy {
+                base_backoff: 1,
+                attempt_cap: 10,
+            },
+        );
+        let k = key(0x1000, 42);
+        for n in 1..=3u32 {
+            neg.record_failure(&k, &RewriteError::TraceBudget);
+            match neg.consult(&k) {
+                Verdict::Deny { err, attempts } => {
+                    assert!(matches!(err, RewriteError::TraceBudget));
+                    assert_eq!(attempts, n);
+                }
+                v => panic!("expected a denial after failure {n}, got {v:?}"),
+            }
+        }
+        neg.forget(&k);
+        assert!(matches!(neg.consult(&k), Verdict::Miss));
     }
 
     #[test]
@@ -268,8 +295,8 @@ mod tests {
         }
         // ...so real requests still get the full window: two denials,
         // then the retry slot opens and the probe agrees.
-        assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
-        assert!(matches!(neg.consult(&k), Verdict::Deny(_)));
+        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
+        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
         assert!(!neg.would_deny(&k));
         assert!(matches!(neg.consult(&k), Verdict::Retry));
     }

@@ -64,8 +64,8 @@
 use super::{CacheKey, Variant};
 use crate::request::SpecRequest;
 use crate::telemetry::flight::FlightKind;
-use crate::telemetry::metrics::{Ctr, Gge};
-use crate::telemetry::{FlightRecorder, MetricsRegistry};
+use crate::telemetry::metrics::Gge;
+use crate::telemetry::{self, FlightRecorder, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -189,6 +189,11 @@ impl ShardedCache {
         }
     }
 
+    /// Epoch decisions go to the registry and the journal together.
+    fn note(&self, kind: FlightKind, args: [u64; 4]) {
+        telemetry::note(&self.metrics, &self.flight, kind, args);
+    }
+
     fn shard(&self, key: &CacheKey) -> &Shard {
         &self.shards[key.fingerprint as usize & self.mask]
     }
@@ -234,10 +239,8 @@ impl ShardedCache {
         let old = shard.snap.swap(new, Ordering::SeqCst);
         let e = shard.epoch.load(Ordering::SeqCst);
         w.limbo[(e & 1) as usize].push(Retired(old));
-        self.metrics.count(Ctr::EpochPublished, 1);
+        self.note(FlightKind::EpochPublish, [shard.id as u64, e, 0, 0]);
         self.metrics.gauge_add(Gge::EpochLimbo, 1);
-        self.flight
-            .record(FlightKind::EpochPublish, [shard.id as u64, e, 0, 0]);
         // Advance gate: parity (e+1)&1 holds only snapshots retired at
         // epochs <= e-1; with no reader pinned there, nothing can still
         // hold them (module docs) and the bin is freed.
@@ -253,12 +256,11 @@ impl ShardedCache {
                 drop(unsafe { Box::from_raw(r.0) });
             }
             if freed > 0 {
-                self.metrics.count(Ctr::EpochReclaimed, freed as u64);
-                self.metrics.gauge_add(Gge::EpochLimbo, -(freed as i64));
-                self.flight.record(
+                self.note(
                     FlightKind::EpochReclaim,
                     [shard.id as u64, freed as u64, 0, 0],
                 );
+                self.metrics.gauge_add(Gge::EpochLimbo, -(freed as i64));
             }
         }
     }
@@ -512,6 +514,7 @@ impl Drop for ShardedCache {
 mod tests {
     use super::*;
     use crate::capture::RewriteStats;
+    use crate::telemetry::metrics::Ctr;
 
     fn cache(shards: usize) -> ShardedCache {
         ShardedCache::new(

@@ -59,7 +59,7 @@
 //!   events around it. Both exports pass the strict
 //!   [`validate_json`](super::validate_json) gate.
 
-use super::span::SpanKind;
+pub use super::table::{ArgFmt, FlightKind};
 use super::{json_escape, SpanRecorder};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -87,89 +87,6 @@ pub fn thread_id() -> u64 {
         static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
     TID.with(|t| *t)
-}
-
-/// How one argument of a [`FlightKind`] renders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArgFmt {
-    /// Hexadecimal (addresses, fingerprints).
-    Hex,
-    /// Plain decimal.
-    Dec,
-    /// A fixed-point milli value (`1234` renders `1.234`) — heat scores
-    /// and thresholds survive the integer payload this way.
-    Milli,
-}
-
-macro_rules! flight_kinds {
-    ($( $name:ident = $disc:literal, $label:literal, [ $( ($arg:literal, $fmt:ident) ),* ] ;)*) => {
-        /// Every event kind the flight recorder records. Discriminants are
-        /// stable (they appear in dumps and the wire word), names match
-        /// the manager [`Event`](crate::manager::Event) variants where one
-        /// exists.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        #[repr(u8)]
-        pub enum FlightKind {
-            $(
-                #[allow(missing_docs)]
-                $name = $disc,
-            )*
-        }
-
-        impl FlightKind {
-            /// Every kind, for iteration and decode.
-            pub const ALL: &'static [FlightKind] = &[ $( FlightKind::$name, )* ];
-
-            /// The dump-format label (`kind=<label>`).
-            pub fn label(self) -> &'static str {
-                match self { $( FlightKind::$name => $label, )* }
-            }
-
-            /// Names and formats of the meaningful payload words (up to 4).
-            pub fn args(self) -> &'static [(&'static str, ArgFmt)] {
-                match self { $( FlightKind::$name => &[ $( ($arg, ArgFmt::$fmt) ),* ], )* }
-            }
-
-            /// Decode a stored discriminant.
-            pub fn from_u8(v: u8) -> Option<FlightKind> {
-                match v {
-                    $( $disc => Some(FlightKind::$name), )*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-flight_kinds! {
-    Hit            = 1,  "HIT",        [("func", Hex), ("entry", Hex)];
-    Miss           = 2,  "MISS",       [("func", Hex)];
-    Coalesced      = 3,  "COALESCED",  [("func", Hex)];
-    Deferred       = 4,  "DEFERRED",   [("func", Hex)];
-    Rewritten      = 5,  "REWRITTEN",  [("func", Hex), ("entry", Hex), ("len", Dec), ("ns", Dec)];
-    Published      = 6,  "PUBLISHED",  [("func", Hex), ("entry", Hex)];
-    Evicted        = 7,  "EVICTED",    [("func", Hex), ("entry", Hex), ("len", Dec)];
-    DispatcherBuilt= 8,  "DISPATCHER", [("func", Hex), ("entry", Hex), ("variants", Dec)];
-    Denied         = 9,  "DENIED",     [("func", Hex), ("attempts", Dec)];
-    Stale          = 10, "STALE",      [("func", Hex), ("entry", Hex)];
-    Invalidated    = 11, "INVALIDATED",[("func", Hex), ("entry", Hex)];
-    Promoted       = 12, "PROMOTED",   [("func", Hex), ("fp", Hex), ("heat", Milli), ("bar", Milli)];
-    Demoted        = 13, "DEMOTED",    [("func", Hex), ("fp", Hex), ("heat", Milli), ("bar", Milli)];
-    Respecialized  = 14, "RESPEC",     [("func", Hex), ("fp", Hex), ("heat", Milli)];
-    TickBegin      = 15, "TICK_BEGIN", [("tick", Dec)];
-    TickEnd        = 16, "TICK_END",   [("tick", Dec), ("sampled", Dec), ("promoted", Dec), ("demoted", Dec)];
-    EpochPublish   = 17, "EPOCH_PUB",  [("shard", Dec), ("epoch", Dec)];
-    EpochReclaim   = 18, "EPOCH_FREE", [("shard", Dec), ("freed", Dec)];
-    PersistSave    = 19, "SAVE",       [("variants", Dec), ("bytes", Dec), ("unportable", Dec)];
-    PersistLoad    = 20, "LOAD",       [("published", Dec), ("rejected", Dec)];
-    PanicContained = 21, "PANIC",      [];
-    VerifyPass     = 22, "VERIFY_OK",  [("func", Hex), ("ns", Dec)];
-    VerifyReject   = 23, "VERIFY_REJ", [("func", Hex), ("findings", Dec)];
-    SymbolPublish  = 24, "SYM_PUB",    [("entry", Hex), ("len", Dec), ("gen", Dec)];
-    SymbolRetire   = 25, "SYM_RET",    [("entry", Hex)];
-    PersistSaveFailed = 26, "SAVE_FAIL", [("func", Hex), ("entry", Hex)];
-    OverBudget     = 27, "OVER_BUDGET", [("func", Hex), ("len", Dec), ("budget", Dec)];
-    RegallocFallback = 28, "REGALLOC_FB", [("func", Hex), ("findings", Dec)];
 }
 
 /// Convert a heat score to the milli fixed-point payload word.
@@ -200,14 +117,18 @@ impl FlightEntry {
             self.kind.label()
         );
         for (i, (name, fmt)) in self.kind.args().iter().enumerate() {
-            let v = self.args[i];
-            match fmt {
-                ArgFmt::Hex => out.push_str(&format!(" {name}={v:#x}")),
-                ArgFmt::Dec => out.push_str(&format!(" {name}={v}")),
-                ArgFmt::Milli => out.push_str(&format!(" {name}={}.{:03}", v / 1000, v % 1000)),
-            }
+            out.push_str(&format!(" {name}={}", render_arg(*fmt, self.args[i])));
         }
         out
+    }
+}
+
+/// One payload word in the format its table row names.
+fn render_arg(fmt: ArgFmt, v: u64) -> String {
+    match fmt {
+        ArgFmt::Hex => format!("{v:#x}"),
+        ArgFmt::Dec => format!("{v}"),
+        ArgFmt::Milli => format!("{}.{:03}", v / 1000, v % 1000),
     }
 }
 
@@ -482,12 +403,7 @@ fn push_flight_event(out: &mut String, e: &FlightEntry) {
             if i > 0 {
                 out.push(',');
             }
-            let v = e.args[i];
-            let rendered = match fmt {
-                ArgFmt::Hex => format!("{v:#x}"),
-                ArgFmt::Dec => format!("{v}"),
-                ArgFmt::Milli => format!("{}.{:03}", v / 1000, v % 1000),
-            };
+            let rendered = render_arg(*fmt, e.args[i]);
             out.push_str(&format!("\"{}\":\"{}\"", json_escape(name), rendered));
         }
         out.push('}');
@@ -510,32 +426,7 @@ pub fn merged_chrome_json(spans: &SpanRecorder, dump: &FlightDump) -> String {
             out.push(',');
         }
         first = false;
-        let ts = (base + e.start_ns) as f64 / 1_000.0;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{ts:.3}",
-            json_escape(&e.name),
-            e.cat
-        ));
-        match e.kind {
-            SpanKind::Complete => {
-                out.push_str(&format!(
-                    ",\"ph\":\"X\",\"dur\":{:.3}",
-                    e.dur_ns as f64 / 1_000.0
-                ));
-            }
-            SpanKind::Instant => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
-        }
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-            }
-            out.push('}');
-        }
-        out.push('}');
+        e.push_chrome(&mut out, base);
     }
     for e in &dump.entries {
         if !first {

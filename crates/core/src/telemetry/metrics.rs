@@ -6,7 +6,10 @@
 //! [`MetricsRegistry::set_enabled`]) reduces every update to one relaxed
 //! load-and-branch.
 
-use crate::manager::Event;
+pub use super::table::{Ctr, Gge, Hst};
+use super::FlightKind;
+use crate::capture::RewriteStats;
+use crate::error::RewriteError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -191,277 +194,6 @@ pub struct SelfTimeSnapshot {
     pub exemplar_ts_ns: u64,
 }
 
-/// Counter identifiers. The order defines the exposition order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Ctr {
-    CacheHits,
-    CacheMisses,
-    CacheCoalesced,
-    CacheDeferred,
-    CachePublished,
-    CacheEvictions,
-    CacheEvictedBytes,
-    Rewrites,
-    RewriteFailures,
-    TracedInsts,
-    JitCodeBytes,
-    DispatchersBuilt,
-    GuardHits,
-    GuardFallthrough,
-    NegativeHits,
-    CacheStale,
-    CacheInvalidated,
-    PanicsContained,
-    VerifyPassed,
-    VerifyRejected,
-    TierPromoted,
-    TierDemoted,
-    TierRespecialized,
-    EpochPublished,
-    EpochReclaimed,
-    PersistSaved,
-    PersistLoaded,
-    PersistRejected,
-    PersistSaveFailed,
-    PersistSaveUnportable,
-    OverBudget,
-    RegallocFallback,
-}
-
-impl Ctr {
-    /// Every counter, in exposition order.
-    pub const ALL: [Ctr; 32] = [
-        Ctr::CacheHits,
-        Ctr::CacheMisses,
-        Ctr::CacheCoalesced,
-        Ctr::CacheDeferred,
-        Ctr::CachePublished,
-        Ctr::CacheEvictions,
-        Ctr::CacheEvictedBytes,
-        Ctr::Rewrites,
-        Ctr::RewriteFailures,
-        Ctr::TracedInsts,
-        Ctr::JitCodeBytes,
-        Ctr::DispatchersBuilt,
-        Ctr::GuardHits,
-        Ctr::GuardFallthrough,
-        Ctr::NegativeHits,
-        Ctr::CacheStale,
-        Ctr::CacheInvalidated,
-        Ctr::PanicsContained,
-        Ctr::VerifyPassed,
-        Ctr::VerifyRejected,
-        Ctr::TierPromoted,
-        Ctr::TierDemoted,
-        Ctr::TierRespecialized,
-        Ctr::EpochPublished,
-        Ctr::EpochReclaimed,
-        Ctr::PersistSaved,
-        Ctr::PersistLoaded,
-        Ctr::PersistRejected,
-        Ctr::PersistSaveFailed,
-        Ctr::PersistSaveUnportable,
-        Ctr::OverBudget,
-        Ctr::RegallocFallback,
-    ];
-
-    /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ctr::CacheHits => "brew_cache_hits_total",
-            Ctr::CacheMisses => "brew_cache_misses_total",
-            Ctr::CacheCoalesced => "brew_cache_coalesced_total",
-            Ctr::CacheDeferred => "brew_cache_deferred_total",
-            Ctr::CachePublished => "brew_cache_published_total",
-            Ctr::CacheEvictions => "brew_cache_evictions_total",
-            Ctr::CacheEvictedBytes => "brew_cache_evicted_bytes_total",
-            Ctr::Rewrites => "brew_rewrites_total",
-            Ctr::RewriteFailures => "brew_rewrite_failures_total",
-            Ctr::TracedInsts => "brew_traced_insts_total",
-            Ctr::JitCodeBytes => "brew_jit_code_bytes_total",
-            Ctr::DispatchersBuilt => "brew_dispatchers_built_total",
-            Ctr::GuardHits => "brew_guard_hits_total",
-            Ctr::GuardFallthrough => "brew_guard_fallthrough_total",
-            Ctr::NegativeHits => "brew_negative_hits_total",
-            Ctr::CacheStale => "brew_cache_stale_total",
-            Ctr::CacheInvalidated => "brew_cache_invalidated_total",
-            Ctr::PanicsContained => "brew_rewrite_panics_total",
-            Ctr::VerifyPassed => "brew_verify_passed_total",
-            Ctr::VerifyRejected => "brew_verify_rejected_total",
-            Ctr::TierPromoted => "brew_tier_promoted_total",
-            Ctr::TierDemoted => "brew_tier_demoted_total",
-            Ctr::TierRespecialized => "brew_tier_respecialized_total",
-            Ctr::EpochPublished => "brew_read_epoch_published_total",
-            Ctr::EpochReclaimed => "brew_read_epoch_reclaimed_total",
-            Ctr::PersistSaved => "brew_persist_saved_total",
-            Ctr::PersistLoaded => "brew_persist_loaded_total",
-            Ctr::PersistRejected => "brew_persist_rejected_total",
-            Ctr::PersistSaveFailed => "brew_persist_save_failed_total",
-            Ctr::PersistSaveUnportable => "brew_persist_save_unportable_total",
-            Ctr::OverBudget => "brew_over_budget_total",
-            Ctr::RegallocFallback => "brew_regalloc_fallback_total",
-        }
-    }
-
-    /// One-line help string for the exposition.
-    pub fn help(self) -> &'static str {
-        match self {
-            Ctr::CacheHits => "Specialization requests answered from the variant cache",
-            Ctr::CacheMisses => "Requests that led a rewrite (single-flight leaders)",
-            Ctr::CacheCoalesced => "Requests that subscribed to an in-flight rewrite",
-            Ctr::CacheDeferred => "Misses answered with the original while a worker rewrites",
-            Ctr::CachePublished => "Variants published by deferred workers",
-            Ctr::CacheEvictions => "Variants evicted under byte-budget pressure",
-            Ctr::CacheEvictedBytes => "Code bytes dropped by evictions",
-            Ctr::Rewrites => "Completed rewrites",
-            Ctr::RewriteFailures => "Rewrites that returned an error",
-            Ctr::TracedInsts => "Guest instructions visited while tracing",
-            Ctr::JitCodeBytes => "Code bytes emitted into the JIT segment by rewrites",
-            Ctr::DispatchersBuilt => "Guarded dispatch stubs emitted",
-            Ctr::GuardHits => "Dispatch-stub cases taken (from counting stubs)",
-            Ctr::GuardFallthrough => "Dispatch-stub fall-throughs to the original",
-            Ctr::NegativeHits => "Requests denied from the negative cache without re-tracing",
-            Ctr::CacheStale => "Variants found stale by revalidate (folded bytes changed)",
-            Ctr::CacheInvalidated => "Variants dropped by invalidation",
-            Ctr::PanicsContained => "Rewrite-pipeline panics converted into errors",
-            Ctr::VerifyPassed => "Variants that passed the publish gate's static verification",
-            Ctr::VerifyRejected => "Variants rejected (and never published) by the publish gate",
-            Ctr::TierPromoted => {
-                "Hot fingerprints promoted (rewrite enqueued) by the tiering layer"
-            }
-            Ctr::TierDemoted => "Cold resident variants demoted (evicted) by the tiering layer",
-            Ctr::TierRespecialized => {
-                "Stale variants re-enqueued because their heat cleared the bar"
-            }
-            Ctr::EpochPublished => "Shard snapshots published (rebuild + pointer swap)",
-            Ctr::EpochReclaimed => "Retired shard snapshots freed by epoch advances",
-            Ctr::PersistSaved => "Variants serialized to the persistence file",
-            Ctr::PersistLoaded => "Persisted variants re-verified and published on load",
-            Ctr::PersistRejected => {
-                "Persisted variants rejected on load (corrupt, stale, or gate-failed)"
-            }
-            Ctr::PersistSaveFailed => {
-                "Variants that failed to serialize during a save (I/O or read error)"
-            }
-            Ctr::PersistSaveUnportable => {
-                "Variants left out of a save: they read a literal pool the format cannot carry"
-            }
-            Ctr::OverBudget => {
-                "Finished variants refused at publish: code alone exceeds the global budget"
-            }
-            Ctr::RegallocFallback => {
-                "Aggressive register allocations that failed their equivalence proof and \
-                 were re-emitted with the conservative allocator"
-            }
-        }
-    }
-}
-
-/// Gauge identifiers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Gge {
-    InflightRewrites,
-    ResidentBytes,
-    ResidentVariants,
-    NegativeEntries,
-    HeatTracked,
-    HeatMax,
-    HeatMean,
-    ReadEpoch,
-    EpochLimbo,
-}
-
-impl Gge {
-    /// Every gauge, in exposition order.
-    pub const ALL: [Gge; 9] = [
-        Gge::InflightRewrites,
-        Gge::ResidentBytes,
-        Gge::ResidentVariants,
-        Gge::NegativeEntries,
-        Gge::HeatTracked,
-        Gge::HeatMax,
-        Gge::HeatMean,
-        Gge::ReadEpoch,
-        Gge::EpochLimbo,
-    ];
-
-    /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gge::InflightRewrites => "brew_inflight_rewrites",
-            Gge::ResidentBytes => "brew_cache_resident_bytes",
-            Gge::ResidentVariants => "brew_cache_resident_variants",
-            Gge::NegativeEntries => "brew_negative_entries",
-            Gge::HeatTracked => "brew_tier_heat_tracked",
-            Gge::HeatMax => "brew_tier_heat_max_milli",
-            Gge::HeatMean => "brew_tier_heat_mean_milli",
-            Gge::ReadEpoch => "brew_read_epoch",
-            Gge::EpochLimbo => "brew_read_epoch_limbo",
-        }
-    }
-
-    /// One-line help string for the exposition.
-    pub fn help(self) -> &'static str {
-        match self {
-            Gge::InflightRewrites => "Rewrites currently being traced",
-            Gge::ResidentBytes => "Code bytes currently resident in the variant cache",
-            Gge::ResidentVariants => "Variants currently resident in the cache",
-            Gge::NegativeEntries => "Keys currently memoized as failing in the negative cache",
-            Gge::HeatTracked => "Keys with live tiering heat scores as of the last tick",
-            Gge::HeatMax => "Hottest tiering heat score (x1000) as of the last tick",
-            Gge::HeatMean => "Mean tiering heat score (x1000) as of the last tick",
-            Gge::ReadEpoch => "Sum of per-shard reclamation epochs of the variant cache",
-            Gge::EpochLimbo => "Retired shard snapshots awaiting epoch reclamation",
-        }
-    }
-}
-
-/// Histogram identifiers — the per-phase rewrite-time distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Hst {
-    TraceNs,
-    PassNs,
-    EmitNs,
-    TotalNs,
-    VerifyNs,
-}
-
-impl Hst {
-    /// Every histogram, in exposition order.
-    pub const ALL: [Hst; 5] = [
-        Hst::TraceNs,
-        Hst::PassNs,
-        Hst::EmitNs,
-        Hst::TotalNs,
-        Hst::VerifyNs,
-    ];
-
-    /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Hst::TraceNs => "brew_rewrite_trace_ns",
-            Hst::PassNs => "brew_rewrite_pass_ns",
-            Hst::EmitNs => "brew_rewrite_emit_ns",
-            Hst::TotalNs => "brew_rewrite_total_ns",
-            Hst::VerifyNs => "brew_verify_ns",
-        }
-    }
-
-    /// One-line help string for the exposition.
-    pub fn help(self) -> &'static str {
-        match self {
-            Hst::TraceNs => "Nanoseconds per rewrite spent decoding and tracing",
-            Hst::PassNs => "Nanoseconds per rewrite spent in optimization passes",
-            Hst::EmitNs => "Nanoseconds per rewrite spent on layout, encoding, relocation",
-            Hst::TotalNs => "Nanoseconds per rewrite across all instrumented phases",
-            Hst::VerifyNs => "Nanoseconds per variant spent in publish-gate verification",
-        }
-    }
-}
-
 /// The registry: every metric the pipeline produces, behind atomics.
 /// `Send + Sync` by construction; share it in an `Arc`.
 #[derive(Debug)]
@@ -592,41 +324,35 @@ impl MetricsRegistry {
         out
     }
 
-    /// Fold one manager [`Event`] into the registry. Called by the
-    /// manager on *every* event, sink or no sink — the counters here can
-    /// never silently lose an event the way an absent sink drops it.
-    pub fn record_event(&self, ev: &Event) {
+    /// Fold one manager decision into the counters: every counter the
+    /// [`FlightKind`] table lists for `kind`, by one or by the payload
+    /// word its row names. The manager calls this on *every* decision,
+    /// sink or no sink — the counters here can never silently lose an
+    /// event the way an absent sink drops it.
+    pub fn fold(&self, kind: FlightKind, args: &[u64; 4]) {
+        if self.enabled() {
+            for &(c, word) in kind.bumps() {
+                self.counter(c).add(word.map_or(1, |i| args[i]));
+            }
+        }
+    }
+
+    /// The part of a finished rewrite no flight record carries: the
+    /// traced-instruction total and the per-phase histograms of a success,
+    /// the failure count otherwise.
+    pub fn observe_rewrite(&self, outcome: Result<&RewriteStats, &RewriteError>) {
         if !self.enabled() {
             return;
         }
-        match ev {
-            Event::Hit { .. } => self.counter(Ctr::CacheHits).inc(),
-            Event::Miss { .. } => self.counter(Ctr::CacheMisses).inc(),
-            Event::Coalesced { .. } => self.counter(Ctr::CacheCoalesced).inc(),
-            Event::Deferred { .. } => self.counter(Ctr::CacheDeferred).inc(),
-            Event::Published { .. } => self.counter(Ctr::CachePublished).inc(),
-            Event::Evicted { code_len, .. } => {
-                self.counter(Ctr::CacheEvictions).inc();
-                self.counter(Ctr::CacheEvictedBytes).add(*code_len as u64);
-            }
-            Event::Rewritten {
-                code_len, stats, ..
-            } => {
-                self.counter(Ctr::Rewrites).inc();
+        match outcome {
+            Ok(stats) => {
                 self.counter(Ctr::TracedInsts).add(stats.traced);
-                self.counter(Ctr::JitCodeBytes).add(*code_len as u64);
                 self.histogram(Hst::TraceNs).observe(stats.trace_ns);
                 self.histogram(Hst::PassNs).observe(stats.pass_ns);
                 self.histogram(Hst::EmitNs).observe(stats.emit_ns);
                 self.histogram(Hst::TotalNs).observe(stats.total_ns());
             }
-            Event::DispatcherBuilt { .. } => self.counter(Ctr::DispatchersBuilt).inc(),
-            Event::Denied { .. } => self.counter(Ctr::NegativeHits).inc(),
-            Event::Stale { .. } => self.counter(Ctr::CacheStale).inc(),
-            Event::Invalidated { .. } => self.counter(Ctr::CacheInvalidated).inc(),
-            Event::Promoted { .. } => self.counter(Ctr::TierPromoted).inc(),
-            Event::Demoted { .. } => self.counter(Ctr::TierDemoted).inc(),
-            Event::Respecialized { .. } => self.counter(Ctr::TierRespecialized).inc(),
+            Err(_) => self.counter(Ctr::RewriteFailures).inc(),
         }
     }
 
@@ -635,39 +361,35 @@ impl MetricsRegistry {
     /// plus `_sum` / `_count` for histograms).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        for c in Ctr::ALL {
-            out.push_str(&format!("# HELP {} {}\n", c.name(), c.help()));
-            out.push_str(&format!("# TYPE {} counter\n", c.name()));
+        let header = |out: &mut String, name: &str, help: &str, ty: &str| {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {ty}\n"));
+        };
+        for &c in Ctr::ALL {
+            header(&mut out, c.name(), c.help(), "counter");
             out.push_str(&format!("{} {}\n", c.name(), self.counter(c).get()));
         }
-        for g in Gge::ALL {
-            out.push_str(&format!("# HELP {} {}\n", g.name(), g.help()));
-            out.push_str(&format!("# TYPE {} gauge\n", g.name()));
+        for &g in Gge::ALL {
+            header(&mut out, g.name(), g.help(), "gauge");
             out.push_str(&format!("{} {}\n", g.name(), self.gauge(g).get()));
         }
-        for h in Hst::ALL {
+        for &h in Hst::ALL {
             let hist = self.histogram(h);
-            out.push_str(&format!("# HELP {} {}\n", h.name(), h.help()));
-            out.push_str(&format!("# TYPE {} histogram\n", h.name()));
-            let mut cum = 0u64;
-            for (i, n) in hist.bucket_counts().iter().enumerate() {
-                cum += n;
-                let le = NS_BUCKET_BOUNDS
-                    .get(i)
-                    .map(|b| b.to_string())
-                    .unwrap_or_else(|| "+Inf".into());
-                out.push_str(&format!("{}_bucket{{le=\"{le}\"}} {cum}\n", h.name()));
-            }
+            header(&mut out, h.name(), h.help(), "histogram");
+            push_buckets(
+                &mut out,
+                h.name(),
+                "",
+                &NS_BUCKET_BOUNDS,
+                &hist.bucket_counts(),
+            );
             out.push_str(&format!("{}_sum {}\n", h.name(), hist.sum()));
             out.push_str(&format!("{}_count {}\n", h.name(), hist.count()));
         }
         let st = self.self_times();
         if !st.is_empty() {
             let name = "brew_variant_self_cycles";
-            out.push_str(&format!(
-                "# HELP {name} Model cycles attributed per (func, fingerprint) variant\n"
-            ));
-            out.push_str(&format!("# TYPE {name} histogram\n"));
+            let help = "Model cycles attributed per (func, fingerprint) variant";
+            header(&mut out, name, help, "histogram");
             for s in &st {
                 let fp = if s.fingerprint == ORIGINAL_FP {
                     "original".to_string()
@@ -675,15 +397,13 @@ impl MetricsRegistry {
                     format!("{:#x}", s.fingerprint)
                 };
                 let labels = format!("func=\"{:#x}\",fp=\"{fp}\"", s.func);
-                let mut cum = 0u64;
-                for (i, n) in s.buckets.iter().enumerate() {
-                    cum += n;
-                    let le = CYCLE_BUCKET_BOUNDS
-                        .get(i)
-                        .map(|b| b.to_string())
-                        .unwrap_or_else(|| "+Inf".into());
-                    out.push_str(&format!("{name}_bucket{{{labels},le=\"{le}\"}} {cum}\n"));
-                }
+                push_buckets(
+                    &mut out,
+                    name,
+                    &format!("{labels},"),
+                    &CYCLE_BUCKET_BOUNDS,
+                    &s.buckets,
+                );
                 out.push_str(&format!("{name}_sum{{{labels}}} {}\n", s.sum_cycles));
                 out.push_str(&format!("{name}_count{{{labels}}} {}\n", s.count));
                 out.push_str(&format!("{name}_max{{{labels}}} {}\n", s.exemplar_cycles));
@@ -698,57 +418,58 @@ impl MetricsRegistry {
     /// `self_time` array carries one entry per (func, fingerprint)
     /// variant with attributed cycles, sorted for determinism.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, c) in Ctr::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", c.name(), self.counter(*c).get()));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in Gge::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", g.name(), self.gauge(*g).get()));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in Hst::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let hist = self.histogram(*h);
-            let bounds: Vec<String> = NS_BUCKET_BOUNDS.iter().map(|b| b.to_string()).collect();
-            let buckets: Vec<String> = hist.bucket_counts().iter().map(|n| n.to_string()).collect();
-            out.push_str(&format!(
+        let nums = |v: &[u64]| join(v, |n| n.to_string());
+        let counters = join(Ctr::ALL, |&c| {
+            format!("\"{}\":{}", c.name(), self.counter(c).get())
+        });
+        let gauges = join(Gge::ALL, |&g| {
+            format!("\"{}\":{}", g.name(), self.gauge(g).get())
+        });
+        let hists = join(Hst::ALL, |&h| {
+            let hist = self.histogram(h);
+            format!(
                 "\"{}\":{{\"bounds\":[{}],\"buckets\":[{}],\"sum\":{},\"count\":{}}}",
                 h.name(),
-                bounds.join(","),
-                buckets.join(","),
+                nums(&NS_BUCKET_BOUNDS),
+                nums(&hist.bucket_counts()),
                 hist.sum(),
                 hist.count()
-            ));
-        }
-        out.push_str("},\"self_time\":[");
-        for (i, s) in self.self_times().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = s.buckets.iter().map(|n| n.to_string()).collect();
-            out.push_str(&format!(
+            )
+        });
+        let self_time = join(&self.self_times(), |s| {
+            format!(
                 "{{\"func\":{},\"fingerprint\":{},\"original\":{},\"count\":{},\"sum_cycles\":{},\"buckets\":[{}],\"exemplar_cycles\":{},\"exemplar_ts_ns\":{}}}",
                 s.func,
                 s.fingerprint,
                 s.fingerprint == ORIGINAL_FP,
                 s.count,
                 s.sum_cycles,
-                buckets.join(","),
+                nums(&s.buckets),
                 s.exemplar_cycles,
                 s.exemplar_ts_ns
-            ));
-        }
-        out.push_str("]}");
+            )
+        });
+        let out = format!(
+            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\
+             \"histograms\":{{{hists}}},\"self_time\":[{self_time}]}}"
+        );
         super::json::checked_export("metrics JSON snapshot", out)
+    }
+}
+
+/// `f` over `items`, comma-separated — the body of a JSON array or object.
+fn join<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
+    items.iter().map(f).collect::<Vec<_>>().join(",")
+}
+
+/// The cumulative `_bucket{le=...}` series of one histogram, `+Inf` last;
+/// `labels` (empty, or ending in a comma) precede `le`.
+fn push_buckets(out: &mut String, name: &str, labels: &str, bounds: &[u64], counts: &[u64]) {
+    let mut cum = 0u64;
+    for (i, n) in counts.iter().enumerate() {
+        cum += n;
+        let le = bounds.get(i).map_or("+Inf".into(), |b| b.to_string());
+        out.push_str(&format!("{name}_bucket{{{labels}le=\"{le}\"}} {cum}\n"));
     }
 }
 
@@ -773,13 +494,35 @@ mod tests {
         m.set_enabled(false);
         m.count(Ctr::CacheHits, 5);
         m.observe(Hst::TraceNs, 1_000);
-        m.record_event(&Event::Miss { func: 1 });
+        m.fold(FlightKind::Miss, &[1, 0, 0, 0]);
+        m.observe_rewrite(Err(&RewriteError::TraceBudget));
         assert_eq!(m.counter(Ctr::CacheHits).get(), 0);
         assert_eq!(m.counter(Ctr::CacheMisses).get(), 0);
+        assert_eq!(m.counter(Ctr::RewriteFailures).get(), 0);
         assert_eq!(m.histogram(Hst::TraceNs).count(), 0);
         m.set_enabled(true);
-        m.record_event(&Event::Miss { func: 1 });
+        m.fold(FlightKind::Miss, &[1, 0, 0, 0]);
         assert_eq!(m.counter(Ctr::CacheMisses).get(), 1);
+    }
+
+    #[test]
+    fn fold_bumps_by_one_or_by_the_named_word() {
+        let m = MetricsRegistry::new();
+        m.fold(FlightKind::Evicted, &[0x40, 0x90, 96, 0]);
+        m.fold(FlightKind::PersistLoad, &[3, 2, 0, 0]);
+        m.fold(FlightKind::TickBegin, &[7, 0, 0, 0]); // journaled, never counted
+        let got: Vec<(Ctr, u64)> = Ctr::ALL
+            .iter()
+            .map(|&c| (c, m.counter(c).get()))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let want = [
+            (Ctr::CacheEvictions, 1),
+            (Ctr::CacheEvictedBytes, 96),
+            (Ctr::PersistLoaded, 3),
+            (Ctr::PersistRejected, 2),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -820,7 +563,7 @@ mod tests {
     #[test]
     fn json_snapshot_is_valid() {
         let m = MetricsRegistry::new();
-        m.record_event(&Event::Hit { func: 1, entry: 2 });
+        m.fold(FlightKind::Hit, &[1, 2, 0, 0]);
         let s = m.snapshot_json();
         crate::telemetry::validate_json(&s).unwrap();
         assert!(s.contains("\"brew_cache_hits_total\":1"));

@@ -34,6 +34,11 @@
 //!   as `/tmp/perf-<pid>.map` and jitdump records so external profilers
 //!   can symbolize variant PCs.
 //!
+//! [`table`] lists every metric and every journaled decision once; the
+//! enums, names, dump lines and the counter fold are generated from it,
+//! and [`note`] is the one call that writes a decision to both the
+//! registry and the recorder.
+//!
 //! [`json`] is a tiny strict JSON syntax checker; every export above is
 //! routed through it and fails loudly on malformed output.
 
@@ -44,6 +49,7 @@ pub mod metrics;
 pub mod profile;
 pub mod span;
 pub mod symbolize;
+pub mod table;
 
 pub use explain::explain_report;
 pub use flight::{merged_chrome_json, ArgFmt, FlightDump, FlightEntry, FlightKind, FlightRecorder};
@@ -54,6 +60,14 @@ pub use metrics::{
 pub use profile::DispatchProfiler;
 pub use span::{SpanEvent, SpanKind, SpanRecorder};
 pub use symbolize::{JitSymbol, SymbolKind, SymbolTable};
+
+/// Record one manager decision: bump the counters its [`FlightKind`] row
+/// lists (see [`MetricsRegistry::fold`]) and journal it. Unused argument
+/// positions should be 0.
+pub fn note(metrics: &MetricsRegistry, flight: &FlightRecorder, kind: FlightKind, args: [u64; 4]) {
+    metrics.fold(kind, &args);
+    flight.record(kind, args);
+}
 
 /// Escape a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {

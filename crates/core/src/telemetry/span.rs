@@ -38,6 +38,39 @@ pub struct SpanEvent {
     pub args: Vec<(String, String)>,
 }
 
+impl SpanEvent {
+    /// Append this event as one chrome://tracing object on the span track
+    /// (pid 1, tid 1), its timestamp shifted by `base_ns`.
+    pub(super) fn push_chrome(&self, out: &mut String, base_ns: u64) {
+        let ts = (base_ns + self.start_ns) as f64 / 1_000.0;
+        out.push_str(&format!(
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{ts:.3}",
+            json_escape(&self.name),
+            self.cat
+        ));
+        match self.kind {
+            SpanKind::Complete => {
+                out.push_str(&format!(
+                    ",\"ph\":\"X\",\"dur\":{:.3}",
+                    self.dur_ns as f64 / 1_000.0
+                ));
+            }
+            SpanKind::Instant => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
+        }
+        if !self.args.is_empty() {
+            out.push_str(",\"args\":{");
+            for (j, (k, v)) in self.args.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+            }
+            out.push('}');
+        }
+        out.push('}');
+    }
+}
+
 /// Collects the events of one rewrite. Create it, pass it to
 /// [`crate::Rewriter::rewrite_with_trace`], then export or render.
 #[derive(Debug)]
@@ -152,32 +185,7 @@ impl SpanRecorder {
             if i > 0 {
                 out.push(',');
             }
-            let ts = e.start_ns as f64 / 1_000.0;
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{ts:.3}",
-                json_escape(&e.name),
-                e.cat
-            ));
-            match e.kind {
-                SpanKind::Complete => {
-                    out.push_str(&format!(
-                        ",\"ph\":\"X\",\"dur\":{:.3}",
-                        e.dur_ns as f64 / 1_000.0
-                    ));
-                }
-                SpanKind::Instant => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
-            }
-            if !e.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (j, (k, v)) in e.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-                }
-                out.push('}');
-            }
-            out.push('}');
+            e.push_chrome(&mut out, 0);
         }
         out.push_str("]}");
         super::json::checked_export("span chrome export", out)

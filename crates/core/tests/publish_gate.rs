@@ -3,6 +3,7 @@
 //! deferred path. A rejected variant is never published — it is denied,
 //! negatively cached, counted, and dispatch falls back to the original.
 
+use brew_core::telemetry::flight::FlightKind;
 use brew_core::telemetry::metrics::{Ctr, Hst};
 use brew_core::{
     Dispatch, NegativePolicy, PublishRejection, RetKind, RewriteError, SpecRequest,
@@ -59,6 +60,32 @@ fn accepting_gate_publishes_and_counts() {
     assert_eq!(m.counter(Ctr::VerifyPassed).get(), 1);
     assert_eq!(m.counter(Ctr::VerifyRejected).get(), 0);
     assert_eq!(m.histogram(Hst::VerifyNs).count(), 1);
+}
+
+/// One gate run is timed once: `brew_verify_ns_sum` and the `ns` word of
+/// the `VERIFY_OK` record are the same clock reading, not two.
+#[test]
+fn histogram_and_journal_agree_on_the_gate_time() {
+    let (img, poly) = setup();
+    let mgr = SpecializationManager::builder()
+        .publish_gate(Box::new(
+            |_: &Image, _: u64, _: &SpecRequest, _: &brew_core::RewriteResult| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                Ok(())
+            },
+        ))
+        .build();
+    mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap();
+    let dump = mgr.flight().dump();
+    let ok: Vec<_> = dump
+        .entries
+        .iter()
+        .filter(|e| e.kind == FlightKind::VerifyPass)
+        .collect();
+    assert_eq!(ok.len(), 1);
+    assert_eq!(ok[0].args[0], poly);
+    assert!(ok[0].args[1] >= 200_000, "the gate slept 200 µs");
+    assert_eq!(ok[0].args[1], mgr.metrics().histogram(Hst::VerifyNs).sum());
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! End-to-end telemetry: the always-on metrics registry, self-counting
 //! dispatch stubs, the rewrite span tree and the export formats.
 
+use brew_core::telemetry::flight::{FlightEntry, FlightKind};
 use brew_core::telemetry::metrics::{Ctr, Gge, Hst};
 use brew_core::{
-    explain_report, validate_json, RetKind, Rewriter, SpecRequest, SpecializationManager,
+    explain_report, validate_json, CacheStats, Dispatch, Invalidation, MetricsRegistry,
+    NegativePolicy, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager,
 };
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
@@ -218,4 +220,217 @@ fn trace_spans_chrome_json_and_explain_report() {
         .call(&img, res.entry, &CallArgs::new().int(3).int(6))
         .unwrap();
     assert_eq!(out.ret_int, 729);
+}
+
+/// Everything an export consumer can see of the telemetry tables, as text:
+/// the whole exposition of a fresh registry (every `# HELP`/`# TYPE` line
+/// and sample, in order), its JSON snapshot, and one dump line per
+/// [`FlightKind`] (label, argument names, `Hex`/`Dec`/`Milli` formats).
+fn current_pins() -> String {
+    let mut out = String::from("== exposition of a fresh registry\n");
+    out.push_str(&MetricsRegistry::new().render_prometheus());
+    out.push_str("== JSON snapshot of a fresh registry\n");
+    out.push_str(&MetricsRegistry::new().snapshot_json());
+    out.push_str("\n== one dump line per flight kind\n");
+    for &kind in FlightKind::ALL {
+        let e = FlightEntry {
+            ts_ns: 1_000 + kind as u64,
+            tid: 1,
+            kind,
+            args: [0x40_1000, 0x90_0040, 1_234, 56_789],
+        };
+        out.push_str(&e.render_line());
+        out.push('\n');
+    }
+    out
+}
+
+/// `telemetry_pins.txt` was generated at the commit before the metric and
+/// flight-kind lists became tables; it changes only when a metric or a
+/// decision kind is added or renamed on purpose. Regenerate it with
+/// `BREW_BLESS=1 cargo test -p brew-core --test telemetry` and read the diff.
+#[test]
+fn exposition_and_flight_lines_are_pinned() {
+    let now = current_pins();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/telemetry_pins.txt");
+    if std::env::var_os("BREW_BLESS").is_some() {
+        std::fs::write(path, &now).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(path).unwrap();
+    for (i, (a, b)) in now.lines().zip(pinned.lines()).enumerate() {
+        assert_eq!(a, b, "telemetry_pins.txt line {}", i + 1);
+    }
+    assert_eq!(now.lines().count(), pinned.lines().count());
+    assert_eq!(FlightKind::ALL.len(), 28);
+}
+
+const LIFE: &str = r#"
+    int poly(int x, int n) {
+        int r = 1;
+        for (int i = 0; i < n; i++) r *= x;
+        return r;
+    }
+    int dot(int* c, int x) {
+        return c[0] * x + c[1];
+    }
+"#;
+
+/// `stats()` against the registry it is a view over, field by field.
+fn assert_stats_match_registry(mgr: &SpecializationManager) -> CacheStats {
+    let st = mgr.stats();
+    let m = mgr.metrics();
+    let c = |c: Ctr| m.counter(c).get();
+    assert_eq!(st.hits, c(Ctr::CacheHits));
+    assert_eq!(st.misses, c(Ctr::CacheMisses));
+    assert_eq!(st.coalesced, c(Ctr::CacheCoalesced));
+    assert_eq!(st.deferred, c(Ctr::CacheDeferred));
+    assert_eq!(st.published, c(Ctr::CachePublished) - c(Ctr::PersistLoaded));
+    assert_eq!(st.evictions, c(Ctr::CacheEvictions));
+    assert_eq!(st.traced_total, c(Ctr::TracedInsts));
+    assert_eq!(st.rewrite_ns_total, m.histogram(Hst::TotalNs).sum());
+    assert_eq!(st.dispatchers_built, c(Ctr::DispatchersBuilt));
+    assert_eq!(st.denied, c(Ctr::NegativeHits));
+    assert_eq!(st.invalidated, c(Ctr::CacheInvalidated));
+    assert_eq!(st.stale, c(Ctr::CacheStale));
+    assert_eq!(st.panics_contained, c(Ctr::PanicsContained));
+    assert_eq!(st.resident_bytes as i64, m.gauge(Gge::ResidentBytes).get());
+    assert_eq!(
+        st.negative_entries as i64,
+        m.gauge(Gge::NegativeEntries).get()
+    );
+    st
+}
+
+/// One scripted, single-threaded life of a manager that takes every
+/// counted decision at least once — hit, miss, deferred + published,
+/// eviction, denial, invalidation, stale revalidation, contained panic,
+/// warm start — with every `CacheStats` field checked against the
+/// registry counter it reads, and the counts themselves pinned.
+#[test]
+fn cache_stats_are_a_view_over_the_registry() {
+    let img = Image::new();
+    let prog = brew_minic::compile_into(LIFE, &img).unwrap();
+    let (poly, dot) = (prog.func("poly").unwrap(), prog.func("dot").unwrap());
+    // Three variants, a budget one byte short of all three.
+    let len = |n| {
+        Rewriter::new(&img)
+            .rewrite(poly, &poly_req(n))
+            .unwrap()
+            .code_len
+    };
+    let budget = len(3) + len(4) + len(5) - 1;
+    let mgr = SpecializationManager::builder()
+        .budget(budget)
+        .negative_policy(NegativePolicy {
+            base_backoff: 1_000_000,
+            attempt_cap: 10,
+        })
+        .publish_gate(Box::new(
+            |_: &Image, _: u64, req: &SpecRequest, _: &RewriteResult| {
+                assert!(req != &poly_req(13), "gate blew up on purpose");
+                Ok(())
+            },
+        ))
+        .build();
+
+    mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap(); // miss
+    mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap(); // hit
+    let deferred = mgr
+        .run_deferred(&img, 1, || mgr.request(&img, poly, &poly_req(4)).unwrap())
+        .unwrap(); // deferred, then published by the worker
+    assert!(matches!(
+        deferred,
+        Dispatch::Original { deferred: true, .. }
+    ));
+    mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap(); // miss + eviction
+    mgr.build_dispatcher(&img, poly, poly).unwrap();
+    let st = assert_stats_match_registry(&mgr);
+    assert_eq!(
+        (st.hits, st.misses, st.deferred, st.published),
+        (1, 3, 1, 1)
+    );
+    assert_eq!((st.evictions, st.dispatchers_built), (1, 1));
+    assert!(st.resident_bytes <= budget && st.traced_total > 0 && st.rewrite_ns_total > 0);
+
+    // A checkpoint reloaded into a second manager: warm-start publications
+    // are journaled as PUBLISHED but are not worker publications.
+    let warm = SpecializationManager::new();
+    let img2 = Image::new();
+    brew_minic::compile_into(LIFE, &img2).unwrap();
+    let report = warm
+        .load_variant_bytes(&img2, &mgr.save_variant_bytes(&img))
+        .unwrap();
+    assert_eq!((report.published, report.rejected.len()), (2, 0));
+    let wst = assert_stats_match_registry(&warm);
+    assert_eq!((wst.published, wst.misses), (0, 0));
+    assert_eq!(warm.metrics().counter(Ctr::CachePublished).get(), 2);
+
+    // Invalidation by function, then a stale revalidation.
+    assert_eq!(mgr.apply_invalidation(Invalidation::Func(poly)), 2);
+    let c = img.alloc_heap(16, 8);
+    img.write_u64(c, 3).unwrap();
+    img.write_u64(c + 8, 7).unwrap();
+    let dot_req = SpecRequest::new()
+        .ptr_to_known(c, 16)
+        .unknown_int()
+        .ret(RetKind::Int);
+    mgr.get_or_rewrite(&img, dot, &dot_req).unwrap(); // miss
+    img.write_u64(c, 5).unwrap();
+    assert_eq!(mgr.apply_invalidation(Invalidation::Revalidate(&img)), 1);
+
+    // A doomed request fails once and is denied afterwards, on both entry
+    // points; a panicking gate is contained and negatively cached too.
+    let doomed = poly_req(64).max_trace_insts(4);
+    assert!(mgr.get_or_rewrite(&img, poly, &doomed).is_err()); // miss
+    assert!(mgr.get_or_rewrite(&img, poly, &doomed).is_err()); // denied
+    assert!(!mgr.request(&img, poly, &doomed).unwrap().is_specialized()); // denied
+    let dump = mgr.flight().dump().render_text();
+    let denied = format!("kind=DENIED func={poly:#x} attempts=1\n");
+    assert_eq!(dump.matches(&denied).count(), 2, "{dump}");
+    assert!(mgr.get_or_rewrite(&img, poly, &poly_req(13)).is_err()); // miss + panic
+
+    let st = assert_stats_match_registry(&mgr);
+    assert_eq!((st.hits, st.misses, st.coalesced), (1, 6, 0));
+    assert_eq!((st.deferred, st.published, st.evictions), (1, 1, 1));
+    assert_eq!((st.invalidated, st.stale, st.denied), (3, 1, 2));
+    assert_eq!((st.panics_contained, st.negative_entries), (1, 2));
+    assert_eq!((st.resident_bytes, mgr.len()), (0, 0));
+    let m = mgr.metrics();
+    assert_eq!(m.counter(Ctr::Rewrites).get(), 4);
+    assert_eq!(m.counter(Ctr::RewriteFailures).get(), 2);
+}
+
+/// The documented freeze: with the registry switched off no decision is
+/// counted anywhere, so the cumulative `CacheStats` fields stand still
+/// while the caches' own accounting keeps moving; switching it back on
+/// resumes from the frozen values.
+#[test]
+fn stats_freeze_while_the_registry_is_disabled() {
+    let (img, poly) = setup();
+    let mgr = SpecializationManager::new();
+    mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap();
+    let before = mgr.stats();
+    assert_eq!((before.hits, before.misses), (0, 1));
+
+    mgr.metrics().set_enabled(false);
+    mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap(); // a hit
+    mgr.get_or_rewrite(&img, poly, &poly_req(4)).unwrap(); // a miss and a rewrite
+    assert!(mgr.get_or_rewrite(&img, 0x10, &poly_req(1)).is_err()); // a failure
+    let frozen = mgr.stats();
+    assert_eq!(mgr.len(), 2, "the manager itself kept working");
+    assert!(frozen.resident_bytes > before.resident_bytes);
+    assert_eq!(frozen.negative_entries, 1);
+    let cumulative = CacheStats {
+        resident_bytes: before.resident_bytes,
+        negative_entries: before.negative_entries,
+        ..frozen
+    };
+    assert_eq!(cumulative, before);
+
+    mgr.metrics().set_enabled(true);
+    mgr.get_or_rewrite(&img, poly, &poly_req(4)).unwrap();
+    let after = mgr.stats();
+    assert_eq!((after.hits, after.misses), (1, 1));
+    assert_eq!(after.traced_total, before.traced_total);
 }

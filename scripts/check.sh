@@ -38,8 +38,9 @@
 # so single-flight/eviction races get exercised with optimization on.
 # The obs stage runs the OBS experiment and the telemetry example; both
 # self-validate their JSON/exposition payloads (brew_core::validate_json
-# and exposition-shape asserts), so a malformed export fails the stage,
-# and the grep below catches a silently missing metric family.
+# and exposition-shape asserts), so a malformed export fails the stage;
+# the stage also fails when a `brew_*` line of EXPERIMENTS.md's OBS excerpt
+# is no longer in the experiment's output.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,14 +79,22 @@ fi
 if [ "$stage" = "all" ] || [ "$stage" = "obs" ]; then
     echo "==> observability gate (tables --exp obs + telemetry example)"
     obs_out="$(cargo run --release --offline -p brew-bench --bin tables -- --exp obs)"
-    for metric in brew_cache_hits_total brew_cache_misses_total \
-        brew_rewrite_trace_ns_bucket brew_guard_hits_total \
-        brew_guard_fallthrough_total brew_cache_resident_bytes; do
-        if ! printf '%s' "$obs_out" | grep -q "$metric"; then
-            echo "FAIL: metric $metric missing from tables --exp obs" >&2
+    # Every metric name, help line and their order are pinned by
+    # crates/core/tests/telemetry.rs against telemetry_pins.txt; what is
+    # checked here is that EXPERIMENTS.md's OBS excerpt is still what the
+    # experiment prints, so the section cannot go stale unnoticed.
+    obs_doc="$(sed -n '/^## OBS /,/^## PROF /p' EXPERIMENTS.md | grep '^brew_' || true)"
+    if [ -z "$obs_doc" ]; then
+        echo "FAIL: no brew_* excerpt found in EXPERIMENTS.md's OBS section" >&2
+        exit 1
+    fi
+    obs_flat="$(printf '%s\n' "$obs_out" | sed 's/^[[:space:]]*//')"
+    printf '%s\n' "$obs_doc" | while IFS= read -r line; do
+        if ! printf '%s\n' "$obs_flat" | grep -qxF -- "$line"; then
+            echo "FAIL: EXPERIMENTS.md OBS says '$line'; tables --exp obs does not print it" >&2
             exit 1
         fi
-    done
+    done || exit 1
     if ! printf '%s' "$obs_out" | grep -q '### Explain report'; then
         echo "FAIL: explain report missing from tables --exp obs" >&2
         exit 1
