@@ -1,7 +1,7 @@
 //! A2: optimization-pass ablation — emulated execution speed of the
 //! specialized stencil with passes on/off.
 
-use brew_core::PassConfig;
+use brew_core::OptLevel;
 use brew_emu::Machine;
 use brew_stencil::Stencil;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,15 +14,13 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("no_passes", |b| {
         let mut s = Stencil::new(XS, YS);
-        let res = s.specialize_apply_with_passes(&PassConfig::none()).unwrap();
+        let res = s.specialize_apply_with_passes(OptLevel::None).unwrap();
         let mut m = Machine::new();
         b.iter(|| s.run_with_apply(&mut m, res.entry, false, 1).unwrap());
     });
     g.bench_function("all_passes", |b| {
         let mut s = Stencil::new(XS, YS);
-        let res = s
-            .specialize_apply_with_passes(&PassConfig::default())
-            .unwrap();
+        let res = s.specialize_apply_with_passes(OptLevel::default()).unwrap();
         let mut m = Machine::new();
         b.iter(|| s.run_with_apply(&mut m, res.entry, false, 1).unwrap());
     });

@@ -75,7 +75,11 @@ fn run_experiment(exp: &str) -> String {
                 "A2 — optimization-pass ablation",
                 &passes_study(XS, YS, ITERS),
             );
-            format!("{ladder}\n{}", pass_removed_table(XS, YS))
+            format!(
+                "{ladder}\nladder rows : {} (one per OptLevel)\n\n{}",
+                brew_core::OptLevel::ALL.len(),
+                pass_removed_table(XS, YS)
+            )
         }
         "a3" => render(
             "A3 — inlining ablation (§IV: 'the most important aspect')",
@@ -157,12 +161,8 @@ fn e2_listing() -> String {
     // The same listing under the proof-gated aggressive coalescer: the
     // compiler frame and the dead rbp save are gone (V2's gated number).
     let mut sa = Stencil::new(XS, YS);
-    let pc = brew_core::PassConfig {
-        regalloc_aggressive: true,
-        ..brew_core::PassConfig::default()
-    };
     let ares = sa
-        .specialize_apply_with_passes(&pc)
+        .specialize_apply_with_passes(brew_core::OptLevel::Aggressive)
         .expect("aggressive rewrite");
     let alines = brew_core::disasm_result(&sa.img, &ares);
     out.push_str(&format!(

@@ -2,7 +2,7 @@
 //! equivalence rejections on a clean differential corpus (and so zero
 //! conservative re-emissions through a gated manager), 100% detection of
 //! the regalloc- and dataflow-pass-shaped miscompile kinds, and the E2
-//! instruction-count ladder that `regalloc_aggressive` buys once the proof
+//! instruction-count ladder that `OptLevel::Aggressive` buys once the proof
 //! gates it.
 //!
 //! Rendered as greppable lines so `tables --exp v2` doubles as the
@@ -23,7 +23,7 @@
 //!    non-increasing and land at or under the aggressive-coalescing gate.
 
 use brew_core::telemetry::metrics::Ctr;
-use brew_core::{PassConfig, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager};
+use brew_core::{OptLevel, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager};
 use brew_image::Image;
 use brew_pgas::PgasArray;
 use brew_stencil::Stencil;
@@ -162,17 +162,11 @@ fn corpus(img: &Image) -> Vec<(String, u64, SpecRequest)> {
 /// pipeline, the aggressive coalescer the proof unlocks, and the
 /// pass-less shape whose frame traffic stresses the spill-vs-promote
 /// join.
-fn pass_points() -> Vec<(&'static str, PassConfig)> {
-    vec![
-        ("all", PassConfig::default()),
-        (
-            "aggr",
-            PassConfig {
-                regalloc_aggressive: true,
-                ..PassConfig::default()
-            },
-        ),
-        ("none", PassConfig::none()),
+fn pass_points() -> [(&'static str, OptLevel); 3] {
+    [
+        ("all", OptLevel::default()),
+        ("aggr", OptLevel::Aggressive),
+        ("none", OptLevel::None),
     ]
 }
 
@@ -286,7 +280,7 @@ pub fn equiv_study() -> EquivV2Report {
                     | mutate::Mutation::FoldedImmOffByOne
                     | mutate::Mutation::DroppedFlagWriter
             );
-            if dataflow_shaped && !req.pass_config().redundant_load_elim {
+            if dataflow_shaped && req.pass_config() < OptLevel::Dataflow {
                 continue;
             }
             let Some(m) = mutate::apply(&img, res, kind) else {
@@ -302,68 +296,18 @@ pub fn equiv_study() -> EquivV2Report {
     }
 
     // --- section 3: the E2 static instruction ladder ---
-    let ladder_points: Vec<(&str, PassConfig)> = vec![
-        ("no passes (paper prototype)", PassConfig::none()),
-        (
-            "+ peephole",
-            PassConfig {
-                peephole: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "+ dead-store elim",
-            PassConfig {
-                peephole: true,
-                dead_store_elim: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "+ const-prop + DCE",
-            PassConfig {
-                peephole: true,
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "+ slot promotion",
-            PassConfig {
-                peephole: true,
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                slot_promotion: true,
-                ..PassConfig::none()
-            },
-        ),
-        (
-            "+ frame compression",
-            PassConfig {
-                regalloc: false,
-                ..PassConfig::default()
-            },
-        ),
-        ("+ register allocation", PassConfig::default()),
-        (
-            "+ aggressive coalescing",
-            PassConfig {
-                regalloc_aggressive: true,
-                ..PassConfig::default()
-            },
-        ),
-    ];
     let mut ladder = Vec::new();
     let mut aggressive_insts = 0;
-    for (label, pc) in ladder_points {
+    for level in OptLevel::ALL {
         let mut s = Stencil::new(crate::XS, crate::YS);
-        let res = s.specialize_apply_with_passes(&pc).expect("ladder rewrite");
+        let res = s
+            .specialize_apply_with_passes(level)
+            .expect("ladder rewrite");
         let insts = brew_core::disasm_result(&s.img, &res).len();
-        if label == "+ aggressive coalescing" {
+        if level == OptLevel::Aggressive {
             aggressive_insts = insts;
         }
-        ladder.push((label.to_string(), insts, res.code_len));
+        ladder.push((crate::level_label(level).to_string(), insts, res.code_len));
     }
 
     EquivV2Report {
@@ -417,7 +361,7 @@ pub fn render_equiv(title: &str, r: &EquivV2Report) -> String {
     s.push_str("E2 instruction ladder     :\n");
     for (label, insts, bytes) in &r.ladder {
         s.push_str(&format!(
-            "  {label:<28}: {insts:>3} insts, {bytes:>4} bytes\n"
+            "  {label:<38}: {insts:>3} insts, {bytes:>4} bytes\n"
         ));
     }
     s.push_str(&format!(

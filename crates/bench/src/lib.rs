@@ -23,7 +23,7 @@ pub use serve::{render_serve, serve_study, ServeReport, ServeRow, KEYS, SERVE_HE
 pub use tier::{render_tier, tier_study, TierPhase, TierReport, FPS, HEAD_MASS_PCT, HOT};
 pub use verify::{render_verify, verify_study, CleanRow, KindRow, VerifyV1Report};
 
-use brew_core::PassConfig;
+use brew_core::OptLevel;
 use brew_emu::{Machine, Stats};
 use brew_pgas::PgasArray;
 use brew_stencil::{Stencil, Variant};
@@ -115,80 +115,29 @@ pub fn sweep_study(xs: i64, ys: i64, iters: u32, unrolls: &[u32]) -> Vec<Row> {
     out
 }
 
-/// A2: specialized `apply` with passes on/off.
+/// The row label of one rung of the A2 / E2 ladders.
+pub fn level_label(level: OptLevel) -> &'static str {
+    match level {
+        OptLevel::None => "no passes (paper prototype)",
+        OptLevel::Peephole => "+ peephole",
+        OptLevel::DeadStores => "+ dead-store elim",
+        OptLevel::SlotAlloc => "+ slot allocation",
+        OptLevel::FrameCompression => "+ frame compression",
+        OptLevel::Regalloc => "+ register allocation",
+        OptLevel::Dataflow => "+ const-prop + DCE (default)",
+        OptLevel::Aggressive => "+ aggressive coalescing (proof-gated)",
+    }
+}
+
+/// A2: specialized `apply` at every optimization level.
 pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
     let mut m = Machine::new();
     let host = Stencil::new(xs, ys).host_checksum(iters);
     let mut out = Vec::new();
-    let configs: [(&str, PassConfig); 8] = [
-        ("no passes (paper prototype)", PassConfig::none()),
-        (
-            "+ peephole",
-            PassConfig {
-                dead_store_elim: false,
-                redundant_load_elim: false,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ dead-store elim",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: false,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ const-prop + DCE",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                peephole: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ slot promotion",
-            PassConfig {
-                dead_store_elim: true,
-                redundant_load_elim: true,
-                peephole: true,
-                slot_promotion: true,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-        ),
-        (
-            "+ frame compression",
-            PassConfig {
-                regalloc: false,
-                ..PassConfig::default()
-            },
-        ),
-        ("all passes (+ register allocation)", PassConfig::default()),
-        (
-            "+ aggressive coalescing (proof-gated)",
-            PassConfig {
-                regalloc_aggressive: true,
-                ..PassConfig::default()
-            },
-        ),
-    ];
-    for (label, pc) in configs {
+    for level in OptLevel::ALL {
+        let label = level_label(level);
         let mut s = Stencil::new(xs, ys);
-        let res = s.specialize_apply_with_passes(&pc).unwrap();
+        let res = s.specialize_apply_with_passes(level).unwrap();
         let st = s.run_with_apply(&mut m, res.entry, false, iters).unwrap();
         assert_eq!(s.checksum(iters), host);
         out.push(Row {
@@ -200,8 +149,8 @@ pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
     out
 }
 
-/// A2's companion: instructions removed per pass stage (the `removed`
-/// argument of each `cat:"pass"` span) for the specialized `apply` and the
+/// A2's companion: instructions removed (by the slot allocator: converted)
+/// per pass stage (the argument of each `cat:"pass"` span) for the specialized `apply` and the
 /// whole-sweep rewrite, so each pass's share is visible next to the ladder.
 pub fn pass_removed_table(xs: i64, ys: i64) -> String {
     let s = Stencil::new(xs, ys);
@@ -213,15 +162,17 @@ pub fn pass_removed_table(xs: i64, ys: i64) -> String {
         rec.events_in("pass")
             .iter()
             .map(|e| {
-                let removed = e.args.iter().find(|a| a.0 == "removed");
-                (e.name.clone(), removed.map_or("-".into(), |a| a.1.clone()))
+                (
+                    e.name.clone(),
+                    e.args.first().map_or("-".into(), |a| a.1.clone()),
+                )
             })
             .collect()
     };
     let apply = spans("apply", s.apply_request());
     let sweep = spans("sweep_generic", s.sweep_request(4));
     let mut out = format!(
-        "### instructions removed per pass\n\n{:<22} {:>8} {:>10}\n",
+        "### instructions removed (slot-alloc: converted) per pass\n\n{:<22} {:>8} {:>10}\n",
         "pass", "apply", "sweep.u4"
     );
     for ((name, a), (_, w)) in apply.iter().zip(&sweep) {
@@ -417,7 +368,7 @@ pub fn cache_study(xs: i64, ys: i64, rerequests: u32) -> CacheReport {
     let s = Stencil::new(xs, ys);
     let func = s.prog.func("apply").unwrap();
     let hot = s.apply_request();
-    let alt = s.apply_request().passes(PassConfig::none());
+    let alt = s.apply_request().passes(OptLevel::None);
 
     let mgr = SpecializationManager::new();
     let t0 = Instant::now();
@@ -521,7 +472,7 @@ pub fn lifecycle_study(xs: i64, ys: i64, denials: u32) -> LifecycleReport {
         .build();
     // Two healthy variants for the sweep to re-hash.
     mgr.get_or_rewrite(&s.img, func, &hot).unwrap();
-    mgr.get_or_rewrite(&s.img, func, &hot.clone().passes(PassConfig::none()))
+    mgr.get_or_rewrite(&s.img, func, &hot.clone().passes(OptLevel::None))
         .unwrap();
 
     let t0 = Instant::now();
@@ -626,7 +577,7 @@ pub fn conc_study(xs: i64, ys: i64, rounds: u32, thread_counts: &[u32]) -> Vec<C
         // (trace-budget tweaks change the fingerprint, not the code).
         let reqs = [
             s.apply_request(),
-            s.apply_request().passes(PassConfig::none()),
+            s.apply_request().passes(OptLevel::None),
             s.apply_request().max_trace_insts(3_999_999),
             s.apply_request().max_trace_insts(3_999_998),
         ];

@@ -47,6 +47,11 @@ const PROG: &str = r#"
         for (int i = 0; i < n; i++) d += xs[i] * ys[i];
         return d;
     }
+    int held(int x, int k) {
+        int y = x * k;
+        tick(0);
+        return y + x;
+    }
 "#;
 
 /// One verified variant.
@@ -157,6 +162,17 @@ fn corpus(img: &Image) -> Vec<(String, u64, SpecRequest)> {
                     o.branch_unknown = true;
                     o.max_variants = 2;
                 }),
+        ),
+        // `x` and `y` are live across the kept call: their spills must stay
+        // in memory — the site of the dropped-spill-store mutant.
+        (
+            "held across a kept call".into(),
+            f("held"),
+            SpecRequest::new()
+                .unknown_int()
+                .known_int(3)
+                .ret(RetKind::Int)
+                .func(f("tick"), |o| o.inline = false),
         ),
     ]
 }

@@ -285,30 +285,34 @@ fn trackable(m: &MemRef) -> bool {
 // Frame slots
 // ---------------------------------------------------------------------------
 
-/// Set of tracked frame slots (bit = index into [`Cx::slots`]).
+/// Set of tracked frame slots (bit = index into a slot table such as
+/// [`Cx::slots`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct SlotSet([u64; 4]);
 
 impl SlotSet {
-    const CAP: usize = 256;
+    pub const CAP: usize = 256;
     const ALL: SlotSet = SlotSet([!0; 4]);
 
-    fn has(&self, i: usize) -> bool {
+    pub fn has(&self, i: usize) -> bool {
         self.0[i / 64] & (1 << (i % 64)) != 0
     }
-    fn set(&mut self, i: usize) {
+    pub fn set(&mut self, i: usize) {
         self.0[i / 64] |= 1 << (i % 64);
     }
     fn clear(&mut self, i: usize) {
         self.0[i / 64] &= !(1 << (i % 64));
     }
-    fn union(self, o: SlotSet) -> SlotSet {
+    pub fn union(self, o: SlotSet) -> SlotSet {
         SlotSet(std::array::from_fn(|i| self.0[i] | o.0[i]))
+    }
+    pub fn without(self, o: SlotSet) -> SlotSet {
+        SlotSet(std::array::from_fn(|i| self.0[i] & !o.0[i]))
     }
 }
 
 /// The 8-aligned slot keys the `len` bytes at `off` touch.
-fn slot_keys(off: i64, len: u8) -> impl Iterator<Item = i64> {
+pub(crate) fn slot_keys(off: i64, len: u8) -> impl Iterator<Item = i64> {
     let first = off.div_euclid(8);
     let last = (off + len as i64 - 1).div_euclid(8);
     (first..=last).map(|k| k * 8)

@@ -12,8 +12,6 @@
 //! brew_rewrite(rConf, func, 0, xs, &s5);       rw.rewrite(func, &req)
 //! ```
 //!
-//! (The literal `brew_*` spelling also keeps working via [`compat`].)
-//!
 //! The rewriter traces one emulated call of the function instruction by
 //! instruction, maintaining a known/unknown flag for every value
 //! ([`value::Value`]), inlining calls over a shadow stack, following known
@@ -58,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod capture;
-pub mod compat;
 pub mod config;
 pub mod dataflow;
 pub mod emit;
@@ -69,7 +66,6 @@ pub mod guard;
 pub mod manager;
 pub mod passes;
 pub mod persist;
-pub mod promote;
 pub mod regalloc;
 pub mod request;
 pub mod snapshot;
@@ -91,7 +87,7 @@ pub use manager::{
     RecordingSink, SaveReport, SpecializationManager, TickSummary, TierAction, TieringConfig,
     TieringPolicy, Variant,
 };
-pub use passes::PassConfig;
+pub use passes::OptLevel;
 pub use persist::{PersistError, PersistedVariant};
 pub use request::SpecRequest;
 pub use snapshot::KnownSnapshot;
@@ -163,7 +159,7 @@ impl<'a> Rewriter<'a> {
     /// `func` as described by `req` — each parameter's treatment and trace
     /// value bound together, plus configuration and pass selection.
     pub fn rewrite(&mut self, func: u64, req: &SpecRequest) -> Result<RewriteResult, RewriteError> {
-        self.rewrite_parts(&req.cfg, func, &req.args, &req.passes, None)
+        self.rewrite_parts(&req.cfg, func, &req.args, req.level, None)
     }
 
     /// [`Rewriter::rewrite`] with a structured trace attached: the
@@ -177,7 +173,7 @@ impl<'a> Rewriter<'a> {
         req: &SpecRequest,
     ) -> Result<(RewriteResult, telemetry::SpanRecorder), RewriteError> {
         let mut rec = telemetry::SpanRecorder::new();
-        let res = self.rewrite_parts(&req.cfg, func, &req.args, &req.passes, Some(&mut rec))?;
+        let res = self.rewrite_parts(&req.cfg, func, &req.args, req.level, Some(&mut rec))?;
         Ok((res, rec))
     }
 
@@ -194,55 +190,6 @@ impl<'a> Rewriter<'a> {
         self.rewrite(func, req)
     }
 
-    /// Deprecated split-API entry point: a [`RewriteConfig`] plus a
-    /// positional argument slice. Specs and values must line up
-    /// one-to-one; prefer [`Rewriter::rewrite`] with a [`SpecRequest`],
-    /// which makes drift unrepresentable.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest and call `rewrite(func, &req)`"
-    )]
-    pub fn rewrite_with_config(
-        &mut self,
-        cfg: &RewriteConfig,
-        func: u64,
-        args: &[ArgValue],
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, &PassConfig::default())?;
-        self.rewrite(func, &req)
-    }
-
-    /// Deprecated split-API variant of [`Rewriter::rewrite_named`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest and call `rewrite_named(name, &req)`"
-    )]
-    pub fn rewrite_named_with_config(
-        &mut self,
-        cfg: &RewriteConfig,
-        name: &str,
-        args: &[ArgValue],
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, &PassConfig::default())?;
-        self.rewrite_named(name, &req)
-    }
-
-    /// Deprecated split-API entry point with an explicit pass selection.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SpecRequest with `.passes(pc)` and call `rewrite(func, &req)`"
-    )]
-    pub fn rewrite_with_passes(
-        &mut self,
-        cfg: &RewriteConfig,
-        func: u64,
-        args: &[ArgValue],
-        pc: &PassConfig,
-    ) -> Result<RewriteResult, RewriteError> {
-        let req = SpecRequest::from_config(cfg, args, pc)?;
-        self.rewrite(func, &req)
-    }
-
     /// The rewrite pipeline proper, over validated parts. `rec` (optional)
     /// collects the span tree of the run.
     fn rewrite_parts(
@@ -250,7 +197,7 @@ impl<'a> Rewriter<'a> {
         cfg: &RewriteConfig,
         func: u64,
         args: &[ArgValue],
-        pc: &PassConfig,
+        level: OptLevel,
         mut rec: Option<&mut telemetry::SpanRecorder>,
     ) -> Result<RewriteResult, RewriteError> {
         if cfg.mem_access_hook.is_some()
@@ -361,7 +308,7 @@ impl<'a> Rewriter<'a> {
         let t_pass = Instant::now();
         let span_pass = rec.as_ref().map(|r| r.now_ns());
         stats.pass_removed =
-            passes::run_passes_traced(&mut blocks, pc, escaped, cfg.ret, rec.as_deref_mut());
+            passes::run_passes_traced(&mut blocks, level, escaped, cfg.ret, rec.as_deref_mut());
         stats.pass_ns = t_pass.elapsed().as_nanos() as u64;
         if let (Some(r), Some(t0)) = (rec.as_deref_mut(), span_pass) {
             r.complete(
@@ -409,7 +356,7 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Re-run the optimization passes over a previous rewrite's captured
-    /// CFG without the proof-carrying ones ([`PassConfig::conservative`]:
+    /// CFG without the proof-carrying ones (at most [`OptLevel::Regalloc`]:
     /// no constant propagation, the dead-code sweeps back to flag-neutral
     /// moves, no aggressive register allocation), and emit the result as
     /// a fresh variant — the publish gate's fallback path when an
@@ -427,11 +374,11 @@ impl<'a> Rewriter<'a> {
         })?;
         let mut blocks = cap.blocks.clone();
         let entry_block = capture::BlockId(cap.entry_block);
-        let pc = req.passes.conservative();
+        let level = req.level.min(OptLevel::Regalloc);
         let mut stats = res.stats;
 
         let t_pass = Instant::now();
-        stats.pass_removed = passes::run_passes(&mut blocks, &pc, cap.frame_escaped, req.cfg.ret);
+        stats.pass_removed = passes::run_passes(&mut blocks, level, cap.frame_escaped, req.cfg.ret);
         stats.pass_ns = t_pass.elapsed().as_nanos() as u64;
 
         let t_emit = Instant::now();

@@ -20,8 +20,6 @@
 //!     .build();
 //! assert_eq!(mgr.budget_bytes(), 64 * 1024);
 //! ```
-//!
-//! The old setters live on as `#[deprecated]` shims in [`crate::compat`].
 
 use super::negative::{NegativeCache, NegativePolicy};
 use super::shards::{ShardedCache, DEFAULT_SHARDS};

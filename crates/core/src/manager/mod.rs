@@ -87,8 +87,7 @@
 //!   poisoning for the same reason.
 //!
 //! Construction goes through [`ManagerBuilder`] (one fluent chain, typed
-//! config structs); the accreted `with_*`/`set_*` surface lives on as
-//! deprecated shims in [`crate::compat`].
+//! config structs).
 
 mod builder;
 mod inflight;
@@ -107,7 +106,7 @@ use crate::telemetry::flight::{milli, FlightKind};
 use crate::telemetry::{
     self, metrics::Ctr, metrics::Gge, metrics::Hst, FlightRecorder, MetricsRegistry, SymbolTable,
 };
-use crate::Rewriter;
+use crate::{OptLevel, Rewriter};
 use brew_image::{Image, SegKind};
 pub use builder::{DeferredConfig, ManagerBuilder};
 use inflight::{InflightTable, Join};
@@ -391,7 +390,7 @@ pub struct PublishRejection {
     pub summary: String,
     /// True when the rejection came from the translation-validation tier
     /// (an equivalence-class finding). For a request whose passes carry
-    /// a proof obligation (`PassConfig::proof_carrying`) the manager
+    /// a proof obligation (above `OptLevel::Regalloc`) the manager
     /// treats this as "the optimization was wrong, not the variant": it
     /// re-runs the passes conservatively over the captured CFG and
     /// re-gates the result instead of caching a failure.
@@ -1291,7 +1290,7 @@ impl SpecializationManager {
                         Ok(()) => Ok(res),
                         Err(failure)
                             if failure.equivalence
-                                && req.pass_config().proof_carrying()
+                                && req.pass_config() > OptLevel::Regalloc
                                 && res.equiv.is_some() =>
                         {
                             self.regalloc_fallback(img, func, req, &res, &failure)
@@ -1704,9 +1703,7 @@ impl SpecializationManager {
 
     /// The one invalidation entry point: drop exactly the cached variants
     /// `inv` names and return how many were dropped. See [`Invalidation`]
-    /// for the three selectors; the deprecated `invalidate`,
-    /// `invalidate_data` and `revalidate` methods in [`crate::compat`]
-    /// delegate here.
+    /// for the three selectors.
     pub fn apply_invalidation(&self, inv: Invalidation<'_>) -> usize {
         match inv {
             Invalidation::Func(func) => {

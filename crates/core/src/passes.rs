@@ -2,107 +2,90 @@
 //! passes over the newly generated, captured blocks").
 //!
 //! The paper's prototype had none and still beat the generic code by >2×;
-//! these passes close part of the remaining gap to the manual version and
-//! are individually switchable for the A2 ablation experiment.
+//! these passes close part of the remaining gap to the manual version; the
+//! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
 use crate::capture::{CapturedBlock, CapturedInst};
 use crate::dataflow::{liveness, propagate_constants};
 use brew_x86::prelude::*;
 use brew_x86::WordSet;
 
-/// Which passes run after tracing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassConfig {
+/// How far up the optimization ladder a rewrite goes. The levels are
+/// cumulative: each one runs everything below it plus the stage it is
+/// named after (the stages keep their own execution order, see
+/// [`run_passes`]), so a request selects its passes with one comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[repr(u8)]
+pub enum OptLevel {
+    /// No passes (paper-prototype fidelity mode).
+    None,
+    /// Remove no-op moves and lea identities, cancel dead stack-temp pairs.
+    Peephole,
     /// Remove stores to frame slots that no emitted instruction reads.
-    pub dead_store_elim: bool,
-    /// Forward dataflow over the captured CFG: propagate constants and
-    /// copies through registers and frame slots (store-to-load forwarding
-    /// is the block-local case), then collect what that kills with the
-    /// flags- and slot-aware dead-code elimination. Publishable only when
-    /// the translation-validation proof in `brew-verify` passes; the
-    /// manager re-emits without it on proof failure.
-    pub redundant_load_elim: bool,
-    /// Remove no-op moves and lea identities.
-    pub peephole: bool,
-    /// Promote whole frame slots into provably-free scratch registers.
-    pub slot_promotion: bool,
+    DeadStores,
+    /// Move whole frame slots into provably-free scratch registers
+    /// (`regalloc::allocate_slots`).
+    SlotAlloc,
     /// Remove dead push/pop pairs from inlined frames (§VIII "improved
     /// inlining of small functions and deep call chains").
-    pub frame_compression: bool,
-    /// Post-rewrite register allocation: CFG-aware slot promotion plus
-    /// liveness-driven copy coalescing and address folding (paper §IV
-    /// "register renaming").
-    pub regalloc: bool,
-    /// Aggressive register allocation: narrow the conservative `ABI_RET`
-    /// live-out contract to exactly the declared return class plus
-    /// callee-saved registers, unlocking coalescing of per-point XMM
-    /// temporaries and address-chain registers. Only publishable when the
-    /// translation-validation proof in `brew-verify` passes; the manager
-    /// falls back to the conservative allocation on proof failure.
-    pub regalloc_aggressive: bool,
+    FrameCompression,
+    /// Liveness-driven copy coalescing and address folding over the CFG
+    /// (paper §IV "register renaming"). The highest level that stands on a
+    /// local argument alone — what the manager re-emits at after an
+    /// equivalence rejection.
+    Regalloc,
+    /// Forward dataflow over the captured CFG: propagate constants and
+    /// copies through registers and frame slots, then collect what that
+    /// kills with the flags- and slot-aware dead-code elimination. From
+    /// here up a variant is publishable only when the translation-
+    /// validation proof in `brew-verify` passes.
+    #[default]
+    Dataflow,
+    /// Narrow the conservative `ABI_RET` live-out contract to exactly the
+    /// declared return class plus callee-saved registers, unlocking
+    /// coalescing of per-point XMM temporaries and address-chain registers.
+    Aggressive,
 }
 
-impl Default for PassConfig {
-    fn default() -> Self {
-        PassConfig {
-            dead_store_elim: true,
-            redundant_load_elim: true,
-            peephole: true,
-            slot_promotion: true,
-            frame_compression: true,
-            regalloc: true,
-            regalloc_aggressive: false,
-        }
-    }
-}
+impl OptLevel {
+    /// Every level, lowest first.
+    pub const ALL: [OptLevel; 8] = [
+        OptLevel::None,
+        OptLevel::Peephole,
+        OptLevel::DeadStores,
+        OptLevel::SlotAlloc,
+        OptLevel::FrameCompression,
+        OptLevel::Regalloc,
+        OptLevel::Dataflow,
+        OptLevel::Aggressive,
+    ];
 
-impl PassConfig {
-    /// Disable everything (paper-prototype fidelity mode).
-    pub fn none() -> Self {
-        PassConfig {
-            dead_store_elim: false,
-            redundant_load_elim: false,
-            peephole: false,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        }
-    }
-
-    /// The same selection without the passes that stand on the
-    /// equivalence proof — what the manager re-emits after a rejection.
-    pub fn conservative(mut self) -> Self {
-        self.redundant_load_elim = false;
-        self.regalloc_aggressive = false;
-        self
-    }
-
-    /// Does the selection include a pass only the equivalence proof
-    /// justifies (so that a rejection is worth a conservative retry)?
-    pub fn proof_carrying(&self) -> bool {
-        self.redundant_load_elim || self.regalloc_aggressive
+    /// The level a checkpoint byte names, if any.
+    pub fn from_u8(b: u8) -> Option<OptLevel> {
+        Self::ALL.get(usize::from(b)).copied()
     }
 }
 
-/// Run the configured passes; returns the number of removed instructions.
+/// Run the passes `level` selects; returns the number of removed
+/// instructions.
 ///
 /// `frame_escaped` disables every frame-slot argument (an escaped frame
 /// address means unknown loads may legally alias the frame).
 pub fn run_passes(
     blocks: &mut [CapturedBlock],
-    pc: &PassConfig,
+    level: OptLevel,
     frame_escaped: bool,
     ret: crate::config::RetKind,
 ) -> u64 {
-    run_passes_traced(blocks, pc, frame_escaped, ret, None)
+    run_passes_traced(blocks, level, frame_escaped, ret, None)
 }
 
 /// [`run_passes`] with optional span recording: each enabled pass gets a
-/// `cat:"pass"` span carrying its removal count.
+/// `cat:"pass"` span carrying its removal count (the slot allocator's
+/// carries its conversion count).
 pub fn run_passes_traced(
     blocks: &mut [CapturedBlock],
-    pc: &PassConfig,
+    level: OptLevel,
     frame_escaped: bool,
     ret: crate::config::RetKind,
     mut rec: Option<&mut crate::telemetry::SpanRecorder>,
@@ -110,67 +93,66 @@ pub fn run_passes_traced(
     let mut removed = 0;
     let staged = |rec: &mut Option<&mut crate::telemetry::SpanRecorder>,
                   name: &'static str,
+                  counts: &'static str,
                   f: &mut dyn FnMut() -> u64|
      -> u64 {
         let t0 = rec.as_ref().map(|r| r.now_ns());
         let n = f();
         if let (Some(r), Some(t0)) = (rec.as_deref_mut(), t0) {
-            r.complete(name, "pass", t0, vec![("removed".into(), n.to_string())]);
+            r.complete(name, "pass", t0, vec![(counts.into(), n.to_string())]);
         }
         n
     };
     // With the forward pass on, every dead-code sweep also judges flag
     // writers, frame stores and push/pop; off, the sweeps keep to
     // flag-neutral register moves.
-    let full = pc.redundant_load_elim;
-    let ret_live = liveness::abi_ret(pc.regalloc && pc.regalloc_aggressive, ret);
-    if pc.redundant_load_elim {
-        removed += staged(&mut rec, "const-prop", &mut || {
+    let full = level >= OptLevel::Dataflow;
+    let ret_live = liveness::abi_ret(level >= OptLevel::Aggressive, ret);
+    if full {
+        removed += staged(&mut rec, "const-prop", "removed", &mut || {
             propagate_constants(blocks, frame_escaped)
         });
-        removed += staged(&mut rec, "dce", &mut || {
+        removed += staged(&mut rec, "dce", "removed", &mut || {
             liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full)
         });
     }
-    if pc.dead_store_elim && !frame_escaped {
-        removed += staged(&mut rec, "dead-store-elim", &mut || {
+    if level >= OptLevel::DeadStores && !frame_escaped {
+        removed += staged(&mut rec, "dead-store-elim", "removed", &mut || {
             dead_frame_stores(blocks)
         });
     }
-    if pc.slot_promotion {
+    if level >= OptLevel::SlotAlloc {
         // Converts memory moves to register moves (not removals, but the
         // conversions enable the peephole below to drop self-moves).
-        staged(&mut rec, "slot-promotion", &mut || {
-            crate::promote::promote_slots(blocks, frame_escaped);
-            0
+        staged(&mut rec, "slot-alloc", "converted", &mut || {
+            crate::regalloc::allocate_slots(blocks, frame_escaped)
         });
     }
-    if pc.peephole {
+    if level >= OptLevel::Peephole {
         // First peephole round: cancel adjacent stack-temp pairs so frame
         // compression sees the minimal push population.
-        removed += staged(&mut rec, "peephole", &mut || {
+        removed += staged(&mut rec, "peephole", "removed", &mut || {
             blocks.iter_mut().map(|b| peephole(b, false)).sum()
         });
     }
-    if pc.frame_compression {
-        removed += staged(&mut rec, "frame-compression", &mut || {
+    if level >= OptLevel::FrameCompression {
+        removed += staged(&mut rec, "frame-compression", "removed", &mut || {
             crate::frame::compress_frames(blocks)
         });
     }
-    if pc.regalloc {
-        // Register allocation proper: promote surviving slots across the
-        // CFG, then coalesce the copy chains promotion leaves behind.
-        removed += staged(&mut rec, "regalloc", &mut || {
-            crate::regalloc::allocate(blocks, frame_escaped, ret, pc)
+    if level >= OptLevel::Regalloc {
+        // Coalesce the copy chains slot allocation leaves behind.
+        removed += staged(&mut rec, "regalloc", "removed", &mut || {
+            crate::regalloc::allocate(blocks, frame_escaped, ret, level)
         });
     }
-    if pc.peephole {
+    if level >= OptLevel::Peephole {
         // Second round: merge the RSP bumps frame compression introduced
         // and drop register writes orphaned by removed consumers.
-        removed += staged(&mut rec, "peephole-2", &mut || {
+        removed += staged(&mut rec, "peephole-2", "removed", &mut || {
             let mut n: u64 = blocks.iter_mut().map(|b| peephole(b, true)).sum();
             // The allocator's own sweep has left nothing dead behind.
-            if !pc.regalloc {
+            if level < OptLevel::Regalloc {
                 n += liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full);
                 n += blocks.iter_mut().map(|b| peephole(b, true)).sum::<u64>();
             }
@@ -411,12 +393,14 @@ mod tests {
 
     /// Constant/copy propagation and its dead-code sweep, nothing else.
     fn forward(insts: Vec<CapturedInst>) -> Vec<Inst> {
-        let pc = PassConfig {
-            redundant_load_elim: true,
-            ..PassConfig::none()
-        };
         let mut blocks = vec![block(insts)];
-        run_passes(&mut blocks, &pc, false, crate::config::RetKind::F64);
+        propagate_constants(&mut blocks, false);
+        liveness::eliminate_dead_code(
+            &mut blocks,
+            false,
+            liveness::abi_ret(false, crate::config::RetKind::F64),
+            true,
+        );
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
@@ -451,20 +435,7 @@ mod tests {
             mov_store(-16, Gpr::Rsi), // loaded below -> kept
             mov_load(Gpr::Rax, -16),
         ])];
-        let removed = run_passes(
-            &mut blocks,
-            &PassConfig {
-                redundant_load_elim: false,
-                peephole: false,
-                dead_store_elim: true,
-                slot_promotion: false,
-                frame_compression: false,
-                regalloc: false,
-                regalloc_aggressive: false,
-            },
-            false,
-            crate::config::RetKind::Int,
-        );
+        let removed = dead_frame_stores(&mut blocks);
         assert_eq!(removed, 1);
         assert_eq!(blocks[0].insts.len(), 2);
     }
@@ -474,7 +445,7 @@ mod tests {
         let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi)])];
         let removed = run_passes(
             &mut blocks,
-            &PassConfig::default(),
+            OptLevel::default(),
             true,
             crate::config::RetKind::Int,
         );
@@ -572,16 +543,12 @@ mod tests {
             }),
             CapturedInst::plain(Inst::Ret),
         ])];
-        let pc = PassConfig {
-            dead_store_elim: false,
-            redundant_load_elim: false,
-            peephole: true,
-            slot_promotion: false,
-            frame_compression: false,
-            regalloc: false,
-            regalloc_aggressive: false,
-        };
-        let removed = run_passes(&mut blocks, &pc, false, crate::config::RetKind::Int);
+        let removed = run_passes(
+            &mut blocks,
+            OptLevel::Peephole,
+            false,
+            crate::config::RetKind::Int,
+        );
         assert_eq!(removed, 3);
         assert_eq!(blocks[0].insts.len(), 1);
     }
@@ -596,7 +563,7 @@ mod tests {
         })])];
         let removed = run_passes(
             &mut blocks,
-            &PassConfig::default(),
+            OptLevel::default(),
             false,
             crate::config::RetKind::Int,
         );

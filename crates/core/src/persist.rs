@@ -10,7 +10,7 @@
 //! is deliberately dumb: little-endian fixed-width fields, length-framed
 //! entries, an FNV-1a checksum per entry, no compression, no pointers.
 //!
-//! ## Layout (version 1)
+//! ## Layout (version 2)
 //!
 //! ```text
 //! file   := magic[8]="BREWVARS" version:u32 count:u32 entry*
@@ -27,7 +27,8 @@
 //!           default_opts
 //!           max_trace_insts:u64 max_blocks:u64 max_code_bytes:u64
 //!           (flag:u8 addr:u64){3}    (mem_access, entry, exit hooks)
-//!           passes:u8                (7-bit mask)
+//!           level:u8                 (`OptLevel` discriminant; version 1
+//!                                    carried a 7-bit pass mask here)
 //! opts   := inline:u8 fresh:u8 branch:u8 max_variants:u32
 //! ```
 //!
@@ -57,7 +58,7 @@
 use crate::capture::RewriteStats;
 use crate::config::{ArgValue, FuncOpts, ParamSpec, RetKind, RewriteConfig};
 use crate::error::RewriteError;
-use crate::passes::PassConfig;
+use crate::passes::OptLevel;
 use crate::request::SpecRequest;
 use crate::snapshot::KnownSnapshot;
 use std::fmt;
@@ -72,7 +73,7 @@ pub const MAGIC: [u8; 8] = *b"BREWVARS";
 /// Current format version; bumped on any layout change. Loads of other
 /// versions fail with [`PersistError::BadVersion`] — there is no
 /// cross-version migration, a cold start is always correct.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a persisted-variant file (or one entry of it) was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +95,7 @@ pub enum PersistError {
         index: usize,
     },
     /// A checksum-valid payload contained an impossible encoding (bad
-    /// tag, arity drift) — version-1 writers never produce this.
+    /// tag, arity drift) — this version's writers never produce it.
     BadEncoding {
         /// What the decoder tripped over.
         what: String,
@@ -331,14 +332,7 @@ fn encode_req(w: &mut Writer, req: &SpecRequest) {
         w.u8(hook.is_some() as u8);
         w.u64(hook.unwrap_or(0));
     }
-    let p = req.pass_config();
-    w.u8((p.dead_store_elim as u8)
-        | (p.redundant_load_elim as u8) << 1
-        | (p.peephole as u8) << 2
-        | (p.slot_promotion as u8) << 3
-        | (p.frame_compression as u8) << 4
-        | (p.regalloc as u8) << 5
-        | (p.regalloc_aggressive as u8) << 6);
+    w.u8(req.pass_config() as u8);
 }
 
 fn decode_req(r: &mut Reader<'_>) -> Result<SpecRequest, PersistError> {
@@ -400,17 +394,11 @@ fn decode_req(r: &mut Reader<'_>) -> Result<SpecRequest, PersistError> {
     cfg.mem_access_hook = hooks[0];
     cfg.entry_hook = hooks[1];
     cfg.exit_hook = hooks[2];
-    let mask = r.u8()?;
-    let passes = PassConfig {
-        dead_store_elim: mask & 1 != 0,
-        redundant_load_elim: mask & 2 != 0,
-        peephole: mask & 4 != 0,
-        slot_promotion: mask & 8 != 0,
-        frame_compression: mask & 16 != 0,
-        regalloc: mask & 32 != 0,
-        regalloc_aggressive: mask & 64 != 0,
-    };
-    SpecRequest::from_config(&cfg, &args, &passes).map_err(|e| PersistError::BadEncoding {
+    let byte = r.u8()?;
+    let level = OptLevel::from_u8(byte).ok_or_else(|| PersistError::BadEncoding {
+        what: format!("optimization level {byte}"),
+    })?;
+    SpecRequest::from_config(&cfg, &args, level).map_err(|e| PersistError::BadEncoding {
         what: e.to_string(),
     })
 }
@@ -587,7 +575,7 @@ mod tests {
             .func(0x40_1000, |o| o.inline = false)
             .max_trace_insts(12_345)
             .entry_hook(0x42_0000)
-            .passes(PassConfig::none());
+            .passes(OptLevel::None);
         PersistedVariant {
             func,
             fingerprint: req.fingerprint(),
@@ -646,12 +634,18 @@ mod tests {
         bad[0] ^= 0xFF;
         assert_eq!(decode_variants(&bad), Err(PersistError::BadMagic));
 
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        assert_eq!(
-            decode_variants(&bad),
-            Err(PersistError::BadVersion { found: 99 })
-        );
+        // Version 1 carried a pass mask where the level byte is now: it is
+        // refused whole, like any other foreign version.
+        for found in [1, 99] {
+            let mut bad = bytes.clone();
+            bad[8] = found;
+            assert_eq!(
+                decode_variants(&bad),
+                Err(PersistError::BadVersion {
+                    found: found.into()
+                })
+            );
+        }
 
         assert_eq!(
             decode_variants(&bytes[..bytes.len() - 3]),

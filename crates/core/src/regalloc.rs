@@ -2,22 +2,33 @@
 //! prototype's named next step; ROADMAP item 1).
 //!
 //! Two phases, both driven by the `x86::defuse` sets validated
-//! differentially against the emulator in PR 5:
+//! differentially against the emulator in PR 5; `run_passes` calls each
+//! once, the first before the peephole and frame compression (whose pairs
+//! only line up once the spill traffic between them is gone), the second
+//! after:
 //!
-//! 1. **Slot allocation** — the CFG-aware generalization of
-//!    [`crate::promote::promote_slots`]: per-block live-in/live-out for
-//!    every remaining frame slot, a slot *extent* (the set of blocks the
-//!    slot's value must survive across, including loop back-edge paths),
-//!    and a linear scan over the caller-saved scratch pools that assigns a
-//!    register whose own live range and uses are provably disjoint from
-//!    the extent. Spill fallback is the identity: a slot with no free
-//!    register simply stays in memory, so the pass can never make code
-//!    worse. Unlike `promote_slots` it tolerates kept calls — a slot whose
-//!    extent avoids every barrier block still allocates.
+//! 1. **Slot allocation** (`allocate_slots`). The rewriter's input code
+//!    (like any compiler's spill code) round-trips values through frame
+//!    slots; after specialization deletes the surrounding computation those
+//!    round-trips often dominate. §IV of the paper argues such cleanups
+//!    "can be much simpler than corresponding compiler passes, as being
+//!    tailored to specific cases": per-block live-in/live-out for every
+//!    frame slot that is only ever accessed by aligned plain 8-byte moves,
+//!    a slot *extent* (the set of blocks the slot's value must survive
+//!    across, including loop back-edge paths), and a linear scan over the
+//!    caller-saved scratch pools (`r8`–`r11`, `xmm8`–`xmm15`) that assigns
+//!    a register no instruction names in any extent block or in any block
+//!    reachable from one. Spill fallback is the identity: a slot with no
+//!    free register simply stays in memory, so the pass can never make
+//!    code worse. A kept call, indirect jump or `ud2` in or ahead of an
+//!    extent block keeps the slot in memory (the callee may read or
+//!    clobber the pool); `ret` does not — no caller may expect a
+//!    caller-saved register to survive the call it made, so the pools are
+//!    dead there whatever the conservative sweeps assume.
 //!
-//! 2. **Cleanup** — the rename work that makes phase 1 pay off. Promotion
-//!    leaves chains of register-to-register moves, paired `rsp`
-//!    adjustments around now-registerized temporaries, and
+//! 2. **Cleanup** ([`allocate`]) — the rename work that makes phase 1 pay
+//!    off. Allocation leaves chains of register-to-register moves, paired
+//!    `rsp` adjustments around now-registerized temporaries, and
 //!    address-computation triples. Five sub-passes run to a fixpoint, each
 //!    justified by CFG register liveness (not the "everything is live-out"
 //!    assumption the intra-block peephole must make):
@@ -49,31 +60,30 @@ use crate::capture::{CapturedBlock, CapturedInst};
 use crate::config::RetKind;
 use crate::dataflow::liveness::{
     abi_ret, flags_dead_at, flags_live_out, for_each_read_so, full_def, live_after, references,
-    writes_loc, Live, LiveSet, Liveness,
+    slot_keys, writes_loc, Live, LiveSet, Liveness, SlotSet,
 };
-use crate::passes::PassConfig;
+use crate::passes::OptLevel;
 use brew_x86::prelude::*;
 use brew_x86::{WordMap, WordSet};
 use std::collections::{HashMap, HashSet};
 
-/// Run the allocator; returns the number of instructions removed.
+/// Run the cleanup phase; returns the number of instructions removed.
 ///
-/// `pc.regalloc_aggressive` picks the `ret`-boundary live-out contract
-/// (`liveness::abi_ret`): conservatively everything an observer might read, or
+/// From [`OptLevel::Aggressive`] the `ret`-boundary live-out contract
+/// (`liveness::abi_ret`) narrows from everything an observer might read to
 /// — translation-validated by `brew-verify` before publication — exactly
-/// the declared return class plus the callee-saved set.
-/// `pc.redundant_load_elim` picks the strength of the dead-code sweep.
+/// the declared return class plus the callee-saved set. From
+/// [`OptLevel::Dataflow`] the dead-code sweep is the full one.
 pub fn allocate(
     blocks: &mut [CapturedBlock],
     frame_escaped: bool,
     ret: RetKind,
-    pc: &PassConfig,
+    level: OptLevel,
 ) -> u64 {
-    let aggressive = pc.regalloc_aggressive;
+    let aggressive = level >= OptLevel::Aggressive;
     let ret_live = abi_ret(aggressive, ret);
-    allocate_slots(blocks, frame_escaped, ret_live);
     let n = blocks.len();
-    let mut lv = Liveness::new(blocks, frame_escaped, ret_live, pc.redundant_load_elim);
+    let mut lv = Liveness::new(blocks, frame_escaped, ret_live, level >= OptLevel::Dataflow);
     // The live-out state a block was last processed under, while nothing
     // has touched the block since: processing it again would find nothing.
     let mut settled: Vec<Option<Live>> = vec![None; n];
@@ -146,8 +156,9 @@ enum Class {
     Xmm,
 }
 
-/// Is this frame access an allocatable plain 8-byte move (same contract as
-/// `promote::classify`)? `None` disqualifies the slot.
+/// Is this frame access an allocatable plain 8-byte move? `None`
+/// disqualifies the slot (pushes, pops, RMW ALU on memory; immediate
+/// stores are fine for GPR and keep their imm operand).
 fn classify(inst: &Inst) -> Option<Class> {
     match inst {
         Inst::Mov {
@@ -172,206 +183,198 @@ fn classify(inst: &Inst) -> Option<Class> {
     }
 }
 
-/// Promote remaining frame slots into scratch registers whose live ranges
-/// provably avoid the slot's extent. Returns conversions (not removals).
-fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool, ret_live: LiveSet) -> u64 {
-    if frame_escaped || blocks.is_empty() {
+/// Caller-saved scratch pools, least likely to collide first.
+const GPR_POOL: [Loc; 4] = [
+    Loc::Gpr(Gpr::R11),
+    Loc::Gpr(Gpr::R10),
+    Loc::Gpr(Gpr::R9),
+    Loc::Gpr(Gpr::R8),
+];
+const XMM_POOL: [Loc; 8] = [
+    Loc::Xmm(Xmm::Xmm15),
+    Loc::Xmm(Xmm::Xmm14),
+    Loc::Xmm(Xmm::Xmm13),
+    Loc::Xmm(Xmm::Xmm12),
+    Loc::Xmm(Xmm::Xmm11),
+    Loc::Xmm(Xmm::Xmm10),
+    Loc::Xmm(Xmm::Xmm9),
+    Loc::Xmm(Xmm::Xmm8),
+];
+
+/// Move frame slots into scratch registers whose live ranges provably avoid
+/// the slot's extent. Returns conversions (not removals).
+pub(crate) fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) -> u64 {
+    if frame_escaped {
         return 0;
     }
     let n = blocks.len();
 
-    // Candidate slots: every access is a plain classified move of one class.
-    let mut class: WordMap<i64, (Option<Class>, u64)> = WordMap::default();
+    // Candidate slots: every access that touches the slot is an aligned
+    // plain move of one class.
+    let mut class: WordMap<i64, (Class, u64)> = WordMap::default();
     let mut disqualified: WordSet<i64> = WordSet::default();
-    for b in blocks.iter() {
-        for ci in &b.insts {
-            for off in [ci.frame_store, ci.frame_load].into_iter().flatten() {
-                match classify(&ci.inst) {
-                    Some(c) => {
-                        let e = class.entry(off).or_insert((Some(c), 0));
-                        if e.0 != Some(c) {
-                            disqualified.insert(off);
-                        }
-                        e.1 += 1;
-                    }
-                    None => {
+    for ci in blocks.iter().flat_map(|b| &b.insts) {
+        for off in [ci.frame_store, ci.frame_load].into_iter().flatten() {
+            match classify(&ci.inst).filter(|_| off % 8 == 0) {
+                Some(c) => {
+                    let e = class.entry(off).or_insert((c, 0));
+                    if e.0 != c {
                         disqualified.insert(off);
                     }
+                    e.1 += 1;
                 }
+                // A packed, narrow or unaligned access keeps every slot it
+                // touches in memory, not only the one it names.
+                None => disqualified.extend(slot_keys(off, ci.inst.mem_width())),
             }
         }
     }
     let mut cands: Vec<(i64, Class, u64)> = class
         .iter()
-        .filter(|(off, _)| !disqualified.contains(off))
-        .filter_map(|(off, (c, cnt))| (*c).map(|c| (*off, c, *cnt)))
-        .filter(|&(_, _, cnt)| cnt >= 2)
+        .filter(|(off, (_, cnt))| *cnt >= 2 && !disqualified.contains(off))
+        .map(|(off, (c, cnt))| (*off, *c, *cnt))
         .collect();
     if cands.is_empty() {
         return 0;
     }
+    // Hottest first; what does not fit the bitsets below stays in memory.
     cands.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
+    cands.truncate(SlotSet::CAP);
 
     // Per-block slot gen (read before write) / kill (written) sets, then a
     // backward fixpoint for slot live-in/out. The extent — every block the
     // slot's value must survive — is access ∪ live-through, which is what
     // a linearized interval would get wrong across loop back-edges.
-    let offsets: Vec<i64> = cands.iter().map(|c| c.0).collect();
-    let slot_ix: WordMap<i64, usize> = offsets.iter().enumerate().map(|(i, o)| (*o, i)).collect();
-    let ns = offsets.len();
-    let mut gen = vec![vec![false; ns]; n];
-    let mut kill = vec![vec![false; ns]; n];
-    let mut accessed = vec![vec![false; ns]; n];
-    for (bi, b) in blocks.iter().enumerate() {
+    #[derive(Clone, Copy, Default)]
+    struct SlotFlow {
+        gen: SlotSet,
+        kill: SlotSet,
+        /// Accessed, live-in or live-out: the block is in the extent.
+        extent: SlotSet,
+        live_in: SlotSet,
+    }
+    let slot_ix: WordMap<i64, usize> = cands.iter().enumerate().map(|(i, c)| (c.0, i)).collect();
+    let mut flow = vec![SlotFlow::default(); n];
+    for (f, b) in flow.iter_mut().zip(blocks.iter()) {
         for ci in &b.insts {
-            if let Some(s) = ci.frame_load.and_then(|o| slot_ix.get(&o)) {
-                accessed[bi][*s] = true;
-                if !kill[bi][*s] {
-                    gen[bi][*s] = true;
+            if let Some(&s) = ci.frame_load.and_then(|o| slot_ix.get(&o)) {
+                f.extent.set(s);
+                if !f.kill.has(s) {
+                    f.gen.set(s);
                 }
             }
-            if let Some(s) = ci.frame_store.and_then(|o| slot_ix.get(&o)) {
-                accessed[bi][*s] = true;
-                kill[bi][*s] = true;
+            if let Some(&s) = ci.frame_store.and_then(|o| slot_ix.get(&o)) {
+                f.extent.set(s);
+                f.kill.set(s);
             }
         }
     }
-    let mut s_in = vec![vec![false; ns]; n];
-    let mut s_out = vec![vec![false; ns]; n];
     loop {
         let mut changed = false;
         for i in (0..n).rev() {
-            for s in 0..ns {
-                let out = blocks[i].term.successors().any(|t| t.0 < n && s_in[t.0][s]);
-                let inn = gen[i][s] || (out && !kill[i][s]);
-                changed |= out != s_out[i][s] || inn != s_in[i][s];
-                s_out[i][s] = out;
-                s_in[i][s] = inn;
-            }
+            let out = (blocks[i].term.successors())
+                .filter(|t| t.0 < n)
+                .fold(SlotSet::default(), |u, t| u.union(flow[t.0].live_in));
+            let f = &mut flow[i];
+            let live_in = f.gen.union(out.without(f.kill));
+            changed |= live_in != f.live_in;
+            f.live_in = live_in;
+            f.extent = f.extent.union(out).union(live_in);
         }
         if !changed {
             break;
         }
     }
 
-    // Register availability per block: the registers referenced by any
-    // instruction, plus block-boundary liveness, plus an "any barrier"
-    // flag (a barrier makes every register live mid-block).
-    let lv = Liveness::new(blocks, frame_escaped, ret_live, false);
+    // Register availability per block: every register referenced in the
+    // block or in any block reachable from it — a superset of what is live
+    // anywhere in the block, since a live register is one some path ahead
+    // reads. A kept call, indirect jump or `ud2` (and an edge that leaves
+    // the capture) may read or clobber anything; `ret` reads the return and
+    // callee-saved registers, never a pool register, so it is no barrier.
     let mut busy = vec![LiveSet::EMPTY; n];
-    let mut has_barrier = vec![false; n];
     for (bi, b) in blocks.iter().enumerate() {
-        let mut u = lv.live_out(blocks, bi).regs.union(lv.live_in(bi).regs);
-        for ci in &b.insts {
-            defuse::for_each_read(&ci.inst, &mut |l| u.set(l));
-            defuse::for_each_write(&ci.inst, &mut |l| u.set(l));
-            has_barrier[bi] |= defuse::is_barrier(&ci.inst);
+        let barrier = |ci: &CapturedInst| defuse::is_barrier(&ci.inst) && ci.inst != Inst::Ret;
+        if b.insts.iter().any(barrier) || b.term.successors().any(|t| t.0 >= n) {
+            busy[bi] = LiveSet::ALL;
+            continue;
         }
-        busy[bi] = u;
+        for ci in &b.insts {
+            defuse::for_each_read(&ci.inst, &mut |l| busy[bi].set(l));
+            defuse::for_each_write(&ci.inst, &mut |l| busy[bi].set(l));
+        }
+    }
+    loop {
+        let mut changed = false;
+        for i in (0..n).rev() {
+            let ahead = (blocks[i].term.successors())
+                .filter(|t| t.0 < n)
+                .fold(busy[i], |u, t| u.union(busy[t.0]));
+            changed |= ahead != busy[i];
+            busy[i] = ahead;
+        }
+        if !changed {
+            break;
+        }
     }
 
     // Linear scan over the scratch pools, hottest slot first. A register
-    // is free for a slot iff every extent block is barrier-free and the
-    // register is neither referenced nor live across any of them.
-    let gpr_pool = [Gpr::R11, Gpr::R10, Gpr::R9, Gpr::R8];
-    let xmm_pool = [
-        Xmm::Xmm15,
-        Xmm::Xmm14,
-        Xmm::Xmm13,
-        Xmm::Xmm12,
-        Xmm::Xmm11,
-        Xmm::Xmm10,
-        Xmm::Xmm9,
-        Xmm::Xmm8,
-    ];
-    let mut gpr_map: WordMap<i64, Gpr> = WordMap::default();
-    let mut xmm_map: WordMap<i64, Xmm> = WordMap::default();
-    for (off, c, _) in &cands {
-        let s = slot_ix[off];
-        let extent: Vec<usize> = (0..n)
-            .filter(|&i| accessed[i][s] || s_in[i][s] || s_out[i][s])
-            .collect();
-        if extent.iter().any(|&i| has_barrier[i]) {
-            continue; // spill fallback: leave the slot in memory
-        }
-        let free = |l: Loc| extent.iter().all(|&i| !busy[i].has(l));
-        match c {
-            Class::Gpr => {
-                if let Some(&r) = gpr_pool.iter().find(|&&r| free(Loc::Gpr(r))) {
-                    gpr_map.insert(*off, r);
-                    for &i in &extent {
-                        busy[i].set(Loc::Gpr(r));
-                    }
-                }
-            }
-            Class::Xmm => {
-                if let Some(&x) = xmm_pool.iter().find(|&&x| free(Loc::Xmm(x))) {
-                    xmm_map.insert(*off, x);
-                    for &i in &extent {
-                        busy[i].set(Loc::Xmm(x));
-                    }
-                }
+    // is free for a slot iff it is busy in none of the extent's blocks;
+    // with none free the slot stays in memory.
+    let mut assigned: WordMap<i64, Loc> = WordMap::default();
+    for (s, &(off, c, _)) in cands.iter().enumerate() {
+        let extent: Vec<usize> = (0..n).filter(|&i| flow[i].extent.has(s)).collect();
+        let pool: &[Loc] = match c {
+            Class::Gpr => &GPR_POOL,
+            Class::Xmm => &XMM_POOL,
+        };
+        if let Some(&r) = pool
+            .iter()
+            .find(|&&r| extent.iter().all(|&i| !busy[i].has(r)))
+        {
+            assigned.insert(off, r);
+            for &i in &extent {
+                busy[i].set(r);
             }
         }
-    }
-    if gpr_map.is_empty() && xmm_map.is_empty() {
-        return 0;
     }
 
-    // Rewrite the accesses (same shapes promote_slots rewrites).
     let mut converted = 0;
-    for b in blocks.iter_mut() {
-        for ci in b.insts.iter_mut() {
-            let off = match (ci.frame_store, ci.frame_load) {
-                (Some(o), None) | (None, Some(o)) => o,
-                _ => continue,
-            };
-            if let Some(&r) = gpr_map.get(&off) {
-                let new = match ci.inst {
-                    Inst::Mov {
-                        w: Width::W64,
-                        dst: Operand::Mem(_),
-                        src,
-                    } => Inst::Mov {
-                        w: Width::W64,
-                        dst: Operand::Reg(r),
-                        src,
-                    },
-                    Inst::Mov {
-                        w: Width::W64,
-                        dst,
-                        src: Operand::Mem(_),
-                    } => Inst::Mov {
-                        w: Width::W64,
-                        dst,
-                        src: Operand::Reg(r),
-                    },
-                    _ => continue,
-                };
-                *ci = CapturedInst::plain(new);
-                converted += 1;
-            } else if let Some(&x) = xmm_map.get(&off) {
-                let new = match ci.inst {
-                    Inst::MovSd {
-                        dst: Operand::Mem(_),
-                        src,
-                    } => Inst::MovSd {
-                        dst: Operand::Xmm(x),
-                        src,
-                    },
-                    Inst::MovSd {
-                        dst,
-                        src: Operand::Mem(_),
-                    } => Inst::MovSd {
-                        dst,
-                        src: Operand::Xmm(x),
-                    },
-                    _ => continue,
-                };
-                *ci = CapturedInst::plain(new);
-                converted += 1;
-            }
-        }
+    for ci in blocks.iter_mut().flat_map(|b| &mut b.insts) {
+        let reg = match (ci.frame_store, ci.frame_load) {
+            (Some(o), None) | (None, Some(o)) => assigned.get(&o),
+            _ => None,
+        };
+        let new = match (reg, ci.inst) {
+            (Some(&Loc::Gpr(r)), Inst::Mov { w, dst, src }) => Inst::Mov {
+                w,
+                dst: if dst.mem().is_some() {
+                    Operand::Reg(r)
+                } else {
+                    dst
+                },
+                src: if src.mem().is_some() {
+                    Operand::Reg(r)
+                } else {
+                    src
+                },
+            },
+            (Some(&Loc::Xmm(x)), Inst::MovSd { dst, src }) => Inst::MovSd {
+                dst: if dst.mem().is_some() {
+                    Operand::Xmm(x)
+                } else {
+                    dst
+                },
+                src: if src.mem().is_some() {
+                    Operand::Xmm(x)
+                } else {
+                    src
+                },
+            },
+            _ => continue,
+        };
+        *ci = CapturedInst::plain(new);
+        converted += 1;
     }
     converted
 }
@@ -1117,7 +1120,7 @@ mod tests {
 
     fn run(insts: Vec<Inst>) -> Vec<Inst> {
         let mut blocks = vec![block(insts)];
-        allocate(&mut blocks, false, RetKind::Int, &PassConfig::default());
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::default());
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
@@ -1390,132 +1393,263 @@ mod tests {
             src: Operand::Reg(Gpr::Rcx),
         }]);
         let mut blocks = vec![b0, b1];
-        allocate(&mut blocks, false, RetKind::Int, &PassConfig::default());
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::default());
         assert_eq!(blocks[0].insts.len(), 1, "def feeds the successor");
+    }
+
+    // --- slot allocation: blocks built the tracer's way, every returning
+    // block ending in the `ret` instruction itself ---
+
+    fn gstore(off: i32, src: Gpr) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::Mov {
+                w: Width::W64,
+                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+                src: Operand::Reg(src),
+            },
+            frame_store: Some(off.into()),
+            frame_load: None,
+        }
+    }
+
+    fn gload(dst: Gpr, off: i32) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::Mov {
+                w: Width::W64,
+                dst: Operand::Reg(dst),
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+            },
+            frame_store: None,
+            frame_load: Some(off.into()),
+        }
+    }
+
+    fn fstore(off: i32, src: Xmm) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::MovSd {
+                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+                src: Operand::Xmm(src),
+            },
+            frame_store: Some(off.into()),
+            frame_load: None,
+        }
+    }
+
+    fn fload(dst: Xmm, off: i32) -> CapturedInst {
+        CapturedInst {
+            inst: Inst::MovSd {
+                dst: Operand::Xmm(dst),
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+            },
+            frame_store: None,
+            frame_load: Some(off.into()),
+        }
+    }
+
+    fn gmov(dst: Gpr, src: Gpr) -> Inst {
+        Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(dst),
+            src: Operand::Reg(src),
+        }
+    }
+
+    fn call() -> CapturedInst {
+        CapturedInst::plain(Inst::CallRel { target: 0x40_0000 })
+    }
+
+    /// A block that hands over to `next`.
+    fn jmp_block(insts: Vec<CapturedInst>, next: usize) -> CapturedBlock {
+        let mut b = block(vec![]);
+        b.insts = insts;
+        b.term = Terminator::Jmp(BlockId(next));
+        b
+    }
+
+    /// A returning block as the tracer captures it: `ret` is its last
+    /// instruction.
+    fn ret_block(mut insts: Vec<CapturedInst>) -> CapturedBlock {
+        insts.push(CapturedInst::plain(Inst::Ret));
+        let mut b = block(vec![]);
+        b.insts = insts;
+        b
+    }
+
+    fn insts_of(b: &CapturedBlock) -> Vec<Inst> {
+        b.insts.iter().map(|ci| ci.inst).collect()
+    }
+
+    #[test]
+    fn gpr_slot_promotion() {
+        // The call-free single-block function: first pool register.
+        let mut blocks = vec![ret_block(vec![gstore(-8, Gpr::Rax), gload(Gpr::Rcx, -8)])];
+        assert_eq!(allocate_slots(&mut blocks, false), 2);
+        assert_eq!(
+            insts_of(&blocks[0]),
+            vec![
+                gmov(Gpr::R11, Gpr::Rax),
+                gmov(Gpr::Rcx, Gpr::R11),
+                Inst::Ret
+            ]
+        );
+    }
+
+    #[test]
+    fn promotes_xmm_accumulator_round_trips() {
+        let mut blocks = vec![ret_block(vec![
+            fstore(-16, Xmm::Xmm0),
+            fload(Xmm::Xmm0, -16),
+            fstore(-16, Xmm::Xmm0),
+            fload(Xmm::Xmm0, -16),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, false), 4);
+        let (to, from) = (
+            Inst::MovSd {
+                dst: Operand::Xmm(Xmm::Xmm15),
+                src: Operand::Xmm(Xmm::Xmm0),
+            },
+            Inst::MovSd {
+                dst: Operand::Xmm(Xmm::Xmm0),
+                src: Operand::Xmm(Xmm::Xmm15),
+            },
+        );
+        assert_eq!(insts_of(&blocks[0]), vec![to, from, to, from, Inst::Ret]);
+    }
+
+    #[test]
+    fn respects_escape_and_calls() {
+        let mut blocks = vec![ret_block(vec![
+            fstore(-16, Xmm::Xmm0),
+            fload(Xmm::Xmm0, -16),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, true), 0);
+
+        let mut blocks = vec![ret_block(vec![
+            fstore(-16, Xmm::Xmm0),
+            call(),
+            fload(Xmm::Xmm0, -16),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn mixed_class_slot_not_promoted() {
+        // Same slot accessed as both integer and double: leave it alone.
+        let mut blocks = vec![ret_block(vec![
+            fstore(-16, Xmm::Xmm0),
+            gload(Gpr::Rax, -16),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn push_disqualifies_slot() {
+        let push = CapturedInst {
+            inst: Inst::Push {
+                src: Operand::Reg(Gpr::Rax),
+            },
+            frame_store: Some(-16),
+            frame_load: None,
+        };
+        let mut blocks = vec![ret_block(vec![
+            push,
+            fload(Xmm::Xmm0, -16),
+            fstore(-16, Xmm::Xmm0),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn packed_access_disqualifies_every_slot_it_touches() {
+        // The 16-byte load names slot -16 and also reads slot -8: moving
+        // -8 into a register would leave it reading a slot nobody stored.
+        let packed = CapturedInst {
+            inst: Inst::MovUpd {
+                dst: Operand::Xmm(Xmm::Xmm1),
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -16)),
+            },
+            frame_store: None,
+            frame_load: Some(-16),
+        };
+        let insts = vec![fstore(-8, Xmm::Xmm0), packed, fload(Xmm::Xmm2, -8)];
+        let mut blocks = vec![ret_block(insts.clone())];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
+        assert_eq!(blocks[0].insts[..3], insts[..]);
+    }
+
+    #[test]
+    fn used_registers_are_not_recruited() {
+        // Block already uses xmm8..xmm15: nothing free.
+        let mut insts = vec![fstore(-16, Xmm::Xmm0), fload(Xmm::Xmm0, -16)];
+        for x in XMM_POOL {
+            let Loc::Xmm(x) = x else { unreachable!() };
+            insts.push(CapturedInst::plain(addsd(x, x)));
+        }
+        let mut blocks = vec![ret_block(insts)];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
     }
 
     #[test]
     fn slot_allocated_across_blocks() {
-        // A slot written in block 0 and read in block 1 — promote_slots
-        // (single-pool, whole-function free registers) already handles
-        // this, but here rcx is busy in block 2, which is outside the
-        // slot's extent: the CFG-aware allocator must still promote.
-        let store = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-                src: Operand::Reg(Gpr::Rcx),
-            },
-            frame_store: Some(-8),
-            frame_load: None,
-        };
-        let load = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-            },
-            frame_store: None,
-            frame_load: Some(-8),
-        };
-        let mut b0 = block(vec![]);
-        b0.insts.push(store);
-        b0.term = Terminator::Jmp(BlockId(1));
-        let mut b1 = block(vec![]);
-        b1.insts.push(load);
-        b1.term = Terminator::Ret;
-        // Uses every pool register except r8 somewhere outside the extent?
-        // No — extent is blocks 0 and 1; make r11 busy only in block 1 so
-        // the allocator must skip it and pick r10.
-        b1.insts.push(CapturedInst::plain(Inst::Mov {
+        // A slot written in block 0 and read in block 1, whose extent is
+        // both: r11 is busy in block 1 only, so the slot lives in r10.
+        let spill_r11 = CapturedInst::plain(Inst::Mov {
             w: Width::W64,
             dst: Operand::Mem(MemRef::abs(0x601000)),
             src: Operand::Reg(Gpr::R11),
-        }));
-        let mut blocks = vec![b0, b1];
-        allocate_slots(&mut blocks, false, LiveSet::ABI_RET);
-        assert_eq!(
-            blocks[0].insts[0].inst,
-            Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::R10),
-                src: Operand::Reg(Gpr::Rcx),
-            },
-            "slot lives in r10: {:?}",
-            blocks[0].insts
-        );
-        assert_eq!(
-            blocks[1].insts[0].inst,
-            Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Reg(Gpr::R10),
-            }
-        );
+        });
+        let mut blocks = vec![
+            jmp_block(vec![gstore(-8, Gpr::Rcx)], 1),
+            ret_block(vec![gload(Gpr::Rax, -8), spill_r11]),
+        ];
+        assert_eq!(allocate_slots(&mut blocks, false), 2);
+        assert_eq!(insts_of(&blocks[0]), vec![gmov(Gpr::R10, Gpr::Rcx)]);
+        assert_eq!(blocks[1].insts[0].inst, gmov(Gpr::Rax, Gpr::R10));
     }
 
     #[test]
     fn escaped_frame_blocks_slot_allocation() {
-        let store = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-                src: Operand::Reg(Gpr::Rcx),
-            },
-            frame_store: Some(-8),
-            frame_load: None,
-        };
-        let load = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-            },
-            frame_store: None,
-            frame_load: Some(-8),
-        };
-        let mut b = block(vec![]);
-        b.insts = vec![store, load];
-        let mut blocks = vec![b];
-        assert_eq!(allocate_slots(&mut blocks, true, LiveSet::ABI_RET), 0);
-        assert!(matches!(
-            blocks[0].insts[0].inst,
-            Inst::Mov {
-                dst: Operand::Mem(_),
-                ..
-            }
-        ));
+        let insts = vec![gstore(-8, Gpr::Rcx), gload(Gpr::Rax, -8)];
+        let mut blocks = vec![ret_block(insts.clone())];
+        assert_eq!(allocate_slots(&mut blocks, true), 0);
+        assert_eq!(blocks[0].insts[..2], insts[..]);
     }
 
     #[test]
     fn barrier_block_in_extent_spills() {
-        // The slot's only blocks contain a call: spill fallback (identity).
-        let store = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-                src: Operand::Reg(Gpr::Rcx),
-            },
-            frame_store: Some(-8),
-            frame_load: None,
-        };
-        let load = CapturedInst {
-            inst: Inst::Mov {
-                w: Width::W64,
-                dst: Operand::Reg(Gpr::Rax),
-                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
-            },
-            frame_store: None,
-            frame_load: Some(-8),
-        };
-        let mut b = block(vec![]);
-        b.insts = vec![
-            store,
-            CapturedInst::plain(Inst::CallRel { target: 0x400000 }),
-            load,
+        // The slot's only block contains a call: spill fallback (identity).
+        let mut blocks = vec![ret_block(vec![
+            gstore(-8, Gpr::Rcx),
+            call(),
+            gload(Gpr::Rax, -8),
+        ])];
+        assert_eq!(allocate_slots(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn slot_clear_of_a_kept_call_allocates_and_one_crossing_it_stays() {
+        // Slot -16 is stored before the call block and read after it; slot
+        // -8 lives entirely in the block after the call.
+        let mut blocks = vec![
+            jmp_block(vec![gstore(-16, Gpr::Rdi)], 1),
+            jmp_block(vec![call()], 2),
+            ret_block(vec![
+                gload(Gpr::Rcx, -16),
+                gstore(-8, Gpr::Rcx),
+                gload(Gpr::Rax, -8),
+            ]),
         ];
-        let mut blocks = vec![b];
-        assert_eq!(allocate_slots(&mut blocks, false, LiveSet::ABI_RET), 0);
+        assert_eq!(allocate_slots(&mut blocks, false), 2);
+        assert_eq!(blocks[0].insts[0], gstore(-16, Gpr::Rdi));
+        assert_eq!(
+            insts_of(&blocks[2]),
+            vec![
+                gload(Gpr::Rcx, -16).inst,
+                gmov(Gpr::R11, Gpr::Rcx),
+                gmov(Gpr::Rax, Gpr::R11),
+                Inst::Ret,
+            ]
+        );
     }
 
     #[test]

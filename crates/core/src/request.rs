@@ -23,14 +23,14 @@
 //! ```
 //!
 //! The request also carries everything else a rewrite needs — known-memory
-//! ranges, per-function options, budgets, hooks and the optimization-pass
-//! selection — so one value fully describes one specialization, and the
+//! ranges, per-function options, budgets, hooks and the optimization
+//! level — so one value fully describes one specialization, and the
 //! [`fingerprint`](SpecRequest::fingerprint) over that value is the
 //! variant-cache key used by [`crate::manager::SpecializationManager`].
 
 use crate::config::{ArgValue, FuncOpts, ParamSpec, RetKind, RewriteConfig};
 use crate::error::RewriteError;
-use crate::passes::PassConfig;
+use crate::passes::OptLevel;
 use std::ops::Range;
 
 /// A complete, self-contained specialization request: per-parameter
@@ -39,7 +39,7 @@ use std::ops::Range;
 pub struct SpecRequest {
     pub(crate) cfg: RewriteConfig,
     pub(crate) args: Vec<ArgValue>,
-    pub(crate) passes: PassConfig,
+    pub(crate) level: OptLevel,
 }
 
 impl Default for SpecRequest {
@@ -55,18 +55,18 @@ impl SpecRequest {
         SpecRequest {
             cfg: RewriteConfig::new(),
             args: Vec::new(),
-            passes: PassConfig::default(),
+            level: OptLevel::default(),
         }
     }
 
-    /// Adopt an existing `(config, args)` pair from the deprecated split
-    /// API. Fails with [`RewriteError::BadConfig`] when specs and values
-    /// don't line up one-to-one — the drift the builder makes
+    /// Adopt an existing `(config, args)` pair (what a checkpoint entry
+    /// decodes to). Fails with [`RewriteError::BadConfig`] when specs and
+    /// values don't line up one-to-one — the drift the builder makes
     /// unrepresentable.
     pub fn from_config(
         cfg: &RewriteConfig,
         args: &[ArgValue],
-        passes: &PassConfig,
+        level: OptLevel,
     ) -> Result<Self, RewriteError> {
         if cfg.params.len() > args.len() {
             return Err(RewriteError::BadConfig(format!(
@@ -89,7 +89,7 @@ impl SpecRequest {
         Ok(SpecRequest {
             cfg: cfg.clone(),
             args: args.to_vec(),
-            passes: *passes,
+            level,
         })
     }
 
@@ -187,10 +187,10 @@ impl SpecRequest {
         self
     }
 
-    /// Select optimization passes (the A2 ablation; [`PassConfig::none`]
+    /// Select the optimization level (the A2 ablation; [`OptLevel::None`]
     /// reproduces the paper's pass-less prototype).
-    pub fn passes(mut self, pc: PassConfig) -> Self {
-        self.passes = pc;
+    pub fn passes(mut self, level: OptLevel) -> Self {
+        self.level = level;
         self
     }
 
@@ -204,9 +204,9 @@ impl SpecRequest {
         &self.args
     }
 
-    /// The optimization-pass selection.
-    pub fn pass_config(&self) -> &PassConfig {
-        &self.passes
+    /// The optimization level.
+    pub fn pass_config(&self) -> OptLevel {
+        self.level
     }
 
     /// Dispatch conditions for a guarded stub over this request's variant:
@@ -247,7 +247,7 @@ impl SpecRequest {
 
     /// Stable content hash of the whole request (FNV-1a): parameter specs
     /// and bound values, return class, known memory, per-function options,
-    /// budgets, hooks and pass selection. Two requests with equal
+    /// budgets, hooks and optimization level. Two requests with equal
     /// fingerprints ask for the same variant; together with the function
     /// address this is the variant-cache key.
     ///
@@ -308,15 +308,7 @@ impl SpecRequest {
         ] {
             h.word(hook.map_or(u64::MAX, |a| a));
         }
-        h.word(
-            (self.passes.dead_store_elim as u64)
-                | (self.passes.redundant_load_elim as u64) << 1
-                | (self.passes.peephole as u64) << 2
-                | (self.passes.slot_promotion as u64) << 3
-                | (self.passes.frame_compression as u64) << 4
-                | (self.passes.regalloc as u64) << 5
-                | (self.passes.regalloc_aggressive as u64) << 6,
-        );
+        h.word(self.level as u64);
         h.finish()
     }
 }
@@ -396,7 +388,7 @@ mod tests {
                 c
             },
             &[ArgValue::Int(1)],
-            &PassConfig::default(),
+            OptLevel::default(),
         )
         .unwrap();
         let b = SpecRequest::new().unknown_int();
@@ -407,24 +399,28 @@ mod tests {
     fn fingerprint_covers_options_and_passes() {
         let base = SpecRequest::new().known_int(1);
         let opts = base.clone().func(0x40_0000, |o| o.inline = false);
-        let passes = base.clone().passes(PassConfig::none());
+        let passes = base.clone().passes(OptLevel::None);
         let mem = base.clone().known_mem(0x1000..0x2000);
         assert_ne!(base.fingerprint(), opts.fingerprint());
         assert_ne!(base.fingerprint(), passes.fingerprint());
         assert_ne!(base.fingerprint(), mem.fingerprint());
+        // No two levels share a cache key.
+        let mut prints = OptLevel::ALL.map(|l| base.clone().passes(l).fingerprint());
+        prints.sort_unstable();
+        assert!(prints.windows(2).all(|w| w[0] != w[1]), "{prints:x?}");
     }
 
     #[test]
     fn from_config_rejects_arity_drift() {
         let mut cfg = RewriteConfig::new();
         cfg.set_param(2, ParamSpec::Known);
-        let err = SpecRequest::from_config(&cfg, &[ArgValue::Int(0)], &PassConfig::default())
-            .unwrap_err();
+        let err =
+            SpecRequest::from_config(&cfg, &[ArgValue::Int(0)], OptLevel::default()).unwrap_err();
         assert!(matches!(err, RewriteError::BadConfig(_)));
 
         let cfg = RewriteConfig::new();
-        let err = SpecRequest::from_config(&cfg, &[ArgValue::Int(0)], &PassConfig::default())
-            .unwrap_err();
+        let err =
+            SpecRequest::from_config(&cfg, &[ArgValue::Int(0)], OptLevel::default()).unwrap_err();
         let RewriteError::BadConfig(msg) = err else {
             panic!()
         };

@@ -150,10 +150,7 @@ fn equivalence_rejection_of_aggressive_regalloc_falls_back_conservatively() {
             },
         ))
         .build();
-    let req = poly_req(5).passes(brew_core::PassConfig {
-        regalloc_aggressive: true,
-        ..brew_core::PassConfig::default()
-    });
+    let req = poly_req(5).passes(brew_core::OptLevel::Aggressive);
     let v = mgr
         .get_or_rewrite(&img, poly, &req)
         .expect("fallback must publish the conservative emission");
@@ -180,7 +177,7 @@ fn non_aggressive_equivalence_rejection_is_denied_without_a_second_trace() {
     // Without a proof-carrying pass there is no optimization to retreat
     // from: an equivalence rejection is a plain verification failure —
     // denied, negatively cached, and never re-traced.
-    let poly_req = |n| poly_req(n).passes(brew_core::PassConfig::default().conservative());
+    let poly_req = |n| poly_req(n).passes(brew_core::OptLevel::Regalloc);
     let mgr = SpecializationManager::builder()
         .negative_policy(NegativePolicy {
             base_backoff: 1_000_000,
@@ -234,7 +231,7 @@ fn equivalence_rejection_of_the_default_passes_drops_constant_propagation() {
             },
         ))
         .build();
-    assert!(poly_req(5).pass_config().proof_carrying());
+    assert!(poly_req(5).pass_config() > brew_core::OptLevel::Regalloc);
     let v = mgr
         .get_or_rewrite(&img, poly, &poly_req(5))
         .expect("the conservative re-emission publishes");
@@ -247,10 +244,7 @@ fn equivalence_rejection_of_the_default_passes_drops_constant_propagation() {
 
     // What it re-emits is what the conservative selection emits.
     let plain = brew_core::Rewriter::new(&img)
-        .rewrite(
-            poly,
-            &poly_req(5).passes(brew_core::PassConfig::default().conservative()),
-        )
+        .rewrite(poly, &poly_req(5).passes(brew_core::OptLevel::Regalloc))
         .unwrap();
     assert_eq!(plain.code_len, lens[1]);
 }

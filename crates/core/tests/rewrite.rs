@@ -1,7 +1,7 @@
 //! End-to-end rewriter tests: compile mini-C, rewrite, and differentially
 //! test original vs specialized code in the emulator.
 
-use brew_core::{PassConfig, RetKind, Rewriter, SpecRequest};
+use brew_core::{OptLevel, RetKind, Rewriter, SpecRequest};
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
 use brew_minic::compile_into;
@@ -422,7 +422,7 @@ fn passes_off_still_correct() {
         .ptr_to_known(s5, 8 + 5 * 24)
         .ret(RetKind::F64);
     let res_none = Rewriter::new(&img)
-        .rewrite(apply, &req.clone().passes(PassConfig::none()))
+        .rewrite(apply, &req.clone().passes(OptLevel::None))
         .unwrap();
     let res_all = Rewriter::new(&img).rewrite(apply, &req).unwrap();
 
@@ -459,30 +459,4 @@ fn guard_dispatches() {
     // Cold value: falls back to the original, still correct.
     let cold = m.call(&img, guard, &CallArgs::new().int(5)).unwrap();
     assert_eq!(cold.ret_int, 10);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_split_api_still_works() {
-    // The pre-SpecRequest entry points remain as thin wrappers.
-    use brew_core::{ArgValue, ParamSpec, RewriteConfig};
-    let (img, prog) = setup("int madd(int a, int b, int c) { return a * b + c; }");
-    let f = prog.func("madd").unwrap();
-    let mut cfg = RewriteConfig::new();
-    cfg.set_param(0, ParamSpec::Unknown)
-        .set_param(1, ParamSpec::Known)
-        .set_param(2, ParamSpec::Unknown)
-        .set_ret(RetKind::Int);
-    let res = Rewriter::new(&img)
-        .rewrite_with_config(
-            &cfg,
-            f,
-            &[ArgValue::Int(0), ArgValue::Int(7), ArgValue::Int(0)],
-        )
-        .unwrap();
-    let mut m = Machine::new();
-    let out = m
-        .call(&img, res.entry, &CallArgs::new().int(3).int(7).int(5))
-        .unwrap();
-    assert_eq!(out.ret_int, 26);
 }

@@ -138,14 +138,14 @@ impl Stencil {
         Rewriter::new(&self.img).rewrite(apply, &req)
     }
 
-    /// Like [`Stencil::specialize_apply`] but with an explicit pass
-    /// selection (A2 ablation).
+    /// Like [`Stencil::specialize_apply`] but at an explicit optimization
+    /// level (A2 ablation).
     pub fn specialize_apply_with_passes(
         &mut self,
-        pc: &brew_core::PassConfig,
+        level: brew_core::OptLevel,
     ) -> Result<RewriteResult, brew_core::RewriteError> {
         let apply = self.prog.func("apply").expect("apply");
-        let req = self.apply_request().passes(*pc);
+        let req = self.apply_request().passes(level);
         Rewriter::new(&self.img).rewrite(apply, &req)
     }
 

@@ -6,7 +6,7 @@
 
 #![allow(dead_code)]
 
-use brew_core::{PassConfig, RetKind, SpecRequest};
+use brew_core::{OptLevel, RetKind, SpecRequest};
 use brew_image::Image;
 
 /// One request of a corpus.
@@ -49,6 +49,11 @@ const V1_PROG: &str = r#"
         int d = 0;
         for (int i = 0; i < n; i++) d += xs[i] * ys[i];
         return d;
+    }
+    int held(int x, int k) {
+        int y = x * k;
+        tick(0);
+        return y + x;
     }
 "#;
 
@@ -101,6 +106,16 @@ pub fn v1(img: &Image) -> Vec<Case> {
                 o.max_variants = 2;
             }),
         ),
+        // `x` and `y` are live across the kept call: their spills must stay
+        // in memory — the site of the dropped-spill-store mutant.
+        case(
+            "held across a kept call",
+            f("held"),
+            int()
+                .unknown_int()
+                .known_int(3)
+                .func(f("tick"), |o| o.inline = false),
+        ),
     ]
 }
 
@@ -125,17 +140,11 @@ const V2_PROG: &str = r#"
 "#;
 
 /// The pass configurations V2 proves every function under.
-pub fn pass_points() -> [(&'static str, PassConfig); 3] {
+pub fn pass_points() -> [(&'static str, OptLevel); 3] {
     [
-        ("all", PassConfig::default()),
-        (
-            "aggr",
-            PassConfig {
-                regalloc_aggressive: true,
-                ..PassConfig::default()
-            },
-        ),
-        ("none", PassConfig::none()),
+        ("all", OptLevel::default()),
+        ("aggr", OptLevel::Aggressive),
+        ("none", OptLevel::None),
     ]
 }
 

@@ -5,7 +5,7 @@
 //! verdict, or a variant could pass the gate on one run and fail a
 //! persisted-load re-check on the next.
 
-use brew_core::{PassConfig, RetKind, Rewriter, SpecRequest};
+use brew_core::{OptLevel, RetKind, Rewriter, SpecRequest};
 use brew_image::Image;
 use brew_verify::{mutate, verify, VerifyOptions};
 use proptest::prelude::*;
@@ -29,24 +29,11 @@ const PROG: &str = r#"
     double mix(double a, double b) { return (a - b) / (a * b + 2.0); }
 "#;
 
-fn pass_grid() -> impl Strategy<Value = PassConfig> {
-    proptest::array::uniform8(any::<bool>()).prop_map(|p| PassConfig {
-        dead_store_elim: p[0],
-        redundant_load_elim: p[1],
-        peephole: p[2],
-        slot_promotion: p[3],
-        frame_compression: p[4],
-        regalloc: p[5],
-        regalloc_aggressive: p[6],
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn verifying_the_same_variant_twice_is_deterministic(
-        pc in pass_grid(),
         which in 0usize..4,
         n in 1i64..8,
         strict in any::<bool>(),
@@ -82,30 +69,32 @@ proptest! {
                     .ret(RetKind::F64),
             ),
         };
-        let req = req.passes(pc);
-        let f = prog.func(name).unwrap();
-        let res = Rewriter::new(&img).rewrite(f, &req).unwrap();
-        let opts = VerifyOptions {
-            strict_provenance: strict,
-            ..VerifyOptions::default()
-        };
-        let a = verify(&img, f, &req, &res, &opts);
-        let b = verify(&img, f, &req, &res, &opts);
-        prop_assert_eq!(a.insts, b.insts);
-        prop_assert_eq!(a.findings, b.findings,
-            "two checks of the same variant disagreed");
-        // A clean variant has next to no findings to disagree about. A
-        // miscompiled one carries the prover's divergence trace — rendered
-        // terms, arena ids past the depth limit — and each check builds its
-        // arena from scratch: the whole report must still repeat.
-        for kind in [mutate::Mutation::WrongRegSub, mutate::Mutation::CommutedNonCommutative] {
-            let Some(m) = mutate::apply(&img, &res, kind) else { continue };
+        for level in OptLevel::ALL {
+            let req = req.clone().passes(level);
+            let f = prog.func(name).unwrap();
+            let res = Rewriter::new(&img).rewrite(f, &req).unwrap();
+            let opts = VerifyOptions {
+                strict_provenance: strict,
+                ..VerifyOptions::default()
+            };
             let a = verify(&img, f, &req, &res, &opts);
             let b = verify(&img, f, &req, &res, &opts);
-            m.revert(&img);
-            prop_assert!(!a.passed(), "mutant `{}` escaped", kind.name());
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"),
-                "two checks of the same mutant disagreed");
+            prop_assert_eq!(a.insts, b.insts);
+            prop_assert_eq!(a.findings, b.findings,
+                "two checks of the same variant disagreed");
+            // A clean variant has next to no findings to disagree about. A
+            // miscompiled one carries the prover's divergence trace — rendered
+            // terms, arena ids past the depth limit — and each check builds its
+            // arena from scratch: the whole report must still repeat.
+            for kind in [mutate::Mutation::WrongRegSub, mutate::Mutation::CommutedNonCommutative] {
+                let Some(m) = mutate::apply(&img, &res, kind) else { continue };
+                let a = verify(&img, f, &req, &res, &opts);
+                let b = verify(&img, f, &req, &res, &opts);
+                m.revert(&img);
+                prop_assert!(!a.passed(), "mutant `{}` escaped", kind.name());
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"),
+                    "two checks of the same mutant disagreed");
+            }
         }
     }
 }

@@ -3,127 +3,31 @@
 //! the verifier rejects every single mutant — and accepts the variant
 //! again once the corruption is reverted.
 
-use brew_core::{RetKind, RewriteResult, Rewriter, SpecRequest};
+mod corpus;
+
+use brew_core::{RewriteResult, Rewriter, SpecRequest};
 use brew_image::Image;
 use brew_verify::{mutate, verify, Rule, Severity, VerifyOptions};
 use std::collections::HashSet;
 
-const PROG: &str = r#"
-    int hits;
-    void tick(int f) { hits += 1; }
-
-    int poly(int x, int n) {
-        int r = 1;
-        for (int i = 0; i < n; i++) r *= x;
-        return r;
-    }
-    int scale(int x, int k) { return x * k + k / 3; }
-    int clamp(int x, int lo, int hi) {
-        if (x < lo) return lo;
-        if (x > hi) return hi;
-        return x;
-    }
-    int sum(int* p, int n) {
-        int s = 0;
-        for (int i = 0; i < n; i++) s += p[i];
-        return s;
-    }
-    int dotk(int* xs, int* ys, int n) {
-        tick(0);
-        int d = 0;
-        for (int i = 0; i < n; i++) d += xs[i] * ys[i];
-        return d;
-    }
-"#;
-
 struct Case {
-    what: &'static str,
+    what: String,
     func: u64,
     req: SpecRequest,
     res: RewriteResult,
 }
 
+/// The shared V1 corpus, each request rewritten.
 fn corpus(img: &Image) -> Vec<Case> {
-    let prog = brew_minic::compile_into(PROG, img).unwrap();
-    let known = img.alloc_heap(6 * 8, 8);
-    for i in 0..6 {
-        img.write_u64(known + i * 8, 100 + i * 7).unwrap();
-    }
-    let mut cases = Vec::new();
-    let mut add = |what: &'static str, name: &str, req: SpecRequest| {
-        let func = prog.func(name).unwrap();
-        let res = Rewriter::new(img).rewrite(func, &req).expect(what);
-        cases.push(Case {
-            what,
-            func,
-            req,
-            res,
-        });
-    };
-    add(
-        "poly n=6",
-        "poly",
-        SpecRequest::new()
-            .unknown_int()
-            .known_int(6)
-            .ret(RetKind::Int),
-    );
-    add(
-        "scale k=123456789",
-        "scale",
-        SpecRequest::new()
-            .unknown_int()
-            .known_int(123_456_789)
-            .ret(RetKind::Int),
-    );
-    // Unknown bounds keep the conditional branches in the variant.
-    add(
-        "clamp unknown bounds",
-        "clamp",
-        SpecRequest::new()
-            .unknown_int()
-            .unknown_int()
-            .unknown_int()
-            .ret(RetKind::Int),
-    );
-    // Kept hook calls: call/push/pop sites.
-    add(
-        "hooked sum",
-        "sum",
-        SpecRequest::new()
-            .unknown_int()
-            .known_int(4)
-            .ret(RetKind::Int)
-            .entry_hook(prog.func("tick").unwrap())
-            .func(prog.func("tick").unwrap(), |o| o.inline = false),
-    );
-    // Inlined `tick` gives absolute global load/store sites; the
-    // PTR_TO_KNOWN operand gives a non-empty folded read-set.
-    add(
-        "dotk known xs",
-        "dotk",
-        SpecRequest::new()
-            .ptr_to_known(known, 6 * 8)
-            .unknown_int()
-            .known_int(6)
-            .ret(RetKind::Int),
-    );
-    // A loop world migration keeps: its counter is a constant in every
-    // unrolled body and the exit tests survive as flag writer + jcc — the
-    // sites of the dataflow-pass-shaped mutants.
-    add(
-        "sum n=6 kept loop",
-        "sum",
-        SpecRequest::new()
-            .unknown_int()
-            .known_int(6)
-            .ret(RetKind::Int)
-            .func(prog.func("sum").unwrap(), |o| {
-                o.branch_unknown = true;
-                o.max_variants = 2;
-            }),
-    );
-    cases
+    corpus::v1(img)
+        .into_iter()
+        .map(|c| Case {
+            res: Rewriter::new(img).rewrite(c.func, &c.req).expect(&c.label),
+            what: c.label,
+            func: c.func,
+            req: c.req,
+        })
+        .collect()
 }
 
 #[test]
@@ -228,34 +132,41 @@ const EQUIVALENCE_REJECTIONS: &[(&str, &str, u64)] = &[
     ("clamp unknown bounds", "dropped-flag-writer", 0x900050),
     ("hooked sum", "call-into-data", 0x9000b0),
     ("hooked sum", "dropped-push", 0x9000b0),
-    ("hooked sum", "dropped-pop", 0x9001c1),
+    ("hooked sum", "dropped-pop", 0x900194),
     ("hooked sum", "frame-skew", 0x9000b0),
     ("hooked sum", "folded-imm-tweak", 0x9000b0),
-    ("hooked sum", "wrong-reg-sub", 0x9001c1),
+    ("hooked sum", "wrong-reg-sub", 0x900194),
     ("hooked sum", "clobber-callee-saved", 0x9000b0),
-    ("hooked sum", "dropped-spill-store", 0x9001c1),
-    ("hooked sum", "stale-slot-const", 0x9001c1),
-    ("hooked sum", "folded-imm-off-by-one", 0x9001c1),
-    ("dotk known xs", "dropped-push", 0x90027f),
-    ("dotk known xs", "dropped-pop", 0x90027f),
-    ("dotk known xs", "frame-skew", 0x90027f),
-    ("dotk known xs", "store-into-known", 0x9001d0),
-    ("dotk known xs", "store-into-jit", 0x9001d0),
-    ("dotk known xs", "dangling-data-ref", 0x9001d0),
-    ("dotk known xs", "load-from-code", 0x9001d0),
-    ("dotk known xs", "wrong-reg-sub", 0x90027f),
-    ("dotk known xs", "clobber-callee-saved", 0x90027f),
-    ("dotk known xs", "stale-slot-const", 0x90027f),
-    ("dotk known xs", "folded-imm-off-by-one", 0x9001d0),
-    ("sum n=6 kept loop", "branch-off-by-two", 0x900290),
-    ("sum n=6 kept loop", "wild-jump", 0x900290),
-    ("sum n=6 kept loop", "dropped-push", 0x900347),
-    ("sum n=6 kept loop", "dropped-pop", 0x90032b),
-    ("sum n=6 kept loop", "frame-skew", 0x900347),
-    ("sum n=6 kept loop", "wrong-reg-sub", 0x90033e),
-    ("sum n=6 kept loop", "clobber-callee-saved", 0x900347),
-    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x900335),
-    ("sum n=6 kept loop", "dropped-flag-writer", 0x900290),
+    ("hooked sum", "stale-slot-const", 0x900194),
+    ("hooked sum", "folded-imm-off-by-one", 0x900194),
+    ("dotk known xs", "dropped-push", 0x90024f),
+    ("dotk known xs", "dropped-pop", 0x90024f),
+    ("dotk known xs", "frame-skew", 0x90024f),
+    ("dotk known xs", "store-into-known", 0x9001a0),
+    ("dotk known xs", "store-into-jit", 0x9001a0),
+    ("dotk known xs", "dangling-data-ref", 0x9001a0),
+    ("dotk known xs", "load-from-code", 0x9001a0),
+    ("dotk known xs", "wrong-reg-sub", 0x90024f),
+    ("dotk known xs", "clobber-callee-saved", 0x90024f),
+    ("dotk known xs", "stale-slot-const", 0x90024f),
+    ("dotk known xs", "folded-imm-off-by-one", 0x9001a0),
+    ("sum n=6 kept loop", "branch-off-by-two", 0x900260),
+    ("sum n=6 kept loop", "wild-jump", 0x900260),
+    ("sum n=6 kept loop", "dropped-push", 0x900317),
+    ("sum n=6 kept loop", "dropped-pop", 0x9002fb),
+    ("sum n=6 kept loop", "frame-skew", 0x900317),
+    ("sum n=6 kept loop", "wrong-reg-sub", 0x90030e),
+    ("sum n=6 kept loop", "clobber-callee-saved", 0x900317),
+    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x900305),
+    ("sum n=6 kept loop", "dropped-flag-writer", 0x900260),
+    ("held across a kept call", "call-into-data", 0x900330),
+    ("held across a kept call", "dropped-push", 0x900330),
+    ("held across a kept call", "dropped-pop", 0x900330),
+    ("held across a kept call", "frame-skew", 0x900330),
+    ("held across a kept call", "wrong-reg-sub", 0x900330),
+    ("held across a kept call", "clobber-callee-saved", 0x900330),
+    ("held across a kept call", "dropped-spill-store", 0x900330),
+    ("held across a kept call", "folded-imm-off-by-one", 0x900330),
 ];
 
 /// The dataflow-pass-shaped kinds are invisible to the five structural
@@ -310,8 +221,9 @@ fn equivalence_rejections_stay_at_the_same_block() {
         strict_provenance: true,
         ..VerifyOptions::default()
     };
+    let cases = corpus(&img);
     let mut seen: Vec<(&str, &str, u64)> = Vec::new();
-    for case in &corpus(&img) {
+    for case in &cases {
         for kind in mutate::Mutation::ALL {
             let Some(m) = mutate::apply(&img, &case.res, kind) else {
                 continue;
@@ -323,7 +235,7 @@ fn equivalence_rejections_stay_at_the_same_block() {
                 .iter()
                 .find(|f| f.rule == Rule::Equivalence && f.severity == Severity::Error);
             if let Some(f) = first {
-                seen.push((case.what, kind.name(), f.addr));
+                seen.push((&case.what, kind.name(), f.addr));
             }
         }
     }

@@ -44,8 +44,16 @@ fn main() {
     //   brew_initConf(rConf);
     //   brew_setpar(rConf, 2, BREW_KNOWN);
     //   newfunc = (func_t) brew_rewrite(rConf, func, 42, 10);
-    // (still available verbatim in `brew_core::compat`); the request
-    // builder binds each parameter's treatment and trace value in one step.
+    // The request builder binds each parameter's treatment and trace value
+    // in one step. The rest of Figure 2 maps the same way — parameters are
+    // bound in order (the paper numbers them from 1), and the trace values
+    // `brew_rewrite` takes positionally ride on the same calls:
+    //   brew_initConf(rConf)                       SpecRequest::new()
+    //   brew_setpar(rConf, i, BREW_UNKNOWN)        .unknown_int() | .unknown_f64()
+    //   brew_setpar(rConf, i, BREW_KNOWN)          .known_int(v) | .known_f64(v)
+    //   brew_setpar(rConf, i, BREW_PTR_TO_KNOWN)   .ptr_to_known(addr, len)
+    //   brew_setmem(rConf, start, end, BREW_KNOWN) .known_mem(start..end)
+    //   brew_rewrite(rConf, func, args...)         Rewriter::new(&img).rewrite(func, &req)
     let req = SpecRequest::new()
         .unknown_int() // a: varies at runtime
         .known_int(10) // b: baked in

@@ -194,8 +194,7 @@ fn bad_config_params_vs_args() {
     // directions — the builder makes this unrepresentable.
     let mut cfg = RewriteConfig::new();
     cfg.set_param(3, ParamSpec::Known); // only 1 arg will be provided
-    let err =
-        SpecRequest::from_config(&cfg, &[ArgValue::Int(1)], &PassConfig::default()).unwrap_err();
+    let err = SpecRequest::from_config(&cfg, &[ArgValue::Int(1)], OptLevel::default()).unwrap_err();
     let RewriteError::BadConfig(msg) = err else {
         panic!("wrong error kind")
     };
@@ -213,7 +212,7 @@ fn bad_config_extra_args_without_specs() {
     let err = SpecRequest::from_config(
         &cfg,
         &[ArgValue::Int(1), ArgValue::Int(2)],
-        &PassConfig::default(),
+        OptLevel::default(),
     )
     .unwrap_err();
     let RewriteError::BadConfig(msg) = err else {
@@ -275,8 +274,7 @@ fn bad_config_ptr_to_known_on_f64() {
     let mut cfg = RewriteConfig::new();
     cfg.set_param(0, ParamSpec::PtrToKnown { len: 8 })
         .set_ret(RetKind::F64);
-    let req =
-        SpecRequest::from_config(&cfg, &[ArgValue::F64(0.0)], &PassConfig::default()).unwrap();
+    let req = SpecRequest::from_config(&cfg, &[ArgValue::F64(0.0)], OptLevel::default()).unwrap();
     let err = Rewriter::new(&img).rewrite(f, &req).unwrap_err();
     let RewriteError::BadConfig(msg) = err else {
         panic!("wrong error kind")

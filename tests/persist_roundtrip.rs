@@ -1,7 +1,8 @@
 //! Property-based round-trip of the variant persistence codec
 //! (`brew_core::persist`): arbitrary persisted variants — arbitrary
-//! request shapes, per-function options, pass masks, hooks, snapshots
-//! over real image bytes, code payloads — must encode and decode back
+//! request shapes, per-function options, hooks, snapshots
+//! over real image bytes, code payloads, each at every `OptLevel` — must
+//! encode and decode back
 //! **byte-identical**: same requests (hence same fingerprints), same
 //! snapshots (ranges and hash), same code, same stats. A second family
 //! of properties checks the framing: every single-byte corruption of an
@@ -10,7 +11,7 @@
 
 use brew_core::persist::{self, PersistedVariant};
 use brew_core::snapshot::ReadSet;
-use brew_core::{PassConfig, RetKind, RewriteStats, SpecRequest};
+use brew_core::{OptLevel, RetKind, RewriteStats, SpecRequest};
 use brew_image::Image;
 use proptest::prelude::*;
 
@@ -48,7 +49,6 @@ struct ReqGen {
     max_blocks: u16,
     max_code_bytes: u32,
     hooks: (bool, bool, bool),
-    passes: [bool; 7],
 }
 
 fn arb_req() -> impl Strategy<Value = ReqGen> {
@@ -69,10 +69,9 @@ fn arb_req() -> impl Strategy<Value = ReqGen> {
         any::<bool>(),
         (1u32..u32::MAX, 1u16..u16::MAX, 1u32..u32::MAX),
         (any::<bool>(), any::<bool>(), any::<bool>()),
-        proptest::array::uniform8(any::<bool>()),
     )
         .prop_map(
-            |(params, ret, known_mem, func_opts, default_inline, caps, hooks, p8)| ReqGen {
+            |(params, ret, known_mem, func_opts, default_inline, caps, hooks)| ReqGen {
                 params,
                 ret,
                 known_mem,
@@ -82,14 +81,13 @@ fn arb_req() -> impl Strategy<Value = ReqGen> {
                 max_blocks: caps.1,
                 max_code_bytes: caps.2,
                 hooks,
-                passes: [p8[0], p8[1], p8[2], p8[3], p8[4], p8[5], p8[6]],
             },
         )
 }
 
 /// Materialize a generated request against a concrete image, with every
 /// pointer parameter and known range inside `block`.
-fn build_req(g: &ReqGen, block: u64) -> SpecRequest {
+fn build_req(g: &ReqGen, level: OptLevel, block: u64) -> SpecRequest {
     let mut req = SpecRequest::new();
     for p in &g.params {
         req = match *p {
@@ -131,15 +129,7 @@ fn build_req(g: &ReqGen, block: u64) -> SpecRequest {
     if g.hooks.2 {
         req = req.mem_access_hook(0x40_3000);
     }
-    req.passes(PassConfig {
-        dead_store_elim: g.passes[0],
-        redundant_load_elim: g.passes[1],
-        peephole: g.passes[2],
-        slot_promotion: g.passes[3],
-        frame_compression: g.passes[4],
-        regalloc: g.passes[5],
-        regalloc_aggressive: g.passes[6],
-    })
+    req.passes(level)
 }
 
 fn stats_from(seed: u64) -> RewriteStats {
@@ -211,8 +201,8 @@ fn fixture() -> (Image, u64) {
     (img, block)
 }
 
-fn materialize(g: &VarGen, img: &Image, block: u64) -> PersistedVariant {
-    let req = build_req(&g.req, block);
+fn materialize(g: &VarGen, level: OptLevel, img: &Image, block: u64) -> PersistedVariant {
+    let req = build_req(&g.req, level, block);
     let mut rs = ReadSet::default();
     for &(off, len) in &g.snap_ranges {
         rs.record(block + off as u64, len as u64);
@@ -231,16 +221,18 @@ fn materialize(g: &VarGen, img: &Image, block: u64) -> PersistedVariant {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// encode → decode is the identity on every field of every variant,
-    /// in order — requests (hence fingerprints), snapshots (ranges and
+    /// encode → decode is the identity on every field of every variant at
+    /// every optimization level, in order — requests (hence fingerprints), snapshots (ranges and
     /// hash), code bytes, stats.
     #[test]
     fn codec_roundtrip_is_byte_identical(
         gens in proptest::collection::vec(arb_variant(), 0..6),
     ) {
         let (img, block) = fixture();
-        let vars: Vec<PersistedVariant> =
-            gens.iter().map(|g| materialize(g, &img, block)).collect();
+        let vars: Vec<PersistedVariant> = gens
+            .iter()
+            .flat_map(|g| OptLevel::ALL.map(|level| materialize(g, level, &img, block)))
+            .collect();
         let bytes = persist::encode_variants(&vars);
         let decoded = persist::decode_variants(&bytes).unwrap();
         prop_assert_eq!(decoded.len(), vars.len());
@@ -269,7 +261,7 @@ proptest! {
     ) {
         let (img, block) = fixture();
         let vars: Vec<PersistedVariant> =
-            gens.iter().map(|g| materialize(g, &img, block)).collect();
+            gens.iter().map(|g| materialize(g, OptLevel::default(), &img, block)).collect();
         let bytes = persist::encode_variants(&vars);
         let spans = persist::entry_code_spans(&bytes).unwrap();
         prop_assert_eq!(spans.len(), vars.len());
@@ -288,7 +280,7 @@ proptest! {
     ) {
         let (img, block) = fixture();
         let vars: Vec<PersistedVariant> =
-            gens.iter().map(|g| materialize(g, &img, block)).collect();
+            gens.iter().map(|g| materialize(g, OptLevel::default(), &img, block)).collect();
         let bytes = persist::encode_variants(&vars);
         // Pick a byte inside some entry's payload. Payload starts after
         // the 16-byte header + 4-byte length prefix of the first entry;

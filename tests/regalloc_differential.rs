@@ -1,12 +1,13 @@
-//! Differential gate for the two pass groups that rewrite registers and
-//! frame slots — the post-rewrite register allocator
-//! (`PassConfig::regalloc`) and the dataflow pair, constant propagation
-//! plus the flags- and slot-aware dead-code sweep
-//! (`PassConfig::redundant_load_elim`): every program the differential
-//! generator can produce must run **bit-identically** with the pass on and
-//! off, the pass must never retire more instructions (the dataflow pair:
-//! nor emit more bytes), and the static verifier must accept every
-//! optimized variant with zero findings.
+//! Differential gate for the two rungs of the `OptLevel` ladder that
+//! rewrite registers and frame slots — the post-rewrite register allocator
+//! (`OptLevel::Regalloc`) and the dataflow pair, constant propagation plus
+//! the flags- and slot-aware dead-code sweep (`OptLevel::Dataflow`): every
+//! program the differential generator can produce must run
+//! **bit-identically** at the rung and at the one below it
+//! (`FrameCompression`↔`Regalloc`, `Regalloc`↔`Dataflow`), the rung must
+//! never retire more instructions (the dataflow pair: nor emit more
+//! bytes), and the static verifier must accept every optimized variant
+//! with zero findings.
 //!
 //! This is the soundness contract: spilling back to the original frame
 //! slot, or leaving an instruction as it was, is always legal, so a pass
@@ -19,47 +20,25 @@ use brew_suite::prelude::*;
 use brew_suite::static_verify::{verify, VerifyOptions};
 use proptest::prelude::*;
 
-/// The pass group under test. All other passes stay at their defaults:
-/// the comparison isolates one group, not the whole pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Pass {
-    Regalloc,
-    Dataflow,
+/// The rung below `level`: the comparison isolates what one rung adds.
+fn below(level: OptLevel) -> OptLevel {
+    OptLevel::ALL[level as usize - 1]
 }
 
-impl Pass {
-    fn config(self, on: bool) -> PassConfig {
-        match self {
-            Pass::Regalloc => PassConfig {
-                regalloc: on,
-                ..PassConfig::default()
-            },
-            Pass::Dataflow => PassConfig {
-                redundant_load_elim: on,
-                ..PassConfig::default()
-            },
-        }
-    }
-}
-
-fn with_regalloc(on: bool) -> PassConfig {
-    Pass::Regalloc.config(on)
-}
-
-/// Rewrite `f` twice — pass off, then on — and return both results.
+/// Rewrite `f` twice — below `level`, then at it — and return both results.
 /// Returns `None` when tracing itself faults (a legitimate outcome that
 /// must be identical for both configurations).
 fn rewrite_pair(
-    pass: Pass,
+    level: OptLevel,
     img: &Image,
     f: u64,
     req: &SpecRequest,
 ) -> Option<(RewriteResult, RewriteResult)> {
-    let off = Rewriter::new(img).rewrite(f, &req.clone().passes(pass.config(false)));
-    let on = Rewriter::new(img).rewrite(f, &req.clone().passes(pass.config(true)));
+    let off = Rewriter::new(img).rewrite(f, &req.clone().passes(below(level)));
+    let on = Rewriter::new(img).rewrite(f, &req.clone().passes(level));
     match (off, on) {
         (Ok(off), Ok(on)) => {
-            if pass == Pass::Dataflow {
+            if level == OptLevel::Dataflow {
                 assert!(
                     on.code_len <= off.code_len,
                     "the dataflow passes grew the code: {} -> {} bytes",
@@ -153,7 +132,7 @@ fn arb_expr() -> impl Strategy<Value = E> {
 /// must pass the optimized variant.
 #[allow(clippy::too_many_arguments)]
 fn int_program_case(
-    pass: Pass,
+    level: OptLevel,
     init: E,
     cond: E,
     then_e: E,
@@ -190,7 +169,7 @@ fn int_program_case(
             req.unknown_int()
         };
     }
-    let Some((off, on)) = rewrite_pair(pass, &img, f, &req) else {
+    let Some((off, on)) = rewrite_pair(level, &img, f, &req) else {
         return Ok(());
     };
     assert_verifier_clean(&img, f, &req, &on);
@@ -234,7 +213,7 @@ fn int_program_case(
 /// double arithmetic. Doubles compare by bits.
 #[allow(clippy::too_many_arguments)]
 fn double_program_case(
-    pass: Pass,
+    level: OptLevel,
     u: i16,
     w_num: i16,
     iexpr: E,
@@ -285,7 +264,7 @@ fn double_program_case(
     } else {
         req.unknown_int()
     };
-    let Some((off, on)) = rewrite_pair(pass, &img, f, &req) else {
+    let Some((off, on)) = rewrite_pair(level, &img, f, &req) else {
         return Ok(());
     };
     assert_verifier_clean(&img, f, &req, &on);
@@ -333,7 +312,7 @@ proptest! {
         pins in proptest::array::uniform3(-40i64..40),
         probes in proptest::collection::vec(proptest::array::uniform3(-50i64..50), 4),
     ) {
-        int_program_case(Pass::Regalloc, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
+        int_program_case(OptLevel::Regalloc, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
     }
 
     #[test]
@@ -347,7 +326,7 @@ proptest! {
         pins in proptest::array::uniform3(-40i64..40),
         probes in proptest::collection::vec(proptest::array::uniform3(-50i64..50), 4),
     ) {
-        int_program_case(Pass::Dataflow, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
+        int_program_case(OptLevel::Dataflow, init, cond, then_e, loop_e, loop_n, spec_mask, pins, probes)?;
     }
 
     /// Mixed-ABI corpus from the issue: a double parameter, an int
@@ -367,7 +346,7 @@ proptest! {
         probes in proptest::collection::vec((-50i64..50, -24.0f64..24.0), 4),
     ) {
         double_program_case(
-            Pass::Regalloc, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
+            OptLevel::Regalloc, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
         )?;
     }
 
@@ -385,7 +364,7 @@ proptest! {
         probes in proptest::collection::vec((-50i64..50, -24.0f64..24.0), 4),
     ) {
         double_program_case(
-            Pass::Dataflow, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
+            OptLevel::Dataflow, u, w_num, iexpr, loop_n, know_a, know_x, know_p, a_pin, x_pin, probes,
         )?;
     }
 
@@ -431,7 +410,7 @@ proptest! {
             .ptr_to_known(st, 8 + n as u64 * 24)
             .ret(RetKind::F64);
         let (off, on) =
-            rewrite_pair(Pass::Regalloc, &img, apply, &req).expect("stencil traces cleanly");
+            rewrite_pair(OptLevel::Regalloc, &img, apply, &req).expect("stencil traces cleanly");
         assert_verifier_clean(&img, apply, &req, &on);
 
         let m0 = img.alloc_heap(25 * 8, 8);
@@ -467,11 +446,9 @@ fn allocated_stencil_and_grouped_variants_verify_and_agree() {
 
     // Generic apply: off/on pair via the A2 ablation hook.
     let off = st
-        .specialize_apply_with_passes(&with_regalloc(false))
+        .specialize_apply_with_passes(below(OptLevel::Regalloc))
         .unwrap();
-    let on = st
-        .specialize_apply_with_passes(&with_regalloc(true))
-        .unwrap();
+    let on = st.specialize_apply_with_passes(OptLevel::Regalloc).unwrap();
     let apply = st.prog.func("apply").unwrap();
     let req = st.apply_request();
     assert_verifier_clean(&st.img, apply, &req, &on);
@@ -512,7 +489,7 @@ fn allocated_stencil_and_grouped_variants_verify_and_agree() {
 /// Both emissions of one request with the dataflow pair off and on, for
 /// the named workloads below (which must all trace).
 fn dataflow_pair(img: &Image, f: u64, req: &SpecRequest) -> (RewriteResult, RewriteResult) {
-    let (off, on) = rewrite_pair(Pass::Dataflow, img, f, req).expect("workload traces cleanly");
+    let (off, on) = rewrite_pair(OptLevel::Dataflow, img, f, req).expect("workload traces cleanly");
     assert_verifier_clean(img, f, req, &on);
     (off, on)
 }
