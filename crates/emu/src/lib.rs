@@ -10,6 +10,7 @@
 //! run here, so every experiment compares variants under identical
 //! semantics and cost accounting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

@@ -120,11 +120,116 @@ pub type CallObserver<'o> = dyn FnMut(u64, u64, &CpuState) + 'o;
 /// One decode-cache entry: the instruction, and whether it loads or stores
 /// — what the cost model and the statistics ask of every executed
 /// instruction, answered once per decode.
-#[derive(Clone, Copy)]
 struct Cached {
     d: Decoded,
     loads: bool,
     stores: bool,
+}
+
+/// Bytes of guest code one offset table of the decode cache covers.
+const CODE_PAGE: u64 = 4096;
+
+/// Offset table of one code page: for each byte offset, 1 + the index in
+/// [`DecodeCache::entries`] of the instruction that starts there, 0 if none
+/// was decoded yet.
+type OffsetTable = [u32; CODE_PAGE as usize];
+
+/// Decoded instructions of one image at one code version.
+///
+/// Straight-line code stays on one page, so the common lookup is a compare
+/// against the current page and one indexed load; the page map is consulted
+/// only when control moves to a page other than the last two.
+struct DecodeCache {
+    /// `(Image::uid, Image::code_version)` the entries were decoded at.
+    key: (u64, u64),
+    entries: Vec<Cached>,
+    tables: Vec<OffsetTable>,
+    /// Code page number → its index in `tables`.
+    pages: WordMap<u64, u32>,
+    /// The two most recently executed pages, newest first: `(page, table)`.
+    recent: [(u64, u32); 2],
+}
+
+/// No address is on this page.
+const NO_PAGE: (u64, u32) = (u64::MAX, 0);
+
+impl DecodeCache {
+    fn new() -> Self {
+        DecodeCache {
+            key: (0, u64::MAX),
+            entries: Vec::new(),
+            tables: Vec::new(),
+            pages: WordMap::default(),
+            recent: [NO_PAGE; 2],
+        }
+    }
+
+    /// The table of `page`, made the current one; `None` if nothing on the
+    /// page has been decoded.
+    #[inline]
+    fn table(&mut self, page: u64) -> Option<usize> {
+        if self.recent[0].0 != page {
+            let t = if self.recent[1].0 == page {
+                self.recent[1].1
+            } else {
+                *self.pages.get(&page)?
+            };
+            self.recent = [(page, t), self.recent[0]];
+        }
+        Some(self.recent[0].1 as usize)
+    }
+
+    /// Index in `entries` of the instruction at `addr`, decoding it on
+    /// first sight. Everything is dropped first if `img` is not the image,
+    /// or not at the code version, the entries were decoded from.
+    #[inline]
+    fn lookup(&mut self, img: &Image, addr: u64) -> Result<usize, EmuError> {
+        let key = (img.uid(), img.code_version());
+        if key != self.key {
+            self.key = key;
+            self.entries.clear();
+            self.tables.clear();
+            self.pages.clear();
+            self.recent = [NO_PAGE; 2];
+        }
+        if let Some(t) = self.table(addr / CODE_PAGE) {
+            let slot = self.tables[t][(addr % CODE_PAGE) as usize];
+            if slot != 0 {
+                return Ok(slot as usize - 1);
+            }
+        }
+        self.decode(img, addr)
+    }
+
+    #[cold]
+    fn decode(&mut self, img: &Image, addr: u64) -> Result<usize, EmuError> {
+        let mut window = [0u8; 16];
+        let n = img.code_window_into(addr, &mut window).map_err(|_| {
+            EmuError::Mem(MemFault {
+                addr,
+                size: 1,
+                write: false,
+            })
+        })?;
+        let d = decode(&window[..n], addr).map_err(|err| EmuError::Decode { addr, err })?;
+        // A page gets its table with its first instruction, so a stray jump
+        // into undecodable memory leaves nothing behind.
+        let page = addr / CODE_PAGE;
+        let t = self.table(page).unwrap_or_else(|| {
+            let t = self.tables.len();
+            self.tables.push([0; CODE_PAGE as usize]);
+            self.pages.insert(page, t as u32);
+            self.recent = [(page, t as u32), self.recent[0]];
+            t
+        });
+        self.entries.push(Cached {
+            loads: d.inst.mem_load().is_some(),
+            stores: d.inst.mem_store().is_some(),
+            d,
+        });
+        self.tables[t][(addr % CODE_PAGE) as usize] = self.entries.len() as u32;
+        Ok(self.entries.len() - 1)
+    }
 }
 
 /// The virtual machine: CPU state + cost model + decode cache.
@@ -139,8 +244,7 @@ pub struct Machine<'o> {
     pub cost: CostModel,
     /// Instruction budget per harness call.
     pub fuel: u64,
-    cache: WordMap<u64, Cached>,
-    cache_key: (u64, u64),
+    cache: DecodeCache,
     observer: Option<Box<CallObserver<'o>>>,
     stack_top: Option<u64>,
 }
@@ -158,8 +262,7 @@ impl<'o> Machine<'o> {
             cpu: CpuState::default(),
             cost: CostModel::default(),
             fuel: 1 << 33,
-            cache: WordMap::default(),
-            cache_key: (0, u64::MAX),
+            cache: DecodeCache::new(),
             observer: None,
             stack_top: None,
         }
@@ -186,177 +289,88 @@ impl<'o> Machine<'o> {
         self.observer = None;
     }
 
-    fn ea(&self, m: &MemRef) -> u64 {
-        let mut a = m.disp as i64 as u64;
-        if let Some(b) = m.base {
-            a = a.wrapping_add(self.cpu.get(b));
-        }
-        if let Some((i, s)) = m.index {
-            a = a.wrapping_add(self.cpu.get(i).wrapping_mul(s as u64));
-        }
-        a
-    }
-
-    /// Read an integer operand at width `w`.
-    fn read_int(&self, img: &Image, op: &Operand, w: Width) -> Result<u64, EmuError> {
-        Ok(match op {
-            Operand::Reg(r) => w.trunc(self.cpu.get(*r)),
-            Operand::Imm(i) => w.trunc(*i as u64),
-            Operand::Mem(m) => img.read_uint(self.ea(m), w.bytes())?,
-            Operand::Xmm(_) => unreachable!("xmm operand in integer context"),
-        })
-    }
-
-    /// Write an integer result at width `w`.
-    fn write_int(&mut self, img: &Image, op: &Operand, w: Width, v: u64) -> Result<(), EmuError> {
-        match op {
-            Operand::Reg(r) => self.cpu.set_w(*r, w, v),
-            Operand::Mem(m) => img.write_uint(self.ea(m), w.bytes(), v)?,
-            _ => unreachable!("bad integer destination"),
-        }
-        Ok(())
-    }
-
-    /// Read a 64-bit lane for SSE scalar ops (xmm low lane or m64).
-    fn read_sse64(&self, img: &Image, op: &Operand) -> Result<u64, EmuError> {
-        Ok(match op {
-            Operand::Xmm(x) => self.cpu.xmm[x.number() as usize][0],
-            Operand::Mem(m) => img.read_u64(self.ea(m))?,
-            _ => unreachable!("bad sse64 operand"),
-        })
-    }
-
-    /// Read both 64-bit lanes for packed ops (xmm or m128).
-    fn read_sse128(&self, img: &Image, op: &Operand) -> Result<[u64; 2], EmuError> {
-        Ok(match op {
-            Operand::Xmm(x) => self.cpu.xmm[x.number() as usize],
-            Operand::Mem(m) => {
-                let a = self.ea(m);
-                [img.read_u64(a)?, img.read_u64(a.wrapping_add(8))?]
-            }
-            _ => unreachable!("bad sse128 operand"),
-        })
-    }
-
-    fn push(&mut self, img: &Image, v: u64) -> Result<(), EmuError> {
-        let sp = self.cpu.rsp().wrapping_sub(8);
-        self.cpu.set(Gpr::Rsp, sp);
-        img.write_u64(sp, v)?;
-        Ok(())
-    }
-
-    fn pop(&mut self, img: &Image) -> Result<u64, EmuError> {
-        let sp = self.cpu.rsp();
-        let v = img.read_u64(sp)?;
-        self.cpu.set(Gpr::Rsp, sp.wrapping_add(8));
-        Ok(v)
-    }
-
-    fn decode_at(&mut self, img: &Image, addr: u64) -> Result<Cached, EmuError> {
-        let key = (img.uid(), img.code_version());
-        if key != self.cache_key {
-            self.cache.clear();
-            self.cache_key = key;
-        }
-        if let Some(c) = self.cache.get(&addr) {
-            return Ok(*c);
-        }
-        let mut window = [0u8; 16];
-        let n = img.code_window_into(addr, &mut window).map_err(|_| {
-            EmuError::Mem(MemFault {
-                addr,
-                size: 1,
-                write: false,
-            })
-        })?;
-        let d = decode(&window[..n], addr).map_err(|err| EmuError::Decode { addr, err })?;
-        let c = Cached {
-            d,
-            loads: d.inst.mem_load().is_some(),
-            stores: d.inst.mem_store().is_some(),
-        };
-        self.cache.insert(addr, c);
-        Ok(c)
-    }
-
     /// Execute one instruction at `cpu.rip`. Returns the cycles charged.
     pub fn step(&mut self, img: &Image, stats: &mut Stats) -> Result<(), EmuError> {
         let addr = self.cpu.rip;
+        let at = self.cache.lookup(img, addr)?;
+        // Executed in place: the entry stays borrowed from the cache while
+        // the body mutates `cpu`, a disjoint field.
         let Cached {
             d: Decoded { inst, len },
             loads,
             stores,
-        } = self.decode_at(img, addr)?;
-        let next = addr + len as u64;
+        } = &self.cache.entries[at];
+        let cpu = &mut self.cpu;
+        let next = addr + *len as u64;
         let mut new_rip = next;
         let mut taken = false;
 
-        match &inst {
+        match inst {
             Inst::Mov { w, dst, src } => {
-                let v = self.read_int(img, src, *w)?;
-                self.write_int(img, dst, *w, v)?;
+                let v = cpu.read_int(img, src, *w)?;
+                cpu.write_int(img, dst, *w, v)?;
             }
-            Inst::MovAbs { dst, imm } => self.cpu.set(*dst, *imm),
+            Inst::MovAbs { dst, imm } => cpu.set(*dst, *imm),
             Inst::Movsxd { dst, src } => {
-                let v = self.read_int(img, src, Width::W32)?;
-                self.cpu.set(*dst, Width::W32.sext(v));
+                let v = cpu.read_int(img, src, Width::W32)?;
+                cpu.set(*dst, Width::W32.sext(v));
             }
             Inst::Movzx8 { w, dst, src } => {
-                let v = self.read_int(img, src, Width::W8)?;
-                self.cpu.set_w(*dst, *w, v & 0xFF);
+                let v = cpu.read_int(img, src, Width::W8)?;
+                cpu.set_w(*dst, *w, v & 0xFF);
             }
             Inst::Lea { dst, src } => {
-                let a = self.ea(src);
-                self.cpu.set(*dst, a);
+                let a = cpu.ea(src);
+                cpu.set(*dst, a);
             }
             Inst::Alu { op, w, dst, src } => {
-                let a = self.read_int(img, dst, *w)?;
-                let b = self.read_int(img, src, *w)?;
+                let a = cpu.read_int(img, dst, *w)?;
+                let b = cpu.read_int(img, src, *w)?;
                 let (r, f) = brew_x86::alu::alu(*op, *w, a, b);
-                self.cpu.flags = f;
+                cpu.flags = f;
                 if op.writes_dst() {
-                    self.write_int(img, dst, *w, r)?;
+                    cpu.write_int(img, dst, *w, r)?;
                 }
             }
             Inst::Test { w, a, b } => {
-                let av = self.read_int(img, a, *w)?;
-                let bv = self.read_int(img, b, *w)?;
-                self.cpu.flags = brew_x86::alu::test(*w, av, bv);
+                let av = cpu.read_int(img, a, *w)?;
+                let bv = cpu.read_int(img, b, *w)?;
+                cpu.flags = brew_x86::alu::test(*w, av, bv);
             }
             Inst::Imul { w, dst, src } => {
-                let a = self.cpu.get(*dst);
-                let b = self.read_int(img, src, *w)?;
+                let a = cpu.get(*dst);
+                let b = cpu.read_int(img, src, *w)?;
                 let (r, f) = brew_x86::alu::imul(*w, a, b);
-                self.cpu.flags = f;
-                self.cpu.set_w(*dst, *w, r);
+                cpu.flags = f;
+                cpu.set_w(*dst, *w, r);
             }
             Inst::ImulImm { w, dst, src, imm } => {
-                let a = self.read_int(img, src, *w)?;
+                let a = cpu.read_int(img, src, *w)?;
                 let (r, f) = brew_x86::alu::imul(*w, a, *imm as i64 as u64);
-                self.cpu.flags = f;
-                self.cpu.set_w(*dst, *w, r);
+                cpu.flags = f;
+                cpu.set_w(*dst, *w, r);
             }
             Inst::Unary { op, w, dst } => {
-                let v = self.read_int(img, dst, *w)?;
-                let (r, f) = brew_x86::alu::unop(*op, *w, v, self.cpu.flags);
-                self.cpu.flags = f;
-                self.write_int(img, dst, *w, r)?;
+                let v = cpu.read_int(img, dst, *w)?;
+                let (r, f) = brew_x86::alu::unop(*op, *w, v, cpu.flags);
+                cpu.flags = f;
+                cpu.write_int(img, dst, *w, r)?;
             }
             Inst::Shift { op, w, dst, count } => {
-                let v = self.read_int(img, dst, *w)?;
+                let v = cpu.read_int(img, dst, *w)?;
                 let c = match count {
                     ShiftCount::Imm(i) => *i,
-                    ShiftCount::Cl => self.cpu.get(Gpr::Rcx) as u8,
+                    ShiftCount::Cl => cpu.get(Gpr::Rcx) as u8,
                 };
-                let (r, f) = brew_x86::alu::shift(*op, *w, v, c, self.cpu.flags);
-                self.cpu.flags = f;
-                self.write_int(img, dst, *w, r)?;
+                let (r, f) = brew_x86::alu::shift(*op, *w, v, c, cpu.flags);
+                cpu.flags = f;
+                cpu.write_int(img, dst, *w, r)?;
             }
             Inst::Cqo { w } => {
-                let a = self.cpu.get(Gpr::Rax);
+                let a = cpu.get(Gpr::Rax);
                 match w {
-                    Width::W64 => self.cpu.set(Gpr::Rdx, ((a as i64) >> 63) as u64),
-                    _ => self.cpu.set_w(
+                    Width::W64 => cpu.set(Gpr::Rdx, ((a as i64) >> 63) as u64),
+                    _ => cpu.set_w(
                         Gpr::Rdx,
                         Width::W32,
                         (((a as u32 as i32) >> 31) as u32) as u64,
@@ -364,75 +378,75 @@ impl<'o> Machine<'o> {
                 }
             }
             Inst::Idiv { w, src } => {
-                let hi = self.cpu.get(Gpr::Rdx);
-                let lo = self.cpu.get(Gpr::Rax);
-                let d = self.read_int(img, src, *w)?;
+                let hi = cpu.get(Gpr::Rdx);
+                let lo = cpu.get(Gpr::Rax);
+                let d = cpu.read_int(img, src, *w)?;
                 let (q, r) = brew_x86::alu::idiv(*w, hi, lo, d).ok_or(EmuError::Divide { addr })?;
-                self.cpu.set_w(Gpr::Rax, *w, q);
-                self.cpu.set_w(Gpr::Rdx, *w, r);
+                cpu.set_w(Gpr::Rax, *w, q);
+                cpu.set_w(Gpr::Rdx, *w, r);
             }
             Inst::Push { src } => {
-                let v = self.read_int(img, src, Width::W64)?;
-                self.push(img, v)?;
+                let v = cpu.read_int(img, src, Width::W64)?;
+                cpu.push(img, v)?;
             }
             Inst::Pop { dst } => {
-                let v = self.pop(img)?;
-                self.write_int(img, dst, Width::W64, v)?;
+                let v = cpu.pop(img)?;
+                cpu.write_int(img, dst, Width::W64, v)?;
             }
             Inst::CallRel { target } => {
                 if let Some(obs) = self.observer.as_mut() {
-                    obs(addr, *target, &self.cpu);
+                    obs(addr, *target, cpu);
                 }
-                self.push(img, next)?;
+                cpu.push(img, next)?;
                 new_rip = *target;
             }
             Inst::CallInd { src } => {
-                let target = self.read_int(img, src, Width::W64)?;
+                let target = cpu.read_int(img, src, Width::W64)?;
                 if let Some(obs) = self.observer.as_mut() {
-                    obs(addr, target, &self.cpu);
+                    obs(addr, target, cpu);
                 }
-                self.push(img, next)?;
+                cpu.push(img, next)?;
                 new_rip = target;
             }
             Inst::Ret => {
-                new_rip = self.pop(img)?;
+                new_rip = cpu.pop(img)?;
             }
             Inst::JmpRel { target } => new_rip = *target,
-            Inst::JmpInd { src } => new_rip = self.read_int(img, src, Width::W64)?,
+            Inst::JmpInd { src } => new_rip = cpu.read_int(img, src, Width::W64)?,
             Inst::Jcc { cond, target } => {
-                taken = self.cpu.flags.cond(*cond);
+                taken = cpu.flags.cond(*cond);
                 if taken {
                     new_rip = *target;
                 }
             }
             Inst::Setcc { cond, dst } => {
-                let v = self.cpu.flags.cond(*cond) as u64;
-                self.write_int(img, dst, Width::W8, v)?;
+                let v = cpu.flags.cond(*cond) as u64;
+                cpu.write_int(img, dst, Width::W8, v)?;
             }
             Inst::MovSd { dst, src } => match (dst, src) {
                 (Operand::Xmm(d), Operand::Mem(m)) => {
-                    let v = img.read_u64(self.ea(m))?;
+                    let v = img.read_u64(cpu.ea(m))?;
                     // movsd xmm, m64 zeroes the high lane.
-                    self.cpu.xmm[d.number() as usize] = [v, 0];
+                    cpu.xmm[d.number() as usize] = [v, 0];
                 }
                 (Operand::Xmm(d), Operand::Xmm(s)) => {
-                    let v = self.cpu.xmm[s.number() as usize][0];
-                    self.cpu.set_xmm_low(*d, v); // reg-reg keeps the high lane
+                    let v = cpu.xmm[s.number() as usize][0];
+                    cpu.set_xmm_low(*d, v); // reg-reg keeps the high lane
                 }
                 (Operand::Mem(m), Operand::Xmm(s)) => {
-                    let v = self.cpu.xmm[s.number() as usize][0];
-                    img.write_u64(self.ea(m), v)?;
+                    let v = cpu.xmm[s.number() as usize][0];
+                    img.write_u64(cpu.ea(m), v)?;
                 }
                 _ => unreachable!("bad movsd operands"),
             },
             Inst::MovUpd { dst, src } => match (dst, src) {
                 (Operand::Xmm(d), s) => {
-                    let v = self.read_sse128(img, s)?;
-                    self.cpu.xmm[d.number() as usize] = v;
+                    let v = cpu.read_sse128(img, s)?;
+                    cpu.xmm[d.number() as usize] = v;
                 }
                 (Operand::Mem(m), Operand::Xmm(s)) => {
-                    let v = self.cpu.xmm[s.number() as usize];
-                    let a = self.ea(m);
+                    let v = cpu.xmm[s.number() as usize];
+                    let a = cpu.ea(m);
                     img.write_u64(a, v[0])?;
                     img.write_u64(a.wrapping_add(8), v[1])?;
                 }
@@ -442,52 +456,52 @@ impl<'o> Machine<'o> {
                 let d = dst.number() as usize;
                 match op {
                     SseOp::Addsd | SseOp::Subsd | SseOp::Mulsd | SseOp::Divsd => {
-                        let a = f64::from_bits(self.cpu.xmm[d][0]);
-                        let b = f64::from_bits(self.read_sse64(img, src)?);
+                        let a = f64::from_bits(cpu.xmm[d][0]);
+                        let b = f64::from_bits(cpu.read_sse64(img, src)?);
                         let r = scalar_op(*op, a, b);
-                        self.cpu.xmm[d][0] = r.to_bits();
+                        cpu.xmm[d][0] = r.to_bits();
                     }
                     SseOp::Addpd | SseOp::Subpd | SseOp::Mulpd | SseOp::Divpd => {
-                        let b = self.read_sse128(img, src)?;
+                        let b = cpu.read_sse128(img, src)?;
                         for (lane, bv) in b.iter().enumerate() {
-                            let a = f64::from_bits(self.cpu.xmm[d][lane]);
+                            let a = f64::from_bits(cpu.xmm[d][lane]);
                             let bv = f64::from_bits(*bv);
-                            self.cpu.xmm[d][lane] = packed_op(*op, a, bv).to_bits();
+                            cpu.xmm[d][lane] = packed_op(*op, a, bv).to_bits();
                         }
                     }
                     SseOp::Xorpd => {
-                        let b = self.read_sse128(img, src)?;
-                        self.cpu.xmm[d][0] ^= b[0];
-                        self.cpu.xmm[d][1] ^= b[1];
+                        let b = cpu.read_sse128(img, src)?;
+                        cpu.xmm[d][0] ^= b[0];
+                        cpu.xmm[d][1] ^= b[1];
                     }
                     SseOp::Unpcklpd => {
-                        let b = self.read_sse128(img, src)?;
-                        self.cpu.xmm[d][1] = b[0];
+                        let b = cpu.read_sse128(img, src)?;
+                        cpu.xmm[d][1] = b[0];
                     }
                 }
             }
             Inst::Ucomisd { a, b } => {
-                let av = f64::from_bits(self.cpu.xmm[a.number() as usize][0]);
-                let bv = f64::from_bits(self.read_sse64(img, b)?);
-                self.cpu.flags = ucomisd_flags(av, bv);
+                let av = f64::from_bits(cpu.xmm[a.number() as usize][0]);
+                let bv = f64::from_bits(cpu.read_sse64(img, b)?);
+                cpu.flags = ucomisd_flags(av, bv);
             }
             Inst::Cvtsi2sd { w, dst, src } => {
-                let v = self.read_int(img, src, *w)?;
+                let v = cpu.read_int(img, src, *w)?;
                 let f = (w.sext(v) as i64) as f64;
-                self.cpu.set_xmm_low(*dst, f.to_bits());
+                cpu.set_xmm_low(*dst, f.to_bits());
             }
             Inst::Cvttsd2si { w, dst, src } => {
-                let f = f64::from_bits(self.read_sse64(img, src)?);
+                let f = f64::from_bits(cpu.read_sse64(img, src)?);
                 let v = cvttsd2si(f, *w);
-                self.cpu.set_w(*dst, *w, v);
+                cpu.set_w(*dst, *w, v);
             }
             Inst::Nop => {}
             Inst::Ud2 => return Err(EmuError::Trap { addr }),
         }
 
-        let cycles = self.cost.cost_of(&inst, taken, loads, stores);
-        stats.record_of(&inst, taken, cycles, loads, stores);
-        self.cpu.rip = new_rip;
+        let cycles = self.cost.cost_of(inst, taken, *loads, *stores);
+        stats.record_of(inst, taken, cycles, *loads, *stores);
+        cpu.rip = new_rip;
         Ok(())
     }
 
@@ -528,12 +542,9 @@ impl<'o> Machine<'o> {
         for (i, r) in Gpr::SYSV_CALLEE_SAVED.iter().enumerate() {
             self.cpu.set(*r, 0x00CA_11EE_0000 + i as u64);
         }
-        let saved: Vec<u64> = Gpr::SYSV_CALLEE_SAVED
-            .iter()
-            .map(|r| self.cpu.get(*r))
-            .collect();
+        let saved = Gpr::SYSV_CALLEE_SAVED.map(|r| self.cpu.get(r));
 
-        self.push(img, STOP_ADDR)?;
+        self.cpu.push(img, STOP_ADDR)?;
         self.cpu.rip = func;
         let mut stats = Stats::default();
         self.run(img, &mut stats)?;
@@ -556,6 +567,77 @@ impl<'o> Machine<'o> {
             ret_f64: self.cpu.xmm_f64(Xmm::Xmm0),
             stats,
         })
+    }
+}
+
+/// Operand access of the interpreter. These live on the CPU state, not the
+/// machine, so that [`Machine::step`] can execute from an instruction it
+/// borrows out of the machine's decode cache.
+impl CpuState {
+    fn ea(&self, m: &MemRef) -> u64 {
+        let mut a = m.disp as i64 as u64;
+        if let Some(b) = m.base {
+            a = a.wrapping_add(self.get(b));
+        }
+        if let Some((i, s)) = m.index {
+            a = a.wrapping_add(self.get(i).wrapping_mul(s as u64));
+        }
+        a
+    }
+
+    /// Read an integer operand at width `w`.
+    fn read_int(&self, img: &Image, op: &Operand, w: Width) -> Result<u64, EmuError> {
+        Ok(match op {
+            Operand::Reg(r) => w.trunc(self.get(*r)),
+            Operand::Imm(i) => w.trunc(*i as u64),
+            Operand::Mem(m) => img.read_uint(self.ea(m), w.bytes())?,
+            Operand::Xmm(_) => unreachable!("xmm operand in integer context"),
+        })
+    }
+
+    /// Write an integer result at width `w`.
+    fn write_int(&mut self, img: &Image, op: &Operand, w: Width, v: u64) -> Result<(), EmuError> {
+        match op {
+            Operand::Reg(r) => self.set_w(*r, w, v),
+            Operand::Mem(m) => img.write_uint(self.ea(m), w.bytes(), v)?,
+            _ => unreachable!("bad integer destination"),
+        }
+        Ok(())
+    }
+
+    /// Read a 64-bit lane for SSE scalar ops (xmm low lane or m64).
+    fn read_sse64(&self, img: &Image, op: &Operand) -> Result<u64, EmuError> {
+        Ok(match op {
+            Operand::Xmm(x) => self.xmm[x.number() as usize][0],
+            Operand::Mem(m) => img.read_u64(self.ea(m))?,
+            _ => unreachable!("bad sse64 operand"),
+        })
+    }
+
+    /// Read both 64-bit lanes for packed ops (xmm or m128).
+    fn read_sse128(&self, img: &Image, op: &Operand) -> Result<[u64; 2], EmuError> {
+        Ok(match op {
+            Operand::Xmm(x) => self.xmm[x.number() as usize],
+            Operand::Mem(m) => {
+                let a = self.ea(m);
+                [img.read_u64(a)?, img.read_u64(a.wrapping_add(8))?]
+            }
+            _ => unreachable!("bad sse128 operand"),
+        })
+    }
+
+    fn push(&mut self, img: &Image, v: u64) -> Result<(), EmuError> {
+        let sp = self.rsp().wrapping_sub(8);
+        self.set(Gpr::Rsp, sp);
+        img.write_u64(sp, v)?;
+        Ok(())
+    }
+
+    fn pop(&mut self, img: &Image) -> Result<u64, EmuError> {
+        let sp = self.rsp();
+        let v = img.read_u64(sp)?;
+        self.set(Gpr::Rsp, sp.wrapping_add(8));
+        Ok(v)
     }
 }
 

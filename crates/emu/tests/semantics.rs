@@ -1,11 +1,49 @@
 //! Per-instruction semantic tests: each supported instruction is executed
 //! through the full assemble→decode→execute path and checked against
 //! hand-computed results, including width, flag and lane edge cases.
+//!
+//! Every call also holds its [`Stats`] — all ten fields — to
+//! `stats_pins.txt`, written by the emulator that copied each decoded
+//! instruction out of its cache before dispatch: what an instruction is
+//! charged and how it is counted does not depend on how the interpreter
+//! gets at it. The file changes only when the cost model or the
+//! classification does, on purpose: `BREW_BLESS=1 cargo test -p brew-emu
+//! --test semantics` rewrites the lines of the programs that ran.
 
-use brew_emu::{CallArgs, CpuState, Machine, Stats};
+use brew_emu::{CallArgs, CallOutcome, CpuState, Machine, Stats};
 use brew_image::Image;
 use brew_x86::encode::encode;
 use brew_x86::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+const PINNED: &str = include_str!("stats_pins.txt");
+
+/// Hold `s` to the line pinned under `label` (or, blessing, rewrite it).
+fn pin(label: &str, s: &Stats) {
+    let now = format!(
+        "insts={} cycles={} loads={} stores={} branches={} taken={} calls={} rets={} fp_ops={} imuls={}",
+        s.insts, s.cycles, s.loads, s.stores, s.branches, s.taken, s.calls, s.rets, s.fp_ops, s.imuls
+    );
+    if std::env::var_os("BREW_BLESS").is_some() {
+        // Tests of this binary run on parallel threads and share the file.
+        static FILE: Mutex<()> = Mutex::new(());
+        let _one_writer = FILE.lock().expect("a blessing test panicked");
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/stats_pins.txt");
+        let old = std::fs::read_to_string(path).unwrap_or_default();
+        let mut pins: BTreeMap<&str, &str> =
+            old.lines().filter_map(|l| l.split_once(' ')).collect();
+        pins.insert(label, &now);
+        let text: String = pins.iter().map(|(l, s)| format!("{l} {s}\n")).collect();
+        std::fs::write(path, text).expect("write pins");
+        return;
+    }
+    let pinned = PINNED
+        .lines()
+        .filter_map(|l| l.split_once(' '))
+        .find_map(|(l, s)| (l == label).then_some(s));
+    assert_eq!(Some(now.as_str()), pinned, "stats of `{label}` drifted");
+}
 
 /// Assemble a body at the start of the code segment.
 fn asm(insts: &[Inst]) -> (Image, u64) {
@@ -21,12 +59,20 @@ fn asm(insts: &[Inst]) -> (Image, u64) {
     (img, entry)
 }
 
-/// Run a body that ends with `ret`; returns the outcome.
-fn run(insts: &[Inst], args: CallArgs) -> (u64, f64, CpuState) {
-    let (img, entry) = asm(insts);
+/// Call `entry` on a fresh machine, pin the call's statistics under `label`
+/// and return the outcome with the CPU state at return.
+fn call(label: &str, img: &Image, entry: u64, args: &CallArgs) -> (CallOutcome, CpuState) {
     let mut m = Machine::new();
-    let out = m.call(&img, entry, &args).unwrap();
-    (out.ret_int, out.ret_f64, m.cpu.clone())
+    let out = m.call(img, entry, args).unwrap();
+    pin(label, &out.stats);
+    (out, m.cpu)
+}
+
+/// Run a body that ends with `ret`; returns the outcome.
+fn run(label: &str, insts: &[Inst], args: CallArgs) -> (u64, f64, CpuState) {
+    let (img, entry) = asm(insts);
+    let (out, cpu) = call(label, &img, entry, &args);
+    (out.ret_int, out.ret_f64, cpu)
 }
 
 fn rax() -> Operand {
@@ -36,6 +82,7 @@ fn rax() -> Operand {
 #[test]
 fn mov_w32_zero_extends() {
     let (r, _, _) = run(
+        "mov_w32_zero_extends",
         &[
             Inst::MovAbs {
                 dst: Gpr::Rax,
@@ -56,6 +103,7 @@ fn mov_w32_zero_extends() {
 #[test]
 fn movsxd_sign_extends() {
     let (r, _, _) = run(
+        "movsxd_sign_extends",
         &[
             Inst::Mov {
                 w: Width::W32,
@@ -76,6 +124,7 @@ fn movsxd_sign_extends() {
 #[test]
 fn movzx8_takes_low_byte() {
     let (r, _, _) = run(
+        "movzx8_takes_low_byte",
         &[
             Inst::MovAbs {
                 dst: Gpr::Rcx,
@@ -96,6 +145,7 @@ fn movzx8_takes_low_byte() {
 #[test]
 fn lea_computes_full_address_math() {
     let (r, _, _) = run(
+        "lea_computes_full_address_math",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -122,6 +172,7 @@ fn lea_computes_full_address_math() {
 fn alu_mem_rmw() {
     // add [rsp-8], rcx (below-rsp scratch is fine in the emulator).
     let (r, _, _) = run(
+        "alu_mem_rmw",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -154,6 +205,7 @@ fn alu_mem_rmw() {
 #[test]
 fn imul_three_operand() {
     let (r, _, _) = run(
+        "imul_three_operand",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -176,6 +228,7 @@ fn imul_three_operand() {
 #[test]
 fn shifts_and_cl() {
     let (r, _, _) = run(
+        "shifts_and_cl",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -209,6 +262,7 @@ fn shifts_and_cl() {
 #[test]
 fn sar_is_arithmetic() {
     let (r, _, _) = run(
+        "sar_is_arithmetic",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -231,6 +285,7 @@ fn sar_is_arithmetic() {
 #[test]
 fn cqo_idiv_signed() {
     let (r, _, cpu) = run(
+        "cqo_idiv_signed",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -265,6 +320,7 @@ fn setcc_all_conditions_after_cmp() {
     let (_, flags) = brew_x86::alu::alu(AluOp::Cmp, Width::W64, 3, 5);
     for cond in Cond::ALL {
         let (r, _, _) = run(
+            &format!("setcc_after_cmp.{cond}"),
             &[
                 Inst::Mov {
                     w: Width::W64,
@@ -320,9 +376,9 @@ fn jcc_taken_and_not_taken() {
         },
         Inst::Ret,
     ];
-    let (r, _, _) = run(&insts, CallArgs::new().int(1));
+    let (r, _, _) = run("jcc_taken_and_not_taken.1", &insts, CallArgs::new().int(1));
     assert_eq!(r, 10);
-    let (r, _, _) = run(&insts, CallArgs::new().int(2));
+    let (r, _, _) = run("jcc_taken_and_not_taken.2", &insts, CallArgs::new().int(2));
     assert_eq!(r, 20);
 }
 
@@ -354,10 +410,9 @@ fn movsd_load_zeroes_high_lane_reg_copy_does_not() {
         encode(&i, addr, &mut bytes).unwrap();
     }
     img.alloc_code(&bytes);
-    let mut m = Machine::new();
-    m.call(&img, base, &CallArgs::new()).unwrap();
-    assert_eq!(f64::from_bits(m.cpu.xmm[1][0]), 3.5);
-    assert_eq!(m.cpu.xmm[1][1], 0, "movsd from memory zeroes lane 1");
+    let (_, cpu) = call("movsd_load_zeroes_high_lane", &img, base, &CallArgs::new());
+    assert_eq!(f64::from_bits(cpu.xmm[1][0]), 3.5);
+    assert_eq!(cpu.xmm[1][1], 0, "movsd from memory zeroes lane 1");
 }
 
 #[test]
@@ -400,10 +455,9 @@ fn packed_ops_touch_both_lanes() {
         encode(&i, addr, &mut bytes).unwrap();
     }
     img.alloc_code(&bytes);
-    let mut m = Machine::new();
-    m.call(&img, base, &CallArgs::new()).unwrap();
-    assert_eq!(f64::from_bits(m.cpu.xmm[0][0]), (1.5 + 10.0) * (1.5 + 10.0));
-    assert_eq!(f64::from_bits(m.cpu.xmm[0][1]), (2.5 + 20.0) * (2.5 + 20.0));
+    let (_, cpu) = call("packed_ops_touch_both_lanes", &img, base, &CallArgs::new());
+    assert_eq!(f64::from_bits(cpu.xmm[0][0]), (1.5 + 10.0) * (1.5 + 10.0));
+    assert_eq!(f64::from_bits(cpu.xmm[0][1]), (2.5 + 20.0) * (2.5 + 20.0));
 }
 
 #[test]
@@ -427,17 +481,30 @@ fn ucomisd_branches() {
         Inst::Ret,
     ];
     let _ = base;
-    let (r, _, _) = run(&insts, CallArgs::new().f64(1.0).f64(2.0));
+    let (r, _, _) = run(
+        "ucomisd_branches.1",
+        &insts,
+        CallArgs::new().f64(1.0).f64(2.0),
+    );
     assert_eq!(r, 1);
-    let (r, _, _) = run(&insts, CallArgs::new().f64(2.0).f64(1.0));
+    let (r, _, _) = run(
+        "ucomisd_branches.2",
+        &insts,
+        CallArgs::new().f64(2.0).f64(1.0),
+    );
     assert_eq!(r, 0);
-    let (r, _, _) = run(&insts, CallArgs::new().f64(f64::NAN).f64(1.0));
+    let (r, _, _) = run(
+        "ucomisd_branches.3",
+        &insts,
+        CallArgs::new().f64(f64::NAN).f64(1.0),
+    );
     assert_eq!(r, 0, "NaN compares false under the seta idiom");
 }
 
 #[test]
 fn cvt_round_trip() {
     let (_, f, _) = run(
+        "cvt_round_trip.1",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -456,6 +523,7 @@ fn cvt_round_trip() {
     assert_eq!(f, -7.0);
 
     let (r, _, _) = run(
+        "cvt_round_trip.2",
         &[
             Inst::Cvttsd2si {
                 w: Width::W64,
@@ -472,6 +540,7 @@ fn cvt_round_trip() {
 #[test]
 fn push_pop_lifo() {
     let (r, _, _) = run(
+        "push_pop_lifo",
         &[
             Inst::Push {
                 src: Operand::Imm(1),
@@ -505,6 +574,7 @@ fn push_pop_lifo() {
 #[test]
 fn neg_not_inc_dec() {
     let (r, _, _) = run(
+        "neg_not_inc_dec",
         &[
             Inst::Mov {
                 w: Width::W64,
@@ -566,9 +636,9 @@ fn test_inst_sets_zf() {
         },
         Inst::Ret,
     ];
-    let (r, _, _) = run(&insts, CallArgs::new().int(0));
+    let (r, _, _) = run("test_inst_sets_zf.1", &insts, CallArgs::new().int(0));
     assert_eq!(r, 1);
-    let (r, _, _) = run(&insts, CallArgs::new().int(9));
+    let (r, _, _) = run("test_inst_sets_zf.2", &insts, CallArgs::new().int(9));
     assert_eq!(r, 0);
 }
 
@@ -592,8 +662,7 @@ fn stats_classify_instructions() {
         },
         Inst::Ret,
     ]);
-    let mut m = Machine::new();
-    let out = m.call(&img, entry, &CallArgs::new()).unwrap();
+    let (out, _) = call("stats_classify_instructions", &img, entry, &CallArgs::new());
     let s: Stats = out.stats;
     assert_eq!(s.insts, 4);
     assert_eq!(s.stores, 1);
@@ -605,14 +674,14 @@ fn stats_classify_instructions() {
 #[test]
 fn nop_does_nothing_but_count() {
     let (img, entry) = asm(&[Inst::Nop, Inst::Nop, Inst::Ret]);
-    let mut m = Machine::new();
-    let out = m.call(&img, entry, &CallArgs::new()).unwrap();
+    let (out, _) = call("nop_does_nothing_but_count", &img, entry, &CallArgs::new());
     assert_eq!(out.stats.insts, 3);
 }
 
 #[test]
 fn xorpd_zeroes_register() {
     let (_, f, cpu) = run(
+        "xorpd_zeroes_register",
         &[
             Inst::Sse {
                 op: SseOp::Xorpd,

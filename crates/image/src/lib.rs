@@ -17,33 +17,58 @@
 //! A real process image is shared by every thread of the process, and the
 //! paper's "delayed step" amortization argument only pays off when many
 //! call sites can drive specialization concurrently. The image is therefore
-//! internally synchronized (`Send + Sync`) and every operation takes
-//! `&self`:
+//! internally synchronized (`Send + Sync`), every operation takes `&self`,
+//! and no guest load, store or fetch takes a lock:
 //!
-//! - the sparse page store is sharded behind per-shard `RwLock`s (readers
-//!   of different pages never contend, and readers of the same page share),
+//! - memory is a two-level table of pages of [`AtomicU64`] words. A page
+//!   (and the 2 MiB leaf of page slots above it) is published once, on the
+//!   first write that touches it, and is never unmapped, moved or reclaimed
+//!   while the image lives — the image has no `free`, and a reader that
+//!   found a page may keep reading it. Unwritten memory reads as zero
+//!   without materializing anything,
+//! - atomicity is word-granular: an access that lies inside one aligned
+//!   8-byte word is one atomic load, store or read-modify-write, so an
+//!   aligned `u64`/`f64` cell is never seen half-written and two writers to
+//!   different bytes of one word lose no update. An access that spans words
+//!   ([`Image::write_bytes`] of a function body, an unaligned `u64`) is a
+//!   sequence of such word accesses and is *not* atomic against a reader of
+//!   the same bytes, exactly like a `memcpy` into shared memory,
 //! - segment bump allocators are atomic, so two rewrites can reserve JIT or
 //!   literal-pool space without a global lock ([`Image::try_alloc_jit`]
 //!   reserves-or-fails instead of panicking, for racing emitters),
 //! - the symbol table sits behind its own `RwLock`.
 //!
-//! Publication ordering: bytes written through [`Image::write_bytes`]
-//! happen-before any later read of the same pages (shard lock release /
-//! acquire), so code published by inserting its entry address into a
-//! synchronized structure is fully visible to the thread that looks it up.
+//! ## Publication ordering
+//!
+//! Word accesses are `Relaxed`: bytes alone order nothing. A writer
+//! publishes what it wrote through something that synchronizes — inserting
+//! the entry address into a locked or release/acquire structure (the
+//! manager's variant table), joining the thread, or
+//! [`Image::code_version`]: every write into the code or JIT segment bumps
+//! the version with `Release` *after* its last byte landed, and
+//! `code_version()` loads it with `Acquire`, so whoever observes the new
+//! version then reads the new bytes (and an execution engine that drops its
+//! decode cache on a version change cannot refill it from the old ones).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{OnceLock, RwLock};
 
 /// Page size of the sparse backing store.
 const PAGE: u64 = 4096;
 
-/// Number of page-store shards (a power of two; pages hash by page number).
-const MEM_SHARDS: usize = 64;
+/// 8-byte words per page.
+const PAGE_WORDS: usize = (PAGE / 8) as usize;
+
+/// Page slots per leaf of the page table (a leaf spans 2 MiB).
+const LEAF_PAGES: usize = 512;
+
+/// Bytes of address space one leaf spans.
+const LEAF_SPAN: u64 = PAGE * LEAF_PAGES as u64;
 
 /// Default segment layout (all well below 2^31, so every address can be used
 /// as an absolute disp32 by specialized code — the same property the paper's
@@ -116,71 +141,172 @@ struct Segment {
     kind: SegKind,
     base: u64,
     size: u64,
+    /// Index of this segment's first leaf slot in [`PagedMem::leaves`].
+    first_leaf: usize,
 }
 
 impl Segment {
     fn contains(&self, addr: u64, size: u64) -> bool {
         addr >= self.base && addr.saturating_add(size) <= self.base + self.size
     }
-}
 
-/// Sparse paged memory: pages materialize zero-filled on first write (reads
-/// of unmaterialized pages inside a segment return zeros, so freshly
-/// allocated globals read as zero). Pages are sharded by page number behind
-/// per-shard `RwLock`s so threads touching different pages don't contend.
-struct PagedMem {
-    shards: Vec<RwLock<HashMap<u64, Box<[u8; PAGE as usize]>>>>,
-}
-
-impl Default for PagedMem {
-    fn default() -> Self {
-        PagedMem {
-            shards: (0..MEM_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
+    fn end(&self) -> u64 {
+        self.base + self.size
     }
+
+    fn is_code(&self) -> bool {
+        matches!(self.kind, SegKind::Code | SegKind::Jit)
+    }
+}
+
+/// One page of guest memory: 512 words, each accessed atomically.
+type Page = [AtomicU64; PAGE_WORDS];
+
+/// One leaf of the page table: a once-published slot per page.
+type Leaf = [OnceLock<Box<Page>>; LEAF_PAGES];
+
+/// Mask selecting the low `bytes` bytes of a word (`bytes <= 8`).
+#[inline]
+fn low_mask(bytes: usize) -> u64 {
+    if bytes >= 8 {
+        u64::MAX
+    } else {
+        (1u64 << (bytes * 8)) - 1
+    }
+}
+
+/// Copy `out.len()` bytes starting `off` bytes into `page`, word by word.
+fn read_page(page: &Page, off: usize, out: &mut [u8]) {
+    let (mut w, b) = (off / 8, off % 8);
+    // Up to the first word boundary, whole words, what is left.
+    let (head, rest) = out.split_at_mut(((8 - b) % 8).min(out.len()));
+    if !head.is_empty() {
+        let word = page[w].load(Ordering::Relaxed).to_le_bytes();
+        head.copy_from_slice(&word[b..b + head.len()]);
+        w += 1;
+    }
+    let mut whole = rest.chunks_exact_mut(8);
+    for (chunk, word) in (&mut whole).zip(&page[w..]) {
+        chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        w += 1;
+    }
+    let tail = whole.into_remainder();
+    if !tail.is_empty() {
+        let word = page[w].load(Ordering::Relaxed).to_le_bytes();
+        tail.copy_from_slice(&word[..tail.len()]);
+    }
+}
+
+/// Replace the `n` bytes at byte `b` of `word` with the low bytes of `v`:
+/// a plain store for a whole word, one atomic merge otherwise (so writers
+/// of neighbouring bytes never lose each other's update).
+#[inline]
+fn write_word(word: &AtomicU64, b: usize, n: usize, v: u64) {
+    if n == 8 {
+        word.store(v, Ordering::Relaxed);
+    } else {
+        let mask = low_mask(n) << (b * 8);
+        let bits = (v << (b * 8)) & mask;
+        // Infallible: the closure never declines.
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            Some((w & !mask) | bits)
+        });
+    }
+}
+
+/// Copy `data` to `off` bytes into `page`, word by word.
+fn write_page(page: &Page, off: usize, data: &[u8]) {
+    let partial = |word: &AtomicU64, b: usize, bytes: &[u8]| {
+        let mut v = [0u8; 8];
+        v[..bytes.len()].copy_from_slice(bytes);
+        write_word(word, b, bytes.len(), u64::from_le_bytes(v));
+    };
+    let (mut w, b) = (off / 8, off % 8);
+    // Up to the first word boundary, whole words, what is left.
+    let (head, rest) = data.split_at(((8 - b) % 8).min(data.len()));
+    if !head.is_empty() {
+        partial(&page[w], b, head);
+        w += 1;
+    }
+    let whole = rest.chunks_exact(8);
+    let tail = whole.remainder();
+    for (chunk, word) in whole.zip(&page[w..]) {
+        let v: [u8; 8] = chunk.try_into().expect("chunks_exact(8)");
+        word.store(u64::from_le_bytes(v), Ordering::Relaxed);
+        w += 1;
+    }
+    if !tail.is_empty() {
+        partial(&page[w], 0, tail);
+    }
+}
+
+/// Sparse paged memory: a two-level table, leaf slots above page slots,
+/// each published once through a `OnceLock` and never taken back. Pages
+/// materialize zero-filled on first write; reads of unmaterialized pages
+/// inside a segment return zeros (so freshly allocated globals read as
+/// zero) and allocate nothing. A reader does two dependent loads and takes
+/// no lock. Every segment owns a run of leaf slots sized to it, so the table
+/// of an empty image is a few hundred bytes.
+struct PagedMem {
+    leaves: Box<[OnceLock<Box<Leaf>>]>,
 }
 
 impl PagedMem {
-    fn shard_of(&self, pno: u64) -> &RwLock<HashMap<u64, Box<[u8; PAGE as usize]>>> {
-        &self.shards[(pno as usize) & (MEM_SHARDS - 1)]
+    /// The page holding `addr` (which lies in `seg`), if it was ever written.
+    #[inline]
+    fn page(&self, seg: &Segment, addr: u64) -> Option<&Page> {
+        let off = addr - seg.base;
+        let leaf = self.leaves[seg.first_leaf + (off / LEAF_SPAN) as usize].get()?;
+        leaf[(off / PAGE) as usize % LEAF_PAGES].get().map(|p| &**p)
     }
 
-    fn read(&self, addr: u64, out: &mut [u8]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < out.len() {
-            let pno = a / PAGE;
-            let off = (a % PAGE) as usize;
-            let n = ((PAGE as usize) - off).min(out.len() - i);
-            match self.shard_of(pno).read().expect("page shard").get(&pno) {
-                Some(p) => out[i..i + n].copy_from_slice(&p[off..off + n]),
-                None => out[i..i + n].fill(0),
+    /// The page holding `addr`, materialized (with its leaf) if need be.
+    #[inline]
+    fn page_for_write(&self, seg: &Segment, addr: u64) -> &Page {
+        let off = addr - seg.base;
+        let leaf = self.leaves[seg.first_leaf + (off / LEAF_SPAN) as usize]
+            .get_or_init(|| Box::new([const { OnceLock::new() }; LEAF_PAGES]));
+        leaf[(off / PAGE) as usize % LEAF_PAGES]
+            .get_or_init(|| Box::new([const { AtomicU64::new(0) }; PAGE_WORDS]))
+    }
+
+    /// The aligned word holding `addr`; zero if its page was never written.
+    #[inline]
+    fn word(&self, seg: &Segment, addr: u64) -> u64 {
+        self.page(seg, addr)
+            .map_or(0, |p| p[(addr % PAGE) as usize / 8].load(Ordering::Relaxed))
+    }
+
+    /// Read `out.len()` bytes at `addr`; the range lies in `seg`.
+    fn read(&self, seg: &Segment, mut addr: u64, mut out: &mut [u8]) {
+        while !out.is_empty() {
+            let off = (addr % PAGE) as usize;
+            let (chunk, rest) = out.split_at_mut((PAGE as usize - off).min(out.len()));
+            match self.page(seg, addr) {
+                Some(p) => read_page(p, off, chunk),
+                None => chunk.fill(0),
             }
-            a += n as u64;
-            i += n;
+            addr += chunk.len() as u64;
+            out = rest;
         }
     }
 
-    fn write(&self, addr: u64, data: &[u8]) {
-        let mut a = addr;
-        let mut i = 0;
-        while i < data.len() {
-            let pno = a / PAGE;
-            let off = (a % PAGE) as usize;
-            let n = ((PAGE as usize) - off).min(data.len() - i);
-            let mut shard = self.shard_of(pno).write().expect("page shard");
-            let page = shard
-                .entry(pno)
-                .or_insert_with(|| Box::new([0u8; PAGE as usize]));
-            page[off..off + n].copy_from_slice(&data[i..i + n]);
-            drop(shard);
-            a += n as u64;
-            i += n;
+    /// Write `data` at `addr`; the range lies in `seg`.
+    fn write(&self, seg: &Segment, mut addr: u64, mut data: &[u8]) {
+        while !data.is_empty() {
+            let off = (addr % PAGE) as usize;
+            let (chunk, rest) = data.split_at((PAGE as usize - off).min(data.len()));
+            write_page(self.page_for_write(seg, addr), off, chunk);
+            addr += chunk.len() as u64;
+            data = rest;
         }
     }
 }
+
+/// Indices of the allocating segments in [`Image::segments`].
+const SEG_CODE: usize = 0;
+const SEG_DATA: usize = 1;
+const SEG_JIT: usize = 2;
 
 /// A simulated process image: segments, sparse memory and symbols.
 ///
@@ -189,7 +315,7 @@ impl PagedMem {
 /// share between threads.
 pub struct Image {
     mem: PagedMem,
-    segments: Vec<Segment>,
+    segments: [Segment; 5],
     symbols: RwLock<HashMap<String, u64>>,
     code_next: AtomicU64,
     data_next: AtomicU64,
@@ -209,35 +335,32 @@ impl Image {
     /// Create an empty image with the default segment [`layout`].
     pub fn new() -> Image {
         use layout::*;
+        // Ascending and disjoint; `SEG_*` index the first three.
+        let mut leaves = 0;
+        let segments = [
+            (SegKind::Code, CODE_BASE, CODE_SIZE),
+            (SegKind::Data, DATA_BASE, DATA_SIZE),
+            (SegKind::Jit, JIT_BASE, JIT_SIZE),
+            (SegKind::Heap, HEAP_BASE, HEAP_SIZE),
+            (SegKind::Stack, STACK_TOP - STACK_SIZE, STACK_SIZE),
+        ]
+        .map(|(kind, base, size)| {
+            // A page never spans two segments, and a word never two pages.
+            debug_assert!(base % PAGE == 0 && size % PAGE == 0);
+            let first_leaf = leaves;
+            leaves += size.div_ceil(LEAF_SPAN) as usize;
+            Segment {
+                kind,
+                base,
+                size,
+                first_leaf,
+            }
+        });
         Image {
-            mem: PagedMem::default(),
-            segments: vec![
-                Segment {
-                    kind: SegKind::Code,
-                    base: CODE_BASE,
-                    size: CODE_SIZE,
-                },
-                Segment {
-                    kind: SegKind::Data,
-                    base: DATA_BASE,
-                    size: DATA_SIZE,
-                },
-                Segment {
-                    kind: SegKind::Jit,
-                    base: JIT_BASE,
-                    size: JIT_SIZE,
-                },
-                Segment {
-                    kind: SegKind::Heap,
-                    base: HEAP_BASE,
-                    size: HEAP_SIZE,
-                },
-                Segment {
-                    kind: SegKind::Stack,
-                    base: STACK_TOP - STACK_SIZE,
-                    size: STACK_SIZE,
-                },
-            ],
+            mem: PagedMem {
+                leaves: (0..leaves).map(|_| OnceLock::new()).collect(),
+            },
+            segments,
             symbols: RwLock::new(HashMap::new()),
             code_next: AtomicU64::new(CODE_BASE),
             data_next: AtomicU64::new(DATA_BASE),
@@ -268,12 +391,23 @@ impl Image {
         self.uid
     }
 
+    /// The segment that holds all `size` bytes at `addr` — the one segment
+    /// resolution every access, window and query goes through.
+    #[inline]
+    fn segment(&self, addr: u64, size: u64) -> Option<&Segment> {
+        self.segments.iter().find(|s| s.contains(addr, size))
+    }
+
+    /// [`Image::segment`], or the fault an access outside every segment is.
+    #[inline]
+    fn access(&self, addr: u64, size: u64, write: bool) -> Result<&Segment, MemFault> {
+        self.segment(addr, size)
+            .ok_or(MemFault { addr, size, write })
+    }
+
     /// The segment kind containing `addr`, if any.
     pub fn segment_of(&self, addr: u64) -> Option<SegKind> {
-        self.segments
-            .iter()
-            .find(|s| s.contains(addr, 1))
-            .map(|s| s.kind)
+        self.segment(addr, 1).map(|s| s.kind)
     }
 
     /// How many of the `len` bytes at `addr` lie inside the segment that
@@ -281,18 +415,7 @@ impl Image {
     /// cannot trust (a declared known range, a checkpoint) clips to this
     /// before it reads or allocates.
     pub fn mapped_prefix(&self, addr: u64, len: u64) -> u64 {
-        self.segments
-            .iter()
-            .find(|s| s.contains(addr, 1))
-            .map_or(0, |s| len.min(s.base + s.size - addr))
-    }
-
-    fn check(&self, addr: u64, size: u64, write: bool) -> Result<(), MemFault> {
-        if self.segments.iter().any(|s| s.contains(addr, size)) {
-            Ok(())
-        } else {
-            Err(MemFault { addr, size, write })
-        }
+        self.segment(addr, 1).map_or(0, |s| len.min(s.end() - addr))
     }
 
     /// Initial stack pointer for a new activation.
@@ -327,7 +450,7 @@ impl Image {
             16,
             layout::CODE_BASE + layout::CODE_SIZE,
         );
-        self.mem.write(addr, bytes);
+        self.mem.write(&self.segments[SEG_CODE], addr, bytes);
         self.bump_code_version();
         addr
     }
@@ -345,7 +468,7 @@ impl Image {
     /// Copy `bytes` into the data segment; returns their address.
     pub fn alloc_data_bytes(&self, bytes: &[u8], align: u64) -> u64 {
         let addr = self.alloc_data(bytes.len() as u64, align);
-        self.mem.write(addr, bytes);
+        self.mem.write(&self.segments[SEG_DATA], addr, bytes);
         addr
     }
 
@@ -354,7 +477,7 @@ impl Image {
         let addr = self
             .try_alloc_jit(bytes.len() as u64)
             .expect("JIT segment exhausted");
-        self.mem.write(addr, bytes);
+        self.mem.write(&self.segments[SEG_JIT], addr, bytes);
         self.bump_code_version();
         addr
     }
@@ -432,35 +555,57 @@ impl Image {
 
     /// Read `out.len()` bytes at `addr`.
     pub fn read_bytes(&self, addr: u64, out: &mut [u8]) -> Result<(), MemFault> {
-        self.check(addr, out.len() as u64, false)?;
-        self.mem.read(addr, out);
+        let seg = self.access(addr, out.len() as u64, false)?;
+        self.mem.read(seg, addr, out);
         Ok(())
     }
 
     /// Write `data` at `addr`.
     pub fn write_bytes(&self, addr: u64, data: &[u8]) -> Result<(), MemFault> {
-        self.check(addr, data.len() as u64, true)?;
-        self.mem.write(addr, data);
-        // Bump only once the bytes have landed (as `alloc_code`/`alloc_jit`
-        // do): an engine that sees the new version and drops its decode
-        // cache must not be able to refill it from the old bytes.
-        if matches!(self.segment_of(addr), Some(SegKind::Code | SegKind::Jit)) {
-            self.bump_code_version();
-        }
+        let seg = self.access(addr, data.len() as u64, true)?;
+        self.mem.write(seg, addr, data);
+        self.wrote(seg);
         Ok(())
     }
 
+    /// Bump only once the bytes have landed (as `alloc_code`/`alloc_jit`
+    /// do): an engine that sees the new version and drops its decode cache
+    /// must not be able to refill it from the old bytes.
+    #[inline]
+    fn wrote(&self, seg: &Segment) {
+        if seg.is_code() {
+            self.bump_code_version();
+        }
+    }
+
     /// Read a little-endian unsigned value of `size` bytes (1, 2, 4 or 8).
+    #[inline]
     pub fn read_uint(&self, addr: u64, size: u64) -> Result<u64, MemFault> {
+        let seg = self.access(addr, size, false)?;
+        let (b, n) = ((addr % 8) as usize, size as usize);
+        if (1..=8 - b).contains(&n) {
+            // Inside one word: one atomic load.
+            return Ok((self.mem.word(seg, addr) >> (b * 8)) & low_mask(n));
+        }
         let mut buf = [0u8; 8];
-        self.read_bytes(addr, &mut buf[..size as usize])?;
+        self.mem.read(seg, addr, &mut buf[..n]);
         Ok(u64::from_le_bytes(buf))
     }
 
     /// Write the low `size` bytes of `v` little-endian.
+    #[inline]
     pub fn write_uint(&self, addr: u64, size: u64, v: u64) -> Result<(), MemFault> {
-        let buf = v.to_le_bytes();
-        self.write_bytes(addr, &buf[..size as usize])
+        let seg = self.access(addr, size, true)?;
+        let (b, n) = ((addr % 8) as usize, size as usize);
+        if (1..=8 - b).contains(&n) {
+            // Inside one word: one atomic store or merge.
+            let page = self.mem.page_for_write(seg, addr);
+            write_word(&page[(addr % PAGE) as usize / 8], b, n, v);
+        } else {
+            self.mem.write(seg, addr, &v.to_le_bytes()[..n]);
+        }
+        self.wrote(seg);
+        Ok(())
     }
 
     /// Read a u64.
@@ -496,16 +641,15 @@ impl Image {
     /// many bytes of it were filled.
     pub fn code_window_into(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemFault> {
         let seg = self
-            .segments
-            .iter()
-            .find(|s| s.contains(addr, 1) && matches!(s.kind, SegKind::Code | SegKind::Jit))
+            .segment(addr, 1)
+            .filter(|s| s.is_code())
             .ok_or(MemFault {
                 addr,
                 size: 1,
                 write: false,
             })?;
-        let n = (seg.base + seg.size - addr).min(buf.len() as u64) as usize;
-        self.mem.read(addr, &mut buf[..n]);
+        let n = (seg.end() - addr).min(buf.len() as u64) as usize;
+        self.mem.read(seg, addr, &mut buf[..n]);
         Ok(n)
     }
 }

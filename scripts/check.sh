@@ -27,7 +27,9 @@
 #                               # monotone, whole-sweep rewrite faster than
 #                               # the specialized apply
 #   scripts/check.sh hotpath    # hot-path gate: no default-hasher
-#                               # (SipHash) map on a per-instruction path
+#                               # (SipHash) map on a per-instruction path,
+#                               # no lock or hash map in the image's page
+#                               # store
 #   scripts/check.sh bench      # benchmark gate: benchmark/ (its own
 #                               # workspace) builds against the crates'
 #                               # facade, its tests pass, a smoke run of all
@@ -398,6 +400,15 @@ if [ "$stage" = "all" ] || [ "$stage" = "hotpath" ]; then
             exit 1
         fi
     done
+    # The image's page store sits under every guest load, store and fetch of
+    # all of the above: a table of once-published atomic pages, no lock and
+    # no hash map. Only the symbol table (names from outside the process,
+    # never on an instruction's path) keeps its `RwLock<HashMap>`.
+    if sed '/^#\[cfg(test)\]/,$d' crates/image/src/lib.rs |
+        grep -n 'HashMap\|RwLock' | grep -v 'symbol\|^[0-9]*:use std::'; then
+        echo "FAIL: lock or hash map outside the symbol table in crates/image/src/lib.rs" >&2
+        exit 1
+    fi
     echo "hot-path gate passed"
 fi
 
