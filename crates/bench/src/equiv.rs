@@ -5,13 +5,13 @@
 //! instruction-count ladder that `OptLevel::Aggressive` buys once the proof
 //! gates it.
 //!
-//! Rendered as greppable lines so `tables --exp v2` doubles as the
-//! equivalence gate in `scripts/check.sh`:
+//! Three sections (`tests/gates.rs` asserts on the report's fields):
 //!
-//! 1. **clean** — every corpus variant (ints, doubles, division, a loop
-//!    world migration keeps, a pass-less spill-everything shape, and the
-//!    §V workloads: stencil apply, whole-sweep rewrite, PGAS sum) is
-//!    checked under every pass configuration that matters; any
+//! 1. **clean** — every variant of the V2 corpus
+//!    (`crates/verify/tests/corpus`: ints, doubles, division, a loop
+//!    world migration keeps, each at every pass point down to the
+//!    pass-less spill-everything shape) and the §V workloads (stencil
+//!    apply, whole-sweep rewrite, PGAS sum) is checked; any
 //!    `Rule::Equivalence` error is a soundness false positive, and a
 //!    gated manager must publish every one of them at the first attempt;
 //! 2. **miscompiles** — the seven pass-shaped corruption kinds from
@@ -22,36 +22,19 @@
 //!    apply along the A2 pass ladder, which must be monotone
 //!    non-increasing and land at or under the aggressive-coalescing gate.
 
+use crate::corpus;
 use brew_core::telemetry::metrics::Ctr;
-use brew_core::{OptLevel, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager};
+use brew_core::{OptLevel, RewriteResult, Rewriter, SpecRequest, SpecializationManager};
 use brew_image::Image;
 use brew_pgas::PgasArray;
 use brew_stencil::Stencil;
 use brew_verify::{mutate, verify, Rule, Severity, VerifyOptions};
 
-/// Static instruction-count gate for the aggressive E2 emission
-/// (EXPERIMENTS.md V2; the seed emission was 31).
+/// Static instruction-count gate for the default E2 emission (paper ~20;
+/// before register allocation it was 74).
+pub const E2_DEFAULT_GATE: usize = 31;
+/// The same for the aggressive emission (EXPERIMENTS.md V2).
 pub const E2_AGGRESSIVE_GATE: usize = 27;
-
-const PROG: &str = r#"
-    int poly(int x, int n) {
-        int r = 1;
-        for (int i = 0; i < n; i++) r *= x;
-        return r;
-    }
-    int diffsq(int a, int b) { int d = a - b; return d * d; }
-    double fdiff(double a, double b, double c) { return (a - b) / c; }
-    int modsum(int a, int b, int n) {
-        int s = 0;
-        for (int i = 0; i < n; i++) s += (a * i + b) / (i + 1);
-        return s;
-    }
-    int sum(int* p, int n) {
-        int s = 0;
-        for (int i = 0; i < n; i++) s += p[i];
-        return s;
-    }
-"#;
 
 /// One equivalence-checked corpus variant.
 #[derive(Debug, Clone)]
@@ -100,76 +83,6 @@ impl EquivV2Report {
     }
 }
 
-fn corpus(img: &Image) -> Vec<(String, u64, SpecRequest)> {
-    let prog = brew_minic::compile_into(PROG, img).unwrap();
-    let f = |n: &str| prog.func(n).unwrap();
-    let int2 = |a: &str| {
-        (
-            a.to_string(),
-            f(a),
-            SpecRequest::new()
-                .unknown_int()
-                .unknown_int()
-                .ret(RetKind::Int),
-        )
-    };
-    vec![
-        (
-            "poly n=6".into(),
-            f("poly"),
-            SpecRequest::new()
-                .unknown_int()
-                .known_int(6)
-                .ret(RetKind::Int),
-        ),
-        int2("diffsq"),
-        (
-            "fdiff c=3.0".into(),
-            f("fdiff"),
-            SpecRequest::new()
-                .unknown_f64()
-                .unknown_f64()
-                .known_f64(3.0)
-                .ret(RetKind::F64),
-        ),
-        (
-            "modsum n=5".into(),
-            f("modsum"),
-            SpecRequest::new()
-                .unknown_int()
-                .unknown_int()
-                .known_int(5)
-                .ret(RetKind::Int),
-        ),
-        // The loop stays (world migration closes it): constant counters
-        // in the unrolled bodies, exit tests as flag writer + jcc.
-        (
-            "sum n=6 kept loop".into(),
-            f("sum"),
-            SpecRequest::new()
-                .unknown_int()
-                .known_int(6)
-                .ret(RetKind::Int)
-                .func(f("sum"), |o| {
-                    o.branch_unknown = true;
-                    o.max_variants = 2;
-                }),
-        ),
-    ]
-}
-
-/// Pass configurations each corpus function is proved under: the full
-/// pipeline, the aggressive coalescer the proof unlocks, and the
-/// pass-less shape whose frame traffic stresses the spill-vs-promote
-/// join.
-fn pass_points() -> [(&'static str, OptLevel); 3] {
-    [
-        ("all", OptLevel::default()),
-        ("aggr", OptLevel::Aggressive),
-        ("none", OptLevel::None),
-    ]
-}
-
 fn equiv_errors(report: &brew_verify::VerifyReport) -> usize {
     report
         .findings
@@ -183,7 +96,7 @@ pub fn equiv_study() -> EquivV2Report {
     let img = Image::new();
     let opts = VerifyOptions::default();
 
-    // --- section 1: the clean corpus, every function × pass point ---
+    // --- section 1: the clean corpus ---
     let mut clean = Vec::new();
     let mut fallbacks = 0;
     let mut published = |img: &Image, func: u64, req: &SpecRequest| {
@@ -195,21 +108,18 @@ pub fn equiv_study() -> EquivV2Report {
         fallbacks += mgr.metrics().counter(Ctr::RegallocFallback).get();
     };
     let mut variants: Vec<(u64, SpecRequest, RewriteResult)> = Vec::new();
-    for (label, func, req) in corpus(&img) {
-        for (pname, pc) in pass_points() {
-            let req = req.clone().passes(pc);
-            let res = Rewriter::new(&img)
-                .rewrite(func, &req)
-                .expect("corpus rewrite");
-            published(&img, func, &req);
-            let report = verify(&img, func, &req, &res, &opts);
-            clean.push(EquivRow {
-                label: format!("{label} [{pname}]"),
-                equiv_errors: equiv_errors(&report),
-                errors: report.error_count(),
-            });
-            variants.push((func, req, res));
-        }
+    for corpus::Case { label, func, req } in corpus::v2(&img) {
+        let res = Rewriter::new(&img)
+            .rewrite(func, &req)
+            .expect("corpus rewrite");
+        published(&img, func, &req);
+        let report = verify(&img, func, &req, &res, &opts);
+        clean.push(EquivRow {
+            label,
+            equiv_errors: equiv_errors(&report),
+            errors: report.error_count(),
+        });
+        variants.push((func, req, res));
     }
     // The §V workloads ride along, aggressive included: the stencil
     // apply, the whole-sweep rewrite and the PGAS sum.
@@ -236,7 +146,7 @@ pub fn equiv_study() -> EquivV2Report {
         ),
     ];
     for (label, wimg, func, req) in workloads {
-        for (pname, pc) in pass_points().into_iter().take(2) {
+        for (pname, pc) in corpus::pass_points().into_iter().take(2) {
             let req = req.clone().passes(pc);
             let res = Rewriter::new(wimg)
                 .rewrite(func, &req)

@@ -1,12 +1,16 @@
-//! # brew-bench — shared experiment drivers
+//! # brew-bench — the deterministic reproduction
 //!
-//! Each experiment of DESIGN.md §3 is a function here, used both by the
-//! Criterion benches (wall-clock of the emulated runs) and by the `tables`
-//! binary (model-cycle tables, the unit the paper's ratios are compared
-//! against — see EXPERIMENTS.md).
+//! Each experiment of DESIGN.md §3 is a function here returning a typed
+//! report, rendered by the `tables` binary and asserted on by
+//! `tests/gates.rs`. Everything printed is a model-cycle count, an
+//! instruction count or a manager counter, so two runs print the same
+//! bytes (`tests/tables_pins.txt`); wall-clock figures are the benchmark's
+//! (`benchmark/`, EXPERIMENTS.md names the metric for each).
 
 #![warn(missing_docs)]
 
+#[path = "../../verify/tests/corpus/mod.rs"]
+mod corpus;
 mod equiv;
 mod obs;
 mod prof;
@@ -16,17 +20,18 @@ mod verify;
 
 pub use equiv::{
     equiv_study, render_equiv, EquivRow, EquivV2Report, MiscompileRow, E2_AGGRESSIVE_GATE,
+    E2_DEFAULT_GATE,
 };
-pub use obs::{guard_overhead_rows, obs_study, render_obs, ObsReport};
-pub use prof::{prof_study, render_prof, ProfReport, SelfRow, FLIGHT_OVERHEAD_GATE_NS};
+pub use obs::{obs_study, render_obs, ObsReport};
+pub use prof::{prof_study, render_prof, ProfReport, SelfRow};
 pub use serve::{render_serve, serve_study, ServeReport, ServeRow, KEYS, SERVE_HEAD_MASS_PCT};
 pub use tier::{render_tier, tier_study, TierPhase, TierReport, FPS, HEAD_MASS_PCT, HOT};
 pub use verify::{render_verify, verify_study, CleanRow, KindRow, VerifyV1Report};
 
-use brew_core::OptLevel;
+use brew_core::{OptLevel, RetKind, Rewriter, SpecRequest};
 use brew_emu::{Machine, Stats};
 use brew_pgas::PgasArray;
-use brew_stencil::{Stencil, Variant};
+use brew_stencil::{programs, Stencil, Variant};
 
 /// Default experiment grid (the paper uses 500²×1000 wall-clock; the
 /// emulated substrate uses a smaller grid — ratios are the result).
@@ -149,41 +154,59 @@ pub fn passes_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
     out
 }
 
+/// One row of A2's companion table: what one pass stage did to the
+/// specialized `apply` and to the whole-sweep rewrite.
+#[derive(Debug, Clone)]
+pub struct PassCount {
+    /// Stage name (the `cat:"pass"` span's name).
+    pub pass: String,
+    /// Instructions removed from `apply` (by `slot-alloc`: converted).
+    pub apply: u64,
+    /// The same for `sweep_generic` at unroll 4.
+    pub sweep: u64,
+}
+
 /// A2's companion: instructions removed (by the slot allocator: converted)
-/// per pass stage (the argument of each `cat:"pass"` span) for the specialized `apply` and the
-/// whole-sweep rewrite, so each pass's share is visible next to the ladder.
-pub fn pass_removed_table(xs: i64, ys: i64) -> String {
+/// per pass stage — the argument of each `cat:"pass"` span — so each
+/// pass's share is visible next to the ladder.
+pub fn pass_counts(xs: i64, ys: i64) -> Vec<PassCount> {
     let s = Stencil::new(xs, ys);
-    let spans = |func: &str, req: brew_core::SpecRequest| -> Vec<(String, String)> {
+    let spans = |func: &str, req: SpecRequest| -> Vec<(String, u64)> {
         let f = s.prog.func(func).unwrap();
-        let (_, rec) = brew_core::Rewriter::new(&s.img)
+        let (_, rec) = Rewriter::new(&s.img)
             .rewrite_with_trace(f, &req)
             .expect("traced rewrite");
         rec.events_in("pass")
             .iter()
             .map(|e| {
-                (
-                    e.name.clone(),
-                    e.args.first().map_or("-".into(), |a| a.1.clone()),
-                )
+                let n = e.args.first().expect("a pass span carries its count");
+                (e.name.clone(), n.1.parse().expect("a count"))
             })
             .collect()
     };
     let apply = spans("apply", s.apply_request());
     let sweep = spans("sweep_generic", s.sweep_request(4));
+    apply
+        .into_iter()
+        .zip(sweep)
+        .map(|((pass, apply), (_, sweep))| PassCount { pass, apply, sweep })
+        .collect()
+}
+
+/// Render [`pass_counts`].
+pub fn render_pass_counts(rows: &[PassCount]) -> String {
     let mut out = format!(
         "### instructions removed (slot-alloc: converted) per pass\n\n{:<22} {:>8} {:>10}\n",
         "pass", "apply", "sweep.u4"
     );
-    for ((name, a), (_, w)) in apply.iter().zip(&sweep) {
-        out.push_str(&format!("{name:<22} {a:>8} {w:>10}\n"));
+    for r in rows {
+        out.push_str(&format!("{:<22} {:>8} {:>10}\n", r.pass, r.apply, r.sweep));
     }
     out
 }
 
 /// A3: inlining on vs off for the specialized apply.
 pub fn inline_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
-    use brew_core::{RetKind, Rewriter, SpecRequest};
     let mut m = Machine::new();
     let host = Stencil::new(xs, ys).host_checksum(iters);
     let mut out = Vec::new();
@@ -231,7 +254,6 @@ pub fn inline_study(xs: i64, ys: i64, iters: u32) -> Vec<Row> {
 /// stream*, so the guard's dispatch overhead and the specialization's win
 /// are both visible.
 pub fn guard_study() -> Vec<Row> {
-    use brew_core::{RetKind, Rewriter, SpecRequest};
     use brew_emu::CallArgs;
     let src = "int poly(int x, int n) { int r = 1; for (int i = 0; i < n; i++) r *= x; return r; }";
     let mut out = Vec::new();
@@ -339,106 +361,11 @@ pub fn rewrite_cost_study(xs: i64, ys: i64) -> Vec<Row> {
     out
 }
 
-/// C1 numbers: cost of a cold specialization request (a full rewrite, the
-/// A6 baseline) vs a cached re-request through the variant cache.
-#[derive(Debug, Clone)]
-pub struct CacheReport {
-    /// Wall-clock ns of the initial (miss) request — decode, trace,
-    /// passes, layout, encode.
-    pub cold_ns: u64,
-    /// Per-phase breakdown of that cold rewrite.
-    pub cold_stats: brew_core::RewriteStats,
-    /// Average wall-clock ns of one cached re-request (a hash lookup).
-    pub cached_avg_ns: u64,
-    /// Number of re-requests replayed.
-    pub rerequests: u32,
-    /// Manager counters at the end of the replay.
-    pub stats: brew_core::CacheStats,
-}
-
-/// C1: variant-cache amortization. Replays a skewed stream of
-/// specialization requests — the hot request re-arrives 7 of 8 times, a
-/// second request shape (same function, passes off, distinct fingerprint)
-/// takes the rest — through a [`brew_core::SpecializationManager`] and
-/// measures cold-vs-cached request cost.
-pub fn cache_study(xs: i64, ys: i64, rerequests: u32) -> CacheReport {
-    use brew_core::SpecializationManager;
-    use std::time::Instant;
-
-    let s = Stencil::new(xs, ys);
-    let func = s.prog.func("apply").unwrap();
-    let hot = s.apply_request();
-    let alt = s.apply_request().passes(OptLevel::None);
-
-    let mgr = SpecializationManager::new();
-    let t0 = Instant::now();
-    let first = mgr.get_or_rewrite(&s.img, func, &hot).unwrap();
-    let cold_ns = (t0.elapsed().as_nanos() as u64).max(1);
-    let cold_stats = first.stats;
-    mgr.get_or_rewrite(&s.img, func, &alt).unwrap();
-
-    let t1 = Instant::now();
-    for i in 0..rerequests {
-        let req = if i % 8 == 7 { &alt } else { &hot };
-        let v = mgr.get_or_rewrite(&s.img, func, req).unwrap();
-        std::hint::black_box(v.entry);
-    }
-    let cached_avg_ns = (t1.elapsed().as_nanos() as u64) / u64::from(rerequests.max(1));
-
-    CacheReport {
-        cold_ns,
-        cold_stats,
-        cached_avg_ns,
-        rerequests,
-        stats: mgr.stats(),
-    }
-}
-
-/// Render the C1 amortization report.
-pub fn render_cache(title: &str, r: &CacheReport) -> String {
-    let pct = r.cached_avg_ns as f64 / r.cold_ns as f64 * 100.0;
-    let mut s = format!("## {title}\n\n");
-    s.push_str(&format!(
-        "cold rewrite (miss)     : {:>10} ns   ({}us trace + {}us passes + {}us emit; \
-         {} guest insts traced)\n",
-        r.cold_ns,
-        r.cold_stats.trace_ns / 1_000,
-        r.cold_stats.pass_ns / 1_000,
-        r.cold_stats.emit_ns / 1_000,
-        r.cold_stats.traced,
-    ));
-    s.push_str(&format!(
-        "cached re-request (avg) : {:>10} ns   ({pct:.2}% of a cold rewrite, \
-         over {} re-requests)\n",
-        r.cached_avg_ns, r.rerequests,
-    ));
-    s.push_str(&format!(
-        "cache counters          : {} hits, {} misses, {} evictions, {} bytes resident\n",
-        r.stats.hits, r.stats.misses, r.stats.evictions, r.stats.resident_bytes,
-    ));
-    s.push_str(&format!(
-        "traced guest insts      : {} total — flat across every cached re-request\n",
-        r.stats.traced_total,
-    ));
-    s
-}
-
-/// C3 numbers: cost of rediscovering a failing specialization (a full
-/// doomed trace) vs a negative-cache denial, plus the cost of a staleness
-/// sweep.
+/// C3 numbers: what a staleness sweep drops, and the manager's counters
+/// after a doomed request was replayed through the negative cache.
 #[derive(Debug, Clone)]
 pub struct LifecycleReport {
-    /// Wall-clock ns of the initial failing request — the rewrite runs
-    /// until the trace budget blows.
-    pub cold_fail_ns: u64,
-    /// Average wall-clock ns of one denied re-request (a shard lookup).
-    pub denied_avg_ns: u64,
-    /// Denied re-requests replayed.
-    pub denials: u32,
-    /// Wall-clock ns of one `revalidate` sweep over the resident variants
-    /// (all snapshots re-hashed, none stale).
-    pub revalidate_clean_ns: u64,
-    /// Variants resident during the sweep.
+    /// Variants resident during the clean sweep (all re-hashed, none stale).
     pub resident: usize,
     /// Variants dropped after one folded byte was mutated.
     pub dropped_after_mutation: usize,
@@ -446,15 +373,15 @@ pub struct LifecycleReport {
     pub stats: brew_core::CacheStats,
 }
 
-/// C3: failure-path amortization and staleness sweeps. A doomed request
-/// (code-size budget too small for the specialized apply) pays the full
-/// pipeline once, then is replayed through the negative cache;
-/// `revalidate` is timed over the healthy variants, and one byte of the
-/// folded descriptor is mutated to show the sweep dropping exactly the
-/// dependent variants.
+/// C3: the failure path and staleness sweeps. A doomed request (code-size
+/// budget too small for the specialized apply) runs the full pipeline
+/// once, then is replayed `denials` times through the negative cache;
+/// `revalidate` sweeps the healthy variants, and one byte of the folded
+/// descriptor is mutated to show the sweep dropping exactly the dependent
+/// variants. What a denial costs against the doomed rewrite is the
+/// benchmark's `manager.denied_ns` against `cold_request_us`.
 pub fn lifecycle_study(xs: i64, ys: i64, denials: u32) -> LifecycleReport {
     use brew_core::{Invalidation, NegativePolicy, SpecializationManager};
-    use std::time::Instant;
 
     let s = Stencil::new(xs, ys);
     let func = s.prog.func("apply").unwrap();
@@ -475,25 +402,16 @@ pub fn lifecycle_study(xs: i64, ys: i64, denials: u32) -> LifecycleReport {
     mgr.get_or_rewrite(&s.img, func, &hot.clone().passes(OptLevel::None))
         .unwrap();
 
-    let t0 = Instant::now();
-    mgr.get_or_rewrite(&s.img, func, &doomed).unwrap_err();
-    let cold_fail_ns = (t0.elapsed().as_nanos() as u64).max(1);
-
-    let t1 = Instant::now();
-    for _ in 0..denials {
-        let e = mgr.get_or_rewrite(&s.img, func, &doomed).unwrap_err();
-        std::hint::black_box(e);
+    for _ in 0..=denials {
+        mgr.get_or_rewrite(&s.img, func, &doomed).unwrap_err();
     }
-    let denied_avg_ns = (t1.elapsed().as_nanos() as u64) / u64::from(denials.max(1));
 
     let resident = mgr.len();
-    let t2 = Instant::now();
     assert_eq!(
         mgr.apply_invalidation(Invalidation::Revalidate(&s.img)),
         0,
         "nothing was mutated yet"
     );
-    let revalidate_clean_ns = (t2.elapsed().as_nanos() as u64).max(1);
 
     // Flip one folded byte of the stencil descriptor: both variants baked
     // it, so the sweep drops both.
@@ -504,10 +422,6 @@ pub fn lifecycle_study(xs: i64, ys: i64, denials: u32) -> LifecycleReport {
     s.img.write_u64(s5, saved).unwrap();
 
     LifecycleReport {
-        cold_fail_ns,
-        denied_avg_ns,
-        denials,
-        revalidate_clean_ns,
         resident,
         dropped_after_mutation,
         stats: mgr.stats(),
@@ -516,19 +430,10 @@ pub fn lifecycle_study(xs: i64, ys: i64, denials: u32) -> LifecycleReport {
 
 /// Render the C3 failure-path/lifecycle report.
 pub fn render_lifecycle(title: &str, r: &LifecycleReport) -> String {
-    let ratio = r.cold_fail_ns as f64 / r.denied_avg_ns.max(1) as f64;
     let mut s = format!("## {title}\n\n");
     s.push_str(&format!(
-        "cold failing request    : {:>10} ns   (full trace+passes+emit before the budget rejects)\n",
-        r.cold_fail_ns,
-    ));
-    s.push_str(&format!(
-        "denied re-request (avg) : {:>10} ns   ({ratio:.0}x cheaper, over {} denials)\n",
-        r.denied_avg_ns, r.denials,
-    ));
-    s.push_str(&format!(
-        "revalidate, all clean   : {:>10} ns   ({} variants re-hashed, 0 dropped)\n",
-        r.revalidate_clean_ns, r.resident,
+        "revalidate, all clean   : {:>10} variants re-hashed, 0 dropped\n",
+        r.resident,
     ));
     s.push_str(&format!(
         "after 1-byte mutation   : {:>10} variants dropped by the sweep\n",
@@ -538,99 +443,6 @@ pub fn render_lifecycle(title: &str, r: &LifecycleReport) -> String {
         "lifecycle counters      : {} denied, {} stale, {} invalidated, {} misses total\n",
         r.stats.denied, r.stats.stale, r.stats.invalidated, r.stats.misses,
     ));
-    s
-}
-
-/// One C2 row: request-path throughput at a given thread count.
-#[derive(Debug, Clone)]
-pub struct ConcRow {
-    /// Worker threads issuing requests concurrently.
-    pub threads: u32,
-    /// Total requests issued across all threads.
-    pub requests: u64,
-    /// Wall-clock ns for the whole request storm.
-    pub wall_ns: u64,
-    /// Manager counters at quiescence.
-    pub stats: brew_core::CacheStats,
-}
-
-/// The distinct request fingerprints `conc_study` replays.
-pub const CONC_DISTINCT: u64 = 4;
-
-/// C2: concurrent request throughput through one shared
-/// [`brew_core::SpecializationManager`]. Every thread hammers the same
-/// skewed mix (the hot `apply` shape 5 of 8, three colder shapes for the
-/// rest); single-flight coalescing means the miss count stays at the
-/// distinct-fingerprint count no matter how many threads race the cold
-/// start, and the hit path is a sharded lock-per-shard lookup, so ns/req
-/// should stay roughly flat as threads scale.
-pub fn conc_study(xs: i64, ys: i64, rounds: u32, thread_counts: &[u32]) -> Vec<ConcRow> {
-    use brew_core::SpecializationManager;
-    use std::time::Instant;
-
-    let mut out = Vec::new();
-    for &nthreads in thread_counts {
-        let s = Stencil::new(xs, ys);
-        let func = s.prog.func("apply").unwrap();
-        // Four distinct fingerprints: the hot shape plus three
-        // semantically identical variants distinguished only by config
-        // (trace-budget tweaks change the fingerprint, not the code).
-        let reqs = [
-            s.apply_request(),
-            s.apply_request().passes(OptLevel::None),
-            s.apply_request().max_trace_insts(3_999_999),
-            s.apply_request().max_trace_insts(3_999_998),
-        ];
-        const MIX: [usize; 8] = [0, 0, 0, 0, 0, 1, 2, 3];
-        let mgr = SpecializationManager::new();
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for tid in 0..nthreads {
-                let (mgr, img, reqs) = (&mgr, &s.img, &reqs);
-                scope.spawn(move || {
-                    for i in 0..rounds {
-                        let req = &reqs[MIX[(tid as usize * 3 + i as usize) % MIX.len()]];
-                        let v = mgr.get_or_rewrite(img, func, req).unwrap();
-                        std::hint::black_box(v.entry);
-                    }
-                });
-            }
-        });
-        let wall_ns = (t0.elapsed().as_nanos() as u64).max(1);
-        out.push(ConcRow {
-            threads: nthreads,
-            requests: u64::from(nthreads) * u64::from(rounds),
-            wall_ns,
-            stats: mgr.stats(),
-        });
-    }
-    out
-}
-
-/// Render the C2 concurrency table.
-pub fn render_conc(title: &str, rows: &[ConcRow]) -> String {
-    let mut s = format!("## {title}\n\n");
-    s.push_str(&format!(
-        "{:<8} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8} {:>11}\n",
-        "threads", "requests", "wall us", "ns/req", "hits", "coalesced", "misses", "dup traces"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<8} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8} {:>11}\n",
-            r.threads,
-            r.requests,
-            r.wall_ns / 1_000,
-            r.wall_ns / r.requests.max(1),
-            r.stats.hits,
-            r.stats.coalesced,
-            r.stats.misses,
-            r.stats.misses.saturating_sub(CONC_DISTINCT),
-        ));
-    }
-    s.push_str(
-        "\nsingle-flight: misses stay at the distinct-fingerprint count (4) at every \
-         thread count;\na duplicate trace would show up in the last column.\n",
-    );
     s
 }
 
@@ -679,4 +491,251 @@ pub fn render(title: &str, rows: &[Row]) -> String {
         ));
     }
     s
+}
+
+/// Every experiment id, in the order `tables` prints them (DESIGN.md §3).
+pub const EXPERIMENTS: [&str; 19] = [
+    "e1", "e2", "e3", "e4", "e5", "a1", "a2", "a3", "a4", "a5", "a6", "p1", "obs", "life",
+    "verify", "v2", "tier", "serve", "prof",
+];
+
+/// Run one experiment and render it; `None` for an id not in
+/// [`EXPERIMENTS`].
+pub fn render_experiment(id: &str) -> Option<String> {
+    Some(match id {
+        "e1" => render(
+            "E1 — §V.A/§V.B runtimes (paper: generic 100%, manual 37%, specialized 44%, \
+             grouped-generic 110%, grouped-specialized 37%, manual-same-CU 24%)",
+            &stencil_study(XS, YS, ITERS),
+        ),
+        "e2" => e2_listing(),
+        "e3" => {
+            // E3 is the grouped subset of the study; rendered against the
+            // grouped-generic baseline for the §V.B framing.
+            let rows = stencil_study(XS, YS, ITERS);
+            let grouped: Vec<_> = rows
+                .into_iter()
+                .filter(|r| r.label.contains("grouped") || r.label.contains("manual"))
+                .collect();
+            render("E3 — §V.B grouped coefficients", &grouped)
+        }
+        "e4" => render(
+            "E4 — whole-sweep rewriting with controlled unrolling (§V.B outlook)",
+            &sweep_study(XS, YS, ITERS, &[1, 2, 4, 8]),
+        ),
+        "e5" => e5_make_dynamic(),
+        "a1" => a1_variants(),
+        "a2" => format!(
+            "{}\n{}",
+            render(
+                "A2 — optimization-pass ablation",
+                &passes_study(XS, YS, ITERS)
+            ),
+            render_pass_counts(&pass_counts(XS, YS))
+        ),
+        "a3" => render(
+            "A3 — inlining ablation (§IV: 'the most important aspect')",
+            &inline_study(XS, YS, ITERS),
+        ),
+        "a4" => render(
+            "A4 — vectorization headroom (§IV future work; hand-scheduled packed target)",
+            &vectorize_study(XS, YS, ITERS),
+        ),
+        "a5" => render("A5 — guarded specialization (§III.D)", &guard_study()),
+        "a6" => render(
+            "A6 — rewrite cost (cycles column = guest insts traced, insts column = emitted)",
+            &rewrite_cost_study(XS, YS),
+        ),
+        "p1" => render("P1 — PGAS global-to-local translation", &pgas_study(240, 4)),
+        "obs" => render_obs(
+            "OBS — end-to-end telemetry (registry, self-counting stubs, explain report)",
+            &obs_study(XS, YS),
+        ),
+        "verify" => render_verify(
+            "V1 — static variant verifier (translation validation at publish time)",
+            &verify_study(),
+        ),
+        "v2" => render_equiv(
+            "V2 — symbolic equivalence prover (aggressive coalescing behind the proof)",
+            &equiv_study(),
+        ),
+        "life" => render_lifecycle(
+            "C3 — failure path & staleness sweeps (negative cache, revalidate)",
+            &lifecycle_study(XS, YS, 1_000),
+        ),
+        "tier" => render_tier(
+            "C4 — adaptive tiering under a drifting zipf workload (no operator input)",
+            &tier_study(4, 12, 256),
+        ),
+        "prof" => render_prof(
+            "PROF — flight recorder, variant self-time attribution & symbolization",
+            &prof_study(XS, YS),
+        ),
+        "serve" => render_serve(
+            "C5 — wait-free serving read path & verified persistence (zipfian torture)",
+            &serve_study(4_000, &[1, 2, 4]),
+        ),
+        _ => return None,
+    })
+}
+
+/// What `tables` prints for `ids`: each experiment's text and a blank
+/// line, in the order given. Independent experiments run on scoped threads.
+///
+/// # Panics
+/// On an id not in [`EXPERIMENTS`].
+pub fn render_all(ids: &[&str]) -> String {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ids
+            .iter()
+            .map(|id| scope.spawn(move || render_experiment(id).expect("a known experiment id")))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("experiment thread") + "\n")
+            .collect()
+    })
+}
+
+/// E2: the Figure-6 listing — the generated code of the specialized apply,
+/// with the structural properties the paper points out.
+fn e2_listing() -> String {
+    let mut s = Stencil::new(XS, YS);
+    let res = s.specialize_apply().expect("rewrite");
+    let lines = brew_core::disasm_result(&s.img, &res);
+    let mut out = String::from("## E2 — Figure 6: generated code of the specialized apply\n\n");
+    let muls = lines.iter().filter(|l| l.contains("mulsd")).count();
+    let branches = lines.iter().filter(|l| l.contains(" j")).count();
+    let abs_refs = lines.iter().filter(|l| l.contains("[0x6")).count();
+    out.push_str(&format!(
+        "{} instructions, {} bytes; {muls} mulsd (5 stencil points), \
+         {branches} branches (loop fully unrolled), {abs_refs} absolute data references \
+         (coefficients at fixed addresses, as in the paper's i-01)\n\n",
+        lines.len(),
+        res.code_len
+    ));
+    for l in &lines {
+        out.push_str("    ");
+        out.push_str(l);
+        out.push('\n');
+    }
+
+    // The same listing under the proof-gated aggressive coalescer: the
+    // compiler frame and the dead rbp save are gone (V2's gated number).
+    let mut sa = Stencil::new(XS, YS);
+    let ares = sa
+        .specialize_apply_with_passes(OptLevel::Aggressive)
+        .expect("aggressive rewrite");
+    let alines = brew_core::disasm_result(&sa.img, &ares);
+    out.push_str(&format!(
+        "\nwith aggressive coalescing (equivalence-proved before publish): \
+         {} instructions, {} bytes\n\n",
+        alines.len(),
+        ares.code_len
+    ));
+    for l in &alines {
+        out.push_str("    ");
+        out.push_str(l);
+        out.push('\n');
+    }
+    out
+}
+
+/// E5: the failed `makeDynamic` approach of §V.C.
+fn e5_make_dynamic() -> String {
+    let img = brew_image::Image::new();
+    let prog = brew_minic::compile_into(programs::MAKE_DYNAMIC_PROGRAM, &img).unwrap();
+    let s5 = prog.global("s5").unwrap();
+    let make_dynamic = prog.func("makeDynamic").unwrap();
+    let (xs, ys) = (24i64, 24i64);
+
+    let mut out = String::from("## E5 — §V.C: failed attempts to avoid loop unrolling\n\n");
+
+    // Rewrite both sweep shapes with makeDynamic treated as an opaque call
+    // (not inlined => its result is unknown, the paper's intent).
+    for (name, label) in [
+        (
+            "sweep_dynamic",
+            "as written (loops start at makeDynamic(1))",
+        ),
+        (
+            "sweep_dynamic_transformed",
+            "as gcc emitted (fresh counter from 0)",
+        ),
+    ] {
+        let f = prog.func(name).unwrap();
+        let req = SpecRequest::new()
+            .unknown_int() // m1
+            .unknown_int() // m2
+            .known_int(xs)
+            .known_int(ys)
+            .known_mem(s5..s5 + brew_stencil::S_SIZE)
+            .ret(RetKind::Void)
+            // the linker-visible barrier
+            .func(make_dynamic, |o| o.inline = false)
+            .max_trace_insts(8_000_000)
+            .max_code_bytes(1 << 22);
+        let res = Rewriter::new(&img).rewrite(f, &req);
+        match res {
+            Ok(r) => out.push_str(&format!(
+                "{label:<46}: {:>8} bytes, {:>6} blocks  {}\n",
+                r.code_len,
+                r.stats.blocks,
+                if r.stats.blocks > 4 * (ys as u64) {
+                    "(fully unrolled — the transformation defeated makeDynamic)"
+                } else {
+                    "(unrolling avoided)"
+                }
+            )),
+            Err(e) => out.push_str(&format!("{label:<46}: rewrite failed: {e}\n")),
+        }
+    }
+
+    // The working fix: the brute-force fresh_unknown configuration.
+    let f = prog.func("sweep_dynamic_transformed").unwrap();
+    let req = SpecRequest::new()
+        .unknown_int()
+        .unknown_int()
+        .known_int(xs)
+        .known_int(ys)
+        .known_mem(s5..s5 + brew_stencil::S_SIZE)
+        .ret(RetKind::Void)
+        .func(make_dynamic, |o| o.inline = false)
+        .func(f, |o| o.fresh_unknown = true)
+        .max_trace_insts(8_000_000);
+    let r = Rewriter::new(&img)
+        .rewrite(f, &req)
+        .expect("fresh_unknown rewrite");
+    out.push_str(&format!(
+        "{:<46}: {:>8} bytes, {:>6} blocks  (bounded: values forced unknown; inlined apply still specialized)\n",
+        "with fresh_unknown (the working configuration)",
+        r.code_len,
+        r.stats.blocks
+    ));
+    out
+}
+
+/// A1: variant-threshold sweep — code size vs speed for the whole-sweep
+/// rewrite (world-migration in action).
+fn a1_variants() -> String {
+    let mut out =
+        String::from("## A1 — variant threshold & world migration (whole-sweep rewrite)\n\n");
+    out.push_str(&format!(
+        "{:<12} {:>12} {:>10} {:>12} {:>14}\n",
+        "max_variants", "code bytes", "blocks", "migrations", "model cycles"
+    ));
+    for unroll in [1u32, 2, 4, 8, 16] {
+        let mut s = Stencil::new(XS, YS);
+        let res = s.specialize_sweep(unroll).unwrap();
+        let mut m = Machine::new();
+        let st = s
+            .run(&mut m, Variant::SpecializedSweep(res.entry), ITERS)
+            .unwrap();
+        assert_eq!(s.checksum(ITERS), s.host_checksum(ITERS));
+        out.push_str(&format!(
+            "{:<12} {:>12} {:>10} {:>12} {:>14}\n",
+            unroll, res.code_len, res.stats.blocks, res.stats.migrations, st.cycles
+        ));
+    }
+    out
 }

@@ -5,10 +5,10 @@
 //! Figure-6-style explain report.
 //!
 //! Every export is validated in here (strict JSON check, exposition line
-//! shape), so `tables --exp obs` doubles as the observability gate in
-//! `scripts/check.sh`.
+//! shape). The render leaves out what a stopwatch wrote — the `*_ns`
+//! histogram series, the explain report's phase timings, export byte
+//! counts — so the section repeats byte for byte.
 
-use crate::Row;
 use brew_core::telemetry::metrics::{Ctr, Hst};
 use brew_core::{
     explain_report, validate_json, RetKind, Rewriter, SpecRequest, SpecializationManager,
@@ -20,13 +20,10 @@ use brew_stencil::Stencil;
 /// plus the numbers the report renders.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
-    /// Prometheus text exposition of the manager's registry.
+    /// Prometheus text exposition of the manager's registry. The JSON
+    /// snapshot of the same registry and the chrome://tracing dump of the
+    /// traced rewrite were strict-validated before this struct exists.
     pub prometheus: String,
-    /// JSON snapshot of the same registry (validated).
-    pub snapshot_json: String,
-    /// chrome://tracing span dump of the traced stencil rewrite
-    /// (validated).
-    pub chrome_json: String,
     /// Number of span events in the chrome trace.
     pub span_events: usize,
     /// Explain report of the traced stencil rewrite (Figure 6 annotated).
@@ -72,8 +69,7 @@ pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
         .rewrite_with_trace(apply, &s.apply_request())
         .expect("traced apply rewrite");
     let explain = explain_report(&s.img, apply, &res, &rec);
-    let chrome_json = rec.to_chrome_json();
-    validate_json(&chrome_json).expect("chrome trace JSON malformed");
+    validate_json(&rec.to_chrome_json()).expect("chrome trace JSON malformed");
 
     // --- self-counting dispatch over poly variants ---
     let src = "int poly(int x, int n) { int r = 1; for (int i = 0; i < n; i++) r *= x; return r; }";
@@ -129,7 +125,7 @@ pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
     reg.count(Ctr::GuardHits, calls - fallthrough);
     reg.count(Ctr::GuardFallthrough, fallthrough);
 
-    // --- exports, validated here so the check.sh gate can trust them ---
+    // --- exports, validated here so the gate can trust them ---
     let prometheus = reg.render_prometheus();
     for metric in [
         "brew_cache_hits_total",
@@ -143,8 +139,7 @@ pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
             "exposition lost metric {metric}"
         );
     }
-    let snapshot_json = reg.snapshot_json();
-    validate_json(&snapshot_json).expect("registry snapshot JSON malformed");
+    validate_json(&reg.snapshot_json()).expect("registry snapshot JSON malformed");
     assert_eq!(
         reg.histogram(Hst::TotalNs).count(),
         1,
@@ -153,9 +148,7 @@ pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
 
     ObsReport {
         prometheus,
-        snapshot_json,
         span_events: rec.events().len(),
-        chrome_json,
         explain,
         guard_slots,
         calls,
@@ -166,7 +159,7 @@ pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
 }
 
 /// Render the OBS report: counting overhead, guard rates, the exposition
-/// and snapshot payloads, and the explain report.
+/// and the explain report.
 pub fn render_obs(title: &str, r: &ObsReport) -> String {
     let mut s = format!("## {title}\n\n");
     let d_cyc = r.counting.cycles.saturating_sub(r.plain.cycles);
@@ -190,44 +183,28 @@ pub fn render_obs(title: &str, r: &ObsReport) -> String {
         r.guard_slots, r.calls
     ));
     s.push_str(&format!(
-        "manager after the run   : {} hits, {} misses, {} bytes resident; \
-         span events recorded: {}\n",
-        r.stats.hits, r.stats.misses, r.stats.resident_bytes, r.span_events
+        "manager after the run   : {} hits, {} misses, {} bytes resident\n",
+        r.stats.hits, r.stats.misses, r.stats.resident_bytes
     ));
     s.push_str(&format!(
-        "chrome trace            : {} bytes of valid chrome://tracing JSON\n\n",
-        r.chrome_json.len()
+        "validated exports       : JSON snapshot, chrome://tracing dump of {} span events\n\n",
+        r.span_events
     ));
-    s.push_str("### Prometheus exposition (validated)\n\n");
-    for line in r.prometheus.lines() {
+    s.push_str("### Prometheus exposition (validated; `*_ns` buckets and sums left out)\n\n");
+    let wall_clock = |l: &&str| l.contains("_ns_bucket{") || l.contains("_ns_sum ");
+    for line in r.prometheus.lines().filter(|l| !wall_clock(l)) {
         s.push_str("    ");
         s.push_str(line);
         s.push('\n');
     }
-    s.push_str("\n### JSON snapshot (validated)\n\n    ");
-    s.push_str(&r.snapshot_json);
-    s.push_str("\n\n### Explain report of the specialized stencil apply\n\n");
-    for line in r.explain.lines() {
+    s.push_str(
+        "\n### Explain report of the specialized stencil apply (from its block table on)\n\n",
+    );
+    let stable = r.explain.find("### blocks").map_or("", |i| &r.explain[i..]);
+    for line in stable.lines() {
         s.push_str("    ");
         s.push_str(line);
         s.push('\n');
     }
     s
-}
-
-/// Rows comparing the overhead of self-counting dispatch for the bench
-/// harness: plain stub first (the baseline), counting stub second.
-pub fn guard_overhead_rows(r: &ObsReport) -> Vec<Row> {
-    vec![
-        Row {
-            label: format!("plain dispatch stub ({} calls)", r.calls),
-            cycles: r.plain.cycles,
-            insts: r.plain.insts,
-        },
-        Row {
-            label: "self-counting dispatch stub (same stream)".into(),
-            cycles: r.counting.cycles,
-            insts: r.counting.insts,
-        },
-    ]
 }

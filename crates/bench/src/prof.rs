@@ -1,30 +1,25 @@
 //! PROF: variant-attributed time profiling, the flight recorder and the
 //! external-profiler symbolization surface, exercised end to end.
 //!
-//! Four questions, each with a machine-checkable gate line that
-//! `scripts/check.sh prof` greps for:
+//! Three questions, each a field `tests/gates.rs` asserts on (what one
+//! `record()` costs is the benchmark's `telemetry.flight_record_ns`):
 //!
-//! 1. **Recorder overhead** — `record()` must stay lock-free cheap
-//!    (≤ 100 ns/event on this container class) or it cannot be always-on.
-//! 2. **Attribution** — replaying the stencil (specialized vs original
+//! 1. **Attribution** — replaying the stencil (specialized vs original
 //!    apply) and a C4-style zipf poly workload must produce per-variant
 //!    self-time that sums to the measured cycles.
-//! 3. **Dump integrity** — a flight dump taken after the run has zero
+//! 2. **Dump integrity** — a flight dump taken after the run has zero
 //!    torn entries and renders/exports as valid chrome://tracing JSON
 //!    merged with the rewrite span tree.
-//! 4. **Symbolization** — every resident variant has a perf-map line;
+//! 3. **Symbolization** — every resident variant has a perf-map line;
 //!    the jitdump render round-trips the code bytes.
 
 use brew_core::telemetry::merged_chrome_json;
 use brew_core::{
-    validate_json, DispatchProfiler, FlightKind, FlightRecorder, RetKind, Rewriter, SpecRequest,
-    SpecializationManager, SymbolKind, TieringConfig,
+    validate_json, DispatchProfiler, RetKind, Rewriter, SpecRequest, SpecializationManager,
+    SymbolKind, TieringConfig,
 };
 use brew_emu::{CallArgs, Machine};
 use brew_stencil::Stencil;
-
-/// Model-cycle gate for one `FlightRecorder::record` call (host ns).
-pub const FLIGHT_OVERHEAD_GATE_NS: f64 = 100.0;
 
 /// One attributed self-time row.
 #[derive(Debug, Clone)]
@@ -42,10 +37,6 @@ pub struct SelfRow {
 /// Everything `prof_study` measured.
 #[derive(Debug, Clone)]
 pub struct ProfReport {
-    /// Host ns per `record()` call in the micro-bench.
-    pub overhead_ns: f64,
-    /// Events recorded in the micro-bench.
-    pub overhead_events: u64,
     /// Stencil attribution: specialized apply first, original second.
     pub stencil: Vec<SelfRow>,
     /// Zipf poly attribution, hottest variant first, original last.
@@ -64,7 +55,8 @@ pub struct ProfReport {
     pub dump_torn: u64,
     /// Slots holding another lap's record in that dump — 0 at rest.
     pub dump_lapped: u64,
-    /// First lines of the rendered dump, for the report.
+    /// First entries of the dump, one per line, without the timestamp,
+    /// thread id and duration words.
     pub flight_head: String,
     /// The perf-map render of the poly manager's symbol table.
     pub perf_map: String,
@@ -72,47 +64,12 @@ pub struct ProfReport {
     pub map_variants: usize,
     /// Variants resident in the cache — must equal `map_variants`.
     pub resident: usize,
-    /// Bytes of the merged span+flight chrome://tracing export
-    /// (validated before this struct exists).
-    pub merged_chrome_bytes: usize,
     /// Bytes of the jitdump render.
     pub jitdump_bytes: usize,
 }
 
-/// Micro-bench: tight-loop `record()` into a ring sized so most events
-/// drop-oldest, i.e. the steady state of an always-on recorder.
-///
-/// The per-event cost is the *minimum* over fixed-size batches: `tables`
-/// runs every experiment on its own thread, so on a small machine this
-/// loop is preempted by sibling experiments and a single wall-clock
-/// average would charge their timeslices to `record()`. A ~300 µs batch
-/// fits inside one scheduler quantum, so the fastest batch is the
-/// uncontended cost.
-fn flight_overhead(events: u64) -> f64 {
-    const BATCHES: u64 = 64;
-    let rec = FlightRecorder::new(4096);
-    rec.record(FlightKind::Hit, [0, 0, 0, 0]); // warm the clock epoch
-    let per_batch = (events / BATCHES).max(1);
-    let mut best = f64::INFINITY;
-    let mut i = 0u64;
-    while i < events {
-        let n = per_batch.min(events - i);
-        let t0 = std::time::Instant::now();
-        for j in i..i + n {
-            rec.record(FlightKind::Hit, [0x40_0000, j, 0, 0]);
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / n as f64);
-        i += n;
-    }
-    assert_eq!(rec.recorded(), events + 1, "every record accepted");
-    best
-}
-
 /// The PROF experiment; see the module docs.
 pub fn prof_study(xs: i64, ys: i64) -> ProfReport {
-    let overhead_events = 200_000u64;
-    let overhead_ns = flight_overhead(overhead_events);
-
     // --- stencil: specialized vs original apply, attributed ---
     let s = Stencil::new(xs, ys);
     let apply = s.prog.func("apply").expect("apply");
@@ -262,14 +219,21 @@ pub fn prof_study(xs: i64, ys: i64) -> ProfReport {
         .rewrite_with_trace(apply, &s.apply_request())
         .expect("traced apply rewrite");
     let dump = mgr.flight().dump();
-    let merged = merged_chrome_json(&rec, &dump);
-    validate_json(&merged).expect("merged chrome export malformed");
-    let text = dump.render_text();
-    let flight_head = text.lines().take(14).collect::<Vec<_>>().join("\n");
+    validate_json(&merged_chrome_json(&rec, &dump)).expect("merged chrome export malformed");
+    let wall_clock = |tok: &&str| ["ts=", "tid=", "ns="].iter().any(|p| tok.starts_with(p));
+    let flight_head = dump
+        .entries
+        .iter()
+        .take(13)
+        .map(|e| {
+            let line = e.render_line();
+            let kept: Vec<&str> = line.split(' ').filter(|t| !wall_clock(t)).collect();
+            kept.join(" ")
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
 
     ProfReport {
-        overhead_ns,
-        overhead_events,
         stencil,
         zipf,
         zipf_calls,
@@ -283,25 +247,13 @@ pub fn prof_study(xs: i64, ys: i64) -> ProfReport {
         perf_map,
         map_variants,
         resident,
-        merged_chrome_bytes: merged.len(),
         jitdump_bytes,
     }
 }
 
-/// Render the PROF report with its gate lines.
+/// Render the PROF report.
 pub fn render_prof(title: &str, r: &ProfReport) -> String {
     let mut s = format!("## {title}\n\n");
-    s.push_str(&format!(
-        "flight record overhead  : {:>10.1} ns/event (best batch over {} events, gate <= {:.0}: {})\n",
-        r.overhead_ns,
-        r.overhead_events,
-        FLIGHT_OVERHEAD_GATE_NS,
-        if r.overhead_ns <= FLIGHT_OVERHEAD_GATE_NS {
-            "ok"
-        } else {
-            "EXCEEDED"
-        },
-    ));
     s.push_str(&format!(
         "torn entries in dump    : {:>10} ({} lapped, {} entries, {} dropped, over {} recorded)\n",
         r.dump_torn,
@@ -320,10 +272,7 @@ pub fn render_prof(title: &str, r: &ProfReport) -> String {
             "NO"
         },
     ));
-    s.push_str(&format!(
-        "merged chrome export    : {:>10} bytes of valid JSON (spans + flight events)\n",
-        r.merged_chrome_bytes,
-    ));
+    s.push_str("merged chrome export    :      valid (spans + flight events, strict JSON check)\n");
     s.push_str(&format!(
         "jitdump render          : {:>10} bytes\n",
         r.jitdump_bytes,

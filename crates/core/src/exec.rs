@@ -17,6 +17,7 @@ use crate::error::RewriteError;
 use crate::tracer::{materialize_gpr_inst, Step, TraceCtx, Tracer};
 use crate::value::{alu_value, imul_value, shift_value, test_value, unop_value, FlagsVal, Value};
 use crate::world::{InlineFrame, RegState, World, XmmState};
+use brew_x86::alu;
 use brew_x86::prelude::*;
 
 const HOOK_SAVE_BYTES: i64 = 9 * 8 + 128; // 9 GPR pushes + 16 xmm slots
@@ -1017,7 +1018,7 @@ impl Tracer<'_> {
                 let d = self.int_value(&cx.w, src, *w);
                 match (hi, lo, d) {
                     (Value::Const(h), Value::Const(l), Value::Const(dv)) if !fresh => {
-                        match brew_x86::alu::idiv(*w, h, l, dv) {
+                        match alu::idiv(*w, h, l, dv) {
                             Some((q, r)) => {
                                 self.set_reg_value(&mut cx.w, Gpr::Rax, *w, Value::Const(q), false);
                                 self.set_reg_value(&mut cx.w, Gpr::Rdx, *w, Value::Const(r), false);
@@ -1297,8 +1298,10 @@ impl Tracer<'_> {
                 let force = force_flags || fresh;
                 match (va, vb) {
                     (Value::Const(x), Value::Const(y)) if !force => {
-                        cx.w.flags =
-                            FlagsVal::Known(ucomisd_flags(f64::from_bits(x), f64::from_bits(y)));
+                        cx.w.flags = FlagsVal::Known(alu::ucomisd_flags(
+                            f64::from_bits(x),
+                            f64::from_bits(y),
+                        ));
                         self.elided();
                     }
                     _ => {
@@ -1348,7 +1351,7 @@ impl Tracer<'_> {
                 match v {
                     Value::Const(bits) if !fresh => {
                         let f = f64::from_bits(bits);
-                        let c = cvttsd2si(f, *w);
+                        let c = alu::cvttsd2si(f, *w);
                         self.set_reg_value(&mut cx.w, *dst, *w, Value::Const(c), false);
                         self.elided();
                     }
@@ -2136,15 +2139,10 @@ fn sse_compute(op: SseOp, d: [Value; 2], s: [Value; 2]) -> Option<[Value; 2]> {
         let (Value::Const(x), Value::Const(y)) = (a, b) else {
             return Value::Unknown;
         };
-        let (x, y) = (f64::from_bits(x), f64::from_bits(y));
-        let r = match op {
-            SseOp::Addsd | SseOp::Addpd => x + y,
-            SseOp::Subsd | SseOp::Subpd => x - y,
-            SseOp::Mulsd | SseOp::Mulpd => x * y,
-            SseOp::Divsd | SseOp::Divpd => x / y,
-            _ => return Value::Unknown,
-        };
-        Value::Const(r.to_bits())
+        match alu::sse_arith(op, f64::from_bits(x), f64::from_bits(y)) {
+            Some(r) => Value::Const(r.to_bits()),
+            None => Value::Unknown,
+        }
     }
     match op {
         SseOp::Addsd | SseOp::Subsd | SseOp::Mulsd | SseOp::Divsd => {
@@ -2160,45 +2158,5 @@ fn sse_compute(op: SseOp, d: [Value; 2], s: [Value; 2]) -> Option<[Value; 2]> {
             _ => Some([Value::Unknown, Value::Unknown]),
         },
         SseOp::Unpcklpd => Some([d[0], s[0]]),
-    }
-}
-
-/// `ucomisd` flag semantics (same logic the emulator applies).
-fn ucomisd_flags(a: f64, b: f64) -> brew_x86::cond::Flags {
-    let (zf, pf, cf) = if a.is_nan() || b.is_nan() {
-        (true, true, true)
-    } else if a == b {
-        (true, false, false)
-    } else if a < b {
-        (false, false, true)
-    } else {
-        (false, false, false)
-    };
-    brew_x86::cond::Flags {
-        cf,
-        zf,
-        sf: false,
-        of: false,
-        pf,
-    }
-}
-
-/// Truncating conversion with ISA out-of-range semantics.
-fn cvttsd2si(f: f64, w: Width) -> u64 {
-    match w {
-        Width::W64 => {
-            if f.is_nan() || !(-9.223372036854776e18..9.223372036854776e18).contains(&f) {
-                i64::MIN as u64
-            } else {
-                (f as i64) as u64
-            }
-        }
-        _ => {
-            if f.is_nan() || !(-2147483648.0..2147483648.0).contains(&f) {
-                (i32::MIN as u32) as u64
-            } else {
-                ((f as i32) as u32) as u64
-            }
-        }
     }
 }

@@ -172,13 +172,7 @@ fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
     for b in blocks.iter() {
         for ci in &b.insts {
             if let Some(off) = ci.frame_load {
-                loaded.insert(off);
-                // Packed (16-byte) accesses touch the next slot too.
-                let packed = matches!(ci.inst, Inst::MovUpd { .. })
-                    || matches!(ci.inst, Inst::Sse { op, .. } if op.is_packed());
-                if packed {
-                    loaded.insert(off + 8);
-                }
+                loaded.extend(liveness::slot_keys(off, ci.inst.mem_width()));
             }
         }
     }
@@ -198,7 +192,9 @@ fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
                     ..
                 }
             );
-            let dead = pure_store && !loaded.contains(&off);
+            // Dead only when no load touches any slot the store covers.
+            let dead = pure_store
+                && !liveness::slot_keys(off, ci.inst.mem_width()).any(|k| loaded.contains(&k));
             if dead {
                 removed += 1;
             }
@@ -437,6 +433,21 @@ mod tests {
         ])];
         let removed = dead_frame_stores(&mut blocks);
         assert_eq!(removed, 1);
+        assert_eq!(blocks[0].insts.len(), 2);
+    }
+
+    #[test]
+    fn dse_keeps_a_store_a_narrow_load_reads_into() {
+        // The 4-byte load at -4 reads the upper half of the 8-byte store
+        // at -8: the offsets differ, the slot is the same.
+        let mut narrow = mov_load(Gpr::Rax, -4);
+        narrow.inst = Inst::Mov {
+            w: Width::W32,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -4)),
+        };
+        let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi), narrow])];
+        assert_eq!(dead_frame_stores(&mut blocks), 0);
         assert_eq!(blocks[0].insts.len(), 2);
     }
 

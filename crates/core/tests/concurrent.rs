@@ -112,6 +112,27 @@ fn skewed_mix_traces_each_fingerprint_exactly_once() {
     assert!(st.resident_bytes <= budget);
 }
 
+/// The cold-start shape: every thread requests the same cold fingerprint at
+/// once. One traces; the rest join its flight or hit what it published.
+#[test]
+fn cold_race_on_one_fingerprint_traces_once() {
+    let (img, poly) = setup();
+    let mgr = SpecializationManager::new();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            let (mgr, img, start) = (&mgr, &img, &start);
+            s.spawn(move || {
+                start.wait();
+                mgr.get_or_rewrite(img, poly, &poly_req(6)).unwrap();
+            });
+        }
+    });
+    let st = mgr.stats();
+    assert_eq!(st.misses, 1, "one tracer elected");
+    assert_eq!(st.hits + st.coalesced, THREADS as u64 - 1);
+}
+
 /// Budget enforcement stays global when eviction races across shards:
 /// after quiescence the resident set fits the budget, evictions actually
 /// happened, and the cache still answers correctly.

@@ -4,6 +4,7 @@
 use crate::cost::{CostModel, Stats};
 use crate::state::CpuState;
 use brew_image::{Image, MemFault};
+use brew_x86::alu;
 use brew_x86::prelude::*;
 use brew_x86::WordMap;
 use std::fmt;
@@ -326,7 +327,7 @@ impl<'o> Machine<'o> {
             Inst::Alu { op, w, dst, src } => {
                 let a = cpu.read_int(img, dst, *w)?;
                 let b = cpu.read_int(img, src, *w)?;
-                let (r, f) = brew_x86::alu::alu(*op, *w, a, b);
+                let (r, f) = alu::alu(*op, *w, a, b);
                 cpu.flags = f;
                 if op.writes_dst() {
                     cpu.write_int(img, dst, *w, r)?;
@@ -335,24 +336,24 @@ impl<'o> Machine<'o> {
             Inst::Test { w, a, b } => {
                 let av = cpu.read_int(img, a, *w)?;
                 let bv = cpu.read_int(img, b, *w)?;
-                cpu.flags = brew_x86::alu::test(*w, av, bv);
+                cpu.flags = alu::test(*w, av, bv);
             }
             Inst::Imul { w, dst, src } => {
                 let a = cpu.get(*dst);
                 let b = cpu.read_int(img, src, *w)?;
-                let (r, f) = brew_x86::alu::imul(*w, a, b);
+                let (r, f) = alu::imul(*w, a, b);
                 cpu.flags = f;
                 cpu.set_w(*dst, *w, r);
             }
             Inst::ImulImm { w, dst, src, imm } => {
                 let a = cpu.read_int(img, src, *w)?;
-                let (r, f) = brew_x86::alu::imul(*w, a, *imm as i64 as u64);
+                let (r, f) = alu::imul(*w, a, *imm as i64 as u64);
                 cpu.flags = f;
                 cpu.set_w(*dst, *w, r);
             }
             Inst::Unary { op, w, dst } => {
                 let v = cpu.read_int(img, dst, *w)?;
-                let (r, f) = brew_x86::alu::unop(*op, *w, v, cpu.flags);
+                let (r, f) = alu::unop(*op, *w, v, cpu.flags);
                 cpu.flags = f;
                 cpu.write_int(img, dst, *w, r)?;
             }
@@ -362,7 +363,7 @@ impl<'o> Machine<'o> {
                     ShiftCount::Imm(i) => *i,
                     ShiftCount::Cl => cpu.get(Gpr::Rcx) as u8,
                 };
-                let (r, f) = brew_x86::alu::shift(*op, *w, v, c, cpu.flags);
+                let (r, f) = alu::shift(*op, *w, v, c, cpu.flags);
                 cpu.flags = f;
                 cpu.write_int(img, dst, *w, r)?;
             }
@@ -381,7 +382,7 @@ impl<'o> Machine<'o> {
                 let hi = cpu.get(Gpr::Rdx);
                 let lo = cpu.get(Gpr::Rax);
                 let d = cpu.read_int(img, src, *w)?;
-                let (q, r) = brew_x86::alu::idiv(*w, hi, lo, d).ok_or(EmuError::Divide { addr })?;
+                let (q, r) = alu::idiv(*w, hi, lo, d).ok_or(EmuError::Divide { addr })?;
                 cpu.set_w(Gpr::Rax, *w, q);
                 cpu.set_w(Gpr::Rdx, *w, r);
             }
@@ -458,7 +459,7 @@ impl<'o> Machine<'o> {
                     SseOp::Addsd | SseOp::Subsd | SseOp::Mulsd | SseOp::Divsd => {
                         let a = f64::from_bits(cpu.xmm[d][0]);
                         let b = f64::from_bits(cpu.read_sse64(img, src)?);
-                        let r = scalar_op(*op, a, b);
+                        let r = alu::sse_arith(*op, a, b).expect("arithmetic op");
                         cpu.xmm[d][0] = r.to_bits();
                     }
                     SseOp::Addpd | SseOp::Subpd | SseOp::Mulpd | SseOp::Divpd => {
@@ -466,7 +467,8 @@ impl<'o> Machine<'o> {
                         for (lane, bv) in b.iter().enumerate() {
                             let a = f64::from_bits(cpu.xmm[d][lane]);
                             let bv = f64::from_bits(*bv);
-                            cpu.xmm[d][lane] = packed_op(*op, a, bv).to_bits();
+                            cpu.xmm[d][lane] =
+                                alu::sse_arith(*op, a, bv).expect("arithmetic op").to_bits();
                         }
                     }
                     SseOp::Xorpd => {
@@ -483,7 +485,7 @@ impl<'o> Machine<'o> {
             Inst::Ucomisd { a, b } => {
                 let av = f64::from_bits(cpu.xmm[a.number() as usize][0]);
                 let bv = f64::from_bits(cpu.read_sse64(img, b)?);
-                cpu.flags = ucomisd_flags(av, bv);
+                cpu.flags = alu::ucomisd_flags(av, bv);
             }
             Inst::Cvtsi2sd { w, dst, src } => {
                 let v = cpu.read_int(img, src, *w)?;
@@ -492,7 +494,7 @@ impl<'o> Machine<'o> {
             }
             Inst::Cvttsd2si { w, dst, src } => {
                 let f = f64::from_bits(cpu.read_sse64(img, src)?);
-                let v = cvttsd2si(f, *w);
+                let v = alu::cvttsd2si(f, *w);
                 cpu.set_w(*dst, *w, v);
             }
             Inst::Nop => {}
@@ -638,68 +640,6 @@ impl CpuState {
         let v = img.read_u64(sp)?;
         self.set(Gpr::Rsp, sp.wrapping_add(8));
         Ok(v)
-    }
-}
-
-fn scalar_op(op: SseOp, a: f64, b: f64) -> f64 {
-    match op {
-        SseOp::Addsd => a + b,
-        SseOp::Subsd => a - b,
-        SseOp::Mulsd => a * b,
-        SseOp::Divsd => a / b,
-        _ => unreachable!(),
-    }
-}
-
-fn packed_op(op: SseOp, a: f64, b: f64) -> f64 {
-    match op {
-        SseOp::Addpd => a + b,
-        SseOp::Subpd => a - b,
-        SseOp::Mulpd => a * b,
-        SseOp::Divpd => a / b,
-        _ => unreachable!(),
-    }
-}
-
-/// Flag results of `ucomisd` per the ISA: unordered → ZF=PF=CF=1,
-/// less → CF, equal → ZF, greater → none; OF/SF cleared.
-fn ucomisd_flags(a: f64, b: f64) -> Flags {
-    let (zf, pf, cf) = if a.is_nan() || b.is_nan() {
-        (true, true, true)
-    } else if a == b {
-        (true, false, false)
-    } else if a < b {
-        (false, false, true)
-    } else {
-        (false, false, false)
-    };
-    Flags {
-        cf,
-        zf,
-        sf: false,
-        of: false,
-        pf,
-    }
-}
-
-/// Truncating double→int conversion with the ISA's out-of-range semantics
-/// (returns the "integer indefinite" value, INT_MIN of the width).
-fn cvttsd2si(f: f64, w: Width) -> u64 {
-    match w {
-        Width::W64 => {
-            if f.is_nan() || !(-9.223372036854776e18..9.223372036854776e18).contains(&f) {
-                i64::MIN as u64
-            } else {
-                (f as i64) as u64
-            }
-        }
-        _ => {
-            if f.is_nan() || !(-2147483648.0..2147483648.0).contains(&f) {
-                (i32::MIN as u32) as u64
-            } else {
-                ((f as i32) as u32) as u64
-            }
-        }
     }
 }
 
@@ -1014,25 +954,5 @@ mod tests {
             m.call(&img, caller, &CallArgs::new()).unwrap();
         }
         assert_eq!(seen, vec![(caller, callee)]);
-    }
-
-    #[test]
-    fn cvt_roundtrip_and_limits() {
-        assert_eq!(cvttsd2si(3.9, Width::W64) as i64, 3);
-        assert_eq!(cvttsd2si(-3.9, Width::W64) as i64, -3);
-        assert_eq!(cvttsd2si(f64::NAN, Width::W64) as i64, i64::MIN);
-        assert_eq!(cvttsd2si(1e30, Width::W32) as u32 as i32, i32::MIN);
-    }
-
-    #[test]
-    fn ucomisd_flag_matrix() {
-        let fl = ucomisd_flags(1.0, 2.0);
-        assert!(fl.cf && !fl.zf && !fl.pf);
-        let fl = ucomisd_flags(2.0, 2.0);
-        assert!(!fl.cf && fl.zf && !fl.pf);
-        let fl = ucomisd_flags(3.0, 2.0);
-        assert!(!fl.cf && !fl.zf && !fl.pf);
-        let fl = ucomisd_flags(f64::NAN, 2.0);
-        assert!(fl.cf && fl.zf && fl.pf);
     }
 }

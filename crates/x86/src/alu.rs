@@ -1,4 +1,5 @@
-//! Shared ALU semantics: result and flag computation for the integer subset.
+//! Shared ALU semantics: result and flag computation for the integer subset
+//! and the scalar-double operations.
 //!
 //! Both the concrete emulator (`brew-emu`) and the rewriter's constant
 //! folding (`brew-core`) call into this module, so "execute at rewrite time"
@@ -6,6 +7,7 @@
 //! evaluation depends on that.
 
 use crate::cond::Flags;
+use crate::inst::SseOp;
 use crate::reg::Width;
 
 /// Two-operand ALU operations (`dst = dst op src`); `Cmp` computes `Sub`
@@ -260,6 +262,63 @@ pub fn idiv(w: Width, hi: u64, lo: u64, div: u64) -> Option<(u64, u64)> {
     Some((w.trunc(q as u64), w.trunc(r as u64)))
 }
 
+/// One lane of `addsd`/`subsd`/`mulsd`/`divsd` or of their packed forms;
+/// `None` for `xorpd` and `unpcklpd`, which are not lane arithmetic.
+#[inline]
+pub fn sse_arith(op: SseOp, a: f64, b: f64) -> Option<f64> {
+    Some(match op {
+        SseOp::Addsd | SseOp::Addpd => a + b,
+        SseOp::Subsd | SseOp::Subpd => a - b,
+        SseOp::Mulsd | SseOp::Mulpd => a * b,
+        SseOp::Divsd | SseOp::Divpd => a / b,
+        SseOp::Xorpd | SseOp::Unpcklpd => return None,
+    })
+}
+
+/// Flag results of `ucomisd` per the ISA: unordered → ZF=PF=CF=1,
+/// less → CF, equal → ZF, greater → none; OF/SF cleared.
+#[inline]
+pub fn ucomisd_flags(a: f64, b: f64) -> Flags {
+    let (zf, pf, cf) = if a.is_nan() || b.is_nan() {
+        (true, true, true)
+    } else if a == b {
+        (true, false, false)
+    } else if a < b {
+        (false, false, true)
+    } else {
+        (false, false, false)
+    };
+    Flags {
+        cf,
+        zf,
+        sf: false,
+        of: false,
+        pf,
+    }
+}
+
+/// Truncating double→int conversion with the ISA's out-of-range semantics
+/// (returns the "integer indefinite" value, INT_MIN of the width).
+#[inline]
+pub fn cvttsd2si(f: f64, w: Width) -> u64 {
+    match w {
+        Width::W64 => {
+            if f.is_nan() || !(-9.223372036854776e18..9.223372036854776e18).contains(&f) {
+                i64::MIN as u64
+            } else {
+                (f as i64) as u64
+            }
+        }
+        _ => {
+            if f.is_nan() || !(-2147483648.0..2147483648.0).contains(&f) {
+                (i32::MIN as u32) as u64
+            } else {
+                ((f as i32) as u32) as u64
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,5 +431,25 @@ mod tests {
         assert!(f.pf);
         let (_, f) = alu(AluOp::Add, Width::W64, 0, 0x7); // three bits
         assert!(!f.pf);
+    }
+
+    #[test]
+    fn cvt_roundtrip_and_limits() {
+        assert_eq!(cvttsd2si(3.9, Width::W64) as i64, 3);
+        assert_eq!(cvttsd2si(-3.9, Width::W64) as i64, -3);
+        assert_eq!(cvttsd2si(f64::NAN, Width::W64) as i64, i64::MIN);
+        assert_eq!(cvttsd2si(1e30, Width::W32) as u32 as i32, i32::MIN);
+    }
+
+    #[test]
+    fn ucomisd_flag_matrix() {
+        let fl = ucomisd_flags(1.0, 2.0);
+        assert!(fl.cf && !fl.zf && !fl.pf);
+        let fl = ucomisd_flags(2.0, 2.0);
+        assert!(!fl.cf && fl.zf && !fl.pf);
+        let fl = ucomisd_flags(3.0, 2.0);
+        assert!(!fl.cf && !fl.zf && !fl.pf);
+        let fl = ucomisd_flags(f64::NAN, 2.0);
+        assert!(fl.cf && fl.zf && fl.pf);
     }
 }
