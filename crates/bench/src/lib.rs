@@ -166,31 +166,80 @@ pub struct PassCount {
     pub sweep: u64,
 }
 
+/// What one pass stage reported on its `cat:"pass"` span: its count first
+/// (removed, or converted by the slot allocator), then the deterministic
+/// work it took.
+#[derive(Debug, Clone)]
+pub struct PassWork {
+    /// Stage name.
+    pub pass: String,
+    /// Instructions removed (by `slot-alloc`: converted).
+    pub count: u64,
+    /// Instructions decoded into an effect, the context's own construction
+    /// on the first stage's bill.
+    pub decodes: u64,
+    /// Of those, instructions the stage wrote itself.
+    pub rewritten: u64,
+    /// Block visits.
+    pub visits: u64,
+    /// Liveness fixpoints run.
+    pub solves: u64,
+}
+
+/// The pass spans of one traced rewrite of `func`, and how many
+/// instructions the trace captured for the passes to work on.
+fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>) {
+    let f = s.prog.func(func).unwrap();
+    let (res, rec) = Rewriter::new(&s.img)
+        .rewrite_with_trace(f, &req)
+        .expect("traced rewrite");
+    let spans = rec.events_in("pass");
+    let work = spans.iter().map(|e| {
+        let arg = |key: &str| {
+            let found = e.args.iter().find(|(k, _)| k == key);
+            found.map_or(0, |(_, v)| v.parse().expect("a count"))
+        };
+        let n = e.args.first().expect("a pass span carries its count");
+        PassWork {
+            pass: e.name.clone(),
+            count: n.1.parse().expect("a count"),
+            decodes: arg("decodes"),
+            rewritten: arg("rewritten"),
+            visits: arg("visits"),
+            solves: arg("solves"),
+        }
+    });
+    let cap = res
+        .equiv
+        .as_ref()
+        .expect("a fresh rewrite keeps its capture");
+    let captured = cap.blocks.iter().map(|b| b.insts.len() as u64).sum();
+    (captured, work.collect())
+}
+
+/// The stages' work on the specialized `apply` and on the whole-sweep
+/// rewrite at unroll 4: `(label, captured instructions, per-stage work)`.
+pub fn pass_work(xs: i64, ys: i64) -> Vec<(&'static str, u64, Vec<PassWork>)> {
+    let s = Stencil::new(xs, ys);
+    let (apply, apply_work) = pass_spans(&s, "apply", s.apply_request());
+    let (sweep, sweep_work) = pass_spans(&s, "sweep_generic", s.sweep_request(4));
+    vec![
+        ("apply", apply, apply_work),
+        ("sweep_generic.u4", sweep, sweep_work),
+    ]
+}
+
 /// A2's companion: instructions removed (by the slot allocator: converted)
 /// per pass stage — the argument of each `cat:"pass"` span — so each
 /// pass's share is visible next to the ladder.
 pub fn pass_counts(xs: i64, ys: i64) -> Vec<PassCount> {
-    let s = Stencil::new(xs, ys);
-    let spans = |func: &str, req: SpecRequest| -> Vec<(String, u64)> {
-        let f = s.prog.func(func).unwrap();
-        let (_, rec) = Rewriter::new(&s.img)
-            .rewrite_with_trace(f, &req)
-            .expect("traced rewrite");
-        rec.events_in("pass")
-            .iter()
-            .map(|e| {
-                let n = e.args.first().expect("a pass span carries its count");
-                (e.name.clone(), n.1.parse().expect("a count"))
-            })
-            .collect()
-    };
-    let apply = spans("apply", s.apply_request());
-    let sweep = spans("sweep_generic", s.sweep_request(4));
-    apply
-        .into_iter()
-        .zip(sweep)
-        .map(|((pass, apply), (_, sweep))| PassCount { pass, apply, sweep })
-        .collect()
+    let work = pass_work(xs, ys);
+    let rows = work[0].2.iter().zip(&work[1].2).map(|(a, s)| PassCount {
+        pass: a.pass.clone(),
+        apply: a.count,
+        sweep: s.count,
+    });
+    rows.collect()
 }
 
 /// Render [`pass_counts`].

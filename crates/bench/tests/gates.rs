@@ -181,6 +181,37 @@ fn regalloc_a2_ladder_is_monotone_and_the_slot_allocator_converts() {
 }
 
 #[test]
+fn regalloc_passes_decode_each_instruction_once() {
+    for (label, captured, stages) in pass_work(XS, YS) {
+        let total = |f: fn(&PassWork) -> u64| stages.iter().map(f).sum::<u64>();
+        let (decodes, rewritten) = (total(|w| w.decodes), total(|w| w.rewritten));
+        assert!(captured > 0 && decodes > 0, "{label}: {stages:?}");
+        assert!(
+            decodes <= captured + rewritten,
+            "{label}: {decodes} effect decodes for {captured} captured + {rewritten} rewritten"
+        );
+        // One analysis under every stage: past the context's construction
+        // (on the first stage's bill) a stage decodes what it wrote and
+        // nothing else, and the stages that argue no liveness solve none.
+        for w in &stages[1..] {
+            assert_eq!(w.decodes, w.rewritten, "{label}: {w:?}");
+        }
+        let no_liveness = [
+            "dead-store-elim",
+            "slot-alloc",
+            "peephole",
+            "frame-compression",
+        ];
+        for w in stages
+            .iter()
+            .filter(|w| no_liveness.contains(&w.pass.as_str()))
+        {
+            assert_eq!(w.solves, 0, "{label}: {w:?}");
+        }
+    }
+}
+
+#[test]
 fn regalloc_sweep_rewrite_beats_the_specialized_apply() {
     let apply = &stencil_study(XS, YS, ITERS)[2];
     let sweep = &sweep_study(XS, YS, ITERS, &[4])[0];

@@ -40,8 +40,8 @@
 //! that writes `rsp` is touched. Dead producers are left for
 //! the dead-code sweep that runs next (`liveness::eliminate_dead_code`).
 
-use super::liveness;
-use crate::capture::{CapturedBlock, CapturedInst};
+use super::cx::{bit, Kind, PassCx};
+use crate::capture::CapturedInst;
 use crate::exec::imm_for;
 use crate::tracer::materialize_gpr_inst;
 use crate::value::{alu_value, imul_value, shift_value, test_value, unop_value, FlagsVal, Value};
@@ -185,28 +185,6 @@ impl State {
         }
         changed
     }
-}
-
-/// No instruction reads an XMM high lane, so a scalar load (which zeroes
-/// it) and a register move (which keeps it) are interchangeable.
-fn hi_lanes_unobserved(blocks: &[CapturedBlock]) -> bool {
-    !blocks
-        .iter()
-        .flat_map(|b| &b.insts)
-        .any(|ci| match ci.inst {
-            Inst::MovUpd {
-                src: Operand::Xmm(_),
-                ..
-            } => true,
-            Inst::Sse {
-                op: SseOp::Unpcklpd,
-                ..
-            } => false,
-            Inst::Sse { op, dst, src } if op.is_packed() => {
-                !(op == SseOp::Xorpd && src == Operand::Xmm(dst))
-            }
-            _ => false,
-        })
 }
 
 /// `mov d, c` at the narrowest encoding that produces the full register.
@@ -810,16 +788,19 @@ impl Prop {
         }
     }
 
-    /// Run `b` from `st` (left holding the block's out state), collecting
-    /// the rewritten body in `out`; returns how many instructions it
-    /// dropped.
+    /// Run block `b` from `st` (left holding the block's out state). When
+    /// the walk changes the block — `true` — the rewritten body is in `out`
+    /// and, per instruction, the index it had before in `origin` (`None` for
+    /// one this walk wrote); while everything stays as it is nothing is
+    /// copied.
     fn walk(
         &mut self,
-        b: &CapturedBlock,
+        cx: &PassCx,
+        b: usize,
         st: &mut State,
-        flags_out: bool,
         out: &mut Vec<CapturedInst>,
-    ) -> u64 {
+        origin: &mut Vec<Option<u32>>,
+    ) -> bool {
         // Unknown inputs get identities of their own.
         for i in 0..16 {
             if st.gpr[i] == AVal::Unknown {
@@ -830,41 +811,53 @@ impl Prop {
             }
         }
         // For each instruction: are the flags dead right after it?
-        let mut live = flags_out;
+        let mut live = cx.live_out(b).flags;
         self.dead_after.clear();
-        self.dead_after.extend(b.insts.iter().rev().map(|ci| {
+        self.dead_after.extend(cx.effects(b).iter().rev().map(|e| {
             let dead = !live;
-            if defuse::is_barrier(&ci.inst) || ci.inst.reads_flags() {
-                live = !matches!(ci.inst, Inst::Ret);
-            } else if liveness::kills_flags(&ci.inst) {
+            if e.kind != Kind::Plain || e.is(bit::READS_FLAGS) {
+                live = e.kind != Kind::Ret;
+            } else if e.is(bit::KILLS_FLAGS) {
                 live = false;
             }
             dead
         }));
+        let insts = cx.insts(b);
         out.clear();
-        for (i, ci) in b.insts.iter().enumerate() {
-            self.flags_dead = self.dead_after[b.insts.len() - 1 - i];
+        origin.clear();
+        let mut changed = false;
+        for (i, ci) in insts.iter().enumerate() {
+            self.flags_dead = self.dead_after[insts.len() - 1 - i];
             self.check_offsets(st, ci);
-            match self.exec(st, &ci.inst) {
-                None => {}
-                Some(inst) if inst == ci.inst => out.push(*ci),
-                Some(inst) => out.push(CapturedInst {
+            let new = self.exec(st, &ci.inst);
+            let same = new == Some(ci.inst);
+            if same && !changed {
+                continue;
+            }
+            if !changed {
+                changed = true;
+                out.reserve(insts.len());
+                out.extend_from_slice(&insts[..i]);
+                origin.extend((0..i as u32).map(Some));
+            }
+            if let Some(inst) = new {
+                out.push(CapturedInst {
                     inst,
-                    frame_store: ci.frame_store.filter(|_| inst.mem_store().is_some()),
-                    frame_load: ci.frame_load.filter(|_| inst.mem_load().is_some()),
-                }),
+                    frame_store: (ci.frame_store).filter(|_| same || inst.mem_store().is_some()),
+                    frame_load: (ci.frame_load).filter(|_| same || inst.mem_load().is_some()),
+                });
+                origin.push(same.then_some(i as u32));
             }
         }
-        (b.insts.len() - out.len()) as u64
+        changed
     }
 }
 
 /// The frame bytes `[lo, hi)` the tracer recorded accesses to, widened to
 /// whole slots; empty when that is more than any real frame.
-fn frame_extent(blocks: &[CapturedBlock]) -> (i64, i64) {
-    let offs = blocks
-        .iter()
-        .flat_map(|b| &b.insts)
+fn frame_extent(cx: &PassCx) -> (i64, i64) {
+    let offs = (0..cx.len())
+        .flat_map(|b| cx.insts(b))
         .flat_map(|ci| [ci.frame_store, ci.frame_load])
         .flatten();
     let (lo, hi) = offs.fold((0, 0), |(lo, hi), o| (lo.min(o), hi.max(o + 16)));
@@ -877,111 +870,105 @@ fn frame_extent(blocks: &[CapturedBlock]) -> (i64, i64) {
 }
 
 /// Propagate constants and copies from the entry block
-/// ([`CapturedBlock::is_entry`]) through every reachable block and rewrite
+/// (`CapturedBlock::is_entry`) through every reachable block and rewrite
 /// the instructions in place. Returns the number of instructions removed
 /// (loads of a value that is already where it is wanted). Without a marked
 /// entry block nothing is known and nothing changes.
-pub fn propagate_constants(blocks: &mut [CapturedBlock], frame_escaped: bool) -> u64 {
-    let Some(entry) = blocks.iter().position(|b| b.is_entry) else {
+pub(crate) fn propagate_constants(cx: &mut PassCx) -> u64 {
+    let Some(&entry) = cx.rpo.first() else {
         return 0;
     };
-    let n = blocks.len();
-    let succs = |b: usize| {
-        blocks[b]
-            .term
-            .successors()
-            .map(|s| s.0)
-            .filter(move |&s| s < n)
-    };
-
-    // Reverse postorder from the entry, and how many edges reach each block.
-    let mut preds = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut stack = vec![(entry, succs(entry))];
-    seen[entry] = true;
-    while let Some((b, it)) = stack.last_mut() {
-        match it.next() {
-            Some(s) => {
-                preds[s] += 1;
-                if !std::mem::replace(&mut seen[s], true) {
-                    stack.push((s, succs(s)));
-                }
-            }
-            None => {
-                order.push(*b);
-                stack.pop();
-            }
-        }
-    }
-    order.reverse();
+    // Which flag writers may be folded away is read off the liveness of
+    // the code as it stands: rewriting only ever removes flag readers.
+    cx.solve();
+    let n = cx.len();
+    let order = std::mem::take(&mut cx.rpo);
     let mut rpo = vec![usize::MAX; n];
     for (i, &b) in order.iter().enumerate() {
         rpo[b] = i;
     }
-    // A block with one incoming edge continues its predecessor's extended
-    // basic block and inherits its identities; every other reachable block
-    // heads one and starts from what all its incoming edges agree on.
-    let inherits = |s: usize| preds[s] == 1 && s != entry;
+    // A block with one incoming edge (from a reachable block) continues its
+    // predecessor's extended basic block and inherits its identities; every
+    // other reachable block heads one and starts from what all its incoming
+    // edges agree on.
+    let reachable = |p: &&u32| rpo[**p as usize] != usize::MAX;
+    let inherits: Vec<bool> = (0..n)
+        .map(|s| s != entry && cx.preds(s).iter().filter(reachable).count() == 1)
+        .collect();
 
-    let (lo, hi) = frame_extent(blocks);
-    let flags_out = liveness::flags_live_out(blocks);
+    let (lo, hi) = frame_extent(cx);
+    let frame_escaped = cx.frame_escaped;
     let mut px = Prop {
         next_sym: 0,
         escaped: frame_escaped,
-        xmm_forward: hi_lanes_unobserved(blocks),
+        xmm_forward: cx.hi_lanes_unobserved(),
         flags_dead: false,
         dead_after: Vec::new(),
     };
     let mut ins: Vec<Option<State>> = vec![None; n];
     ins[entry] = Some(State::entry(lo, hi));
+    // The last walk's verdict per block and, when it changed it, result.
+    let mut changed = vec![false; n];
     let mut bodies: Vec<Vec<CapturedInst>> = vec![Vec::new(); n];
-    let mut dropped = vec![0u64; n];
+    let mut origins: Vec<Vec<Option<u32>>> = vec![Vec::new(); n];
 
     // Heads in reverse postorder; each walk covers the head's whole
     // extended basic block, and rewrites as it goes — a block's last walk
     // is the one from its final entry state.
-    let mut pending = std::collections::BTreeSet::from([rpo[entry]]);
+    let mut pending = std::collections::BTreeSet::from([0]);
     let mut ebb: Vec<(usize, State)> = Vec::new();
     while let Some(head) = pending.pop_first() {
         let head = order[head];
         ebb.push((head, ins[head].clone().expect("pending heads have a state")));
         while let Some((b, mut st)) = ebb.pop() {
-            dropped[b] = px.walk(&blocks[b], &mut st, flags_out[b], &mut bodies[b]);
-            let mut joined: Option<State> = None;
-            for s in succs(b) {
-                if inherits(s) {
-                    ebb.push((s, st.clone()));
-                    continue;
+            changed[b] = px.walk(cx, b, &mut st, &mut bodies[b], &mut origins[b]);
+            // The out state goes to each successor; the last one takes it.
+            let mut deliver = |s: usize, mut out: State| {
+                if inherits[s] {
+                    return ebb.push((s, out));
                 }
-                let out = joined.get_or_insert_with(|| {
-                    let mut out = st.clone();
-                    out.erase(frame_escaped);
-                    out
-                });
-                let changed = match &mut ins[s] {
-                    Some(cur) => cur.meet(out),
+                out.erase(frame_escaped);
+                let lost = match &mut ins[s] {
+                    Some(cur) => cur.meet(&out),
                     slot @ None => {
-                        *slot = Some(out.clone());
+                        *slot = Some(out);
                         true
                     }
                 };
-                if changed {
+                if lost {
                     pending.insert(rpo[s]);
                 }
+            };
+            let succs = cx.block(b).term.successors().map(|s| s.0);
+            let mut succs = succs.filter(|&s| s < n).peekable();
+            while let Some(s) = succs.next() {
+                if succs.peek().is_none() {
+                    deliver(s, st);
+                    break;
+                }
+                deliver(s, st.clone());
             }
         }
     }
-    for &b in &order {
-        std::mem::swap(&mut blocks[b].insts, &mut bodies[b]);
+    let mut dropped = 0;
+    for b in order.iter().copied().filter(|&b| changed[b]) {
+        dropped += (cx.insts(b).len() - bodies[b].len()) as u64;
+        cx.set_body(b, &mut bodies[b], &origins[b]);
     }
-    order.iter().map(|&b| dropped[b]).sum()
+    cx.rpo = order;
+    dropped
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{BlockId, Terminator};
+    use crate::capture::{BlockId, CapturedBlock, Terminator};
+    use crate::passes::OptLevel;
+
+    fn propagate_constants(blocks: &mut [CapturedBlock], escaped: bool) -> u64 {
+        let ret = crate::config::RetKind::Int;
+        super::propagate_constants(&mut PassCx::new(blocks, OptLevel::Dataflow, escaped, ret))
+    }
 
     fn block(insts: Vec<CapturedInst>, term: Terminator) -> CapturedBlock {
         let mut b = CapturedBlock::pending(0x1000);

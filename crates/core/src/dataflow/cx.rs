@@ -1,0 +1,1005 @@
+//! The analysis context every pass stage runs on.
+//!
+//! [`PassCx`] is built once per `run_passes` call and owns what the stages
+//! used to derive each on their own schedule: one decoded [`Effect`] per
+//! captured instruction (kept parallel to the block's `insts`), the frame
+//! slot table, the scalar-only predicate, the CFG (predecessors, reverse
+//! postorder) and one liveness solution with per-block dirty bits.
+//!
+//! **Edit contract.** A stage reads instructions and effects through the
+//! context and changes them only through [`PassCx::replace`],
+//! [`PassCx::set_inst`], [`PassCx::remove`], [`PassCx::drain`],
+//! [`PassCx::retain`] and [`PassCx::set_body`]: each keeps the effects in
+//! step (a written instruction is decoded once, a removed one never again)
+//! and marks the block dirty. [`PassCx::solve`] re-summarizes exactly the
+//! dirty blocks before it runs the block-level fixpoint; until then the
+//! live-in states are the ones the last solve or sweep left.
+//!
+//! The context lives for one call and is never stored on a
+//! `CapturedBlock`: the captured CFG is what the equivalence prover, the
+//! conservative re-emission and the benchmark's replay consume, and a
+//! replay of `run_passes` on cloned blocks has to cost what the live path
+//! costs.
+
+use super::liveness::{abi_ret, Live, LiveSet, SlotSet};
+use crate::capture::{CapturedBlock, CapturedInst, Terminator};
+use crate::config::RetKind;
+use crate::passes::OptLevel;
+use brew_x86::prelude::*;
+
+/// End of an [`Effect`] slot list.
+pub(crate) const NO_SLOT: u16 = u16::MAX;
+/// A frame slot past the table's capacity: never dead, never allocated.
+pub(crate) const UNTRACKED: u16 = u16::MAX - 1;
+/// [`Effect::rsp`] of an instruction that moves `rsp` by an unknown amount.
+pub(crate) const RSP_LOST: i64 = i64::MIN;
+
+/// Flag and shape bits of an [`Effect`].
+pub(crate) mod bit {
+    pub const READS_FLAGS: u32 = 1 << 0;
+    /// Defines *every* arithmetic flag (`alu`, `test`, `ucomisd`); the
+    /// other flag writers leave some undefined and never count as kills.
+    pub const KILLS_FLAGS: u32 = 1 << 1;
+    pub const WRITES_FLAGS: u32 = 1 << 2;
+    /// A stack read the tracer left no offset for: may be any slot.
+    pub const READS_ALL_SLOTS: u32 = 1 << 3;
+    /// The store overwrites its slots whole and loads nothing.
+    pub const STORE_KILLS: u32 = 1 << 4;
+    /// `mov d, s` between distinct GPRs other than `rsp`/`rbp`.
+    pub const GPR_COPY: u32 = 1 << 5;
+    /// `movsd d, s` between distinct XMMs (a copy only when scalar-only).
+    pub const XMM_COPY: u32 = 1 << 6;
+    /// `add/sub rsp, imm` or `lea rsp, [rsp+d]`; the delta is `rsp`.
+    pub const RSP_ADJUST: u32 = 1 << 7;
+    /// Where an address fold can start: `mov a, b` or `add/sub a, imm`.
+    pub const FOLD_HEAD: u32 = 1 << 8;
+    /// Frame access by an allocatable plain 8-byte move, per class.
+    pub const FRAME_GPR: u32 = 1 << 9;
+    pub const FRAME_XMM: u32 = 1 << 10;
+    /// Self-move, `lea r, [r]` or `nop`.
+    pub const NOOP: u32 = 1 << 11;
+    /// `push reg` / `push imm`.
+    pub const PUSH_RI: u32 = 1 << 12;
+    /// `pop reg`.
+    pub const POP_REG: u32 = 1 << 13;
+    /// `x + 0`, `x * 1`, ... at full width: only the flags change.
+    pub const VALUE_IDENTITY: u32 = 1 << 16;
+    /// `mov [m], reg/imm` or `movsd [m], xmm`.
+    pub const PLAIN_STORE: u32 = 1 << 17;
+    /// Packed SSE, a 16-byte move or a kept call: XMM high lanes matter.
+    pub const NON_SCALAR: u32 = 1 << 18;
+    /// Reads an XMM high lane.
+    pub const HI_OBSERVED: u32 = 1 << 19;
+
+    /// What each block-local stage looks for, for [`super::PassCx::shape`].
+    pub const PEEPHOLE: u32 = NOOP | PUSH_RI | RSP_ADJUST;
+    pub const COPY: u32 = GPR_COPY | XMM_COPY;
+}
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Kind {
+    Plain,
+    /// Kept call, indirect jump or `ud2`: everything is live across it.
+    Barrier,
+    Ret,
+}
+
+/// What one captured instruction reads, writes and fully defines, and the
+/// shapes the stages test for, decoded once.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Effect {
+    pub reads: LiveSet,
+    /// Every register written, wholly or in part.
+    pub writes: LiveSet,
+    /// The wholly written ones.
+    pub defs: LiveSet,
+    /// XMM masks of what scalar-only code changes: the high-lane merge
+    /// read that stops being a read, the scalar write that becomes a def.
+    so_skip: u16,
+    so_def: u16,
+    pub kind: Kind,
+    pub bits: u32,
+    /// Tracked `rsp` movement (`push`/`pop` included), or [`RSP_LOST`].
+    pub rsp: i64,
+    /// Frame slots loaded / stored to, [`NO_SLOT`]-terminated.
+    pub load: [u16; 3],
+    pub store: [u16; 3],
+}
+
+impl Effect {
+    pub fn is(&self, bits: u32) -> bool {
+        self.bits & bits != 0
+    }
+
+    /// Does the instruction read or write `l`?
+    pub fn refs(&self, l: Loc) -> bool {
+        self.reads.has(l) || self.writes.has(l)
+    }
+
+    /// `lea rsp, [rsp+d]`, the flag-neutral stack adjustment.
+    pub fn is_bump(&self) -> bool {
+        self.is(bit::RSP_ADJUST) && !self.is(bit::WRITES_FLAGS)
+    }
+
+    fn scalar_only(&mut self) {
+        self.reads = self.reads.without(LiveSet::of(0, self.so_skip));
+        self.defs = self.defs.union(LiveSet::of(0, self.so_def));
+    }
+}
+
+/// The tracked slots of an [`Effect::load`] / [`Effect::store`] list.
+pub(crate) fn tracked(list: &[u16; 3]) -> impl Iterator<Item = usize> + '_ {
+    let named = list.iter().take_while(|&&i| i != NO_SLOT);
+    named.filter(|&&i| i != UNTRACKED).map(|&i| i as usize)
+}
+
+/// Does the list name a slot, and is every slot it names tracked and dead
+/// in `live`?
+pub(crate) fn slots_dead(live: &Live, slots: &[u16; 3]) -> bool {
+    let mut named = slots.iter().take_while(|&&i| i != NO_SLOT);
+    slots[0] != NO_SLOT && named.all(|&i| i != UNTRACKED && !live.slots.has(i as usize))
+}
+
+/// `lea rsp, [rsp+by]`.
+pub(crate) fn rsp_bump(by: i32) -> CapturedInst {
+    CapturedInst::plain(Inst::Lea {
+        dst: Gpr::Rsp,
+        src: MemRef::base_disp(Gpr::Rsp, by),
+    })
+}
+
+/// Decodes instructions into [`Effect`]s against the one slot table.
+pub(crate) struct Decoder {
+    /// `(key, index)` of the tracked frame slots, sorted by key. Stays
+    /// empty when the frame escaped, which turns slot reasoning off.
+    slots: Vec<(i64, u16)>,
+    /// The key of each slot, by index.
+    keys: Vec<i64>,
+    track_slots: bool,
+    /// Slots the caller owns (offset >= 0): live at `ret`.
+    pub ret_slots: SlotSet,
+    /// No packed SSE, no 16-byte moves, no kept calls anywhere: XMM high
+    /// lanes are unobservable, so register-to-register `movsd` and
+    /// `cvtsi2sd` are full definitions and their merge reads are none.
+    pub so: bool,
+    pub work: Work,
+}
+
+/// What the stages cost, in units that repeat exactly.
+#[derive(Clone, Copy, Default, PartialEq, Debug)]
+pub(crate) struct Work {
+    /// Instructions decoded into an [`Effect`].
+    pub decodes: u64,
+    /// Instructions a stage wrote (each is decoded once).
+    pub rewritten: u64,
+    /// Block visits by the block-local stages and sweeps.
+    pub visits: u64,
+    /// Runs of the liveness fixpoint.
+    pub solves: u64,
+}
+
+impl Decoder {
+    fn slot(&mut self, key: i64) -> u16 {
+        match self.slots.binary_search_by_key(&key, |s| s.0) {
+            Ok(at) => self.slots[at].1,
+            Err(_) if self.slots.len() == SlotSet::CAP => UNTRACKED,
+            Err(at) => {
+                let ix = self.keys.len() as u16;
+                self.slots.insert(at, (key, ix));
+                self.keys.push(key);
+                if key >= 0 {
+                    self.ret_slots.set(ix as usize);
+                }
+                ix
+            }
+        }
+    }
+
+    /// The (up to three) 8-aligned slots the `len` bytes at `off` touch.
+    fn touched(&mut self, off: Option<i64>, len: u8) -> [u16; 3] {
+        let mut out = [NO_SLOT; 3];
+        if let Some(off) = off {
+            let keys = off.div_euclid(8)..=(off + len as i64 - 1).div_euclid(8);
+            for (o, k) in out.iter_mut().zip(keys) {
+                *o = self.slot(k * 8);
+            }
+        }
+        out
+    }
+
+    /// Decode one instruction. One pass over its shape decides what the
+    /// x86 model's per-question projections (`defuse::for_each_read`,
+    /// `writes_flags`, `is_barrier`, ...) would each decide with a match of
+    /// their own; debug builds check the two agree.
+    pub fn decode(&mut self, ci: &CapturedInst) -> Effect {
+        use bit::*;
+        self.work.decodes += 1;
+        let inst = &ci.inst;
+        let mut e = Effect {
+            reads: LiveSet::EMPTY,
+            writes: LiveSet::EMPTY,
+            defs: LiveSet::EMPTY,
+            so_skip: 0,
+            so_def: 0,
+            kind: Kind::Plain,
+            bits: 0,
+            rsp: 0,
+            load: [NO_SLOT; 3],
+            store: [NO_SLOT; 3],
+        };
+        let gpr = |r: Gpr| LiveSet::of(1 << r.number(), 0);
+        let xmm = |x: Xmm| LiveSet::of(0, 1 << x.number());
+        let rsp = gpr(Gpr::Rsp);
+        // The address registers of a memory operand (read even when the
+        // operand is a store destination), the registers a source operand
+        // reads, and the register a destination operand names.
+        let addr = |op: &Operand| match op {
+            Operand::Mem(m) => {
+                let base = m.base.map_or(LiveSet::EMPTY, gpr);
+                base.union(m.index.map_or(LiveSet::EMPTY, |(r, _)| gpr(r)))
+            }
+            _ => LiveSet::EMPTY,
+        };
+        let dest = |op: &Operand| match *op {
+            Operand::Reg(r) => gpr(r),
+            Operand::Xmm(x) => xmm(x),
+            _ => LiveSet::EMPTY,
+        };
+        let value = |op: &Operand| dest(op).union(addr(op));
+        // Does it overwrite its destination register(s) completely? 32-bit
+        // GPR writes zero-extend and count; 8-bit writes merge and do not.
+        let mut full_def = false;
+        let wide_reg = |w: Width, dst: &Operand| w != Width::W8 && matches!(dst, Operand::Reg(_));
+        let plain = |r: Gpr| !matches!(r, Gpr::Rsp | Gpr::Rbp);
+        match *inst {
+            Inst::Mov { w, dst, src } => {
+                full_def = wide_reg(w, &dst);
+                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
+                if w == Width::W8 {
+                    // A byte write keeps the other 56 bits: a read.
+                    e.reads = e.reads.union(e.writes);
+                }
+                e.bits |= match (w, dst, src) {
+                    (_, Operand::Mem(_), _) if w != Width::W64 => PLAIN_STORE,
+                    (Width::W64, Operand::Mem(_), _) => PLAIN_STORE | FRAME_GPR,
+                    (Width::W64, Operand::Reg(_), Operand::Mem(_)) => FRAME_GPR,
+                    (Width::W64, Operand::Reg(d), Operand::Reg(s)) if d == s => NOOP,
+                    (Width::W64, Operand::Reg(d), Operand::Reg(s)) => {
+                        let fold = if s != Gpr::Rsp { FOLD_HEAD } else { 0 };
+                        fold | if plain(d) && plain(s) { GPR_COPY } else { 0 }
+                    }
+                    _ => 0,
+                };
+            }
+            Inst::MovAbs { dst, .. } => (full_def, e.writes) = (true, gpr(dst)),
+            Inst::Movsxd { dst, src }
+            | Inst::Movzx8 { dst, src, .. }
+            | Inst::Cvttsd2si { dst, src, .. } => {
+                (full_def, e.reads, e.writes) = (true, value(&src), gpr(dst));
+            }
+            Inst::Lea { dst, src } => {
+                (full_def, e.reads, e.writes) = (true, addr(&Operand::Mem(src)), gpr(dst));
+                if src.base == Some(dst) && src.index.is_none() {
+                    if src.disp == 0 {
+                        e.bits |= NOOP;
+                    }
+                    if dst == Gpr::Rsp {
+                        e.bits |= RSP_ADJUST;
+                        e.rsp = src.disp as i64;
+                    }
+                }
+            }
+            Inst::Alu { op, w, dst, src } => {
+                full_def = op.writes_dst() && wide_reg(w, &dst);
+                e.reads = value(&src).union(value(&dst));
+                if op.writes_dst() {
+                    e.writes = dest(&dst);
+                }
+                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
+                if let (Width::W64, Operand::Reg(r), Operand::Imm(k)) = (w, dst, src) {
+                    // `x + 0` and friends: only the flags change.
+                    let identity = match op {
+                        AluOp::Add | AluOp::Sub | AluOp::Or | AluOp::Xor => k == 0,
+                        AluOp::And => k == -1,
+                        AluOp::Cmp => false,
+                    };
+                    if identity {
+                        e.bits |= VALUE_IDENTITY;
+                    }
+                    if matches!(op, AluOp::Add | AluOp::Sub) {
+                        e.bits |= FOLD_HEAD;
+                        if r == Gpr::Rsp {
+                            e.bits |= RSP_ADJUST;
+                            e.rsp = if op == AluOp::Add { k } else { -k };
+                        }
+                    }
+                }
+            }
+            Inst::Test { a, b, .. } => {
+                e.reads = value(&a).union(value(&b));
+                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
+            }
+            Inst::Ucomisd { a, b } => {
+                e.reads = xmm(a).union(value(&b));
+                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
+            }
+            Inst::Imul { dst, src, .. } => {
+                (full_def, e.reads, e.writes) = (true, gpr(dst).union(value(&src)), gpr(dst));
+                e.bits |= WRITES_FLAGS;
+            }
+            Inst::ImulImm { w, dst, src, imm } => {
+                (full_def, e.reads, e.writes) = (true, value(&src), gpr(dst));
+                e.bits |= WRITES_FLAGS;
+                if w == Width::W64 && imm == 1 && src == Operand::Reg(dst) {
+                    e.bits |= VALUE_IDENTITY;
+                }
+            }
+            Inst::Unary { op, dst, .. } => {
+                (e.reads, e.writes) = (value(&dst), dest(&dst));
+                if op != UnOp::Not {
+                    e.bits |= WRITES_FLAGS;
+                }
+            }
+            Inst::Shift { dst, count, .. } => {
+                (e.reads, e.writes) = (value(&dst), dest(&dst));
+                if count == ShiftCount::Cl {
+                    e.reads = e.reads.union(gpr(Gpr::Rcx));
+                }
+                e.bits |= WRITES_FLAGS;
+            }
+            Inst::Cqo { .. } => (e.reads, e.writes) = (gpr(Gpr::Rax), gpr(Gpr::Rdx)),
+            Inst::Idiv { src, .. } => {
+                e.writes = gpr(Gpr::Rax).union(gpr(Gpr::Rdx));
+                e.reads = e.writes.union(value(&src));
+                e.bits |= WRITES_FLAGS;
+            }
+            Inst::Jcc { .. } => e.bits |= READS_FLAGS,
+            Inst::Setcc { dst, .. } => {
+                // Only the low byte of a register destination is written.
+                (e.reads, e.writes) = (value(&dst), dest(&dst));
+                e.bits |= READS_FLAGS;
+            }
+            Inst::Push { src } => {
+                (e.reads, e.writes, e.rsp) = (rsp.union(value(&src)), rsp, -8);
+                if !src.is_mem() {
+                    e.bits |= PUSH_RI;
+                }
+            }
+            Inst::Pop { dst } => {
+                (e.reads, e.writes, e.rsp) = (rsp.union(addr(&dst)), rsp.union(dest(&dst)), 8);
+                if matches!(dst, Operand::Reg(_)) {
+                    full_def = true;
+                    e.bits |= POP_REG;
+                }
+            }
+            Inst::Ret => (e.kind, e.reads, e.writes) = (Kind::Ret, rsp, rsp),
+            Inst::CallRel { .. } => {
+                (e.kind, e.reads, e.writes) = (Kind::Barrier, rsp, rsp);
+                e.bits |= NON_SCALAR;
+            }
+            Inst::CallInd { src } => {
+                (e.kind, e.reads, e.writes) = (Kind::Barrier, rsp.union(value(&src)), rsp);
+                e.bits |= NON_SCALAR;
+            }
+            Inst::JmpInd { src } => (e.kind, e.reads) = (Kind::Barrier, rsp.union(value(&src))),
+            Inst::Ud2 => e.kind = Kind::Barrier,
+            Inst::JmpRel { .. } => {}
+            Inst::Nop => e.bits |= NOOP,
+            Inst::MovSd { dst, src } => {
+                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
+                match (dst, src) {
+                    // Register-to-register movsd keeps the destination's
+                    // high lane (a memory load zeroes it instead).
+                    (Operand::Xmm(d), Operand::Xmm(s)) => {
+                        e.reads = e.reads.union(xmm(d));
+                        e.so_def = 1 << d.number();
+                        e.so_skip = if d != s { e.so_def } else { 0 };
+                        e.bits |= if d != s { XMM_COPY } else { NOOP };
+                    }
+                    (Operand::Xmm(_), _) => {
+                        full_def = true;
+                        e.bits |= FRAME_XMM;
+                    }
+                    _ => e.bits |= PLAIN_STORE | FRAME_XMM,
+                }
+            }
+            Inst::Cvtsi2sd { dst, src, .. } => {
+                // Only the low lane is written; the high lane survives.
+                (e.reads, e.writes) = (value(&src).union(xmm(dst)), xmm(dst));
+                e.so_def = 1 << dst.number();
+                e.so_skip = e.so_def;
+            }
+            Inst::MovUpd { dst, src } => {
+                full_def = matches!(dst, Operand::Xmm(_));
+                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
+                e.bits |= NON_SCALAR;
+                if matches!(src, Operand::Xmm(_)) {
+                    e.bits |= HI_OBSERVED;
+                }
+            }
+            Inst::Sse { op, dst, src } => {
+                (e.reads, e.writes) = (xmm(dst).union(value(&src)), xmm(dst));
+                if op.is_packed() {
+                    e.bits |= NON_SCALAR;
+                    let zeroing = op == SseOp::Xorpd && src == Operand::Xmm(dst);
+                    if op != SseOp::Unpcklpd && !zeroing {
+                        e.bits |= HI_OBSERVED;
+                    }
+                }
+            }
+        }
+        if e.writes.has(Loc::Gpr(Gpr::Rsp)) && e.rsp == 0 && !e.is(RSP_ADJUST) {
+            e.rsp = RSP_LOST;
+        }
+        if full_def {
+            e.defs = e.writes;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (mut reads, mut writes) = (LiveSet::EMPTY, LiveSet::EMPTY);
+            defuse::for_each_read(inst, &mut |l| reads.set(l));
+            defuse::for_each_write(inst, &mut |l| writes.set(l));
+            debug_assert_eq!((e.reads, e.writes), (reads, writes), "{inst}");
+        }
+        debug_assert_eq!(e.is(WRITES_FLAGS), inst.writes_flags(), "{inst}");
+        debug_assert_eq!(e.is(READS_FLAGS), inst.reads_flags(), "{inst}");
+        debug_assert_eq!(e.kind != Kind::Plain, defuse::is_barrier(inst), "{inst}");
+        debug_assert!(!e.is(PLAIN_STORE) || inst.mem_store().is_some(), "{inst}");
+
+        let framed = ci.frame_store.is_some() || ci.frame_load.is_some();
+        if framed && self.track_slots {
+            let len = inst.mem_width();
+            e.load = self.touched(ci.frame_load, len);
+            e.store = self.touched(ci.frame_store, len);
+            if let (Some(off), None) = (ci.frame_store, ci.frame_load) {
+                if len.is_multiple_of(8) && off.rem_euclid(8) == 0 {
+                    e.bits |= STORE_KILLS;
+                }
+            }
+        } else if !framed {
+            e.bits &= !(FRAME_GPR | FRAME_XMM);
+        }
+        // An rsp-based read the tracer left no offset for.
+        if ci.frame_load.is_none()
+            && !e.is(STORE_KILLS)
+            && e.reads.has(Loc::Gpr(Gpr::Rsp))
+            && (matches!(inst, Inst::Pop { .. })
+                || (inst.mem_load()).is_some_and(|m| m.regs().any(|r| r == Gpr::Rsp)))
+        {
+            e.bits |= READS_ALL_SLOTS;
+        }
+        if self.so {
+            e.scalar_only();
+        }
+        e
+    }
+}
+
+/// What the one liveness solution holds per block.
+#[derive(Clone, PartialEq, Debug)]
+struct BlockLive {
+    /// What the block makes of nothing and of everything live at its end —
+    /// every instruction's transfer is `gen ∪ (x − kill)`, so those two fix
+    /// the block's, and the fixpoint never looks at an instruction.
+    through: (Live, Live),
+    live_in: Live,
+    /// Edited since it was last summarized.
+    dirty: bool,
+    /// Union of the shape bits in the block (a removal may leave a stale
+    /// bit set until the block is next summarized: a wasted visit, never a
+    /// missed one).
+    shape: u32,
+}
+
+/// The one liveness solution over the CFG.
+struct Liveness {
+    blocks: Vec<BlockLive>,
+    solved: bool,
+}
+
+impl Liveness {
+    fn new(n: usize) -> Liveness {
+        let fresh = BlockLive {
+            through: (Live::default(), Live::ALL),
+            live_in: Live::default(),
+            dirty: true,
+            shape: 0,
+        };
+        Liveness {
+            blocks: vec![fresh; n],
+            solved: false,
+        }
+    }
+
+    fn any_dirty(&self) -> bool {
+        self.blocks.iter().any(|b| b.dirty)
+    }
+}
+
+/// See the module docs.
+pub(crate) struct PassCx<'a> {
+    blocks: &'a mut [CapturedBlock],
+    effects: Vec<Vec<Effect>>,
+    pub level: OptLevel,
+    pub frame_escaped: bool,
+    /// Registers live after `ret` ([`abi_ret`]).
+    pub ret_live: LiveSet,
+    /// Flag writers, frame stores and `push`/`pop` are dead-code candidates
+    /// too, and `ret` reads exactly `ret_live` and the caller's frame. Off,
+    /// the sweep removes only flag-neutral register moves and `ret` reads
+    /// everything — what the manager's conservative re-emission runs.
+    pub full: bool,
+    pub dec: Decoder,
+    /// Instructions left that set `bit::NON_SCALAR` / `bit::HI_OBSERVED`.
+    lanes: [usize; 2],
+    /// Predecessors of every block (one entry per edge; block `b`'s are
+    /// `pred_list[pred_start[b]..pred_start[b + 1]]`), and the blocks
+    /// reachable from the entry block in reverse postorder (empty without
+    /// a marked entry).
+    pred_start: Vec<u32>,
+    pred_list: Vec<u32>,
+    pub rpo: Vec<usize>,
+    /// Every block, successors first where the CFG allows: the order the
+    /// backward fixpoint converges fastest in.
+    backward: Vec<usize>,
+    lv: Liveness,
+    /// Reusable per-visit buffers.
+    pub keep: Vec<bool>,
+    pub after: Vec<LiveSet>,
+    pub renamed: Vec<(usize, Inst)>,
+    spare: Vec<Effect>,
+}
+
+impl<'a> PassCx<'a> {
+    /// Decode `blocks` and derive everything the stages of `level` share.
+    pub fn new(
+        blocks: &'a mut [CapturedBlock],
+        level: OptLevel,
+        frame_escaped: bool,
+        ret: RetKind,
+    ) -> PassCx<'a> {
+        let n = blocks.len();
+        let mut dec = Decoder {
+            slots: Vec::with_capacity(32),
+            keys: Vec::with_capacity(32),
+            track_slots: !frame_escaped,
+            ret_slots: SlotSet::default(),
+            so: false,
+            work: Work::default(),
+        };
+        let effects: Vec<Vec<Effect>> = blocks
+            .iter()
+            .map(|b| b.insts.iter().map(|ci| dec.decode(ci)).collect())
+            .collect();
+        let edges = || {
+            let from = |(i, b): (usize, &CapturedBlock)| b.term.successors().map(move |s| (i, s.0));
+            blocks.iter().enumerate().flat_map(from).filter(|e| e.1 < n)
+        };
+        let mut pred_start = vec![0u32; n + 1];
+        edges().for_each(|(_, s)| pred_start[s + 1] += 1);
+        for s in 0..n {
+            pred_start[s + 1] += pred_start[s];
+        }
+        let mut pred_list = vec![0u32; pred_start[n] as usize];
+        let mut fill = pred_start.clone();
+        for (i, s) in edges() {
+            pred_list[fill[s] as usize] = i as u32;
+            fill[s] += 1;
+        }
+        let rpo = reverse_postorder(blocks);
+        let mut reached = vec![false; n];
+        rpo.iter().for_each(|&b| reached[b] = true);
+        let unreached = (0..n).rev().filter(|&b| !reached[b]);
+        let mut cx = PassCx {
+            backward: rpo.iter().rev().copied().chain(unreached).collect(),
+            rpo,
+            blocks,
+            level,
+            frame_escaped,
+            ret_live: abi_ret(level >= OptLevel::Aggressive, ret),
+            full: level >= OptLevel::Dataflow,
+            dec,
+            lanes: [0; 2],
+            pred_start,
+            pred_list,
+            lv: Liveness::new(n),
+            keep: Vec::new(),
+            after: Vec::new(),
+            renamed: Vec::new(),
+            spare: Vec::new(),
+            effects,
+        };
+        for b in 0..n {
+            for e in &cx.effects[b] {
+                cx.lv.blocks[b].shape |= e.bits;
+                count(&mut cx.lanes, e, 1);
+            }
+        }
+        cx.refresh_scalar_only();
+        cx
+    }
+
+    /// Called between stages: once the last high-lane writer is gone the
+    /// scalar moves become full definitions, everywhere at once.
+    pub fn refresh_scalar_only(&mut self) {
+        if !self.dec.so && self.lanes[0] == 0 {
+            self.dec.so = true;
+            for e in self.effects.iter_mut().flatten() {
+                e.scalar_only();
+            }
+            self.lv.blocks.iter_mut().for_each(|b| b.dirty = true);
+        }
+    }
+
+    /// No instruction reads an XMM high lane, so a scalar load (which
+    /// zeroes it) and a register move (which keeps it) are interchangeable.
+    pub fn hi_lanes_unobserved(&self) -> bool {
+        self.lanes[1] == 0
+    }
+
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// The predecessors of block `b`, one entry per incoming edge.
+    pub fn preds(&self, b: usize) -> &[u32] {
+        &self.pred_list[self.pred_start[b] as usize..self.pred_start[b + 1] as usize]
+    }
+
+    pub fn insts(&self, b: usize) -> &[CapturedInst] {
+        &self.blocks[b].insts
+    }
+
+    pub fn effects(&self, b: usize) -> &[Effect] {
+        &self.effects[b]
+    }
+
+    pub fn block(&self, b: usize) -> &CapturedBlock {
+        &self.blocks[b]
+    }
+
+    /// Union of the shape bits block `b` may contain.
+    pub fn shape(&self, b: usize) -> u32 {
+        self.lv.blocks[b].shape
+    }
+
+    /// Every tracked slot index in use is below this.
+    pub fn slot_count(&self) -> usize {
+        self.dec.keys.len()
+    }
+
+    /// The entry-rsp-relative offset of slot `ix`.
+    pub fn slot_key(&self, ix: usize) -> i64 {
+        self.dec.keys[ix]
+    }
+
+    fn touch(&mut self, b: usize) {
+        self.lv.blocks[b].dirty = true;
+    }
+
+    /// Put `ci` in place of instruction `i` of block `b`.
+    pub fn replace(&mut self, b: usize, i: usize, ci: CapturedInst) {
+        let e = self.dec.decode(&ci);
+        self.dec.work.rewritten += 1;
+        count(&mut self.lanes, &self.effects[b][i], -1);
+        count(&mut self.lanes, &e, 1);
+        self.blocks[b].insts[i] = ci;
+        self.effects[b][i] = e;
+        self.lv.blocks[b].shape |= e.bits;
+        self.touch(b);
+    }
+
+    /// [`PassCx::replace`] that keeps the frame metadata (a rename).
+    pub fn set_inst(&mut self, b: usize, i: usize, inst: Inst) {
+        let ci = CapturedInst {
+            inst,
+            ..self.blocks[b].insts[i]
+        };
+        self.replace(b, i, ci);
+    }
+
+    pub fn remove(&mut self, b: usize, i: usize) {
+        self.drain(b, i..i + 1);
+    }
+
+    pub fn drain(&mut self, b: usize, range: std::ops::Range<usize>) {
+        for e in &self.effects[b][range.clone()] {
+            count(&mut self.lanes, e, -1);
+        }
+        self.blocks[b].insts.drain(range.clone());
+        self.effects[b].drain(range);
+        self.touch(b);
+    }
+
+    /// Keep the instructions of block `b` that `keep` (called with index
+    /// and effect) says to; returns how many went.
+    pub fn retain(&mut self, b: usize, mut keep: impl FnMut(usize, &Effect) -> bool) -> u64 {
+        let (insts, effects) = (&mut self.blocks[b].insts, &mut self.effects[b]);
+        let mut kept = 0;
+        for i in 0..effects.len() {
+            if keep(i, &effects[i]) {
+                if kept < i {
+                    insts[kept] = insts[i];
+                    effects[kept] = effects[i];
+                }
+                kept += 1;
+            } else {
+                count(&mut self.lanes, &effects[i], -1);
+            }
+        }
+        let gone = effects.len() - kept;
+        if gone > 0 {
+            insts.truncate(kept);
+            effects.truncate(kept);
+            self.touch(b);
+        }
+        gone as u64
+    }
+
+    /// Swap in a rewritten body for block `b`: `origin[k]` is the index
+    /// `body[k]` had in the old body, or `None` for an instruction the
+    /// stage wrote. `body` is left holding the old instructions.
+    pub fn set_body(&mut self, b: usize, body: &mut Vec<CapturedInst>, origin: &[Option<u32>]) {
+        let (old, dec) = (&self.effects[b], &mut self.dec);
+        old.iter().for_each(|e| count(&mut self.lanes, e, -1));
+        self.spare.clear();
+        self.spare
+            .extend(body.iter().zip(origin).map(|(ci, o)| match o {
+                Some(i) => old[*i as usize],
+                None => {
+                    dec.work.rewritten += 1;
+                    dec.decode(ci)
+                }
+            }));
+        std::mem::swap(&mut self.effects[b], &mut self.spare);
+        std::mem::swap(&mut self.blocks[b].insts, body);
+        for e in &self.effects[b] {
+            self.lv.blocks[b].shape |= e.bits;
+            count(&mut self.lanes, e, 1);
+        }
+        self.touch(b);
+    }
+
+    // -----------------------------------------------------------------
+    // Liveness
+    // -----------------------------------------------------------------
+
+    /// The kill half of [`PassCx::step_back`]: drop from `live` what the
+    /// instruction overwrites (a barrier or `ret` decides everything).
+    #[inline]
+    fn kill(&self, live: &mut Live, e: &Effect) {
+        if e.kind != Kind::Plain {
+            *live = Live::default();
+            return;
+        }
+        live.regs = live.regs.without(e.defs);
+        live.flags &= !e.is(bit::KILLS_FLAGS);
+        if self.full && e.is(bit::STORE_KILLS) {
+            tracked(&e.store).for_each(|i| live.slots.clear(i));
+        }
+    }
+
+    /// Backward transfer of one instruction over the whole live state.
+    #[inline]
+    pub fn step_back(&self, live: &mut Live, e: &Effect) {
+        self.kill(live, e);
+        match e.kind {
+            // Flags are not part of the return ABI; the frame below the
+            // return address is gone.
+            Kind::Ret if self.full => {
+                live.regs = self.ret_live;
+                live.regs.set(Loc::Gpr(Gpr::Rsp));
+                live.slots = self.dec.ret_slots;
+            }
+            Kind::Ret | Kind::Barrier => {
+                *live = Live {
+                    flags: e.kind == Kind::Barrier,
+                    ..Live::ALL
+                }
+            }
+            Kind::Plain => {
+                live.regs = live.regs.union(e.reads);
+                live.flags |= e.is(bit::READS_FLAGS);
+                if self.full {
+                    tracked(&e.load).for_each(|i| live.slots.set(i));
+                    if e.is(bit::READS_ALL_SLOTS) && self.dec.track_slots {
+                        live.slots = SlotSet::ALL;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every transfer is `gen ∪ (x − kill)`, so one backward pass gives
+    /// both ends: what the block generates, and what it lets through.
+    fn summarize(&mut self, b: usize) {
+        let (mut lo, mut passes) = (Live::default(), Live::ALL);
+        let mut shape = 0;
+        for e in self.effects[b].iter().rev() {
+            self.step_back(&mut lo, e);
+            self.kill(&mut passes, e);
+            shape |= e.bits;
+        }
+        let block = &mut self.lv.blocks[b];
+        (block.shape, block.through, block.dirty) = (shape, (lo, lo.union(passes)), false);
+    }
+
+    /// The least fixpoint of the backward equations over the blocks as
+    /// they are now. Free when nothing changed since the last one.
+    pub fn solve(&mut self) {
+        let n = self.len();
+        if self.lv.solved && !self.lv.any_dirty() {
+            return;
+        }
+        for b in 0..n {
+            if self.lv.blocks[b].dirty {
+                self.summarize(b);
+            }
+        }
+        self.dec.work.solves += 1;
+        self.lv.solved = true;
+        self.lv
+            .blocks
+            .iter_mut()
+            .for_each(|b| b.live_in = Live::default());
+        loop {
+            let mut changed = false;
+            for &b in &self.backward {
+                let (lo, hi) = self.lv.blocks[b].through;
+                let inn = lo.union(self.live_out(b).intersect(hi));
+                changed |= inn != self.lv.blocks[b].live_in;
+                self.lv.blocks[b].live_in = inn;
+            }
+            if !changed {
+                return;
+            }
+        }
+    }
+
+    /// What is live when block `b` hands over. Edges that leave the block
+    /// list stay conservative; the stack pointer is structural and never
+    /// dead.
+    pub fn live_out(&self, b: usize) -> Live {
+        let term = self.blocks[b].term;
+        let mut out = Live::default();
+        for s in term.successors() {
+            out = out.union(self.lv.blocks.get(s.0).map_or(Live::ALL, |b| b.live_in));
+        }
+        match term {
+            // The `ret` instruction itself sets the contract when
+            // `self.full`; a ret block without one keeps it here.
+            Terminator::Ret => {
+                out.regs = self.ret_live;
+                out.slots = self.dec.ret_slots;
+            }
+            Terminator::Jcc { .. } => out.flags = true,
+            Terminator::Jmp(_) => {}
+        }
+        out.regs.set(Loc::Gpr(Gpr::Rsp));
+        if !self.full {
+            // The frame pointer stays structural for the conservative
+            // sweep, as it was before flags and slots were tracked.
+            out.regs.set(Loc::Gpr(Gpr::Rbp));
+        }
+        out
+    }
+
+    pub fn live_in(&self, b: usize) -> Live {
+        self.lv.blocks[b].live_in
+    }
+
+    /// A sweep leaves block `b` with this state live in.
+    pub(super) fn set_live_in(&mut self, b: usize, live: Live) {
+        self.lv.blocks[b].live_in = live;
+    }
+
+    /// Are the flags as left by instruction `pos - 1` of block `b` provably
+    /// never read? (`ret` ends their life: they are not part of the return
+    /// ABI.)
+    pub fn flags_dead_at(&self, b: usize, pos: usize, flags_out: bool) -> bool {
+        for e in &self.effects[b][pos..] {
+            if e.kind == Kind::Ret || e.is(bit::KILLS_FLAGS) {
+                return true;
+            }
+            if e.is(bit::READS_FLAGS) || e.kind == Kind::Barrier {
+                return false;
+            }
+        }
+        !flags_out
+    }
+
+    /// Fill [`PassCx::after`] with the registers live just after each
+    /// instruction of block `b` as it is now, for the block-local
+    /// cleanups: every barrier, `ret` included, reads everything.
+    pub fn fill_after(&mut self, b: usize, live_out: LiveSet) {
+        let mut live = live_out;
+        self.after.clear();
+        self.after.resize(self.effects[b].len(), LiveSet::EMPTY);
+        for (slot, e) in self.after.iter_mut().zip(&self.effects[b]).rev() {
+            *slot = live;
+            step_regs(&mut live, e);
+        }
+    }
+
+    /// The work counters so far.
+    pub fn work(&self) -> Work {
+        self.dec.work
+    }
+
+    pub fn visit(&mut self) {
+        self.dec.work.visits += 1;
+    }
+
+    /// Every cached effect equals a fresh decode of its instruction, and
+    /// every summarized block's live-in state equals a from-scratch
+    /// solution's.
+    pub fn assert_coherent(&mut self) {
+        let work = self.dec.work;
+        for (b, block) in self.blocks.iter().enumerate() {
+            let fresh: Vec<Effect> = block.insts.iter().map(|ci| self.dec.decode(ci)).collect();
+            assert_eq!(fresh, self.effects[b], "stale effects in block {b}");
+        }
+        if self.lv.solved && !self.lv.any_dirty() {
+            let kept = self.lv.blocks.clone();
+            self.lv.blocks.iter_mut().for_each(|b| b.dirty = true);
+            self.solve();
+            for (b, (kept, fresh)) in kept.iter().zip(&self.lv.blocks).enumerate() {
+                assert_eq!(kept.through, fresh.through, "stale summary of block {b}");
+                // A sweep may leave a state above the least fixpoint of what
+                // remains (deleting code only ever shrinks liveness), never
+                // one below it.
+                assert_eq!(kept.live_in.union(fresh.live_in), kept.live_in, "block {b}");
+            }
+            self.lv.blocks = kept;
+        }
+        self.dec.work = work;
+    }
+}
+
+/// Keep the `NON_SCALAR` / `HI_OBSERVED` populations in step with an edit.
+fn count(lanes: &mut [usize; 2], e: &Effect, by: isize) {
+    for (n, bit) in lanes.iter_mut().zip([bit::NON_SCALAR, bit::HI_OBSERVED]) {
+        if e.is(bit) {
+            *n = n.wrapping_add_signed(by);
+        }
+    }
+}
+
+/// Backward transfer over registers alone, every barrier reading all.
+pub(crate) fn step_regs(live: &mut LiveSet, e: &Effect) {
+    *live = match e.kind {
+        Kind::Plain => live.without(e.defs).union(e.reads),
+        _ => LiveSet::ALL,
+    };
+}
+
+/// The blocks reachable from the entry block, in reverse postorder.
+fn reverse_postorder(blocks: &[CapturedBlock]) -> Vec<usize> {
+    let Some(entry) = blocks.iter().position(|b| b.is_entry) else {
+        return Vec::new();
+    };
+    let n = blocks.len();
+    let succs = |b: usize| {
+        let it = blocks[b].term.successors();
+        it.map(|s| s.0).filter(move |&s| s < n)
+    };
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut stack = vec![(entry, succs(entry))];
+    seen[entry] = true;
+    while let Some((b, it)) = stack.last_mut() {
+        match it.next() {
+            Some(s) => {
+                if !std::mem::replace(&mut seen[s], true) {
+                    stack.push((s, succs(s)));
+                }
+            }
+            None => {
+                order.push(*b);
+                stack.pop();
+            }
+        }
+    }
+    order.reverse();
+    order
+}

@@ -1,10 +1,13 @@
-//! Dataflow over the captured CFG: one forward analysis (constant and copy
-//! propagation, [`constprop`]) and one backward analysis (liveness of
-//! registers, flags and frame slots, `liveness`) with the dead-code
-//! elimination it drives. Both run before slot allocation and register
-//! allocation; the allocator's cleanup sub-passes share the liveness.
+//! Dataflow over the captured CFG: the analysis context every pass stage
+//! shares (`cx`: decoded effects, CFG order, slot table, one liveness
+//! solution), one forward analysis (constant and copy propagation,
+//! `constprop`) and the backward one's state types with the dead-code
+//! elimination it drives (`liveness`). Both run before slot allocation and
+//! register allocation; the allocator's cleanup sub-passes share the
+//! liveness.
 
-pub mod constprop;
+pub(crate) mod constprop;
+pub(crate) mod cx;
 pub(crate) mod liveness;
 
-pub use constprop::propagate_constants;
+pub(crate) use constprop::propagate_constants;

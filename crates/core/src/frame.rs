@@ -34,304 +34,180 @@
 //!   neighbouring adjustments.
 
 use crate::capture::{CapturedBlock, CapturedInst};
+use crate::dataflow::cx::{bit, rsp_bump, Kind, PassCx, RSP_LOST};
+use crate::regalloc::map_operands;
 use brew_x86::prelude::*;
 
 /// Run frame compression to a fixpoint; returns removed instruction count.
 pub fn compress_frames(blocks: &mut [CapturedBlock]) -> u64 {
+    let level = crate::passes::OptLevel::FrameCompression;
+    compress(&mut PassCx::new(blocks, level, false, crate::RetKind::Int))
+}
+
+/// [`compress_frames`] as a stage of `run_passes`.
+pub(crate) fn compress(cx: &mut PassCx) -> u64 {
     let mut removed = 0;
-    for b in blocks.iter_mut() {
-        loop {
-            match compress_one(b) {
-                0 => break,
-                n => removed += n,
-            }
+    let mut before = Vec::new();
+    for b in 0..cx.len() {
+        // A pair opens with a push, or with the bump a dead one became.
+        if cx.shape(b) & (bit::PUSH_RI | bit::RSP_ADJUST) == 0 {
+            continue;
         }
+        cx.visit();
+        removed += compress_block(cx, b, &mut before);
     }
     removed
 }
 
-/// How an instruction moves RSP, if trackably.
-fn rsp_delta(inst: &Inst) -> Option<i64> {
-    match inst {
-        Inst::Push { .. } => Some(-8),
-        Inst::Pop { .. } => Some(8),
-        Inst::Alu {
-            op: AluOp::Sub,
-            w: Width::W64,
-            dst: Operand::Reg(Gpr::Rsp),
-            src: Operand::Imm(k),
-        } => Some(-k),
-        Inst::Alu {
-            op: AluOp::Add,
-            w: Width::W64,
-            dst: Operand::Reg(Gpr::Rsp),
-            src: Operand::Imm(k),
-        } => Some(*k),
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src:
-                MemRef {
-                    base: Some(Gpr::Rsp),
-                    index: None,
-                    disp,
-                },
-        } => Some(*disp as i64),
-        _ => {
-            let mut writes_rsp = false;
-            defuse::for_each_write(inst, &mut |l| {
-                if l == defuse::Loc::Gpr(Gpr::Rsp) {
-                    writes_rsp = true;
-                }
-            });
-            if writes_rsp {
-                None // untracked RSP modification
-            } else {
-                Some(0)
-            }
-        }
-    }
-}
-
-/// The RSP-relative byte span an instruction's memory operands touch at the
+/// The RSP-relative byte span an instruction's memory operand touches at the
 /// current depth, or `None` if it has no RSP-based operand.
 fn rsp_operand_span(inst: &Inst, cur: i64) -> Option<(i64, i64)> {
-    let span = |m: &MemRef| -> Option<(i64, i64)> {
-        if m.base == Some(Gpr::Rsp) {
+    let m = rsp_mem(inst)?;
+    match inst {
+        // Plain stack-pointer arithmetic, handled by the depth tracking.
+        Inst::Lea { dst: Gpr::Rsp, .. } => None,
+        // Any other lea with an rsp base *captures* a frame address
+        // (materialized frame pointer); a dynamic offset could touch
+        // anything.
+        Inst::Lea { .. } => Some((i64::MIN / 2, i64::MAX / 2)),
+        _ if m.index.is_some() => Some((i64::MIN / 2, i64::MAX / 2)),
+        _ => {
             let width = if matches!(inst, Inst::MovUpd { .. }) {
                 16
             } else {
                 8
             };
-            if m.index.is_some() {
-                // Dynamic offset: could touch anything.
-                return Some((i64::MIN / 2, i64::MAX / 2));
-            }
             Some((cur + m.disp as i64, cur + m.disp as i64 + width))
-        } else {
-            None
-        }
-    };
-    let mut acc: Option<(i64, i64)> = None;
-    let mut merge = |s: Option<(i64, i64)>| {
-        if let Some((a, b)) = s {
-            acc = Some(match acc {
-                None => (a, b),
-                Some((x, y)) => (x.min(a), y.max(b)),
-            });
-        }
-    };
-    if let Some(m) = inst.mem_load() {
-        merge(span(&m));
-    }
-    if let Some(m) = inst.mem_store() {
-        merge(span(&m));
-    }
-    // lea with an rsp base *captures* a frame address (materialized frame
-    // pointer) — unless it targets RSP itself, which is plain stack-pointer
-    // arithmetic handled by the depth tracking.
-    if let Inst::Lea { dst, src } = inst {
-        if src.base == Some(Gpr::Rsp) && *dst != Gpr::Rsp {
-            merge(Some((i64::MIN / 2, i64::MAX / 2)));
         }
     }
-    acc
 }
 
-/// Try to rewrite one pair in `b`; returns the number of instructions
-/// removed or simplified (0 when no pair qualifies).
-fn compress_one(b: &mut CapturedBlock) -> u64 {
+/// Rewrite every qualifying pair of block `b`; returns the number of
+/// instructions removed or simplified. `before` is scratch.
+///
+/// One pass from the end suffices: a rewrite at `i` leaves every
+/// instruction below `i` and its depth as they were, and changes nothing a
+/// later opener was refused for — a deletion has no opener inside it and
+/// keeps the depths after it, a conversion keeps every depth.
+fn compress_block(cx: &mut PassCx, b: usize, before: &mut Vec<i64>) -> u64 {
+    let rsp = Loc::Gpr(Gpr::Rsp);
+    // RSP offset relative to block entry before each instruction, up to
+    // the first one that moves RSP untrackably: no pair opens past it.
+    before.clear();
+    let mut cur = 0;
+    for e in cx.effects(b) {
+        before.push(cur);
+        if e.rsp == RSP_LOST {
+            break;
+        }
+        cur += e.rsp;
+    }
+    let mut removed = 0;
     // Innermost pairs first: deleting them un-deepens enclosing pairs.
-    'outer: for i in (0..b.insts.len()).rev() {
-        // Pushes of registers pair with pop/lea closes; pushes of
-        // immediates have no register to restore, so only dead-slot (lea)
+    'outer: for i in (0..before.len()).rev() {
+        // Pushes of registers pair with pop/lea closes; a push of an
+        // immediate, or what the dead-code sweep left of a push into a
+        // dead slot, has no register to restore, so only dead-slot (lea)
         // closes apply.
-        let rx = match b.insts[i].inst {
+        let ei = cx.effects(b)[i];
+        if !(ei.is(bit::PUSH_RI) || ei.is_bump() && ei.rsp == -8) {
+            continue;
+        }
+        let rx = match cx.insts(b)[i].inst {
             Inst::Push {
                 src: Operand::Reg(r),
             } => Some(r),
-            // A push of an immediate, or what the dead-code sweep left of
-            // a push into a dead slot.
-            Inst::Push {
-                src: Operand::Imm(_),
-            }
-            | Inst::Lea {
-                dst: Gpr::Rsp,
-                src:
-                    MemRef {
-                        base: Some(Gpr::Rsp),
-                        index: None,
-                        disp: -8,
-                    },
-            } => None,
-            _ => continue,
+            _ => None,
         };
-        // Depth bookkeeping: cur = RSP offset relative to block entry.
-        let mut cur: i64 = 0;
-        for ci in &b.insts[..i] {
-            match rsp_delta(&ci.inst) {
-                Some(d) => cur += d,
-                None => continue 'outer,
-            }
-        }
-        let slot = cur - 8; // the pushed slot's offset
+        let slot = before[i] - 8; // the pushed slot's offset
         let mut depth = slot;
         let mut went_deeper = false;
         let mut touched_rx = false;
 
         // Scan forward for the close.
-        let mut j = i + 1;
-        while j < b.insts.len() {
-            let inst = &b.insts[j].inst.clone();
-            // Candidate closes.
-            match inst {
-                // pop rX at the slot depth: full restore close; requires
-                // the register untouched (the restore becomes a no-op).
-                Inst::Pop {
-                    dst: Operand::Reg(ry),
-                } if depth == slot && Some(*ry) == rx => {
-                    if touched_rx {
-                        continue 'outer;
-                    }
-                    match try_rewrite(b, i, j, slot, went_deeper) {
-                        // Nothing to gain from this pair; try the others.
-                        0 => continue 'outer,
-                        n => return n,
-                    }
+        for j in i + 1..cx.insts(b).len() {
+            let (inst, e) = (cx.insts(b)[j].inst, cx.effects(b)[j]);
+            // pop rX at the slot depth: full restore close; requires the
+            // register untouched (the restore becomes a no-op).
+            let restore = matches!(inst, Inst::Pop { dst: Operand::Reg(ry) } if Some(ry) == rx);
+            if restore && depth == slot {
+                if touched_rx {
+                    continue 'outer;
                 }
-                // The `lea rsp, [rsp+K]` left by elided pops / merged
-                // epilogues. K == 8 at slot depth: exact dead-slot close.
-                // A larger K that releases *through* the slot is a merged
-                // multi-frame epilogue: the hole is dropped with it, so
-                // the push can shrink to a bump (conversion only).
-                Inst::Lea {
-                    dst: Gpr::Rsp,
-                    src:
-                        MemRef {
-                            base: Some(Gpr::Rsp),
-                            index: None,
-                            disp,
-                        },
-                } if *disp > 0 => {
-                    let k = *disp as i64;
-                    if depth == slot && k == 8 {
-                        match try_rewrite(b, i, j, slot, went_deeper) {
-                            0 => continue 'outer,
-                            n => return n,
-                        }
-                    }
-                    if depth <= slot && depth + k > slot {
-                        // Crossing release: convert the push to a bump
-                        // (a bump already is one).
-                        if matches!(b.insts[i].inst, Inst::Push { .. }) {
-                            return convert_push(b, i);
-                        }
-                        continue 'outer;
-                    }
-                }
-                _ => {}
-            }
-            // Disqualifiers.
-            if matches!(
-                inst,
-                Inst::CallRel { .. } | Inst::CallInd { .. } | Inst::JmpInd { .. }
-            ) {
+                // (Nothing to gain from this pair is 0.)
+                removed += try_rewrite(cx, b, i, j, went_deeper);
                 continue 'outer;
             }
-            if let Some(rx) = rx {
-                defuse::for_each_read(inst, &mut |l| {
-                    if l == defuse::Loc::Gpr(rx) {
-                        touched_rx = true;
+            // The `lea rsp, [rsp+K]` left by elided pops / merged
+            // epilogues. K == 8 at slot depth: exact dead-slot close. A
+            // larger K that releases *through* the slot is a merged
+            // multi-frame epilogue: the hole is dropped with it, so the
+            // push can shrink to a bump (conversion only).
+            if e.is_bump() && e.rsp > 0 {
+                if depth == slot && e.rsp == 8 {
+                    removed += try_rewrite(cx, b, i, j, went_deeper);
+                    continue 'outer;
+                }
+                if depth <= slot && depth + e.rsp > slot {
+                    // Crossing release: convert the push to a bump (a
+                    // bump already is one) — the store is dropped, the
+                    // 8-byte hole stays.
+                    if ei.is(bit::PUSH_RI) {
+                        cx.replace(b, i, rsp_bump(-8));
+                        removed += 1;
                     }
-                });
-                defuse::for_each_write(inst, &mut |l| {
-                    if l == defuse::Loc::Gpr(rx) {
-                        touched_rx = true;
-                    }
-                });
-            }
-            if let Some((lo, hi)) = rsp_operand_span(inst, depth) {
-                if lo < slot + 8 && hi > slot {
-                    continue 'outer; // touches the saved slot
+                    continue 'outer;
                 }
             }
-            match rsp_delta(inst) {
-                Some(d) => depth += d,
-                None => continue 'outer,
-            }
-            if depth < slot {
-                went_deeper = true;
-            }
-            if depth > slot {
-                // Stack released past the slot without a recognized close.
+            // Disqualifiers: a callee may clobber rX and must see a
+            // well-formed stack; rX or the saved slot is touched; RSP moves
+            // untrackably or is released past the slot without a close.
+            let call = e.kind == Kind::Barrier && inst != Inst::Ud2;
+            touched_rx |= rx.is_some_and(|r| e.refs(Loc::Gpr(r)));
+            let on_slot = e.reads.has(rsp)
+                && rsp_operand_span(&inst, depth)
+                    .is_some_and(|(lo, hi)| lo < slot + 8 && hi > slot);
+            if call || on_slot || e.rsp == RSP_LOST || depth + e.rsp > slot {
                 continue 'outer;
             }
-            j += 1;
+            depth += e.rsp;
+            went_deeper |= depth < slot;
         }
     }
-    0
+    removed
 }
 
-/// Convert a push whose slot dies inside a merged (crossing) release:
-/// the store is dropped, the 8-byte hole stays.
-fn convert_push(b: &mut CapturedBlock, i: usize) -> u64 {
-    b.insts[i] = CapturedInst::plain(Inst::Lea {
-        dst: Gpr::Rsp,
-        src: MemRef::base_disp(Gpr::Rsp, -8),
-    });
-    1
-}
-
-/// Rewrite the pair `(i, j)`. With nothing allocated deeper than the slot
-/// in between, delete both and re-base intervening RSP displacements;
-/// otherwise convert both to flag-neutral RSP bumps (the layout must stay:
-/// deleting would strand deeper slots below RSP where later pushes clobber
-/// them). Returns removed/simplified instruction count.
-fn try_rewrite(b: &mut CapturedBlock, i: usize, j: usize, slot: i64, went_deeper: bool) -> u64 {
-    let _ = slot;
+/// Rewrite the pair `(i, j)` of block `b`. With nothing allocated deeper
+/// than the slot in between, delete both and re-base intervening RSP
+/// displacements; otherwise convert both to flag-neutral RSP bumps (the
+/// layout must stay: deleting would strand deeper slots below RSP where
+/// later pushes clobber them). Returns removed/simplified instruction count.
+fn try_rewrite(cx: &mut PassCx, b: usize, i: usize, j: usize, went_deeper: bool) -> u64 {
     if !went_deeper {
         // Verify rebased displacements stay encodable and non-negative
         // (a negative displacement would reach below RSP).
-        for ci in &b.insts[i + 1..j] {
-            if let Some(m) = rsp_mem(&ci.inst) {
-                if m.disp < 8 {
-                    return 0;
-                }
-            }
+        let between = &cx.insts(b)[i + 1..j];
+        if (between.iter()).any(|ci| rsp_mem(&ci.inst).is_some_and(|m| m.disp < 8)) {
+            return 0;
         }
-        for ci in b.insts[i + 1..j].iter_mut() {
-            ci.inst = rebase_rsp(&ci.inst);
+        for k in i + 1..j {
             // Frame metadata refers to pre-compression offsets; it is
             // consumed by earlier passes only; clear to avoid stale reuse.
-            ci.frame_store = None;
-            ci.frame_load = None;
+            let ci = CapturedInst::plain(rebase_rsp(&cx.insts(b)[k].inst));
+            if ci != cx.insts(b)[k] {
+                cx.replace(b, k, ci);
+            }
         }
-        b.insts.remove(j);
-        b.insts.remove(i);
+        cx.remove(b, j);
+        cx.remove(b, i);
         return 2;
     }
     // Conversion: keep the 8-byte hole, drop the dead store and reload.
-    let already = matches!(
-        b.insts[i].inst,
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src: MemRef {
-                base: Some(Gpr::Rsp),
-                index: None,
-                disp: -8
-            }
-        }
-    );
-    if already {
+    if !cx.effects(b)[i].is(bit::PUSH_RI) {
         return 0; // fixpoint: this pair is fully converted
     }
-    b.insts[i] = CapturedInst::plain(Inst::Lea {
-        dst: Gpr::Rsp,
-        src: MemRef::base_disp(Gpr::Rsp, -8),
-    });
-    b.insts[j] = CapturedInst::plain(Inst::Lea {
-        dst: Gpr::Rsp,
-        src: MemRef::base_disp(Gpr::Rsp, 8),
-    });
+    cx.replace(b, i, rsp_bump(-8));
+    cx.replace(b, j, rsp_bump(8));
     1
 }
 
@@ -348,60 +224,17 @@ fn rsp_mem(inst: &Inst) -> Option<MemRef> {
 
 /// Shift every RSP-based memory operand in `inst` down by 8.
 fn rebase_rsp(inst: &Inst) -> Inst {
-    fn fix(m: MemRef) -> MemRef {
-        if m.base == Some(Gpr::Rsp) {
-            MemRef {
-                disp: m.disp - 8,
-                ..m
-            }
-        } else {
-            m
-        }
+    // `lea rsp, [rsp+k]` is stack-pointer arithmetic: the relative
+    // adjustment is invariant under the base shift. Every other lea forms
+    // an address, which does shift.
+    if matches!(inst, Inst::Lea { dst: Gpr::Rsp, src } if src.base == Some(Gpr::Rsp)) {
+        return *inst;
     }
-    let fix_op = |o: Operand| match o {
-        Operand::Mem(m) => Operand::Mem(fix(m)),
-        o => o,
+    let shift = |m: MemRef| MemRef {
+        disp: m.disp - 8 * i32::from(m.base == Some(Gpr::Rsp)),
+        ..m
     };
-    let mut out = *inst;
-    match &mut out {
-        Inst::Mov { dst, src, .. } => {
-            *dst = fix_op(*dst);
-            *src = fix_op(*src);
-        }
-        Inst::Movsxd { src, .. }
-        | Inst::Movzx8 { src, .. }
-        | Inst::Imul { src, .. }
-        | Inst::ImulImm { src, .. }
-        | Inst::Idiv { src, .. }
-        | Inst::Push { src }
-        | Inst::Cvtsi2sd { src, .. }
-        | Inst::Cvttsd2si { src, .. } => *src = fix_op(*src),
-        // `lea rsp, [rsp+k]` is stack-pointer arithmetic: the relative
-        // adjustment is invariant under the base shift. Every other lea
-        // forms an address, which does shift.
-        Inst::Lea { dst, src } if *dst != Gpr::Rsp || src.base != Some(Gpr::Rsp) => {
-            *src = fix(*src);
-        }
-        Inst::Alu { dst, src, .. } => {
-            *dst = fix_op(*dst);
-            *src = fix_op(*src);
-        }
-        Inst::Test { a, b, .. } => {
-            *a = fix_op(*a);
-            *b = fix_op(*b);
-        }
-        Inst::Unary { dst, .. } | Inst::Shift { dst, .. } | Inst::Pop { dst } => {
-            *dst = fix_op(*dst)
-        }
-        Inst::Setcc { dst, .. } => *dst = fix_op(*dst),
-        Inst::MovSd { dst, src } | Inst::MovUpd { dst, src } => {
-            *dst = fix_op(*dst);
-            *src = fix_op(*src);
-        }
-        Inst::Sse { src, .. } | Inst::Ucomisd { b: src, .. } => *src = fix_op(*src),
-        _ => {}
-    }
-    out
+    map_operands(inst, |r| r, |x| x, shift)
 }
 
 #[cfg(test)]

@@ -6,9 +6,11 @@
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
 use crate::capture::{CapturedBlock, CapturedInst};
-use crate::dataflow::{liveness, propagate_constants};
+use crate::dataflow::cx::{bit, rsp_bump, slots_dead, tracked, PassCx, Work};
+use crate::dataflow::liveness::{self, Live, SlotSet};
+use crate::dataflow::propagate_constants;
+use crate::{frame, regalloc};
 use brew_x86::prelude::*;
-use brew_x86::WordSet;
 
 /// How far up the optimization ladder a rewrite goes. The levels are
 /// cumulative: each one runs everything below it plus the stage it is
@@ -80,9 +82,80 @@ pub fn run_passes(
     run_passes_traced(blocks, level, frame_escaped, ret, None)
 }
 
-/// [`run_passes`] with optional span recording: each enabled pass gets a
+/// One rung of the execution order: a stage runs from level `from` up.
+struct Stage {
+    name: &'static str,
+    from: OptLevel,
+    run: fn(&mut PassCx) -> u64,
+    /// Its count is of instructions converted, not removed (the slot
+    /// allocator's): it does not add to the total.
+    converts: bool,
+    /// Argues from the frame being private: skipped once its address
+    /// escaped.
+    private_frame: bool,
+}
+
+const fn stage(name: &'static str, from: OptLevel, run: fn(&mut PassCx) -> u64) -> Stage {
+    Stage {
+        name,
+        from,
+        run,
+        converts: false,
+        private_frame: false,
+    }
+}
+
+fn peephole_round(cx: &mut PassCx, merge_bumps: bool) -> u64 {
+    (0..cx.len()).map(|b| peephole(cx, b, merge_bumps)).sum()
+}
+
+/// The stages in execution order. With the forward pass on, every
+/// dead-code sweep also judges flag writers, frame stores and push/pop
+/// (`PassCx::full`); off, the sweeps keep to flag-neutral register moves.
+const LADDER: [Stage; 8] = [
+    stage("const-prop", OptLevel::Dataflow, propagate_constants),
+    stage("dce", OptLevel::Dataflow, liveness::eliminate_dead_code),
+    Stage {
+        private_frame: true,
+        ..stage("dead-store-elim", OptLevel::DeadStores, dead_frame_stores)
+    },
+    // Converts memory moves to register moves (not removals, but the
+    // conversions enable the peephole below to drop self-moves).
+    Stage {
+        converts: true,
+        ..stage("slot-alloc", OptLevel::SlotAlloc, regalloc::allocate_slots)
+    },
+    // First peephole round: cancel adjacent stack-temp pairs so frame
+    // compression sees the minimal push population.
+    stage("peephole", OptLevel::Peephole, |cx| {
+        peephole_round(cx, false)
+    }),
+    stage(
+        "frame-compression",
+        OptLevel::FrameCompression,
+        frame::compress,
+    ),
+    // Coalesce the copy chains slot allocation leaves behind.
+    stage("regalloc", OptLevel::Regalloc, regalloc::allocate),
+    // Second round: merge the RSP bumps frame compression introduced and
+    // drop register writes orphaned by removed consumers.
+    stage("peephole-2", OptLevel::Peephole, |cx| {
+        let mut n = peephole_round(cx, true);
+        // The allocator's own sweep has left nothing dead behind.
+        if cx.level < OptLevel::Regalloc {
+            n += liveness::eliminate_dead_code(cx);
+            n += peephole_round(cx, true);
+        }
+        n
+    }),
+];
+
+/// [`run_passes`] with optional span recording: each stage gets a
 /// `cat:"pass"` span carrying its removal count (the slot allocator's
-/// carries its conversion count).
+/// carries its conversion count) and, after it, the work it took: effects
+/// decoded, of which for instructions it rewrote, blocks visited and
+/// liveness fixpoints run. The context's own construction is on the first
+/// stage's bill.
 pub fn run_passes_traced(
     blocks: &mut [CapturedBlock],
     level: OptLevel,
@@ -90,74 +163,37 @@ pub fn run_passes_traced(
     ret: crate::config::RetKind,
     mut rec: Option<&mut crate::telemetry::SpanRecorder>,
 ) -> u64 {
+    if level == OptLevel::None {
+        return 0;
+    }
+    let mut t0 = rec.as_ref().map(|r| r.now_ns());
+    let mut cx = PassCx::new(blocks, level, frame_escaped, ret);
+    let mut billed = Work::default();
     let mut removed = 0;
-    let staged = |rec: &mut Option<&mut crate::telemetry::SpanRecorder>,
-                  name: &'static str,
-                  counts: &'static str,
-                  f: &mut dyn FnMut() -> u64|
-     -> u64 {
-        let t0 = rec.as_ref().map(|r| r.now_ns());
-        let n = f();
-        if let (Some(r), Some(t0)) = (rec.as_deref_mut(), t0) {
-            r.complete(name, "pass", t0, vec![(counts.into(), n.to_string())]);
+    let on = |st: &&Stage| level >= st.from && !(st.private_frame && frame_escaped);
+    for st in LADDER.iter().filter(on) {
+        cx.refresh_scalar_only();
+        let n = (st.run)(&mut cx);
+        if !st.converts {
+            removed += n;
         }
-        n
-    };
-    // With the forward pass on, every dead-code sweep also judges flag
-    // writers, frame stores and push/pop; off, the sweeps keep to
-    // flag-neutral register moves.
-    let full = level >= OptLevel::Dataflow;
-    let ret_live = liveness::abi_ret(level >= OptLevel::Aggressive, ret);
-    if full {
-        removed += staged(&mut rec, "const-prop", "removed", &mut || {
-            propagate_constants(blocks, frame_escaped)
-        });
-        removed += staged(&mut rec, "dce", "removed", &mut || {
-            liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full)
-        });
-    }
-    if level >= OptLevel::DeadStores && !frame_escaped {
-        removed += staged(&mut rec, "dead-store-elim", "removed", &mut || {
-            dead_frame_stores(blocks)
-        });
-    }
-    if level >= OptLevel::SlotAlloc {
-        // Converts memory moves to register moves (not removals, but the
-        // conversions enable the peephole below to drop self-moves).
-        staged(&mut rec, "slot-alloc", "converted", &mut || {
-            crate::regalloc::allocate_slots(blocks, frame_escaped)
-        });
-    }
-    if level >= OptLevel::Peephole {
-        // First peephole round: cancel adjacent stack-temp pairs so frame
-        // compression sees the minimal push population.
-        removed += staged(&mut rec, "peephole", "removed", &mut || {
-            blocks.iter_mut().map(|b| peephole(b, false)).sum()
-        });
-    }
-    if level >= OptLevel::FrameCompression {
-        removed += staged(&mut rec, "frame-compression", "removed", &mut || {
-            crate::frame::compress_frames(blocks)
-        });
-    }
-    if level >= OptLevel::Regalloc {
-        // Coalesce the copy chains slot allocation leaves behind.
-        removed += staged(&mut rec, "regalloc", "removed", &mut || {
-            crate::regalloc::allocate(blocks, frame_escaped, ret, level)
-        });
-    }
-    if level >= OptLevel::Peephole {
-        // Second round: merge the RSP bumps frame compression introduced
-        // and drop register writes orphaned by removed consumers.
-        removed += staged(&mut rec, "peephole-2", "removed", &mut || {
-            let mut n: u64 = blocks.iter_mut().map(|b| peephole(b, true)).sum();
-            // The allocator's own sweep has left nothing dead behind.
-            if level < OptLevel::Regalloc {
-                n += liveness::eliminate_dead_code(blocks, frame_escaped, ret_live, full);
-                n += blocks.iter_mut().map(|b| peephole(b, true)).sum::<u64>();
-            }
-            n
-        });
+        if cfg!(debug_assertions) {
+            cx.assert_coherent();
+        }
+        if let (Some(r), Some(start)) = (rec.as_deref_mut(), t0) {
+            let w = cx.work();
+            let args = [
+                (if st.converts { "converted" } else { "removed" }, n),
+                ("decodes", w.decodes - billed.decodes),
+                ("rewritten", w.rewritten - billed.rewritten),
+                ("visits", w.visits - billed.visits),
+                ("solves", w.solves - billed.solves),
+            ];
+            let args = args.map(|(k, v)| (k.to_string(), v.to_string()));
+            r.complete(st.name, "pass", start, args.to_vec());
+            billed = w;
+            t0 = Some(r.now_ns());
+        }
     }
     removed
 }
@@ -167,41 +203,24 @@ pub fn run_passes_traced(
 /// that slot. Pushes and read-modify-writes are kept (they have additional
 /// effects). Sound because the frame is dead after return and, with no
 /// escaped frame address, no untracked access can alias it.
-fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
-    let mut loaded: WordSet<i64> = WordSet::default();
-    for b in blocks.iter() {
-        for ci in &b.insts {
-            if let Some(off) = ci.frame_load {
-                loaded.extend(liveness::slot_keys(off, ci.inst.mem_width()));
-            }
-        }
+fn dead_frame_stores(cx: &mut PassCx) -> u64 {
+    let mut loaded = SlotSet::default();
+    for e in (0..cx.len()).flat_map(|b| cx.effects(b)) {
+        tracked(&e.load).for_each(|i| loaded.set(i));
     }
-    let mut removed = 0;
-    for b in blocks.iter_mut() {
-        b.insts.retain(|ci| {
-            let Some(off) = ci.frame_store else {
-                return true;
-            };
-            let pure_store = matches!(
-                ci.inst,
-                Inst::Mov {
-                    dst: Operand::Mem(_),
-                    ..
-                } | Inst::MovSd {
-                    dst: Operand::Mem(_),
-                    ..
-                }
-            );
-            // Dead only when no load touches any slot the store covers.
-            let dead = pure_store
-                && !liveness::slot_keys(off, ci.inst.mem_width()).any(|k| loaded.contains(&k));
-            if dead {
-                removed += 1;
-            }
-            !dead
-        });
-    }
-    removed
+    // Dead only when no load touches any slot the store covers.
+    let loaded = Live {
+        slots: loaded,
+        ..Live::default()
+    };
+    (0..cx.len())
+        .map(|b| match cx.shape(b) & bit::PLAIN_STORE {
+            0 => 0,
+            _ => cx.retain(b, |_, e| {
+                !(e.is(bit::PLAIN_STORE) && slots_dead(&loaded, &e.store))
+            }),
+        })
+        .sum()
 }
 
 /// Remove no-op instructions and cancel dead stack-temp pairs left behind
@@ -209,139 +228,63 @@ fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
 /// Runs to a fixpoint so cancellations cascade. `merge_bumps` also folds
 /// adjacent `lea rsp` bumps into one — not before frame compression, which
 /// pairs a single-slot bump with its release.
-fn peephole(b: &mut CapturedBlock, merge_bumps: bool) -> u64 {
-    let before = b.insts.len();
+fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
+    if cx.shape(b) & bit::PEEPHOLE == 0 {
+        return 0;
+    }
+    cx.visit();
+    let before = cx.insts(b).len();
     loop {
-        let n = b.insts.len();
-        peephole_singletons(b);
-        peephole_pairs(b, merge_bumps);
-        if b.insts.len() == n {
+        let n = cx.insts(b).len();
+        cx.retain(b, |_, e| !e.is(bit::NOOP));
+        peephole_pairs(cx, b, merge_bumps);
+        if cx.insts(b).len() == n {
             break;
         }
     }
-    (before - b.insts.len()) as u64
+    (before - cx.insts(b).len()) as u64
 }
 
-fn peephole_singletons(b: &mut CapturedBlock) {
-    b.insts.retain(|ci| {
-        !matches!(
-            ci.inst,
-            Inst::Mov { w: Width::W64, dst: Operand::Reg(a), src: Operand::Reg(c) } if a == c
-        ) && !matches!(
-            ci.inst,
-            Inst::MovSd { dst: Operand::Xmm(a), src: Operand::Xmm(c) } if a == c
-        ) && !matches!(
-            ci.inst,
-            Inst::Lea { dst, src: MemRef { base: Some(bb), index: None, disp: 0 } } if dst == bb
-        ) && !matches!(ci.inst, Inst::Nop)
-    });
-}
-
-/// `lea rsp, [rsp+8]` — the elided-pop stack adjustment.
-fn is_rsp_bump8(i: &Inst) -> bool {
-    matches!(
-        i,
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src: MemRef {
-                base: Some(Gpr::Rsp),
-                index: None,
-                disp: 8
-            }
-        }
-    )
-}
-
-fn peephole_pairs(b: &mut CapturedBlock, merge_bumps: bool) {
-    let mut out: Vec<CapturedInst> = Vec::with_capacity(b.insts.len());
+fn peephole_pairs(cx: &mut PassCx, b: usize, merge_bumps: bool) {
+    let mov = |dst: Gpr, src: Operand| {
+        CapturedInst::plain(Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(dst),
+            src,
+        })
+    };
     let mut i = 0;
-    while i < b.insts.len() {
-        if i + 1 < b.insts.len() {
-            let (a, c) = (&b.insts[i].inst, &b.insts[i + 1].inst);
+    while i + 1 < cx.insts(b).len() {
+        let (ea, ec) = (cx.effects(b)[i], cx.effects(b)[i + 1]);
+        // What the pair becomes: nothing, or one instruction.
+        let pair = match (cx.insts(b)[i].inst, cx.insts(b)[i + 1].inst) {
             // push X ; lea rsp,[rsp+8]  →  nothing (slot is below RSP and
             // dead afterwards; neither instruction touches flags).
-            if matches!(
-                a,
-                Inst::Push {
-                    src: Operand::Reg(_) | Operand::Imm(_)
-                }
-            ) && is_rsp_bump8(c)
-            {
-                i += 2;
-                continue;
-            }
+            _ if ea.is(bit::PUSH_RI) && ec.is_bump() && ec.rsp == 8 => Some(None),
             // push X ; pop Y  →  mov Y, X (or nothing when X == Y).
-            if let (
+            (
                 Inst::Push { src },
                 Inst::Pop {
                     dst: Operand::Reg(d),
                 },
-            ) = (a, c)
-            {
-                match src {
-                    Operand::Reg(s) if s == d => {
-                        i += 2;
-                        continue;
-                    }
-                    Operand::Reg(s) => {
-                        out.push(CapturedInst::plain(Inst::Mov {
-                            w: Width::W64,
-                            dst: Operand::Reg(*d),
-                            src: Operand::Reg(*s),
-                        }));
-                        i += 2;
-                        continue;
-                    }
-                    Operand::Imm(v) => {
-                        out.push(CapturedInst::plain(Inst::Mov {
-                            w: Width::W64,
-                            dst: Operand::Reg(*d),
-                            src: Operand::Imm(*v),
-                        }));
-                        i += 2;
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
+            ) if ea.is(bit::PUSH_RI) => Some((src != Operand::Reg(d)).then(|| mov(d, src))),
             // lea rsp,[rsp+a] ; lea rsp,[rsp+b]  →  one combined bump.
-            if let (
-                Inst::Lea {
-                    dst: Gpr::Rsp,
-                    src:
-                        MemRef {
-                            base: Some(Gpr::Rsp),
-                            index: None,
-                            disp: d1,
-                        },
-                },
-                Inst::Lea {
-                    dst: Gpr::Rsp,
-                    src:
-                        MemRef {
-                            base: Some(Gpr::Rsp),
-                            index: None,
-                            disp: d2,
-                        },
-                },
-            ) = (a, c)
-            {
-                if let Some(d) = d1.checked_add(*d2).filter(|_| merge_bumps) {
-                    if d != 0 {
-                        out.push(CapturedInst::plain(Inst::Lea {
-                            dst: Gpr::Rsp,
-                            src: MemRef::base_disp(Gpr::Rsp, d),
-                        }));
-                    }
-                    i += 2;
-                    continue;
-                }
+            _ if merge_bumps && ea.is_bump() && ec.is_bump() => {
+                let d = i32::try_from(ea.rsp + ec.rsp).ok();
+                d.map(|d| (d != 0).then(|| rsp_bump(d)))
             }
+            _ => None,
+        };
+        match pair {
+            Some(Some(ci)) => {
+                cx.replace(b, i, ci);
+                cx.remove(b, i + 1);
+                i += 1;
+            }
+            Some(None) => cx.drain(b, i..i + 2),
+            None => i += 1,
         }
-        out.push(b.insts[i]);
-        i += 1;
     }
-    b.insts = out;
 }
 
 #[cfg(test)]
@@ -390,13 +333,10 @@ mod tests {
     /// Constant/copy propagation and its dead-code sweep, nothing else.
     fn forward(insts: Vec<CapturedInst>) -> Vec<Inst> {
         let mut blocks = vec![block(insts)];
-        propagate_constants(&mut blocks, false);
-        liveness::eliminate_dead_code(
-            &mut blocks,
-            false,
-            liveness::abi_ret(false, crate::config::RetKind::F64),
-            true,
-        );
+        let ret = crate::config::RetKind::F64;
+        let mut cx = PassCx::new(&mut blocks, OptLevel::Dataflow, false, ret);
+        propagate_constants(&mut cx);
+        liveness::eliminate_dead_code(&mut cx);
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
@@ -422,6 +362,11 @@ mod tests {
             frame_store: None,
             frame_load: Some(off as i64),
         }
+    }
+
+    fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
+        let ret = crate::config::RetKind::Int;
+        super::dead_frame_stores(&mut PassCx::new(blocks, OptLevel::DeadStores, false, ret))
     }
 
     #[test]
@@ -586,7 +531,6 @@ mod tests {
 mod dead_write_tests {
     use super::*;
     use crate::capture::Terminator;
-    use crate::dataflow::liveness::LiveSet;
 
     /// The dead-code sweep on its own: conservative (`full = false`, what
     /// `dead_reg_writes` used to do block by block) or with flags, frame
@@ -597,7 +541,13 @@ mod dead_write_tests {
         b.term = Terminator::Ret;
         b.traced = true;
         let mut blocks = vec![b];
-        liveness::eliminate_dead_code(&mut blocks, false, LiveSet::ABI_RET, full);
+        let level = if full {
+            OptLevel::Dataflow
+        } else {
+            OptLevel::Regalloc
+        };
+        let ret = crate::config::RetKind::Int;
+        liveness::eliminate_dead_code(&mut PassCx::new(&mut blocks, level, false, ret));
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 

@@ -26,7 +26,7 @@
 //!    caller-saved register to survive the call it made, so the pools are
 //!    dead there whatever the conservative sweeps assume.
 //!
-//! 2. **Cleanup** ([`allocate`]) — the rename work that makes phase 1 pay
+//! 2. **Cleanup** (`allocate`) — the rename work that makes phase 1 pay
 //!    off. Allocation leaves chains of register-to-register moves, paired
 //!    `rsp` adjustments around now-registerized temporaries, and
 //!    address-computation triples. Five sub-passes run to a fixpoint, each
@@ -56,16 +56,11 @@
 //! static verifier unchanged — rsp-pair removal is balanced so stack
 //! discipline holds, and no transform introduces a memory write.
 
-use crate::capture::{CapturedBlock, CapturedInst};
-use crate::config::RetKind;
-use crate::dataflow::liveness::{
-    abi_ret, flags_dead_at, flags_live_out, for_each_read_so, full_def, live_after, references,
-    slot_keys, writes_loc, Live, LiveSet, Liveness, SlotSet,
-};
+use crate::capture::CapturedInst;
+use crate::dataflow::cx::{bit, rsp_bump, step_regs, tracked, Kind, PassCx, NO_SLOT, UNTRACKED};
+use crate::dataflow::liveness::{self, Live, LiveSet, SlotSet};
 use crate::passes::OptLevel;
 use brew_x86::prelude::*;
-use brew_x86::{WordMap, WordSet};
-use std::collections::{HashMap, HashSet};
 
 /// Run the cleanup phase; returns the number of instructions removed.
 ///
@@ -74,16 +69,10 @@ use std::collections::{HashMap, HashSet};
 /// — translation-validated by `brew-verify` before publication — exactly
 /// the declared return class plus the callee-saved set. From
 /// [`OptLevel::Dataflow`] the dead-code sweep is the full one.
-pub fn allocate(
-    blocks: &mut [CapturedBlock],
-    frame_escaped: bool,
-    ret: RetKind,
-    level: OptLevel,
-) -> u64 {
-    let aggressive = level >= OptLevel::Aggressive;
-    let ret_live = abi_ret(aggressive, ret);
-    let n = blocks.len();
-    let mut lv = Liveness::new(blocks, frame_escaped, ret_live, level >= OptLevel::Dataflow);
+pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
+    let aggressive = cx.level >= OptLevel::Aggressive;
+    let n = cx.len();
+    cx.solve();
     // The live-out state a block was last processed under, while nothing
     // has touched the block since: processing it again would find nothing.
     let mut settled: Vec<Option<Live>> = vec![None; n];
@@ -91,49 +80,51 @@ pub fn allocate(
     loop {
         loop {
             let mut round = 0;
-            for i in 0..n {
-                let out = lv.live_out(blocks, i);
-                if settled[i] == Some(out) {
+            for (i, done) in settled.iter_mut().enumerate() {
+                let out = cx.live_out(i);
+                if *done == Some(out) {
                     continue;
                 }
-                let swept = lv.sweep(blocks, i);
-                let so = lv.cx.so;
-                let b = &mut blocks[i];
-                let edits = cancel_rsp_pairs(b, out.flags)
-                    + fold_addresses(b, out.regs, out.flags, so)
-                    + coalesce_backward(b, out.regs, so)
-                    + propagate_copies(b, out.regs, so);
-                if edits > 0 {
-                    lv.invalidate(i);
+                let mut edits = liveness::sweep(cx, i);
+                // A sub-pass runs where the block holds its shape at all.
+                if cx.shape(i) & bit::RSP_ADJUST != 0 {
+                    edits += cancel_rsp_pairs(cx, i, out.flags);
                 }
-                settled[i] = (swept + edits == 0).then_some(out);
-                round += swept + edits;
+                if cx.shape(i) & bit::FOLD_HEAD != 0 {
+                    edits += fold_addresses(cx, i, out.regs, out.flags);
+                }
+                if cx.shape(i) & bit::COPY != 0 {
+                    edits += coalesce_backward(cx, i, out.regs) + propagate_copies(cx, i, out.regs);
+                }
+                *done = (edits == 0).then_some(out);
+                round += edits;
             }
             removed += round;
             if round == 0 {
                 break;
             }
-            lv.solve(blocks);
+            cx.solve();
         }
         // Nothing cancels any more: what is left of adjacent adjustments
         // can become one.
         let mut extra = 0;
-        for i in 0..n {
-            let flags_out = lv.live_out(blocks, i).flags;
-            let merged = merge_rsp_adjustments(&mut blocks[i], flags_out);
-            if merged > 0 {
-                lv.invalidate(i);
-                settled[i] = None;
+        for (i, done) in settled.iter_mut().enumerate() {
+            if cx.shape(i) & bit::RSP_ADJUST != 0 {
+                let flags_out = cx.live_out(i).flags;
+                let merged = merge_rsp_adjustments(cx, i, flags_out);
+                if merged > 0 {
+                    *done = None;
+                }
+                extra += merged;
             }
-            extra += merged;
         }
         // The cross-block eliminations only run in aggressive mode: their
         // justification is the translation-validation proof that gates the
         // variant before publication, not a local syntactic argument.
         if aggressive {
-            let elided = elide_frame_and_saves(blocks);
+            cx.solve();
+            let elided = elide_frame_and_saves(cx);
             if elided > 0 {
-                (0..n).for_each(|i| lv.invalidate(i));
                 settled.fill(None);
             }
             extra += elided;
@@ -142,46 +133,13 @@ pub fn allocate(
         if extra == 0 {
             return removed;
         }
-        lv.solve(blocks);
+        cx.solve();
     }
 }
 
 // ---------------------------------------------------------------------------
 // Phase 1: CFG-aware slot allocation
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq)]
-enum Class {
-    Gpr,
-    Xmm,
-}
-
-/// Is this frame access an allocatable plain 8-byte move? `None`
-/// disqualifies the slot (pushes, pops, RMW ALU on memory; immediate
-/// stores are fine for GPR and keep their imm operand).
-fn classify(inst: &Inst) -> Option<Class> {
-    match inst {
-        Inst::Mov {
-            w: Width::W64,
-            dst: Operand::Mem(_),
-            src: Operand::Reg(_) | Operand::Imm(_),
-        }
-        | Inst::Mov {
-            w: Width::W64,
-            dst: Operand::Reg(_),
-            src: Operand::Mem(_),
-        } => Some(Class::Gpr),
-        Inst::MovSd {
-            dst: Operand::Mem(_),
-            src: Operand::Xmm(_),
-        }
-        | Inst::MovSd {
-            dst: Operand::Xmm(_),
-            src: Operand::Mem(_),
-        } => Some(Class::Xmm),
-        _ => None,
-    }
-}
 
 /// Caller-saved scratch pools, least likely to collide first.
 const GPR_POOL: [Loc; 4] = [
@@ -203,115 +161,93 @@ const XMM_POOL: [Loc; 8] = [
 
 /// Move frame slots into scratch registers whose live ranges provably avoid
 /// the slot's extent. Returns conversions (not removals).
-pub(crate) fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) -> u64 {
-    if frame_escaped {
+pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
+    let (n, slots) = (cx.len(), cx.slot_count());
+    if slots == 0 {
         return 0;
     }
-    let n = blocks.len();
 
     // Candidate slots: every access that touches the slot is an aligned
-    // plain move of one class.
-    let mut class: WordMap<i64, (Class, u64)> = WordMap::default();
-    let mut disqualified: WordSet<i64> = WordSet::default();
-    for ci in blocks.iter().flat_map(|b| &b.insts) {
-        for off in [ci.frame_store, ci.frame_load].into_iter().flatten() {
-            match classify(&ci.inst).filter(|_| off % 8 == 0) {
-                Some(c) => {
-                    let e = class.entry(off).or_insert((c, 0));
-                    if e.0 != c {
-                        disqualified.insert(off);
-                    }
-                    e.1 += 1;
-                }
-                // A packed, narrow or unaligned access keeps every slot it
-                // touches in memory, not only the one it names.
-                None => disqualified.extend(slot_keys(off, ci.inst.mem_width())),
-            }
-        }
-    }
-    let mut cands: Vec<(i64, Class, u64)> = class
-        .iter()
-        .filter(|(off, (_, cnt))| *cnt >= 2 && !disqualified.contains(off))
-        .map(|(off, (c, cnt))| (*off, *c, *cnt))
-        .collect();
-    if cands.is_empty() {
-        return 0;
-    }
-    // Hottest first; what does not fit the bitsets below stays in memory.
-    cands.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-    cands.truncate(SlotSet::CAP);
+    // plain move of one class (which names exactly that slot). A packed,
+    // narrow or unaligned access keeps every slot it touches in memory.
+    let mut class = vec![0u32; slots];
+    let mut uses = vec![0u64; slots];
+    const KEPT: u32 = u32::MAX;
 
     // Per-block slot gen (read before write) / kill (written) sets, then a
     // backward fixpoint for slot live-in/out. The extent — every block the
     // slot's value must survive — is access ∪ live-through, which is what
     // a linearized interval would get wrong across loop back-edges.
-    #[derive(Clone, Copy, Default)]
-    struct SlotFlow {
-        gen: SlotSet,
-        kill: SlotSet,
-        /// Accessed, live-in or live-out: the block is in the extent.
-        extent: SlotSet,
-        live_in: SlotSet,
-    }
-    let slot_ix: WordMap<i64, usize> = cands.iter().enumerate().map(|(i, c)| (c.0, i)).collect();
-    let mut flow = vec![SlotFlow::default(); n];
-    for (f, b) in flow.iter_mut().zip(blocks.iter()) {
-        for ci in &b.insts {
-            if let Some(&s) = ci.frame_load.and_then(|o| slot_ix.get(&o)) {
-                f.extent.set(s);
-                if !f.kill.has(s) {
-                    f.gen.set(s);
-                }
-            }
-            if let Some(&s) = ci.frame_store.and_then(|o| slot_ix.get(&o)) {
-                f.extent.set(s);
-                f.kill.set(s);
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for i in (0..n).rev() {
-            let out = (blocks[i].term.successors())
-                .filter(|t| t.0 < n)
-                .fold(SlotSet::default(), |u, t| u.union(flow[t.0].live_in));
-            let f = &mut flow[i];
-            let live_in = f.gen.union(out.without(f.kill));
-            changed |= live_in != f.live_in;
-            f.live_in = live_in;
-            f.extent = f.extent.union(out).union(live_in);
-        }
-        if !changed {
-            break;
-        }
-    }
-
+    //
     // Register availability per block: every register referenced in the
     // block or in any block reachable from it — a superset of what is live
     // anywhere in the block, since a live register is one some path ahead
     // reads. A kept call, indirect jump or `ud2` (and an edge that leaves
     // the capture) may read or clobber anything; `ret` reads the return and
     // callee-saved registers, never a pool register, so it is no barrier.
-    let mut busy = vec![LiveSet::EMPTY; n];
-    for (bi, b) in blocks.iter().enumerate() {
-        let barrier = |ci: &CapturedInst| defuse::is_barrier(&ci.inst) && ci.inst != Inst::Ret;
-        if b.insts.iter().any(barrier) || b.term.successors().any(|t| t.0 >= n) {
-            busy[bi] = LiveSet::ALL;
-            continue;
+    #[derive(Clone, Copy, Default)]
+    struct Flow {
+        gen: SlotSet,
+        kill: SlotSet,
+        /// Accessed, live-in or live-out: the block is in the extent.
+        extent: SlotSet,
+        live_in: SlotSet,
+        busy: LiveSet,
+    }
+    let mut flow = vec![Flow::default(); n];
+    for (b, f) in flow.iter_mut().enumerate() {
+        for e in cx.effects(b) {
+            f.busy = match e.kind {
+                Kind::Barrier => LiveSet::ALL,
+                _ => f.busy.union(e.reads).union(e.writes),
+            };
+            let c = e.bits & (bit::FRAME_GPR | bit::FRAME_XMM);
+            for (list, stores) in [(&e.load, false), (&e.store, true)] {
+                if list[0] == NO_SLOT {
+                    continue;
+                }
+                if c != 0 && list[1] == NO_SLOT && list[0] != UNTRACKED {
+                    class[list[0] as usize] |= c;
+                    uses[list[0] as usize] += 1;
+                } else {
+                    tracked(list).for_each(|i| class[i] = KEPT);
+                }
+                for i in tracked(list) {
+                    f.extent.set(i);
+                    if stores {
+                        f.kill.set(i);
+                    } else if !f.kill.has(i) {
+                        f.gen.set(i);
+                    }
+                }
+            }
         }
-        for ci in &b.insts {
-            defuse::for_each_read(&ci.inst, &mut |l| busy[bi].set(l));
-            defuse::for_each_write(&ci.inst, &mut |l| busy[bi].set(l));
+        if cx.block(b).term.successors().any(|t| t.0 >= n) {
+            f.busy = LiveSet::ALL;
         }
     }
+    // Hottest first.
+    let mut cands: Vec<usize> = (0..slots)
+        .filter(|&s| uses[s] >= 2 && class[s].count_ones() == 1)
+        .collect();
+    if cands.is_empty() {
+        return 0;
+    }
+    cands.sort_by_key(|&s| (std::cmp::Reverse(uses[s]), cx.slot_key(s)));
     loop {
         let mut changed = false;
         for i in (0..n).rev() {
-            let ahead = (blocks[i].term.successors())
-                .filter(|t| t.0 < n)
-                .fold(busy[i], |u, t| u.union(busy[t.0]));
-            changed |= ahead != busy[i];
-            busy[i] = ahead;
+            let (mut out, mut ahead) = (SlotSet::default(), flow[i].busy);
+            for t in cx.block(i).term.successors().filter(|t| t.0 < n) {
+                out = out.union(flow[t.0].live_in);
+                ahead = ahead.union(flow[t.0].busy);
+            }
+            let f = &mut flow[i];
+            let live_in = f.gen.union(out.without(f.kill));
+            changed |= live_in != f.live_in || ahead != f.busy;
+            f.live_in = live_in;
+            f.busy = ahead;
+            f.extent = f.extent.union(out).union(live_in);
         }
         if !changed {
             break;
@@ -321,60 +257,48 @@ pub(crate) fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) 
     // Linear scan over the scratch pools, hottest slot first. A register
     // is free for a slot iff it is busy in none of the extent's blocks;
     // with none free the slot stays in memory.
-    let mut assigned: WordMap<i64, Loc> = WordMap::default();
-    for (s, &(off, c, _)) in cands.iter().enumerate() {
-        let extent: Vec<usize> = (0..n).filter(|&i| flow[i].extent.has(s)).collect();
-        let pool: &[Loc] = match c {
-            Class::Gpr => &GPR_POOL,
-            Class::Xmm => &XMM_POOL,
+    let mut assigned: Vec<Option<Loc>> = vec![None; slots];
+    let mut extent: Vec<usize> = Vec::with_capacity(n);
+    for &s in &cands {
+        extent.clear();
+        extent.extend((0..n).filter(|&i| flow[i].extent.has(s)));
+        let pool: &[Loc] = match class[s] {
+            bit::FRAME_GPR => &GPR_POOL,
+            _ => &XMM_POOL,
         };
-        if let Some(&r) = pool
-            .iter()
-            .find(|&&r| extent.iter().all(|&i| !busy[i].has(r)))
-        {
-            assigned.insert(off, r);
+        let free = |r: &&Loc| extent.iter().all(|&i| !flow[i].busy.has(**r));
+        if let Some(&r) = pool.iter().find(free) {
+            assigned[s] = Some(r);
             for &i in &extent {
-                busy[i].set(r);
+                flow[i].busy.set(r);
             }
         }
     }
 
     let mut converted = 0;
-    for ci in blocks.iter_mut().flat_map(|b| &mut b.insts) {
-        let reg = match (ci.frame_store, ci.frame_load) {
-            (Some(o), None) | (None, Some(o)) => assigned.get(&o),
-            _ => None,
-        };
-        let new = match (reg, ci.inst) {
-            (Some(&Loc::Gpr(r)), Inst::Mov { w, dst, src }) => Inst::Mov {
-                w,
-                dst: if dst.mem().is_some() {
-                    Operand::Reg(r)
-                } else {
-                    dst
+    for b in 0..n {
+        for i in 0..cx.insts(b).len() {
+            let e = &cx.effects(b)[i];
+            let slot = match (e.store[0], e.load[0]) {
+                (s, NO_SLOT) | (NO_SLOT, s) if s < UNTRACKED => s as usize,
+                _ => continue,
+            };
+            let reg = |op: Operand, r: Operand| if op.is_mem() { r } else { op };
+            let new = match (assigned[slot], cx.insts(b)[i].inst) {
+                (Some(Loc::Gpr(r)), Inst::Mov { w, dst, src }) => Inst::Mov {
+                    w,
+                    dst: reg(dst, Operand::Reg(r)),
+                    src: reg(src, Operand::Reg(r)),
                 },
-                src: if src.mem().is_some() {
-                    Operand::Reg(r)
-                } else {
-                    src
+                (Some(Loc::Xmm(x)), Inst::MovSd { dst, src }) => Inst::MovSd {
+                    dst: reg(dst, Operand::Xmm(x)),
+                    src: reg(src, Operand::Xmm(x)),
                 },
-            },
-            (Some(&Loc::Xmm(x)), Inst::MovSd { dst, src }) => Inst::MovSd {
-                dst: if dst.mem().is_some() {
-                    Operand::Xmm(x)
-                } else {
-                    dst
-                },
-                src: if src.mem().is_some() {
-                    Operand::Xmm(x)
-                } else {
-                    src
-                },
-            },
-            _ => continue,
-        };
-        *ci = CapturedInst::plain(new);
-        converted += 1;
+                _ => continue,
+            };
+            cx.replace(b, i, CapturedInst::plain(new));
+            converted += 1;
+        }
     }
     converted
 }
@@ -383,70 +307,35 @@ pub(crate) fn allocate_slots(blocks: &mut [CapturedBlock], frame_escaped: bool) 
 // Phase 2a: balanced rsp-pair cancellation
 // ---------------------------------------------------------------------------
 
-/// Net rsp delta of a pure adjustment, plus whether removing it drops a
-/// flags write.
-fn rsp_adjust(inst: &Inst) -> Option<(i64, bool)> {
-    match inst {
-        Inst::Alu {
-            op: op @ (AluOp::Add | AluOp::Sub),
-            w: Width::W64,
-            dst: Operand::Reg(Gpr::Rsp),
-            src: Operand::Imm(k),
-        } => Some((if *op == AluOp::Add { *k } else { -*k }, true)),
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src:
-                MemRef {
-                    base: Some(Gpr::Rsp),
-                    index: None,
-                    disp,
-                },
-        } => Some((*disp as i64, false)),
-        _ => None,
-    }
-}
-
-fn cancel_rsp_pairs(b: &mut CapturedBlock, flags_out: bool) -> u64 {
-    let nn = b.insts.len();
-    let mut keep = vec![true; nn];
-    let mut removed = 0;
-    let mut i = 0;
-    'outer: while i < nn {
-        let Some((d1, f1)) = keep[i].then(|| rsp_adjust(&b.insts[i].inst)).flatten() else {
-            i += 1;
+fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
+    let rsp = Loc::Gpr(Gpr::Rsp);
+    let nn = cx.insts(b).len();
+    let mut keep = std::mem::take(&mut cx.keep);
+    keep.clear();
+    keep.resize(nn, true);
+    let es = cx.effects(b);
+    // Removing an ALU adjustment drops a flags write: they must be dead.
+    let flags_ok =
+        |at: usize| !es[at].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, at + 1, flags_out);
+    for i in 0..nn {
+        if !keep[i] || !es[i].is(bit::RSP_ADJUST) {
             continue;
-        };
-        for j in i + 1..nn {
-            if !keep[j] {
-                continue;
-            }
-            let inst = &b.insts[j].inst;
-            if let Some((d2, f2)) = rsp_adjust(inst) {
-                if d1 + d2 == 0
-                    && (!f1 || flags_dead_at(b, i + 1, flags_out))
-                    && (!f2 || flags_dead_at(b, j + 1, flags_out))
-                {
-                    keep[i] = false;
-                    keep[j] = false;
-                    removed += 2;
-                    i += 1;
-                    continue 'outer;
-                }
-                // A different adjustment references rsp: the pair is open.
-                i += 1;
-                continue 'outer;
-            }
-            if defuse::is_barrier(inst) || references(inst, Loc::Gpr(Gpr::Rsp), false) {
-                i += 1;
-                continue 'outer;
+        }
+        // The next live instruction that references rsp, if no barrier
+        // comes first, decides: the balancing adjustment closes the pair,
+        // anything else leaves it open.
+        let next = (i + 1..nn)
+            .filter(|&j| keep[j])
+            .find(|&j| es[j].kind != Kind::Plain || es[j].refs(rsp));
+        if let Some(j) = next.filter(|&j| es[j].is(bit::RSP_ADJUST)) {
+            if es[i].rsp + es[j].rsp == 0 && flags_ok(i) && flags_ok(j) {
+                keep[i] = false;
+                keep[j] = false;
             }
         }
-        i += 1;
     }
-    if removed > 0 {
-        let mut it = keep.iter();
-        b.insts.retain(|_| *it.next().unwrap());
-    }
+    let removed = cx.retain(b, |i, _| keep[i]);
+    cx.keep = keep;
     removed
 }
 
@@ -455,35 +344,32 @@ fn cancel_rsp_pairs(b: &mut CapturedBlock, flags_out: bool) -> u64 {
 /// merged adjustment has lost its partner. A removed ALU adjustment must
 /// not leave flags anyone reads; the merged one is flag-neutral unless the
 /// second of the pair already wrote (dead) flags.
-fn merge_rsp_adjustments(b: &mut CapturedBlock, flags_out: bool) -> u64 {
+fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
     let mut removed = 0;
     let mut i = 0;
-    while i + 1 < b.insts.len() {
-        let pair = rsp_adjust(&b.insts[i].inst).zip(rsp_adjust(&b.insts[i + 1].inst));
-        let merged = pair.and_then(|((d1, f1), (d2, f2))| {
-            let d = i32::try_from(d1 + d2).ok()?;
-            ((!f1 && !f2) || flags_dead_at(b, i + 2, flags_out)).then_some(if f2 {
-                Inst::Alu {
-                    op: if d < 0 { AluOp::Sub } else { AluOp::Add },
-                    w: Width::W64,
-                    dst: Operand::Reg(Gpr::Rsp),
-                    src: Operand::Imm(i64::from(d).abs()),
-                }
-            } else {
-                Inst::Lea {
-                    dst: Gpr::Rsp,
-                    src: MemRef::base_disp(Gpr::Rsp, d),
-                }
-            })
-        });
-        match merged {
-            Some(inst) => {
-                b.insts[i + 1] = CapturedInst::plain(inst);
-                b.insts.remove(i);
-                removed += 1;
-            }
-            None => i += 1,
-        }
+    while i + 1 < cx.insts(b).len() {
+        let (e1, e2) = (cx.effects(b)[i], cx.effects(b)[i + 1]);
+        let (f1, f2) = (e1.is(bit::WRITES_FLAGS), e2.is(bit::WRITES_FLAGS));
+        let net = (e1.is(bit::RSP_ADJUST) && e2.is(bit::RSP_ADJUST))
+            .then(|| i32::try_from(e1.rsp + e2.rsp).ok())
+            .flatten()
+            .filter(|_| (!f1 && !f2) || cx.flags_dead_at(b, i + 2, flags_out));
+        let Some(d) = net else {
+            i += 1;
+            continue;
+        };
+        let merged = match f2 {
+            true => CapturedInst::plain(Inst::Alu {
+                op: if d < 0 { AluOp::Sub } else { AluOp::Add },
+                w: Width::W64,
+                dst: Operand::Reg(Gpr::Rsp),
+                src: Operand::Imm(i64::from(d).abs()),
+            }),
+            false => rsp_bump(d),
+        };
+        cx.replace(b, i + 1, merged);
+        cx.remove(b, i);
+        removed += 1;
     }
     removed
 }
@@ -512,98 +398,78 @@ fn merge_rsp_adjustments(b: &mut CapturedBlock, flags_out: bool) -> u64 {
 /// the publish-time equivalence proof (callee-saved registers and the
 /// return value are part of the proven observable state), with the
 /// conservative re-emission as the fallback when the proof fails.
-fn elide_frame_and_saves(blocks: &mut [CapturedBlock]) -> u64 {
-    // Nothing here is safe around a kept call: the callee observes both
-    // the frame and the stack alignment the saves establish. `ret` is a
-    // barrier too, but it is the boundary the whole argument is about —
-    // it only reads the return address at `[rsp]`, which every removal
-    // below leaves in place (all removals are rsp-balanced).
-    if blocks.iter().any(|b| {
-        b.insts
-            .iter()
-            .any(|ci| defuse::is_barrier(&ci.inst) && !matches!(ci.inst, Inst::Ret))
-    }) {
-        return 0;
-    }
-    let flags_out = flags_live_out(blocks);
+fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
+    let rsp = Loc::Gpr(Gpr::Rsp);
     // Partition every rsp-referencing instruction; anything outside the
-    // three known shapes keeps the whole frame.
-    let mut adjusts: Vec<(usize, usize, i64, bool)> = Vec::new();
-    let mut saves: HashMap<Gpr, Vec<(usize, usize, bool)>> = HashMap::new();
-    for (bi, b) in blocks.iter().enumerate() {
-        for (ii, ci) in b.insts.iter().enumerate() {
-            let inst = &ci.inst;
-            if !references(inst, Loc::Gpr(Gpr::Rsp), false) {
+    // three known shapes keeps the whole frame. Per register: how many
+    // pushes and pops save it (and the last of each), and how many
+    // instructions name it at all.
+    let mut adjusts: Vec<(usize, usize)> = Vec::new();
+    let mut saves = [[(0u32, (0usize, 0usize)); 2]; 16];
+    let mut named = [0u32; 16];
+    for b in 0..cx.len() {
+        for (i, (ci, e)) in cx.insts(b).iter().zip(cx.effects(b)).enumerate() {
+            // Nothing here is safe around a kept call: the callee observes
+            // both the frame and the stack alignment the saves establish.
+            // `ret` is a barrier too, but it is the boundary the whole
+            // argument is about — it only reads the return address at
+            // `[rsp]`, which every removal below leaves in place (all
+            // removals are rsp-balanced).
+            if e.kind == Kind::Barrier {
+                return 0;
+            }
+            let mut regs = e.reads.union(e.writes).gpr();
+            while regs != 0 {
+                named[regs.trailing_zeros() as usize] += 1;
+                regs &= regs - 1;
+            }
+            if !e.refs(rsp) || e.kind == Kind::Ret {
                 continue;
             }
-            if let Some((d, f)) = rsp_adjust(inst) {
-                adjusts.push((bi, ii, d, f));
+            if e.is(bit::RSP_ADJUST) {
+                adjusts.push((b, i));
                 continue;
             }
-            match inst {
+            let (role, r) = match ci.inst {
                 Inst::Push {
                     src: Operand::Reg(r),
-                } if r.is_callee_saved() && *r != Gpr::Rsp => {
-                    saves.entry(*r).or_default().push((bi, ii, true));
-                }
+                } => (0, r),
                 Inst::Pop {
                     dst: Operand::Reg(r),
-                } if r.is_callee_saved() && *r != Gpr::Rsp => {
-                    saves.entry(*r).or_default().push((bi, ii, false));
-                }
-                Inst::Ret => {}
+                } => (1, r),
                 // A surviving frame slot or an escaped frame address.
                 _ => return 0,
+            };
+            if !r.is_callee_saved() || r == Gpr::Rsp {
+                return 0;
             }
+            let site = &mut saves[r.number() as usize][role];
+            *site = (site.0 + 1, (b, i));
         }
     }
     let mut drop: Vec<(usize, usize)> = Vec::new();
-    let flags_ok =
-        |bi: usize, ii: usize, f: bool| !f || flags_dead_at(&blocks[bi], ii + 1, flags_out[bi]);
+    let flags_ok = |(b, i): (usize, usize)| {
+        !cx.effects(b)[i].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, i + 1, cx.live_out(b).flags)
+    };
     // The frame pair. Exactly two adjustments that balance: correct input
     // code executes the allocation before the release on every path, so
     // removing both leaves rsp at its entry value throughout.
-    if let [(b1, i1, d1, f1), (b2, i2, d2, f2)] = adjusts[..] {
-        if d1 + d2 == 0 && flags_ok(b1, i1, f1) && flags_ok(b2, i2, f2) {
-            drop.push((b1, i1));
-            drop.push((b2, i2));
+    if let [p, q] = adjusts[..] {
+        let net = cx.effects(p.0)[p.1].rsp + cx.effects(q.0)[q.1].rsp;
+        if net == 0 && flags_ok(p) && flags_ok(q) {
+            drop.extend([p, q]);
         }
     }
-    // Dead saves. Block scan order is layout order, not execution order
-    // (the entry block is appended last), so pair by push/pop role.
-    for (r, sites) in &saves {
-        let ([push], [pop]) = (
-            &sites.iter().filter(|s| s.2).collect::<Vec<_>>()[..],
-            &sites.iter().filter(|s| !s.2).collect::<Vec<_>>()[..],
-        ) else {
-            continue;
-        };
-        let touched = blocks.iter().enumerate().any(|(bi, b)| {
-            b.insts.iter().enumerate().any(|(ii, ci)| {
-                (bi, ii) != (push.0, push.1)
-                    && (bi, ii) != (pop.0, pop.1)
-                    && references(&ci.inst, Loc::Gpr(*r), false)
-            })
-        });
-        if !touched {
-            drop.push((push.0, push.1));
-            drop.push((pop.0, pop.1));
+    // Dead saves: one push, one pop, and no other instruction names the
+    // register.
+    for (r, [push, pop]) in saves.iter().enumerate() {
+        if push.0 == 1 && pop.0 == 1 && named[r] == 2 {
+            drop.extend([push.1, pop.1]);
         }
     }
-    let removed = drop.len() as u64;
-    let mut by_block: HashMap<usize, HashSet<usize>> = HashMap::new();
-    for (bi, ii) in drop {
-        by_block.entry(bi).or_default().insert(ii);
-    }
-    for (bi, idxs) in by_block {
-        let mut ii = 0usize;
-        blocks[bi].insts.retain(|_| {
-            let keep = !idxs.contains(&ii);
-            ii += 1;
-            keep
-        });
-    }
-    removed
+    drop.sort_unstable_by(|a, b| b.cmp(a));
+    drop.iter().for_each(|&(b, i)| cx.remove(b, i));
+    drop.len() as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -611,11 +477,8 @@ fn elide_frame_and_saves(blocks: &mut [CapturedBlock]) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// If `inst`'s only reference to `a` is as the (index-free) base of its
-/// single memory operand and it does not write `a`, return that operand.
+/// single memory operand (it does not write `a`), return that operand.
 fn sole_base_use(inst: &Inst, a: Gpr) -> Option<MemRef> {
-    if writes_loc(inst, Loc::Gpr(a)) {
-        return None;
-    }
     let mut reads = 0u32;
     defuse::for_each_read(inst, &mut |l| {
         if l == Loc::Gpr(a) {
@@ -631,91 +494,50 @@ fn sole_base_use(inst: &Inst, a: Gpr) -> Option<MemRef> {
 
 /// Replace the single memory operand of `inst` with `m`.
 fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
-    let sub = |op: &Operand| -> Operand {
-        match op {
-            Operand::Mem(_) => Operand::Mem(m),
-            other => *other,
-        }
-    };
-    Some(match inst {
-        Inst::Mov { w, dst, src } => Inst::Mov {
-            w: *w,
-            dst: sub(dst),
-            src: sub(src),
-        },
-        Inst::Movsxd { dst, src } => Inst::Movsxd {
-            dst: *dst,
-            src: sub(src),
-        },
-        Inst::Movzx8 { w, dst, src } => Inst::Movzx8 {
-            w: *w,
-            dst: *dst,
-            src: sub(src),
-        },
-        Inst::Alu { op, w, dst, src } => Inst::Alu {
-            op: *op,
-            w: *w,
-            dst: sub(dst),
-            src: sub(src),
-        },
-        Inst::Test { w, a, b } => Inst::Test {
-            w: *w,
-            a: sub(a),
-            b: sub(b),
-        },
-        Inst::Imul { w, dst, src } => Inst::Imul {
-            w: *w,
-            dst: *dst,
-            src: sub(src),
-        },
-        Inst::ImulImm { w, dst, src, imm } => Inst::ImulImm {
-            w: *w,
-            dst: *dst,
-            src: sub(src),
-            imm: *imm,
-        },
-        Inst::MovSd { dst, src } => Inst::MovSd {
-            dst: sub(dst),
-            src: sub(src),
-        },
-        Inst::Sse { op, dst, src } => Inst::Sse {
-            op: *op,
-            dst: *dst,
-            src: sub(src),
-        },
-        Inst::Ucomisd { a, b } => Inst::Ucomisd { a: *a, b: sub(b) },
-        Inst::Cvtsi2sd { w, dst, src } => Inst::Cvtsi2sd {
-            w: *w,
-            dst: *dst,
-            src: sub(src),
-        },
-        Inst::Cvttsd2si { w, dst, src } => Inst::Cvttsd2si {
-            w: *w,
-            dst: *dst,
-            src: sub(src),
-        },
-        _ => return None,
-    })
+    let accesses = matches!(
+        inst,
+        Inst::Mov { .. }
+            | Inst::Movsxd { .. }
+            | Inst::Movzx8 { .. }
+            | Inst::Alu { .. }
+            | Inst::Test { .. }
+            | Inst::Imul { .. }
+            | Inst::ImulImm { .. }
+            | Inst::MovSd { .. }
+            | Inst::Sse { .. }
+            | Inst::Ucomisd { .. }
+            | Inst::Cvtsi2sd { .. }
+            | Inst::Cvttsd2si { .. }
+    );
+    accesses.then(|| map_operands(inst, |r| r, |x| x, |_| m))
 }
 
 /// `[mov a, b ;] [add/sub a, k ;] use [a+d]` → `use [b+d±k]` (with `b = a`
 /// when there is no copy) when `a` dies at the use and the (removed) ALU's
 /// flags are dead.
-fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so: bool) -> u64 {
+fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet, flags_out: bool) -> u64 {
+    // Registers live after each instruction, by its index as of now: a
+    // fold only ever edits below the position it asks about.
+    cx.fill_after(b, live_out);
     let mut removed = 0;
     let mut i = 0;
-    while i < b.insts.len() {
-        let copy = match b.insts[i].inst {
+    while i < cx.insts(b).len() {
+        if !cx.effects(b)[i].is(bit::FOLD_HEAD) {
+            i += 1;
+            continue;
+        }
+        let insts = cx.insts(b);
+        let copy = match insts[i].inst {
             Inst::Mov {
-                w: Width::W64,
                 dst: Operand::Reg(a),
                 src: Operand::Reg(base),
-            } if a != base && base != Gpr::Rsp => Some((a, base)),
+                ..
+            } => Some((a, base)),
             _ => None,
         };
         // Optional immediate adjustment of `a` (right after the copy).
         let at = i + copy.is_some() as usize;
-        let adjust = match b.insts.get(at).map(|ci| ci.inst) {
+        let adjust = match insts.get(at).map(|ci| ci.inst) {
             Some(Inst::Alu {
                 op: op @ (AluOp::Add | AluOp::Sub),
                 w: Width::W64,
@@ -735,17 +557,18 @@ fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so:
             }
         };
         let j = at + adjust.is_some() as usize;
-        let fold = b.insts.get(j).and_then(|cj| {
-            if a == Gpr::Rsp || a == Gpr::Rbp {
+        let fold = insts.get(j).zip(cx.effects(b).get(j)).and_then(|(cj, ej)| {
+            let named_once = ej.reads.has(Loc::Gpr(a)) && !ej.writes.has(Loc::Gpr(a));
+            if a == Gpr::Rsp || a == Gpr::Rbp || !named_once {
                 return None;
             }
             let m = sole_base_use(&cj.inst, a)?;
             let disp = i64::from(m.disp).checked_add(adjust.map_or(0, |(_, k)| k))?;
             let disp = i32::try_from(disp).ok()?;
-            if live_after(b, j, live_out, so).has(Loc::Gpr(a)) {
+            if cx.after[j + removed].has(Loc::Gpr(a)) {
                 return None;
             }
-            if adjust.is_some() && !flags_dead_at(b, j, flags_out) {
+            if adjust.is_some() && !cx.flags_dead_at(b, j, flags_out) {
                 return None;
             }
             replace_mem(
@@ -758,211 +581,174 @@ fn fold_addresses(b: &mut CapturedBlock, live_out: LiveSet, flags_out: bool, so:
             )
         });
         if let Some(new) = fold {
-            let meta = b.insts[j];
-            b.insts[j] = CapturedInst {
-                inst: new,
-                frame_store: meta.frame_store,
-                frame_load: meta.frame_load,
-            };
-            b.insts.drain(i..j);
-            removed += (j - i) as u64;
+            cx.set_inst(b, j, new);
+            cx.drain(b, i..j);
+            removed += j - i;
         } else {
             i += 1;
         }
     }
-    removed
+    removed as u64
 }
 
 // ---------------------------------------------------------------------------
 // Renaming machinery for the copy passes
 // ---------------------------------------------------------------------------
 
-fn map_mem_gpr(m: &MemRef, from: Gpr, to: Gpr) -> MemRef {
-    MemRef {
-        base: m.base.map(|b| if b == from { to } else { b }),
-        index: m.index.map(|(r, s)| (if r == from { to } else { r }, s)),
-        disp: m.disp,
-    }
-}
-
-fn map_op_gpr(op: &Operand, from: Gpr, to: Gpr) -> Operand {
-    match op {
-        Operand::Reg(r) if *r == from => Operand::Reg(to),
-        Operand::Mem(m) => Operand::Mem(map_mem_gpr(m, from, to)),
-        other => *other,
-    }
-}
-
-/// Structurally rename every occurrence of GPR `from` to `to`. `None`
-/// means the instruction's shape (or an implicit register) cannot be
-/// renamed safely — callers must abort their transform.
-fn rename_gpr(inst: &Inst, from: Gpr, to: Gpr) -> Option<Inst> {
-    if !references(inst, Loc::Gpr(from), false) {
-        return Some(*inst);
-    }
-    let g = |r: &Gpr| if *r == from { to } else { *r };
-    let o = |op: &Operand| map_op_gpr(op, from, to);
-    Some(match inst {
-        Inst::Mov { w, dst, src } => Inst::Mov {
-            w: *w,
-            dst: o(dst),
-            src: o(src),
-        },
-        Inst::MovAbs { dst, imm } => Inst::MovAbs {
-            dst: g(dst),
-            imm: *imm,
-        },
-        Inst::Movsxd { dst, src } => Inst::Movsxd {
-            dst: g(dst),
-            src: o(src),
-        },
-        Inst::Movzx8 { w, dst, src } => Inst::Movzx8 {
-            w: *w,
-            dst: g(dst),
-            src: o(src),
-        },
+/// `inst` with every general-purpose register it names (memory operands'
+/// included) passed through `g`, every XMM register through `x` and every
+/// memory operand through `m`. Instructions that name their registers
+/// implicitly (`cqo`, `idiv`'s `rdx:rax`, a `cl` shift count) and the
+/// barriers come back as they are: callers that must not meet one check
+/// first.
+pub(crate) fn map_operands(
+    inst: &Inst,
+    g: impl Fn(Gpr) -> Gpr,
+    x: impl Fn(Xmm) -> Xmm,
+    m: impl Fn(MemRef) -> MemRef,
+) -> Inst {
+    let mem = |r: MemRef| {
+        let r = m(r);
+        MemRef {
+            base: r.base.map(&g),
+            index: r.index.map(|(i, scale)| (g(i), scale)),
+            disp: r.disp,
+        }
+    };
+    let o = |op: Operand| match op {
+        Operand::Reg(r) => Operand::Reg(g(r)),
+        Operand::Xmm(v) => Operand::Xmm(x(v)),
+        Operand::Mem(r) => Operand::Mem(mem(r)),
+        imm => imm,
+    };
+    let (dst, src) = match *inst {
+        Inst::Mov { dst, src, .. }
+        | Inst::Alu { dst, src, .. }
+        | Inst::MovSd { dst, src }
+        | Inst::MovUpd { dst, src } => (o(dst), o(src)),
+        Inst::Test { a, b, .. } => (o(a), o(b)),
+        Inst::Unary { dst, .. }
+        | Inst::Shift { dst, .. }
+        | Inst::Pop { dst }
+        | Inst::Setcc { dst, .. } => (o(dst), o(dst)),
+        Inst::Movsxd { src, .. }
+        | Inst::Movzx8 { src, .. }
+        | Inst::Imul { src, .. }
+        | Inst::ImulImm { src, .. }
+        | Inst::Idiv { src, .. }
+        | Inst::Push { src }
+        | Inst::Sse { src, .. }
+        | Inst::Ucomisd { b: src, .. }
+        | Inst::Cvtsi2sd { src, .. }
+        | Inst::Cvttsd2si { src, .. } => (o(src), o(src)),
+        _ => (Operand::Imm(0), Operand::Imm(0)),
+    };
+    match *inst {
+        Inst::Mov { w, .. } => Inst::Mov { w, dst, src },
+        Inst::Alu { op, w, .. } => Inst::Alu { op, w, dst, src },
+        Inst::MovSd { .. } => Inst::MovSd { dst, src },
+        Inst::MovUpd { .. } => Inst::MovUpd { dst, src },
+        Inst::Test { w, .. } => Inst::Test { w, a: dst, b: src },
+        Inst::Unary { op, w, .. } => Inst::Unary { op, w, dst },
+        Inst::Shift { op, w, count, .. } => Inst::Shift { op, w, dst, count },
+        Inst::Pop { .. } => Inst::Pop { dst },
+        Inst::Setcc { cond, .. } => Inst::Setcc { cond, dst },
+        Inst::MovAbs { dst, imm } => Inst::MovAbs { dst: g(dst), imm },
         Inst::Lea { dst, src } => Inst::Lea {
             dst: g(dst),
-            src: map_mem_gpr(src, from, to),
+            src: mem(src),
         },
-        Inst::Alu { op, w, dst, src } => Inst::Alu {
-            op: *op,
-            w: *w,
-            dst: o(dst),
-            src: o(src),
-        },
-        Inst::Test { w, a, b } => Inst::Test {
-            w: *w,
-            a: o(a),
-            b: o(b),
-        },
-        Inst::Imul { w, dst, src } => Inst::Imul {
-            w: *w,
+        Inst::Movsxd { dst, .. } => Inst::Movsxd { dst: g(dst), src },
+        Inst::Movzx8 { w, dst, .. } => Inst::Movzx8 {
+            w,
             dst: g(dst),
-            src: o(src),
+            src,
         },
-        Inst::ImulImm { w, dst, src, imm } => Inst::ImulImm {
-            w: *w,
+        Inst::Imul { w, dst, .. } => Inst::Imul {
+            w,
             dst: g(dst),
-            src: o(src),
-            imm: *imm,
+            src,
         },
-        Inst::Unary { op, w, dst } => Inst::Unary {
-            op: *op,
-            w: *w,
-            dst: o(dst),
-        },
-        Inst::Shift { op, w, dst, count } => {
-            // The implicit CL count register cannot be renamed.
-            if matches!(count, ShiftCount::Cl) && (from == Gpr::Rcx || to == Gpr::Rcx) {
-                return None;
-            }
-            Inst::Shift {
-                op: *op,
-                w: *w,
-                dst: o(dst),
-                count: *count,
-            }
-        }
-        Inst::Push { src } => Inst::Push { src: o(src) },
-        Inst::Pop { dst } => Inst::Pop { dst: o(dst) },
-        Inst::Setcc { cond, dst } => Inst::Setcc {
-            cond: *cond,
-            dst: o(dst),
-        },
-        Inst::MovSd { dst, src } => Inst::MovSd {
-            dst: o(dst),
-            src: o(src),
-        },
-        Inst::Sse { op, dst, src } => Inst::Sse {
-            op: *op,
-            dst: *dst,
-            src: o(src),
-        },
-        Inst::Ucomisd { a, b } => Inst::Ucomisd { a: *a, b: o(b) },
-        Inst::Cvtsi2sd { w, dst, src } => Inst::Cvtsi2sd {
-            w: *w,
-            dst: *dst,
-            src: o(src),
-        },
-        Inst::Cvttsd2si { w, dst, src } => Inst::Cvttsd2si {
-            w: *w,
+        Inst::ImulImm { w, dst, imm, .. } => Inst::ImulImm {
+            w,
             dst: g(dst),
-            src: o(src),
+            src,
+            imm,
         },
-        // Cqo/Idiv reference RAX/RDX implicitly; barriers and everything
-        // else unhandled: refuse.
-        _ => return None,
-    })
-}
-
-fn map_op_xmm(op: &Operand, from: Xmm, to: Xmm) -> Operand {
-    match op {
-        Operand::Xmm(x) if *x == from => Operand::Xmm(to),
-        other => *other,
+        Inst::Idiv { w, .. } => Inst::Idiv { w, src },
+        Inst::Push { .. } => Inst::Push { src },
+        Inst::Sse { op, dst, .. } => Inst::Sse {
+            op,
+            dst: x(dst),
+            src,
+        },
+        Inst::Ucomisd { a, .. } => Inst::Ucomisd { a: x(a), b: src },
+        Inst::Cvtsi2sd { w, dst, .. } => Inst::Cvtsi2sd {
+            w,
+            dst: x(dst),
+            src,
+        },
+        Inst::Cvttsd2si { w, dst, .. } => Inst::Cvttsd2si {
+            w,
+            dst: g(dst),
+            src,
+        },
+        other => other,
     }
 }
 
-/// XMM counterpart of [`rename_gpr`].
-fn rename_xmm(inst: &Inst, from: Xmm, to: Xmm) -> Option<Inst> {
-    if !references(inst, Loc::Xmm(from), false) {
-        return Some(*inst);
-    }
-    let x = |r: &Xmm| if *r == from { to } else { *r };
-    let o = |op: &Operand| map_op_xmm(op, from, to);
-    Some(match inst {
-        Inst::MovSd { dst, src } => Inst::MovSd {
-            dst: o(dst),
-            src: o(src),
-        },
-        Inst::MovUpd { dst, src } => Inst::MovUpd {
-            dst: o(dst),
-            src: o(src),
-        },
-        Inst::Sse { op, dst, src } => Inst::Sse {
-            op: *op,
-            dst: x(dst),
-            src: o(src),
-        },
-        Inst::Ucomisd { a, b } => Inst::Ucomisd { a: x(a), b: o(b) },
-        Inst::Cvtsi2sd { w, dst, src } => Inst::Cvtsi2sd {
-            w: *w,
-            dst: x(dst),
-            src: *src,
-        },
-        Inst::Cvttsd2si { w, dst, src } => Inst::Cvttsd2si {
-            w: *w,
-            dst: *dst,
-            src: o(src),
-        },
-        _ => return None,
-    })
-}
-
+/// Structurally rename every occurrence of `from` to `to` in an instruction
+/// that names it. `None` means the instruction's shape (or an implicit
+/// register) cannot be renamed safely — callers must abort their transform.
 fn rename(inst: &Inst, from: Loc, to: Loc) -> Option<Inst> {
     match (from, to) {
-        (Loc::Gpr(f), Loc::Gpr(t)) => rename_gpr(inst, f, t),
-        (Loc::Xmm(f), Loc::Xmm(t)) => rename_xmm(inst, f, t),
+        (Loc::Gpr(f), Loc::Gpr(t)) => {
+            let explicit = match inst {
+                // The implicit CL count register cannot be renamed.
+                Inst::Shift { count, .. } => {
+                    *count != ShiftCount::Cl || (f != Gpr::Rcx && t != Gpr::Rcx)
+                }
+                // Cqo/Idiv reference RAX/RDX implicitly; 16-byte moves and
+                // control transfers: refuse.
+                Inst::Cqo { .. } | Inst::Idiv { .. } | Inst::MovUpd { .. } => false,
+                _ => !inst.is_control() && !matches!(inst, Inst::Nop | Inst::Ud2),
+            };
+            let g = |r| if r == f { t } else { r };
+            explicit.then(|| map_operands(inst, g, |x| x, |m| m))
+        }
+        (Loc::Xmm(f), Loc::Xmm(t)) => {
+            let sse = matches!(
+                inst,
+                Inst::MovSd { .. }
+                    | Inst::MovUpd { .. }
+                    | Inst::Sse { .. }
+                    | Inst::Ucomisd { .. }
+                    | Inst::Cvtsi2sd { .. }
+                    | Inst::Cvttsd2si { .. }
+            );
+            let x = |r| if r == f { t } else { r };
+            sse.then(|| map_operands(inst, |r| r, x, |m| m))
+        }
         _ => None,
     }
 }
 
-/// The copy shapes both copy passes recognize: `(dst, src, width class)`.
-fn as_copy(inst: &Inst, so: bool) -> Option<(Loc, Loc)> {
-    match inst {
+/// The copy instruction `i` of block `b` is, as both copy passes see it:
+/// `(dst, src)`.
+fn as_copy(cx: &PassCx, b: usize, i: usize) -> Option<(Loc, Loc)> {
+    let e = &cx.effects(b)[i];
+    match cx.insts(b)[i].inst {
         Inst::Mov {
-            w: Width::W64,
             dst: Operand::Reg(d),
             src: Operand::Reg(s),
-        } if d != s && *d != Gpr::Rsp && *s != Gpr::Rsp && *d != Gpr::Rbp && *s != Gpr::Rbp => {
-            Some((Loc::Gpr(*d), Loc::Gpr(*s)))
-        }
+            ..
+        } if e.is(bit::GPR_COPY) => Some((Loc::Gpr(d), Loc::Gpr(s))),
         // Register movsd merges the high lane: only a real copy when no
         // high lane can be observed.
         Inst::MovSd {
             dst: Operand::Xmm(d),
             src: Operand::Xmm(s),
-        } if so && d != s => Some((Loc::Xmm(*d), Loc::Xmm(*s))),
+        } if e.is(bit::XMM_COPY) && cx.dec.so => Some((Loc::Xmm(d), Loc::Xmm(s))),
         _ => None,
     }
 }
@@ -976,73 +762,77 @@ fn as_copy(inst: &Inst, so: bool) -> Option<(Loc, Loc)> {
 /// deliberately steps over read-modify-write instructions of `s` (e.g.
 /// `addsd s, x`) to reach the real definition — that is what collapses
 /// the accumulator pattern `mov s, d; op s, x; mov d, s` into `op d, x`.
-fn coalesce_backward(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
+fn coalesce_backward(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
     let mut removed = 0;
-    let mut j = b.insts.len();
+    // What is live just after instruction `j`, carried down the block.
+    let mut live = live_out;
+    let mut renamed = std::mem::take(&mut cx.renamed);
+    let mut j = cx.insts(b).len();
     while j > 0 {
         j -= 1;
-        let Some((d, s)) = as_copy(&b.insts[j].inst, so) else {
+        let dying = as_copy(cx, b, j).filter(|&(_, s)| !live.has(s));
+        let Some(drop_def) = dying.and_then(|(d, s)| rename_window(cx, b, j, d, s, &mut renamed))
+        else {
+            step_regs(&mut live, &cx.effects(b)[j]);
             continue;
         };
-        if live_after(b, j, live_out, so).has(s) {
-            continue;
+        for &(k, inst) in &renamed {
+            cx.set_inst(b, k, inst);
         }
-        // Walk back to s's full definition, collecting the rename window.
-        let mut window: Vec<usize> = Vec::new();
-        let mut def: Option<(usize, bool)> = None; // (index, drop as self-copy)
-        for k in (0..j).rev() {
-            let inst = &b.insts[k].inst;
-            if defuse::is_barrier(inst) {
-                break;
-            }
-            if full_def(inst, so) && writes_loc(inst, s) {
-                // Only a definition that does not also *read* s ends the
-                // walk — a read-modify-write like `imul s, x` or `addsd s,
-                // x` merely extends the chain and must be renamed along
-                // with it (fall through to the window logic below).
-                let mut reads_s = false;
-                for_each_read_so(inst, so, &mut |l| reads_s |= l == s);
-                if !reads_s {
-                    // `mov s, d` at the window start renames to a self-move.
-                    let self_copy =
-                        matches!(as_copy(inst, so), Some((cd, cs)) if cd == s && cs == d);
-                    if !self_copy && references(inst, d, so) {
-                        break;
-                    }
-                    def = Some((k, self_copy));
-                    break;
-                }
-            }
-            if references(inst, d, so) {
-                break;
-            }
-            if references(inst, s, so) {
-                window.push(k);
-            }
-        }
-        let Some((w, drop_def)) = def else {
-            continue;
-        };
-        // Every touched instruction must rename structurally.
-        let ok = window
-            .iter()
-            .chain((!drop_def).then_some(&w))
-            .all(|&k| rename(&b.insts[k].inst, s, d).is_some());
-        if !ok {
-            continue;
-        }
-        for &k in window.iter().chain((!drop_def).then_some(&w)) {
-            b.insts[k].inst = rename(&b.insts[k].inst, s, d).unwrap();
-        }
-        b.insts.remove(j);
+        // What followed the copy now follows its predecessor: `live` holds.
+        cx.remove(b, j);
         removed += 1;
-        if drop_def {
-            b.insts.remove(w);
+        if let Some(w) = drop_def {
+            cx.remove(b, w);
             removed += 1;
             j = j.saturating_sub(1);
         }
     }
+    cx.renamed = renamed;
     removed
+}
+
+/// Walk back from the copy `d ← s` at `j` to `s`'s full definition and
+/// collect in `renamed` every instruction on the way that names `s`, with
+/// `s` renamed to `d`. `None` when the window does not close or one of them
+/// cannot be renamed; `Some(Some(w))` when the definition at `w` is the
+/// inverse copy `s ← d`, which the rename turns into a self-move to drop.
+fn rename_window(
+    cx: &PassCx,
+    b: usize,
+    j: usize,
+    d: Loc,
+    s: Loc,
+    renamed: &mut Vec<(usize, Inst)>,
+) -> Option<Option<usize>> {
+    renamed.clear();
+    let mut rename_at = |k: usize| {
+        renamed.push((k, rename(&cx.insts(b)[k].inst, s, d)?));
+        Some(())
+    };
+    for k in (0..j).rev() {
+        let e = &cx.effects(b)[k];
+        if e.kind != Kind::Plain {
+            break;
+        }
+        // Only a definition that does not also *read* s ends the walk — a
+        // read-modify-write like `imul s, x` or `addsd s, x` merely
+        // extends the chain and must be renamed along with it.
+        if e.defs.has(s) && !e.reads.has(s) {
+            // `mov s, d` at the window start renames to a self-move.
+            if as_copy(cx, b, k) == Some((s, d)) {
+                return Some(Some(k));
+            }
+            return (!e.refs(d)).then(|| rename_at(k)).flatten().map(|_| None);
+        }
+        if e.refs(d) {
+            break;
+        }
+        if e.refs(s) {
+            rename_at(k)?;
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,63 +842,79 @@ fn coalesce_backward(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 
 /// For a copy `d ← s`, rewrite downstream pure reads of `d` to `s` (while
 /// `s` is unclobbered) and drop the copy once `d` is fully redefined — or
 /// dead at the block boundary.
-fn propagate_copies(b: &mut CapturedBlock, live_out: LiveSet, so: bool) -> u64 {
+fn propagate_copies(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
     let mut removed = 0;
+    let mut renamed = std::mem::take(&mut cx.renamed);
     let mut i = 0;
-    'copies: while i < b.insts.len() {
-        let Some((d, s)) = as_copy(&b.insts[i].inst, so) else {
+    'copies: while i < cx.insts(b).len() {
+        let Some((d, s)) = as_copy(cx, b, i) else {
             i += 1;
             continue;
         };
-        let mut renames: Vec<usize> = Vec::new();
+        i += 1;
+        renamed.clear();
         let mut s_written = false;
         let mut closed = false; // d fully redefined downstream
-        for k in i + 1..b.insts.len() {
-            let inst = &b.insts[k].inst;
-            if defuse::is_barrier(inst) {
-                i += 1;
+        for k in i..cx.insts(b).len() {
+            let e = &cx.effects(b)[k];
+            if e.kind != Kind::Plain {
                 continue 'copies;
             }
-            let mut reads_d = false;
-            for_each_read_so(inst, so, &mut |l| reads_d |= l == d);
+            let reads_d = e.reads.has(d);
             if reads_d {
-                if s_written || rename(inst, d, s).is_none() {
-                    i += 1;
+                if s_written {
                     continue 'copies;
                 }
-                renames.push(k);
+                let Some(inst) = rename(&cx.insts(b)[k].inst, d, s) else {
+                    continue 'copies;
+                };
+                renamed.push((k, inst));
             }
-            if writes_loc(inst, d) {
-                if full_def(inst, so) && !reads_d {
+            if e.writes.has(d) {
+                if e.defs.has(d) && !reads_d {
                     closed = true;
                     break;
                 }
                 // Partial redefinition (or a full one that also reads d —
                 // renaming would corrupt the def): give up on this copy.
-                i += 1;
                 continue 'copies;
             }
-            if writes_loc(inst, s) {
+            if e.writes.has(s) {
                 s_written = true;
             }
         }
         if !closed && live_out.has(d) {
-            i += 1;
             continue;
         }
-        for &k in &renames {
-            b.insts[k].inst = rename(&b.insts[k].inst, d, s).unwrap();
+        for &(k, inst) in &renamed {
+            cx.set_inst(b, k, inst);
         }
-        b.insts.remove(i);
+        i -= 1;
+        cx.remove(b, i);
         removed += 1;
     }
+    cx.renamed = renamed;
     removed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{BlockId, Terminator};
+    use crate::capture::{BlockId, CapturedBlock, Terminator};
+    use crate::config::RetKind;
+
+    fn allocate(blocks: &mut [CapturedBlock], escaped: bool, ret: RetKind, level: OptLevel) -> u64 {
+        super::allocate(&mut PassCx::new(blocks, level, escaped, ret))
+    }
+
+    fn allocate_slots(blocks: &mut [CapturedBlock], escaped: bool) -> u64 {
+        super::allocate_slots(&mut PassCx::new(
+            blocks,
+            OptLevel::SlotAlloc,
+            escaped,
+            RetKind::Int,
+        ))
+    }
 
     fn block(insts: Vec<Inst>) -> CapturedBlock {
         let mut b = CapturedBlock::pending(0x1000);

@@ -91,12 +91,15 @@ stage_regalloc() {
 }
 
 # No build: these files run once per instruction of every gated miss (tracer,
-# structural tier) or of every emulated call. Their maps are keyed by guest
-# addresses and frame offsets the program made itself, so they use
-# brew_x86::WordMap/WordSet or a plain index; `HashMap::new()` and
-# `HashSet::new()` exist only for the default hasher.
+# optimization passes, structural tier) or of every emulated call. Their maps
+# are keyed by guest addresses, registers, block indices and frame offsets the
+# program made itself, so they use brew_x86::WordMap/WordSet, a bitset or a
+# plain index; `HashMap::new()` and `HashSet::new()` exist only for the
+# default hasher.
 stage_hotpath() {
     for f in crates/core/src/tracer.rs crates/core/src/exec.rs \
+        crates/core/src/passes.rs crates/core/src/frame.rs crates/core/src/regalloc.rs \
+        crates/core/src/dataflow/*.rs \
         crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs \
         crates/emu/src/machine.rs; do
         # The eager oracle in mem.rs is test-only and keeps std's hasher on

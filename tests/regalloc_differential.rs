@@ -16,9 +16,15 @@
 //! discipline, write containment, provenance, equivalence) must hold on
 //! its output exactly as they do on unoptimized code.
 
+use brew_core::passes::run_passes;
 use brew_suite::prelude::*;
 use brew_suite::static_verify::{verify, VerifyOptions};
 use proptest::prelude::*;
+
+#[path = "../crates/verify/tests/corpus/mod.rs"]
+mod corpus;
+#[path = "progs.rs"]
+mod progs;
 
 /// The rung below `level`: the comparison isolates what one rung adds.
 fn below(level: OptLevel) -> OptLevel {
@@ -298,8 +304,132 @@ fn double_program_case(
     Ok(())
 }
 
+/// `run_passes` replayed on the captured CFG of one request at every
+/// `OptLevel`. In debug builds every stage of every replay ends with
+/// `PassCx::assert_coherent`: each cached `Effect` against a fresh decode of
+/// its instruction, each summarized block against a from-scratch liveness
+/// solution. In every build: a replay repeats to the instruction, and the
+/// replay at the level the live path ran at removes what the live path
+/// removed — the analysis context is per call, nothing rides on the blocks.
+fn replay_every_level(img: &Image, f: u64, req: &SpecRequest) {
+    let Ok(res) = Rewriter::new(img).rewrite(f, req) else {
+        return;
+    };
+    let cap = res
+        .equiv
+        .as_ref()
+        .expect("a fresh rewrite keeps its capture");
+    let ret = req.config().ret;
+    for level in OptLevel::ALL {
+        let replay = || {
+            let mut blocks = cap.blocks.clone();
+            let removed = run_passes(&mut blocks, level, cap.frame_escaped, ret);
+            let insts: Vec<_> = blocks.into_iter().map(|b| b.insts).collect();
+            (removed, insts)
+        };
+        let first = replay();
+        assert_eq!(first, replay(), "{level:?}: a replay repeats");
+        if level == req.pass_config() {
+            assert_eq!(
+                first.0, res.stats.pass_removed,
+                "{level:?}: replay = live path"
+            );
+        }
+    }
+}
+
+/// The ten `corpus-cold` kernels of the benchmark, the `makeDynamic` sweep
+/// of `unroll-cold` and `madd.64`: the twelve kernels the pass pipeline is
+/// measured on.
+#[test]
+fn passes_replay_coherently_on_the_twelve_kernels() {
+    let img = Image::new();
+    let cold = corpus::cold(&img);
+    for case in &cold {
+        replay_every_level(&img, case.func, &case.req);
+    }
+    let madd = cold.iter().find(|c| c.label == "madd.48").unwrap().func;
+    let b64 = SpecRequest::new().unknown_int().known_int(64);
+    replay_every_level(&img, madd, &b64.ret(RetKind::Int));
+
+    let img = Image::new();
+    let prog = compile_into(brew_stencil::programs::MAKE_DYNAMIC_PROGRAM, &img).unwrap();
+    let (f, s5) = (
+        prog.func("sweep_dynamic_transformed").unwrap(),
+        prog.global("s5").unwrap(),
+    );
+    let req = SpecRequest::new()
+        .unknown_int()
+        .unknown_int()
+        .known_int(10)
+        .known_int(8)
+        .known_mem(s5..s5 + brew_stencil::S_SIZE)
+        .ret(RetKind::Void)
+        .func(prog.func("makeDynamic").unwrap(), |o| o.inline = false)
+        .max_trace_insts(8_000_000)
+        .max_code_bytes(1 << 22);
+    replay_every_level(&img, f, &req);
+}
+
+/// What the fixed stage order leaves behind: a second `run_passes` over its
+/// own output still finds work on three of the ten corpus kernels. Pinned,
+/// not asserted away — the numbers are the measured headroom of a
+/// driver-owned fixpoint (ROADMAP items 3b and 9) and move only when a
+/// stage or the order changes on purpose.
+#[test]
+fn second_run_of_the_passes_residual_is_pinned() {
+    const RESIDUAL: [(&str, u64); 10] = [
+        ("apply", 0),
+        ("apply_grouped", 0),
+        ("poly.16", 0),
+        ("madd.48", 0),
+        ("dotk", 3),
+        ("clamp", 0),
+        ("scale", 0),
+        ("sum.4", 0),
+        ("gsum.64", 27),
+        ("sweep_generic.u4", 14),
+    ];
+    let img = Image::new();
+    let seen: Vec<(String, u64)> = corpus::cold(&img)
+        .into_iter()
+        .map(|c| {
+            let res = Rewriter::new(&img).rewrite(c.func, &c.req).unwrap();
+            let cap = res.equiv.as_ref().unwrap();
+            let mut blocks = cap.blocks.clone();
+            let (level, ret) = (c.req.pass_config(), c.req.config().ret);
+            run_passes(&mut blocks, level, cap.frame_escaped, ret);
+            let again = run_passes(&mut blocks, level, cap.frame_escaped, ret);
+            (c.label, again)
+        })
+        .collect();
+    let pinned: Vec<(String, u64)> = RESIDUAL.iter().map(|(l, n)| (l.to_string(), *n)).collect();
+    assert_eq!(seen, pinned);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The generator corpus of `tests/progs.rs` under every known/unknown
+    /// marking, at every level.
+    #[test]
+    fn passes_replay_coherently_on_the_generator_corpus(
+        prog in progs::arb_prog(),
+        spec_mask in 0u8..8,
+        pins in proptest::array::uniform3(-40i64..40),
+    ) {
+        let img = Image::new();
+        let f = compile_into(&prog.render(), &img).unwrap().func("f").unwrap();
+        let mut req = SpecRequest::new().ret(RetKind::Int);
+        for (i, &pin) in pins.iter().enumerate() {
+            req = if spec_mask & (1 << i) != 0 {
+                req.known_int(pin)
+            } else {
+                req.unknown_int()
+            };
+        }
+        replay_every_level(&img, f, &req);
+    }
 
     #[test]
     fn regalloc_int_programs_bit_identical(
