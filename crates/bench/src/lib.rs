@@ -186,6 +186,12 @@ pub struct PassWork {
     pub solves: u64,
 }
 
+/// The count a span carries under `key`, if it carries one.
+fn span_count(e: &brew_core::telemetry::SpanEvent, key: &str) -> Option<u64> {
+    let found = e.args.iter().find(|(k, _)| k == key);
+    found.map(|(_, v)| v.parse().expect("a count"))
+}
+
 /// The pass spans of one traced rewrite of `func`, and how many
 /// instructions the trace captured for the passes to work on.
 fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>) {
@@ -195,10 +201,7 @@ fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>)
         .expect("traced rewrite");
     let spans = rec.events_in("pass");
     let work = spans.iter().map(|e| {
-        let arg = |key: &str| {
-            let found = e.args.iter().find(|(k, _)| k == key);
-            found.map_or(0, |(_, v)| v.parse().expect("a count"))
-        };
+        let arg = |key: &str| span_count(e, key).unwrap_or(0);
         let n = e.args.first().expect("a pass span carries its count");
         PassWork {
             pass: e.name.clone(),
@@ -226,6 +229,126 @@ pub fn pass_work(xs: i64, ys: i64) -> Vec<(&'static str, u64, Vec<PassWork>)> {
     vec![
         ("apply", apply, apply_work),
         ("sweep_generic.u4", sweep, sweep_work),
+    ]
+}
+
+/// What the tracer reported on the `trace` phase span of one rewrite — its
+/// three trace statistics, then its deterministic work — beside the static
+/// size of the guest code the trace ran through.
+#[derive(Debug, Clone)]
+pub struct TraceWork {
+    /// Workload label.
+    pub label: &'static str,
+    /// Blocks created (compensation blocks included).
+    pub blocks: u64,
+    /// Guest instructions fetched and executed (re-traces included).
+    pub traced: u64,
+    /// World migrations.
+    pub migrations: u64,
+    /// Guest instructions decoded.
+    pub decodes: u64,
+    /// Full world comparisons made by the variant search.
+    pub compares: u64,
+    /// Instructions reachable from the entry, counted by a walk of the
+    /// guest code that follows every jump, both arms of every conditional
+    /// one and every inlined call: the distinct addresses a trace that
+    /// takes every arm fetches.
+    pub reachable: u64,
+}
+
+/// Distinct instruction addresses reachable from `entry`; calls are followed
+/// into the functions of `inlined` and stepped over otherwise.
+fn reachable_insts(img: &brew_image::Image, entry: u64, inlined: &[u64]) -> u64 {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut work = vec![entry];
+    while let Some(mut at) = work.pop() {
+        while seen.insert(at) {
+            let mut window = [0u8; 16];
+            let n = img.code_window_into(at, &mut window).expect("code");
+            let d = brew_x86::decode(&window[..n], at).expect("an instruction");
+            let next = at + d.len as u64;
+            at = match d.inst {
+                brew_x86::Inst::Ret => break,
+                brew_x86::Inst::JmpRel { target } => target,
+                brew_x86::Inst::Jcc { target, .. } => {
+                    work.push(target);
+                    next
+                }
+                brew_x86::Inst::CallRel { target } if inlined.contains(&target) => {
+                    work.push(target);
+                    next
+                }
+                _ => next,
+            };
+        }
+    }
+    seen.len() as u64
+}
+
+/// [`TraceWork`] of one traced rewrite of `prog`'s `func`, which inlines
+/// `apply` and nothing else.
+fn trace_span(
+    label: &'static str,
+    img: &brew_image::Image,
+    prog: &brew_minic::Compiled,
+    func: &str,
+    req: &SpecRequest,
+) -> TraceWork {
+    let f = prog.func(func).unwrap();
+    let (_, rec) = Rewriter::new(img)
+        .rewrite_with_trace(f, req)
+        .expect("traced rewrite");
+    let phases = rec.events_in("phase");
+    let span = phases.iter().find(|e| e.name == "trace").expect("a span");
+    let arg =
+        |key: &str| span_count(span, key).unwrap_or_else(|| panic!("no `{key}` on the trace span"));
+    TraceWork {
+        label,
+        blocks: arg("blocks"),
+        traced: arg("guest_insts"),
+        migrations: arg("migrations"),
+        decodes: arg("decodes"),
+        compares: arg("compares"),
+        reachable: reachable_insts(img, f, &[prog.func("apply").unwrap()]),
+    }
+}
+
+/// The tracer's work on the two traces that exercise its variant machinery:
+/// the §V.C sweep behind `makeDynamic`, unrolled until `max_variants = 16`
+/// migrates it (12×12, the benchmark's `unroll-cold` shape), and the
+/// whole-sweep rewrite at unroll 4.
+pub fn trace_work(xs: i64, ys: i64) -> Vec<TraceWork> {
+    let img = brew_image::Image::new();
+    let prog = brew_minic::compile_into(programs::MAKE_DYNAMIC_PROGRAM, &img).unwrap();
+    let s5 = prog.global("s5").unwrap();
+    let f = prog.func("sweep_dynamic_transformed").unwrap();
+    let unrolled = SpecRequest::new()
+        .unknown_int()
+        .unknown_int()
+        .known_int(12)
+        .known_int(12)
+        .known_mem(s5..s5 + brew_stencil::S_SIZE)
+        .ret(RetKind::Void)
+        .func(prog.func("makeDynamic").unwrap(), |o| o.inline = false)
+        .func(f, |o| o.max_variants = 16)
+        .max_trace_insts(16_000_000)
+        .max_code_bytes(1 << 22);
+    let s = Stencil::new(xs, ys);
+    vec![
+        trace_span(
+            "sweep_unrolled.12x12.v16",
+            &img,
+            &prog,
+            "sweep_dynamic_transformed",
+            &unrolled,
+        ),
+        trace_span(
+            "sweep_generic.u4",
+            &s.img,
+            &s.prog,
+            "sweep_generic",
+            &s.sweep_request(4),
+        ),
     ]
 }
 

@@ -1,7 +1,8 @@
 //! The CI gates of the reproduction, as assertions on the typed reports the
 //! studies return, plus the pinned text of a full `tables` run. Each test
 //! name starts with the `scripts/check.sh` stage that selects it (`e2_` is
-//! shared by `equiv` and `regalloc`, `tables_` rides with `obs`).
+//! shared by `equiv` and `regalloc`, `tables_` rides with `obs`, `trace_`
+//! with `hotpath`).
 //!
 //! `tables_pins.txt` moves whenever an experiment's number moves: regenerate
 //! with `BREW_BLESS=1 cargo test -p brew-bench --test gates tables_` and
@@ -217,4 +218,20 @@ fn regalloc_sweep_rewrite_beats_the_specialized_apply() {
     let sweep = &sweep_study(XS, YS, ITERS, &[4])[0];
     assert!(apply.label.contains("specialized apply"), "{apply:?}");
     assert!(sweep.cycles < apply.cycles, "{sweep:?} vs {apply:?}");
+}
+
+#[test]
+fn trace_decodes_each_address_once_and_compares_worlds_on_a_digest_match() {
+    for w in trace_work(XS, YS) {
+        // One decode per distinct address fetched: both traces take every
+        // arm of their loops, so that is every reachable instruction —
+        // against tens of fetches per address.
+        assert_eq!(w.decodes, w.reachable, "{w:?}");
+        assert!(w.traced >= 8 * w.decodes, "{w:?}");
+        // The variant search compares worlds in full only where a digest
+        // matches: at most once per block found or made and per migration
+        // anchor, not once per variant of the address per enqueue.
+        assert!(w.migrations > 0, "{w:?}");
+        assert!(w.compares <= w.blocks + w.migrations, "{w:?}");
+    }
 }

@@ -132,8 +132,8 @@ impl Tracer<'_> {
         match addr {
             Value::Const(a) => {
                 if size == 8 && a % 8 == 0 {
-                    if let Some(v) = w.gshadow.get(&a) {
-                        return *v;
+                    if let Some(v) = w.gshadow.get(a) {
+                        return v;
                     }
                     if self.addr_known(a, 8) {
                         return self
@@ -151,7 +151,7 @@ impl Tracer<'_> {
                 } else {
                     let lo = a & !7;
                     let hi = (a + size - 1) & !7;
-                    if w.gshadow.contains_key(&lo) || w.gshadow.contains_key(&hi) {
+                    if w.gshadow.contains_key(lo) || w.gshadow.contains_key(hi) {
                         return Value::Unknown;
                     }
                     if self.addr_known(a, size) {
@@ -560,7 +560,7 @@ impl Tracer<'_> {
         let rsp_off = cx.w.rsp_off();
         let mut off = rsp_off - HOOK_SAVE_BYTES;
         while off < rsp_off {
-            if cx.w.frame.contains_key(&off) {
+            if cx.w.frame.contains_key(off) {
                 cx.w.frame.insert(off, Value::Unknown);
             }
             off += 8;
@@ -599,9 +599,8 @@ impl Tracer<'_> {
         addr: u64,
         next: u64,
     ) -> Result<Step, RewriteError> {
-        let opts = self.cfg.opts_for(cx.w.cur_fn);
-        let fresh = opts.fresh_unknown;
-        let force_flags = opts.branch_unknown;
+        let fresh = cx.opts.fresh_unknown;
+        let force_flags = cx.opts.branch_unknown;
 
         match inst {
             Inst::Nop => Ok(Step::Continue(next)),
@@ -1393,16 +1392,15 @@ impl Tracer<'_> {
                     if !cx.wrote_flags {
                         cx.reads_flags_on_entry = true;
                     }
-                    self.rec_decision(
-                        "fork",
+                    self.rec_decision("fork", || {
                         vec![
                             ("at".into(), format!("{addr:#x}")),
                             ("taken".into(), format!("{target:#x}")),
                             ("fall".into(), format!("{next:#x}")),
-                        ],
-                    );
-                    let taken = self.enqueue(*target, cx.w.clone(), false)?;
-                    let fall = self.enqueue(next, cx.w.clone(), false)?;
+                        ]
+                    });
+                    let taken = self.enqueue(*target, &cx.w, false)?;
+                    let fall = self.enqueue(next, &cx.w, false)?;
                     Ok(Step::End(Terminator::Jcc {
                         cond: *cond,
                         taken,
@@ -1423,10 +1421,9 @@ impl Tracer<'_> {
                         self.emit_mem(cx, Inst::CallInd { src: s }, None, fl);
                         self.clobber_after_call(cx);
                         self.stats.kept_calls += 1;
-                        self.rec_decision(
-                            "call-kept",
-                            vec![("callee".into(), "indirect (unknown target)".into())],
-                        );
+                        self.rec_decision("call-kept", || {
+                            vec![("callee".into(), "indirect (unknown target)".into())]
+                        });
                         Ok(Step::Continue(next))
                     }
                 }
@@ -1960,7 +1957,7 @@ impl Tracer<'_> {
         next: u64,
         addr: u64,
     ) -> Result<Step, RewriteError> {
-        let callee_opts = self.cfg.opts_for(target);
+        let callee_opts = self.opts_for(target);
         if callee_opts.inline {
             if cx.w.inline_stack.len() >= 128 {
                 return Err(RewriteError::TraceFault {
@@ -1973,34 +1970,27 @@ impl Tracer<'_> {
                 rsp_at_call: cx.w.rsp_off(),
                 caller_fn: cx.w.cur_fn,
             });
-            cx.w.cur_fn = target;
+            cx.enter_fn(target, callee_opts);
             self.stats.inlined_calls += 1;
-            self.rec_decision(
-                "inline",
+            let (img, depth) = (self.img, cx.w.inline_stack.len());
+            self.rec_decision("inline", || {
                 vec![
-                    ("callee".into(), self.callee_label(target)),
-                    ("depth".into(), cx.w.inline_stack.len().to_string()),
-                ],
-            );
+                    ("callee".into(), callee_label(img, target)),
+                    ("depth".into(), depth.to_string()),
+                ]
+            });
             Ok(Step::Continue(target))
         } else {
             self.materialize_call_args(cx)?;
             self.emit(cx, Inst::CallRel { target });
             self.clobber_after_call(cx);
             self.stats.kept_calls += 1;
-            self.rec_decision(
-                "call-kept",
-                vec![("callee".into(), self.callee_label(target))],
-            );
+            let img = self.img;
+            self.rec_decision("call-kept", || {
+                vec![("callee".into(), callee_label(img, target))]
+            });
             Ok(Step::Continue(next))
         }
-    }
-
-    /// Human-readable callee label for decision events: symbol if known.
-    fn callee_label(&self, target: u64) -> String {
-        self.img
-            .symbol_at(target)
-            .unwrap_or_else(|| format!("{target:#x}"))
     }
 
     /// §III.G: "Calls configured to not be inlined are kept, generating
@@ -2048,7 +2038,7 @@ impl Tracer<'_> {
             if cx.w.rsp_off() != frame.rsp_at_call {
                 return Err(RewriteError::StackImbalance { addr });
             }
-            cx.w.cur_fn = frame.caller_fn;
+            cx.enter_fn(frame.caller_fn, self.opts_for(frame.caller_fn));
             self.elided();
             return Ok(Step::Continue(frame.ret_addr));
         }
@@ -2078,12 +2068,19 @@ impl Tracer<'_> {
     /// traced through.
     fn goto(&mut self, cx: &mut TraceCtx, target: u64, from: u64) -> Result<Step, RewriteError> {
         if target <= from {
-            let bid = self.enqueue(target, cx.w.clone(), false)?;
+            let bid = self.enqueue(target, &cx.w, false)?;
             Ok(Step::End(Terminator::Jmp(bid)))
         } else {
             Ok(Step::Continue(target))
         }
     }
+}
+
+/// Human-readable callee label for decision events: symbol if known. Takes
+/// the symbol table's lock and scans it, so only a recorder's closure calls it.
+fn callee_label(img: &brew_image::Image, target: u64) -> String {
+    img.symbol_at(target)
+        .unwrap_or_else(|| format!("{target:#x}"))
 }
 
 /// Can `c` be an immediate for a `w`-width integer instruction?

@@ -258,6 +258,7 @@ impl<'a> Rewriter<'a> {
         let mut blocks = std::mem::take(&mut tracer.blocks);
         let escaped = tracer.escaped;
         let mut stats = tracer.stats;
+        let (decodes, compares) = (tracer.decodes, tracer.compares);
         let read_set = tracer.read_set.take();
         drop(tracer);
         stats.trace_ns = t_trace.elapsed().as_nanos() as u64;
@@ -270,6 +271,11 @@ impl<'a> Rewriter<'a> {
                     ("blocks".into(), stats.blocks.to_string()),
                     ("guest_insts".into(), stats.traced.to_string()),
                     ("migrations".into(), stats.migrations.to_string()),
+                    // The tracer's deterministic work: one decode per
+                    // distinct address fetched, full world comparisons of
+                    // the variant search (`gates.rs::trace_*`).
+                    ("decodes".into(), decodes.to_string()),
+                    ("compares".into(), compares.to_string()),
                 ],
             );
         }

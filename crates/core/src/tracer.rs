@@ -2,13 +2,13 @@
 //! thresholds and world migration with compensation code (§III.F/G).
 
 use crate::capture::{BlockId, CapturedBlock, CapturedInst, RewriteStats, Terminator};
-use crate::config::RewriteConfig;
+use crate::config::{FuncOpts, RewriteConfig};
 use crate::error::RewriteError;
-use crate::value::Value;
+use crate::value::{FlagsVal, Value};
 use crate::world::{MaterializeSet, World};
 use brew_image::Image;
 use brew_x86::prelude::*;
-use brew_x86::WordMap;
+use brew_x86::{CodeTable, WordMap};
 use std::collections::VecDeque;
 use std::ops::Range;
 
@@ -23,7 +23,10 @@ pub(crate) struct Pending {
 pub(crate) struct TraceCtx {
     /// Current world (cloned from the block's entry world).
     pub w: World,
-    /// Captured output.
+    /// The options of `w.cur_fn`: looked up per block and where an inlined
+    /// call or return changes the function, never per instruction.
+    pub opts: FuncOpts,
+    /// Captured output (the tracer's one buffer, lent for the block).
     pub out: Vec<CapturedInst>,
     /// Has an emitted instruction written flags in this block yet?
     pub wrote_flags: bool,
@@ -31,23 +34,45 @@ pub(crate) struct TraceCtx {
     pub reads_flags_on_entry: bool,
 }
 
+impl TraceCtx {
+    /// Continue in function `f` (an inlined call or return) under its options.
+    pub fn enter_fn(&mut self, f: u64, opts: FuncOpts) {
+        self.w.cur_fn = f;
+        self.opts = opts;
+    }
+}
+
+/// One traced variant of a guest address. Identity is `(address, world)`;
+/// the digest is compared first and the world only when it matches.
+struct Variant {
+    digest: u64,
+    world_idx: usize,
+    block: BlockId,
+}
+
 /// The tracer: owns the image (for code + known-memory reads and literal
 /// pool allocation) for the duration of one rewrite.
 pub struct Tracer<'a> {
     pub(crate) img: &'a Image,
     pub(crate) cfg: &'a RewriteConfig,
+    /// `cfg.func_opts` under the word hasher: read per block, call and return.
+    func_opts: WordMap<u64, FuncOpts>,
     /// Known-memory ranges: config ranges + `PTR_TO_KNOWN` ranges.
     pub(crate) known_mem: Vec<Range<u64>>,
     pub(crate) blocks: Vec<CapturedBlock>,
     pub(crate) worlds: Vec<World>,
-    variants: WordMap<u64, Vec<(usize, BlockId)>>,
+    variants: WordMap<u64, Vec<Variant>>,
     queue: VecDeque<Pending>,
     pool8: WordMap<u64, u64>,
     pool16: WordMap<(u64, u64), u64>,
-    /// Every guest instruction decoded so far: an unrolled loop visits the
-    /// same few hundred addresses tens of thousands of times.
-    decoded: WordMap<u64, Decoded>,
+    /// Block output buffer, reused: a finished block takes an exact-size copy.
+    out_buf: Vec<CapturedInst>,
     pub(crate) stats: RewriteStats,
+    /// Deterministic work, reported on the `trace` span: guest instructions
+    /// decoded (one per distinct address fetched) and full world comparisons
+    /// made by the variant search.
+    pub(crate) decodes: u64,
+    pub(crate) compares: u64,
     /// Every known-memory load folded into a constant, recorded for the
     /// variant's staleness snapshot. `RefCell` because the fold sites sit
     /// on `&self` value-reading paths; the tracer is single-threaded per
@@ -69,6 +94,7 @@ impl<'a> Tracer<'a> {
         Tracer {
             img,
             cfg,
+            func_opts: cfg.func_opts.iter().map(|(&f, &o)| (f, o)).collect(),
             known_mem,
             blocks: Vec::new(),
             worlds: Vec::new(),
@@ -76,8 +102,10 @@ impl<'a> Tracer<'a> {
             queue: VecDeque::new(),
             pool8: WordMap::default(),
             pool16: WordMap::default(),
-            decoded: WordMap::default(),
+            out_buf: Vec::new(),
             stats: RewriteStats::default(),
+            decodes: 0,
+            compares: 0,
             read_set: std::cell::RefCell::new(crate::snapshot::ReadSet::default()),
             escaped: false,
             entry_fn: 0,
@@ -86,10 +114,21 @@ impl<'a> Tracer<'a> {
         }
     }
 
-    /// Record an instant decision event, if a recorder is attached.
-    pub(crate) fn rec_decision(&mut self, name: &'static str, args: Vec<(String, String)>) {
+    /// The options in effect for the function at `f`.
+    pub(crate) fn opts_for(&self, f: u64) -> FuncOpts {
+        let opts = self.func_opts.get(&f);
+        opts.copied().unwrap_or(self.cfg.default_opts)
+    }
+
+    /// Record an instant decision event, if a recorder is attached; `args`
+    /// runs only then (it formats, and may read the symbol table).
+    pub(crate) fn rec_decision(
+        &mut self,
+        name: &'static str,
+        args: impl FnOnce() -> Vec<(String, String)>,
+    ) {
         if let Some(r) = self.recorder.as_deref_mut() {
-            r.instant(name, "decision", args);
+            r.instant(name, "decision", args());
         }
     }
 
@@ -129,78 +168,102 @@ impl<'a> Tracer<'a> {
     /// Run the work queue to completion, starting from `entry` in `world`.
     pub(crate) fn run(&mut self, entry: u64, world: World) -> Result<BlockId, RewriteError> {
         self.entry_fn = entry;
-        let entry_block = self.enqueue(entry, world, false)?;
+        let entry_block = self.enqueue(entry, &world, false)?;
+        // Decoded guest code of this rewrite: an unrolled loop visits the
+        // same few hundred addresses tens of thousands of times. Held here,
+        // outside `self`, so a block executes from entries it borrows. Per
+        // rewrite: every publish bumps `Image::code_version`, so a table
+        // kept longer would be dropped by the request before it.
+        let mut code = CodeTable::default();
         while let Some(p) = self.queue.pop_front() {
-            self.trace_block(p)?;
+            self.trace_block(p, &mut code)?;
         }
+        self.decodes = code.len() as u64;
         Ok(entry_block)
+    }
+
+    /// The block of `(addr, world)` if it exists, and how many variants
+    /// `addr` has.
+    fn find_variant(&mut self, addr: u64, digest: u64, world: &World) -> (Option<BlockId>, usize) {
+        let Some(vs) = self.variants.get(&addr) else {
+            return (None, 0);
+        };
+        for v in vs.iter().filter(|v| v.digest == digest) {
+            self.compares += 1;
+            if self.worlds[v.world_idx] == *world {
+                return (Some(v.block), vs.len());
+            }
+        }
+        (None, vs.len())
     }
 
     /// Enqueue (or find) the block for `(addr, world)`; applies the variant
     /// threshold and world migration. `untrusted` marks edges whose runtime
-    /// flags may not match the abstract flags.
+    /// flags may not match the abstract flags. The world is cloned only
+    /// when a block is created for it.
     pub(crate) fn enqueue(
         &mut self,
         addr: u64,
-        mut world: World,
+        world: &World,
         mut untrusted: bool,
     ) -> Result<BlockId, RewriteError> {
         // Stale flags normalize to unknown-with-untrusted-edge: the block
         // may be shared, but only if it never reads flags on entry.
-        if matches!(world.flags, crate::value::FlagsVal::Stale) {
-            world.flags = crate::value::FlagsVal::Unknown;
+        let normalized;
+        let world = if matches!(world.flags, FlagsVal::Stale) {
             untrusted = true;
-        }
+            normalized = World {
+                flags: FlagsVal::Unknown,
+                ..world.clone()
+            };
+            &normalized
+        } else {
+            world
+        };
         // Exact world match → existing block.
-        if let Some(vs) = self.variants.get(&addr) {
-            for &(widx, bid) in vs {
-                if self.worlds[widx] == world {
-                    if untrusted {
-                        self.mark_untrusted(addr, bid)?;
-                    }
-                    return Ok(bid);
-                }
+        let digest = world.digest();
+        let (found, count) = self.find_variant(addr, digest, world);
+        if let Some(bid) = found {
+            if untrusted {
+                self.mark_untrusted(addr, bid)?;
             }
+            return Ok(bid);
         }
 
-        let opts = self.cfg.opts_for(world.cur_fn);
-        let count = self.variants.get(&addr).map_or(0, |v| v.len());
+        let opts = self.opts_for(world.cur_fn);
         if count < opts.max_variants as usize {
-            return self.create_block(addr, world, untrusted);
+            return self.create_block(addr, world.clone(), digest, untrusted);
         }
 
         // --- world migration (§III.F) ---
         self.stats.migrations += 1;
-        self.rec_decision(
-            "migration",
+        self.rec_decision("migration", || {
             vec![
                 ("addr".into(), format!("{addr:#x}")),
                 ("variants".into(), count.to_string()),
-            ],
-        );
+            ]
+        });
 
         // 1. Try an existing compatible variant, preferring the one needing
         //    the least compensation.
-        let mut best: Option<(usize, BlockId, usize)> = None;
-        let candidates: Vec<(usize, BlockId)> = self.variants[&addr].clone();
-        for (widx, bid) in &candidates {
-            let target = &self.worlds[*widx];
+        let cost = |p: &MaterializeSet| p.gprs.len() + p.xmms.len();
+        let mut best: Option<(&Variant, MaterializeSet)> = None;
+        for v in &self.variants[&addr] {
+            let target = &self.worlds[v.world_idx];
             if world.can_migrate_to(target) {
                 let plan = world.migration_plan(target);
-                let cost = plan.gprs.len() + plan.xmms.len();
-                if best.is_none_or(|(_, _, c)| cost < c) {
-                    best = Some((*widx, *bid, cost));
+                if best.as_ref().is_none_or(|(_, b)| cost(&plan) < cost(b)) {
+                    best = Some((v, plan));
                 }
             }
         }
-        if let Some((widx, bid, _)) = best {
-            let target = self.worlds[widx].clone();
+        if let Some((v, plan)) = best {
+            let (bid, target) = (v.block, &self.worlds[v.world_idx]);
             let edge_untrusted =
                 untrusted || (world.flags.known().is_some() && target.flags.known().is_none());
             if edge_untrusted {
                 self.mark_untrusted(addr, bid)?;
             }
-            let plan = world.migration_plan(&target);
             if plan.is_empty() {
                 return Ok(bid);
             }
@@ -210,47 +273,41 @@ impl<'a> Tracer<'a> {
         // 2. No compatible variant: demote toward the closest one and
         //    create the demoted variant (terminates at the fully demoted
         //    world, which every state can migrate to).
-        let closest_idx = candidates
+        let closest = self.variants[&addr]
             .iter()
-            .map(|(widx, _)| *widx)
-            .min_by_key(|&widx| world_distance(&world, &self.worlds[widx]))
+            .map(|v| &self.worlds[v.world_idx])
+            .min_by_key(|w| world_distance(world, w))
             .expect("threshold exceeded implies candidates exist");
-        let closest = self.worlds[closest_idx].clone();
-        let mut demoted = world.demote_toward(&closest);
-        if demoted == world || !world.can_migrate_to(&demoted) {
+        let mut demoted = world.demote_toward(closest);
+        if demoted == *world || !world.can_migrate_to(&demoted) {
             demoted = world.fully_demoted();
         }
-        if demoted == world {
+        if demoted == *world {
             // Already fully demoted and still no target: allow one variant
             // past the threshold (bounded by the hard cap in create_block).
-            return self.create_block(addr, world, untrusted);
+            return self.create_block(addr, demoted, digest, untrusted);
         }
         debug_assert!(world.can_migrate_to(&demoted));
         let edge_untrusted =
             untrusted || (world.flags.known().is_some() && demoted.flags.known().is_none());
         let plan = world.migration_plan(&demoted);
-        let rsp_off = world.rsp_off();
         // The demoted variant is the loop-closure anchor: reuse it if it
         // already exists, otherwise create it directly (it is exempt from
         // the soft threshold; the hard cap in create_block still applies).
-        let existing = self.variants.get(&addr).and_then(|vs| {
-            vs.iter()
-                .find(|(widx, _)| self.worlds[*widx] == demoted)
-                .map(|&(_, b)| b)
-        });
-        let bid = match existing {
+        let demoted_digest = demoted.digest();
+        let bid = match self.find_variant(addr, demoted_digest, &demoted).0 {
             Some(b) => {
                 if edge_untrusted {
                     self.mark_untrusted(addr, b)?;
                 }
                 b
             }
-            None => self.create_block(addr, demoted, edge_untrusted)?,
+            None => self.create_block(addr, demoted, demoted_digest, edge_untrusted)?,
         };
         if plan.is_empty() {
             return Ok(bid);
         }
-        self.compensation_block(&plan, rsp_off, bid)
+        self.compensation_block(&plan, world.rsp_off(), bid)
     }
 
     fn mark_untrusted(&mut self, addr: u64, bid: BlockId) -> Result<(), RewriteError> {
@@ -266,31 +323,36 @@ impl<'a> Tracer<'a> {
         &mut self,
         addr: u64,
         world: World,
+        digest: u64,
         untrusted: bool,
     ) -> Result<BlockId, RewriteError> {
         if self.blocks.len() >= self.cfg.max_blocks {
             return Err(RewriteError::BlockBudget);
         }
-        let opts = self.cfg.opts_for(world.cur_fn);
+        let opts = self.opts_for(world.cur_fn);
         let hard_cap = opts.max_variants as usize * 4 + 16;
-        let count = self.variants.get(&addr).map_or(0, |v| v.len());
-        if count >= hard_cap {
+        let variants = self.variants.entry(addr).or_default();
+        if variants.len() >= hard_cap {
             return Err(RewriteError::BlockBudget);
         }
-        let bid = BlockId(self.blocks.len());
+        let block = BlockId(self.blocks.len());
         let mut b = CapturedBlock::pending(addr);
         b.entered_untrusted = untrusted;
         self.blocks.push(b);
+        let world_idx = self.worlds.len();
         self.worlds.push(world);
-        let widx = self.worlds.len() - 1;
-        self.variants.entry(addr).or_default().push((widx, bid));
+        variants.push(Variant {
+            digest,
+            world_idx,
+            block,
+        });
         self.queue.push_back(Pending {
             addr,
-            world_idx: widx,
-            block: bid,
+            world_idx,
+            block,
         });
         self.stats.blocks += 1;
-        Ok(bid)
+        Ok(block)
     }
 
     /// Build a synthetic block holding materialization (compensation) code
@@ -330,20 +392,25 @@ impl<'a> Tracer<'a> {
         b.traced = true;
         self.blocks.push(b);
         self.stats.blocks += 1;
-        self.rec_decision(
-            "compensation",
+        self.rec_decision("compensation", || {
             vec![
                 ("target_block".into(), target.0.to_string()),
                 ("moves".into(), n_moves.to_string()),
-            ],
-        );
+            ]
+        });
         Ok(bid)
     }
 
-    fn trace_block(&mut self, p: Pending) -> Result<(), RewriteError> {
+    fn trace_block(
+        &mut self,
+        p: Pending,
+        code: &mut CodeTable<Decoded>,
+    ) -> Result<(), RewriteError> {
+        let w = self.worlds[p.world_idx].clone();
         let mut cx = TraceCtx {
-            w: self.worlds[p.world_idx].clone(),
-            out: Vec::new(),
+            opts: self.opts_for(w.cur_fn),
+            w,
+            out: std::mem::take(&mut self.out_buf),
             wrote_flags: false,
             reads_flags_on_entry: false,
         };
@@ -357,27 +424,17 @@ impl<'a> Tracer<'a> {
             self.budget -= 1;
             self.stats.traced += 1;
 
-            let d = match self.decoded.get(&rip) {
-                Some(d) => *d,
-                None => {
-                    let mut window = [0u8; 16];
-                    let n = self
-                        .img
-                        .code_window_into(rip, &mut window)
-                        .map_err(|_| RewriteError::BadAddress { addr: rip })?;
-                    let d = decode(&window[..n], rip)
-                        .map_err(|err| RewriteError::Undecodable { addr: rip, err })?;
-                    self.decoded.insert(rip, d);
-                    d
-                }
-            };
+            let img = self.img;
+            let d = code.get_or_decode(rip, || fetch(img, rip))?;
             match self.exec_inst(&mut cx, &d.inst, rip, rip + d.len as u64)? {
                 Step::Continue(next) => rip = next,
                 Step::End(t) => break t,
             }
         };
         let b = &mut self.blocks[p.block.0];
-        b.insts = std::mem::take(&mut cx.out);
+        b.insts = cx.out.as_slice().into();
+        cx.out.clear();
+        self.out_buf = cx.out;
         b.term = term;
         b.reads_flags_on_entry = cx.reads_flags_on_entry;
         b.traced = true;
@@ -401,6 +458,16 @@ impl<'a> Tracer<'a> {
         }
         Ok(())
     }
+}
+
+/// Fetch and decode the guest instruction at `addr`.
+#[cold]
+fn fetch(img: &Image, addr: u64) -> Result<Decoded, RewriteError> {
+    let mut window = [0u8; 16];
+    let n = img
+        .code_window_into(addr, &mut window)
+        .map_err(|_| RewriteError::BadAddress { addr })?;
+    decode(&window[..n], addr).map_err(|err| RewriteError::Undecodable { addr, err })
 }
 
 /// Step outcome of executing one traced instruction.
@@ -443,35 +510,121 @@ pub(crate) fn materialize_gpr_inst(r: Gpr, v: Value, rsp_off: i64) -> Result<Ins
     }
 }
 
-/// Rough distance between worlds for choosing a demotion anchor.
+/// Rough distance between worlds for choosing a demotion anchor: the
+/// registers, flags and frame slots that differ, and the global slots of `a`
+/// that `b` does not hold equal.
 fn world_distance(a: &World, b: &World) -> usize {
-    let mut d = 0;
-    for i in 0..16 {
-        if a.regs[i] != b.regs[i] {
-            d += 1;
-        }
-        if a.xmm[i] != b.xmm[i] {
-            d += 1;
-        }
+    (0..16).filter(|&i| a.regs[i] != b.regs[i]).count()
+        + (0..16).filter(|&i| a.xmm[i] != b.xmm[i]).count()
+        + (a.flags != b.flags) as usize
+        + a.frame.merge(&b.frame).filter(|(_, x, y)| x != y).count()
+        + (a.gshadow.merge(&b.gshadow))
+            .filter(|(_, x, y)| x.is_some() && x != y)
+            .count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::{InlineFrame, RegState, XmmState};
+    use brew_x86::cond::Flags;
+
+    const ADDR: u64 = 0x40_1000;
+
+    fn base_world() -> World {
+        let mut w = World::entry(ADDR);
+        w.set_reg(
+            Gpr::Rcx,
+            RegState {
+                val: Value::Const(7),
+                synced: true,
+            },
+        );
+        w
     }
-    if a.flags != b.flags {
-        d += 1;
-    }
-    for (k, v) in &a.frame {
-        if b.frame.get(k) != Some(v) {
-            d += 1;
+
+    /// Block identity is the world, not its digest: worlds that differ only
+    /// where the digest does not look — an xmm lane, a `synced` bit, the
+    /// flags, the inline stack — collide on it and still get a block each.
+    #[test]
+    fn worlds_the_digest_cannot_tell_apart_get_distinct_blocks() {
+        let base = base_world();
+        let mut lane = base.clone();
+        lane.set_xmm(
+            Xmm::Xmm3,
+            XmmState {
+                lanes: [Value::Const(1), Value::Unknown],
+                synced: false,
+            },
+        );
+        let mut synced = base.clone();
+        synced.regs[Gpr::Rcx.number() as usize].synced = false;
+        let mut flags = base.clone();
+        flags.flags = FlagsVal::Known(Flags::default());
+        let mut inlined = base.clone();
+        inlined.inline_stack.push(InlineFrame {
+            ret_addr: ADDR + 5,
+            rsp_at_call: 0,
+            caller_fn: ADDR,
+        });
+        let worlds = [base, lane, synced, flags, inlined];
+        assert!(worlds.iter().all(|w| w.digest() == worlds[0].digest()));
+
+        let (img, cfg) = (Image::new(), RewriteConfig::new());
+        let mut t = Tracer::new(&img, &cfg, Vec::new());
+        let enqueue_all = |t: &mut Tracer| -> Vec<BlockId> {
+            let ids = worlds.iter().map(|w| t.enqueue(ADDR, w, false).unwrap());
+            ids.collect()
+        };
+        let first = enqueue_all(&mut t);
+        for (i, a) in first.iter().enumerate() {
+            assert!(
+                !first[..i].contains(a),
+                "one block for two worlds: {first:?}"
+            );
         }
+        // Every digest matched, so every earlier variant was compared in full.
+        assert_eq!(t.compares, (0..5).sum::<u64>());
+        assert_eq!((t.blocks.len(), t.worlds.len()), (5, 5));
+        // The same worlds again find their own blocks and add nothing.
+        assert_eq!(enqueue_all(&mut t), first);
+        assert_eq!((t.blocks.len(), t.worlds.len(), t.queue.len()), (5, 5, 5));
+        // A world the digest does tell apart is found without a comparison.
+        let mut other = worlds[0].clone();
+        other.set_frame_slot(-8, Value::Const(1));
+        let before = t.compares;
+        assert!(!first.contains(&t.enqueue(ADDR, &other, false).unwrap()));
+        assert_eq!(t.compares, before);
     }
-    for (k, v) in &b.frame {
-        if !a.frame.contains_key(k) {
-            let _ = v;
-            d += 1;
-        }
+
+    /// A fork hands both arms the current world by reference: when both
+    /// blocks exist, nothing is cloned, stored or queued.
+    #[test]
+    fn a_fork_whose_arms_exist_allocates_no_world() {
+        let (img, cfg) = (Image::new(), RewriteConfig::new());
+        let mut t = Tracer::new(&img, &cfg, Vec::new());
+        let mut cx = TraceCtx {
+            w: base_world(),
+            opts: FuncOpts::default(),
+            out: Vec::new(),
+            wrote_flags: true,
+            reads_flags_on_entry: false,
+        };
+        let jcc = Inst::Jcc {
+            cond: Cond::E,
+            target: ADDR + 0x40,
+        };
+        let mut fork = |t: &mut Tracer| match t.exec_inst(&mut cx, &jcc, ADDR, ADDR + 2) {
+            Ok(Step::End(Terminator::Jcc { taken, fall, .. })) => (taken, fall),
+            _ => panic!("an unknown-flags jcc forks"),
+        };
+        let stored = |t: &Tracer| (t.worlds.len(), t.blocks.len(), t.queue.len());
+        let arms = fork(&mut t);
+        assert_ne!(arms.0, arms.1);
+        assert_eq!(stored(&t), (2, 2, 2));
+        let capacity = t.worlds.capacity();
+        assert_eq!(fork(&mut t), arms);
+        assert_eq!((stored(&t), t.worlds.capacity()), ((2, 2, 2), capacity));
+        assert_eq!(t.compares, 2, "one full comparison per arm found");
     }
-    for (k, v) in &a.gshadow {
-        if b.gshadow.get(k) != Some(v) {
-            d += 1;
-        }
-    }
-    d
 }

@@ -10,15 +10,16 @@
 //! currently holds that value — the `synced` bit that drives materialization
 //!/ compensation code), abstract flags, the shadow stack frame, the shadow
 //! of emitted global stores, and the inline call stack. Block identity is
-//! `(guest address, World)`; migration compares and demotes worlds.
+//! `(guest address, World)`, searched by [`World::digest`]; migration
+//! compares and demotes worlds.
 
 use crate::value::{FlagsVal, Value};
 use brew_x86::reg::{Gpr, Xmm};
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use brew_x86::WordHasher;
+use std::hash::Hasher;
 
 /// Abstract state of one general-purpose register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegState {
     /// Abstract value.
     pub val: Value,
@@ -37,7 +38,7 @@ impl RegState {
 }
 
 /// Abstract state of one SSE register (two 64-bit lanes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XmmState {
     /// Lane values (`[low, high]`); constants are raw f64 bit patterns.
     pub lanes: [Value; 2],
@@ -55,7 +56,7 @@ impl XmmState {
 
 /// One inlined activation (§III.E: "we maintain a shadow stack remembering
 /// traced call instructions and corresponding return addresses").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InlineFrame {
     /// Guest address to continue at after the callee's `ret`.
     pub ret_addr: u64,
@@ -63,6 +64,107 @@ pub struct InlineFrame {
     pub rsp_at_call: i64,
     /// Function the caller was in (its options are restored on return).
     pub caller_fn: u64,
+}
+
+/// Shadow slots by key (frame offset or global address): a vector sorted by
+/// key, one entry per key. A world holds a few dozen at most and is cloned,
+/// compared and walked against another world far more often than it is
+/// written, so a clone is one copy, `==` one slice compare, and the
+/// migration rules walk two of these in step ([`Slots::merge`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Slots<K>(Vec<(K, Value)>);
+
+impl<K> Default for Slots<K> {
+    fn default() -> Self {
+        Slots(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy> Slots<K> {
+    #[inline]
+    fn find(&self, k: K) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&k, |e| e.0)
+    }
+
+    /// The value at `k`, if the slot is tracked.
+    #[inline]
+    pub fn get(&self, k: K) -> Option<Value> {
+        self.find(k).ok().map(|i| self.0[i].1)
+    }
+
+    /// Is the slot at `k` tracked?
+    pub fn contains_key(&self, k: K) -> bool {
+        self.find(k).is_ok()
+    }
+
+    /// Track `v` at `k`, replacing what was there.
+    pub fn insert(&mut self, k: K, v: Value) {
+        match self.find(k) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (k, v)),
+        }
+    }
+
+    /// Keep the slots `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(K, Value) -> bool) {
+        self.0.retain(|&(k, v)| keep(k, v));
+    }
+
+    /// Every tracked value, in key order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        self.0.iter_mut().map(|e| &mut e.1)
+    }
+
+    /// The `(key, value)` pairs, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, Value)> + '_ {
+        self.0.iter().copied()
+    }
+
+    /// Both vectors walked in step: every key either tracks, in key order,
+    /// with the value each side holds there.
+    pub fn merge<'a>(&'a self, other: &'a Self) -> Merge<'a, K> {
+        Merge(&self.0, &other.0)
+    }
+}
+
+impl<K: Ord + Copy> FromIterator<(K, Value)> for Slots<K> {
+    /// The last value given for a key wins.
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let mut v: Vec<(K, Value)> = iter.into_iter().collect();
+        v.sort_by_key(|e| e.0); // stable: equal keys stay in the order given
+        v.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        Slots(v)
+    }
+}
+
+/// Iterator of [`Slots::merge`]: `(key, value in self, value in other)`.
+pub struct Merge<'a, K>(&'a [(K, Value)], &'a [(K, Value)]);
+
+impl<K: Ord + Copy> Iterator for Merge<'_, K> {
+    type Item = (K, Option<Value>, Option<Value>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = match (self.0.first(), self.1.first()) {
+            (None, None) => return None,
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+            (Some(a), Some(b)) => a.0.min(b.0),
+        };
+        let take = |side: &mut &[(K, Value)]| match side.first() {
+            Some(&(k, v)) if k == key => {
+                *side = &side[1..];
+                Some(v)
+            }
+            _ => None,
+        };
+        Some((key, take(&mut self.0), take(&mut self.1)))
+    }
 }
 
 /// The complete known-world state at a program point.
@@ -76,11 +178,11 @@ pub struct World {
     pub flags: FlagsVal,
     /// Shadow stack frame: 8-byte slots keyed by entry-RSP-relative offset.
     /// Absent means unknown (the stack is never declared known memory).
-    pub frame: BTreeMap<i64, Value>,
+    pub frame: Slots<i64>,
     /// Shadow of emitted stores to constant (global) addresses, 8-byte
     /// slots keyed by address. Absent means "original image bytes";
     /// `Unknown` means poisoned by a store we couldn't track.
-    pub gshadow: BTreeMap<u64, Value>,
+    pub gshadow: Slots<u64>,
     /// A frame address escaped into an emitted non-address computation or
     /// memory; unknown stores may now alias the frame.
     pub frame_escaped: bool,
@@ -98,8 +200,8 @@ impl World {
             regs: [RegState::UNKNOWN; 16],
             xmm: [XmmState::UNKNOWN; 16],
             flags: FlagsVal::Unknown,
-            frame: BTreeMap::new(),
-            gshadow: BTreeMap::new(),
+            frame: Slots::default(),
+            gshadow: Slots::default(),
             frame_escaped: false,
             inline_stack: Vec::new(),
             cur_fn: entry,
@@ -145,25 +247,18 @@ impl World {
 
     /// Read an 8-byte frame slot.
     pub fn frame_slot(&self, off: i64) -> Value {
-        self.frame.get(&off).copied().unwrap_or(Value::Unknown)
+        self.frame.get(off).unwrap_or(Value::Unknown)
     }
 
     /// Write an 8-byte frame slot.
     pub fn set_frame_slot(&mut self, off: i64, v: Value) {
-        match v {
-            Value::Unknown => {
-                self.frame.insert(off, Value::Unknown);
-            }
-            v => {
-                self.frame.insert(off, v);
-            }
-        }
+        self.frame.insert(off, v);
     }
 
     /// Forget every frame slot strictly below `off` (dead temp space after
     /// a non-inlined call returns).
     pub fn invalidate_frame_below(&mut self, off: i64) {
-        self.frame.retain(|&k, _| k >= off);
+        self.frame.retain(|k, _| k >= off);
     }
 
     /// Poison all tracked state an untracked store could alias: global
@@ -179,24 +274,33 @@ impl World {
         }
     }
 
-    /// Stable fingerprint for block-identity hashing (full equality is
-    /// verified separately against candidates).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.regs.hash(&mut h);
-        self.xmm.hash(&mut h);
-        self.flags.hash(&mut h);
-        for (k, v) in &self.frame {
-            k.hash(&mut h);
-            v.hash(&mut h);
+    /// What the tracer's variant search compares before it compares worlds:
+    /// a fold over the register values and the frame and global-shadow
+    /// slots — what tells the variants of one address apart in practice
+    /// (loop counters, induction addresses, spilled copies of both). Equal
+    /// worlds have equal digests; worlds that differ only elsewhere (an xmm
+    /// lane, a `synced` bit, the flags, the inline stack) collide, which
+    /// costs the search one full comparison and nothing else.
+    pub fn digest(&self) -> u64 {
+        fn word(v: Value) -> u64 {
+            match v {
+                Value::Unknown => 0,
+                Value::Const(c) => c ^ 0x9e37_79b9_7f4a_7c15,
+                Value::StackRel(o) => o as u64 ^ 0xc2b2_ae3d_27d4_eb4f,
+            }
         }
-        for (k, v) in &self.gshadow {
-            k.hash(&mut h);
-            v.hash(&mut h);
+        let mut h = WordHasher::default();
+        for r in &self.regs {
+            h.write_u64(word(r.val));
         }
-        self.frame_escaped.hash(&mut h);
-        self.inline_stack.hash(&mut h);
-        self.cur_fn.hash(&mut h);
+        // Keys are small multiples of 8: moved to the high half they meet
+        // the low bits of a value, one word per slot.
+        for (k, v) in self.frame.iter() {
+            h.write_u64((k as u64).rotate_left(32) ^ word(v));
+        }
+        for (k, v) in self.gshadow.iter() {
+            h.write_u64(k.rotate_left(32) ^ word(v));
+        }
         h.finish()
     }
 
@@ -209,10 +313,9 @@ impl World {
     /// knows must be known here with the same value. Stack depth, inline
     /// context and escape state must match exactly.
     pub fn can_migrate_to(&self, target: &World) -> bool {
-        if self.inline_stack != target.inline_stack
-            || self.cur_fn != target.cur_fn
+        if self.cur_fn != target.cur_fn
             || self.rsp_off() != target.rsp_off()
-            || (self.frame_escaped != target.frame_escaped)
+            || self.frame_escaped != target.frame_escaped
         {
             return false;
         }
@@ -222,70 +325,33 @@ impl World {
             (FlagsVal::Known(t), FlagsVal::Known(s)) if t == s => {}
             _ => return false,
         }
-        for i in 0..16 {
-            let (s, t) = (self.regs[i], target.regs[i]);
-            match t.val {
-                Value::Unknown => {}
-                tv => {
-                    if s.val != tv {
-                        return false;
-                    }
-                }
-            }
+        // A value the target knows and we do not hold. Registers and frame
+        // slots first: they are what tells the iterations of a loop apart,
+        // so most candidates of a migration are turned down here.
+        let conflict = |t: Value, s: Value| t.is_known() && s != t;
+        if (0..16).any(|i| conflict(target.regs[i].val, self.regs[i].val)) {
+            return false;
         }
-        for i in 0..16 {
-            let (s, t) = (&self.xmm[i], &target.xmm[i]);
-            for l in 0..2 {
-                match t.lanes[l] {
-                    Value::Unknown => {}
-                    tv => {
-                        if s.lanes[l] != tv {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        // Frame: absent == Unknown.
-        for (k, tv) in &target.frame {
-            if !matches!(tv, Value::Unknown) && self.frame_slot(*k) != *tv {
+        // Frame: absent == Unknown, so only what the target knows binds.
+        for (_, sv, tv) in self.frame.merge(&target.frame) {
+            if tv.is_some_and(|tv| conflict(tv, sv.unwrap_or(Value::Unknown))) {
                 return false;
             }
         }
-        for (k, sv) in &self.frame {
-            if !matches!(sv, Value::Unknown) {
-                // fine: target treats it as unknown or knows it equal
-                // (checked above); nothing to do.
-                let _ = k;
-            }
-        }
         // Global shadow: absent means "image bytes", which is NOT unknown —
-        // strict matching except target-poisoned entries.
-        for (k, tv) in &target.gshadow {
+        // strict matching except target-poisoned entries. A slot only we
+        // track is a mismatch even when poisoned: the target would fold
+        // reads from image bytes that may have been overwritten.
+        for (_, sv, tv) in self.gshadow.merge(&target.gshadow) {
             match tv {
-                Value::Unknown => {}
-                tv => {
-                    if self.gshadow.get(k) != Some(tv) {
-                        return false;
-                    }
-                }
+                Some(Value::Unknown) => {}
+                Some(tv) if sv == Some(tv) => {}
+                _ => return false,
             }
         }
-        for (k, sv) in &self.gshadow {
-            match target.gshadow.get(k) {
-                Some(_) => {} // handled above
-                None => {
-                    // Target assumed original bytes; we changed them.
-                    if !matches!(sv, Value::Unknown) {
-                        return false;
-                    }
-                    // Even poisoned is a mismatch: target would fold reads
-                    // from image bytes that may have been overwritten.
-                    return false;
-                }
-            }
-        }
-        true
+        let lanes = |w: &World, i: usize| w.xmm[i / 2].lanes[i % 2];
+        !(0..32).any(|i| conflict(lanes(target, i), lanes(self, i)))
+            && self.inline_stack == target.inline_stack
     }
 
     /// Registers that must be materialized when branching from `self` into
@@ -325,7 +391,21 @@ impl World {
     /// the rest to unknown (the paper's "migrate to a state where
     /// corresponding values become unknown").
     pub fn demote_toward(&self, closest: &World) -> World {
-        let mut w = self.clone();
+        // A slot keeps its value where both agree; the rest of ours, and
+        // every frame slot only `closest` tracks, is unknown.
+        fn agreed<K>((k, s, c): (K, Option<Value>, Option<Value>)) -> (K, Value) {
+            match s {
+                Some(v) if s == c => (k, v),
+                _ => (k, Value::Unknown),
+            }
+        }
+        let ours = self.gshadow.merge(&closest.gshadow);
+        let mut w = World {
+            frame: Slots(self.frame.merge(&closest.frame).map(agreed).collect()),
+            gshadow: Slots(ours.filter(|m| m.1.is_some()).map(agreed).collect()),
+            inline_stack: self.inline_stack.clone(),
+            ..*self
+        };
         for i in 0..16 {
             if i == Gpr::Rsp.number() as usize {
                 continue; // rsp stays tracked
@@ -341,21 +421,6 @@ impl World {
         }
         if w.flags != closest.flags {
             w.flags = FlagsVal::Unknown;
-        }
-        let keys: Vec<i64> = w.frame.keys().copied().collect();
-        for k in keys {
-            if w.frame.get(&k) != closest.frame.get(&k) {
-                w.frame.insert(k, Value::Unknown);
-            }
-        }
-        for (k, _) in closest.frame.iter() {
-            w.frame.entry(*k).or_insert(Value::Unknown);
-        }
-        let keys: Vec<u64> = w.gshadow.keys().copied().collect();
-        for k in keys {
-            if w.gshadow.get(&k) != closest.gshadow.get(&k) {
-                w.gshadow.insert(k, Value::Unknown);
-            }
         }
         w
     }
@@ -378,17 +443,12 @@ impl World {
         // Poison every global slot we ever stored to (absent would claim
         // "original bytes"); keep stack-relative slot values (saved frame
         // pointers of inlined activations).
-        for k in self.gshadow.keys() {
-            w.gshadow.insert(*k, Value::Unknown);
-        }
-        for (k, v) in &self.frame {
-            match v {
-                Value::StackRel(_) => {
-                    w.frame.insert(*k, *v);
-                }
-                _ => {
-                    w.frame.insert(*k, Value::Unknown);
-                }
+        w.gshadow = self.gshadow.clone();
+        w.gshadow.values_mut().for_each(|v| *v = Value::Unknown);
+        w.frame = self.frame.clone();
+        for v in w.frame.values_mut() {
+            if !matches!(v, Value::StackRel(_)) {
+                *v = Value::Unknown;
             }
         }
         w
@@ -425,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_values() {
+    fn digest_distinguishes_values() {
         let w1 = World::entry(0x400000);
         let mut w2 = w1.clone();
         w2.set_reg(
@@ -435,8 +495,8 @@ mod tests {
                 synced: true,
             },
         );
-        assert_ne!(w1.fingerprint(), w2.fingerprint());
-        assert_eq!(w1.fingerprint(), w1.clone().fingerprint());
+        assert_ne!(w1.digest(), w2.digest());
+        assert_eq!(w1.digest(), w1.clone().digest());
     }
 
     #[test]
@@ -560,7 +620,7 @@ mod tests {
         w.gshadow.insert(0x600000, Value::Const(5));
         w.frame.insert(-8, Value::Const(6));
         w.clobber_for_unknown_store();
-        assert_eq!(w.gshadow[&0x600000], Value::Unknown);
+        assert_eq!(w.gshadow.get(0x600000), Some(Value::Unknown));
         // Frame survives while not escaped.
         assert_eq!(w.frame_slot(-8), Value::Const(6));
         w.frame_escaped = true;

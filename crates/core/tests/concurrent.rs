@@ -277,35 +277,66 @@ fn request_outside_deferred_scope_is_synchronous() {
 /// that runs normally.
 #[test]
 fn run_deferred_after_unwound_scope_reports_lost_jobs_once() {
-    use brew_core::RewriteError;
+    use brew_core::{PublishRejection, RewriteError, RewriteResult};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{OnceLock, Weak};
     let (img, poly) = setup();
-    let mgr = SpecializationManager::new();
 
-    // Pin the single worker on a deliberately slow first job (a 5000-fold
-    // unrolled trace), queue quick ones behind it, then unwind out of the
-    // scope with `resume_unwind` — it skips the panic hook (message
-    // formatting, backtrace capture), so the unwinding close runs in
-    // microseconds while the worker is still mid-trace and the quick jobs
-    // are still queued to be counted as lost.
+    // Hold the single worker inside its first job until the unwind has
+    // emptied the queue: the publish gate of that job returns only once
+    // the quick jobs behind it are all queued (`armed`) and the queue is
+    // empty again — which, with the one worker in the gate, only the
+    // unwinding close can make it. A slow first job would not do: the
+    // tracer is fast enough to finish it inside one lost time slice.
+    let (armed, held) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let first = AtomicBool::new(true);
+    let this: Arc<OnceLock<Weak<SpecializationManager>>> = Arc::default();
+    let (gate_armed, gate_held, gate_this) = (armed.clone(), held.clone(), this.clone());
+    let gate = move |_: &Image, _: u64, _: &SpecRequest, _: &RewriteResult| {
+        if first.swap(false, Ordering::AcqRel) {
+            let mgr = gate_this.get().and_then(Weak::upgrade).expect("set below");
+            gate_held.store(true, Ordering::Release);
+            while !(gate_armed.load(Ordering::Acquire) && mgr.queue_depth() == 0) {
+                std::thread::yield_now();
+            }
+        }
+        Ok::<(), PublishRejection>(())
+    };
+    let mgr = Arc::new(
+        SpecializationManager::builder()
+            .publish_gate(Box::new(gate))
+            .build(),
+    );
+    this.set(Arc::downgrade(&mgr)).expect("set once");
+
+    // `resume_unwind` skips the panic hook (message formatting, backtrace
+    // capture); the quick jobs are still queued to be counted as lost.
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         mgr.run_deferred(&img, 1, || {
-            let _ = mgr.request(&img, poly, &poly_req(5000));
+            let _ = mgr.request(&img, poly, &poly_req(50));
+            while !held.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             for n in 2..12 {
                 let _ = mgr.request(&img, poly, &poly_req(n));
             }
+            armed.store(true, Ordering::Release);
             std::panic::resume_unwind(Box::new("scope dies with jobs queued"));
         })
         .unwrap();
     }));
     assert!(caught.is_err(), "the panic propagates out of run_deferred");
 
-    // The next scope reports the unwind as a typed error (don't pin the
-    // exact count — the worker may have drained some jobs pre-panic).
+    // The next scope reports the unwind as a typed error: every quick job
+    // was still queued, the worker being held in the first one.
     let err = mgr
         .run_deferred(&img, 1, || unreachable!("must not run after unwind"))
         .unwrap_err();
     assert!(
-        matches!(err, RewriteError::DeferredScopeUnwound { .. }),
+        matches!(err, RewriteError::DeferredScopeUnwound { lost: 10 }),
         "typed unwind error, got {err:?}"
     );
 

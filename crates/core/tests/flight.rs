@@ -205,6 +205,7 @@ fn manager_rcu_churn_with_concurrent_dumps() {
     let (img, poly) = setup();
     let mgr = SpecializationManager::new();
     let stop = AtomicBool::new(false);
+    let rewriters_done = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let dumper = s.spawn(|| {
@@ -238,10 +239,18 @@ fn manager_rcu_churn_with_concurrent_dumps() {
             })
             .collect();
         let invalidator = {
-            let (mgr, img) = (&mgr, &img);
+            let (mgr, img, rewriters_done) = (&mgr, &img, &rewriters_done);
             s.spawn(move || {
                 for round in 0..20 {
                     if round % 5 == 4 {
+                        // A clear retires what is resident: wait for a
+                        // publish, or the journal may never see a retire
+                        // (this thread can finish before any rewriter has
+                        // published). Nothing else empties the manager, so
+                        // only a finished rewriter set ends the wait early.
+                        while mgr.is_empty() && !rewriters_done.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
                         mgr.clear();
                     } else {
                         mgr.apply_invalidation(Invalidation::Revalidate(img));
@@ -253,6 +262,7 @@ fn manager_rcu_churn_with_concurrent_dumps() {
         for t in rewriters {
             t.join().unwrap();
         }
+        rewriters_done.store(true, Ordering::Release);
         invalidator.join().unwrap();
         stop.store(true, Ordering::Release);
         assert!(dumper.join().unwrap() > 0);

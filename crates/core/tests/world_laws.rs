@@ -1,12 +1,14 @@
 //! Property tests over the known-world state algebra (§III.F): the
-//! migration compatibility relation, demotion and fingerprinting must obey
-//! the laws the tracer's block-identity and loop-closure logic relies on.
+//! migration compatibility relation, demotion and the digest must obey the
+//! laws the tracer's block-identity and loop-closure logic relies on, and
+//! the slot vector under a world's shadows must behave as the map it is.
 
 use brew_core::value::{FlagsVal, Value};
-use brew_core::world::{RegState, World, XmmState};
+use brew_core::world::{RegState, Slots, World, XmmState};
 use brew_x86::cond::Flags;
 use brew_x86::reg::{Gpr, Xmm};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -72,9 +74,40 @@ proptest! {
         prop_assert!(w.migration_plan(&w).is_empty());
     }
 
+    /// Equal worlds ⇒ equal digests, however the equal world was built:
+    /// the tracer compares worlds only where digests match, so a digest
+    /// that moved with insertion order would fork blocks that are one.
     #[test]
-    fn equal_worlds_have_equal_fingerprints(w in arb_world()) {
-        prop_assert_eq!(w.fingerprint(), w.clone().fingerprint());
+    fn equal_worlds_have_equal_digests(w in arb_world()) {
+        let mut rebuilt = World::entry(w.cur_fn);
+        rebuilt.regs = w.regs;
+        rebuilt.xmm = w.xmm;
+        rebuilt.flags = w.flags;
+        for (k, v) in w.frame.iter().collect::<Vec<_>>().into_iter().rev() {
+            rebuilt.set_frame_slot(k, Value::Unknown);
+            rebuilt.set_frame_slot(k, v);
+        }
+        for (k, v) in w.gshadow.iter().collect::<Vec<_>>().into_iter().rev() {
+            rebuilt.gshadow.insert(k, v);
+        }
+        prop_assert_eq!(&rebuilt, &w);
+        prop_assert_eq!(rebuilt.digest(), w.digest());
+    }
+
+    /// The digest covers register values and shadow slots: changing one
+    /// changes it (up to a collision these small worlds do not produce).
+    #[test]
+    fn digest_sees_registers_and_slots(w in arb_world(), v in any::<u64>()) {
+        let fresh = Value::Const(v);
+        let mut r = w.clone();
+        r.set_reg(Gpr::Rcx, RegState { val: fresh, synced: false });
+        prop_assert_eq!(r.digest() == w.digest(), r.regs == w.regs);
+        let mut f = w.clone();
+        f.set_frame_slot(-8, fresh);
+        prop_assert_eq!(f.digest() == w.digest(), f.frame == w.frame);
+        let mut g = w.clone();
+        g.gshadow.insert(0x60_0000, fresh);
+        prop_assert_eq!(g.digest() == w.digest(), g.gshadow == w.gshadow);
     }
 
     #[test]
@@ -127,5 +160,82 @@ proptest! {
         source.set_reg(Gpr::Rcx, RegState { val: Value::Unknown, synced: true });
         target.set_reg(Gpr::Rcx, RegState { val: Value::Const(1), synced: false });
         prop_assert!(!source.can_migrate_to(&target));
+    }
+}
+
+/// One step of the slot-vector model test.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(i64, Value),
+    RetainAtLeast(i64),
+    PoisonAll,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        6 => (-8i64..8, arb_value()).prop_map(|(k, v)| Op::Insert(k * 8, v)),
+        1 => (-8i64..8).prop_map(|k| Op::RetainAtLeast(k * 8)),
+        1 => Just(Op::PoisonAll),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Slots` against `BTreeMap` under the operations the tracer uses:
+    /// insert/overwrite, get, `retain`, `values_mut`, iteration order, `==`
+    /// and `collect` (last value of a key wins).
+    #[test]
+    fn slots_behave_as_a_sorted_map(ops in proptest::collection::vec(arb_op(), 0..40)) {
+        let mut slots: Slots<i64> = Slots::default();
+        let mut model: BTreeMap<i64, Value> = BTreeMap::new();
+        let mut inserted = Vec::new();
+        for op in ops {
+            match op {
+                Op::Insert(k, v) => {
+                    slots.insert(k, v);
+                    model.insert(k, v);
+                    inserted.push((k, v));
+                }
+                Op::RetainAtLeast(lo) => {
+                    slots.retain(|k, _| k >= lo);
+                    model.retain(|&k, _| k >= lo);
+                    inserted.retain(|&(k, _)| k >= lo);
+                }
+                Op::PoisonAll => {
+                    slots.values_mut().for_each(|v| *v = Value::Unknown);
+                    model.values_mut().for_each(|v| *v = Value::Unknown);
+                    inserted.iter_mut().for_each(|e| e.1 = Value::Unknown);
+                }
+            }
+            let pairs: Vec<(i64, Value)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(slots.iter().collect::<Vec<_>>(), pairs);
+            for k in (-9..9).map(|k| k * 8) {
+                prop_assert_eq!(slots.get(k), model.get(&k).copied());
+                prop_assert_eq!(slots.contains_key(k), model.contains_key(&k));
+            }
+        }
+        // Built in one go from the same history (duplicates and all), and
+        // from the sorted pairs, it is the same vector.
+        prop_assert_eq!(&inserted.iter().copied().collect::<Slots<i64>>(), &slots);
+        prop_assert_eq!(&model.into_iter().collect::<Slots<i64>>(), &slots);
+    }
+
+    /// `merge` visits the union of both key sets once, in order, with each
+    /// side's value — what `can_migrate_to`, `demote_toward` and the
+    /// tracer's distance walk instead of one lookup per key.
+    #[test]
+    fn merge_walks_the_union_in_key_order(
+        a in proptest::collection::btree_map(-8i64..8, arb_value(), 0..8),
+        b in proptest::collection::btree_map(-8i64..8, arb_value(), 0..8),
+    ) {
+        let (sa, sb): (Slots<i64>, Slots<i64>) =
+            (a.clone().into_iter().collect(), b.clone().into_iter().collect());
+        let keys: std::collections::BTreeSet<i64> = a.keys().chain(b.keys()).copied().collect();
+        let want: Vec<_> = keys
+            .into_iter()
+            .map(|k| (k, a.get(&k).copied(), b.get(&k).copied()))
+            .collect();
+        prop_assert_eq!(sa.merge(&sb).collect::<Vec<_>>(), want);
     }
 }

@@ -6,7 +6,7 @@ use crate::state::CpuState;
 use brew_image::{Image, MemFault};
 use brew_x86::alu;
 use brew_x86::prelude::*;
-use brew_x86::WordMap;
+use brew_x86::CodeTable;
 use std::fmt;
 
 /// Sentinel return address marking the end of a harness call. Lives outside
@@ -127,110 +127,51 @@ struct Cached {
     stores: bool,
 }
 
-/// Bytes of guest code one offset table of the decode cache covers.
-const CODE_PAGE: u64 = 4096;
-
-/// Offset table of one code page: for each byte offset, 1 + the index in
-/// [`DecodeCache::entries`] of the instruction that starts there, 0 if none
-/// was decoded yet.
-type OffsetTable = [u32; CODE_PAGE as usize];
-
 /// Decoded instructions of one image at one code version.
-///
-/// Straight-line code stays on one page, so the common lookup is a compare
-/// against the current page and one indexed load; the page map is consulted
-/// only when control moves to a page other than the last two.
 struct DecodeCache {
     /// `(Image::uid, Image::code_version)` the entries were decoded at.
     key: (u64, u64),
-    entries: Vec<Cached>,
-    tables: Vec<OffsetTable>,
-    /// Code page number → its index in `tables`.
-    pages: WordMap<u64, u32>,
-    /// The two most recently executed pages, newest first: `(page, table)`.
-    recent: [(u64, u32); 2],
+    code: CodeTable<Cached>,
 }
-
-/// No address is on this page.
-const NO_PAGE: (u64, u32) = (u64::MAX, 0);
 
 impl DecodeCache {
     fn new() -> Self {
         DecodeCache {
             key: (0, u64::MAX),
-            entries: Vec::new(),
-            tables: Vec::new(),
-            pages: WordMap::default(),
-            recent: [NO_PAGE; 2],
+            code: CodeTable::default(),
         }
     }
 
-    /// The table of `page`, made the current one; `None` if nothing on the
-    /// page has been decoded.
+    /// The instruction at `addr`, decoded on first sight. Everything is
+    /// dropped first if `img` is not the image, or not at the code version,
+    /// the entries were decoded from.
     #[inline]
-    fn table(&mut self, page: u64) -> Option<usize> {
-        if self.recent[0].0 != page {
-            let t = if self.recent[1].0 == page {
-                self.recent[1].1
-            } else {
-                *self.pages.get(&page)?
-            };
-            self.recent = [(page, t), self.recent[0]];
-        }
-        Some(self.recent[0].1 as usize)
-    }
-
-    /// Index in `entries` of the instruction at `addr`, decoding it on
-    /// first sight. Everything is dropped first if `img` is not the image,
-    /// or not at the code version, the entries were decoded from.
-    #[inline]
-    fn lookup(&mut self, img: &Image, addr: u64) -> Result<usize, EmuError> {
+    fn lookup(&mut self, img: &Image, addr: u64) -> Result<&Cached, EmuError> {
         let key = (img.uid(), img.code_version());
         if key != self.key {
             self.key = key;
-            self.entries.clear();
-            self.tables.clear();
-            self.pages.clear();
-            self.recent = [NO_PAGE; 2];
+            self.code.clear();
         }
-        if let Some(t) = self.table(addr / CODE_PAGE) {
-            let slot = self.tables[t][(addr % CODE_PAGE) as usize];
-            if slot != 0 {
-                return Ok(slot as usize - 1);
-            }
-        }
-        self.decode(img, addr)
+        self.code.get_or_decode(addr, || fetch(img, addr))
     }
+}
 
-    #[cold]
-    fn decode(&mut self, img: &Image, addr: u64) -> Result<usize, EmuError> {
-        let mut window = [0u8; 16];
-        let n = img.code_window_into(addr, &mut window).map_err(|_| {
-            EmuError::Mem(MemFault {
-                addr,
-                size: 1,
-                write: false,
-            })
-        })?;
-        let d = decode(&window[..n], addr).map_err(|err| EmuError::Decode { addr, err })?;
-        // A page gets its table with its first instruction, so a stray jump
-        // into undecodable memory leaves nothing behind.
-        let page = addr / CODE_PAGE;
-        let t = self.table(page).unwrap_or_else(|| {
-            let t = self.tables.len();
-            self.tables.push([0; CODE_PAGE as usize]);
-            self.pages.insert(page, t as u32);
-            self.recent = [(page, t as u32), self.recent[0]];
-            t
-        });
-        self.entries.push(Cached {
-            loads: d.inst.mem_load().is_some(),
-            stores: d.inst.mem_store().is_some(),
-            d,
-        });
-        self.tables[t][(addr % CODE_PAGE) as usize] = self.entries.len() as u32;
-        Ok(self.entries.len() - 1)
-    }
+#[cold]
+fn fetch(img: &Image, addr: u64) -> Result<Cached, EmuError> {
+    let mut window = [0u8; 16];
+    let n = img.code_window_into(addr, &mut window).map_err(|_| {
+        EmuError::Mem(MemFault {
+            addr,
+            size: 1,
+            write: false,
+        })
+    })?;
+    let d = decode(&window[..n], addr).map_err(|err| EmuError::Decode { addr, err })?;
+    Ok(Cached {
+        loads: d.inst.mem_load().is_some(),
+        stores: d.inst.mem_store().is_some(),
+        d,
+    })
 }
 
 /// The virtual machine: CPU state + cost model + decode cache.
@@ -293,14 +234,13 @@ impl<'o> Machine<'o> {
     /// Execute one instruction at `cpu.rip`. Returns the cycles charged.
     pub fn step(&mut self, img: &Image, stats: &mut Stats) -> Result<(), EmuError> {
         let addr = self.cpu.rip;
-        let at = self.cache.lookup(img, addr)?;
         // Executed in place: the entry stays borrowed from the cache while
         // the body mutates `cpu`, a disjoint field.
         let Cached {
             d: Decoded { inst, len },
             loads,
             stores,
-        } = &self.cache.entries[at];
+        } = self.cache.lookup(img, addr)?;
         let cpu = &mut self.cpu;
         let next = addr + *len as u64;
         let mut new_rip = next;

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod alu;
+pub mod codetab;
 pub mod cond;
 pub mod decode;
 pub mod defuse;
@@ -46,5 +47,6 @@ pub mod prelude {
     pub use crate::reg::{Gpr, Width, Xmm};
 }
 
+pub use codetab::CodeTable;
 pub use hash::{WordBuild, WordHasher, WordMap, WordSet};
 pub use prelude::*;

@@ -90,32 +90,43 @@ stage_regalloc() {
     gates regalloc_ e2_
 }
 
-# No build: these files run once per instruction of every gated miss (tracer,
-# optimization passes, structural tier) or of every emulated call. Their maps
-# are keyed by guest addresses, registers, block indices and frame offsets the
-# program made itself, so they use brew_x86::WordMap/WordSet, a bitset or a
-# plain index; `HashMap::new()` and `HashSet::new()` exist only for the
-# default hasher.
+# These files run once per instruction of every gated miss (tracer, world,
+# optimization passes, structural tier) or of every emulated call (the code
+# table is under both). Their maps are keyed by guest addresses, registers,
+# block indices and frame offsets the program made itself, so they use
+# brew_x86::WordMap/WordSet, a bitset, a sorted vector or a plain index;
+# `HashMap::new()` and `HashSet::new()` exist only for the default hasher,
+# and a `BTreeMap` pays a tree walk per key where two of them are compared.
 stage_hotpath() {
-    for f in crates/core/src/tracer.rs crates/core/src/exec.rs \
+    for f in crates/core/src/tracer.rs crates/core/src/exec.rs crates/core/src/world.rs \
         crates/core/src/passes.rs crates/core/src/frame.rs crates/core/src/regalloc.rs \
         crates/core/src/dataflow/*.rs \
         crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs \
-        crates/emu/src/machine.rs; do
+        crates/x86/src/codetab.rs crates/emu/src/machine.rs; do
         # The eager oracle in mem.rs is test-only and keeps std's hasher on
         # purpose; everything from its `#[cfg(test)]` on is exempt.
-        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Hash\(Map\|Set\)::new()'; then
-            fail "default-hasher map on a per-instruction path in $f"
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Hash\(Map\|Set\)::new()\|BTreeMap::new()'; then
+            fail "default-hasher or tree map on a per-instruction path in $f"
         fi
     done
+    # `RewriteConfig::func_opts` is built in config.rs, out of the loop's
+    # sight, on the default hasher (its keys come with the request): the
+    # per-instruction dispatcher reads the options its `TraceCtx` carries.
+    if sed -n '/fn exec_inst(/,/^    }$/p' crates/core/src/exec.rs | grep -n 'opts_for'; then
+        fail "exec_inst looks options up per traced instruction"
+    fi
     # The image's page store sits under every guest load, store and fetch of
     # all of the above: a table of once-published atomic pages, no lock and
-    # no hash map. Only the symbol table (names from outside the process,
-    # never on an instruction's path) keeps its `RwLock<HashMap>`.
+    # no hash map. Only the symbol table keeps its `RwLock<HashMap>`: names
+    # from outside the process, read where a rewrite is explained or refused
+    # — the tracer resolves a callee's name only for an attached recorder.
     if sed '/^#\[cfg(test)\]/,$d' crates/image/src/lib.rs |
         grep -n 'HashMap\|RwLock' | grep -v 'symbol\|^[0-9]*:use std::'; then
         fail "lock or hash map outside the symbol table in crates/image/src/lib.rs"
     fi
+    # The same paths by their work: one decode per distinct address traced,
+    # full world comparisons only where a digest matches.
+    gates trace_
 }
 
 # benchmark/ is not a workspace member: nothing above compiles it, so a
