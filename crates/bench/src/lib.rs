@@ -28,10 +28,12 @@ pub use serve::{render_serve, serve_study, ServeReport, ServeRow, KEYS, SERVE_HE
 pub use tier::{render_tier, tier_study, TierPhase, TierReport, FPS, HEAD_MASS_PCT, HOT};
 pub use verify::{render_verify, verify_study, CleanRow, KindRow, VerifyV1Report};
 
+use brew_core::capture::{positions, reverse_postorder};
 use brew_core::{OptLevel, RetKind, Rewriter, SpecRequest};
 use brew_emu::{Machine, Stats};
 use brew_pgas::PgasArray;
 use brew_stencil::{programs, Stencil, Variant};
+use brew_verify::{ProofWork, VerifyOptions};
 
 /// Default experiment grid (the paper uses 500²×1000 wall-clock; the
 /// emulated substrate uses a smaller grid — ratios are the result).
@@ -313,16 +315,14 @@ fn trace_span(
     }
 }
 
-/// The tracer's work on the two traces that exercise its variant machinery:
-/// the §V.C sweep behind `makeDynamic`, unrolled until `max_variants = 16`
-/// migrates it (12×12, the benchmark's `unroll-cold` shape), and the
-/// whole-sweep rewrite at unroll 4.
-pub fn trace_work(xs: i64, ys: i64) -> Vec<TraceWork> {
-    let img = brew_image::Image::new();
-    let prog = brew_minic::compile_into(programs::MAKE_DYNAMIC_PROGRAM, &img).unwrap();
+/// The §V.C sweep behind `makeDynamic`, unrolled until `max_variants = 16`
+/// migrates it (12×12, the benchmark's `unroll-cold` shape): the program
+/// compiled into `img` and the request for its `sweep_dynamic_transformed`.
+fn unrolled_sweep(img: &brew_image::Image) -> (brew_minic::Compiled, SpecRequest) {
+    let prog = brew_minic::compile_into(programs::MAKE_DYNAMIC_PROGRAM, img).unwrap();
     let s5 = prog.global("s5").unwrap();
     let f = prog.func("sweep_dynamic_transformed").unwrap();
-    let unrolled = SpecRequest::new()
+    let req = SpecRequest::new()
         .unknown_int()
         .unknown_int()
         .known_int(12)
@@ -333,6 +333,14 @@ pub fn trace_work(xs: i64, ys: i64) -> Vec<TraceWork> {
         .func(f, |o| o.max_variants = 16)
         .max_trace_insts(16_000_000)
         .max_code_bytes(1 << 22);
+    (prog, req)
+}
+
+/// The tracer's work on the two traces that exercise its variant machinery:
+/// the unrolled §V.C sweep and the whole-sweep rewrite at unroll 4.
+pub fn trace_work(xs: i64, ys: i64) -> Vec<TraceWork> {
+    let img = brew_image::Image::new();
+    let (prog, unrolled) = unrolled_sweep(&img);
     let s = Stencil::new(xs, ys);
     vec![
         trace_span(
@@ -350,6 +358,57 @@ pub fn trace_work(xs: i64, ys: i64) -> Vec<TraceWork> {
             &s.sweep_request(4),
         ),
     ]
+}
+
+/// What the equivalence proof of one rewrite reported, beside the shape of
+/// the captured CFG it walked.
+#[derive(Debug, Clone)]
+pub struct ProofRow {
+    /// Workload label.
+    pub label: String,
+    /// Edges of the captured CFG into a block at or before their source in
+    /// reverse postorder: the edges that close a loop.
+    pub retreating: u64,
+    /// The proof's counters.
+    pub work: ProofWork,
+}
+
+/// [`ProofRow`] of one rewrite of `func`, which must prove.
+fn proof_row(img: &brew_image::Image, label: &str, func: u64, req: &SpecRequest) -> ProofRow {
+    let res = Rewriter::new(img).rewrite(func, req).expect("rewrite");
+    let report = brew_verify::verify(img, func, req, &res, &VerifyOptions::default());
+    assert!(report.passed(), "{label}: {:?}", report.findings);
+    let cap = res
+        .equiv
+        .as_ref()
+        .expect("a fresh rewrite keeps its capture");
+    let rpo = reverse_postorder(&cap.blocks, cap.entry_block);
+    let pos = &positions(&rpo, cap.blocks.len());
+    let retreating = rpo.iter().flat_map(|&b| {
+        let succs = cap.blocks[b].term.successors();
+        succs.filter(move |s| pos[s.0] <= pos[b])
+    });
+    ProofRow {
+        label: label.to_string(),
+        retreating: retreating.count() as u64,
+        work: report.proof,
+    }
+}
+
+/// The prover's work on the ten `corpus-cold` requests and on the unrolled
+/// §V.C sweep.
+pub fn proof_work() -> Vec<ProofRow> {
+    let img = brew_image::Image::new();
+    let cold = corpus::cold(&img);
+    let mut rows: Vec<ProofRow> = cold
+        .iter()
+        .map(|c| proof_row(&img, &c.label, c.func, &c.req))
+        .collect();
+    let img = brew_image::Image::new();
+    let (prog, req) = unrolled_sweep(&img);
+    let f = prog.func("sweep_dynamic_transformed").unwrap();
+    rows.push(proof_row(&img, "sweep_unrolled.12x12.v16", f, &req));
+    rows
 }
 
 /// A2's companion: instructions removed (by the slot allocator: converted)

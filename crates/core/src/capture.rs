@@ -106,6 +106,45 @@ impl CapturedBlock {
     }
 }
 
+/// The blocks reachable from `entry`, in reverse postorder: every block
+/// after all its predecessors, but for the edges that close a loop.
+pub fn reverse_postorder(blocks: &[CapturedBlock], entry: usize) -> Vec<usize> {
+    let n = blocks.len();
+    let succs = |b: usize| {
+        let it = blocks[b].term.successors();
+        it.map(|s| s.0).filter(move |&s| s < n)
+    };
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut stack = vec![(entry, succs(entry))];
+    seen[entry] = true;
+    while let Some((b, it)) = stack.last_mut() {
+        match it.next() {
+            Some(s) => {
+                if !std::mem::replace(&mut seen[s], true) {
+                    stack.push((s, succs(s)));
+                }
+            }
+            None => {
+                order.push(*b);
+                stack.pop();
+            }
+        }
+    }
+    order.reverse();
+    order
+}
+
+/// Where each of `n` blocks sits in `order`; `usize::MAX` for a block that
+/// is not in it.
+pub fn positions(order: &[usize], n: usize) -> Vec<usize> {
+    let mut pos = vec![usize::MAX; n];
+    for (i, &b) in order.iter().enumerate() {
+        pos[b] = i;
+    }
+    pos
+}
+
 /// Statistics of one rewrite, reported in [`crate::RewriteResult`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RewriteStats {

@@ -41,7 +41,7 @@
 //! the dead-code sweep that runs next (`liveness::eliminate_dead_code`).
 
 use super::cx::{bit, Kind, PassCx};
-use crate::capture::CapturedInst;
+use crate::capture::{positions, CapturedInst};
 use crate::exec::imm_for;
 use crate::tracer::materialize_gpr_inst;
 use crate::value::{alu_value, imul_value, shift_value, test_value, unop_value, FlagsVal, Value};
@@ -883,10 +883,7 @@ pub(crate) fn propagate_constants(cx: &mut PassCx) -> u64 {
     cx.solve();
     let n = cx.len();
     let order = std::mem::take(&mut cx.rpo);
-    let mut rpo = vec![usize::MAX; n];
-    for (i, &b) in order.iter().enumerate() {
-        rpo[b] = i;
-    }
+    let rpo = positions(&order, n);
     // A block with one incoming edge (from a reachable block) continues its
     // predecessor's extended basic block and inherits its identities; every
     // other reachable block heads one and starts from what all its incoming

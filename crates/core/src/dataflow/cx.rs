@@ -22,7 +22,7 @@
 //! costs.
 
 use super::liveness::{abi_ret, Live, LiveSet, SlotSet};
-use crate::capture::{CapturedBlock, CapturedInst, Terminator};
+use crate::capture::{reverse_postorder, CapturedBlock, CapturedInst, Terminator};
 use crate::config::RetKind;
 use crate::passes::OptLevel;
 use brew_x86::prelude::*;
@@ -586,7 +586,8 @@ impl<'a> PassCx<'a> {
             pred_list[fill[s] as usize] = i as u32;
             fill[s] += 1;
         }
-        let rpo = reverse_postorder(blocks);
+        let entry = blocks.iter().position(|b| b.is_entry);
+        let rpo = entry.map_or_else(Vec::new, |e| reverse_postorder(blocks, e));
         let mut reached = vec![false; n];
         rpo.iter().for_each(|&b| reached[b] = true);
         let unreached = (0..n).rev().filter(|&b| !reached[b]);
@@ -971,35 +972,4 @@ pub(crate) fn step_regs(live: &mut LiveSet, e: &Effect) {
         Kind::Plain => live.without(e.defs).union(e.reads),
         _ => LiveSet::ALL,
     };
-}
-
-/// The blocks reachable from the entry block, in reverse postorder.
-fn reverse_postorder(blocks: &[CapturedBlock]) -> Vec<usize> {
-    let Some(entry) = blocks.iter().position(|b| b.is_entry) else {
-        return Vec::new();
-    };
-    let n = blocks.len();
-    let succs = |b: usize| {
-        let it = blocks[b].term.successors();
-        it.map(|s| s.0).filter(move |&s| s < n)
-    };
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut stack = vec![(entry, succs(entry))];
-    seen[entry] = true;
-    while let Some((b, it)) = stack.last_mut() {
-        match it.next() {
-            Some(s) => {
-                if !std::mem::replace(&mut seen[s], true) {
-                    stack.push((s, succs(s)));
-                }
-            }
-            None => {
-                order.push(*b);
-                stack.pop();
-            }
-        }
-    }
-    order.reverse();
-    order
 }

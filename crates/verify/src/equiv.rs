@@ -23,8 +23,8 @@
 
 use crate::frame::{Digest, Frame};
 use crate::term::{cond_flags, Atom, FlagSrc, Tag, TermId, Terms};
-use crate::{Finding, Region, Rule, Severity, VerifyReport};
-use brew_core::capture::Terminator;
+use crate::{Finding, ProofWork, Region, Rule, Severity, VerifyReport};
+use brew_core::capture::{positions, reverse_postorder, Terminator};
 use brew_core::{EquivCapture, RetKind, RewriteResult, SpecRequest};
 use brew_image::Image;
 use brew_x86::alu::{AluOp, UnOp};
@@ -33,7 +33,7 @@ use brew_x86::inst::{Inst, ShiftCount, SseOp};
 use brew_x86::operand::{MemRef, Operand};
 use brew_x86::reg::{Gpr, Width};
 use brew_x86::WordMap;
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// Caller-saved integer registers (SysV): rax, rcx, rdx, rsi, rdi, r8-r11.
@@ -748,6 +748,8 @@ struct Prover<'a> {
     /// current streams are the ranges in its [`BlockPlan`].
     events: [Vec<Event>; 2],
     join: JoinScratch,
+    /// Counted as the proof goes.
+    work: ProofWork,
 }
 
 impl Prover<'_> {
@@ -779,6 +781,7 @@ impl Prover<'_> {
                 break;
             }
             w.exec(inst);
+            self.work.walked[side] += 1;
         }
         if !w.halted {
             if let Some(c) = branch {
@@ -1026,17 +1029,16 @@ pub(crate) fn check(
     }
 
     // Reachable captured blocks, in deterministic discovery order.
+    // Findings are reported in this order.
     let mut reach = vec![false; nblocks];
-    let mut order: Vec<usize> = Vec::new();
-    let mut bfs = VecDeque::new();
+    let mut order = vec![cap.entry_block];
     reach[cap.entry_block] = true;
-    bfs.push_back(cap.entry_block);
-    while let Some(b) = bfs.pop_front() {
-        order.push(b);
+    let mut next = 0;
+    while let Some(&b) = order.get(next) {
+        next += 1;
         for s in cap.blocks[b].term.successors() {
-            if !reach[s.0] {
-                reach[s.0] = true;
-                bfs.push_back(s.0);
+            if !std::mem::replace(&mut reach[s.0], true) {
+                order.push(s.0);
             }
         }
     }
@@ -1132,26 +1134,33 @@ pub(crate) fn check(
         out: [init.clone(), init.clone()],
         events: [Vec::new(), Vec::new()],
         join: JoinScratch::default(),
+        work: ProofWork {
+            blocks: order.len() as u64,
+            ..ProofWork::default()
+        },
     };
 
     // Joint fixpoint over (pre, post) states. A block is walked again after
     // every change to its entry state, so the event streams its last walk
-    // left behind are the ones its final entry state produces.
+    // left behind are the ones its final entry state produces. The pending
+    // block earliest in reverse postorder goes next: every predecessor that
+    // is not inside a loop with it has delivered by then, so a block outside
+    // a loop is walked once and a loop body once per change at its head.
+    let rpo = reverse_postorder(&cap.blocks, cap.entry_block);
+    let pos = positions(&rpo, nblocks);
     let mut states: Vec<Option<[SideState; 2]>> = (0..nblocks).map(|_| None).collect();
     let mut visits = vec![0u32; nblocks];
     states[cap.entry_block] = Some([init.clone(), init]);
-    let mut work: VecDeque<usize> = VecDeque::new();
-    work.push_back(cap.entry_block);
-    while let Some(b) = work.pop_front() {
+    let mut stuck = None;
+    let mut pending = BTreeSet::from([0]);
+    while let Some(at) = pending.pop_first() {
+        let b = rpo[at];
         visits[b] += 1;
         if visits[b] > 200 {
-            reject(
-                report,
-                res.entry,
-                format!("equivalence fixpoint did not converge at block {b}"),
-            );
-            return;
+            stuck = Some(b);
+            break;
         }
+        px.work.visits += 1;
         let (Some(plan), Some([spre, spost])) = (plans[b].as_mut(), states[b].as_ref()) else {
             continue;
         };
@@ -1170,18 +1179,29 @@ pub(crate) fn check(
                     true
                 }
                 Some(cur) => {
+                    px.work.joins += 1;
                     let out = [&px.out[0], &px.out[1]];
                     join(&mut px.terms, &mut px.join, cur, out, s as u32)
                 }
             };
             if changed {
-                work.push_back(s);
+                pending.insert(pos[s]);
             }
         }
     }
+    px.work.terms = px.terms.len() as u64;
+    report.proof = px.work;
+    if let Some(b) = stuck {
+        reject(
+            report,
+            res.entry,
+            format!("equivalence fixpoint did not converge at block {b}"),
+        );
+        return;
+    }
 
     #[cfg(test)]
-    tests::check_retained_streams(&mut px, cap, region, &plans, &states, &visits);
+    tests::check_retained_streams(&mut px, cap, region, &plans, &states);
 
     // With stable per-block entry states, compare the observable event
     // streams of the two sides block by block.
@@ -1220,6 +1240,7 @@ mod tests {
     use super::*;
     use crate::frame::fresh;
     use crate::frame::tests::{value_pool, ByteFrame};
+    use crate::term::Node;
     use crate::{verify, VerifyOptions};
     use brew_core::Rewriter;
     use brew_x86::alu::ShOp;
@@ -1227,8 +1248,8 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Most visits the fixpoint of the last proof paid to one block.
-        static MAX_VISITS: Cell<u32> = const { Cell::new(0) };
+        /// Phi atoms the joins of the last proof interned.
+        static PHIS: Cell<usize> = const { Cell::new(0) };
     }
 
     /// Runs inside every proof a unit test makes: the streams each block's
@@ -1241,9 +1262,9 @@ mod tests {
         region: &Region,
         plans: &[Option<BlockPlan>],
         states: &[Option<[SideState; 2]>],
-        visits: &[u32],
     ) {
-        MAX_VISITS.with(|m| m.set(visits.iter().copied().max().unwrap_or(0)));
+        let is_phi = |t: &usize| matches!(px.terms.get(*t as TermId), Node::Atom(Atom::Phi { .. }));
+        PHIS.with(|p| p.set((0..px.terms.len()).filter(is_phi).count()));
         for (b, (plan, st)) in plans.iter().zip(states).enumerate() {
             let (Some(plan), Some([spre, spost])) = (plan, st) else {
                 continue;
@@ -1265,18 +1286,29 @@ mod tests {
         }
     }
 
-    fn proves_with_revisits(img: &Image, func: u64, req: &SpecRequest, what: &str) {
+    /// The work of proving the rewrite of `func` under `req`.
+    fn proves(img: &Image, func: u64, req: &SpecRequest, what: &str) -> ProofWork {
         let res = Rewriter::new(img).rewrite(func, req).expect(what);
         let report = verify(img, func, req, &res, &VerifyOptions::default());
         assert!(report.passed(), "{what}: {:?}", report.findings);
+        report.proof
+    }
+
+    fn proves_with_revisits(img: &Image, func: u64, req: &SpecRequest, what: &str) {
+        let w = proves(img, func, req, what);
         assert!(
-            MAX_VISITS.with(Cell::get) > 1,
+            w.visits > w.blocks,
             "{what}: no block was walked twice, the test proves nothing"
         );
     }
 
+    fn unknown_ints(n: usize) -> SpecRequest {
+        let req = SpecRequest::new().ret(RetKind::Int);
+        (0..n).fold(req, |r, _| r.unknown_int())
+    }
+
     #[test]
-    fn retained_streams_equal_a_fresh_walk_on_multi_visit_cfgs() {
+    fn retained_streams_equal_a_fresh_walk_where_a_loop_is_walked_again() {
         // The kept `gsum` loop: world migration closes it, its head joins.
         let pg = brew_pgas::PgasArray::new(64, 4, 0);
         let gsum = pg.prog.func("gsum").unwrap();
@@ -1287,16 +1319,10 @@ mod tests {
         let sweep = st.prog.func("sweep_generic").unwrap();
         proves_with_revisits(&st.img, sweep, &st.sweep_request(4), "sweep_generic.u4");
 
-        // Forks that meet again, and a loop with an unknown trip count.
+        // A loop with an unknown trip count.
         let img = Image::new();
         let prog = brew_minic::compile_into(
             r#"
-            int clamp(int x, int lo, int hi) {
-                int r = x;
-                if (x < lo) r = lo;
-                if (x > hi) r = hi;
-                return r;
-            }
             int sum(int* p, int n) {
                 int s = 0;
                 for (int i = 0; i < n; i++) s += p[i];
@@ -1306,24 +1332,53 @@ mod tests {
             &img,
         )
         .unwrap();
-        let unknown3 = SpecRequest::new()
-            .unknown_int()
-            .unknown_int()
-            .unknown_int()
-            .ret(RetKind::Int);
-        let clamp = prog.func("clamp").unwrap();
-        let forks = unknown3.func(clamp, |o| o.max_variants = 1);
-        proves_with_revisits(&img, clamp, &forks, "clamp forks");
         let sum = prog.func("sum").unwrap();
-        let looped = SpecRequest::new()
-            .unknown_int()
-            .unknown_int()
-            .ret(RetKind::Int)
-            .func(sum, |o| {
-                o.branch_unknown = true;
-                o.max_variants = 2;
-            });
+        let looped = unknown_ints(2).func(sum, |o| {
+            o.branch_unknown = true;
+            o.max_variants = 2;
+        });
         proves_with_revisits(&img, sum, &looped, "sum loop");
+    }
+
+    #[test]
+    fn forks_that_meet_again_are_walked_once_and_still_join() {
+        let img = Image::new();
+        let prog = brew_minic::compile_into(
+            r#"
+            int clamp(int x, int lo, int hi) {
+                int r = x;
+                if (x < lo) r = lo;
+                if (x > hi) r = hi;
+                return r;
+            }
+            "#,
+            &img,
+        )
+        .unwrap();
+        let clamp = prog.func("clamp").unwrap();
+        let forks = unknown_ints(3).func(clamp, |o| o.max_variants = 1);
+        let w = proves(&img, clamp, &forks, "clamp forks");
+        // Both arms of a fork deliver before the block they meet in is
+        // walked; what they disagree on still becomes a phi there.
+        assert_eq!(w.visits, w.blocks, "{w:?}");
+        assert!(w.joins > 0 && PHIS.with(Cell::get) > 0, "{w:?}");
+    }
+
+    #[test]
+    fn a_chain_of_meets_is_walked_once_per_block() {
+        for k in 1..=6 {
+            let ifs: String = (0..k)
+                .map(|i| format!("if (x > {}) r = r + {};\n", 10 * i, i + 1))
+                .collect();
+            let src = format!("int chain(int x) {{ int r = x;\n{ifs}return r; }}");
+            let img = Image::new();
+            let prog = brew_minic::compile_into(&src, &img).unwrap();
+            let chain = prog.func("chain").unwrap();
+            let req = unknown_ints(1).func(chain, |o| o.max_variants = 1);
+            let w = proves(&img, chain, &req, "chain");
+            assert!(w.joins >= k - 1, "k = {k}: the ifs no longer meet: {w:?}");
+            assert_eq!(w.visits, w.blocks, "k = {k}: {w:?}");
+        }
     }
 
     // ---- lazy flags ---------------------------------------------------------
@@ -1364,6 +1419,7 @@ mod tests {
                 out: [self.st.clone(), self.st.clone()],
                 events: [Vec::new(), Vec::new()],
                 join: JoinScratch::default(),
+                work: ProofWork::default(),
             };
             px.walk(0, 0, &self.st, insts.iter(), branch);
             self.terms = px.terms;
@@ -1471,7 +1527,7 @@ mod tests {
         assert_eq!(cur[0].r[FLAGS + 1], cur[1].r[FLAGS + 1]);
         assert!(matches!(
             left.terms.get(cur[0].r[FLAGS + 1]),
-            crate::term::Node::Atom(Atom::Phi { block: 7, .. })
+            Node::Atom(Atom::Phi { block: 7, .. })
         ));
         // ...and the successor's branch reads the phi.
         left.st = cur[0].clone();

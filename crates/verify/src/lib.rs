@@ -193,6 +193,24 @@ pub struct VerifyReport {
     pub findings: Vec<Finding>,
     /// Instructions successfully re-decoded.
     pub insts: usize,
+    /// What the equivalence proof took; zero where it did not run.
+    pub proof: ProofWork,
+}
+
+/// The deterministic work of one equivalence proof, counted as it goes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProofWork {
+    /// Captured blocks reachable from the entry.
+    pub blocks: u64,
+    /// Block walks of the joint fixpoint: `blocks`, plus one per change to
+    /// the entry state of a block already walked.
+    pub visits: u64,
+    /// Instructions executed symbolically: captured side, emitted side.
+    pub walked: [u64; 2],
+    /// Out states joined into an entry state that already existed.
+    pub joins: u64,
+    /// Terms interned.
+    pub terms: u64,
 }
 
 impl VerifyReport {

@@ -190,11 +190,17 @@ pub(crate) struct Terms {
 }
 
 impl Terms {
-    /// An arena sized for a proof over `insts` emitted instructions: the
-    /// corpus interns 0.7 to 1.2 terms per emitted instruction beyond the
-    /// entry state's hundred.
+    /// An arena sized for a proof over `insts` emitted instructions. Past
+    /// the entry state's 55 atoms the corpus interns 1.0 to 1.4 terms per
+    /// emitted instruction on the two kept loops (`sweep_generic.u4`,
+    /// `gsum.64`), 0.6 and 0.3 on the unrolled sweeps (12×12, 24×24), whose
+    /// bodies repeat, and 2 to 6 on kernels of at most 150 instructions,
+    /// which stay under 700 terms; a quarter as many linear-sum parts as
+    /// terms. Half a term per instruction over a floor holds both unrolled
+    /// sweeps and the seven kernels of at most 50 instructions as sized;
+    /// `madd.48` and the kept loops double once or twice, index included.
     pub fn with_capacity(insts: usize) -> Terms {
-        let n = insts + 128;
+        let n = 192 + insts / 2;
         Terms {
             nodes: Vec::with_capacity(n),
             parts: Vec::with_capacity(n / 4),
@@ -208,7 +214,6 @@ impl Terms {
     }
 
     /// Interned terms so far.
-    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.nodes.len()
     }

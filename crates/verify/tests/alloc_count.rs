@@ -110,17 +110,18 @@ fn a_proof_allocates_per_proof_not_per_operand() {
     let st = brew_stencil::Stencil::new(16, 16);
     let apply = st.prog.func("apply").expect("apply");
     let n = proof_allocations(&st.img, apply, &st.apply_request(), "apply");
-    // 144 captured + 31 emitted instructions over 6 blocks; the prover this
-    // replaced made 2 647 allocations here, about 9 per walked instruction.
-    assert!(n <= 60, "apply: {n} allocations in one proof");
+    // 144 captured + 31 emitted instructions over 6 blocks: 29 measured, the
+    // bound is twice that. The first prover made 2 647 allocations here,
+    // about 9 per walked instruction.
+    assert!(n <= 58, "apply: {n} allocations in one proof");
 
     let sweep = st.prog.func("sweep_generic").expect("sweep_generic");
     let req = st.sweep_request(4);
     let n = proof_allocations(&st.img, sweep, &req, "sweep_generic.u4");
-    // 1 489 + 734 instructions over 82 blocks, loop heads joined again and
-    // again: 49 127 before. Two entry states per block are most of what is
-    // left.
-    assert!(n <= 600, "sweep_generic.u4: {n} allocations in one proof");
+    // 1 489 + 734 instructions over 82 blocks, three of them walked twice:
+    // 208 measured, 49 127 in the first prover. Two entry states per block
+    // are most of what is left.
+    assert!(n <= 416, "sweep_generic.u4: {n} allocations in one proof");
 }
 
 fn structural(

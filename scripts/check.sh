@@ -91,10 +91,11 @@ stage_regalloc() {
 }
 
 # These files run once per instruction of every gated miss (tracer, world,
-# optimization passes, structural tier) or of every emulated call (the code
-# table is under both). Their maps are keyed by guest addresses, registers,
-# block indices and frame offsets the program made itself, so they use
-# brew_x86::WordMap/WordSet, a bitset, a sorted vector or a plain index;
+# optimization passes, structural tier, equivalence proof) or of every
+# emulated call (the code table is under both). Their maps are keyed by guest
+# addresses, registers, block indices and frame offsets the program made
+# itself, so they use brew_x86::WordMap/WordSet, a bitset, a sorted vector or
+# a plain index;
 # `HashMap::new()` and `HashSet::new()` exist only for the default hasher,
 # and a `BTreeMap` pays a tree walk per key where two of them are compared.
 stage_hotpath() {
@@ -102,6 +103,7 @@ stage_hotpath() {
         crates/core/src/passes.rs crates/core/src/frame.rs crates/core/src/regalloc.rs \
         crates/core/src/dataflow/*.rs \
         crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs \
+        crates/verify/src/equiv.rs crates/verify/src/term.rs crates/verify/src/frame.rs \
         crates/x86/src/codetab.rs crates/emu/src/machine.rs; do
         # The eager oracle in mem.rs is test-only and keeps std's hasher on
         # purpose; everything from its `#[cfg(test)]` on is exempt.
@@ -109,6 +111,12 @@ stage_hotpath() {
             fail "default-hasher or tree map on a per-instruction path in $f"
         fi
     done
+    # The proof's fixpoint takes its pending blocks lowest reverse-postorder
+    # position first, each pending once; a FIFO walks a block once per
+    # predecessor that changed it.
+    if sed '/^#\[cfg(test)\]/,$d' crates/verify/src/equiv.rs | grep -n 'VecDeque'; then
+        fail "a FIFO in the equivalence proof (crates/verify/src/equiv.rs)"
+    fi
     # `RewriteConfig::func_opts` is built in config.rs, out of the loop's
     # sight, on the default hasher (its keys come with the request): the
     # per-instruction dispatcher reads the options its `TraceCtx` carries.
