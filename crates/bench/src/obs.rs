@@ -46,14 +46,14 @@ pub struct ObsReport {
 /// 1. The stencil: `apply` is specialized through a
 ///    [`SpecializationManager`] (miss), re-requested (hits) and traced
 ///    once more with span recording for the explain report. The
-///    manager's registry picks all of it up with **no sink attached**.
+///    manager's always-on registry picks all of it up.
 /// 2. A polynomial kernel: three variants are cached, chained into a
 ///    *self-counting* dispatcher, and a skewed 200-call stream is
 ///    replayed through both the plain and the counting stub — same
 ///    stream, so the cycle delta is the counting overhead, and the
 ///    counter page must sum to exactly the call count.
 pub fn obs_study(xs: i64, ys: i64) -> ObsReport {
-    // --- stencil through the manager (registry fed, no sink) ---
+    // --- stencil through the manager (registry fed) ---
     let s = Stencil::new(xs, ys);
     let apply = s.prog.func("apply").expect("apply");
     let mgr = SpecializationManager::new();

@@ -75,7 +75,7 @@ pub enum RewriteError {
         /// The first finding, rendered for operators.
         first: String,
     },
-    /// `run_deferred`/`deferred_scope` was entered while another deferred
+    /// `run_deferred` was entered while another deferred
     /// scope on the same manager is still open — nesting scopes would
     /// let the inner scope's drop close the queue under the outer one,
     /// silently dropping its jobs.

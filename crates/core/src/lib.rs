@@ -50,8 +50,12 @@
 //!
 //! For many specializations of the same code base, drive the rewriter
 //! through [`manager::SpecializationManager`]: it memoizes variants by
-//! request fingerprint, bounds cached code with cost-aware LRU eviction
-//! and emits guarded multi-variant dispatch stubs.
+//! request fingerprint, bounds cached code with cost-aware LRU eviction,
+//! emits guarded multi-variant dispatch stubs, and checkpoints its
+//! variants to bytes ([`SpecializationManager::save_variant_bytes_report`],
+//! [`SpecializationManager::load_variant_bytes`]). Every decision it takes
+//! lands in two places, its [`MetricsRegistry`] and its
+//! [`FlightRecorder`] journal.
 
 #![warn(missing_docs)]
 
@@ -82,10 +86,9 @@ pub use guard::{
     GuardCase,
 };
 pub use manager::{
-    CacheKey, CacheStats, DecayedThreshold, DeferredConfig, Dispatch, Event, EventSink,
-    Invalidation, LoadReport, ManagerBuilder, NegativePolicy, PublishGate, PublishRejection,
-    RecordingSink, SaveReport, SpecializationManager, TickSummary, TierAction, TieringConfig,
-    TieringPolicy, Variant,
+    CacheKey, CacheStats, Dispatch, Invalidation, LoadReport, ManagerBuilder, NegativePolicy,
+    PublishGate, PublishRejection, SaveReport, SpecializationManager, TickSummary, TieringConfig,
+    Variant,
 };
 pub use passes::OptLevel;
 pub use persist::{PersistError, PersistedVariant};

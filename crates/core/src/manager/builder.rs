@@ -1,84 +1,64 @@
 //! `ManagerBuilder` — the one construction surface for
 //! [`SpecializationManager`].
 //!
-//! Five PRs accreted five independent knobs onto the manager: a byte
-//! budget, a shard count, a negative-cache policy, an event sink and a
-//! publish gate — each with its own constructor variant or post-hoc
-//! setter, in three different styles (`with_*` consuming, `set_*` interior
-//! mutability). The builder replaces all of them with one fluent chain and
-//! typed config structs, and is the only way to enable the adaptive
-//! tiering layer:
+//! Four knobs, each one a value some caller sets: the byte budget, the
+//! negative-cache policy, adaptive tiering and the publish gate. Shard
+//! count and flight-journal capacity are constants, the deferred worker
+//! count is an argument of each `run_deferred` scope, and persistence is
+//! bytes in, bytes out — a caller that wants a file owns the file.
 //!
 //! ```
-//! use brew_core::manager::{DeferredConfig, SpecializationManager, TieringConfig};
+//! use brew_core::manager::{NegativePolicy, PublishRejection, SpecializationManager, TieringConfig};
+//! use brew_core::{RewriteResult, SpecRequest};
+//! use brew_image::Image;
 //!
 //! let mgr = SpecializationManager::builder()
 //!     .budget(64 * 1024)
-//!     .shards(8)
+//!     .negative_policy(NegativePolicy { base_backoff: 4, attempt_cap: 8 })
 //!     .tiering(TieringConfig::default())
-//!     .deferred(DeferredConfig { workers: 2 })
+//!     .publish_gate(Box::new(
+//!         |_: &Image, _: u64, _: &SpecRequest, _: &RewriteResult| -> Result<(), PublishRejection> {
+//!             Ok(())
+//!         },
+//!     ))
 //!     .build();
 //! assert_eq!(mgr.budget_bytes(), 64 * 1024);
 //! ```
 
 use super::negative::{NegativeCache, NegativePolicy};
 use super::shards::{ShardedCache, DEFAULT_SHARDS};
-use super::tiering::{DecayedThreshold, Tiering, TieringConfig, TieringPolicy};
+use super::tiering::{Tiering, TieringConfig};
 use super::worker::JobQueue;
-use super::{EventSink, InflightTable, PublishGate, SpecializationManager};
+use super::{InflightTable, PublishGate, SpecializationManager};
 use crate::telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use crate::telemetry::{FlightRecorder, MetricsRegistry, SymbolTable};
 use brew_image::layout;
-use std::sync::{Arc, Mutex, RwLock};
-
-/// Deferred-mode configuration: how many scoped worker threads a
-/// [`SpecializationManager::deferred_scope`] attaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeferredConfig {
-    /// Background rewrite workers per deferred scope (minimum 1).
-    pub workers: usize,
-}
-
-impl Default for DeferredConfig {
-    fn default() -> Self {
-        DeferredConfig { workers: 2 }
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// Builder for [`SpecializationManager`]; see the module docs. Obtain one
 /// via [`SpecializationManager::builder`], finish with
 /// [`build`](ManagerBuilder::build).
 pub struct ManagerBuilder {
     budget_bytes: usize,
-    shards: usize,
     negative: NegativePolicy,
-    deferred: DeferredConfig,
-    tiering: Option<(TieringConfig, Option<Box<dyn TieringPolicy>>)>,
-    sink: Option<Box<dyn EventSink>>,
+    tiering: Option<TieringConfig>,
     gate: Option<Box<dyn PublishGate>>,
-    persist_path: Option<std::path::PathBuf>,
-    flight_capacity: usize,
 }
 
 impl Default for ManagerBuilder {
     fn default() -> Self {
         ManagerBuilder {
             budget_bytes: (layout::JIT_SIZE / 4) as usize,
-            shards: DEFAULT_SHARDS,
             negative: NegativePolicy::default(),
-            deferred: DeferredConfig::default(),
             tiering: None,
-            sink: None,
             gate: None,
-            persist_path: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
 
 impl ManagerBuilder {
     /// A builder with every knob at its default (budget = a quarter of
-    /// the JIT segment, default shards, no sink, no gate, no tiering).
+    /// the JIT segment, no gate, no tiering).
     pub fn new() -> Self {
         Self::default()
     }
@@ -89,44 +69,16 @@ impl ManagerBuilder {
         self
     }
 
-    /// Number of cache shards (rounded up to a power of two). The
-    /// negative cache uses the same count.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Tune the negative cache (backoff base, attempt cap).
     pub fn negative_policy(mut self, policy: NegativePolicy) -> Self {
         self.negative = policy;
         self
     }
 
-    /// Configure deferred mode (worker count for
-    /// [`SpecializationManager::deferred_scope`]).
-    pub fn deferred(mut self, cfg: DeferredConfig) -> Self {
-        self.deferred = cfg;
-        self
-    }
-
-    /// Enable adaptive tiering with the default [`DecayedThreshold`]
-    /// policy reading its thresholds from `cfg`.
+    /// Enable adaptive tiering; `cfg` is both the heat mechanics and the
+    /// policy (`TieringConfig::decide`: thresholds, hysteresis, cooldown).
     pub fn tiering(mut self, cfg: TieringConfig) -> Self {
-        self.tiering = Some((cfg, None));
-        self
-    }
-
-    /// Enable adaptive tiering with a custom policy. `cfg` still supplies
-    /// the decay factor applied at every tick.
-    pub fn tiering_policy(mut self, cfg: TieringConfig, policy: Box<dyn TieringPolicy>) -> Self {
-        self.tiering = Some((cfg, Some(policy)));
-        self
-    }
-
-    /// Attach an event sink from the start — no events can be missed
-    /// between construction and a post-hoc setter call.
-    pub fn event_sink(mut self, sink: Box<dyn EventSink>) -> Self {
-        self.sink = Some(sink);
+        self.tiering = Some(cfg);
         self
     }
 
@@ -134,23 +86,6 @@ impl ManagerBuilder {
     /// `gate` before it becomes visible.
     pub fn publish_gate(mut self, gate: Box<dyn PublishGate>) -> Self {
         self.gate = Some(gate);
-        self
-    }
-
-    /// Default variant-persistence file for
-    /// [`SpecializationManager::warm_start`] /
-    /// [`SpecializationManager::checkpoint`]. Setting a path does not by
-    /// itself read or write anything — persistence stays explicit.
-    pub fn persist_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.persist_path = Some(path.into());
-        self
-    }
-
-    /// Capacity (in events, rounded up to a power of two) of the flight
-    /// recorder's ring journal. The default keeps the last
-    /// [`DEFAULT_FLIGHT_CAPACITY`] manager events.
-    pub fn flight_capacity(mut self, events: usize) -> Self {
-        self.flight_capacity = events;
         self
     }
 
@@ -163,7 +98,7 @@ impl ManagerBuilder {
     /// the layer flap or never forget, so they are construction errors,
     /// not runtime surprises.
     pub fn build(self) -> SpecializationManager {
-        let tiering = self.tiering.map(|(cfg, policy)| {
+        let tiering = self.tiering.map(|cfg| {
             assert!(
                 cfg.demote_heat < cfg.promote_heat,
                 "tiering config: demote_heat ({}) must be below promote_heat ({})",
@@ -175,8 +110,7 @@ impl ManagerBuilder {
                 "tiering config: decay ({}) must be in (0, 1)",
                 cfg.decay
             );
-            let policy = policy.unwrap_or_else(|| Box::new(DecayedThreshold::new(cfg)));
-            Tiering::new(cfg, policy)
+            Tiering::new(cfg)
         });
         // The cache holds a clone of the registry so the epoch machinery
         // can count snapshot publications/reclamations without a back
@@ -185,22 +119,20 @@ impl ManagerBuilder {
         // The cache also holds a clone of the flight recorder so the
         // epoch machinery can journal snapshot publish/reclaim from
         // inside the shard writers.
-        let flight = Arc::new(FlightRecorder::new(self.flight_capacity));
+        let flight = Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY));
         SpecializationManager {
-            cache: ShardedCache::new(self.shards, Arc::clone(&metrics), Arc::clone(&flight)),
-            negative: NegativeCache::new(self.shards, self.negative),
+            cache: ShardedCache::new(DEFAULT_SHARDS, Arc::clone(&metrics), Arc::clone(&flight)),
+            negative: NegativeCache::new(DEFAULT_SHARDS, self.negative),
             inflight: InflightTable::default(),
             queue: JobQueue::new(),
             budget_bytes: self.budget_bytes,
-            deferred_cfg: self.deferred,
             tiering,
             metrics,
             flight,
             symbols: Arc::new(SymbolTable::new()),
             last_panic: Mutex::new(None),
-            sink: RwLock::new(self.sink),
-            gate: RwLock::new(self.gate),
-            persist_path: self.persist_path,
+            stubs: Mutex::new(Default::default()),
+            gate: self.gate,
         }
     }
 }
@@ -222,17 +154,21 @@ mod tests {
     fn knobs_apply() {
         let m = SpecializationManager::builder()
             .budget(4096)
-            .shards(2)
             .negative_policy(NegativePolicy {
                 base_backoff: 1,
                 attempt_cap: 3,
             })
-            .deferred(DeferredConfig { workers: 4 })
             .tiering(TieringConfig::default())
+            .publish_gate(Box::new(
+                |_: &brew_image::Image,
+                 _: u64,
+                 _: &crate::SpecRequest,
+                 _: &crate::RewriteResult| Ok(()),
+            ))
             .build();
         assert_eq!(m.budget_bytes(), 4096);
         assert!(m.tiering.is_some());
-        assert_eq!(m.deferred_cfg.workers, 4);
+        assert!(m.gate.is_some());
     }
 
     #[test]

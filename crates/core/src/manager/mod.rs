@@ -38,17 +38,16 @@
 //!   original. The stub is emitted fresh at a new address from a snapshot
 //!   of the cache, so rebuilding while other threads publish variants is
 //!   safe — callers swap the returned pointer in whole.
-//! - **Observability** — hits/misses/evictions plus the concurrency
-//!   counters (coalesced, deferred, published) and per-phase rewrite
-//!   timings are streamed to a pluggable [`EventSink`], which must be
-//!   `Send + Sync` because events now come from many threads.
-//!   Independently of any sink, every decision is written once, through
-//!   the decision table in [`crate::telemetry::table`], into a lock-free
+//! - **Observability** — every decision (hit, miss, coalesced, deferred,
+//!   published, evicted, denied, promoted, …) is written once, by one
+//!   `note(kind, words)` call, through the decision table in
+//!   [`crate::telemetry::table`]: into the lock-free
 //!   [`crate::telemetry::MetricsRegistry`] (shared via
-//!   [`metrics`](SpecializationManager::metrics)) and the flight journal,
-//!   so counters, gauges and rewrite-phase histograms are *always*
-//!   populated — an absent sink no longer means silent event loss.
-//!   [`CacheStats`] is a view over that registry.
+//!   [`metrics`](SpecializationManager::metrics)) and into the flight
+//!   journal ([`flight`](SpecializationManager::flight)). Those two are
+//!   the only outputs; a hit costs one registry fold and one journal
+//!   record, and takes no lock. [`CacheStats`] is a view over the
+//!   registry.
 //! - **Negative caching** — a failed rewrite is memoized per key (see
 //!   [`negative`]): repeats of the same doomed request are *denied* at
 //!   shard-lookup cost instead of re-tracing to rediscover the failure,
@@ -75,21 +74,24 @@
 //!   [`ManagerBuilder::tiering`] closes the counter → specialization
 //!   loop: [`tick`](SpecializationManager::tick) reads dispatch-stub
 //!   [`CounterPage`]s and cache hit counts into decayed per-key heat
-//!   scores and lets a [`TieringPolicy`] promote hot fingerprints
+//!   scores and lets `TieringConfig::decide` promote hot fingerprints
 //!   (enqueue their rewrite), demote cold resident variants (reclaim
 //!   budget ahead of LRU pressure) and gate re-specialization after
 //!   invalidation. See the [`tiering`] module docs for the state machine.
-//! - **Panic containment** — the trace/encode pipeline runs under
-//!   `catch_unwind` on both the synchronous and worker paths; a panic
-//!   becomes [`RewriteError::Internal`], is negatively cached like any
-//!   other failure, and fails one request instead of killing the worker
-//!   pool or poisoning the shared state. All manager locks recover from
-//!   poisoning for the same reason.
+//! - **Panic containment** — the trace/encode pipeline and the publish
+//!   gate run under `catch_unwind` on both the synchronous and worker
+//!   paths; a panic becomes [`RewriteError::Internal`], is negatively
+//!   cached like any other failure, and fails one request instead of
+//!   killing the worker pool or poisoning the shared state. Each worker
+//!   job runs under a second `catch_unwind`, so whatever still escapes
+//!   fails that job alone. All manager locks recover from poisoning for
+//!   the same reason.
 //!
-//! Construction goes through [`ManagerBuilder`] (one fluent chain, typed
-//! config structs).
+//! Construction goes through [`ManagerBuilder`]: budget, negative policy,
+//! tiering, publish gate.
 
 mod builder;
+mod checkpoint;
 mod inflight;
 pub mod negative;
 mod shards;
@@ -99,7 +101,6 @@ mod worker;
 use crate::capture::RewriteStats;
 use crate::error::RewriteError;
 use crate::guard::{self, CounterPage, GuardCase};
-use crate::persist::{self, PersistError, PersistedVariant};
 use crate::request::SpecRequest;
 use crate::snapshot::KnownSnapshot;
 use crate::telemetry::flight::{milli, FlightKind};
@@ -107,8 +108,9 @@ use crate::telemetry::{
     self, metrics::Ctr, metrics::Gge, metrics::Hst, FlightRecorder, MetricsRegistry, SymbolTable,
 };
 use crate::{OptLevel, Rewriter};
-use brew_image::{Image, SegKind};
-pub use builder::{DeferredConfig, ManagerBuilder};
+use brew_image::Image;
+pub use builder::ManagerBuilder;
+pub use checkpoint::{LoadReport, SaveReport};
 use inflight::{InflightTable, Join};
 pub use negative::NegativePolicy;
 use negative::{NegativeCache, Verdict};
@@ -116,14 +118,14 @@ use shards::ShardedCache;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use tiering::Tiering;
-pub use tiering::{DecayedThreshold, TickSummary, TierAction, TieringConfig, TieringPolicy};
+use std::sync::{Arc, Mutex, PoisonError};
+pub use tiering::{TickSummary, TieringConfig};
+use tiering::{TierAction, Tiering};
 use worker::{Enqueue, Job, JobQueue};
 
 /// Recover the guard from a poisoned lock. Panics are contained at the
-/// rewrite boundary, but a sink or hook can still panic while a manager
-/// lock is held; all manager-internal state is consistent between
+/// rewrite boundary, but one can still escape while a manager lock is
+/// held; all manager-internal state is consistent between
 /// statements, so serving the next caller beats wedging everyone.
 fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
@@ -193,7 +195,7 @@ pub struct CacheStats {
     /// Misses answered with the original entry while the rewrite was
     /// queued for a background worker.
     pub deferred: u64,
-    /// Variants published by background workers — `Published` events less
+    /// Variants published by background workers — `PUBLISHED` records less
     /// the warm-start loads, which announce themselves the same way (a load
     /// in progress is subtracted when it finishes).
     pub published: u64,
@@ -223,162 +225,6 @@ pub struct CacheStats {
     pub panics_contained: u64,
     /// Live entries in the negative cache.
     pub negative_entries: usize,
-}
-
-/// One manager event, streamed to the [`EventSink`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A request was answered from the cache.
-    Hit {
-        /// Original function.
-        func: u64,
-        /// Cached specialized entry.
-        entry: u64,
-    },
-    /// A request missed; this thread leads the rewrite (or fails).
-    Miss {
-        /// Original function.
-        func: u64,
-    },
-    /// A request found the same rewrite already in flight on another
-    /// thread and subscribed to its result.
-    Coalesced {
-        /// Original function.
-        func: u64,
-    },
-    /// A miss in deferred mode: the rewrite was queued and the caller was
-    /// answered with the original entry.
-    Deferred {
-        /// Original function.
-        func: u64,
-    },
-    /// A rewrite completed and its variant was inserted.
-    Rewritten {
-        /// Original function.
-        func: u64,
-        /// New specialized entry.
-        entry: u64,
-        /// Emitted code size in bytes.
-        code_len: usize,
-        /// Per-phase timings and counters of the rewrite.
-        stats: RewriteStats,
-    },
-    /// A background worker completed a deferred rewrite; the variant is
-    /// now visible to every subsequent request.
-    Published {
-        /// Original function.
-        func: u64,
-        /// New specialized entry.
-        entry: u64,
-    },
-    /// A variant was evicted under byte-budget pressure.
-    Evicted {
-        /// Original function.
-        func: u64,
-        /// Evicted specialized entry.
-        entry: u64,
-        /// Its code size in bytes.
-        code_len: usize,
-    },
-    /// A dispatch stub over cached variants was emitted.
-    DispatcherBuilt {
-        /// Original function (the fall-through target).
-        func: u64,
-        /// Stub entry address.
-        entry: u64,
-        /// Number of variants chained.
-        variants: usize,
-    },
-    /// A request was denied from the negative cache: the same key already
-    /// failed and is inside its backoff window (or past the attempt cap).
-    Denied {
-        /// Original function.
-        func: u64,
-        /// Failed attempts memoized for the key so far.
-        attempts: u32,
-    },
-    /// [`Invalidation::Revalidate`] found a variant whose folded
-    /// known-memory bytes no longer match its snapshot. Always followed
-    /// by an `Invalidated` event for the same variant.
-    Stale {
-        /// Original function.
-        func: u64,
-        /// The stale specialized entry.
-        entry: u64,
-    },
-    /// A variant was dropped by invalidation; subsequent requests miss
-    /// and re-specialize against current data.
-    Invalidated {
-        /// Original function.
-        func: u64,
-        /// The dropped specialized entry.
-        entry: u64,
-    },
-    /// The tiering layer promoted a hot non-resident fingerprint: its
-    /// rewrite was enqueued (or, outside a deferred scope, run inline).
-    Promoted {
-        /// Original function.
-        func: u64,
-        /// Request fingerprint being specialized.
-        fingerprint: u64,
-        /// The heat score that crossed the promote threshold.
-        heat: f64,
-    },
-    /// The tiering layer demoted a cold resident variant: it was removed
-    /// from the cache, reclaiming its byte-budget share.
-    Demoted {
-        /// Original function.
-        func: u64,
-        /// Request fingerprint of the demoted variant.
-        fingerprint: u64,
-        /// The heat score that fell below the demote threshold.
-        heat: f64,
-        /// Code bytes reclaimed from the resident set.
-        code_len: usize,
-    },
-    /// Invalidation found a stale variant hot enough to re-specialize:
-    /// its rewrite was re-enqueued without the original caller's help.
-    Respecialized {
-        /// Original function.
-        func: u64,
-        /// Request fingerprint being re-specialized.
-        fingerprint: u64,
-        /// The heat score that cleared the re-specialization bar.
-        heat: f64,
-    },
-}
-
-/// Receiver for manager [`Event`]s — plug in a logger, a metrics counter,
-/// or the `tables` amortization report. Events may arrive concurrently
-/// from many threads; per-thread the stream is ordered, globally it is
-/// only as ordered as the underlying races.
-pub trait EventSink: Send + Sync {
-    /// Called once per event.
-    fn event(&self, ev: &Event);
-}
-
-/// Buffering sink collecting every event; handy in tests and reports.
-#[derive(Debug, Default)]
-pub struct RecordingSink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl RecordingSink {
-    /// Copy of everything received so far.
-    pub fn snapshot(&self) -> Vec<Event> {
-        unpoison(self.events.lock()).clone()
-    }
-
-    /// Drain and return everything received so far.
-    pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *unpoison(self.events.lock()))
-    }
-}
-
-impl EventSink for RecordingSink {
-    fn event(&self, ev: &Event) {
-        unpoison(self.events.lock()).push(ev.clone());
-    }
 }
 
 /// Why a publish gate refused a variant.
@@ -498,46 +344,6 @@ impl Dispatch {
     }
 }
 
-/// What [`SpecializationManager::save_variants`] wrote — and, just as
-/// important, what it could *not* write. Per-entry problems never abort
-/// the save (persistence is best-effort on save, strict on load), but
-/// they are never silent either: every non-written entry is accounted
-/// here, failures are counted in `brew_persist_save_failed_total` (each
-/// with a `SAVE_FAIL` flight event) and unportable variants in
-/// `brew_persist_save_unportable_total` (and the `SAVE` event).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SaveReport {
-    /// Variants serialized into the checkpoint.
-    pub written: usize,
-    /// Variants skipped because their entry address is not in this
-    /// image's JIT segment (a foreign image — legitimately not ours).
-    pub skipped: usize,
-    /// Variants whose code read-back failed even though their entry is
-    /// in this image's JIT segment — a genuine per-entry I/O error.
-    pub failed: usize,
-    /// Variants the format cannot carry: their code reads constants from a
-    /// literal pool in the image's data segment (`stats.pool_bytes > 0`),
-    /// and a checkpoint holds code bytes only. Warm-started, such a variant
-    /// would pass every load check and compute with zeros, so it is not
-    /// written; its key cold-starts in the next process.
-    pub unportable: usize,
-    /// Total checkpoint size in bytes.
-    pub bytes: usize,
-}
-
-/// What [`SpecializationManager::load_variants`] did with each persisted
-/// entry: re-verified-and-published, or rejected with a typed reason.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadReport {
-    /// Entries that survived every load check (including the publish
-    /// gate) and are now resident.
-    pub published: usize,
-    /// Rejected entries as `(func, fingerprint, why)`; entries whose
-    /// checksum failed decode as `(0, 0, why)` because nothing inside
-    /// them can be trusted, not even the key.
-    pub rejected: Vec<(u64, u64, PersistError)>,
-}
-
 /// How a request was ultimately satisfied (internal).
 enum Outcome {
     Hit,
@@ -555,16 +361,17 @@ pub struct SpecializationManager {
     inflight: InflightTable,
     queue: JobQueue,
     budget_bytes: usize,
-    deferred_cfg: DeferredConfig,
     tiering: Option<Tiering>,
     metrics: Arc<MetricsRegistry>,
     flight: Arc<FlightRecorder>,
     symbols: Arc<SymbolTable>,
     /// Rendered flight dump captured by the most recent contained panic.
     last_panic: Mutex<Option<String>>,
-    sink: RwLock<Option<Box<dyn EventSink>>>,
-    gate: RwLock<Option<Box<dyn PublishGate>>>,
-    persist_path: Option<std::path::PathBuf>,
+    /// Per counting stub (by its counter page's base address): the
+    /// fingerprint behind each case, in the stub's case order — what
+    /// [`profile_dispatcher`](Self::profile_dispatcher) attributes by.
+    stubs: Mutex<HashMap<u64, Vec<u64>>>,
+    gate: Option<Box<dyn PublishGate>>,
 }
 
 impl Default for SpecializationManager {
@@ -584,14 +391,13 @@ impl SpecializationManager {
         Self::builder().build()
     }
 
-    /// The one construction surface: a [`ManagerBuilder`] with typed
-    /// config structs for budget, shards, negative caching, deferred mode
-    /// and adaptive tiering.
+    /// The one construction surface: a [`ManagerBuilder`] for budget,
+    /// negative caching, adaptive tiering and the publish gate.
     pub fn builder() -> ManagerBuilder {
         ManagerBuilder::new()
     }
 
-    /// The always-on metrics registry every manager event is folded into.
+    /// The always-on metrics registry every manager decision is folded into.
     /// Clone the `Arc` to export from another thread (e.g. a Prometheus
     /// scrape endpoint) while the manager keeps recording.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
@@ -617,16 +423,6 @@ impl SpecializationManager {
     /// at containment time. `None` until a panic has been contained.
     pub fn last_panic_dump(&self) -> Option<String> {
         unpoison(self.last_panic.lock()).clone()
-    }
-
-    /// Detach and return the current sink.
-    pub fn take_sink(&self) -> Option<Box<dyn EventSink>> {
-        unpoison(self.sink.write()).take()
-    }
-
-    /// Detach and return the current publish gate.
-    pub fn take_publish_gate(&self) -> Option<Box<dyn PublishGate>> {
-        unpoison(self.gate.write()).take()
     }
 
     /// Aggregated counters, read off the metrics registry and the caches
@@ -681,30 +477,9 @@ impl SpecializationManager {
 
     /// Record one decision: the counters its [`FlightKind`] row lists
     /// and the flight journal, together — the only place the manager
-    /// writes either.
+    /// writes either, and the only channel a decision has.
     fn note(&self, kind: FlightKind, args: [u64; 4]) {
         telemetry::note(&self.metrics, &self.flight, kind, args);
-    }
-
-    /// Announce a decision that has a public [`Event`]: registry and
-    /// journal first and unconditionally (metrics must not depend on a
-    /// sink being attached), then the sink.
-    fn emit(&self, ev: Event) {
-        let (kind, mut args) = ev.encode();
-        // Tiering verdicts carry the threshold that justified them
-        // alongside the heat score, so a dump answers "why" without the
-        // config at hand.
-        if let Some(t) = &self.tiering {
-            match kind {
-                FlightKind::Promoted => args[3] = milli(t.cfg.promote_heat),
-                FlightKind::Demoted => args[3] = milli(t.cfg.demote_heat),
-                _ => {}
-            }
-        }
-        self.note(kind, args);
-        if let Some(sink) = unpoison(self.sink.read()).as_ref() {
-            sink.event(&ev);
-        }
     }
 
     /// Register a freshly published variant's JIT placement in the
@@ -747,13 +522,6 @@ impl SpecializationManager {
             .gauge_set(Gge::NegativeEntries, self.negative.len() as i64);
     }
 
-    fn note_hit(&self, func: u64, v: &Arc<Variant>) {
-        self.emit(Event::Hit {
-            func,
-            entry: v.entry,
-        });
-    }
-
     fn note_panic_contained(&self) {
         // Freeze the flight recorder's view of the events leading up to
         // the blast: journal the containment, then capture the dump for
@@ -777,20 +545,6 @@ impl SpecializationManager {
         self.obtain(img, func, req).map(|(v, _)| v)
     }
 
-    /// [`get_or_rewrite`](Self::get_or_rewrite) addressing the function by
-    /// its image symbol.
-    pub fn get_or_rewrite_named(
-        &self,
-        img: &Image,
-        name: &str,
-        req: &SpecRequest,
-    ) -> Result<Arc<Variant>, RewriteError> {
-        let func = img
-            .lookup(name)
-            .ok_or_else(|| RewriteError::BadConfig(format!("unknown symbol `{name}`")))?;
-        self.get_or_rewrite(img, func, req)
-    }
-
     /// The non-blocking entry point: a hit answers with the specialized
     /// variant; a miss inside [`run_deferred`](Self::run_deferred) queues
     /// the rewrite and answers with the *original* entry immediately;
@@ -807,7 +561,7 @@ impl SpecializationManager {
             fingerprint: req.fingerprint(),
         };
         if let Some(v) = self.cache.lookup(&key) {
-            self.note_hit(func, &v);
+            self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
             return Ok(Dispatch::Specialized(v));
         }
         // With tiering enabled a miss is an *observation*, not an order:
@@ -824,7 +578,7 @@ impl SpecializationManager {
         // original, same as when the rewrite first failed".
         let denied = match self.negative.consult(&key) {
             Verdict::Deny { attempts, .. } => {
-                self.emit(Event::Denied { func, attempts });
+                self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
                 true
             }
             _ => false,
@@ -841,7 +595,7 @@ impl SpecializationManager {
             req: req.clone(),
         }) {
             Enqueue::Queued => {
-                self.emit(Event::Deferred { func });
+                self.note(FlightKind::Deferred, [func, 0, 0, 0]);
                 Ok(Dispatch::Original {
                     func,
                     deferred: true,
@@ -855,13 +609,6 @@ impl SpecializationManager {
                 .obtain(img, func, req)
                 .map(|(v, _)| Dispatch::Specialized(v)),
         }
-    }
-
-    /// [`run_deferred`](Self::run_deferred) with the worker count taken
-    /// from the builder's [`DeferredConfig`] — the configured way to open
-    /// a deferred scope.
-    pub fn deferred_scope<R>(&self, img: &Image, f: impl FnOnce() -> R) -> Result<R, RewriteError> {
-        self.run_deferred(img, self.deferred_cfg.workers, f)
     }
 
     /// Deferred rewrite jobs currently queued and not yet picked up by a
@@ -917,304 +664,23 @@ impl SpecializationManager {
         }))
     }
 
-    /// Serialize every resident variant to the on-disk format (see
-    /// [`crate::persist`]): emitted code bytes read back from `img`, the
-    /// producing request, the folded-memory snapshot and the rewrite
-    /// stats. Entries are written sorted by ascending JIT entry address
-    /// so a fresh process can re-reserve their regions in one monotone
-    /// sweep of the bump allocator.
-    pub fn save_variant_bytes(&self, img: &Image) -> Vec<u8> {
-        self.save_variant_bytes_report(img).0
-    }
-
-    /// [`save_variant_bytes`](Self::save_variant_bytes) plus the save
-    /// accounting: per-entry problems do not abort the save, but each
-    /// one lands in the [`SaveReport`] as `skipped` (entry not in this
-    /// image — a foreign image), `failed` (read-back error, counted in
-    /// `brew_persist_save_failed_total` with a `SAVE_FAIL` flight event)
-    /// or `unportable` (reads a literal pool the format does not carry,
-    /// counted in `brew_persist_save_unportable_total`) instead of
-    /// disappearing.
-    pub fn save_variant_bytes_report(&self, img: &Image) -> (Vec<u8>, SaveReport) {
-        let mut entries = self.cache.snapshot_all();
-        entries.sort_by_key(|(_, _, v)| v.entry);
-        let mut vars = Vec::with_capacity(entries.len());
-        let (mut skipped, mut failed, mut unportable) = (0usize, 0usize, 0usize);
-        for (key, req, v) in entries {
-            if !matches!(img.segment_of(v.entry), Some(SegKind::Jit)) {
-                // Not this image's code (a foreign image): legitimately
-                // not ours to save.
-                skipped += 1;
-                continue;
-            }
-            if v.stats.pool_bytes > 0 {
-                // The literal pool lives in the data segment and would not
-                // come along: refuse rather than reload a variant that
-                // computes with zeros.
-                unportable += 1;
-                continue;
-            }
-            let mut code = vec![0u8; v.code_len];
-            if img.read_bytes(v.entry, &mut code).is_err() {
-                // In our JIT segment but unreadable: a genuine per-entry
-                // I/O failure. The save goes on, but loudly.
-                failed += 1;
-                self.note(FlightKind::PersistSaveFailed, [key.func, v.entry, 0, 0]);
-                continue;
-            }
-            vars.push(PersistedVariant {
-                func: key.func,
-                fingerprint: key.fingerprint,
-                entry: v.entry,
-                code,
-                snapshot: v.snapshot.clone(),
-                stats: v.stats,
-                req,
-            });
-        }
-        let bytes = persist::encode_variants(&vars);
-        self.note(
-            FlightKind::PersistSave,
-            [vars.len() as u64, bytes.len() as u64, unportable as u64, 0],
-        );
-        let report = SaveReport {
-            written: vars.len(),
-            skipped,
-            failed,
-            unportable,
-            bytes: bytes.len(),
-        };
-        (bytes, report)
-    }
-
-    /// Test-support seam: insert a synthetic cache entry without going
-    /// through publish. Lets the persistence tests exercise the
-    /// save-path accounting (`skipped`/`failed`) for entries whose code
-    /// cannot be read back — states a real publish can never produce
-    /// against its own image, but a save against the wrong image can.
-    #[doc(hidden)]
-    pub fn insert_synthetic_variant_for_tests(
-        &self,
-        func: u64,
-        fingerprint: u64,
-        entry: u64,
-        code_len: usize,
-    ) {
-        let key = CacheKey { func, fingerprint };
-        let v = Arc::new(Variant {
-            func,
-            entry,
-            code_len,
-            stats: RewriteStats::default(),
-            guards: None,
-            snapshot: KnownSnapshot::default(),
-        });
-        self.cache.insert(key, v, SpecRequest::new());
-    }
-
-    /// [`save_variant_bytes`](Self::save_variant_bytes) written to
-    /// `path`, with the full per-entry accounting in the returned
-    /// [`SaveReport`].
-    pub fn save_variants(
-        &self,
-        img: &Image,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<SaveReport, PersistError> {
-        let (bytes, report) = self.save_variant_bytes_report(img);
-        std::fs::write(path, &bytes).map_err(|e| PersistError::Io(e.to_string()))?;
-        Ok(report)
-    }
-
-    /// Re-materialize persisted variants into `img` and this manager's
-    /// cache. **Nothing in `bytes` is trusted**: beyond the codec's
-    /// framing and checksum validation, every entry must (1) hash its
-    /// decoded request back to the stored fingerprint, (2) re-reserve its
-    /// exact JIT region from the image's bump allocator, (3) still match
-    /// its [`KnownSnapshot`] against the live image, and (4) pass the
-    /// configured publish gate over the re-written code — the same gate a
-    /// fresh rewrite would face. A failed entry is rejected (counted in
-    /// `brew_persist_rejected_total`), negatively cached so the key
-    /// cold-starts through the ordinary backoff, and never published.
-    ///
-    /// File-level corruption (magic, version, framing) fails the whole
-    /// call; per-entry failures are collected in the report. Note: with
-    /// no publish gate configured only the structural checks (1)–(3) run;
-    /// install one (e.g. `brew_verify::publish_gate()`) to get the full
-    /// translation-validation story on load.
-    pub fn load_variant_bytes(
-        &self,
-        img: &Image,
-        bytes: &[u8],
-    ) -> Result<LoadReport, PersistError> {
-        let decoded = persist::decode_variants(bytes).inspect_err(|_| {
-            // File-level corruption (magic, version, framing) rejects the
-            // whole checkpoint — a load with one rejection and nothing
-            // published, counted like any other.
-            self.note(FlightKind::PersistLoad, [0, 1, 0, 0]);
-        })?;
-        let mut report = LoadReport {
-            published: 0,
-            rejected: Vec::new(),
-        };
-        let mut entries = Vec::with_capacity(decoded.len());
-        for item in decoded {
-            match item {
-                Ok(pv) => entries.push(pv),
-                Err(e) => report.rejected.push((0, 0, e)),
-            }
-        }
-        // Ascending entry order makes placement a single monotone sweep.
-        entries.sort_by_key(|pv| pv.entry);
-        for pv in entries {
-            let key = CacheKey {
-                func: pv.func,
-                fingerprint: pv.fingerprint,
-            };
-            match self.load_one(img, &pv) {
-                Ok(variant) => {
-                    self.negative.forget(&key);
-                    self.emit(Event::Published {
-                        func: pv.func,
-                        entry: variant.entry,
-                    });
-                    // Warm-started variants get the same profiler-facing
-                    // symbol a fresh publish would.
-                    self.publish_symbol(&key, &variant);
-                    self.cache.insert(key, variant, pv.req.clone());
-                    self.evict_to_budget(key);
-                    report.published += 1;
-                }
-                Err(e) => {
-                    self.negative.record_failure(&key, &e.as_rewrite_error());
-                    report.rejected.push((pv.func, pv.fingerprint, e));
-                }
-            }
-        }
-        self.sync_resident_gauges();
-        self.sync_negative_gauge();
-        // The load's counters come off this one record: published and
-        // rejected entries, file-level and per-entry alike.
-        self.note(
-            FlightKind::PersistLoad,
-            [report.published as u64, report.rejected.len() as u64, 0, 0],
-        );
-        Ok(report)
-    }
-
-    /// [`load_variant_bytes`](Self::load_variant_bytes) read from `path`.
-    pub fn load_variants(
-        &self,
-        img: &Image,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<LoadReport, PersistError> {
-        let bytes = std::fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
-        self.load_variant_bytes(img, &bytes)
-    }
-
-    /// Validate one decoded entry against the live process and publish
-    /// gate; on success the code is resident in `img` at its recorded
-    /// entry and the returned [`Variant`] is ready to insert.
-    fn load_one(&self, img: &Image, pv: &PersistedVariant) -> Result<Arc<Variant>, PersistError> {
-        let computed = pv.req.fingerprint();
-        if computed != pv.fingerprint {
-            return Err(PersistError::Fingerprint {
-                stored: pv.fingerprint,
-                computed,
-            });
-        }
-        if !pv.snapshot.matches(img) {
-            return Err(PersistError::StaleSnapshot);
-        }
-        // Re-reserve the exact region `entry..entry+code_len` from the
-        // JIT bump allocator: the next allocation starts at the 16-aligned
-        // cursor, so claiming `end - align16(cursor)` bytes lands exactly
-        // on `end`. Entries arrive sorted ascending, so a cursor already
-        // past `entry` means a genuine conflict (earlier allocations or
-        // overlapping entries), not ordering.
-        use brew_image::layout;
-        let end = pv.entry + pv.code.len() as u64;
-        let cursor = layout::JIT_BASE + layout::JIT_SIZE - img.jit_remaining();
-        let aligned = (cursor + 15) & !15;
-        if aligned > pv.entry || end < aligned {
-            return Err(PersistError::Placement { entry: pv.entry });
-        }
-        match img.try_alloc_jit(end - aligned) {
-            Some(start) if start == aligned => {}
-            _ => return Err(PersistError::Placement { entry: pv.entry }),
-        }
-        if img.write_bytes(pv.entry, &pv.code).is_err() {
-            return Err(PersistError::Placement { entry: pv.entry });
-        }
-        // The gate sees exactly what a fresh rewrite would hand it.
-        let res = crate::RewriteResult {
-            entry: pv.entry,
-            code_len: pv.code.len(),
-            stats: pv.stats,
-            // The captured CFG is not serialized: reloaded variants skip
-            // the equivalence tier and rest on the byte-level tiers.
-            equiv: None,
-            snapshot: pv.snapshot.clone(),
-        };
-        self.gate_check(img, pv.func, &pv.req, &res)
-            .map_err(|f| match f.err {
-                RewriteError::VerifyRejected { first, .. } => PersistError::Gate { summary: first },
-                other => PersistError::Gate {
-                    summary: other.to_string(),
-                },
-            })?;
-        Ok(Arc::new(Variant {
-            func: pv.func,
-            entry: pv.entry,
-            code_len: pv.code.len(),
-            stats: pv.stats,
-            guards: pv.req.guard_conditions(),
-            snapshot: pv.snapshot.clone(),
-        }))
-    }
-
-    /// Warm-start from the builder-configured
-    /// [`persist_path`](ManagerBuilder::persist_path): load the file if it
-    /// exists, do nothing (`Ok(None)`) when no path is configured or no
-    /// file is there yet — first boot is not an error.
-    pub fn warm_start(&self, img: &Image) -> Result<Option<LoadReport>, PersistError> {
-        let Some(path) = &self.persist_path else {
-            return Ok(None);
-        };
-        if !path.exists() {
-            return Ok(None);
-        }
-        self.load_variants(img, path).map(Some)
-    }
-
-    /// Checkpoint the resident variants to the builder-configured
-    /// [`persist_path`](ManagerBuilder::persist_path); `Ok(None)` when no
-    /// path is configured.
-    pub fn checkpoint(&self, img: &Image) -> Result<Option<SaveReport>, PersistError> {
-        let Some(path) = &self.persist_path else {
-            return Ok(None);
-        };
-        self.save_variants(img, path).map(Some)
-    }
-
     /// Worker loop: pop jobs until the queue is closed and drained. Jobs
     /// go through the ordinary single-flight path, so a synchronous
     /// caller racing a worker coalesces rather than double-tracing.
     /// Each job runs under `catch_unwind`: `obtain` already contains
-    /// rewrite-pipeline panics, but a panicking *sink* (or any other
-    /// manager hook) would otherwise unwind through `std::thread::scope`
-    /// and abort the whole batch — here it fails one job and is counted.
+    /// rewrite-pipeline and gate panics, but anything that still escapes
+    /// it (a gate whose panic payload panics again when dropped) would
+    /// otherwise unwind through `std::thread::scope` and abort the whole
+    /// batch — here it fails one job and is counted.
     fn drain_jobs(&self, img: &Image) {
         while let Some(job) = self.queue.pop() {
-            // A failed deferred rewrite is dropped silently here — the
-            // Miss event already fired, the failure is negatively cached,
+            // A failed deferred rewrite is dropped silently here — its
+            // MISS record is journaled, the failure is negatively cached,
             // and later synchronous requests for the key surface the
             // error to a caller.
             let contained = catch_unwind(AssertUnwindSafe(|| {
                 if let Ok((v, Outcome::Rewrote)) = self.obtain(img, job.func, &job.req) {
-                    self.emit(Event::Published {
-                        func: job.func,
-                        entry: v.entry,
-                    });
+                    self.note(FlightKind::Published, [job.func, v.entry, 0, 0]);
                 }
             }));
             if contained.is_err() {
@@ -1236,7 +702,7 @@ impl SpecializationManager {
             fingerprint: req.fingerprint(),
         };
         if let Some(v) = self.cache.lookup(&key) {
-            self.note_hit(func, &v);
+            self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
             return Ok((v, Outcome::Hit));
         }
         // Denial path: a key already known to fail answers with the
@@ -1244,23 +710,23 @@ impl SpecializationManager {
         // window elapsed; the request falls through to the single-flight
         // path, so concurrent retriers still trace at most once.
         if let Verdict::Deny { err, attempts } = self.negative.consult(&key) {
-            self.emit(Event::Denied { func, attempts });
+            self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
             return Err(err);
         }
         match self.inflight.join(key) {
             Join::Follower(flight) => {
-                self.emit(Event::Coalesced { func });
+                self.note(FlightKind::Coalesced, [func, 0, 0, 0]);
                 flight.wait().map(|v| (v, Outcome::Coalesced))
             }
             Join::Leader(lease) => {
                 // Double-check under the lease: a previous leader may have
                 // published between our miss and winning the flight.
                 if let Some(v) = self.cache.lookup(&key) {
-                    self.note_hit(func, &v);
+                    self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
                     lease.resolve(Ok(Arc::clone(&v)));
                     return Ok((v, Outcome::Hit));
                 }
-                self.emit(Event::Miss { func });
+                self.note(FlightKind::Miss, [func, 0, 0, 0]);
                 self.metrics.gauge_add(Gge::InflightRewrites, 1);
                 // Contain pipeline panics at this boundary: one
                 // pathological function fails its own request (as
@@ -1322,12 +788,10 @@ impl SpecializationManager {
                         self.negative.forget(&key);
                         self.sync_negative_gauge();
                         self.metrics.observe_rewrite(Ok(&res.stats));
-                        self.emit(Event::Rewritten {
-                            func,
-                            entry: res.entry,
-                            code_len: res.code_len,
-                            stats: res.stats,
-                        });
+                        self.note(
+                            FlightKind::Rewritten,
+                            [func, res.entry, res.code_len as u64, res.stats.total_ns()],
+                        );
                         let variant = Arc::new(Variant {
                             func,
                             entry: res.entry,
@@ -1367,8 +831,7 @@ impl SpecializationManager {
         req: &SpecRequest,
         res: &crate::RewriteResult,
     ) -> Result<(), GateFailure> {
-        let gate = unpoison(self.gate.read());
-        let Some(gate) = gate.as_ref() else {
+        let Some(gate) = &self.gate else {
             return Ok(());
         };
         let t0 = std::time::Instant::now();
@@ -1455,11 +918,7 @@ impl SpecializationManager {
             if let Some(t) = &self.tiering {
                 t.retain_request(key, req);
             }
-            self.emit(Event::Evicted {
-                func: v.func,
-                entry: v.entry,
-                code_len: v.code_len,
-            });
+            self.note(FlightKind::Evicted, [v.func, v.entry, v.code_len as u64, 0]);
             self.retire_symbol(v);
         }
     }
@@ -1467,7 +926,7 @@ impl SpecializationManager {
     /// One turn of the tiering loop: sample every registered counter page
     /// and the cache hit counters, fold the deltas (plus miss observations
     /// recorded since the last tick) into decayed per-key heat, and apply
-    /// the [`TieringPolicy`] — demote cold resident variants, enqueue
+    /// `TieringConfig::decide` — demote cold resident variants, enqueue
     /// rewrites for hot absent fingerprints (inline when no deferred
     /// scope is open). Returns what happened; with tiering disabled this
     /// is a no-op returning the default (zero) summary.
@@ -1584,7 +1043,7 @@ impl SpecializationManager {
             // the PR 6 call-weighted fold.
             e.heat = e.heat * decay + input as f64 + cyc as f64 * cycle_weight;
             let since = tick.saturating_sub(e.last_action_tick);
-            match t.policy.decide(e.heat, is_resident, since) {
+            match t.cfg.decide(e.heat, is_resident, since) {
                 TierAction::Promote if !is_resident => {
                     // No request retained means the key was only ever seen
                     // through a counter page — nothing to replay yet.
@@ -1633,27 +1092,36 @@ impl SpecializationManager {
         };
         self.metrics.gauge_set(Gge::HeatMean, heat_mean);
 
-        // Effects run outside the tiering lock: event sinks are arbitrary
-        // user code, and an inline promotion re-enters `obtain`.
+        // Effects run outside the tiering lock: an inline promotion
+        // re-enters `obtain`. Each verdict journals the threshold that
+        // justified it beside the heat score, so a dump answers "why"
+        // without the config at hand.
         if !demote.is_empty() {
             self.sync_resident_gauges();
         }
         for (key, heat, v) in &demote {
-            self.emit(Event::Demoted {
-                func: key.func,
-                fingerprint: key.fingerprint,
-                heat: *heat,
-                code_len: v.code_len,
-            });
+            self.note(
+                FlightKind::Demoted,
+                [
+                    key.func,
+                    key.fingerprint,
+                    milli(*heat),
+                    milli(t.cfg.demote_heat),
+                ],
+            );
             self.retire_symbol(Arc::clone(v));
         }
         let promoted = promote.len();
         for (key, req, heat) in promote {
-            self.emit(Event::Promoted {
-                func: key.func,
-                fingerprint: key.fingerprint,
-                heat,
-            });
+            self.note(
+                FlightKind::Promoted,
+                [
+                    key.func,
+                    key.fingerprint,
+                    milli(heat),
+                    milli(t.cfg.promote_heat),
+                ],
+            );
             if let Enqueue::Closed = self.queue.push(Job {
                 key,
                 func: key.func,
@@ -1736,19 +1204,16 @@ impl SpecializationManager {
 
     /// The [`Invalidation::Revalidate`] sweep: re-hash every variant's
     /// snapshot against the current image and drop exactly the variants
-    /// whose folded bytes changed. Each stale variant fires
-    /// [`Event::Stale`] then [`Event::Invalidated`]; its rewrite is
-    /// re-enqueued (from the retained producing request) so the fresh
-    /// variant is published without the original caller's help — with
-    /// tiering enabled the re-enqueue is heat-gated by
-    /// [`TieringPolicy::respecialize`], so cold stale variants just die.
+    /// whose folded bytes changed. It journals a `STALE` record for every
+    /// dropped variant, then an `INVALIDATED` record for every one; each
+    /// rewrite is re-enqueued (from the retained producing request) so the
+    /// fresh variant is published without the original caller's help —
+    /// with tiering enabled the re-enqueue is heat-gated by
+    /// [`TieringConfig::respecialize`], so cold stale variants just die.
     fn revalidate_sweep(&self, img: &Image) -> usize {
         let dropped = self.cache.remove_matching(|v| !v.snapshot.matches(img));
         for (_, _, v) in &dropped {
-            self.emit(Event::Stale {
-                func: v.func,
-                entry: v.entry,
-            });
+            self.note(FlightKind::Stale, [v.func, v.entry, 0, 0]);
         }
         self.note_invalidated(&dropped);
         for (key, req, v) in &dropped {
@@ -1758,14 +1223,13 @@ impl SpecializationManager {
                 // still hot *now* gets its rewrite paid immediately.
                 t.retain_request(*key, req.clone());
                 let heat = t.heat_of(key);
-                if !t.policy.respecialize(heat) {
+                if !t.cfg.respecialize(heat) {
                     continue;
                 }
-                self.emit(Event::Respecialized {
-                    func: v.func,
-                    fingerprint: key.fingerprint,
-                    heat,
-                });
+                self.note(
+                    FlightKind::Respecialized,
+                    [v.func, key.fingerprint, milli(heat), 0],
+                );
             }
             // `Closed` outside a deferred scope — then the next request
             // for the key simply re-specializes synchronously.
@@ -1778,14 +1242,11 @@ impl SpecializationManager {
         dropped.len()
     }
 
-    /// Shared invalidation bookkeeping: count, emit, retire symbols,
-    /// resync gauges.
+    /// Shared invalidation bookkeeping: count and journal, retire
+    /// symbols, resync gauges.
     fn note_invalidated(&self, dropped: &[(CacheKey, SpecRequest, Arc<Variant>)]) {
         for (_, _, v) in dropped {
-            self.emit(Event::Invalidated {
-                func: v.func,
-                entry: v.entry,
-            });
+            self.note(FlightKind::Invalidated, [v.func, v.entry, 0, 0]);
             self.retire_symbol(Arc::clone(v));
         }
         if !dropped.is_empty() {
@@ -1811,9 +1272,17 @@ impl SpecializationManager {
     /// Cached variants of `func`, hottest (most hits, then most recent)
     /// first — the order the dispatcher tests them in.
     pub fn variants_of(&self, func: u64) -> Vec<Arc<Variant>> {
+        self.hottest_first(func).map(|(_, v)| v).collect()
+    }
+
+    /// `(fingerprint, variant)` of every cached variant of `func`, hottest
+    /// first.
+    fn hottest_first(&self, func: u64) -> impl Iterator<Item = (u64, Arc<Variant>)> {
         let mut entries = self.cache.snapshot_func(func);
         entries.sort_by(|(ah, al, af, _), (bh, bl, bf, _)| (bh, bl, af).cmp(&(ah, al, bf)));
-        entries.into_iter().map(|(_, _, _, v)| v).collect()
+        entries
+            .into_iter()
+            .map(|(_, _, fingerprint, v)| (fingerprint, v))
     }
 
     /// Emit a guarded dispatch stub over every cached *guardable* variant
@@ -1835,7 +1304,7 @@ impl SpecializationManager {
         func: u64,
         original: u64,
     ) -> Result<u64, RewriteError> {
-        let cases = self.dispatch_cases(func);
+        let (cases, _) = self.dispatch_cases_keyed(func);
         let before = img.jit_remaining();
         let entry = guard::make_guard_chain(img, &cases, original)?;
         let len = before.saturating_sub(img.jit_remaining());
@@ -1861,6 +1330,7 @@ impl SpecializationManager {
         let before = img.jit_remaining();
         let (entry, page) = guard::make_guard_chain_counting(img, &cases, original)?;
         let len = before.saturating_sub(img.jit_remaining());
+        unpoison(self.stubs.lock()).insert(page.base, keys.iter().map(|k| k.fingerprint).collect());
         if let Some(t) = &self.tiering {
             t.register_source(img, func, page, keys);
         }
@@ -1872,37 +1342,30 @@ impl SpecializationManager {
     /// `func`'s counting dispatcher `page`, wired to this manager's
     /// metrics registry: every observed call feeds the page's cycle bank
     /// *and* the per-(func, fingerprint) self-time histograms. The case
-    /// order is the stub's (hottest first), captured at call time — build
-    /// the profiler right after the dispatcher from the same snapshot.
+    /// order is the one [`build_dispatcher_counting`](Self::build_dispatcher_counting)
+    /// emitted for that page, however the cache's hit order or contents
+    /// moved since; a page this manager did not build has no cases to
+    /// attribute to, so every call is booked as the original.
     pub fn profile_dispatcher(
         &self,
         func: u64,
         page: CounterPage,
     ) -> crate::telemetry::DispatchProfiler {
-        let (_, keys) = self.dispatch_cases_keyed(func);
-        crate::telemetry::DispatchProfiler::new(
-            func,
-            page,
-            keys.into_iter().map(|k| k.fingerprint).collect(),
-            Some(Arc::clone(&self.metrics)),
-        )
+        let keys = unpoison(self.stubs.lock())
+            .get(&page.base)
+            .cloned()
+            .unwrap_or_default();
+        crate::telemetry::DispatchProfiler::new(func, page, keys, Some(Arc::clone(&self.metrics)))
     }
 
     /// Guardable cached variants of `func` as dispatch cases, hottest
-    /// first.
-    fn dispatch_cases(&self, func: u64) -> Vec<GuardCase> {
-        self.dispatch_cases_keyed(func).0
-    }
-
-    /// Like [`dispatch_cases`](Self::dispatch_cases), also returning each
-    /// case's [`CacheKey`] in slot order — what the tiering layer needs to
-    /// attribute a [`CounterPage`] slot back to a fingerprint.
+    /// first, with each case's [`CacheKey`] in slot order — what the
+    /// tiering layer and the profiler need to attribute a [`CounterPage`]
+    /// slot back to a fingerprint.
     fn dispatch_cases_keyed(&self, func: u64) -> (Vec<GuardCase>, Vec<CacheKey>) {
-        let mut entries = self.cache.snapshot_func(func);
-        entries.sort_by(|(ah, al, af, _), (bh, bl, bf, _)| (bh, bl, af).cmp(&(ah, al, bf)));
         let mut cases = Vec::new();
         let mut keys = Vec::new();
-        for (_, _, fingerprint, v) in entries {
+        for (fingerprint, v) in self.hottest_first(func) {
             let Some(g) = v.guards.as_ref() else {
                 continue;
             };
@@ -1916,11 +1379,10 @@ impl SpecializationManager {
     }
 
     fn note_dispatcher(&self, func: u64, entry: u64, variants: usize, len: u64) {
-        self.emit(Event::DispatcherBuilt {
-            func,
-            entry,
-            variants,
-        });
+        self.note(
+            FlightKind::DispatcherBuilt,
+            [func, entry, variants as u64, 0],
+        );
         // Stubs are live JIT placements too — symbolize them so profiler
         // samples inside the dispatch chain don't read as bare hex.
         self.note_symbol(&self.symbols.publish_stub(func, entry, len));
@@ -1930,8 +1392,11 @@ impl SpecializationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brew_image::layout::{JIT_BASE, JIT_SIZE};
 
-    fn insert_dummy(m: &SpecializationManager, func: u64, entry: u64, hits: u64) {
+    /// A cache entry that no publish produced: keyed by `entry` as its
+    /// fingerprint, `code_len` bytes long, looked up `hits` times.
+    fn insert_dummy(m: &SpecializationManager, func: u64, entry: u64, code_len: usize, hits: u64) {
         let key = CacheKey {
             func,
             fingerprint: entry,
@@ -1941,7 +1406,7 @@ mod tests {
             Arc::new(Variant {
                 func,
                 entry,
-                code_len: 16,
+                code_len,
                 stats: RewriteStats::default(),
                 guards: None,
                 snapshot: KnownSnapshot::default(),
@@ -1953,11 +1418,30 @@ mod tests {
         }
     }
 
+    const POLY: &str =
+        "int poly(int x, int n) { int r = 1; for (int i = 0; i < n; i++) r *= x; return r; }";
+
+    /// An image holding `poly` and a manager holding one real variant of it.
+    fn poly_manager(n: i64) -> (Image, SpecializationManager) {
+        let img = Image::new();
+        let poly = brew_minic::compile_into(POLY, &img)
+            .unwrap()
+            .func("poly")
+            .unwrap();
+        let m = SpecializationManager::new();
+        let req = SpecRequest::new()
+            .unknown_int()
+            .known_int(n)
+            .ret(crate::RetKind::Int);
+        m.get_or_rewrite(&img, poly, &req).unwrap();
+        (img, m)
+    }
+
     #[test]
     fn variants_of_orders_hot_first() {
         let m = SpecializationManager::new();
         for (entry, hits) in [(100u64, 1u64), (200, 5), (300, 3)] {
-            insert_dummy(&m, 7, entry, hits);
+            insert_dummy(&m, 7, entry, 16, hits);
         }
         let order: Vec<u64> = m.variants_of(7).iter().map(|v| v.entry).collect();
         assert_eq!(order, vec![200, 300, 100]);
@@ -1973,8 +1457,8 @@ mod tests {
     #[test]
     fn eviction_never_picks_the_kept_key() {
         let m = SpecializationManager::builder().budget(16).build();
-        insert_dummy(&m, 1, 100, 0);
-        insert_dummy(&m, 1, 200, 0);
+        insert_dummy(&m, 1, 100, 16, 0);
+        insert_dummy(&m, 1, 200, 16, 0);
         let keep = CacheKey {
             func: 1,
             fingerprint: 200,
@@ -1985,74 +1469,118 @@ mod tests {
         assert_eq!(m.stats().evictions, 1);
     }
 
-    /// Every `Event` variant through `emit`, as the flight dump prints it
-    /// (timestamp and thread id cut off). The lines were generated at the
-    /// commit before the encoding moved into the decision table.
+    /// Per-entry read-back failures must not abort the save — and must not
+    /// be silent: the report counts them, `brew_persist_save_failed_total`
+    /// counts them, a `SAVE_FAIL` record names the entry, and the
+    /// surviving bytes still load cleanly.
+    #[test]
+    fn unreadable_entry_is_counted_failed_not_dropped_silently() {
+        let (img, m) = poly_manager(3);
+        // In the JIT segment, but the code range crosses the segment end:
+        // `segment_of` says ours, `read_bytes` faults. A publish never
+        // produces this against its own image; a save against the wrong
+        // image can.
+        let bad_entry = JIT_BASE + JIT_SIZE - 8;
+        insert_dummy(&m, 0x1234, bad_entry, 64, 0);
+
+        let (bytes, report) = m.save_variant_bytes_report(&img);
+        let counts = (report.written, report.skipped, report.failed);
+        assert_eq!(counts, (1, 0, 1), "the readable variant still saves");
+        assert_eq!(m.metrics.counter(Ctr::PersistSaveFailed).get(), 1);
+        let dump = m.flight.dump();
+        let fail = dump
+            .entries
+            .iter()
+            .find(|e| e.kind == FlightKind::PersistSaveFailed);
+        assert_eq!(
+            fail.expect("a SAVE_FAIL record").args[..2],
+            [0x1234, bad_entry]
+        );
+        assert!(dump.render_text().contains("kind=SAVE_FAIL"));
+
+        // What did get written is a valid checkpoint of the survivor.
+        let fresh_img = Image::new();
+        brew_minic::compile_into(POLY, &fresh_img).unwrap();
+        let fresh = SpecializationManager::new();
+        let loaded = fresh.load_variant_bytes(&fresh_img, &bytes).unwrap();
+        assert_eq!((loaded.published, loaded.rejected.len()), (1, 0));
+    }
+
+    /// An entry whose address is in none of this image's segments is
+    /// `skipped` (legitimately not ours), distinct from `failed`.
+    #[test]
+    fn foreign_entry_is_counted_skipped() {
+        let (img, m) = poly_manager(4);
+        insert_dummy(&m, 0x5678, 0x10, 16, 0);
+        let (_, report) = m.save_variant_bytes_report(&img);
+        assert_eq!((report.written, report.skipped, report.failed), (1, 1, 0));
+        assert_eq!(m.metrics.counter(Ctr::PersistSaveFailed).get(), 0);
+    }
+
+    /// One journal line per decision kind that had a public event before
+    /// `Event` was deleted, as the flight dump prints it (timestamp and
+    /// thread id cut off); the lines were generated at the commit before
+    /// the encoding moved into the decision table. `PROMOTED` and
+    /// `DEMOTED` come from real ticks, so a call site that forgets its
+    /// `bar` word fails here.
     #[test]
     fn every_event_variant_journals_its_pinned_line() {
         let m = SpecializationManager::builder()
-            .tiering(TieringConfig::default())
+            .tiering(TieringConfig {
+                cooldown_ticks: 0,
+                ..TieringConfig::default()
+            })
             .build();
         let (func, entry, fingerprint) = (0x40_1000, 0x90_0040, 0xfeed_beef);
-        let stats = RewriteStats {
-            traced: 77,
-            trace_ns: 1_000,
-            pass_ns: 200,
-            emit_ns: 30,
-            ..RewriteStats::default()
+        let key = CacheKey { func, fingerprint };
+        let line = |e: &telemetry::FlightEntry| {
+            e.render_line().split_once(" kind=").unwrap().1.to_string()
         };
-        let events = [
-            Event::Hit { func, entry },
-            Event::Miss { func },
-            Event::Coalesced { func },
-            Event::Deferred { func },
-            Event::Rewritten {
-                func,
-                entry,
-                code_len: 96,
-                stats,
-            },
-            Event::Published { func, entry },
-            Event::Evicted {
-                func,
-                entry,
-                code_len: 96,
-            },
-            Event::DispatcherBuilt {
-                func,
-                entry,
-                variants: 3,
-            },
-            Event::Denied { func, attempts: 2 },
-            Event::Stale { func, entry },
-            Event::Invalidated { func, entry },
-            Event::Promoted {
-                func,
-                fingerprint,
-                heat: 9.5,
-            },
-            Event::Demoted {
-                func,
-                fingerprint,
-                heat: 0.25,
-                code_len: 96,
-            },
-            Event::Respecialized {
-                func,
-                fingerprint,
-                heat: 4.0,
-            },
-        ];
-        for ev in events {
-            m.emit(ev);
-        }
-        let lines: Vec<String> = m
-            .flight
-            .dump()
-            .entries
+        let t = m.tiering.as_ref().unwrap();
+        let img = Image::new();
+        // Absent and hot: 19 decays to 9.5, over the promote bar (8). The
+        // replayed request names options for a non-code address, so its
+        // inline rewrite fails before tracing anything.
+        let req = SpecRequest::new().func(0x10, |o| o.inline = false);
+        let hot = tiering::HeatEntry {
+            heat: 19.0,
+            req: Some(req),
+            ..Default::default()
+        };
+        unpoison(t.state.lock()).heat.insert(key, hot);
+        assert_eq!(m.tick(&img).promoted, 1);
+        // Resident and cold: 0.5 decays to 0.25, under the demote bar (1).
+        insert_dummy(&m, func, fingerprint, 96, 0);
+        unpoison(t.state.lock()).heat.get_mut(&key).unwrap().heat = 0.5;
+        assert_eq!(m.tick(&img).demoted, 1);
+        let dump = m.flight.dump().entries;
+        let tier = dump
             .iter()
-            .map(|e| e.render_line().split_once(" kind=").unwrap().1.to_string())
-            .collect();
+            .filter(|e| matches!(e.kind, FlightKind::Promoted | FlightKind::Demoted));
+        let tier: Vec<String> = tier.map(line).collect();
+
+        let mark = m.flight.recorded() as usize;
+        for (kind, words) in [
+            (FlightKind::Hit, [func, entry, 0, 0]),
+            (FlightKind::Miss, [func, 0, 0, 0]),
+            (FlightKind::Coalesced, [func, 0, 0, 0]),
+            (FlightKind::Deferred, [func, 0, 0, 0]),
+            (FlightKind::Rewritten, [func, entry, 96, 1_230]),
+            (FlightKind::Published, [func, entry, 0, 0]),
+            (FlightKind::Evicted, [func, entry, 96, 0]),
+            (FlightKind::DispatcherBuilt, [func, entry, 3, 0]),
+            (FlightKind::Denied, [func, 2, 0, 0]),
+            (FlightKind::Stale, [func, entry, 0, 0]),
+            (FlightKind::Invalidated, [func, entry, 0, 0]),
+            (
+                FlightKind::Respecialized,
+                [func, fingerprint, milli(4.0), 0],
+            ),
+        ] {
+            m.note(kind, words);
+        }
+        let noted: Vec<String> = m.flight.dump().entries[mark..].iter().map(line).collect();
+        let lines = [&noted[..11], &tier[..], &noted[11..]].concat();
         let pinned = [
             "HIT func=0x401000 entry=0x900040",
             "MISS func=0x401000",
@@ -2070,12 +1598,15 @@ mod tests {
             "RESPEC func=0x401000 fp=0xfeedbeef heat=4.000",
         ];
         assert_eq!(lines, pinned);
-        // Each event bumped exactly the counters its table row lists.
-        let reg = &m.metrics;
+        // Each decision bumped exactly the counters its table row lists.
+        let get = |c: Ctr| m.metrics.counter(c).get();
         for c in [Ctr::Rewrites, Ctr::CacheEvictions, Ctr::TierDemoted] {
-            assert_eq!(reg.counter(c).get(), 1, "{}", c.name());
+            assert_eq!(get(c), 1, "{}", c.name());
         }
-        assert_eq!(reg.counter(Ctr::JitCodeBytes).get(), 96);
-        assert_eq!(reg.counter(Ctr::CacheEvictedBytes).get(), 96);
+        assert_eq!(get(Ctr::TierPromoted), 1);
+        assert_eq!(
+            (get(Ctr::JitCodeBytes), get(Ctr::CacheEvictedBytes)),
+            (96, 96)
+        );
     }
 }

@@ -62,7 +62,7 @@ pub enum Verdict {
         /// The memoized failure.
         err: RewriteError,
         /// Failed attempts memoized for the key, read under the same lock
-        /// as the verdict — what the `Denied` event reports.
+        /// as the verdict — what the `DENIED` record reports.
         attempts: u32,
     },
     /// Known-bad but the backoff window has elapsed: let this request

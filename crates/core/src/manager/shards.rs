@@ -403,7 +403,7 @@ impl ShardedCache {
 
     /// Remove every entry whose variant satisfies `pred`; returns the
     /// removed `(key, producing request, variant)` triples so the caller
-    /// can emit events and optionally re-enqueue the rewrites. Shards are
+    /// can journal them and optionally re-enqueue the rewrites. Shards are
     /// locked one at a time (never nested) and republished at most once
     /// each, so an invalidation sweep costs one snapshot swap per
     /// affected shard.

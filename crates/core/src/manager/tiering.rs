@@ -44,10 +44,10 @@
 //! that only ever flows through a stub still counts as recency/hits, so
 //! byte-pressure eviction and tiering agree about what is hot.
 //!
-//! The decision itself is pluggable ([`TieringPolicy`]);
-//! [`DecayedThreshold`] is the default: two thresholds forming a
-//! hysteresis band (`demote_heat < promote_heat`, so a key oscillating
-//! inside the band does nothing) plus a per-key cooldown of
+//! The decision itself is one function of the config,
+//! `TieringConfig::decide`: two thresholds forming a hysteresis band
+//! (`demote_heat < promote_heat`, so a key oscillating inside the band
+//! does nothing) plus a per-key cooldown of
 //! [`TieringConfig::cooldown_ticks`] between actions, which prevents
 //! promote/demote flapping even under an adversarial call stream.
 //!
@@ -79,10 +79,8 @@ use brew_image::Image;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Tuning knobs for the tiering layer. `decay` and `cooldown_ticks` are
-/// mechanics applied by the manager's tick; the two thresholds are
-/// consumed by the default [`DecayedThreshold`] policy (a custom
-/// [`TieringPolicy`] may ignore them).
+/// Tuning knobs for the tiering layer and, through `decide`, its policy:
+/// decayed thresholds with a hysteresis band and a cooldown.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TieringConfig {
     /// Heat at or above which a non-resident fingerprint is promoted
@@ -119,7 +117,7 @@ impl Default for TieringConfig {
 
 /// What the policy wants done with one key at one tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierAction {
+pub(super) enum TierAction {
     /// Leave the key as it is.
     Stay,
     /// Enqueue a deferred rewrite for the (non-resident) key.
@@ -128,57 +126,16 @@ pub enum TierAction {
     Demote,
 }
 
-/// The pluggable tiering decision. Implementations see one key at a time
-/// with its current (already decayed and fed) heat, whether a variant is
-/// resident, and how many ticks have passed since the layer last acted on
-/// the key. They must be `Send + Sync`: decisions run under the manager's
-/// tiering lock from whichever thread calls `tick`.
-pub trait TieringPolicy: Send + Sync {
-    /// Decide the key's fate this tick. The manager guards the obvious
-    /// contradictions (promoting a resident key, demoting an absent one)
-    /// regardless of what this returns.
-    fn decide(&self, heat: f64, resident: bool, ticks_since_action: u64) -> TierAction;
-
-    /// After invalidation found a variant stale: is its heat worth a
-    /// re-specialization, or should the variant die cold?
-    fn respecialize(&self, heat: f64) -> bool;
-}
-
-/// Default policy: decayed thresholds with a hysteresis band and cooldown.
-///
-/// - below `demote_heat` and resident → [`TierAction::Demote`]
-/// - at or above `promote_heat` and not resident → [`TierAction::Promote`]
-/// - inside the band, or within `cooldown_ticks` of the last action →
-///   [`TierAction::Stay`]
-///
-/// Stale variants re-specialize when their heat is strictly above the
-/// demote threshold — the same bar residency has to clear.
-#[derive(Debug, Clone, Copy)]
-pub struct DecayedThreshold {
-    promote_heat: f64,
-    demote_heat: f64,
-    cooldown_ticks: u64,
-}
-
-impl DecayedThreshold {
-    /// Policy reading its thresholds from `cfg`.
-    pub fn new(cfg: TieringConfig) -> Self {
-        DecayedThreshold {
-            promote_heat: cfg.promote_heat,
-            demote_heat: cfg.demote_heat,
-            cooldown_ticks: cfg.cooldown_ticks,
-        }
-    }
-}
-
-impl From<TieringConfig> for DecayedThreshold {
-    fn from(cfg: TieringConfig) -> Self {
-        Self::new(cfg)
-    }
-}
-
-impl TieringPolicy for DecayedThreshold {
-    fn decide(&self, heat: f64, resident: bool, ticks_since_action: u64) -> TierAction {
+impl TieringConfig {
+    /// The policy for one key at one tick, given its current (already
+    /// decayed and fed) heat, whether a variant is resident, and how many
+    /// ticks have passed since the layer last acted on it:
+    ///
+    /// - below `demote_heat` and resident → demote
+    /// - at or above `promote_heat` and not resident → promote
+    /// - inside the band, or within `cooldown_ticks` of the last action →
+    ///   stay
+    pub(super) fn decide(&self, heat: f64, resident: bool, ticks_since_action: u64) -> TierAction {
         if ticks_since_action < self.cooldown_ticks {
             return TierAction::Stay;
         }
@@ -191,7 +148,10 @@ impl TieringPolicy for DecayedThreshold {
         }
     }
 
-    fn respecialize(&self, heat: f64) -> bool {
+    /// After invalidation found a variant stale: is its heat worth a
+    /// re-specialization? Strictly above the demote threshold — the same
+    /// bar residency has to clear — or the variant dies cold.
+    pub(super) fn respecialize(&self, heat: f64) -> bool {
         heat > self.demote_heat
     }
 }
@@ -269,15 +229,13 @@ pub(super) struct TierState {
 /// [`ManagerBuilder::tiering`]: super::ManagerBuilder::tiering
 pub(super) struct Tiering {
     pub cfg: TieringConfig,
-    pub policy: Box<dyn TieringPolicy>,
     pub state: Mutex<TierState>,
 }
 
 impl Tiering {
-    pub fn new(cfg: TieringConfig, policy: Box<dyn TieringPolicy>) -> Self {
+    pub fn new(cfg: TieringConfig) -> Self {
         Tiering {
             cfg,
-            policy,
             state: Mutex::new(TierState::default()),
         }
     }
@@ -357,13 +315,13 @@ mod tests {
 
     #[test]
     fn decayed_threshold_hysteresis_band() {
-        let p = DecayedThreshold::new(TieringConfig {
+        let p = TieringConfig {
             promote_heat: 8.0,
             demote_heat: 2.0,
             decay: 0.5,
             cooldown_ticks: 0,
             cycle_weight: 0.0,
-        });
+        };
         // Below the band, resident → demote; non-resident → stay.
         assert_eq!(p.decide(1.0, true, 10), TierAction::Demote);
         assert_eq!(p.decide(1.0, false, 10), TierAction::Stay);
@@ -377,13 +335,13 @@ mod tests {
 
     #[test]
     fn cooldown_blocks_actions() {
-        let p = DecayedThreshold::new(TieringConfig {
+        let p = TieringConfig {
             promote_heat: 8.0,
             demote_heat: 2.0,
             decay: 0.5,
             cooldown_ticks: 3,
             cycle_weight: 0.0,
-        });
+        };
         assert_eq!(p.decide(9.0, false, 2), TierAction::Stay);
         assert_eq!(p.decide(9.0, false, 3), TierAction::Promote);
         assert_eq!(p.decide(0.0, true, 2), TierAction::Stay);
@@ -392,7 +350,7 @@ mod tests {
 
     #[test]
     fn respecialize_uses_demote_bar() {
-        let p = DecayedThreshold::from(TieringConfig::default());
+        let p = TieringConfig::default();
         assert!(!p.respecialize(0.0));
         assert!(!p.respecialize(1.0)); // exactly at demote_heat: dies
         assert!(p.respecialize(1.5));
@@ -400,10 +358,7 @@ mod tests {
 
     #[test]
     fn observe_miss_accumulates_and_keeps_first_request() {
-        let t = Tiering::new(
-            TieringConfig::default(),
-            Box::new(DecayedThreshold::from(TieringConfig::default())),
-        );
+        let t = Tiering::new(TieringConfig::default());
         let key = CacheKey {
             func: 0x40_0000,
             fingerprint: 7,

@@ -1,6 +1,7 @@
-//! Variant persistence — the compact versioned on-disk format behind
-//! [`SpecializationManager::save_variants`] /
-//! [`SpecializationManager::load_variants`].
+//! Variant persistence — the compact versioned byte format behind
+//! [`SpecializationManager::save_variant_bytes_report`] /
+//! [`SpecializationManager::load_variant_bytes`]. The manager reads and
+//! writes bytes only; a caller that wants a file owns the file.
 //!
 //! Restarting the process normally throws the whole variant cache away
 //! and re-traces the working set from scratch. This module serializes
@@ -41,7 +42,7 @@
 //!
 //! Nothing in this file is trusted at load time. Decoding validates
 //! magic, version, framing and the per-entry checksum;
-//! [`SpecializationManager::load_variants`] then re-validates each entry
+//! [`SpecializationManager::load_variant_bytes`] then re-validates each entry
 //! against the *live* process — fingerprint recomputed from the decoded
 //! request, JIT placement re-derived, snapshot re-hashed against the
 //! image — and finally re-runs the configured publish gate over the
@@ -78,8 +79,6 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Why a persisted-variant file (or one entry of it) was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PersistError {
-    /// Reading or writing the file failed.
-    Io(String),
     /// The file does not start with [`MAGIC`].
     BadMagic,
     /// The file's format version is not [`FORMAT_VERSION`].
@@ -127,7 +126,6 @@ pub enum PersistError {
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "variant file I/O failed: {e}"),
             PersistError::BadMagic => write!(f, "not a variant file (bad magic)"),
             PersistError::BadVersion { found } => {
                 write!(

@@ -327,8 +327,8 @@ impl MetricsRegistry {
     /// Fold one manager decision into the counters: every counter the
     /// [`FlightKind`] table lists for `kind`, by one or by the payload
     /// word its row names. The manager calls this on *every* decision,
-    /// sink or no sink — the counters here can never silently lose an
-    /// event the way an absent sink drops it.
+    /// beside the journal record of the same decision, so the counters
+    /// and the journal cannot disagree about what happened.
     pub fn fold(&self, kind: FlightKind, args: &[u64; 4]) {
         if self.enabled() {
             for &(c, word) in kind.bumps() {

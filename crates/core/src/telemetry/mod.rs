@@ -8,10 +8,9 @@
 //! - [`metrics`] — a lock-free [`MetricsRegistry`]
 //!   of atomic counters, gauges and fixed-bucket histograms. The
 //!   [`SpecializationManager`](crate::manager::SpecializationManager)
-//!   feeds it on *every* event, independent of whether an
-//!   [`EventSink`](crate::manager::EventSink) is installed, so cache and
-//!   rewrite-phase metrics are never silently lost. Exported as
-//!   Prometheus text exposition and as a JSON snapshot.
+//!   feeds it on *every* decision, so cache and rewrite-phase metrics are
+//!   never silently lost. Exported as Prometheus text exposition and as a
+//!   JSON snapshot.
 //! - [`span`] — a [`SpanRecorder`] capturing the
 //!   rewrite as a span tree (trace → per-block → migration / inlining
 //!   decisions → passes → layout / encode / commit), renderable as
@@ -37,7 +36,7 @@
 //! [`table`] lists every metric and every journaled decision once; the
 //! enums, names, dump lines and the counter fold are generated from it,
 //! and [`note`] is the one call that writes a decision to both the
-//! registry and the recorder.
+//! registry and the recorder — the manager's only two outputs.
 //!
 //! [`json`] is a tiny strict JSON syntax checker; every export above is
 //! routed through it and fails loudly on malformed output.

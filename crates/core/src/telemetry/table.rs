@@ -4,17 +4,14 @@
 //! Adding a metric is one row in [`Ctr`], [`Gge`] or [`Hst`]: identifier,
 //! Prometheus name, help. Row order is exposition order. Adding a manager
 //! decision is one row in the [`FlightKind`] table: wire discriminant, dump
-//! label, names and formats of the payload words, the counters the
-//! decision bumps and, where a public [`Event`] announces it to the sink,
-//! how that event packs into the payload words. The rest is derived from
-//! the rows: the enums with their `ALL`/`name`/`help`, the dump line of a
-//! record, [`FlightKind::bumps`] (what
-//! [`MetricsRegistry::fold`](super::MetricsRegistry::fold) applies) and
-//! the `Event` → record encoding — so a counter can no more disagree with the journal
-//! than a dump label with its kind.
-
-use super::flight::milli;
-use crate::manager::Event;
+//! label, names and formats of the payload words, and the counters the
+//! decision bumps. The manager writes a decision with one
+//! `note(kind, words)` call at the site that takes it; the rest is derived
+//! from the rows: the enums with their `ALL`/`name`/`help`, the dump line
+//! of a record and [`FlightKind::bumps`] (what
+//! [`MetricsRegistry::fold`](super::MetricsRegistry::fold) applies) — so a
+//! counter can no more disagree with the journal than a dump label with
+//! its kind.
 
 /// One row per metric: identifier, Prometheus name, help string.
 macro_rules! metric_ids {
@@ -153,16 +150,13 @@ macro_rules! bump_by {
 
 /// One row per manager decision: `Kind = discriminant, "LABEL", [payload
 /// words], [counters bumped (`+= arg i`: by payload word `i`, else by
-/// one)]`, then for a decision a public [`Event`] announces `, Variant {
-/// fields } => [the four payload words]`.
+/// one)]`.
 macro_rules! decisions {
     ($( $name:ident = $disc:literal, $label:literal,
         [ $( ($arg:literal, $fmt:ident) ),* ],
-        [ $( $ctr:ident $(+= arg $word:literal)? ),* ]
-        $(, $ev:ident { $( $field:ident ),* } => [ $( $w:expr ),* ] )? ;)*) => {
+        [ $( $ctr:ident $(+= arg $word:literal)? ),* ] ;)*) => {
         /// Every decision the manager journals. Discriminants are stable
-        /// (they appear in dumps and the wire word), names match the
-        /// manager [`Event`] variants where one exists.
+        /// (they appear in dumps and the wire word).
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(u8)]
         pub enum FlightKind {
@@ -202,16 +196,6 @@ macro_rules! decisions {
                 }
             }
         }
-
-        impl Event {
-            /// The flight record that journals this event: its kind and
-            /// payload words.
-            pub(crate) fn encode(&self) -> (FlightKind, [u64; 4]) {
-                match self {
-                    $($( Event::$ev { $( $field, )* .. } => (FlightKind::$name, [ $( $w ),* ]), )?)*
-                }
-            }
-        }
     };
 }
 
@@ -219,43 +203,29 @@ macro_rules! decisions {
 // from its `RewriteStats`, which no payload word carries: see
 // `MetricsRegistry::observe_rewrite`, as for `brew_rewrite_failures_total`
 // (a failed rewrite is journaled by its cause, not by a record of its own).
-// The `bar` word of `Promoted`/`Demoted` is the manager's configured
-// threshold, not part of the event: `SpecializationManager::emit` fills it.
+// The `bar` word of `Promoted`/`Demoted` is the threshold the verdict was
+// taken against, written by `SpecializationManager::tick`.
 decisions! {
-    Hit = 1, "HIT", [("func", Hex), ("entry", Hex)], [CacheHits],
-        Hit { func, entry } => [*func, *entry, 0, 0];
-    Miss = 2, "MISS", [("func", Hex)], [CacheMisses], Miss { func } => [*func, 0, 0, 0];
-    Coalesced = 3, "COALESCED", [("func", Hex)], [CacheCoalesced],
-        Coalesced { func } => [*func, 0, 0, 0];
-    Deferred = 4, "DEFERRED", [("func", Hex)], [CacheDeferred],
-        Deferred { func } => [*func, 0, 0, 0];
+    Hit = 1, "HIT", [("func", Hex), ("entry", Hex)], [CacheHits];
+    Miss = 2, "MISS", [("func", Hex)], [CacheMisses];
+    Coalesced = 3, "COALESCED", [("func", Hex)], [CacheCoalesced];
+    Deferred = 4, "DEFERRED", [("func", Hex)], [CacheDeferred];
     Rewritten = 5, "REWRITTEN", [("func", Hex), ("entry", Hex), ("len", Dec), ("ns", Dec)],
-        [Rewrites, JitCodeBytes += arg 2],
-        Rewritten { func, entry, code_len, stats } =>
-            [*func, *entry, *code_len as u64, stats.total_ns()];
-    Published = 6, "PUBLISHED", [("func", Hex), ("entry", Hex)], [CachePublished],
-        Published { func, entry } => [*func, *entry, 0, 0];
+        [Rewrites, JitCodeBytes += arg 2];
+    Published = 6, "PUBLISHED", [("func", Hex), ("entry", Hex)], [CachePublished];
     Evicted = 7, "EVICTED", [("func", Hex), ("entry", Hex), ("len", Dec)],
-        [CacheEvictions, CacheEvictedBytes += arg 2],
-        Evicted { func, entry, code_len } => [*func, *entry, *code_len as u64, 0];
+        [CacheEvictions, CacheEvictedBytes += arg 2];
     DispatcherBuilt = 8, "DISPATCHER", [("func", Hex), ("entry", Hex), ("variants", Dec)],
-        [DispatchersBuilt],
-        DispatcherBuilt { func, entry, variants } => [*func, *entry, *variants as u64, 0];
-    Denied = 9, "DENIED", [("func", Hex), ("attempts", Dec)], [NegativeHits],
-        Denied { func, attempts } => [*func, *attempts as u64, 0, 0];
-    Stale = 10, "STALE", [("func", Hex), ("entry", Hex)], [CacheStale],
-        Stale { func, entry } => [*func, *entry, 0, 0];
-    Invalidated = 11, "INVALIDATED", [("func", Hex), ("entry", Hex)], [CacheInvalidated],
-        Invalidated { func, entry } => [*func, *entry, 0, 0];
+        [DispatchersBuilt];
+    Denied = 9, "DENIED", [("func", Hex), ("attempts", Dec)], [NegativeHits];
+    Stale = 10, "STALE", [("func", Hex), ("entry", Hex)], [CacheStale];
+    Invalidated = 11, "INVALIDATED", [("func", Hex), ("entry", Hex)], [CacheInvalidated];
     Promoted = 12, "PROMOTED", [("func", Hex), ("fp", Hex), ("heat", Milli), ("bar", Milli)],
-        [TierPromoted],
-        Promoted { func, fingerprint, heat } => [*func, *fingerprint, milli(*heat), 0];
+        [TierPromoted];
     Demoted = 13, "DEMOTED", [("func", Hex), ("fp", Hex), ("heat", Milli), ("bar", Milli)],
-        [TierDemoted],
-        Demoted { func, fingerprint, heat } => [*func, *fingerprint, milli(*heat), 0];
+        [TierDemoted];
     Respecialized = 14, "RESPEC", [("func", Hex), ("fp", Hex), ("heat", Milli)],
-        [TierRespecialized],
-        Respecialized { func, fingerprint, heat } => [*func, *fingerprint, milli(*heat), 0];
+        [TierRespecialized];
     TickBegin = 15, "TICK_BEGIN", [("tick", Dec)], [];
     TickEnd = 16, "TICK_END",
         [("tick", Dec), ("sampled", Dec), ("promoted", Dec), ("demoted", Dec)], [];

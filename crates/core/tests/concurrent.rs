@@ -4,10 +4,11 @@
 //! publication. Every assertion is an invariant or a quiescent-state
 //! check — nothing here depends on thread timing.
 
-use brew_core::{Dispatch, Event, EventSink, RetKind, SpecRequest, SpecializationManager};
+use brew_core::telemetry::metrics::Ctr;
+use brew_core::{Dispatch, RetKind, SpecRequest, SpecializationManager};
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PROG: &str = r#"
     int poly(int x, int n) {
@@ -51,14 +52,6 @@ fn thread_machine(img: &Image, tid: usize) -> Machine<'_> {
     m
 }
 
-struct SharedSink(Arc<Mutex<Vec<Event>>>);
-
-impl EventSink for SharedSink {
-    fn event(&self, ev: &Event) {
-        self.0.lock().unwrap().push(ev.clone());
-    }
-}
-
 /// The headline single-flight property: 8 threads hammer a skewed mix,
 /// yet each distinct fingerprint is traced exactly once, every returned
 /// pointer dispatches to a correct specialized body, and the resident
@@ -66,10 +59,7 @@ impl EventSink for SharedSink {
 #[test]
 fn skewed_mix_traces_each_fingerprint_exactly_once() {
     let (img, poly) = setup();
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let mgr = SpecializationManager::builder()
-        .event_sink(Box::new(SharedSink(Arc::clone(&events))))
-        .build();
+    let mgr = SpecializationManager::new();
     let budget = mgr.budget_bytes();
 
     std::thread::scope(|s| {
@@ -102,12 +92,11 @@ fn skewed_mix_traces_each_fingerprint_exactly_once() {
         (THREADS * ROUNDS) as u64,
         "every request accounted for"
     );
-    let evs = events.lock().unwrap();
-    let rewrites = evs
-        .iter()
-        .filter(|e| matches!(e, Event::Rewritten { .. }))
-        .count();
-    assert_eq!(rewrites, DISTINCT, "no duplicate trace slipped through");
+    let rewrites = mgr.metrics().counter(Ctr::Rewrites).get();
+    assert_eq!(
+        rewrites, DISTINCT as u64,
+        "no duplicate trace slipped through"
+    );
     assert_eq!(mgr.len(), DISTINCT);
     assert!(st.resident_bytes <= budget);
 }

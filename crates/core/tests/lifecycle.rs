@@ -3,13 +3,12 @@
 //! containment in the manager.
 
 use brew_core::{
-    Dispatch, Event, EventSink, Invalidation, NegativePolicy, RetKind, RewriteError, SpecRequest,
-    SpecializationManager,
+    ArgValue, Dispatch, FlightKind, Invalidation, NegativePolicy, PublishRejection, RetKind,
+    RewriteError, RewriteResult, SpecRequest, SpecializationManager,
 };
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const PROG: &str = r#"
@@ -166,10 +165,7 @@ fn revalidate_drops_exactly_the_stale_variant() {
     let c = img.alloc_heap(16, 8);
     img.write_u64(c, 3).unwrap();
     img.write_u64(c + 8, 7).unwrap();
-    let sink = Arc::new(brew_core::RecordingSink::default());
-    let mgr = SpecializationManager::builder()
-        .event_sink(Box::new(SharedSink(Arc::clone(&sink))))
-        .build();
+    let mgr = SpecializationManager::new();
     let dot_req = SpecRequest::new()
         .ptr_to_known(c, 16)
         .unknown_int()
@@ -203,21 +199,27 @@ fn revalidate_drops_exactly_the_stale_variant() {
     assert_eq!(run(&mut m, stale.entry), 37, "stale: still the old fold");
 
     // The Revalidate sweep re-hashes every snapshot and drops only the
-    // mismatch. Drain the setup-phase events first so the assertions
-    // below see exactly the sweep's output.
-    sink.take();
+    // mismatch. Mark the journal first so the assertions below see exactly
+    // the sweep's decisions: STALE, then INVALIDATED, for that variant.
+    let mark = mgr.flight().recorded() as usize;
     assert_eq!(mgr.apply_invalidation(Invalidation::Revalidate(&img)), 1);
     let st = mgr.stats();
     assert_eq!((st.stale, st.invalidated), (1, 1), "{st:?}");
     assert_eq!(mgr.len(), 1, "the empty-snapshot variant survived");
-    let evs = sink.take();
-    assert!(
-        matches!(evs[0], Event::Stale { func, entry } if func == dot && entry == v1.entry),
-        "{evs:?}"
-    );
-    assert!(
-        matches!(evs[1], Event::Invalidated { func, .. } if func == dot),
-        "{evs:?}"
+    let dump = mgr.flight().dump();
+    let sweep: Vec<(FlightKind, [u64; 2])> = dump.entries[mark..]
+        .iter()
+        .filter(|e| matches!(e.kind, FlightKind::Stale | FlightKind::Invalidated))
+        .map(|e| (e.kind, [e.args[0], e.args[1]]))
+        .collect();
+    assert_eq!(
+        sweep,
+        [
+            (FlightKind::Stale, [dot, v1.entry]),
+            (FlightKind::Invalidated, [dot, v1.entry]),
+        ],
+        "{}",
+        dump.render_text()
     );
 
     // The next request re-specializes against current data and agrees
@@ -287,37 +289,43 @@ fn invalidate_data_intersects_folded_ranges_precisely() {
     assert!(mgr.is_empty());
 }
 
-/// Forwards to a shared recording sink (the manager owns its sink box).
-struct SharedSink(Arc<brew_core::RecordingSink>);
+/// A panic payload that panics again when dropped: `gate_check` catches
+/// the gate's panic, but dropping the payload re-panics out of it, so only
+/// the worker's own `catch_unwind` stands between it and the pool.
+struct Bomb;
 
-impl EventSink for SharedSink {
-    fn event(&self, ev: &Event) {
-        self.0.event(ev);
+impl Drop for Bomb {
+    fn drop(&mut self) {
+        panic!("panic payload exploded on drop");
     }
 }
 
-/// A sink that panics on every `Published` event — simulating a buggy
-/// observer plugged into the worker pool.
-struct PanickingSink(AtomicU64);
-
-impl EventSink for PanickingSink {
-    fn event(&self, ev: &Event) {
-        if matches!(ev, Event::Published { .. }) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-            panic!("sink exploded on publish");
-        }
+/// A publish gate that blows up inside the worker pool: for `n == 2` with a
+/// payload that escapes the gate's containment (see [`Bomb`]), for `n == 3`
+/// with a plain panic the gate check contains itself; every other variant
+/// passes.
+fn panicking_gate(
+    _: &Image,
+    _: u64,
+    req: &SpecRequest,
+    _: &RewriteResult,
+) -> Result<(), PublishRejection> {
+    match req.args()[1] {
+        ArgValue::Int(2) => std::panic::panic_any(Bomb),
+        ArgValue::Int(3) => panic!("gate exploded"),
+        _ => Ok(()),
     }
 }
 
 #[test]
-fn panicking_sink_fails_jobs_not_the_worker_pool() {
+fn panicking_gate_fails_jobs_not_the_worker_pool() {
     let (img, prog) = setup();
     let poly = prog.func("poly").unwrap();
     let mgr = SpecializationManager::builder()
-        .event_sink(Box::new(PanickingSink(AtomicU64::new(0))))
+        .publish_gate(Box::new(panicking_gate))
         .build();
 
-    // Without containment the first panic would unwind through
+    // Without containment the escaping panic would unwind through
     // `std::thread::scope` and abort the whole batch (and this test).
     mgr.run_deferred(&img, 2, || {
         for n in 2..7 {
@@ -328,19 +336,27 @@ fn panicking_sink_fails_jobs_not_the_worker_pool() {
     .unwrap();
 
     let st = mgr.stats();
-    assert_eq!(mgr.len(), 5, "every variant was still cached: {st:?}");
-    assert!(
-        st.panics_contained >= 1,
-        "sink panics were contained and counted: {st:?}"
+    assert_eq!(
+        mgr.len(),
+        3,
+        "every job the gate passed was published: {st:?}"
     );
-    // The manager remains fully usable: sink swap, hits, new rewrites.
-    assert!(mgr.take_sink().is_some());
-    let v = mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap();
+    assert_eq!(st.published, 3, "{st:?}");
+    // Every gate panic was contained and counted: n == 2 twice (the gate
+    // check, then the worker that caught the re-panic), n == 3 once.
+    assert_eq!(st.panics_contained, 3, "{st:?}");
+    // The manager remains fully usable: hits and new rewrites.
+    let v = mgr.get_or_rewrite(&img, poly, &poly_req(4)).unwrap();
     let out = Machine::new()
         .call(&img, v.entry, &CallArgs::new().int(2).int(0))
         .unwrap();
-    assert_eq!(out.ret_int, 8);
+    assert_eq!(out.ret_int, 16);
     assert_eq!(mgr.stats().hits, 1, "served from cache after the storm");
+    let v = mgr.get_or_rewrite(&img, poly, &poly_req(7)).unwrap();
+    let out = Machine::new()
+        .call(&img, v.entry, &CallArgs::new().int(2).int(0))
+        .unwrap();
+    assert_eq!(out.ret_int, 128);
 }
 
 #[test]

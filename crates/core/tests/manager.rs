@@ -1,10 +1,10 @@
 //! The memoizing specialization layer: variant cache, cost-aware
-//! eviction, N-way guarded dispatch, and the event stream.
+//! eviction, N-way guarded dispatch, and the decision journal.
 
-use brew_core::{Event, EventSink, RetKind, SpecRequest, SpecializationManager};
+use brew_core::{FlightKind, RetKind, SpecRequest, SpecializationManager};
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PROG: &str = r#"
     int poly(int x, int n) {
@@ -142,50 +142,38 @@ fn dispatcher_over_three_variants_matches_original_incl_fallthrough() {
     assert!(via.stats.cycles < orig.stats.cycles);
 }
 
-#[derive(Default)]
-struct SharedSink(Arc<Mutex<Vec<Event>>>);
-
-impl EventSink for SharedSink {
-    fn event(&self, ev: &Event) {
-        self.0.lock().unwrap().push(ev.clone());
-    }
-}
-
+/// Miss, hit and dispatcher, read back from the flight journal: the kind
+/// sequence is pinned exactly (symbol records included), and each decision
+/// names the function and the entry it concerned.
 #[test]
-fn event_sink_streams_miss_rewrite_hit_and_dispatch() {
+fn journal_records_miss_rewrite_hit_and_dispatch() {
     let (img, poly) = setup();
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let mgr = SpecializationManager::builder()
-        .event_sink(Box::new(SharedSink(Arc::clone(&events))))
-        .build();
+    let mgr = SpecializationManager::new();
 
     let v = mgr.get_or_rewrite(&img, poly, &poly_req(6)).unwrap();
     mgr.get_or_rewrite(&img, poly, &poly_req(6)).unwrap();
     let dispatch = mgr.build_dispatcher(&img, poly, poly).unwrap();
 
-    let evs = events.lock().unwrap();
-    assert!(matches!(evs[0], Event::Miss { func } if func == poly));
-    assert!(
-        matches!(evs[1], Event::Rewritten { func, entry, .. } if func == poly && entry == v.entry)
+    let dump = mgr.flight().dump();
+    let kinds: Vec<FlightKind> = dump.entries.iter().map(|e| e.kind).collect();
+    use FlightKind::*;
+    assert_eq!(
+        kinds,
+        [
+            Miss,
+            Rewritten,
+            SymbolPublish,
+            EpochPublish,
+            Hit,
+            DispatcherBuilt,
+            SymbolPublish
+        ],
+        "{}",
+        dump.render_text()
     );
-    assert!(matches!(evs[2], Event::Hit { entry, .. } if entry == v.entry));
-    assert!(matches!(
-        evs[3],
-        Event::DispatcherBuilt { entry, variants: 1, .. } if entry == dispatch
-    ));
-    assert_eq!(evs.len(), 4);
-}
-
-#[test]
-fn named_lookup_resolves_and_rejects() {
-    let (img, poly) = setup();
-    let mgr = SpecializationManager::new();
-    let v = mgr
-        .get_or_rewrite_named(&img, "poly", &poly_req(4))
-        .unwrap();
-    assert_eq!(v.func, poly);
-    let err = mgr
-        .get_or_rewrite_named(&img, "nope", &poly_req(4))
-        .unwrap_err();
-    assert!(err.to_string().contains("nope"));
+    let args = |i: usize| dump.entries[i].args;
+    assert_eq!(args(0)[0], poly);
+    assert_eq!(args(1)[..3], [poly, v.entry, v.code_len as u64]);
+    assert_eq!(args(4)[..2], [poly, v.entry]);
+    assert_eq!(args(5)[..3], [poly, dispatch, 1]);
 }

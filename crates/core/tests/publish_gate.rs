@@ -292,8 +292,7 @@ fn deferred_path_runs_the_gate() {
     assert_eq!(mgr.stats().published, 0);
     assert_eq!(mgr.metrics().counter(Ctr::VerifyRejected).get(), 1);
 
-    // Detaching the gate restores the default publish-everything policy.
-    assert!(mgr.take_publish_gate().is_some());
+    // Without a gate the same deferred request publishes.
     let mgr2 = SpecializationManager::new();
     mgr2.run_deferred(&img, 2, || {
         mgr2.request(&img, poly, &poly_req(7)).unwrap();

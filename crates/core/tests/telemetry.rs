@@ -2,7 +2,7 @@
 //! dispatch stubs, the rewrite span tree and the export formats.
 
 use brew_core::telemetry::flight::{FlightEntry, FlightKind};
-use brew_core::telemetry::metrics::{Ctr, Gge, Hst};
+use brew_core::telemetry::metrics::{Ctr, Gge, Hst, ORIGINAL_FP};
 use brew_core::{
     explain_report, validate_json, CacheStats, Dispatch, Invalidation, MetricsRegistry,
     NegativePolicy, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager,
@@ -35,15 +35,14 @@ fn poly_req(n: i64) -> SpecRequest {
 fn registry_is_fed_without_any_sink() {
     let (img, poly) = setup();
     let mgr = SpecializationManager::new();
-    assert!(mgr.take_sink().is_none(), "no sink attached");
 
     let v = mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap();
     mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap();
     mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap();
     mgr.build_dispatcher(&img, poly, poly).unwrap();
 
-    // Satellite fix: events land in the metrics registry even though no
-    // EventSink was ever attached.
+    // Every decision lands in the metrics registry: nothing has to be
+    // attached for the counters to be fed.
     let m = mgr.metrics();
     assert_eq!(m.counter(Ctr::CacheMisses).get(), 1);
     assert_eq!(m.counter(Ctr::CacheHits).get(), 2);
@@ -130,6 +129,47 @@ fn counting_dispatcher_counters_match_call_totals() {
     m.call(&img, dispatch, &CallArgs::new().int(2).int(3))
         .unwrap();
     assert_eq!(page.total(&img).unwrap(), 1);
+}
+
+/// The profiler books cycles under the fingerprints of the stub it was
+/// built for. Hits between building the counting stub and building the
+/// profiler reorder the cache's hottest-first listing, and a publish in
+/// between lengthens it; neither may move attribution off the stub's own
+/// case order.
+#[test]
+fn profiler_attributes_by_the_stubs_case_order() {
+    let (img, poly) = setup();
+    let mgr = SpecializationManager::new();
+    for n in [3i64, 5] {
+        mgr.get_or_rewrite(&img, poly, &poly_req(n)).unwrap();
+    }
+    let (stub, page) = mgr.build_dispatcher_counting(&img, poly, poly).unwrap();
+    let guarded = |v: &brew_core::Variant| v.guards.as_ref().unwrap()[0].1;
+    let order: Vec<i64> = mgr.variants_of(poly).iter().map(|v| guarded(v)).collect();
+    assert_eq!(order, [5, 3], "the stub tests n=5 first");
+
+    for _ in 0..3 {
+        mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap();
+    }
+    mgr.get_or_rewrite(&img, poly, &poly_req(8)).unwrap();
+    let mut prof = mgr.profile_dispatcher(poly, page);
+    prof.prime(&img).unwrap();
+
+    // n=5 takes case 0; n=7 falls through (slot `page.cases`).
+    let mut m = Machine::new();
+    for (n, case, cycles) in [(5i64, 0usize, 777u64), (7, page.cases, 900)] {
+        m.call(&img, stub, &CallArgs::new().int(2).int(n)).unwrap();
+        assert_eq!(prof.observe(&img, cycles).unwrap(), Some(case), "n={n}");
+    }
+    let booked: Vec<(u64, u64)> = mgr
+        .metrics()
+        .self_times()
+        .iter()
+        .map(|s| (s.fingerprint, s.sum_cycles))
+        .collect();
+    let mut want = vec![(poly_req(5).fingerprint(), 777), (ORIGINAL_FP, 900)];
+    want.sort_unstable();
+    assert_eq!(booked, want);
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! path, safety of demotion racing an in-flight caller, counter wrap
 //! tolerance, and heat-gated re-specialization after invalidation.
 
+use brew_core::telemetry::metrics::Ctr;
 use brew_core::{
-    Event, EventSink, Invalidation, NegativePolicy, RetKind, SpecRequest, SpecializationManager,
-    TieringConfig,
+    Invalidation, NegativePolicy, RetKind, SpecRequest, SpecializationManager, TieringConfig,
 };
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
@@ -48,29 +48,16 @@ fn cfg() -> TieringConfig {
     }
 }
 
-/// Forwards to a shared recording sink (the manager owns its sink box).
-struct SharedSink(Arc<brew_core::RecordingSink>);
-
-impl EventSink for SharedSink {
-    fn event(&self, ev: &Event) {
-        self.0.event(ev);
-    }
-}
-
-fn tier_counts(evs: &[Event]) -> (usize, usize, usize) {
-    let p = evs
-        .iter()
-        .filter(|e| matches!(e, Event::Promoted { .. }))
-        .count();
-    let d = evs
-        .iter()
-        .filter(|e| matches!(e, Event::Demoted { .. }))
-        .count();
-    let r = evs
-        .iter()
-        .filter(|e| matches!(e, Event::Respecialized { .. }))
-        .count();
-    (p, d, r)
+/// Promotions, demotions and re-specializations so far, read off the
+/// registry counters the tiering decisions bump.
+fn tier_counts(mgr: &SpecializationManager) -> (u64, u64, u64) {
+    let m = mgr.metrics();
+    let c = |c: Ctr| m.counter(c).get();
+    (
+        c(Ctr::TierPromoted),
+        c(Ctr::TierDemoted),
+        c(Ctr::TierRespecialized),
+    )
 }
 
 /// The end-to-end loop: misses heat a key until the policy promotes it
@@ -82,11 +69,7 @@ fn tier_counts(evs: &[Event]) -> (usize, usize, usize) {
 fn misses_promote_starvation_demotes_and_nothing_flaps() {
     let (img, prog) = setup();
     let poly = prog.func("poly").unwrap();
-    let sink = Arc::new(brew_core::RecordingSink::default());
-    let mgr = SpecializationManager::builder()
-        .tiering(cfg())
-        .event_sink(Box::new(SharedSink(Arc::clone(&sink))))
-        .build();
+    let mgr = SpecializationManager::builder().tiering(cfg()).build();
     let req = poly_req(6);
     let fp = req.fingerprint();
 
@@ -126,11 +109,11 @@ fn misses_promote_starvation_demotes_and_nothing_flaps() {
     }
     assert!(!mgr.is_resident(poly, fp), "starved variant was demoted");
 
-    let (p, d, _) = tier_counts(&sink.snapshot());
+    let (p, d, _) = tier_counts(&mgr);
     assert_eq!(p, 1, "one promotion, no flapping");
     assert_eq!(d, 1, "one demotion, no flapping");
 
-    // Metrics agree with the event stream.
+    // The exports carry the same counts.
     let json = mgr.metrics().snapshot_json();
     assert!(json.contains("\"brew_tier_promoted_total\":1"), "{json}");
     assert!(json.contains("\"brew_tier_demoted_total\":1"), "{json}");
@@ -142,11 +125,7 @@ fn misses_promote_starvation_demotes_and_nothing_flaps() {
 fn oscillation_inside_the_band_takes_no_action() {
     let (img, prog) = setup();
     let poly = prog.func("poly").unwrap();
-    let sink = Arc::new(brew_core::RecordingSink::default());
-    let mgr = SpecializationManager::builder()
-        .tiering(cfg())
-        .event_sink(Box::new(SharedSink(Arc::clone(&sink))))
-        .build();
+    let mgr = SpecializationManager::builder().tiering(cfg()).build();
     let req = poly_req(5);
 
     // Alternating 1/0 misses per tick keeps heat in (0.5, 2.0) after the
@@ -158,7 +137,7 @@ fn oscillation_inside_the_band_takes_no_action() {
         let s = mgr.tick(&img);
         assert_eq!((s.promoted, s.demoted), (0, 0), "tick {}: {s:?}", s.tick);
     }
-    let (p, d, _) = tier_counts(&sink.snapshot());
+    let (p, d, _) = tier_counts(&mgr);
     assert_eq!((p, d), (0, 0));
     assert!(!mgr.is_resident(poly, req.fingerprint()));
 }
@@ -334,7 +313,6 @@ fn stub_traffic_keeps_a_variant_resident() {
 fn respecialization_is_heat_gated() {
     let (img, prog) = setup();
     let dot = prog.func("dot").unwrap();
-    let sink = Arc::new(brew_core::RecordingSink::default());
     let mgr = SpecializationManager::builder()
         // A cooldown far past the test horizon: ticks here only *sample*
         // heat — the cold resident must still be resident (not demoted)
@@ -343,7 +321,6 @@ fn respecialization_is_heat_gated() {
             cooldown_ticks: 1000,
             ..cfg()
         })
-        .event_sink(Box::new(SharedSink(Arc::clone(&sink))))
         .build();
     let block = |v0: u64, v1: u64| {
         let p = img.alloc_heap(16, 8);
@@ -375,7 +352,7 @@ fn respecialization_is_heat_gated() {
     // Invalidate both folds; the sweep re-enqueues only the hot one.
     img.write_u64(a, 30).unwrap();
     img.write_u64(b, 40).unwrap();
-    mgr.deferred_scope(&img, || {
+    mgr.run_deferred(&img, 2, || {
         assert_eq!(mgr.apply_invalidation(Invalidation::Revalidate(&img)), 2);
     })
     .unwrap();
@@ -387,8 +364,8 @@ fn respecialization_is_heat_gated() {
         !mgr.is_resident(dot, cold.fingerprint()),
         "cold stale variant must die unrebuilt"
     );
-    let (_, _, r) = tier_counts(&sink.snapshot());
-    assert_eq!(r, 1, "exactly one Respecialized event");
+    let (_, _, r) = tier_counts(&mgr);
+    assert_eq!(r, 1, "exactly one re-specialization");
 
     // The rebuilt variant folded the *new* data.
     let v = mgr.get_or_rewrite(&img, dot, &hot).unwrap();

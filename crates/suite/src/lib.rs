@@ -37,9 +37,9 @@ pub mod prelude {
     pub use brew_core::{
         disasm_result, explain_report, make_guard, make_guard_chain, make_guard_chain_counting,
         make_guard_counting, validate_json, ArgValue, CacheStats, CounterPage, DispatchProfiler,
-        Event, EventSink, FlightRecorder, FuncOpts, GuardCase, MetricsRegistry, OptLevel,
-        ParamSpec, RetKind, RewriteConfig, RewriteError, RewriteResult, Rewriter, SpanRecorder,
-        SpecRequest, SpecializationManager, SymbolKind, SymbolTable,
+        FlightRecorder, FuncOpts, GuardCase, MetricsRegistry, OptLevel, ParamSpec, RetKind,
+        RewriteConfig, RewriteError, RewriteResult, Rewriter, SpanRecorder, SpecRequest,
+        SpecializationManager, SymbolKind, SymbolTable,
     };
     pub use brew_emu::{CallArgs, CallOutcome, CostModel, EmuError, Machine, Stats, ValueProfile};
     pub use brew_image::Image;

@@ -3,10 +3,9 @@
 //! the flight-recorder timeline, and the perf map external profilers
 //! consume.
 //!
-//! No event sink is attached anywhere in this example — the point is
-//! that the manager's lock-free registry observes everything anyway,
-//! and that a counting stub measures its *own* dispatch rates in guest
-//! code.
+//! Nothing is attached to the manager in this example — the point is
+//! that its lock-free registry observes every decision on its own, and
+//! that a counting stub measures its *own* dispatch rates in guest code.
 //!
 //! ```sh
 //! cargo run --example telemetry
@@ -30,7 +29,7 @@ fn main() {
     .unwrap();
     let poly = prog.func("poly").unwrap();
 
-    // Cache three variants through the manager. Note: no sink attached.
+    // Cache three variants through the manager.
     let mgr = SpecializationManager::new();
     for n in [12i64, 7, 3] {
         let req = SpecRequest::new()
@@ -69,7 +68,7 @@ fn main() {
     reg.count(Ctr::GuardFallthrough, page.fallthrough_hits(&img).unwrap());
 
     println!(
-        "\nregistry (no sink was ever attached): {} misses, {} hits, \
+        "\nregistry (always on): {} misses, {} hits, \
          {} guest insts traced, {} rewrites timed",
         reg.counter(Ctr::CacheMisses).get(),
         reg.counter(Ctr::CacheHits).get(),

@@ -132,6 +132,11 @@ stage_hotpath() {
         grep -n 'HashMap\|RwLock' | grep -v 'symbol\|^[0-9]*:use std::'; then
         fail "lock or hash map outside the symbol table in crates/image/src/lib.rs"
     fi
+    # A manager hit is a lock-free cache probe plus one `note` into the
+    # registry and the journal — the only two places a decision is written.
+    if sed '/^#\[cfg(test)\]/,$d' crates/core/src/manager/mod.rs | grep -n 'RwLock\|EventSink'; then
+        fail "a lock or a second decision channel in crates/core/src/manager/mod.rs"
+    fi
     # The same paths by their work: one decode per distinct address traced,
     # full world comparisons only where a digest matches.
     gates trace_
