@@ -62,7 +62,7 @@ pub enum RewriteError {
     BadConfig(String),
     /// The rewrite pipeline panicked; the panic was contained at the
     /// manager boundary and converted into this error so one pathological
-    /// function cannot kill a worker pool or wedge followers on the
+    /// function cannot unwind into its caller or wedge followers on the
     /// in-flight table. The payload is the panic message.
     Internal(String),
     /// A publish gate (static verification) rejected the finished variant.
@@ -74,20 +74,6 @@ pub enum RewriteError {
         findings: usize,
         /// The first finding, rendered for operators.
         first: String,
-    },
-    /// `run_deferred` was entered while another deferred
-    /// scope on the same manager is still open — nesting scopes would
-    /// let the inner scope's drop close the queue under the outer one,
-    /// silently dropping its jobs.
-    DeferredScopeActive,
-    /// The previous deferred scope was closed by an unwind (a panic
-    /// escaped the scope closure) and discarded queued jobs. Returned
-    /// once, by the next `run_deferred`, so the caller learns work was
-    /// lost instead of the jobs vanishing silently; the scope after that
-    /// starts clean.
-    DeferredScopeUnwound {
-        /// Jobs discarded when the unwinding scope drained the queue.
-        lost: usize,
     },
     /// A persisted variant failed a structural load check (placement
     /// conflict, fingerprint mismatch, stale snapshot) before it ever
@@ -138,15 +124,6 @@ impl fmt::Display for RewriteError {
                 write!(
                     f,
                     "static verification rejected variant ({findings} findings; first: {first})"
-                )
-            }
-            RewriteError::DeferredScopeActive => {
-                write!(f, "a deferred scope is already open on this manager")
-            }
-            RewriteError::DeferredScopeUnwound { lost } => {
-                write!(
-                    f,
-                    "previous deferred scope unwound and discarded {lost} queued job(s)"
                 )
             }
             RewriteError::PersistRejected { what } => {

@@ -3,9 +3,9 @@
 //!
 //! Four knobs, each one a value some caller sets: the byte budget, the
 //! negative-cache policy, adaptive tiering and the publish gate. Shard
-//! count and flight-journal capacity are constants, the deferred worker
-//! count is an argument of each `run_deferred` scope, and persistence is
-//! bytes in, bytes out — a caller that wants a file owns the file.
+//! count and flight-journal capacity are constants, there is no worker
+//! count because the manager spawns no threads, and persistence is bytes
+//! in, bytes out — a caller that wants a file owns the file.
 //!
 //! ```
 //! use brew_core::manager::{NegativePolicy, PublishRejection, SpecializationManager, TieringConfig};
@@ -28,7 +28,6 @@
 use super::negative::{NegativeCache, NegativePolicy};
 use super::shards::{ShardedCache, DEFAULT_SHARDS};
 use super::tiering::{Tiering, TieringConfig};
-use super::worker::JobQueue;
 use super::{InflightTable, PublishGate, SpecializationManager};
 use crate::telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use crate::telemetry::{FlightRecorder, MetricsRegistry, SymbolTable};
@@ -124,7 +123,6 @@ impl ManagerBuilder {
             cache: ShardedCache::new(DEFAULT_SHARDS, Arc::clone(&metrics), Arc::clone(&flight)),
             negative: NegativeCache::new(DEFAULT_SHARDS, self.negative),
             inflight: InflightTable::default(),
-            queue: JobQueue::new(),
             budget_bytes: self.budget_bytes,
             tiering,
             metrics,

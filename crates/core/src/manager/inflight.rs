@@ -2,21 +2,21 @@
 //!
 //! The first requester of a missing key becomes the *leader* and holds a
 //! [`FlightLease`]; everyone else arriving while the flight is open
-//! becomes a *follower* and blocks on the flight's condvar until the
-//! leader publishes a result. This is what makes "each distinct
-//! fingerprint is traced exactly once" hold under concurrency: the trace
-//! happens inside the lease, and the lease is handed out once.
+//! becomes a *follower* and blocks on the flight's cell until the leader
+//! publishes a result. This is what makes "each distinct fingerprint is
+//! traced exactly once" hold under concurrency: the trace happens inside
+//! the lease, and the lease is handed out once.
 //!
 //! Ordering: the leader inserts the variant into the cache *before*
 //! resolving the lease, so by the time a follower (or any later
 //! requester) observes completion, the cache lookup succeeds and the
-//! emitted code bytes are visible (the shard mutex release/acquire pair
-//! provides the happens-before edge).
+//! emitted code bytes are visible (the cell's set/wait pair provides the
+//! happens-before edge).
 
 use super::{CacheKey, Variant};
 use crate::error::RewriteError;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Recover the guard from a poisoned lock: flight state transitions are
 /// single-statement, so another thread's panic cannot leave them torn —
@@ -27,32 +27,15 @@ fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
 
 pub(super) type FlightResult = Result<Arc<Variant>, RewriteError>;
 
-/// One in-progress rewrite; followers park on `cv` until `done` is set.
-pub(super) struct Flight {
-    done: Mutex<Option<FlightResult>>,
-    cv: Condvar,
-}
+/// One in-progress rewrite: a cell the leader sets once and followers
+/// block on.
+#[derive(Default)]
+pub(super) struct Flight(OnceLock<FlightResult>);
 
 impl Flight {
-    fn new() -> Self {
-        Flight {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, res: FlightResult) {
-        *unpoison(self.done.lock()) = Some(res);
-        self.cv.notify_all();
-    }
-
     /// Block until the leader resolves, then clone its result.
     pub fn wait(&self) -> FlightResult {
-        let mut g = unpoison(self.done.lock());
-        while g.is_none() {
-            g = unpoison(self.cv.wait(g));
-        }
-        g.as_ref().unwrap().clone()
+        self.0.wait().clone()
     }
 }
 
@@ -82,7 +65,8 @@ impl FlightLease<'_> {
 
     fn finish(&mut self, res: FlightResult) {
         unpoison(self.table.flights.lock()).remove(&self.key);
-        self.flight.resolve(res);
+        // The lease is the only writer and finishes once.
+        let _ = self.flight.0.set(res);
         self.resolved = true;
     }
 }
@@ -110,7 +94,7 @@ impl InflightTable {
         if let Some(f) = m.get(&key) {
             Join::Follower(Arc::clone(f))
         } else {
-            let f = Arc::new(Flight::new());
+            let f = Arc::new(Flight::default());
             m.insert(key, Arc::clone(&f));
             Join::Leader(FlightLease {
                 table: self,

@@ -18,12 +18,9 @@
 //!   coalesce onto one in-progress trace instead of duplicating it: the
 //!   first requester leads, the rest block on the flight and share its
 //!   result (see the in-flight table). Each distinct fingerprint is traced
-//!   exactly once no matter how many threads race for it.
-//! - **Deferred mode** — inside [`run_deferred`](SpecializationManager::run_deferred),
-//!   [`request`](SpecializationManager::request) answers a miss with the
-//!   *original* entry immediately and queues the rewrite for a bounded
-//!   scoped worker pool; the variant is published for subsequent calls —
-//!   the paper's "delayed step" (§V.C) made literal (see the worker module).
+//!   exactly once no matter how many threads race for it. Every decision
+//!   is taken on the calling thread: the manager spawns none, and like the
+//!   paper's `brew_rewrite` a miss returns the new variant to its caller.
 //! - **Cost-aware LRU eviction** — the cache is bounded by a JIT-segment
 //!   byte budget with *global* accounting across shards. When over
 //!   budget, the entry with the highest `staleness x code bytes /
@@ -38,8 +35,8 @@
 //!   original. The stub is emitted fresh at a new address from a snapshot
 //!   of the cache, so rebuilding while other threads publish variants is
 //!   safe — callers swap the returned pointer in whole.
-//! - **Observability** — every decision (hit, miss, coalesced, deferred,
-//!   published, evicted, denied, promoted, …) is written once, by one
+//! - **Observability** — every decision (hit, miss, coalesced, rewritten,
+//!   evicted, denied, promoted, …) is written once, by one
 //!   `note(kind, words)` call, through the decision table in
 //!   [`crate::telemetry::table`]: into the lock-free
 //!   [`crate::telemetry::MetricsRegistry`] (shared via
@@ -54,9 +51,9 @@
 //!   with a decaying backoff that periodically lets one retry through
 //!   (failures can be data-dependent) and a hard attempt cap after which
 //!   the key is written off. [`request`](SpecializationManager::request)
-//!   answers a denial with the original entry; the synchronous path
-//!   returns the memoized error. Deferred jobs respect the same backoff
-//!   because they run through the ordinary `obtain` path.
+//!   answers a denial with the original entry;
+//!   [`get_or_rewrite`](SpecializationManager::get_or_rewrite) returns the
+//!   memoized error. Tiering promotions respect the same backoff.
 //! - **Staleness tracking & invalidation** — every rewrite records which
 //!   known-memory bytes it folded into constants
 //!   ([`crate::snapshot::KnownSnapshot`], carried by the [`Variant`]).
@@ -65,27 +62,27 @@
 //!   takes an [`Invalidation`]: [`Invalidation::Func`] drops all variants
 //!   of a function, [`Invalidation::Data`] drops variants whose folded
 //!   ranges overlap a mutated range, and [`Invalidation::Revalidate`]
-//!   re-hashes every snapshot against the image and drops (and, inside a
-//!   deferred scope, re-enqueues) exactly the variants whose folded bytes
-//!   changed. With tiering enabled the re-enqueue is *heat-gated*: only
-//!   stale variants whose decayed heat clears the policy's bar are
-//!   re-specialized; cold stale variants just die.
+//!   re-hashes every snapshot against the image and drops exactly the
+//!   variants whose folded bytes changed. With tiering enabled the sweep
+//!   rebuilds, inline, the stale variants whose decayed heat clears the
+//!   policy's bar; cold stale variants just die. Without tiering the next
+//!   request for a dropped key re-specializes it.
 //! - **Adaptive tiering** — a manager built with
 //!   [`ManagerBuilder::tiering`] closes the counter → specialization
 //!   loop: [`tick`](SpecializationManager::tick) reads dispatch-stub
 //!   [`CounterPage`]s and cache hit counts into decayed per-key heat
 //!   scores and lets `TieringConfig::decide` promote hot fingerprints
-//!   (enqueue their rewrite), demote cold resident variants (reclaim
-//!   budget ahead of LRU pressure) and gate re-specialization after
-//!   invalidation. See the [`tiering`] module docs for the state machine.
+//!   (rewrite them on the tick's thread), demote cold resident variants
+//!   (reclaim budget ahead of LRU pressure) and gate re-specialization
+//!   after invalidation. See the [`tiering`] module docs for the state machine.
 //! - **Panic containment** — the trace/encode pipeline and the publish
-//!   gate run under `catch_unwind` on both the synchronous and worker
-//!   paths; a panic becomes [`RewriteError::Internal`], is negatively
-//!   cached like any other failure, and fails one request instead of
-//!   killing the worker pool or poisoning the shared state. Each worker
-//!   job runs under a second `catch_unwind`, so whatever still escapes
-//!   fails that job alone. All manager locks recover from poisoning for
-//!   the same reason.
+//!   gate run under `catch_unwind`; a panic becomes
+//!   [`RewriteError::Internal`], is negatively cached like any other
+//!   failure, and fails one request instead of unwinding into the caller
+//!   or poisoning the shared state. The payload is dropped under a second
+//!   `catch_unwind`, so a payload that panics again when dropped is
+//!   contained too. All manager locks recover from poisoning for the same
+//!   reason.
 //!
 //! Construction goes through [`ManagerBuilder`]: budget, negative policy,
 //! tiering, publish gate.
@@ -96,7 +93,6 @@ mod inflight;
 pub mod negative;
 mod shards;
 pub mod tiering;
-mod worker;
 
 use crate::capture::RewriteStats;
 use crate::error::RewriteError;
@@ -115,13 +111,13 @@ use inflight::{InflightTable, Join};
 pub use negative::NegativePolicy;
 use negative::{NegativeCache, Verdict};
 use shards::ShardedCache;
+use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 pub use tiering::{TickSummary, TieringConfig};
 use tiering::{TierAction, Tiering};
-use worker::{Enqueue, Job, JobQueue};
 
 /// Recover the guard from a poisoned lock. Panics are contained at the
 /// rewrite boundary, but one can still escape while a manager lock is
@@ -129,17 +125,6 @@ use worker::{Enqueue, Job, JobQueue};
 /// statements, so serving the next caller beats wedging everyone.
 fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Best-effort text of a contained panic payload.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Key of the variant cache: which function, specialized how.
@@ -192,13 +177,6 @@ pub struct CacheStats {
     /// Requests that subscribed to another thread's in-progress rewrite
     /// instead of duplicating it.
     pub coalesced: u64,
-    /// Misses answered with the original entry while the rewrite was
-    /// queued for a background worker.
-    pub deferred: u64,
-    /// Variants published by background workers — `PUBLISHED` records less
-    /// the warm-start loads, which announce themselves the same way (a load
-    /// in progress is subtracted when it finishes).
-    pub published: u64,
     /// Variants evicted under byte-budget pressure.
     pub evictions: u64,
     /// Code bytes currently resident in the cache.
@@ -220,8 +198,7 @@ pub struct CacheStats {
     /// (their folded known-memory bytes had changed).
     pub stale: u64,
     /// Rewrite-pipeline panics converted into
-    /// [`RewriteError::Internal`] instead of unwinding into the caller
-    /// or worker pool.
+    /// [`RewriteError::Internal`] instead of unwinding into the caller.
     pub panics_contained: u64,
     /// Live entries in the negative cache.
     pub negative_entries: usize,
@@ -252,8 +229,8 @@ struct GateFailure {
 }
 
 /// Pre-publish inspection of a finished rewrite (the `verify_on_publish`
-/// policy). The gate sees the finished-but-unpublished variant on both the
-/// synchronous and deferred paths; returning `Err` means the variant is
+/// policy). The gate sees every finished-but-unpublished variant, whether a
+/// request or a tiering tick asked for it; returning `Err` means the variant is
 /// *never* published — the manager converts the rejection into
 /// [`RewriteError::VerifyRejected`], caches it negatively, and dispatch
 /// falls back to the original function, exactly like any failed rewrite.
@@ -302,8 +279,8 @@ where
 ///   mutated range; no image access, one pass over the cache.
 /// - [`Revalidate`](Invalidation::Revalidate) — "something may have
 ///   changed, I don't know what": re-hash every variant's snapshot
-///   against the image and drop exactly the stale ones, re-enqueueing
-///   rewrites for those still worth having.
+///   against the image and drop exactly the stale ones; with tiering,
+///   rebuild those still hot enough to be worth having.
 #[derive(Debug, Clone)]
 pub enum Invalidation<'a> {
     /// Drop all variants of this function (entry address).
@@ -319,13 +296,11 @@ pub enum Invalidation<'a> {
 pub enum Dispatch {
     /// A specialized variant is ready — call [`Variant::entry`].
     Specialized(Arc<Variant>),
-    /// Call the original function. When `deferred`, the rewrite was queued
-    /// for a background worker and a later request will be specialized.
+    /// Call the original function: the key is negatively cached, or
+    /// tiering has not promoted it yet.
     Original {
         /// Entry address to call now.
         func: u64,
-        /// Whether a background rewrite is pending for this key.
-        deferred: bool,
     },
 }
 
@@ -334,7 +309,7 @@ impl Dispatch {
     pub fn entry(&self) -> u64 {
         match self {
             Dispatch::Specialized(v) => v.entry,
-            Dispatch::Original { func, .. } => *func,
+            Dispatch::Original { func } => *func,
         }
     }
 
@@ -344,22 +319,13 @@ impl Dispatch {
     }
 }
 
-/// How a request was ultimately satisfied (internal).
-enum Outcome {
-    Hit,
-    Coalesced,
-    Rewrote,
-}
-
 /// The memoizing, thread-safe specialization layer over [`Rewriter`]. All
 /// methods take `&self`; share it across threads by reference (e.g. from
-/// `std::thread::scope`) or in an `Arc`. See the module docs for the
-/// design.
+/// scoped threads) or in an `Arc`. See the module docs for the design.
 pub struct SpecializationManager {
     cache: ShardedCache,
     negative: NegativeCache,
     inflight: InflightTable,
-    queue: JobQueue,
     budget_bytes: usize,
     tiering: Option<Tiering>,
     metrics: Arc<MetricsRegistry>,
@@ -405,8 +371,8 @@ impl SpecializationManager {
     }
 
     /// The flight recorder journaling every manager decision. Clone the
-    /// `Arc` to dump from another thread (e.g. a crash handler or the
-    /// worker pool) while the manager keeps recording.
+    /// `Arc` to dump from another thread (e.g. a crash handler) while the
+    /// manager keeps recording.
     pub fn flight(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.flight)
     }
@@ -435,8 +401,6 @@ impl SpecializationManager {
             hits: c(Ctr::CacheHits),
             misses: c(Ctr::CacheMisses),
             coalesced: c(Ctr::CacheCoalesced),
-            deferred: c(Ctr::CacheDeferred),
-            published: c(Ctr::CachePublished).saturating_sub(c(Ctr::PersistLoaded)),
             evictions: c(Ctr::CacheEvictions),
             resident_bytes: self.cache.resident_bytes(),
             traced_total: c(Ctr::TracedInsts),
@@ -522,34 +486,36 @@ impl SpecializationManager {
             .gauge_set(Gge::NegativeEntries, self.negative.len() as i64);
     }
 
-    fn note_panic_contained(&self) {
+    /// Contain a caught panic and return its best-effort message. The
+    /// payload is dropped under `catch_unwind`: one whose drop panics
+    /// again must not unwind out of the request either, and the second
+    /// payload is forgotten rather than risk a third.
+    fn contain_panic(&self, payload: Box<dyn Any + Send>) -> String {
         // Freeze the flight recorder's view of the events leading up to
         // the blast: journal the containment, then capture the dump for
         // post-mortem retrieval via `last_panic_dump()`.
         self.note(FlightKind::PanicContained, [0; 4]);
         let dump = self.flight.dump().render_text();
         *unpoison(self.last_panic.lock()) = Some(dump);
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        if let Err(again) = catch_unwind(AssertUnwindSafe(|| drop(payload))) {
+            std::mem::forget(again);
+        }
+        msg
     }
 
-    /// The synchronous memoized entry point: return the cached variant
-    /// for `(func, req)` or rewrite, insert and return it. A cache hit
-    /// costs one shard-lock hash lookup — no decoding, tracing, passes or
-    /// encoding. Concurrent misses on the same key coalesce onto a single
-    /// rewrite.
-    pub fn get_or_rewrite(
-        &self,
-        img: &Image,
-        func: u64,
-        req: &SpecRequest,
-    ) -> Result<Arc<Variant>, RewriteError> {
-        self.obtain(img, func, req).map(|(v, _)| v)
-    }
-
-    /// The non-blocking entry point: a hit answers with the specialized
-    /// variant; a miss inside [`run_deferred`](Self::run_deferred) queues
-    /// the rewrite and answers with the *original* entry immediately;
-    /// a miss outside any deferred scope falls back to the synchronous
-    /// [`get_or_rewrite`](Self::get_or_rewrite) path.
+    /// The dispatch entry point: what should the caller invoke? A hit
+    /// answers with the specialized variant. A negatively cached key
+    /// answers with the *original* entry, and so does any miss under
+    /// tiering, where a miss is heat for a later
+    /// [`tick`](Self::tick) to promote. Any other miss rewrites now,
+    /// exactly like [`get_or_rewrite`](Self::get_or_rewrite).
     pub fn request(
         &self,
         img: &Image,
@@ -573,137 +539,38 @@ impl SpecializationManager {
             t.observe_miss(key, req);
         }
         // A key already known to fail is answered with the original entry
-        // at shard-lookup cost: no queueing, no tracing, no error — the
-        // caller asked "what should I call" and the answer is "the
-        // original, same as when the rewrite first failed".
-        let denied = match self.negative.consult(&key) {
-            Verdict::Deny { attempts, .. } => {
-                self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
-                true
-            }
-            _ => false,
-        };
-        if denied || self.tiering.is_some() {
-            return Ok(Dispatch::Original {
-                func,
-                deferred: false,
-            });
+        // at shard-lookup cost: no tracing, no error — the caller asked
+        // "what should I call" and the answer is "the original, same as
+        // when the rewrite first failed".
+        if let Verdict::Deny { attempts, .. } = self.negative.consult(&key) {
+            self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
+            return Ok(Dispatch::Original { func });
         }
-        match self.queue.push(Job {
-            key,
-            func,
-            req: req.clone(),
-        }) {
-            Enqueue::Queued => {
-                self.note(FlightKind::Deferred, [func, 0, 0, 0]);
-                Ok(Dispatch::Original {
-                    func,
-                    deferred: true,
-                })
-            }
-            Enqueue::AlreadyQueued => Ok(Dispatch::Original {
-                func,
-                deferred: true,
-            }),
-            Enqueue::Closed => self
-                .obtain(img, func, req)
-                .map(|(v, _)| Dispatch::Specialized(v)),
+        if self.tiering.is_some() {
+            return Ok(Dispatch::Original { func });
         }
+        self.get_or_rewrite(img, func, req)
+            .map(Dispatch::Specialized)
     }
 
-    /// Deferred rewrite jobs currently queued and not yet picked up by a
-    /// worker.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.pending()
-    }
-
-    /// Run `f` with `workers` background rewrite threads attached (scoped,
-    /// bounded; no detached threads survive this call). While active,
-    /// [`request`](Self::request) defers misses to the pool. On a normal
-    /// exit the queue closes and the workers drain it, so every rewrite
-    /// queued inside `f` is published before `run_deferred` returns.
-    ///
-    /// Errors are the queue's history, reported *before* `f` runs: opening
-    /// a scope inside a still-open scope returns
-    /// [`RewriteError::DeferredScopeActive`], and the first call after a
-    /// scope that was closed by an unwind (a panic escaped `f`) returns
-    /// [`RewriteError::DeferredScopeUnwound`] with the number of queued
-    /// jobs the unwind discarded — once acknowledged, the next call starts
-    /// clean. Without this, a panicking scope would silently drop its
-    /// queued jobs and the next scope would run as if nothing was lost.
-    pub fn run_deferred<R>(
-        &self,
-        img: &Image,
-        workers: usize,
-        f: impl FnOnce() -> R,
-    ) -> Result<R, RewriteError> {
-        let workers = workers.max(1);
-        self.queue.begin_scope()?;
-        Ok(std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| self.drain_jobs(img));
-            }
-            // Close on unwind too: workers block in `pop` until the close,
-            // so a panicking closure would otherwise deadlock the scope's
-            // join and turn the caller's panic into a hang. An unwinding
-            // close cannot wait for a drain (the scope is dying), so it
-            // discards queued jobs and records the count for the next
-            // `begin_scope` to report.
-            struct CloseOnDrop<'a>(&'a JobQueue);
-            impl Drop for CloseOnDrop<'_> {
-                fn drop(&mut self) {
-                    if std::thread::panicking() {
-                        self.0.close_unwound();
-                    } else {
-                        self.0.close();
-                    }
-                }
-            }
-            let _close = CloseOnDrop(&self.queue);
-            f()
-        }))
-    }
-
-    /// Worker loop: pop jobs until the queue is closed and drained. Jobs
-    /// go through the ordinary single-flight path, so a synchronous
-    /// caller racing a worker coalesces rather than double-tracing.
-    /// Each job runs under `catch_unwind`: `obtain` already contains
-    /// rewrite-pipeline and gate panics, but anything that still escapes
-    /// it (a gate whose panic payload panics again when dropped) would
-    /// otherwise unwind through `std::thread::scope` and abort the whole
-    /// batch — here it fails one job and is counted.
-    fn drain_jobs(&self, img: &Image) {
-        while let Some(job) = self.queue.pop() {
-            // A failed deferred rewrite is dropped silently here — its
-            // MISS record is journaled, the failure is negatively cached,
-            // and later synchronous requests for the key surface the
-            // error to a caller.
-            let contained = catch_unwind(AssertUnwindSafe(|| {
-                if let Ok((v, Outcome::Rewrote)) = self.obtain(img, job.func, &job.req) {
-                    self.note(FlightKind::Published, [job.func, v.entry, 0, 0]);
-                }
-            }));
-            if contained.is_err() {
-                self.note_panic_contained();
-            }
-        }
-    }
-
-    /// Cache lookup, then single-flight rewrite: leader traces, followers
-    /// subscribe.
-    fn obtain(
+    /// The synchronous memoized entry point: return the cached variant
+    /// for `(func, req)` or rewrite, insert and return it. A cache hit
+    /// costs one shard-lock hash lookup — no decoding, tracing, passes or
+    /// encoding. Concurrent misses on the same key coalesce onto a single
+    /// rewrite: the leader traces, followers subscribe.
+    pub fn get_or_rewrite(
         &self,
         img: &Image,
         func: u64,
         req: &SpecRequest,
-    ) -> Result<(Arc<Variant>, Outcome), RewriteError> {
+    ) -> Result<Arc<Variant>, RewriteError> {
         let key = CacheKey {
             func,
             fingerprint: req.fingerprint(),
         };
         if let Some(v) = self.cache.lookup(&key) {
             self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
-            return Ok((v, Outcome::Hit));
+            return Ok(v);
         }
         // Denial path: a key already known to fail answers with the
         // memoized error at shard-lookup cost. `Retry` means the backoff
@@ -716,7 +583,7 @@ impl SpecializationManager {
         match self.inflight.join(key) {
             Join::Follower(flight) => {
                 self.note(FlightKind::Coalesced, [func, 0, 0, 0]);
-                flight.wait().map(|v| (v, Outcome::Coalesced))
+                flight.wait()
             }
             Join::Leader(lease) => {
                 // Double-check under the lease: a previous leader may have
@@ -724,22 +591,19 @@ impl SpecializationManager {
                 if let Some(v) = self.cache.lookup(&key) {
                     self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
                     lease.resolve(Ok(Arc::clone(&v)));
-                    return Ok((v, Outcome::Hit));
+                    return Ok(v);
                 }
                 self.note(FlightKind::Miss, [func, 0, 0, 0]);
                 self.metrics.gauge_add(Gge::InflightRewrites, 1);
                 // Contain pipeline panics at this boundary: one
                 // pathological function fails its own request (as
                 // `Internal`, negatively cached like any other failure)
-                // instead of unwinding into the caller or worker pool —
-                // the lease would resolve via `Drop`, but every follower
-                // and retrier would then re-trace the same panic.
+                // instead of unwinding into the caller — the lease would
+                // resolve via `Drop`, but every follower and retrier would
+                // then re-trace the same panic.
                 let rewritten =
                     catch_unwind(AssertUnwindSafe(|| Rewriter::new(img).rewrite(func, req)))
-                        .unwrap_or_else(|p| {
-                            self.note_panic_contained();
-                            Err(RewriteError::Internal(panic_message(p.as_ref())))
-                        });
+                        .unwrap_or_else(|p| Err(RewriteError::Internal(self.contain_panic(p))));
                 self.metrics.gauge_add(Gge::InflightRewrites, -1);
                 // The publish gate inspects the finished-but-unpublished
                 // variant; a rejection becomes a rewrite failure like any
@@ -807,7 +671,7 @@ impl SpecializationManager {
                         self.evict_to_budget(key);
                         self.sync_resident_gauges();
                         lease.resolve(Ok(Arc::clone(&variant)));
-                        Ok((variant, Outcome::Rewrote))
+                        Ok(variant)
                     }
                     Err(e) => {
                         self.metrics.observe_rewrite(Err(&e));
@@ -857,12 +721,9 @@ impl SpecializationManager {
                 })
             }
             Err(p) => {
-                self.note_panic_contained();
+                let msg = self.contain_panic(p);
                 Err(GateFailure {
-                    err: RewriteError::Internal(format!(
-                        "publish gate panicked: {}",
-                        panic_message(p.as_ref())
-                    )),
+                    err: RewriteError::Internal(format!("publish gate panicked: {msg}")),
                     equivalence: false,
                     findings: 0,
                 })
@@ -893,10 +754,7 @@ impl SpecializationManager {
         let reemitted = catch_unwind(AssertUnwindSafe(|| {
             Rewriter::new(img).reemit_conservative(req, res)
         }))
-        .unwrap_or_else(|p| {
-            self.note_panic_contained();
-            Err(RewriteError::Internal(panic_message(p.as_ref())))
-        })?;
+        .unwrap_or_else(|p| Err(RewriteError::Internal(self.contain_panic(p))))?;
         self.gate_check(img, func, req, &reemitted)
             .map(|()| reemitted)
             .map_err(|f| f.err)
@@ -926,15 +784,15 @@ impl SpecializationManager {
     /// One turn of the tiering loop: sample every registered counter page
     /// and the cache hit counters, fold the deltas (plus miss observations
     /// recorded since the last tick) into decayed per-key heat, and apply
-    /// `TieringConfig::decide` — demote cold resident variants, enqueue
-    /// rewrites for hot absent fingerprints (inline when no deferred
-    /// scope is open). Returns what happened; with tiering disabled this
-    /// is a no-op returning the default (zero) summary.
+    /// `TieringConfig::decide` — demote cold resident variants, rewrite
+    /// hot absent fingerprints. Returns what happened; with tiering
+    /// disabled this is a no-op returning the default (zero) summary.
     ///
     /// Call it from wherever the host already has a periodic hook — a
-    /// scheduler tick, an iteration boundary, a maintenance thread. The
-    /// critical section is one pass over small maps; sampling tolerates
-    /// the stubs' relaxed counters by construction (see
+    /// scheduler tick, an iteration boundary, a maintenance thread: the
+    /// promotions' rewrites run on that thread, so the dispatch path never
+    /// waits for one. The critical section is one pass over small maps;
+    /// sampling tolerates the stubs' relaxed counters by construction (see
     /// [`CounterPage`]'s read-back contract).
     pub fn tick(&self, img: &Image) -> TickSummary {
         let Some(t) = &self.tiering else {
@@ -1093,7 +951,7 @@ impl SpecializationManager {
         self.metrics.gauge_set(Gge::HeatMean, heat_mean);
 
         // Effects run outside the tiering lock: an inline promotion
-        // re-enters `obtain`. Each verdict journals the threshold that
+        // re-enters `get_or_rewrite`. Each verdict journals the threshold that
         // justified it beside the heat score, so a dump answers "why"
         // without the config at hand.
         if !demote.is_empty() {
@@ -1122,16 +980,10 @@ impl SpecializationManager {
                     milli(t.cfg.promote_heat),
                 ],
             );
-            if let Enqueue::Closed = self.queue.push(Job {
-                key,
-                func: key.func,
-                req: req.clone(),
-            }) {
-                // No deferred scope open: pay the rewrite on the tick
-                // thread — the dispatch path stays non-blocking either
-                // way, and a failure is negatively cached as usual.
-                let _ = self.obtain(img, key.func, &req);
-            }
+            // The rewrite is paid on the tick thread — the dispatch path
+            // never waits for it — and a failure is negatively cached as
+            // usual.
+            let _ = self.get_or_rewrite(img, key.func, &req);
         }
         let summary = TickSummary {
             tick,
@@ -1205,39 +1057,35 @@ impl SpecializationManager {
     /// The [`Invalidation::Revalidate`] sweep: re-hash every variant's
     /// snapshot against the current image and drop exactly the variants
     /// whose folded bytes changed. It journals a `STALE` record for every
-    /// dropped variant, then an `INVALIDATED` record for every one; each
-    /// rewrite is re-enqueued (from the retained producing request) so the
-    /// fresh variant is published without the original caller's help —
-    /// with tiering enabled the re-enqueue is heat-gated by
-    /// [`TieringConfig::respecialize`], so cold stale variants just die.
+    /// dropped variant, then an `INVALIDATED` record for every one. With
+    /// tiering enabled, each variant whose heat clears
+    /// [`TieringConfig::respecialize`] is journaled `RESPEC` and rebuilt
+    /// right here from its retained producing request, so the fresh
+    /// variant is published without the original caller's help; cold stale
+    /// variants just die. Without tiering nothing is rebuilt: the next
+    /// request for a dropped key re-specializes it.
     fn revalidate_sweep(&self, img: &Image) -> usize {
         let dropped = self.cache.remove_matching(|v| !v.snapshot.matches(img));
         for (_, _, v) in &dropped {
             self.note(FlightKind::Stale, [v.func, v.entry, 0, 0]);
         }
         self.note_invalidated(&dropped);
-        for (key, req, v) in &dropped {
-            if let Some(t) = &self.tiering {
-                // The request is retained either way — a cold key may heat
-                // back up and earn a promotion later — but only a variant
-                // still hot *now* gets its rewrite paid immediately.
-                t.retain_request(*key, req.clone());
+        // The requests are retained either way — a cold key may heat back
+        // up and earn a promotion later — but only a variant still hot
+        // *now* gets its rewrite paid immediately.
+        self.tier_retain(&dropped);
+        if let Some(t) = &self.tiering {
+            for (key, req, _) in &dropped {
                 let heat = t.heat_of(key);
-                if !t.cfg.respecialize(heat) {
-                    continue;
+                if t.cfg.respecialize(heat) {
+                    self.note(
+                        FlightKind::Respecialized,
+                        [key.func, key.fingerprint, milli(heat), 0],
+                    );
+                    // A failure is negatively cached as usual.
+                    let _ = self.get_or_rewrite(img, key.func, req);
                 }
-                self.note(
-                    FlightKind::Respecialized,
-                    [v.func, key.fingerprint, milli(heat), 0],
-                );
             }
-            // `Closed` outside a deferred scope — then the next request
-            // for the key simply re-specializes synchronously.
-            self.queue.push(Job {
-                key: *key,
-                func: v.func,
-                req: req.clone(),
-            });
         }
         dropped.len()
     }
@@ -1520,9 +1368,9 @@ mod tests {
     /// One journal line per decision kind that had a public event before
     /// `Event` was deleted, as the flight dump prints it (timestamp and
     /// thread id cut off); the lines were generated at the commit before
-    /// the encoding moved into the decision table. `PROMOTED` and
-    /// `DEMOTED` come from real ticks, so a call site that forgets its
-    /// `bar` word fails here.
+    /// the encoding moved into the decision table, less `DEFERRED`, which
+    /// went with the deferred mode. `PROMOTED` and `DEMOTED` come from real
+    /// ticks, so a call site that forgets its `bar` word fails here.
     #[test]
     fn every_event_variant_journals_its_pinned_line() {
         let m = SpecializationManager::builder()
@@ -1564,7 +1412,6 @@ mod tests {
             (FlightKind::Hit, [func, entry, 0, 0]),
             (FlightKind::Miss, [func, 0, 0, 0]),
             (FlightKind::Coalesced, [func, 0, 0, 0]),
-            (FlightKind::Deferred, [func, 0, 0, 0]),
             (FlightKind::Rewritten, [func, entry, 96, 1_230]),
             (FlightKind::Published, [func, entry, 0, 0]),
             (FlightKind::Evicted, [func, entry, 96, 0]),
@@ -1580,12 +1427,11 @@ mod tests {
             m.note(kind, words);
         }
         let noted: Vec<String> = m.flight.dump().entries[mark..].iter().map(line).collect();
-        let lines = [&noted[..11], &tier[..], &noted[11..]].concat();
+        let lines = [&noted[..10], &tier[..], &noted[10..]].concat();
         let pinned = [
             "HIT func=0x401000 entry=0x900040",
             "MISS func=0x401000",
             "COALESCED func=0x401000",
-            "DEFERRED func=0x401000",
             "REWRITTEN func=0x401000 entry=0x900040 len=96 ns=1230",
             "PUBLISHED func=0x401000 entry=0x900040",
             "EVICTED func=0x401000 entry=0x900040 len=96",

@@ -107,8 +107,8 @@ impl NegativeCache {
 
     /// Look up `key`. `Deny` counts itself against the backoff window;
     /// `Miss` and `Retry` do not mutate the entry, so consulting twice on
-    /// one request path (e.g. `request` falling through to `obtain`) is
-    /// harmless.
+    /// one request path (e.g. `request` falling through to
+    /// `get_or_rewrite`) is harmless.
     pub fn consult(&self, key: &CacheKey) -> Verdict {
         let mut map = unpoison(self.shard(key).lock());
         let Some(e) = map.get_mut(key) else {
@@ -129,7 +129,7 @@ impl NegativeCache {
     /// Non-mutating probe: would [`consult`](Self::consult) deny `key`
     /// right now? Unlike `consult`, a `true` answer does *not* count
     /// against the backoff window — for policy layers (tiering promotion)
-    /// that need to know whether enqueueing is futile without spending
+    /// that need to know whether a rewrite is futile without spending
     /// the denial budget real requests decay on.
     pub fn would_deny(&self, key: &CacheKey) -> bool {
         let map = unpoison(self.shard(key).lock());

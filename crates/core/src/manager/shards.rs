@@ -89,7 +89,7 @@ pub(super) struct CacheEntry {
     pub variant: Arc<Variant>,
     pub key: CacheKey,
     /// The request that produced the variant — kept so invalidation can
-    /// re-enqueue the rewrite without the original caller's help.
+    /// rebuild the variant without the original caller's help.
     pub req: SpecRequest,
     /// Logical-clock timestamp of the last hit/credit (atomic: bumped by
     /// lock-free readers, read by writer-side eviction scoring).
@@ -403,7 +403,7 @@ impl ShardedCache {
 
     /// Remove every entry whose variant satisfies `pred`; returns the
     /// removed `(key, producing request, variant)` triples so the caller
-    /// can journal them and optionally re-enqueue the rewrites. Shards are
+    /// can journal them and optionally rebuild the variants. Shards are
     /// locked one at a time (never nested) and republished at most once
     /// each, so an invalidation sweep costs one snapshot swap per
     /// affected shard.

@@ -9,14 +9,15 @@
 //! all driven through machinery earlier PRs built:
 //!
 //! - **Promote** — a fingerprint seen hot at dispatch but not resident is
-//!   enqueued for a deferred rewrite, so a later call dispatches into a
+//!   rewritten on the tick's thread, so a later call dispatches into a
 //!   specialized variant without any operator input.
 //! - **Demote** — a resident variant whose heat decays below the demote
 //!   threshold is removed from the cache ahead of LRU byte pressure,
 //!   reclaiming its budget share for fingerprints that still earn it.
 //! - **Re-specialize** — after invalidation, only variants whose heat
-//!   clears the policy's bar are re-enqueued; cold stale variants just
-//!   die instead of paying a rewrite nobody will call.
+//!   clears the policy's bar are rebuilt, inside the invalidation call;
+//!   cold stale variants just die instead of paying a rewrite nobody will
+//!   call.
 //!
 //! ## Heat bookkeeping
 //!
@@ -84,7 +85,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TieringConfig {
     /// Heat at or above which a non-resident fingerprint is promoted
-    /// (its rewrite enqueued).
+    /// (rewritten by the tick).
     pub promote_heat: f64,
     /// Heat at or below which a resident variant is demoted (evicted).
     /// Must sit below `promote_heat`; the gap is the hysteresis band.
@@ -120,7 +121,7 @@ impl Default for TieringConfig {
 pub(super) enum TierAction {
     /// Leave the key as it is.
     Stay,
-    /// Enqueue a deferred rewrite for the (non-resident) key.
+    /// Rewrite the (non-resident) key.
     Promote,
     /// Remove the (resident) key's variant from the cache.
     Demote,
@@ -169,7 +170,7 @@ pub struct TickSummary {
     pub sampled: u64,
     /// Keys with live heat entries after the tick.
     pub tracked: usize,
-    /// Promotions issued this tick (rewrites enqueued or run inline).
+    /// Promotions issued (and rewrites run) this tick.
     pub promoted: usize,
     /// Resident variants demoted (removed from the cache) this tick.
     pub demoted: usize,

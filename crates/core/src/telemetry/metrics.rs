@@ -2,7 +2,7 @@
 //!
 //! Every metric is a plain atomic — no locks anywhere on the update path,
 //! so the registry is safe to hammer from the manager's sharded hit path
-//! and the deferred worker pool alike. A disabled registry (see
+//! on every caller thread at once. A disabled registry (see
 //! [`MetricsRegistry::set_enabled`]) reduces every update to one relaxed
 //! load-and-branch.
 

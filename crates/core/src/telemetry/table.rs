@@ -45,9 +45,6 @@ metric_ids! {
         CacheMisses "brew_cache_misses_total" "Requests that led a rewrite (single-flight leaders)";
         CacheCoalesced "brew_cache_coalesced_total"
             "Requests that subscribed to an in-flight rewrite";
-        CacheDeferred "brew_cache_deferred_total"
-            "Misses answered with the original while a worker rewrites";
-        CachePublished "brew_cache_published_total" "Variants published by deferred workers";
         CacheEvictions "brew_cache_evictions_total" "Variants evicted under byte-budget pressure";
         CacheEvictedBytes "brew_cache_evicted_bytes_total" "Code bytes dropped by evictions";
         Rewrites "brew_rewrites_total" "Completed rewrites";
@@ -70,11 +67,11 @@ metric_ids! {
         VerifyRejected "brew_verify_rejected_total"
             "Variants rejected (and never published) by the publish gate";
         TierPromoted "brew_tier_promoted_total"
-            "Hot fingerprints promoted (rewrite enqueued) by the tiering layer";
+            "Hot fingerprints promoted (rewritten inline) by the tiering layer";
         TierDemoted "brew_tier_demoted_total"
             "Cold resident variants demoted (evicted) by the tiering layer";
         TierRespecialized "brew_tier_respecialized_total"
-            "Stale variants re-enqueued because their heat cleared the bar";
+            "Stale variants rebuilt because their heat cleared the bar";
         EpochPublished "brew_read_epoch_published_total"
             "Shard snapshots published (rebuild + pointer swap)";
         EpochReclaimed "brew_read_epoch_reclaimed_total"
@@ -204,15 +201,17 @@ macro_rules! decisions {
 // `MetricsRegistry::observe_rewrite`, as for `brew_rewrite_failures_total`
 // (a failed rewrite is journaled by its cause, not by a record of its own).
 // The `bar` word of `Promoted`/`Demoted` is the threshold the verdict was
-// taken against, written by `SpecializationManager::tick`.
+// taken against, written by `SpecializationManager::tick`. `Published` is
+// the journal line of one warm-loaded entry; the load's counters come off
+// its `PersistLoad` record. Discriminant 4 (`DEFERRED`, the retired deferred
+// mode) is never reused: old dumps still carry it.
 decisions! {
     Hit = 1, "HIT", [("func", Hex), ("entry", Hex)], [CacheHits];
     Miss = 2, "MISS", [("func", Hex)], [CacheMisses];
     Coalesced = 3, "COALESCED", [("func", Hex)], [CacheCoalesced];
-    Deferred = 4, "DEFERRED", [("func", Hex)], [CacheDeferred];
     Rewritten = 5, "REWRITTEN", [("func", Hex), ("entry", Hex), ("len", Dec), ("ns", Dec)],
         [Rewrites, JitCodeBytes += arg 2];
-    Published = 6, "PUBLISHED", [("func", Hex), ("entry", Hex)], [CachePublished];
+    Published = 6, "PUBLISHED", [("func", Hex), ("entry", Hex)], [];
     Evicted = 7, "EVICTED", [("func", Hex), ("entry", Hex), ("len", Dec)],
         [CacheEvictions, CacheEvictedBytes += arg 2];
     DispatcherBuilt = 8, "DISPATCHER", [("func", Hex), ("entry", Hex), ("variants", Dec)],
@@ -267,10 +266,10 @@ mod tests {
         let mut names: Vec<&str> = Ctr::ALL.iter().map(|c| c.name()).collect();
         names.extend(Gge::ALL.iter().map(|g| g.name()));
         names.extend(Hst::ALL.iter().map(|h| h.name()));
-        assert_eq!(names.len(), 46);
+        assert_eq!(names.len(), 44);
         assert!(names.iter().all(|n| n.starts_with("brew_")));
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 46);
+        assert_eq!(names.len(), 44);
     }
 }

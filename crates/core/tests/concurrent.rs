@@ -1,14 +1,13 @@
 //! Stress tests for the shared `SpecializationManager`: single-flight
 //! exactly-once tracing, budget enforcement under concurrent eviction,
-//! correct dispatch of concurrently produced variants, and deferred-mode
-//! publication. Every assertion is an invariant or a quiescent-state
+//! correct dispatch of concurrently produced variants, and `request`'s
+//! synchronous miss. Every assertion is an invariant or a quiescent-state
 //! check — nothing here depends on thread timing.
 
 use brew_core::telemetry::metrics::Ctr;
-use brew_core::{Dispatch, RetKind, SpecRequest, SpecializationManager};
+use brew_core::{RetKind, SpecRequest, SpecializationManager};
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
-use std::sync::Arc;
 
 const PROG: &str = r#"
     int poly(int x, int n) {
@@ -192,166 +191,16 @@ fn concurrent_eviction_respects_global_budget() {
     assert_eq!(out.ret_int, 625);
 }
 
-/// Deferred mode: `request` answers misses with the original entry (which
-/// must keep working), background workers rewrite, and by the time
-/// `run_deferred` returns every hot fingerprint has a published variant.
+/// Without tiering a `request` miss takes the synchronous single-flight
+/// path and reports a specialized dispatch immediately: the rewrite ran on
+/// the calling thread, before `request` returned.
 #[test]
-fn deferred_mode_eventually_publishes_every_hot_variant() {
-    let (img, poly) = setup();
-    let mgr = SpecializationManager::new();
-
-    mgr.run_deferred(&img, 4, || {
-        std::thread::scope(|s| {
-            for tid in 0..THREADS {
-                let (mgr, img) = (&mgr, &img);
-                s.spawn(move || {
-                    let mut m = thread_machine(img, tid);
-                    for i in 0..ROUNDS {
-                        let n = nth_request(tid, i);
-                        let d = mgr.request(img, poly, &poly_req(n)).unwrap();
-                        if let Dispatch::Original { deferred, .. } = &d {
-                            assert!(deferred, "miss inside the scope must defer");
-                        }
-                        // Whatever we were handed — original or variant —
-                        // it computes poly correctly.
-                        let out = m
-                            .call(img, d.entry(), &CallArgs::new().int(2).int(n))
-                            .unwrap();
-                        assert_eq!(out.ret_int, 1u64 << n, "2^{n} via {d:?}");
-                    }
-                });
-            }
-        });
-    })
-    .unwrap();
-
-    // The scope drained its queue: every hot fingerprint is resident.
-    assert_eq!(mgr.len(), DISTINCT, "all hot variants published");
-    let st = mgr.stats();
-    assert_eq!(st.misses, DISTINCT as u64, "workers traced each key once");
-    assert_eq!(st.published, DISTINCT as u64, "each publish reported once");
-    assert!(st.deferred >= DISTINCT as u64, "first requests deferred");
-
-    // Post-scope requests are plain hits on correct variants.
-    let misses_before = mgr.stats().misses;
-    let mut m = Machine::new();
-    for n in [2i64, 3, 4, 5, 6] {
-        let d = mgr.request(&img, poly, &poly_req(n)).unwrap();
-        assert!(d.is_specialized(), "published variant answers n={n}");
-        let out = m
-            .call(&img, d.entry(), &CallArgs::new().int(2).int(n))
-            .unwrap();
-        assert_eq!(out.ret_int, 1u64 << n);
-    }
-    assert_eq!(mgr.stats().misses, misses_before, "no re-trace after scope");
-}
-
-/// Outside any deferred scope `request` degrades to the synchronous
-/// single-flight path and reports a specialized dispatch immediately.
-#[test]
-fn request_outside_deferred_scope_is_synchronous() {
+fn request_miss_rewrites_on_the_calling_thread() {
     let (img, poly) = setup();
     let mgr = SpecializationManager::new();
     let d = mgr.request(&img, poly, &poly_req(3)).unwrap();
     assert!(d.is_specialized());
     assert_eq!(mgr.stats().misses, 1);
-    assert_eq!(mgr.stats().deferred, 0);
-}
-
-/// Regression (companion to the PR 6 unwind test in lifecycle.rs): when a
-/// panic escapes a deferred scope's closure, jobs still queued are
-/// discarded by the unwinding close — they must surface as a typed
-/// `DeferredScopeUnwound { lost }` from the *next* `run_deferred`, not
-/// vanish silently. Acknowledging the error clears it, so the scope after
-/// that runs normally.
-#[test]
-fn run_deferred_after_unwound_scope_reports_lost_jobs_once() {
-    use brew_core::{PublishRejection, RewriteError, RewriteResult};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{OnceLock, Weak};
-    let (img, poly) = setup();
-
-    // Hold the single worker inside its first job until the unwind has
-    // emptied the queue: the publish gate of that job returns only once
-    // the quick jobs behind it are all queued (`armed`) and the queue is
-    // empty again — which, with the one worker in the gate, only the
-    // unwinding close can make it. A slow first job would not do: the
-    // tracer is fast enough to finish it inside one lost time slice.
-    let (armed, held) = (
-        Arc::new(AtomicBool::new(false)),
-        Arc::new(AtomicBool::new(false)),
-    );
-    let first = AtomicBool::new(true);
-    let this: Arc<OnceLock<Weak<SpecializationManager>>> = Arc::default();
-    let (gate_armed, gate_held, gate_this) = (armed.clone(), held.clone(), this.clone());
-    let gate = move |_: &Image, _: u64, _: &SpecRequest, _: &RewriteResult| {
-        if first.swap(false, Ordering::AcqRel) {
-            let mgr = gate_this.get().and_then(Weak::upgrade).expect("set below");
-            gate_held.store(true, Ordering::Release);
-            while !(gate_armed.load(Ordering::Acquire) && mgr.queue_depth() == 0) {
-                std::thread::yield_now();
-            }
-        }
-        Ok::<(), PublishRejection>(())
-    };
-    let mgr = Arc::new(
-        SpecializationManager::builder()
-            .publish_gate(Box::new(gate))
-            .build(),
-    );
-    this.set(Arc::downgrade(&mgr)).expect("set once");
-
-    // `resume_unwind` skips the panic hook (message formatting, backtrace
-    // capture); the quick jobs are still queued to be counted as lost.
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        mgr.run_deferred(&img, 1, || {
-            let _ = mgr.request(&img, poly, &poly_req(50));
-            while !held.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            for n in 2..12 {
-                let _ = mgr.request(&img, poly, &poly_req(n));
-            }
-            armed.store(true, Ordering::Release);
-            std::panic::resume_unwind(Box::new("scope dies with jobs queued"));
-        })
-        .unwrap();
-    }));
-    assert!(caught.is_err(), "the panic propagates out of run_deferred");
-
-    // The next scope reports the unwind as a typed error: every quick job
-    // was still queued, the worker being held in the first one.
-    let err = mgr
-        .run_deferred(&img, 1, || unreachable!("must not run after unwind"))
-        .unwrap_err();
-    assert!(
-        matches!(err, RewriteError::DeferredScopeUnwound { lost: 10 }),
-        "typed unwind error, got {err:?}"
-    );
-
-    // Acknowledged: the scope after that is clean and fully functional.
-    mgr.run_deferred(&img, 2, || {
-        let d = mgr.request(&img, poly, &poly_req(3)).unwrap();
-        let _ = d.entry();
-    })
-    .unwrap();
-    assert!(
-        mgr.is_resident(poly, poly_req(3).fingerprint()),
-        "post-acknowledgement scope publishes normally"
-    );
-}
-
-/// Nested deferred scopes are a typed error, not a silent queue close.
-#[test]
-fn nested_deferred_scope_is_rejected() {
-    use brew_core::RewriteError;
-    let (img, _poly) = setup();
-    let mgr = SpecializationManager::new();
-    mgr.run_deferred(&img, 1, || {
-        let err = mgr.run_deferred(&img, 1, || ()).unwrap_err();
-        assert!(matches!(err, RewriteError::DeferredScopeActive));
-    })
-    .unwrap();
-    // The outer scope closed normally; a fresh scope opens fine.
-    mgr.run_deferred(&img, 1, || ()).unwrap();
+    assert_eq!(mgr.metrics().counter(Ctr::Rewrites).get(), 1);
+    assert!(mgr.is_resident(poly, poly_req(3).fingerprint()));
 }

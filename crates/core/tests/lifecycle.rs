@@ -82,10 +82,7 @@ fn negative_cache_denies_repeats_without_retracing() {
     // error — callers asked where to dispatch, and the answer is "the
     // original, same as when the rewrite first failed".
     match mgr.request(&img, poly, &req).unwrap() {
-        Dispatch::Original { func, deferred } => {
-            assert_eq!(func, poly);
-            assert!(!deferred, "a denied request must not queue a job");
-        }
+        Dispatch::Original { func } => assert_eq!(func, poly),
         d => panic!("expected Original, got {d:?}"),
     }
     assert_eq!(mgr.stats().misses, 1);
@@ -290,8 +287,8 @@ fn invalidate_data_intersects_folded_ranges_precisely() {
 }
 
 /// A panic payload that panics again when dropped: `gate_check` catches
-/// the gate's panic, but dropping the payload re-panics out of it, so only
-/// the worker's own `catch_unwind` stands between it and the pool.
+/// the gate's panic, and dropping that payload must not unwind out of the
+/// request either.
 struct Bomb;
 
 impl Drop for Bomb {
@@ -300,10 +297,9 @@ impl Drop for Bomb {
     }
 }
 
-/// A publish gate that blows up inside the worker pool: for `n == 2` with a
-/// payload that escapes the gate's containment (see [`Bomb`]), for `n == 3`
-/// with a plain panic the gate check contains itself; every other variant
-/// passes.
+/// A publish gate that blows up: for `n == 2` with a payload that panics
+/// again when dropped (see [`Bomb`]), for `n == 3` with a plain panic;
+/// every other variant passes.
 fn panicking_gate(
     _: &Image,
     _: u64,
@@ -318,49 +314,7 @@ fn panicking_gate(
 }
 
 #[test]
-fn panicking_gate_fails_jobs_not_the_worker_pool() {
-    let (img, prog) = setup();
-    let poly = prog.func("poly").unwrap();
-    let mgr = SpecializationManager::builder()
-        .publish_gate(Box::new(panicking_gate))
-        .build();
-
-    // Without containment the escaping panic would unwind through
-    // `std::thread::scope` and abort the whole batch (and this test).
-    mgr.run_deferred(&img, 2, || {
-        for n in 2..7 {
-            let d = mgr.request(&img, poly, &poly_req(n)).unwrap();
-            assert!(!d.is_specialized(), "first request answers original");
-        }
-    })
-    .unwrap();
-
-    let st = mgr.stats();
-    assert_eq!(
-        mgr.len(),
-        3,
-        "every job the gate passed was published: {st:?}"
-    );
-    assert_eq!(st.published, 3, "{st:?}");
-    // Every gate panic was contained and counted: n == 2 twice (the gate
-    // check, then the worker that caught the re-panic), n == 3 once.
-    assert_eq!(st.panics_contained, 3, "{st:?}");
-    // The manager remains fully usable: hits and new rewrites.
-    let v = mgr.get_or_rewrite(&img, poly, &poly_req(4)).unwrap();
-    let out = Machine::new()
-        .call(&img, v.entry, &CallArgs::new().int(2).int(0))
-        .unwrap();
-    assert_eq!(out.ret_int, 16);
-    assert_eq!(mgr.stats().hits, 1, "served from cache after the storm");
-    let v = mgr.get_or_rewrite(&img, poly, &poly_req(7)).unwrap();
-    let out = Machine::new()
-        .call(&img, v.entry, &CallArgs::new().int(2).int(0))
-        .unwrap();
-    assert_eq!(out.ret_int, 128);
-}
-
-#[test]
-fn deferred_jobs_respect_the_negative_backoff() {
+fn panicking_gate_fails_its_request_not_the_caller() {
     let (img, prog) = setup();
     let poly = prog.func("poly").unwrap();
     let mgr = SpecializationManager::builder()
@@ -368,41 +322,47 @@ fn deferred_jobs_respect_the_negative_backoff() {
             base_backoff: 1_000_000,
             attempt_cap: 10,
         })
+        .publish_gate(Box::new(panicking_gate))
         .build();
-    let req = doomed_req();
 
-    // First scope: the miss queues one job; the worker traces it, fails,
-    // and memoizes the failure (run_deferred drains before returning).
-    mgr.run_deferred(&img, 2, || {
-        let d = mgr.request(&img, poly, &req).unwrap();
-        assert!(matches!(d, Dispatch::Original { deferred: true, .. }));
-    })
-    .unwrap();
+    // Each gate panic fails its own request with a typed error. Were the
+    // payload dropped outside containment, n == 2 would unwind into this
+    // test instead.
+    for (n, msg) in [(2, "non-string panic payload"), (3, "gate exploded")] {
+        let err = mgr.get_or_rewrite(&img, poly, &poly_req(n)).unwrap_err();
+        let want = format!("publish gate panicked: {msg}");
+        assert_eq!(err, RewriteError::Internal(want), "n={n}");
+        // Negatively cached: the next request is denied, not re-traced.
+        let d = mgr.request(&img, poly, &poly_req(n)).unwrap();
+        assert!(
+            matches!(d, Dispatch::Original { func } if func == poly),
+            "n={n}: {d:?}"
+        );
+    }
     let st = mgr.stats();
-    assert_eq!((st.misses, st.negative_entries), (1, 1), "{st:?}");
+    assert_eq!(
+        (st.misses, st.denied, st.negative_entries),
+        (2, 2, 2),
+        "{st:?}"
+    );
+    // One containment per gate panic: the payload's second panic goes with
+    // the first.
+    assert_eq!(st.panics_contained, 2, "{st:?}");
+    assert!(mgr.is_empty());
 
-    // Second scope: every request for the doomed key is denied up front —
-    // no job is queued, no worker traces, nothing is published.
-    mgr.run_deferred(&img, 2, || {
-        for _ in 0..50 {
-            let d = mgr.request(&img, poly, &req).unwrap();
-            assert!(
-                matches!(
-                    d,
-                    Dispatch::Original {
-                        deferred: false,
-                        ..
-                    }
-                ),
-                "denied, not re-queued: {d:?}"
-            );
-        }
-    })
-    .unwrap();
-    let st = mgr.stats();
-    assert_eq!(st.misses, 1, "the backoff kept workers idle: {st:?}");
-    assert_eq!(st.denied, 50);
-    assert_eq!(st.published, 0);
+    // The manager remains fully usable: new rewrites, then hits.
+    for (n, want) in [(4, 16), (7, 128)] {
+        let v = mgr.get_or_rewrite(&img, poly, &poly_req(n)).unwrap();
+        let out = Machine::new()
+            .call(&img, v.entry, &CallArgs::new().int(2).int(0))
+            .unwrap();
+        assert_eq!(out.ret_int, want);
+        assert!(mgr
+            .request(&img, poly, &poly_req(n))
+            .unwrap()
+            .is_specialized());
+    }
+    assert_eq!(mgr.stats().hits, 2, "served from cache after the storm");
 }
 
 proptest! {

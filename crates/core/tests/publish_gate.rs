@@ -1,13 +1,13 @@
 //! The `verify_on_publish` policy: a publish gate inspects every finished
-//! rewrite before it becomes visible, on both the synchronous and the
-//! deferred path. A rejected variant is never published — it is denied,
-//! negatively cached, counted, and dispatch falls back to the original.
+//! rewrite before it becomes visible. A rejected variant is never
+//! published — it is denied, negatively cached, counted, and dispatch
+//! falls back to the original.
 
 use brew_core::telemetry::flight::FlightKind;
 use brew_core::telemetry::metrics::{Ctr, Hst};
 use brew_core::{
     Dispatch, NegativePolicy, PublishRejection, RetKind, RewriteError, SpecRequest,
-    SpecializationManager,
+    SpecializationManager, TieringConfig,
 };
 use brew_image::Image;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -267,10 +267,27 @@ fn gate_panic_is_contained() {
     assert!(mgr.is_empty());
 }
 
+/// A tiering promotion publishes through the same gate as a request: a
+/// rejected promotion never becomes resident and its key is negatively
+/// cached; without a gate the same promotion publishes.
 #[test]
-fn deferred_path_runs_the_gate() {
+fn tiering_promotion_runs_the_gate() {
     let (img, poly) = setup();
+    let tiering = TieringConfig {
+        promote_heat: 3.0,
+        cooldown_ticks: 0,
+        ..TieringConfig::default()
+    };
+    let req = poly_req(7);
+    let promote = |mgr: &SpecializationManager| {
+        for _ in 0..4 {
+            assert!(!mgr.request(&img, poly, &req).unwrap().is_specialized());
+        }
+        assert_eq!(mgr.tick(&img).promoted, 1);
+    };
+
     let mgr = SpecializationManager::builder()
+        .tiering(tiering)
         .publish_gate(Box::new(
             |_: &Image, _: u64, _: &SpecRequest, _: &brew_core::RewriteResult| {
                 Err(PublishRejection {
@@ -281,22 +298,12 @@ fn deferred_path_runs_the_gate() {
             },
         ))
         .build();
-    mgr.run_deferred(&img, 2, || {
-        let d = mgr.request(&img, poly, &poly_req(7)).unwrap();
-        assert!(!d.is_specialized());
-    })
-    .unwrap();
-    // The worker drained the job; the gate rejected it, so nothing was
-    // published and the key is negatively cached.
-    assert!(mgr.is_empty(), "rejected deferred variant must not publish");
-    assert_eq!(mgr.stats().published, 0);
+    promote(&mgr);
+    assert!(mgr.is_empty(), "a rejected promotion must not publish");
     assert_eq!(mgr.metrics().counter(Ctr::VerifyRejected).get(), 1);
+    assert!(mgr.failure_of(poly, &req).is_some());
 
-    // Without a gate the same deferred request publishes.
-    let mgr2 = SpecializationManager::new();
-    mgr2.run_deferred(&img, 2, || {
-        mgr2.request(&img, poly, &poly_req(7)).unwrap();
-    })
-    .unwrap();
-    assert_eq!(mgr2.len(), 1);
+    let mgr = SpecializationManager::builder().tiering(tiering).build();
+    promote(&mgr);
+    assert!(mgr.is_resident(poly, req.fingerprint()));
 }

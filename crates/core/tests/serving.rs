@@ -188,8 +188,8 @@ fn churn_torture_every_dispatch_computes_the_right_value() {
                     let mut m = thread_machine(img, tid + 1);
                     for i in 0..ROUNDS {
                         let n = 2 + ((tid * 7 + i * 13) % 8) as i64;
-                        // `request` outside a deferred scope is the serving
-                        // path: lock-free hit, synchronous single-flight miss.
+                        // `request` is the serving path: lock-free hit,
+                        // synchronous single-flight miss.
                         let d = mgr.request(img, poly, &poly_req(n)).unwrap();
                         let out = m
                             .call(img, d.entry(), &CallArgs::new().int(2).int(n))

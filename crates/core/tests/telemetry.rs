@@ -4,8 +4,8 @@
 use brew_core::telemetry::flight::{FlightEntry, FlightKind};
 use brew_core::telemetry::metrics::{Ctr, Gge, Hst, ORIGINAL_FP};
 use brew_core::{
-    explain_report, validate_json, CacheStats, Dispatch, Invalidation, MetricsRegistry,
-    NegativePolicy, RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager,
+    explain_report, validate_json, CacheStats, Invalidation, MetricsRegistry, NegativePolicy,
+    RetKind, RewriteResult, Rewriter, SpecRequest, SpecializationManager,
 };
 use brew_emu::{CallArgs, Machine};
 use brew_image::Image;
@@ -302,7 +302,7 @@ fn exposition_and_flight_lines_are_pinned() {
         assert_eq!(a, b, "telemetry_pins.txt line {}", i + 1);
     }
     assert_eq!(now.lines().count(), pinned.lines().count());
-    assert_eq!(FlightKind::ALL.len(), 28);
+    assert_eq!(FlightKind::ALL.len(), 27);
 }
 
 const LIFE: &str = r#"
@@ -324,8 +324,6 @@ fn assert_stats_match_registry(mgr: &SpecializationManager) -> CacheStats {
     assert_eq!(st.hits, c(Ctr::CacheHits));
     assert_eq!(st.misses, c(Ctr::CacheMisses));
     assert_eq!(st.coalesced, c(Ctr::CacheCoalesced));
-    assert_eq!(st.deferred, c(Ctr::CacheDeferred));
-    assert_eq!(st.published, c(Ctr::CachePublished) - c(Ctr::PersistLoaded));
     assert_eq!(st.evictions, c(Ctr::CacheEvictions));
     assert_eq!(st.traced_total, c(Ctr::TracedInsts));
     assert_eq!(st.rewrite_ns_total, m.histogram(Hst::TotalNs).sum());
@@ -343,7 +341,7 @@ fn assert_stats_match_registry(mgr: &SpecializationManager) -> CacheStats {
 }
 
 /// One scripted, single-threaded life of a manager that takes every
-/// counted decision at least once — hit, miss, deferred + published,
+/// counted decision at least once — hit, miss, a `request` miss,
 /// eviction, denial, invalidation, stale revalidation, contained panic,
 /// warm start — with every `CacheStats` field checked against the
 /// registry counter it reads, and the counts themselves pinned.
@@ -376,25 +374,19 @@ fn cache_stats_are_a_view_over_the_registry() {
 
     mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap(); // miss
     mgr.get_or_rewrite(&img, poly, &poly_req(3)).unwrap(); // hit
-    let deferred = mgr
-        .run_deferred(&img, 1, || mgr.request(&img, poly, &poly_req(4)).unwrap())
-        .unwrap(); // deferred, then published by the worker
-    assert!(matches!(
-        deferred,
-        Dispatch::Original { deferred: true, .. }
-    ));
+    assert!(mgr
+        .request(&img, poly, &poly_req(4))
+        .unwrap()
+        .is_specialized()); // miss
     mgr.get_or_rewrite(&img, poly, &poly_req(5)).unwrap(); // miss + eviction
     mgr.build_dispatcher(&img, poly, poly).unwrap();
     let st = assert_stats_match_registry(&mgr);
-    assert_eq!(
-        (st.hits, st.misses, st.deferred, st.published),
-        (1, 3, 1, 1)
-    );
+    assert_eq!((st.hits, st.misses), (1, 3));
     assert_eq!((st.evictions, st.dispatchers_built), (1, 1));
     assert!(st.resident_bytes <= budget && st.traced_total > 0 && st.rewrite_ns_total > 0);
 
-    // A checkpoint reloaded into a second manager: warm-start publications
-    // are journaled as PUBLISHED but are not worker publications.
+    // A checkpoint reloaded into a second manager: each warm-started entry
+    // is journaled as PUBLISHED and counted once, by the load.
     let warm = SpecializationManager::new();
     let img2 = Image::new();
     brew_minic::compile_into(LIFE, &img2).unwrap();
@@ -403,8 +395,10 @@ fn cache_stats_are_a_view_over_the_registry() {
         .unwrap();
     assert_eq!((report.published, report.rejected.len()), (2, 0));
     let wst = assert_stats_match_registry(&warm);
-    assert_eq!((wst.published, wst.misses), (0, 0));
-    assert_eq!(warm.metrics().counter(Ctr::CachePublished).get(), 2);
+    assert_eq!((wst.hits, wst.misses), (0, 0));
+    assert_eq!(warm.metrics().counter(Ctr::PersistLoaded).get(), 2);
+    let dump = warm.flight().dump().render_text();
+    assert_eq!(dump.matches("kind=PUBLISHED").count(), 2, "{dump}");
 
     // Invalidation by function, then a stale revalidation.
     assert_eq!(mgr.apply_invalidation(Invalidation::Func(poly)), 2);
@@ -432,7 +426,7 @@ fn cache_stats_are_a_view_over_the_registry() {
 
     let st = assert_stats_match_registry(&mgr);
     assert_eq!((st.hits, st.misses, st.coalesced), (1, 6, 0));
-    assert_eq!((st.deferred, st.published, st.evictions), (1, 1, 1));
+    assert_eq!(st.evictions, 1);
     assert_eq!((st.invalidated, st.stale, st.denied), (3, 1, 2));
     assert_eq!((st.panics_contained, st.negative_entries), (1, 2));
     assert_eq!((st.resident_bytes, mgr.len()), (0, 0));

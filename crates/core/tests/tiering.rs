@@ -308,7 +308,8 @@ fn stub_traffic_keeps_a_variant_resident() {
 }
 
 /// After invalidation, re-specialization is heat-gated: the hot stale
-/// variant is rebuilt without any caller's help, the cold one just dies.
+/// variant is rebuilt inside the sweep, without any caller's help; the
+/// cold one just dies.
 #[test]
 fn respecialization_is_heat_gated() {
     let (img, prog) = setup();
@@ -349,16 +350,13 @@ fn respecialization_is_heat_gated() {
     assert!(mgr.heat_of(dot, hot.fingerprint()).unwrap() > 1.0);
     assert!(mgr.heat_of(dot, cold.fingerprint()).unwrap() <= 1.0);
 
-    // Invalidate both folds; the sweep re-enqueues only the hot one.
+    // Invalidate both folds; the sweep itself rebuilds only the hot one.
     img.write_u64(a, 30).unwrap();
     img.write_u64(b, 40).unwrap();
-    mgr.run_deferred(&img, 2, || {
-        assert_eq!(mgr.apply_invalidation(Invalidation::Revalidate(&img)), 2);
-    })
-    .unwrap();
+    assert_eq!(mgr.apply_invalidation(Invalidation::Revalidate(&img)), 2);
     assert!(
         mgr.is_resident(dot, hot.fingerprint()),
-        "hot stale variant was re-specialized by the workers"
+        "hot stale variant was re-specialized by the sweep"
     );
     assert!(
         !mgr.is_resident(dot, cold.fingerprint()),

@@ -137,6 +137,13 @@ stage_hotpath() {
     if sed '/^#\[cfg(test)\]/,$d' crates/core/src/manager/mod.rs | grep -n 'RwLock\|EventSink'; then
         fail "a lock or a second decision channel in crates/core/src/manager/mod.rs"
     fi
+    # Every manager decision runs on the caller's thread: the manager spawns
+    # no thread and parks none on a condition variable of its own.
+    for f in crates/core/src/manager/*.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::scope\|thread::spawn\|Condvar'; then
+            fail "a thread or a condvar in the manager ($f)"
+        fi
+    done
     # The same paths by their work: one decode per distinct address traced,
     # full world comparisons only where a digest matches.
     gates trace_
