@@ -109,19 +109,19 @@ impl ManagerBuilder {
                 "tiering config: decay ({}) must be in (0, 1)",
                 cfg.decay
             );
-            Tiering::new(cfg)
+            Tiering {
+                cfg,
+                state: Default::default(),
+            }
         });
-        // The cache holds a clone of the registry so the epoch machinery
-        // can count snapshot publications/reclamations without a back
-        // reference to the manager.
+        // Both caches keep their own gauges, and the epoch machinery
+        // journals from inside the shard writers: each holds clones of
+        // what it writes to instead of a reference to the manager.
         let metrics = Arc::new(MetricsRegistry::new());
-        // The cache also holds a clone of the flight recorder so the
-        // epoch machinery can journal snapshot publish/reclaim from
-        // inside the shard writers.
         let flight = Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY));
         SpecializationManager {
             cache: ShardedCache::new(DEFAULT_SHARDS, Arc::clone(&metrics), Arc::clone(&flight)),
-            negative: NegativeCache::new(DEFAULT_SHARDS, self.negative),
+            negative: NegativeCache::new(DEFAULT_SHARDS, self.negative, Arc::clone(&metrics)),
             inflight: InflightTable::default(),
             budget_bytes: self.budget_bytes,
             tiering,
@@ -131,6 +131,7 @@ impl ManagerBuilder {
             last_panic: Mutex::new(None),
             stubs: Mutex::new(Default::default()),
             gate: self.gate,
+            generation: Default::default(),
         }
     }
 }

@@ -3,6 +3,7 @@
 //! same checks a fresh rewrite faces. The byte format itself is
 //! [`crate::persist`]; a caller that wants a file owns the file.
 
+use super::decide::{decide, Decision, Gate, Origin, Stage, View};
 use super::{CacheKey, SpecializationManager, Variant};
 use crate::error::RewriteError;
 use crate::persist::{self, PersistError, PersistedVariant};
@@ -10,13 +11,11 @@ use crate::telemetry::flight::FlightKind;
 use brew_image::{layout, Image, SegKind};
 use std::sync::Arc;
 
-/// What [`SpecializationManager::save_variant_bytes_report`] wrote — and,
-/// just as important, what it could *not* write. Per-entry problems never
-/// abort the save (persistence is best-effort on save, strict on load),
-/// but they are never silent either: every non-written entry is accounted
-/// here, failures are counted in `brew_persist_save_failed_total` (each
-/// with a `SAVE_FAIL` flight event) and unportable variants in
-/// `brew_persist_save_unportable_total` (and the `SAVE` event).
+/// What [`SpecializationManager::save_variant_bytes_report`] wrote, and
+/// what it could *not*: per-entry problems never abort the save
+/// (best-effort on save, strict on load) and are never silent — failures
+/// count in `brew_persist_save_failed_total` (each with a `SAVE_FAIL`
+/// record), unportable variants in `brew_persist_save_unportable_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveReport {
     /// Variants serialized into the checkpoint.
@@ -67,7 +66,9 @@ impl SpecializationManager {
     /// lands in the [`SaveReport`] instead of disappearing. A caller that
     /// wants a file writes the bytes itself.
     pub fn save_variant_bytes_report(&self, img: &Image) -> (Vec<u8>, SaveReport) {
-        let mut entries = self.cache.snapshot_all();
+        let mut entries = Vec::with_capacity(self.cache.len());
+        self.cache
+            .each(|e| entries.push((e.key, e.req.clone(), Arc::clone(&e.variant))));
         entries.sort_by_key(|(_, _, v)| v.entry);
         let mut vars = Vec::with_capacity(entries.len());
         let (mut skipped, mut failed, mut unportable) = (0usize, 0usize, 0usize);
@@ -163,25 +164,38 @@ impl SpecializationManager {
                 func: pv.func,
                 fingerprint: pv.fingerprint,
             };
-            match self.load_one(img, &pv) {
-                Ok(variant) => {
-                    self.negative.forget(&key);
-                    self.note(FlightKind::Published, [pv.func, variant.entry, 0, 0]);
-                    // Warm-started variants get the same profiler-facing
-                    // symbol a fresh publish would.
-                    self.publish_symbol(&key, &variant);
-                    self.cache.insert(key, variant, pv.req.clone());
-                    self.evict_to_budget(key);
+            // `decide` restores the entry, or refuses it over budget like a
+            // fresh rewrite.
+            let loaded = self.load_one(img, &pv);
+            let view = View {
+                stage: match &loaded {
+                    Ok(v) => Stage::Gated {
+                        gate: Gate::Pass,
+                        code_len: v.code_len,
+                        provable: false,
+                    },
+                    Err(_) => Stage::Failed,
+                },
+                ..View::new(Origin::Load, self.tiering.is_some(), self.budget_bytes)
+            };
+            let d = decide(&view);
+            let rejected = match (d, loaded) {
+                (_, Err(e)) => e,
+                (Decision::OverBudget { code_len, budget }, _) => {
+                    self.journal(d, key, None);
+                    let summary = RewriteError::OverBudget { code_len, budget }.to_string();
+                    PersistError::Gate { summary }
+                }
+                (_, Ok(variant)) => {
+                    self.install(d, view, key, &variant, pv.req.clone(), || true);
                     report.published += 1;
+                    continue;
                 }
-                Err(e) => {
-                    self.negative.record_failure(&key, &e.as_rewrite_error());
-                    report.rejected.push((pv.func, pv.fingerprint, e));
-                }
-            }
+            };
+            self.negative
+                .record_failure(&key, &rejected.as_rewrite_error(), || true);
+            report.rejected.push((pv.func, pv.fingerprint, rejected));
         }
-        self.sync_resident_gauges();
-        self.sync_negative_gauge();
         // The load's counters come off this one record: published and
         // rejected entries, file-level and per-entry alike.
         self.note(
@@ -235,7 +249,7 @@ impl SpecializationManager {
             snapshot: pv.snapshot.clone(),
         };
         self.gate_check(img, pv.func, &pv.req, &res)
-            .map_err(|f| match f.err {
+            .map_err(|(_, err)| match err {
                 RewriteError::VerifyRejected { first, .. } => PersistError::Gate { summary: first },
                 other => PersistError::Gate {
                     summary: other.to_string(),

@@ -1,29 +1,17 @@
 //! Single-flight table: at most one rewrite per `(func, fingerprint)`.
 //!
 //! The first requester of a missing key becomes the *leader* and holds a
-//! [`FlightLease`]; everyone else arriving while the flight is open
-//! becomes a *follower* and blocks on the flight's cell until the leader
-//! publishes a result. This is what makes "each distinct fingerprint is
-//! traced exactly once" hold under concurrency: the trace happens inside
-//! the lease, and the lease is handed out once.
-//!
-//! Ordering: the leader inserts the variant into the cache *before*
-//! resolving the lease, so by the time a follower (or any later
-//! requester) observes completion, the cache lookup succeeds and the
-//! emitted code bytes are visible (the cell's set/wait pair provides the
-//! happens-before edge).
+//! [`FlightLease`]; everyone arriving while the flight is open becomes a
+//! *follower* and blocks on the flight's cell until the leader publishes a
+//! result — the trace happens inside the lease, handed out once, so each
+//! fingerprint is traced exactly once. The leader inserts the variant
+//! into the cache *before* resolving the lease; the cell's set/wait pair
+//! makes the cache entry and the code bytes visible to every follower.
 
-use super::{CacheKey, Variant};
+use super::{unpoison, CacheKey, Variant};
 use crate::error::RewriteError;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-/// Recover the guard from a poisoned lock: flight state transitions are
-/// single-statement, so another thread's panic cannot leave them torn —
-/// and a wedged flight table would hang every follower forever.
-fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 pub(super) type FlightResult = Result<Arc<Variant>, RewriteError>;
 

@@ -2,93 +2,49 @@
 //! memoized, budgeted, single-flight, observable.
 //!
 //! The paper's cost argument (§V, A6) is that a rewrite is *paid once and
-//! amortized*; its dispatch sketch (§III.D) is that many specialized
-//! variants coexist and are selected at call time. The bare
-//! [`crate::Rewriter`] supports neither: every call re-traces from
-//! scratch, and a guard stub dispatches between exactly two targets. The
-//! manager adds the missing layer:
+//! amortized*, its dispatch sketch (§III.D) that many variants coexist and
+//! are selected at call time, and its contract that every call gets a
+//! specialized variant or keeps the original. The manager adds that layer
+//! over [`crate::Rewriter`] in two halves:
 //!
-//! - **Sharded variant cache** — rewrites are memoized under
-//!   `(function, request fingerprint)` (see [`SpecRequest::fingerprint`]);
-//!   the cache is split into fingerprint-selected shards, each with its
-//!   own lock, so warm hits from many threads proceed without contending
-//!   (see the sharded store). A repeated request returns the cached [`Variant`]
-//!   without tracing a single guest instruction.
-//! - **Single-flight rewriting** — concurrent misses on the same key
-//!   coalesce onto one in-progress trace instead of duplicating it: the
-//!   first requester leads, the rest block on the flight and share its
-//!   result (see the in-flight table). Each distinct fingerprint is traced
-//!   exactly once no matter how many threads race for it. Every decision
-//!   is taken on the calling thread: the manager spawns none, and like the
-//!   paper's `brew_rewrite` a miss returns the new variant to its caller.
-//! - **Cost-aware LRU eviction** — the cache is bounded by a JIT-segment
-//!   byte budget with *global* accounting across shards. When over
-//!   budget, the entry with the highest `staleness x code bytes /
-//!   (hits + 1)` score is dropped first: old, big, cold code goes; hot or
-//!   cheap variants stay. (The JIT segment is a bump allocator, so
-//!   evicted bytes are not reused — eviction bounds the *cache's resident
-//!   set*, and re-specialization allocates fresh space, exactly like
-//!   discarding a JIT code cache generation.)
-//! - **Dispatch stubs** — [`build_dispatcher`](SpecializationManager::build_dispatcher)
-//!   chains every cached, guardable variant of a function into one
-//!   [`crate::guard::make_guard_chain`] stub falling through to the
-//!   original. The stub is emitted fresh at a new address from a snapshot
-//!   of the cache, so rebuilding while other threads publish variants is
-//!   safe — callers swap the returned pointer in whole.
-//! - **Observability** — every decision (hit, miss, coalesced, rewritten,
-//!   evicted, denied, promoted, …) is written once, by one
-//!   `note(kind, words)` call, through the decision table in
-//!   [`crate::telemetry::table`]: into the lock-free
-//!   [`crate::telemetry::MetricsRegistry`] (shared via
-//!   [`metrics`](SpecializationManager::metrics)) and into the flight
-//!   journal ([`flight`](SpecializationManager::flight)). Those two are
-//!   the only outputs; a hit costs one registry fold and one journal
-//!   record, and takes no lock. [`CacheStats`] is a view over the
-//!   registry.
-//! - **Negative caching** — a failed rewrite is memoized per key (see
-//!   [`negative`]): repeats of the same doomed request are *denied* at
-//!   shard-lookup cost instead of re-tracing to rediscover the failure,
-//!   with a decaying backoff that periodically lets one retry through
-//!   (failures can be data-dependent) and a hard attempt cap after which
-//!   the key is written off. [`request`](SpecializationManager::request)
-//!   answers a denial with the original entry;
-//!   [`get_or_rewrite`](SpecializationManager::get_or_rewrite) returns the
-//!   memoized error. Tiering promotions respect the same backoff.
-//! - **Staleness tracking & invalidation** — every rewrite records which
-//!   known-memory bytes it folded into constants
-//!   ([`crate::snapshot::KnownSnapshot`], carried by the [`Variant`]).
-//!   One entry point,
-//!   [`apply_invalidation`](SpecializationManager::apply_invalidation),
-//!   takes an [`Invalidation`]: [`Invalidation::Func`] drops all variants
-//!   of a function, [`Invalidation::Data`] drops variants whose folded
-//!   ranges overlap a mutated range, and [`Invalidation::Revalidate`]
-//!   re-hashes every snapshot against the image and drops exactly the
-//!   variants whose folded bytes changed. With tiering enabled the sweep
-//!   rebuilds, inline, the stale variants whose decayed heat clears the
-//!   policy's bar; cold stale variants just die. Without tiering the next
-//!   request for a dropped key re-specializes it.
-//! - **Adaptive tiering** — a manager built with
-//!   [`ManagerBuilder::tiering`] closes the counter → specialization
-//!   loop: [`tick`](SpecializationManager::tick) reads dispatch-stub
-//!   [`CounterPage`]s and cache hit counts into decayed per-key heat
-//!   scores and lets `TieringConfig::decide` promote hot fingerprints
-//!   (rewrite them on the tick's thread), demote cold resident variants
-//!   (reclaim budget ahead of LRU pressure) and gate re-specialization
-//!   after invalidation. See the [`tiering`] module docs for the state machine.
-//! - **Panic containment** — the trace/encode pipeline and the publish
-//!   gate run under `catch_unwind`; a panic becomes
-//!   [`RewriteError::Internal`], is negatively cached like any other
-//!   failure, and fails one request instead of unwinding into the caller
-//!   or poisoning the shared state. The payload is dropped under a second
-//!   `catch_unwind`, so a payload that panics again when dropped is
-//!   contained too. All manager locks recover from poisoning for the same
-//!   reason.
+//! - **The decision core** (`decide`): one pure function from the plain
+//!   facts of a call to a `Decision` — hit, deny, answer with the original,
+//!   coalesce, rewrite, retreat to the conservative level, refuse over
+//!   budget, publish, evict, promote, demote, re-specialize — and the one
+//!   mapping from a decision to its journal record.
+//! - **The shell** (this module): read a fact, ask `decide`, execute,
+//!   journal. [`request`](SpecializationManager::request),
+//!   [`get_or_rewrite`](SpecializationManager::get_or_rewrite), a
+//!   [`tick`](SpecializationManager::tick)'s promotions and a
+//!   revalidation's rebuilds share one front end and differ only in their
+//!   origin; the checkpoint load and eviction ask the same table.
 //!
+//! What the shell executes against: a **sharded variant cache** under
+//! `(function, request fingerprint)` ([`SpecRequest::fingerprint`]) whose
+//! hit is one lock-free probe, bounded by a global byte budget (the
+//! highest `staleness × code bytes / (hits + 1)` is evicted first);
+//! **single flight**, so each fingerprint is traced once however many
+//! threads race for it, on the calling thread (the manager spawns none);
+//! the **negative cache** ([`negative`]), which memoizes failures with a
+//! decaying backoff; **invalidation**
+//! ([`apply_invalidation`](SpecializationManager::apply_invalidation)),
+//! which moves a generation before it sweeps, so a rewrite in flight
+//! across it is refused at publish; opt-in **tiering** ([`tiering`]);
+//! **dispatch stubs** over the resident variants of a function; and
+//! **panic containment** — the pipeline, the gate and the conservative
+//! re-emission run under `catch_unwind`, a panic fails its own request as
+//! [`RewriteError::Internal`], and every lock recovers from poisoning.
+//!
+//! Every decision is one `note(kind, words)` through
+//! [`crate::telemetry::table`] into the [`MetricsRegistry`] and the flight
+//! journal, the only two outputs; [`CacheStats`] is a view over them.
 //! Construction goes through [`ManagerBuilder`]: budget, negative policy,
 //! tiering, publish gate.
 
 mod builder;
 mod checkpoint;
+mod decide;
+mod dispatch;
 mod inflight;
 pub mod negative;
 mod shards;
@@ -96,10 +52,9 @@ pub mod tiering;
 
 use crate::capture::RewriteStats;
 use crate::error::RewriteError;
-use crate::guard::{self, CounterPage, GuardCase};
 use crate::request::SpecRequest;
 use crate::snapshot::KnownSnapshot;
-use crate::telemetry::flight::{milli, FlightKind};
+use crate::telemetry::flight::FlightKind;
 use crate::telemetry::{
     self, metrics::Ctr, metrics::Gge, metrics::Hst, FlightRecorder, MetricsRegistry, SymbolTable,
 };
@@ -107,22 +62,25 @@ use crate::{OptLevel, Rewriter};
 use brew_image::Image;
 pub use builder::ManagerBuilder;
 pub use checkpoint::{LoadReport, SaveReport};
+use decide::{decide, Decision, Gate, Heat, Origin, Stage, View};
 use inflight::{InflightTable, Join};
+use negative::NegativeCache;
 pub use negative::NegativePolicy;
-use negative::{NegativeCache, Verdict};
 use shards::ShardedCache;
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use tiering::Tiering;
 pub use tiering::{TickSummary, TieringConfig};
-use tiering::{TierAction, Tiering};
 
 /// Recover the guard from a poisoned lock. Panics are contained at the
 /// rewrite boundary, but one can still escape while a manager lock is
-/// held; all manager-internal state is consistent between
-/// statements, so serving the next caller beats wedging everyone.
+/// held; every manager lock guards state that is consistent between
+/// statements, so serving the next caller beats wedging everyone (a wedged
+/// flight table would hang every follower forever).
 fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -159,15 +117,12 @@ pub struct Variant {
 
 /// Aggregated manager counters; cheap to copy, comparable in tests.
 ///
-/// A *view*: every cumulative field reads the counter (or histogram sum) of
-/// the manager's [`MetricsRegistry`] that the same decision feeds, so the
-/// two can never disagree; `resident_bytes` and `negative_entries` read the
-/// caches' own accounting. One consequence: while the registry is switched
-/// off ([`MetricsRegistry::set_enabled`]`(false)`) decisions are not
-/// counted anywhere, and the cumulative fields freeze until it is back on.
-/// The counters are `Relaxed` statistics: a value read here publishes
-/// nothing else, so join (or otherwise synchronize with) the threads whose
-/// requests a total must include before comparing it.
+/// A *view*: every cumulative field reads the [`MetricsRegistry`] counter
+/// (or histogram sum) its decision feeds, so the two never disagree, and
+/// freezes while the registry is switched off; `resident_bytes` and
+/// `negative_entries` read the caches' own accounting. The counters are
+/// `Relaxed`: synchronize with the threads a total must include before
+/// comparing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from the cache.
@@ -211,33 +166,19 @@ pub struct PublishRejection {
     pub findings: usize,
     /// The first finding, rendered for operators.
     pub summary: String,
-    /// True when the rejection came from the translation-validation tier
-    /// (an equivalence-class finding). For a request whose passes carry
-    /// a proof obligation (above `OptLevel::Regalloc`) the manager
-    /// treats this as "the optimization was wrong, not the variant": it
-    /// re-runs the passes conservatively over the captured CFG and
-    /// re-gates the result instead of caching a failure.
+    /// True when the translation-validation tier rejected it. For passes
+    /// that carry a proof obligation (above `OptLevel::Regalloc`) the
+    /// optimization, not the variant, was wrong: the manager re-runs the
+    /// passes conservatively over the captured CFG and gates that instead.
     pub equivalence: bool,
 }
 
-/// Internal result of [`SpecializationManager::gate_check`]: the public
-/// error plus the classification the equivalence-fallback path needs.
-struct GateFailure {
-    err: RewriteError,
-    equivalence: bool,
-    findings: usize,
-}
-
-/// Pre-publish inspection of a finished rewrite (the `verify_on_publish`
-/// policy). The gate sees every finished-but-unpublished variant, whether a
-/// request or a tiering tick asked for it; returning `Err` means the variant is
-/// *never* published — the manager converts the rejection into
-/// [`RewriteError::VerifyRejected`], caches it negatively, and dispatch
-/// falls back to the original function, exactly like any failed rewrite.
-///
-/// `brew-verify` provides the static translation validator implementing
-/// this trait; closures with the matching signature implement it too, for
-/// tests and custom policies.
+/// Pre-publish inspection of every finished rewrite, whoever asked for it.
+/// `Err` means the variant is *never* published: the rejection becomes
+/// [`RewriteError::VerifyRejected`], is cached negatively, and dispatch
+/// keeps the original, like any failed rewrite. `brew-verify` provides the
+/// static translation validator; closures with the matching signature
+/// implement the trait too.
 pub trait PublishGate: Send + Sync {
     /// Inspect `res` (the rewrite of `func` under `req`, already emitted
     /// into `img`'s JIT segment but not yet published).
@@ -267,20 +208,11 @@ where
     }
 }
 
-/// What to invalidate — the selector consumed by
-/// [`SpecializationManager::apply_invalidation`]. One entry point, three
-/// precisions:
-///
-/// - [`Func`](Invalidation::Func) — "this function changed": drop every
-///   variant of it and every negative entry for it (its failures may have
-///   been data-dependent too).
-/// - [`Data`](Invalidation::Data) — "I just mutated these bytes": drop
-///   exactly the variants whose folded known-memory ranges overlap the
-///   mutated range; no image access, one pass over the cache.
-/// - [`Revalidate`](Invalidation::Revalidate) — "something may have
-///   changed, I don't know what": re-hash every variant's snapshot
-///   against the image and drop exactly the stale ones; with tiering,
-///   rebuild those still hot enough to be worth having.
+/// What to invalidate — the selector of
+/// [`SpecializationManager::apply_invalidation`], in three precisions:
+/// "this function changed" (its negative entries go too: a failure may have
+/// been data-dependent), "I just mutated these bytes" (no image access),
+/// and "something may have changed" (re-hash every snapshot).
 #[derive(Debug, Clone)]
 pub enum Invalidation<'a> {
     /// Drop all variants of this function (entry address).
@@ -338,6 +270,11 @@ pub struct SpecializationManager {
     /// [`profile_dispatcher`](Self::profile_dispatcher) attributes by.
     stubs: Mutex<HashMap<u64, Vec<u64>>>,
     gate: Option<Box<dyn PublishGate>>,
+    /// Moved by every invalidation before it sweeps. A leader reads it
+    /// when it takes the lease; its publish (or its failure's memo) is
+    /// refused if it moved since, so nothing traced before an
+    /// invalidation outlives it.
+    generation: AtomicU64,
 }
 
 impl Default for SpecializationManager {
@@ -345,10 +282,6 @@ impl Default for SpecializationManager {
         Self::new()
     }
 }
-
-/// Heat entries below this score with no resident variant are pruned at
-/// the end of a tick — after a few quiet ticks a dead key costs nothing.
-const MIN_TRACKED_HEAT: f64 = 1e-3;
 
 impl SpecializationManager {
     /// Manager with every knob at its default — shorthand for
@@ -433,10 +366,9 @@ impl SpecializationManager {
     /// are retired with them; dispatch-stub symbols survive (the stub
     /// placements do too).
     pub fn clear(&self) {
-        for entry in self.cache.clear() {
-            self.retire_symbol(entry);
+        for (_, _, v) in self.cache.remove_matching(|_| true) {
+            self.retire_symbol(v);
         }
-        self.sync_resident_gauges();
     }
 
     /// Record one decision: the counters its [`FlightKind`] row lists
@@ -446,13 +378,19 @@ impl SpecializationManager {
         telemetry::note(&self.metrics, &self.flight, kind, args);
     }
 
-    /// Register a freshly published variant's JIT placement in the
-    /// symbol table (perf map / jitdump) and journal it.
-    fn publish_symbol(&self, key: &CacheKey, v: &Variant) {
-        let sym =
-            self.symbols
-                .publish_variant(key.func, key.fingerprint, v.entry, v.code_len as u64);
-        self.note_symbol(&sym);
+    /// Journal a decision about `key` (`v`: the variant it serves,
+    /// installs or drops) through its one record mapping.
+    fn journal(&self, d: Decision, key: CacheKey, v: Option<&Variant>) {
+        if let Some((kind, words)) = d.record(key, v) {
+            self.note(kind, words);
+        }
+    }
+
+    /// `decide` and journal: the shell's step after each fact it reads.
+    fn decide(&self, view: &View, key: CacheKey, v: Option<&Variant>) -> Decision {
+        let d = decide(view);
+        self.journal(d, key, v);
+        d
     }
 
     /// Journal a live JIT placement (variant or dispatch stub).
@@ -471,38 +409,22 @@ impl SpecializationManager {
         }
     }
 
-    /// Refresh the cache-residency gauges from the authoritative cache
-    /// accounting (called after inserts and evictions).
-    fn sync_resident_gauges(&self) {
-        self.metrics
-            .gauge_set(Gge::ResidentBytes, self.cache.resident_bytes() as i64);
-        self.metrics
-            .gauge_set(Gge::ResidentVariants, self.cache.len() as i64);
-    }
-
-    /// Refresh the negative-cache gauge from the authoritative count.
-    fn sync_negative_gauge(&self) {
-        self.metrics
-            .gauge_set(Gge::NegativeEntries, self.negative.len() as i64);
-    }
-
     /// Contain a caught panic and return its best-effort message. The
     /// payload is dropped under `catch_unwind`: one whose drop panics
     /// again must not unwind out of the request either, and the second
     /// payload is forgotten rather than risk a third.
     fn contain_panic(&self, payload: Box<dyn Any + Send>) -> String {
-        // Freeze the flight recorder's view of the events leading up to
-        // the blast: journal the containment, then capture the dump for
-        // post-mortem retrieval via `last_panic_dump()`.
+        // Freeze the journal's view of the blast for `last_panic_dump()`.
         self.note(FlightKind::PanicContained, [0; 4]);
         let dump = self.flight.dump().render_text();
         *unpoison(self.last_panic.lock()) = Some(dump);
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
+        let msg = match (
+            payload.downcast_ref::<&str>(),
+            payload.downcast_ref::<String>(),
+        ) {
+            (Some(s), _) => s.to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "non-string panic payload".to_string(),
         };
         if let Err(again) = catch_unwind(AssertUnwindSafe(|| drop(payload))) {
             std::mem::forget(again);
@@ -522,167 +444,207 @@ impl SpecializationManager {
         func: u64,
         req: &SpecRequest,
     ) -> Result<Dispatch, RewriteError> {
-        let key = CacheKey {
-            func,
-            fingerprint: req.fingerprint(),
-        };
-        if let Some(v) = self.cache.lookup(&key) {
-            self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
-            return Ok(Dispatch::Specialized(v));
-        }
-        // With tiering enabled a miss is an *observation*, not an order:
-        // the request is recorded as heat input and the caller runs the
-        // original. Specialization happens when the policy promotes the
-        // key in a later tick — the whole point is that the profile, not
-        // the first unlucky caller, decides what is worth rewriting.
-        if let Some(t) = &self.tiering {
-            t.observe_miss(key, req);
-        }
-        // A key already known to fail is answered with the original entry
-        // at shard-lookup cost: no tracing, no error — the caller asked
-        // "what should I call" and the answer is "the original, same as
-        // when the rewrite first failed".
-        if let Verdict::Deny { attempts, .. } = self.negative.consult(&key) {
-            self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
-            return Ok(Dispatch::Original { func });
-        }
-        if self.tiering.is_some() {
-            return Ok(Dispatch::Original { func });
-        }
-        self.get_or_rewrite(img, func, req)
-            .map(Dispatch::Specialized)
+        self.serve(img, func, req, Origin::Request)
     }
 
-    /// The synchronous memoized entry point: return the cached variant
-    /// for `(func, req)` or rewrite, insert and return it. A cache hit
-    /// costs one shard-lock hash lookup — no decoding, tracing, passes or
-    /// encoding. Concurrent misses on the same key coalesce onto a single
-    /// rewrite: the leader traces, followers subscribe.
+    /// The synchronous memoized entry point: the cached variant for
+    /// `(func, req)`, or rewrite, insert and return it; a negatively cached
+    /// key returns its memoized error. A hit is one lock-free probe;
+    /// concurrent misses on one key coalesce onto a single rewrite.
     pub fn get_or_rewrite(
         &self,
         img: &Image,
         func: u64,
         req: &SpecRequest,
     ) -> Result<Arc<Variant>, RewriteError> {
+        match self.serve(img, func, req, Origin::Direct)? {
+            Dispatch::Specialized(v) => Ok(v),
+            // `decide` answers only `request` with the original; a direct
+            // call is denied with the memoized error.
+            Dispatch::Original { .. } => Err(RewriteError::Internal(
+                "a direct call was answered with the original".into(),
+            )),
+        }
+    }
+
+    /// The one front end of every call: read a fact, `decide`, act. A hit
+    /// is one fingerprint, one lock-free probe, one `decide` and one record,
+    /// inlined into each entry point.
+    #[inline(always)]
+    fn serve(
+        &self,
+        img: &Image,
+        func: u64,
+        req: &SpecRequest,
+        origin: Origin,
+    ) -> Result<Dispatch, RewriteError> {
         let key = CacheKey {
             func,
             fingerprint: req.fingerprint(),
         };
-        if let Some(v) = self.cache.lookup(&key) {
-            self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
-            return Ok(v);
+        let hit = self.cache.lookup(&key, 1);
+        let mut view = View::new(origin, self.tiering.is_some(), self.budget_bytes);
+        if let Some(v) = hit {
+            view.resident = true;
+            if self.decide(&view, key, Some(&v)) == Decision::Hit {
+                return Ok(Dispatch::Specialized(v));
+            }
         }
-        // Denial path: a key already known to fail answers with the
-        // memoized error at shard-lookup cost. `Retry` means the backoff
-        // window elapsed; the request falls through to the single-flight
-        // path, so concurrent retriers still trace at most once.
-        if let Verdict::Deny { err, attempts } = self.negative.consult(&key) {
-            self.note(FlightKind::Denied, [func, attempts as u64, 0, 0]);
-            return Err(err);
+        self.miss(img, key, req, view)
+    }
+
+    /// The front end past a miss: one negative-cache lookup, then single
+    /// flight. Kept out of line, so a hit's frame stays small.
+    #[inline(never)]
+    fn miss(
+        &self,
+        img: &Image,
+        key: CacheKey,
+        req: &SpecRequest,
+        mut view: View,
+    ) -> Result<Dispatch, RewriteError> {
+        // Under tiering a request miss is heat, not an order: the profile
+        // decides what is worth rewriting.
+        if let (Origin::Request, Some(t)) = (view.origin, &self.tiering) {
+            t.observe_miss(key, req);
+        }
+        let denial;
+        (view.negative, denial) = self.negative.consult(&key, view.origin);
+        match (self.decide(&view, key, None), denial) {
+            (Decision::Join, _) => {}
+            (Decision::Deny { .. }, Some(err)) => return Err(err),
+            // A denied request, a miss under tiering, or a policy call that
+            // holds still.
+            _ => return Ok(Dispatch::Original { func: key.func }),
         }
         match self.inflight.join(key) {
             Join::Follower(flight) => {
-                self.note(FlightKind::Coalesced, [func, 0, 0, 0]);
+                view.stage = Stage::Following;
+                self.decide(&view, key, None); // a follower's one row: coalesce
                 flight.wait()
             }
             Join::Leader(lease) => {
-                // Double-check under the lease: a previous leader may have
-                // published between our miss and winning the flight.
-                if let Some(v) = self.cache.lookup(&key) {
-                    self.note(FlightKind::Hit, [func, v.entry, 0, 0]);
-                    lease.resolve(Ok(Arc::clone(&v)));
-                    return Ok(v);
-                }
-                self.note(FlightKind::Miss, [func, 0, 0, 0]);
-                self.metrics.gauge_add(Gge::InflightRewrites, 1);
-                // Contain pipeline panics at this boundary: one
-                // pathological function fails its own request (as
-                // `Internal`, negatively cached like any other failure)
-                // instead of unwinding into the caller — the lease would
-                // resolve via `Drop`, but every follower and retrier would
-                // then re-trace the same panic.
-                let rewritten =
-                    catch_unwind(AssertUnwindSafe(|| Rewriter::new(img).rewrite(func, req)))
-                        .unwrap_or_else(|p| Err(RewriteError::Internal(self.contain_panic(p))));
-                self.metrics.gauge_add(Gge::InflightRewrites, -1);
-                // The publish gate inspects the finished-but-unpublished
-                // variant; a rejection becomes a rewrite failure like any
-                // other (negatively cached, followers see the error,
-                // dispatch falls back to the original) — with one
-                // exception: an *equivalence* rejection of an emission
-                // made with proof-carrying passes (constant propagation,
-                // aggressive register allocation) means the optimization
-                // (not the trace) was wrong, so the manager re-runs the passes
-                // conservatively over the captured CFG and re-gates that,
-                // never caching a failure for a provable function.
-                let rewritten =
-                    rewritten.and_then(|res| match self.gate_check(img, func, req, &res) {
-                        Ok(()) => Ok(res),
-                        Err(failure)
-                            if failure.equivalence
-                                && req.pass_config() > OptLevel::Regalloc
-                                && res.equiv.is_some() =>
-                        {
-                            self.regalloc_fallback(img, func, req, &res, &failure)
-                        }
-                        Err(failure) => Err(failure.err),
-                    });
-                // A variant whose code alone exceeds the global budget can
-                // never be made resident by eviction — refuse it here so
-                // `resident_bytes <= budget` is an invariant, not a
-                // steady-state hope. The error flows into the failure arm
-                // below: negatively cached, followers see it, dispatch
-                // falls back to the original code.
-                let rewritten = rewritten.and_then(|res| {
-                    if res.code_len > self.budget_bytes {
-                        self.note(
-                            FlightKind::OverBudget,
-                            [func, res.code_len as u64, self.budget_bytes as u64, 0],
-                        );
-                        Err(RewriteError::OverBudget {
-                            code_len: res.code_len,
-                            budget: self.budget_bytes,
-                        })
-                    } else {
-                        Ok(res)
-                    }
-                });
-                match rewritten {
-                    Ok(res) => {
-                        self.negative.forget(&key);
-                        self.sync_negative_gauge();
-                        self.metrics.observe_rewrite(Ok(&res.stats));
-                        self.note(
-                            FlightKind::Rewritten,
-                            [func, res.entry, res.code_len as u64, res.stats.total_ns()],
-                        );
-                        let variant = Arc::new(Variant {
-                            func,
-                            entry: res.entry,
-                            code_len: res.code_len,
-                            stats: res.stats,
-                            guards: req.guard_conditions(),
-                            snapshot: res.snapshot,
-                        });
-                        // Publish to the cache *before* resolving the
-                        // flight: anyone past the flight sees the cache.
-                        self.publish_symbol(&key, &variant);
-                        self.cache.insert(key, Arc::clone(&variant), req.clone());
-                        self.evict_to_budget(key);
-                        self.sync_resident_gauges();
-                        lease.resolve(Ok(Arc::clone(&variant)));
-                        Ok(variant)
-                    }
-                    Err(e) => {
-                        self.metrics.observe_rewrite(Err(&e));
-                        self.negative.record_failure(&key, &e);
-                        self.sync_negative_gauge();
-                        lease.resolve(Err(e.clone()));
-                        Err(e)
-                    }
-                }
+                let out = self.lead(img, key, req, view);
+                lease.resolve(out.clone());
+                out
             }
         }
+        .map(Dispatch::Specialized)
+    }
+
+    /// The leader's half of a miss — double-check, trace, gate, publish —
+    /// returning what its followers get too, after the cache has it.
+    fn lead(
+        &self,
+        img: &Image,
+        key: CacheKey,
+        req: &SpecRequest,
+        mut view: View,
+    ) -> Result<Arc<Variant>, RewriteError> {
+        let generation = self.generation.load(Ordering::SeqCst);
+        let current = || self.generation.load(Ordering::SeqCst) == generation;
+        view.stage = Stage::Leading;
+        // Double-check under the lease: a previous leader may have
+        // published between our miss and winning the flight.
+        let hit = self.cache.lookup(&key, 1);
+        view.resident = hit.is_some();
+        if let (Decision::Hit, Some(v)) = (self.decide(&view, key, hit.as_deref()), hit) {
+            return Ok(v);
+        }
+        self.metrics.gauge_add(Gge::InflightRewrites, 1);
+        let mut run = self.contain(|| Rewriter::new(img).rewrite(key.func, req));
+        self.metrics.gauge_add(Gge::InflightRewrites, -1);
+        let mut provable = req.pass_config() > OptLevel::Regalloc;
+        let err = loop {
+            // The gate sees every finished-but-unpublished variant.
+            let gated = run.map(|res| {
+                let gate = self.gate_check(img, key.func, req, &res);
+                (res, gate)
+            });
+            view.stage = match &gated {
+                Err(_) => Stage::Failed,
+                Ok((res, gate)) => Stage::Gated {
+                    gate: gate.as_ref().map_or_else(|(g, _)| *g, |()| Gate::Pass),
+                    code_len: res.code_len,
+                    provable: provable && res.equiv.is_some(),
+                },
+            };
+            let d = decide(&view);
+            match (d, gated) {
+                (_, Err(e)) => break e,
+                // The optimization, not the trace, was wrong: re-run the
+                // passes conservatively over the captured CFG (no second
+                // trace) and gate that. The rejected attempt's JIT bytes
+                // stay allocated but unreachable — the bump allocator has
+                // no free list, and such rejections are rare.
+                (Decision::Retreat { .. }, Ok((res, _))) => {
+                    self.journal(d, key, None);
+                    provable = false;
+                    run = self.contain(|| Rewriter::new(img).reemit_conservative(req, &res));
+                }
+                // No eviction can make room for it: refusing it here keeps
+                // `resident_bytes <= budget` an invariant.
+                (Decision::OverBudget { code_len, budget }, _) => {
+                    self.journal(d, key, None);
+                    break RewriteError::OverBudget { code_len, budget };
+                }
+                (_, Ok((_, Err((_, err))))) => break err,
+                (_, Ok((res, Ok(())))) => {
+                    self.metrics.observe_rewrite(Ok(&res.stats));
+                    let v = Arc::new(Variant {
+                        func: key.func,
+                        entry: res.entry,
+                        code_len: res.code_len,
+                        stats: res.stats,
+                        guards: req.guard_conditions(),
+                        snapshot: res.snapshot,
+                    });
+                    self.install(d, view, key, &v, req.clone(), current);
+                    return Ok(v);
+                }
+            }
+        };
+        // Memoized (unless an invalidation moved the generation since the
+        // lease), so followers and repeats are denied without re-tracing.
+        self.metrics.observe_rewrite(Err(&err));
+        self.negative.record_failure(&key, &err, current);
+        Err(err)
+    }
+
+    /// Execute `d`, a publish or a restore of `v`: journal, memo cleared,
+    /// JIT symbol, cache entry, evict to budget. An insert `current()`
+    /// refuses (an invalidation ran since `v` was traced) is journaled
+    /// `INVALIDATED` and its symbol retired; `v` still goes to its callers.
+    fn install(
+        &self,
+        d: Decision,
+        view: View,
+        key: CacheKey,
+        v: &Arc<Variant>,
+        req: SpecRequest,
+        current: impl FnOnce() -> bool,
+    ) {
+        self.journal(d, key, Some(v));
+        self.negative.forget(&key);
+        let (func, fp, len) = (key.func, key.fingerprint, v.code_len as u64);
+        self.note_symbol(&self.symbols.publish_variant(func, fp, v.entry, len));
+        if self.cache.insert(key, Arc::clone(v), req, current) {
+            self.evict_to_budget(view, key);
+        } else {
+            self.note(FlightKind::Invalidated, [v.func, v.entry, 0, 0]);
+            self.retire_symbol(Arc::clone(v));
+        }
+    }
+
+    /// Run a pipeline step under `catch_unwind`: one pathological function
+    /// fails its own request (as `Internal`, negatively cached like any
+    /// other failure) instead of unwinding into the caller.
+    fn contain(
+        &self,
+        step: impl FnOnce() -> Result<crate::RewriteResult, RewriteError>,
+    ) -> Result<crate::RewriteResult, RewriteError> {
+        catch_unwind(AssertUnwindSafe(step))
+            .unwrap_or_else(|p| Err(RewriteError::Internal(self.contain_panic(p))))
     }
 
     /// Run the configured publish gate (if any) over a finished rewrite.
@@ -694,7 +656,7 @@ impl SpecializationManager {
         func: u64,
         req: &SpecRequest,
         res: &crate::RewriteResult,
-    ) -> Result<(), GateFailure> {
+    ) -> Result<(), (Gate, RewriteError)> {
         let Some(gate) = &self.gate else {
             return Ok(());
         };
@@ -710,90 +672,68 @@ impl SpecializationManager {
                 Ok(())
             }
             Ok(Err(r)) => {
-                self.note(FlightKind::VerifyReject, [func, r.findings as u64, 0, 0]);
-                Err(GateFailure {
-                    err: RewriteError::VerifyRejected {
+                let findings = r.findings as u64;
+                self.note(FlightKind::VerifyReject, [func, findings, 0, 0]);
+                let gate = match r.equivalence {
+                    true => Gate::Equivalence { findings },
+                    false => Gate::Reject,
+                };
+                let first = r.summary;
+                Err((
+                    gate,
+                    RewriteError::VerifyRejected {
                         findings: r.findings,
-                        first: r.summary,
+                        first,
                     },
-                    equivalence: r.equivalence,
-                    findings: r.findings,
-                })
+                ))
             }
             Err(p) => {
                 let msg = self.contain_panic(p);
-                Err(GateFailure {
-                    err: RewriteError::Internal(format!("publish gate panicked: {msg}")),
-                    equivalence: false,
-                    findings: 0,
-                })
+                let err = RewriteError::Internal(format!("publish gate panicked: {msg}"));
+                Err((Gate::Reject, err))
             }
         }
     }
 
-    /// The equivalence-rejection fallback: re-run the passes over the
-    /// captured pre-pass CFG with the proof-carrying ones off (no second
-    /// trace — the returned result keeps the original trace statistics,
-    /// so `traced_total` counts the function once) and re-gate the
-    /// conservative emission. The rejected attempt's JIT bytes stay
-    /// allocated but unreachable — wasted bump-allocator space, accepted:
-    /// equivalence rejections are rare and the alternative is a free-list
-    /// the allocator does not have.
-    fn regalloc_fallback(
-        &self,
-        img: &Image,
-        func: u64,
-        req: &SpecRequest,
-        res: &crate::RewriteResult,
-        failure: &GateFailure,
-    ) -> Result<crate::RewriteResult, RewriteError> {
-        self.note(
-            FlightKind::RegallocFallback,
-            [func, failure.findings as u64, 0, 0],
-        );
-        let reemitted = catch_unwind(AssertUnwindSafe(|| {
-            Rewriter::new(img).reemit_conservative(req, res)
-        }))
-        .unwrap_or_else(|p| Err(RewriteError::Internal(self.contain_panic(p))))?;
-        self.gate_check(img, func, req, &reemitted)
-            .map(|()| reemitted)
-            .map_err(|f| f.err)
-    }
-
-    /// Evict highest-score entries until the budget holds. `keep` (the
-    /// entry just inserted) is never evicted — it always fits on its own,
-    /// because publish refuses any variant whose code alone exceeds the
-    /// budget ([`RewriteError::OverBudget`]), so `resident_bytes <=
-    /// budget` holds unconditionally after every insert.
-    fn evict_to_budget(&self, keep: CacheKey) {
-        while self.cache.resident_bytes() > self.budget_bytes && self.cache.len() > 1 {
-            let Some((key, req, v)) = self.cache.evict_victim(keep) else {
-                break;
+    /// Evict highest-score entries while `decide` says the budget does not
+    /// hold. `keep` (the entry just inserted) is never evicted — it always
+    /// fits on its own, because publish refuses any variant whose code
+    /// alone exceeds the budget, so `resident_bytes <= budget` holds
+    /// unconditionally after every insert.
+    fn evict_to_budget(&self, mut view: View, keep: CacheKey) {
+        loop {
+            view.stage = Stage::Published {
+                bytes: self.cache.resident_bytes(),
+                variants: self.cache.len(),
             };
-            // Keep the producing request around: if the key heats back up
-            // the tiering layer can re-promote it without a caller ever
-            // reconstructing the original SpecRequest.
+            let d = decide(&view);
+            if d != Decision::Evict {
+                return;
+            }
+            let Some((key, req, v)) = self.cache.evict_victim(keep) else {
+                return;
+            };
+            // Keep the producing request: if the key heats back up the
+            // tiering layer can re-promote it without any caller's help.
             if let Some(t) = &self.tiering {
                 t.retain_request(key, req);
             }
-            self.note(FlightKind::Evicted, [v.func, v.entry, v.code_len as u64, 0]);
+            self.journal(d, key, Some(&v));
             self.retire_symbol(v);
         }
     }
 
-    /// One turn of the tiering loop: sample every registered counter page
-    /// and the cache hit counters, fold the deltas (plus miss observations
-    /// recorded since the last tick) into decayed per-key heat, and apply
-    /// `TieringConfig::decide` — demote cold resident variants, rewrite
-    /// hot absent fingerprints. Returns what happened; with tiering
-    /// disabled this is a no-op returning the default (zero) summary.
+    /// One turn of the tiering loop: sample → `decide` → effects.
+    /// Sampling drains the counter pages and reads the cache hit counts;
+    /// the pure fold turns them, with the misses observed since the last
+    /// tick, into decayed heat and promote/demote verdicts; the effects
+    /// demote cold resident variants and rewrite hot absent fingerprints.
+    /// With tiering disabled this is a no-op returning a zero summary.
     ///
-    /// Call it from wherever the host already has a periodic hook — a
-    /// scheduler tick, an iteration boundary, a maintenance thread: the
-    /// promotions' rewrites run on that thread, so the dispatch path never
-    /// waits for one. The critical section is one pass over small maps;
-    /// sampling tolerates the stubs' relaxed counters by construction (see
-    /// [`CounterPage`]'s read-back contract).
+    /// Call it from whatever periodic hook the host has: the promotions'
+    /// rewrites run on that thread, never on the dispatch path. Sampling
+    /// tolerates the stubs' relaxed counters by construction (see
+    /// [`CounterPage`](crate::guard::CounterPage)'s read-back contract).
     pub fn tick(&self, img: &Image) -> TickSummary {
         let Some(t) = &self.tiering else {
             return TickSummary::default();
@@ -802,202 +742,77 @@ impl SpecializationManager {
             FlightKind::TickBegin,
             [unpoison(t.state.lock()).tick + 1, 0, 0, 0],
         );
-        // Sample resident hit counts *before* crediting page deltas into
-        // the cache: the credit lands after this snapshot, so it is never
-        // observed again as a hit delta (the `credited` bookkeeping below
-        // subtracts it from the next tick's baseline instead).
-        let resident: HashMap<CacheKey, u64> = self.cache.snapshot_hits().into_iter().collect();
-
+        // Resident hit counts are read *before* page deltas are credited
+        // into the cache, so a credit is never observed again as a hit
+        // delta (the fold moves it into the next baseline instead).
+        let mut resident = HashMap::new();
+        self.cache.each(|e| {
+            resident.insert(e.key, e.hits.load(Ordering::Relaxed));
+        });
         let mut st = unpoison(t.state.lock());
         // Every resident key gets a heat entry even if it never missed or
-        // dispatched — otherwise a variant inserted synchronously could
-        // not decay toward demotion.
+        // dispatched — otherwise it could not decay toward demotion.
         for key in resident.keys() {
             st.heat.entry(*key).or_default();
         }
-        // Fold counter-page deltas into pending heat and back into the
-        // cache's LRU accounting (stub traffic never touches `lookup`, so
-        // without the credit byte-pressure eviction would see hot stub
-        // targets as idle). The fall-through slot has no fingerprint to
-        // attribute, so it is not folded here — fall-through callers reach
-        // `request`, which records the miss with the request attached.
-        let mut sources = std::mem::take(&mut st.sources);
-        // Fall-through (original-body) cycle deltas have no fingerprint
-        // to heat up, but they *are* drained from the bank — counted into
-        // the summary so attribution totals reconcile with the banks.
-        let mut unattributed_cycles = 0u64;
-        for src in sources.values_mut() {
-            let Ok((snap, deltas)) = src.page.delta_since(img, &src.last) else {
-                continue;
-            };
-            // The cycle bank rides the same sampling pass: attributed
-            // time per case (written host-side by a `DispatchProfiler`)
-            // becomes pending cycle heat, weighed by `cycle_weight` in
-            // the fold below. Sampled even at weight 0 so the baseline
-            // stays fresh if the weight is raised later.
-            let cycle_deltas = src
-                .page
-                .cycle_delta_since(img, &src.last_cycles)
-                .map(|(snap, deltas)| {
-                    src.last_cycles = snap;
-                    deltas
-                })
-                .unwrap_or_default();
-            unattributed_cycles += cycle_deltas.iter().skip(src.keys.len()).sum::<u64>();
-            for (i, key) in src.keys.iter().enumerate() {
-                let d = deltas[i];
-                let cd = cycle_deltas.get(i).copied().unwrap_or(0);
-                if d == 0 && cd == 0 {
-                    continue;
-                }
-                let e = st.heat.entry(*key).or_default();
-                e.pending_cycles += cd;
-                if d == 0 {
-                    continue;
-                }
-                let credited = self.cache.credit(key, d);
-                e.pending += d;
-                if credited {
-                    e.credited += d;
-                }
-            }
-            src.last = snap;
-        }
-        st.sources = sources;
-
+        let unattributed = st.sample(img, |key, d| self.cache.lookup(key, d).is_some());
         st.tick += 1;
         let tick = st.tick;
-        let decay = t.cfg.decay;
-        let cycle_weight = t.cfg.cycle_weight;
-        let mut sampled = 0u64;
-        let mut cycles_sampled = unattributed_cycles;
-        let mut promote: Vec<(CacheKey, SpecRequest, f64)> = Vec::new();
-        let mut demote: Vec<(CacheKey, f64, Arc<Variant>)> = Vec::new();
-        for (key, e) in st.heat.iter_mut() {
-            let is_resident = resident.contains_key(key);
-            let hit_delta = match resident.get(key) {
-                Some(&h) => {
-                    let d = h.saturating_sub(e.last_hits);
-                    // The baseline absorbs this tick's page credit so it
-                    // is not re-counted as a hit next tick.
-                    e.last_hits = h + e.credited;
-                    e.credited = 0;
-                    d
-                }
-                None => {
-                    e.last_hits = 0;
-                    e.credited = 0;
-                    0
-                }
-            };
-            let input = e.pending + hit_delta;
-            e.pending = 0;
-            let cyc = e.pending_cycles;
-            e.pending_cycles = 0;
-            sampled += input;
-            cycles_sampled += cyc;
-            // Calls and (weighted) attributed time both feed heat: at
-            // the default `cycle_weight` of 0 this reduces exactly to
-            // the PR 6 call-weighted fold.
-            e.heat = e.heat * decay + input as f64 + cyc as f64 * cycle_weight;
-            let since = tick.saturating_sub(e.last_action_tick);
-            match t.cfg.decide(e.heat, is_resident, since) {
-                TierAction::Promote if !is_resident => {
-                    // No request retained means the key was only ever seen
-                    // through a counter page — nothing to replay yet.
-                    let Some(req) = e.req.clone() else {
-                        continue;
-                    };
-                    // A key inside its negative backoff window is not
-                    // promoted: the probe does not spend the window, so
-                    // real requests still govern the retry schedule.
-                    if self.negative.would_deny(key) {
-                        continue;
-                    }
+        // The negative cache's word on every absent key a promotion could
+        // replay, probed without spending the window real requests decay on.
+        let negative = st
+            .heat
+            .iter()
+            .filter(|(key, e)| e.req.is_some() && !resident.contains_key(key))
+            .map(|(key, _)| (*key, self.negative.consult(key, Origin::Promote).0))
+            .collect();
+        let fold = decide::fold(&mut st.heat, &resident, &negative, tick, &t.cfg);
+        let mut promote = Vec::new();
+        let mut demote = Vec::new();
+        for (key, d, req) in fold.verdicts {
+            if let Some(req) = req {
+                promote.push((key, d, req));
+            } else if let Some((req, v)) = self.cache.remove_key(&key) {
+                // Demotion only unpublishes; the request stays to replay.
+                if let Some(e) = st.heat.get_mut(&key) {
+                    e.retain(req);
                     e.last_action_tick = tick;
-                    promote.push((*key, req, e.heat));
                 }
-                TierAction::Demote if is_resident => {
-                    if let Some((req, v)) = self.cache.remove_key(key) {
-                        e.req = Some(req);
-                        e.last_hits = 0;
-                        e.credited = 0;
-                        e.last_action_tick = tick;
-                        demote.push((*key, e.heat, v));
-                    }
-                }
-                _ => {}
+                demote.push((key, d, v));
             }
-        }
-        // Dead keys cost nothing after a few quiet ticks.
-        st.heat
-            .retain(|key, e| resident.contains_key(key) || e.heat >= MIN_TRACKED_HEAT);
-        let tracked = st.heat.len();
-        let (mut heat_max, mut heat_sum) = (0.0f64, 0.0f64);
-        for e in st.heat.values() {
-            heat_max = heat_max.max(e.heat);
-            heat_sum += e.heat;
         }
         drop(st);
 
-        self.metrics.gauge_set(Gge::HeatTracked, tracked as i64);
-        self.metrics
-            .gauge_set(Gge::HeatMax, (heat_max * 1000.0) as i64);
-        let heat_mean = if tracked == 0 {
-            0
-        } else {
-            (heat_sum / tracked as f64 * 1000.0) as i64
-        };
-        self.metrics.gauge_set(Gge::HeatMean, heat_mean);
+        let (tracked, milli) = (fold.tracked as i64, |h: f64| (h * 1000.0) as i64);
+        self.metrics.gauge_set(Gge::HeatTracked, tracked);
+        self.metrics.gauge_set(Gge::HeatMax, milli(fold.heat_max));
+        let mean = fold.heat_sum / tracked.max(1) as f64;
+        self.metrics.gauge_set(Gge::HeatMean, milli(mean));
 
-        // Effects run outside the tiering lock: an inline promotion
-        // re-enters `get_or_rewrite`. Each verdict journals the threshold that
-        // justified it beside the heat score, so a dump answers "why"
-        // without the config at hand.
-        if !demote.is_empty() {
-            self.sync_resident_gauges();
-        }
-        for (key, heat, v) in &demote {
-            self.note(
-                FlightKind::Demoted,
-                [
-                    key.func,
-                    key.fingerprint,
-                    milli(*heat),
-                    milli(t.cfg.demote_heat),
-                ],
-            );
+        // Effects run outside the tiering lock (a promotion re-enters the
+        // front end); each record carries the heat and the bar it crossed.
+        for (key, d, v) in &demote {
+            self.journal(*d, *key, None);
             self.retire_symbol(Arc::clone(v));
-        }
-        let promoted = promote.len();
-        for (key, req, heat) in promote {
-            self.note(
-                FlightKind::Promoted,
-                [
-                    key.func,
-                    key.fingerprint,
-                    milli(heat),
-                    milli(t.cfg.promote_heat),
-                ],
-            );
-            // The rewrite is paid on the tick thread — the dispatch path
-            // never waits for it — and a failure is negatively cached as
-            // usual.
-            let _ = self.get_or_rewrite(img, key.func, &req);
         }
         let summary = TickSummary {
             tick,
-            sampled,
-            cycles_sampled,
-            tracked,
-            promoted,
+            sampled: fold.sampled,
+            cycles_sampled: unattributed + fold.cycles,
+            tracked: fold.tracked,
+            promoted: promote.len(),
             demoted: demote.len(),
         };
+        for (key, d, req) in promote {
+            self.journal(d, key, None);
+            // A failure is negatively cached as usual.
+            let _ = self.serve(img, key.func, &req, Origin::Promote);
+        }
         self.note(
             FlightKind::TickEnd,
             [
                 tick,
-                sampled,
+                summary.sampled,
                 summary.promoted as u64,
                 summary.demoted as u64,
             ],
@@ -1022,85 +837,55 @@ impl SpecializationManager {
     }
 
     /// The one invalidation entry point: drop exactly the cached variants
-    /// `inv` names and return how many were dropped. See [`Invalidation`]
-    /// for the three selectors.
+    /// `inv` names (a revalidation journals all `STALE`, then all
+    /// `INVALIDATED`) and return how many. The generation moves first, so
+    /// a rewrite in flight meanwhile is refused at publish. With tiering
+    /// the dropped requests are kept for later promotion, and a
+    /// revalidation rebuilds here each key whose heat `decide` finds worth
+    /// it (`RESPEC`); otherwise the next request re-specializes a key.
     pub fn apply_invalidation(&self, inv: Invalidation<'_>) -> usize {
-        match inv {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        let dropped = match &inv {
             Invalidation::Func(func) => {
-                let dropped = self.cache.remove_matching(|v| v.func == func);
-                self.negative.forget_func(func);
-                self.tier_retain(&dropped);
-                self.note_invalidated(&dropped);
-                dropped.len()
+                let dropped = self.cache.remove_matching(|v| v.func == *func);
+                self.negative.forget_func(*func);
+                dropped
             }
-            Invalidation::Data(range) => {
-                let dropped = self.cache.remove_matching(|v| v.snapshot.overlaps(&range));
-                self.tier_retain(&dropped);
-                self.note_invalidated(&dropped);
-                dropped.len()
+            Invalidation::Data(range) => self.cache.remove_matching(|v| v.snapshot.overlaps(range)),
+            Invalidation::Revalidate(img) => {
+                let dropped = self.cache.remove_matching(|v| !v.snapshot.matches(img));
+                for (_, _, v) in &dropped {
+                    self.note(FlightKind::Stale, [v.func, v.entry, 0, 0]);
+                }
+                dropped
             }
-            Invalidation::Revalidate(img) => self.revalidate_sweep(img),
-        }
-    }
-
-    /// Keep dropped variants' producing requests in the tiering layer so
-    /// a key that stays hot after invalidation can be re-promoted without
-    /// any caller reconstructing its request.
-    fn tier_retain(&self, dropped: &[(CacheKey, SpecRequest, Arc<Variant>)]) {
-        if let Some(t) = &self.tiering {
-            for (key, req, _) in dropped {
+        };
+        for (key, req, v) in &dropped {
+            self.note(FlightKind::Invalidated, [v.func, v.entry, 0, 0]);
+            self.retire_symbol(Arc::clone(v));
+            if let Some(t) = &self.tiering {
                 t.retain_request(*key, req.clone());
             }
         }
-    }
-
-    /// The [`Invalidation::Revalidate`] sweep: re-hash every variant's
-    /// snapshot against the current image and drop exactly the variants
-    /// whose folded bytes changed. It journals a `STALE` record for every
-    /// dropped variant, then an `INVALIDATED` record for every one. With
-    /// tiering enabled, each variant whose heat clears
-    /// [`TieringConfig::respecialize`] is journaled `RESPEC` and rebuilt
-    /// right here from its retained producing request, so the fresh
-    /// variant is published without the original caller's help; cold stale
-    /// variants just die. Without tiering nothing is rebuilt: the next
-    /// request for a dropped key re-specializes it.
-    fn revalidate_sweep(&self, img: &Image) -> usize {
-        let dropped = self.cache.remove_matching(|v| !v.snapshot.matches(img));
-        for (_, _, v) in &dropped {
-            self.note(FlightKind::Stale, [v.func, v.entry, 0, 0]);
-        }
-        self.note_invalidated(&dropped);
-        // The requests are retained either way — a cold key may heat back
-        // up and earn a promotion later — but only a variant still hot
-        // *now* gets its rewrite paid immediately.
-        self.tier_retain(&dropped);
-        if let Some(t) = &self.tiering {
+        if let (Invalidation::Revalidate(img), Some(t)) = (&inv, &self.tiering) {
             for (key, req, _) in &dropped {
-                let heat = t.heat_of(key);
-                if t.cfg.respecialize(heat) {
-                    self.note(
-                        FlightKind::Respecialized,
-                        [key.func, key.fingerprint, milli(heat), 0],
-                    );
+                let view = View {
+                    negative: self.negative.consult(key, Origin::Rebuild).0,
+                    heat: Some(Heat {
+                        score: t.heat_of(key),
+                        since: 0,
+                        replayable: true,
+                        cfg: t.cfg,
+                    }),
+                    ..View::new(Origin::Rebuild, true, self.budget_bytes)
+                };
+                if let Decision::Respecialize { .. } = self.decide(&view, *key, None) {
                     // A failure is negatively cached as usual.
-                    let _ = self.get_or_rewrite(img, key.func, req);
+                    let _ = self.serve(img, key.func, req, Origin::Rebuild);
                 }
             }
         }
         dropped.len()
-    }
-
-    /// Shared invalidation bookkeeping: count and journal, retire
-    /// symbols, resync gauges.
-    fn note_invalidated(&self, dropped: &[(CacheKey, SpecRequest, Arc<Variant>)]) {
-        for (_, _, v) in dropped {
-            self.note(FlightKind::Invalidated, [v.func, v.entry, 0, 0]);
-            self.retire_symbol(Arc::clone(v));
-        }
-        if !dropped.is_empty() {
-            self.sync_resident_gauges();
-        }
-        self.sync_negative_gauge();
     }
 
     /// The memoized failure for `(func, req)`, if the negative cache
@@ -1116,130 +901,12 @@ impl SpecializationManager {
     pub fn negative_len(&self) -> usize {
         self.negative.len()
     }
-
-    /// Cached variants of `func`, hottest (most hits, then most recent)
-    /// first — the order the dispatcher tests them in.
-    pub fn variants_of(&self, func: u64) -> Vec<Arc<Variant>> {
-        self.hottest_first(func).map(|(_, v)| v).collect()
-    }
-
-    /// `(fingerprint, variant)` of every cached variant of `func`, hottest
-    /// first.
-    fn hottest_first(&self, func: u64) -> impl Iterator<Item = (u64, Arc<Variant>)> {
-        let mut entries = self.cache.snapshot_func(func);
-        entries.sort_by(|(ah, al, af, _), (bh, bl, bf, _)| (bh, bl, af).cmp(&(ah, al, bf)));
-        entries
-            .into_iter()
-            .map(|(_, _, fingerprint, v)| (fingerprint, v))
-    }
-
-    /// Emit a guarded dispatch stub over every cached *guardable* variant
-    /// of `func` (§III.D, generalized to N variants and multi-parameter
-    /// conjunctions). The stub tail-jumps to the first variant whose
-    /// guarded parameters all match and falls through to `original`
-    /// otherwise — callers use it as a drop-in replacement. Variants whose
-    /// known parameters can't be register-compared (known doubles) are
-    /// skipped; with no eligible variant the stub degenerates to a
-    /// trampoline onto the original.
-    ///
-    /// The chain is built from a snapshot of the cache and emitted at a
-    /// fresh JIT address, so concurrent publication of new variants never
-    /// corrupts an existing stub — rebuild and swap the pointer to pick
-    /// them up.
-    pub fn build_dispatcher(
-        &self,
-        img: &Image,
-        func: u64,
-        original: u64,
-    ) -> Result<u64, RewriteError> {
-        let (cases, _) = self.dispatch_cases_keyed(func);
-        let before = img.jit_remaining();
-        let entry = guard::make_guard_chain(img, &cases, original)?;
-        let len = before.saturating_sub(img.jit_remaining());
-        self.note_dispatcher(func, entry, cases.len(), len);
-        Ok(entry)
-    }
-
-    /// [`build_dispatcher`](Self::build_dispatcher) emitting a
-    /// *self-counting* stub: each case — and the fall-through to the
-    /// original — increments its slot of the returned [`CounterPage`] on
-    /// every call. Dispatch behavior is bit-identical to the plain stub.
-    /// With tiering enabled the page is also registered as a heat source:
-    /// subsequent [`tick`](Self::tick)s sample its slots, so traffic that
-    /// only ever flows through the stub still drives promote/demote
-    /// decisions.
-    pub fn build_dispatcher_counting(
-        &self,
-        img: &Image,
-        func: u64,
-        original: u64,
-    ) -> Result<(u64, CounterPage), RewriteError> {
-        let (cases, keys) = self.dispatch_cases_keyed(func);
-        let before = img.jit_remaining();
-        let (entry, page) = guard::make_guard_chain_counting(img, &cases, original)?;
-        let len = before.saturating_sub(img.jit_remaining());
-        unpoison(self.stubs.lock()).insert(page.base, keys.iter().map(|k| k.fingerprint).collect());
-        if let Some(t) = &self.tiering {
-            t.register_source(img, func, page, keys);
-        }
-        self.note_dispatcher(func, entry, cases.len(), len);
-        Ok((entry, page))
-    }
-
-    /// A [`DispatchProfiler`](crate::telemetry::DispatchProfiler) over
-    /// `func`'s counting dispatcher `page`, wired to this manager's
-    /// metrics registry: every observed call feeds the page's cycle bank
-    /// *and* the per-(func, fingerprint) self-time histograms. The case
-    /// order is the one [`build_dispatcher_counting`](Self::build_dispatcher_counting)
-    /// emitted for that page, however the cache's hit order or contents
-    /// moved since; a page this manager did not build has no cases to
-    /// attribute to, so every call is booked as the original.
-    pub fn profile_dispatcher(
-        &self,
-        func: u64,
-        page: CounterPage,
-    ) -> crate::telemetry::DispatchProfiler {
-        let keys = unpoison(self.stubs.lock())
-            .get(&page.base)
-            .cloned()
-            .unwrap_or_default();
-        crate::telemetry::DispatchProfiler::new(func, page, keys, Some(Arc::clone(&self.metrics)))
-    }
-
-    /// Guardable cached variants of `func` as dispatch cases, hottest
-    /// first, with each case's [`CacheKey`] in slot order — what the
-    /// tiering layer and the profiler need to attribute a [`CounterPage`]
-    /// slot back to a fingerprint.
-    fn dispatch_cases_keyed(&self, func: u64) -> (Vec<GuardCase>, Vec<CacheKey>) {
-        let mut cases = Vec::new();
-        let mut keys = Vec::new();
-        for (fingerprint, v) in self.hottest_first(func) {
-            let Some(g) = v.guards.as_ref() else {
-                continue;
-            };
-            cases.push(GuardCase {
-                conds: g.clone(),
-                target: v.entry,
-            });
-            keys.push(CacheKey { func, fingerprint });
-        }
-        (cases, keys)
-    }
-
-    fn note_dispatcher(&self, func: u64, entry: u64, variants: usize, len: u64) {
-        self.note(
-            FlightKind::DispatcherBuilt,
-            [func, entry, variants as u64, 0],
-        );
-        // Stubs are live JIT placements too — symbolize them so profiler
-        // samples inside the dispatch chain don't read as bare hex.
-        self.note_symbol(&self.symbols.publish_stub(func, entry, len));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::flight::milli;
     use brew_image::layout::{JIT_BASE, JIT_SIZE};
 
     /// A cache entry that no publish produced: keyed by `entry` as its
@@ -1260,9 +927,10 @@ mod tests {
                 snapshot: KnownSnapshot::default(),
             }),
             SpecRequest::new(),
+            || true,
         );
         for _ in 0..hits {
-            m.cache.lookup(&key);
+            m.cache.lookup(&key, 1);
         }
     }
 
@@ -1311,7 +979,7 @@ mod tests {
             func: 1,
             fingerprint: 200,
         };
-        m.evict_to_budget(keep);
+        m.evict_to_budget(View::new(Origin::Direct, false, 16), keep);
         let left: Vec<u64> = m.variants_of(1).iter().map(|v| v.entry).collect();
         assert_eq!(left, vec![200]);
         assert_eq!(m.stats().evictions, 1);

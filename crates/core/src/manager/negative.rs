@@ -1,27 +1,29 @@
 //! Negative caching of failed specialization attempts.
 //!
-//! A request that fails to specialize — undecodable instruction, trace
-//! budget blown, division fault on known operands — fails again the next
-//! time the *same* request arrives, because the rewrite is deterministic
-//! in the request and the image. Without memoization every such request
-//! pays the full trace cost just to rediscover the failure, which turns a
-//! single pathological hot function into a standing tax on the whole
-//! manager. The negative cache remembers the failure per
-//! [`CacheKey`] and answers repeats with the memoized error at
-//! shard-lookup cost.
+//! A rewrite is deterministic in the request and the image, so a request
+//! that failed (undecodable instruction, trace budget blown, division
+//! fault on known operands) fails again; without memoization every repeat
+//! pays the full trace to rediscover it. The cache remembers the failure
+//! per [`CacheKey`] and answers repeats at shard-lookup cost. Failures
+//! need not be permanent (the data a trace faulted on may be fixed), so an
+//! entry denies `base_backoff << (attempts - 1)` requests, then lets one
+//! retry through (single flight coalesces concurrent retriers); at
+//! `attempt_cap` failures it denies for good.
 //!
-//! Failures are not always permanent (the user may fix the data the trace
-//! faulted on, or raise a budget via a new config — though that changes
-//! the fingerprint), so entries *decay*: after a failure the cache denies
-//! the next `backoff(attempts)` requests, then lets exactly one through to
-//! retry (single-flight coalesces concurrent retriers). Each repeated
-//! failure doubles the backoff window until `attempt_cap`, after which the
-//! entry denies forever — the failure is treated as structural.
+//! The arithmetic is `decide::Negative::of`, applied here under the
+//! entry's shard lock so a verdict and its spend are one step. Only
+//! callers spend the window (`request`, `get_or_rewrite`); the policy's
+//! promotions and rebuilds take the same verdict without spending it. The
+//! cache keeps its own count, and the `brew_negative_entries` gauge with it.
 
-use super::CacheKey;
+use super::decide::{Negative, Origin};
+use super::{unpoison, CacheKey};
 use crate::error::RewriteError;
+use crate::telemetry::metrics::Gge;
+use crate::telemetry::MetricsRegistry;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tuning knobs for the negative cache.
 #[derive(Debug, Clone, Copy)]
@@ -51,97 +53,76 @@ struct NegEntry {
     denials: u64,
 }
 
-/// What the cache says about an incoming request.
-#[derive(Debug)]
-pub enum Verdict {
-    /// No memoized failure; proceed normally.
-    Miss,
-    /// Known-bad and inside the backoff window (or permanently capped):
-    /// answer with the memoized error without tracing anything.
-    Deny {
-        /// The memoized failure.
-        err: RewriteError,
-        /// Failed attempts memoized for the key, read under the same lock
-        /// as the verdict — what the `DENIED` record reports.
-        attempts: u32,
-    },
-    /// Known-bad but the backoff window has elapsed: let this request
-    /// re-attempt the rewrite.
-    Retry,
-}
+type Shard = Mutex<HashMap<CacheKey, NegEntry>>;
 
 /// Sharded `(func, fingerprint) -> NegEntry` map. Sharding mirrors the
 /// positive cache so a hot failure path contends no worse than a hot hit
 /// path.
-pub struct NegativeCache {
-    shards: Vec<Mutex<HashMap<CacheKey, NegEntry>>>,
+pub(super) struct NegativeCache {
+    shards: Vec<Shard>,
     policy: NegativePolicy,
-}
-
-fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
-    r.unwrap_or_else(PoisonError::into_inner)
+    /// Entries across all shards.
+    count: AtomicUsize,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl NegativeCache {
     /// A negative cache with `shards` shards under `policy`.
-    pub fn new(shards: usize, policy: NegativePolicy) -> Self {
-        let shards = shards.max(1);
+    pub fn new(shards: usize, policy: NegativePolicy, metrics: Arc<MetricsRegistry>) -> Self {
         NegativeCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             policy,
+            count: AtomicUsize::new(0),
+            metrics,
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, NegEntry>> {
+    fn lock(&self, key: &CacheKey) -> MutexGuard<'_, HashMap<CacheKey, NegEntry>> {
         let mix = key.fingerprint ^ key.func.rotate_left(17);
-        &self.shards[(mix as usize) % self.shards.len()]
+        let shard = &self.shards[(mix as usize) % self.shards.len()];
+        unpoison(shard.lock())
     }
 
-    /// Denials the entry serves before its next retry: `base << (attempts-1)`,
-    /// saturating. Attempts at or beyond the cap never retry.
-    fn backoff(&self, attempts: u32) -> u64 {
-        self.policy
-            .base_backoff
-            .saturating_mul(1u64 << (attempts - 1).min(62))
+    /// Move the entry count by `d` and the gauge with it.
+    fn account(&self, d: isize) {
+        let d = d as usize; // two's complement: adding wraps to a subtraction
+        let n = self.count.fetch_add(d, Ordering::Relaxed).wrapping_add(d);
+        self.metrics.gauge_set(Gge::NegativeEntries, n as i64);
     }
 
-    /// Look up `key`. `Deny` counts itself against the backoff window;
-    /// `Miss` and `Retry` do not mutate the entry, so consulting twice on
-    /// one request path (e.g. `request` falling through to
-    /// `get_or_rewrite`) is harmless.
-    pub fn consult(&self, key: &CacheKey) -> Verdict {
-        let mut map = unpoison(self.shard(key).lock());
+    /// The verdict on `key` for a call from `origin` and, when it denies
+    /// a direct call, the memoized error that call returns. A denial of a
+    /// caller (`origin.spends()`) counts against the backoff window;
+    /// nothing else mutates the entry.
+    pub fn consult(&self, key: &CacheKey, origin: Origin) -> (Negative, Option<RewriteError>) {
+        let mut map = self.lock(key);
         let Some(e) = map.get_mut(key) else {
-            return Verdict::Miss;
+            return (Negative::None, None);
         };
-        if e.attempts < self.policy.attempt_cap {
-            if e.denials >= self.backoff(e.attempts) {
-                return Verdict::Retry;
-            }
-            e.denials += 1;
+        let verdict = Negative::of(e.attempts, e.denials, &self.policy);
+        match verdict {
+            Negative::None | Negative::Retry => return (verdict, None),
+            Negative::Deny { .. } if origin.spends() => e.denials += 1,
+            _ => {}
         }
-        Verdict::Deny {
-            err: e.err.clone(),
-            attempts: e.attempts,
-        }
+        (verdict, (origin == Origin::Direct).then(|| e.err.clone()))
     }
 
-    /// Non-mutating probe: would [`consult`](Self::consult) deny `key`
-    /// right now? Unlike `consult`, a `true` answer does *not* count
-    /// against the backoff window — for policy layers (tiering promotion)
-    /// that need to know whether a rewrite is futile without spending
-    /// the denial budget real requests decay on.
-    pub fn would_deny(&self, key: &CacheKey) -> bool {
-        let map = unpoison(self.shard(key).lock());
-        map.get(key).is_some_and(|e| {
-            e.attempts >= self.policy.attempt_cap || e.denials < self.backoff(e.attempts)
-        })
-    }
-
-    /// Memoize a failed attempt for `key`: bump the attempt count, reset
-    /// the denial window, remember the newest error.
-    pub fn record_failure(&self, key: &CacheKey, err: &RewriteError) {
-        let mut map = unpoison(self.shard(key).lock());
+    /// Memoize a failed attempt for `key` — bump the attempt count, reset
+    /// the denial window, remember the newest error — if `current()`
+    /// still holds under the shard lock (no invalidation since the
+    /// attempt began).
+    pub fn record_failure(
+        &self,
+        key: &CacheKey,
+        err: &RewriteError,
+        current: impl FnOnce() -> bool,
+    ) {
+        let mut map = self.lock(key);
+        if !current() {
+            return;
+        }
+        let fresh = !map.contains_key(key);
         let e = map.entry(*key).or_insert(NegEntry {
             err: err.clone(),
             attempts: 0,
@@ -150,49 +131,37 @@ impl NegativeCache {
         e.err = err.clone();
         e.attempts = e.attempts.saturating_add(1);
         e.denials = 0;
+        self.account(fresh as isize);
     }
 
     /// The memoized error for `key`, if any.
     pub fn failure_of(&self, key: &CacheKey) -> Option<RewriteError> {
-        unpoison(self.shard(key).lock())
-            .get(key)
-            .map(|e| e.err.clone())
+        self.lock(key).get(key).map(|e| e.err.clone())
     }
 
     /// Drop the entry for `key` (a retry succeeded).
     pub fn forget(&self, key: &CacheKey) {
-        unpoison(self.shard(key).lock()).remove(key);
+        let gone = self.lock(key).remove(key).is_some();
+        self.account(-(gone as isize));
     }
 
     /// Drop every entry for `func` (the function was invalidated — its
     /// failure may have been data-dependent).
     pub fn forget_func(&self, func: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut map = unpoison(s.lock());
-                let before = map.len();
-                map.retain(|k, _| k.func != func);
-                before - map.len()
-            })
-            .sum()
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
+        let mut gone = 0;
         for s in &self.shards {
-            unpoison(s.lock()).clear();
+            let mut map = unpoison(s.lock());
+            let before = map.len();
+            map.retain(|k, _| k.func != func);
+            gone += before - map.len();
         }
+        self.account(-(gone as isize));
+        gone
     }
 
     /// Live entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.count.load(Ordering::Relaxed)
     }
 }
 
@@ -207,125 +176,126 @@ mod tests {
         }
     }
 
+    fn cache(shards: usize, base_backoff: u64, attempt_cap: u32) -> NegativeCache {
+        let policy = NegativePolicy {
+            base_backoff,
+            attempt_cap,
+        };
+        NegativeCache::new(shards, policy, Arc::new(MetricsRegistry::new()))
+    }
+
+    fn fail(neg: &NegativeCache, k: &CacheKey, err: RewriteError) {
+        neg.record_failure(k, &err, || true);
+    }
+
+    fn verdict(neg: &NegativeCache, k: &CacheKey) -> Negative {
+        neg.consult(k, Origin::Request).0
+    }
+
     #[test]
     fn miss_then_deny_then_retry() {
-        let neg = NegativeCache::new(
-            4,
-            NegativePolicy {
-                base_backoff: 2,
-                attempt_cap: 10,
-            },
-        );
+        let neg = cache(4, 2, 10);
         let k = key(0x1000, 42);
-        assert!(matches!(neg.consult(&k), Verdict::Miss));
-        neg.record_failure(&k, &RewriteError::TraceBudget);
+        assert_eq!(verdict(&neg, &k), Negative::None);
+        fail(&neg, &k, RewriteError::TraceBudget);
         // Two denials, then a retry slot opens.
-        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
-        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
-        assert!(matches!(neg.consult(&k), Verdict::Retry));
+        assert_eq!(verdict(&neg, &k), Negative::Deny { attempts: 1 });
+        assert_eq!(verdict(&neg, &k), Negative::Deny { attempts: 1 });
+        assert_eq!(verdict(&neg, &k), Negative::Retry);
         // Retry is not consumed until the attempt fails again.
-        assert!(matches!(neg.consult(&k), Verdict::Retry));
+        assert_eq!(verdict(&neg, &k), Negative::Retry);
         // Second failure doubles the window.
-        neg.record_failure(&k, &RewriteError::TraceBudget);
+        fail(&neg, &k, RewriteError::TraceBudget);
         for _ in 0..4 {
-            assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
+            assert_eq!(verdict(&neg, &k), Negative::Deny { attempts: 2 });
         }
-        assert!(matches!(neg.consult(&k), Verdict::Retry));
+        assert_eq!(verdict(&neg, &k), Negative::Retry);
     }
 
     #[test]
     fn capped_attempts_deny_forever() {
-        let neg = NegativeCache::new(
-            1,
-            NegativePolicy {
-                base_backoff: 1,
-                attempt_cap: 2,
-            },
-        );
+        let neg = cache(1, 1, 2);
         let k = key(0x2000, 7);
-        neg.record_failure(&k, &RewriteError::TraceBudget);
-        neg.record_failure(&k, &RewriteError::TraceBudget);
+        fail(&neg, &k, RewriteError::TraceBudget);
+        fail(&neg, &k, RewriteError::TraceBudget);
         for _ in 0..100 {
-            assert!(matches!(neg.consult(&k), Verdict::Deny { attempts: 2, .. }));
+            assert_eq!(verdict(&neg, &k), Negative::Capped { attempts: 2 });
         }
     }
 
-    /// The attempt count travels with the denial, read under the lock that
-    /// decided it — a second lookup could lose a race with `forget` and
-    /// report `attempts = 0` for a denial that happened.
+    /// The attempt count and the error travel with the denial, read under
+    /// the lock that decided it — a second lookup could lose a race with
+    /// `forget` and report `attempts = 0` for a denial that happened.
     #[test]
     fn a_denial_carries_the_attempts_it_was_decided_on() {
-        let neg = NegativeCache::new(
-            1,
-            NegativePolicy {
-                base_backoff: 1,
-                attempt_cap: 10,
-            },
-        );
+        let neg = cache(1, 1, 10);
         let k = key(0x1000, 42);
         for n in 1..=3u32 {
-            neg.record_failure(&k, &RewriteError::TraceBudget);
-            match neg.consult(&k) {
-                Verdict::Deny { err, attempts } => {
-                    assert!(matches!(err, RewriteError::TraceBudget));
-                    assert_eq!(attempts, n);
-                }
-                v => panic!("expected a denial after failure {n}, got {v:?}"),
-            }
+            fail(&neg, &k, RewriteError::TraceBudget);
+            let (v, err) = neg.consult(&k, Origin::Direct);
+            assert_eq!(v, Negative::Deny { attempts: n });
+            assert!(matches!(err, Some(RewriteError::TraceBudget)));
         }
         neg.forget(&k);
-        assert!(matches!(neg.consult(&k), Verdict::Miss));
+        assert_eq!(verdict(&neg, &k), Negative::None);
     }
 
     #[test]
-    fn would_deny_probes_without_spending_the_window() {
-        let neg = NegativeCache::new(
-            1,
-            NegativePolicy {
-                base_backoff: 2,
-                attempt_cap: 10,
-            },
-        );
+    fn policy_origins_probe_without_spending_the_window() {
+        let neg = cache(1, 2, 10);
         let k = key(0x1000, 42);
-        assert!(!neg.would_deny(&k));
-        neg.record_failure(&k, &RewriteError::TraceBudget);
+        let probe = |o| neg.consult(&k, o).0;
+        assert_eq!(probe(Origin::Promote), Negative::None);
+        fail(&neg, &k, RewriteError::TraceBudget);
         // Probing any number of times never advances the denial count...
-        for _ in 0..50 {
-            assert!(neg.would_deny(&k));
+        for o in [Origin::Promote, Origin::Rebuild].repeat(25) {
+            assert_eq!(probe(o), Negative::Deny { attempts: 1 });
         }
         // ...so real requests still get the full window: two denials,
         // then the retry slot opens and the probe agrees.
-        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
-        assert!(matches!(neg.consult(&k), Verdict::Deny { .. }));
-        assert!(!neg.would_deny(&k));
-        assert!(matches!(neg.consult(&k), Verdict::Retry));
+        assert_eq!(verdict(&neg, &k), Negative::Deny { attempts: 1 });
+        assert_eq!(verdict(&neg, &k), Negative::Deny { attempts: 1 });
+        assert_eq!(probe(Origin::Promote), Negative::Retry);
+        assert_eq!(verdict(&neg, &k), Negative::Retry);
     }
 
     #[test]
     fn forget_and_forget_func() {
-        let neg = NegativeCache::new(4, NegativePolicy::default());
+        let neg = cache(4, 8, 10);
         let ka = key(0x1000, 1);
         let kb = key(0x1000, 2);
         let kc = key(0x3000, 3);
         for k in [&ka, &kb, &kc] {
-            neg.record_failure(k, &RewriteError::TraceBudget);
+            fail(&neg, k, RewriteError::TraceBudget);
         }
         assert_eq!(neg.len(), 3);
+        assert_eq!(neg.metrics.gauge(Gge::NegativeEntries).get(), 3);
         neg.forget(&kc);
-        assert!(matches!(neg.consult(&kc), Verdict::Miss));
+        assert_eq!(verdict(&neg, &kc), Negative::None);
         assert_eq!(neg.forget_func(0x1000), 2);
-        assert!(neg.is_empty());
+        assert_eq!(neg.len(), 0);
+        assert_eq!(neg.metrics.gauge(Gge::NegativeEntries).get(), 0);
     }
 
     #[test]
     fn newest_error_wins() {
-        let neg = NegativeCache::new(1, NegativePolicy::default());
+        let neg = cache(1, 8, 10);
         let k = key(0x1000, 1);
-        neg.record_failure(&k, &RewriteError::TraceBudget);
-        neg.record_failure(&k, &RewriteError::BlockBudget);
+        fail(&neg, &k, RewriteError::TraceBudget);
+        fail(&neg, &k, RewriteError::BlockBudget);
         assert!(matches!(
             neg.failure_of(&k),
             Some(RewriteError::BlockBudget)
         ));
+    }
+
+    /// A failure whose attempt began before an invalidation is not
+    /// memoized: the check runs under the shard lock `forget_func` sweeps.
+    #[test]
+    fn a_failure_from_before_an_invalidation_is_not_memoized() {
+        let neg = cache(1, 8, 10);
+        let k = key(0x1000, 1);
+        neg.record_failure(&k, &RewriteError::TraceBudget, || false);
+        assert_eq!((verdict(&neg, &k), neg.len()), (Negative::None, 0));
     }
 }

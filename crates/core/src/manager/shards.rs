@@ -14,12 +14,9 @@
 //!
 //! Readers ([`ShardedCache::lookup`] and friends) never take the mutex:
 //! they pin the shard's reclamation epoch, load the snapshot pointer,
-//! probe the immutable map and unpin — one load plus a hash probe, zero
-//! locks, which is what makes the serving hit path wait-free (C5 in
-//! EXPERIMENTS.md). Recency/hit accounting moved into per-entry atomics
-//! ([`CacheEntry::last_used`]/[`CacheEntry::hits`]) shared between the
-//! writer map and every snapshot, so a hit bumps the *entry*, not a
-//! lock-guarded map.
+//! probe the immutable map and unpin — the wait-free serving hit path (C5
+//! in EXPERIMENTS.md). Recency and hits are per-entry atomics shared by
+//! the writer map and every snapshot, so a hit bumps the *entry*.
 //!
 //! # Epoch-deferred reclamation
 //!
@@ -57,42 +54,31 @@
 //! metadata is `Arc`-shared, so an evicted variant a concurrent dispatch
 //! still holds stays alive and callable.
 //!
-//! Resident bytes, entry count and the logical clock remain global
-//! atomics so the byte budget stays a single whole-cache bound rather
-//! than `N` independent ones.
+//! Resident bytes, entry count and the logical clock are global atomics,
+//! so the byte budget is one whole-cache bound; the first two move only
+//! in `account`, which keeps the residency gauges with them.
 
-use super::{CacheKey, Variant};
+use super::{unpoison, CacheKey, Variant};
 use crate::request::SpecRequest;
 use crate::telemetry::flight::FlightKind;
 use crate::telemetry::metrics::Gge;
 use crate::telemetry::{self, FlightRecorder, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Recover the guard from a poisoned lock. Every shard mutex protects a
-/// plain map whose invariants hold between statements, so a panic on
-/// another thread (contained at the manager boundary anyway) must not
-/// wedge the cache for everyone else.
-fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex};
 
 /// Default shard count; enough that 8-16 threads rarely collide.
 pub(super) const DEFAULT_SHARDS: usize = 8;
 
-/// One cached variant plus its lock-free accounting. Shared (`Arc`)
-/// between the writer map and every published snapshot, so a hit recorded
-/// through a snapshot is visible to the writer-side eviction scoring
-/// without any copying or locking.
+/// One cached variant plus its lock-free accounting, shared (`Arc`) by the
+/// writer map and every snapshot: a hit through a snapshot is visible to
+/// eviction scoring without copying or locking.
 pub(super) struct CacheEntry {
     pub variant: Arc<Variant>,
     pub key: CacheKey,
-    /// The request that produced the variant — kept so invalidation can
-    /// rebuild the variant without the original caller's help.
+    /// The request that produced the variant, kept to rebuild it.
     pub req: SpecRequest,
-    /// Logical-clock timestamp of the last hit/credit (atomic: bumped by
-    /// lock-free readers, read by writer-side eviction scoring).
+    /// Logical-clock time of the last hit, for eviction scoring.
     pub last_used: AtomicU64,
     /// Lifetime hits (atomic, same contract as `last_used`).
     pub hits: AtomicU64,
@@ -210,6 +196,17 @@ impl ShardedCache {
         self.count.load(Ordering::Acquire)
     }
 
+    /// The one place resident bytes and entries move, and the residency
+    /// gauges with them.
+    fn account(&self, bytes: isize, entries: isize) {
+        // Two's complement: adding a negative delta wraps to a subtraction.
+        let (b, e) = (bytes as usize, entries as usize);
+        let b = self.resident.fetch_add(b, Ordering::AcqRel).wrapping_add(b);
+        let e = self.count.fetch_add(e, Ordering::AcqRel).wrapping_add(e);
+        self.metrics.gauge_set(Gge::ResidentBytes, b as i64);
+        self.metrics.gauge_set(Gge::ResidentVariants, e as i64);
+    }
+
     /// Run `f` over the shard's published snapshot under an epoch pin.
     /// This is the entire read path: no mutex, one pointer load, one
     /// probe — see the module docs for why the dereference is safe.
@@ -265,22 +262,23 @@ impl ShardedCache {
         }
     }
 
-    /// Fetch a variant, bumping its recency and hit count — the wait-free
-    /// serving hit path: epoch pin, snapshot probe, two relaxed atomic
-    /// bumps, unpin. No mutex is ever acquired on a hit.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<Variant>> {
+    /// Fetch a variant, counting `hits` hits on it (recency and hit count)
+    /// — with `hits == 1` the wait-free serving hit path: epoch pin,
+    /// snapshot probe, two relaxed atomic bumps, unpin; no mutex is ever
+    /// acquired. The tiering tick credits dispatch-stub traffic the same
+    /// way (`hits` = the counter delta), so LRU eviction sees it too.
+    pub fn lookup(&self, key: &CacheKey, hits: u64) -> Option<Arc<Variant>> {
         let now = self.now();
         self.read(self.shard(key), |snap| {
             let e = snap.entries.get(key)?;
             e.last_used.store(now, Ordering::Relaxed);
-            e.hits.fetch_add(1, Ordering::Relaxed);
+            e.hits.fetch_add(hits, Ordering::Relaxed);
             Some(Arc::clone(&e.variant))
         })
     }
 
-    /// Fetch a variant *without* touching recency or hit accounting —
-    /// for observers (the tiering layer) that must not distort the very
-    /// signal they read.
+    /// Fetch a variant *without* touching recency or hits, for observers
+    /// that must not distort the signal they read.
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<Variant>> {
         self.read(self.shard(key), |snap| {
             snap.entries.get(key).map(|e| Arc::clone(&e.variant))
@@ -288,64 +286,40 @@ impl ShardedCache {
     }
 
     /// Remove one entry by key, returning its producing request and
-    /// variant — the demotion primitive. Byte accounting is adjusted
-    /// globally; a concurrent dispatch holding the `Arc` keeps the code
-    /// itself alive and callable (the JIT segment is a bump allocator, so
-    /// the bytes are never reused).
+    /// variant (a dispatch still holding the `Arc` keeps calling the code:
+    /// the JIT segment's bytes are never reused).
     pub fn remove_key(&self, key: &CacheKey) -> Option<(SpecRequest, Arc<Variant>)> {
         let shard = self.shard(key);
         let mut w = unpoison(shard.write.lock());
         let e = w.map.remove(key)?;
         self.publish(shard, &mut w);
         drop(w);
-        self.resident
-            .fetch_sub(e.variant.code_len, Ordering::AcqRel);
-        self.count.fetch_sub(1, Ordering::AcqRel);
+        self.account(-(e.variant.code_len as isize), -1);
         Some((e.req.clone(), Arc::clone(&e.variant)))
     }
 
-    /// Snapshot every entry's `(key, hits)` pair, unordered — the tiering
-    /// layer diffs consecutive snapshots into per-tick hit deltas. Reads
-    /// the published snapshots (no locks), so the view is per-entry exact
-    /// but only cross-entry consistent up to in-flight lookups (which
-    /// land in the next delta).
-    pub fn snapshot_hits(&self) -> Vec<(CacheKey, u64)> {
-        let mut out = Vec::with_capacity(self.len());
+    /// Visit every entry through the published snapshots, lock-free and
+    /// unordered: per-entry exact, cross-entry skewed by in-flight lookups.
+    pub fn each(&self, mut f: impl FnMut(&CacheEntry)) {
         for shard in &self.shards {
-            self.read(shard, |snap| {
-                out.extend(
-                    snap.entries
-                        .values()
-                        .map(|e| (e.key, e.hits.load(Ordering::Relaxed))),
-                );
-            });
+            self.read(shard, |snap| snap.entries.values().for_each(|e| f(e)));
         }
-        out
     }
 
-    /// Credit `n` external hits (dispatch-stub counter deltas) to an
-    /// entry: bumps recency and hit count as if `n` lookups had occurred,
-    /// so LRU eviction sees stub traffic too. Returns whether the key was
-    /// resident. Lock-free like `lookup` — the tiering tick no longer
-    /// contends with the serving path.
-    pub fn credit(&self, key: &CacheKey, n: u64) -> bool {
+    /// Insert (or replace) a variant if `current()` holds under the
+    /// shard's writer mutex, and say whether it did. An invalidation takes
+    /// the same mutex after moving the generation `current` reads, so
+    /// either its sweep finds the entry or the insert refuses it. Readers
+    /// see the entry once the rebuilt snapshot is swapped in.
+    pub fn insert(
+        &self,
+        key: CacheKey,
+        variant: Arc<Variant>,
+        req: SpecRequest,
+        current: impl FnOnce() -> bool,
+    ) -> bool {
         let now = self.now();
-        self.read(self.shard(key), |snap| {
-            let Some(e) = snap.entries.get(key) else {
-                return false;
-            };
-            e.last_used.store(now, Ordering::Relaxed);
-            e.hits.fetch_add(n, Ordering::Relaxed);
-            true
-        })
-    }
-
-    /// Insert (or replace) a variant; byte accounting is adjusted
-    /// globally. The entry becomes visible to readers when the rebuilt
-    /// snapshot is swapped in — publication is the pointer swap.
-    pub fn insert(&self, key: CacheKey, variant: Arc<Variant>, req: SpecRequest) {
-        let now = self.now();
-        let code_len = variant.code_len;
+        let code_len = variant.code_len as isize;
         let entry = Arc::new(CacheEntry {
             variant,
             key,
@@ -355,29 +329,24 @@ impl ShardedCache {
         });
         let shard = self.shard(&key);
         let mut w = unpoison(shard.write.lock());
+        if !current() {
+            return false;
+        }
         let prev = w.map.insert(key, entry);
         self.publish(shard, &mut w);
         drop(w);
-        self.resident.fetch_add(code_len, Ordering::AcqRel);
         match prev {
-            Some(p) => {
-                self.resident
-                    .fetch_sub(p.variant.code_len, Ordering::AcqRel);
-            }
-            None => {
-                self.count.fetch_add(1, Ordering::AcqRel);
-            }
+            Some(p) => self.account(code_len - p.variant.code_len as isize, 0),
+            None => self.account(code_len, 1),
         }
+        true
     }
 
     /// Remove and return the globally highest-score entry other than
-    /// `keep` as a `(key, producing request, variant)` triple, so the
-    /// caller can hand the request to the tiering layer for possible
-    /// re-promotion. Shards are scanned and locked one at a time (never
-    /// nested), so a concurrent eviction may remove a candidate between
-    /// scoring and removal — the scan then retries with a fresh victim
-    /// (terminates: each lost race means the entry set shrank), so `None`
-    /// reliably means "nothing but `keep` is left".
+    /// `keep` with its producing request. Shards are locked one at a time
+    /// (never nested), so a concurrent eviction may take a candidate
+    /// between scoring and removal; the scan then retries (each lost race
+    /// shrank the set), so `None` means "nothing but `keep` is left".
     pub fn evict_victim(&self, keep: CacheKey) -> Option<(CacheKey, SpecRequest, Arc<Variant>)> {
         loop {
             let now = self.tick.load(Ordering::Relaxed);
@@ -401,12 +370,10 @@ impl ShardedCache {
         }
     }
 
-    /// Remove every entry whose variant satisfies `pred`; returns the
-    /// removed `(key, producing request, variant)` triples so the caller
-    /// can journal them and optionally rebuild the variants. Shards are
-    /// locked one at a time (never nested) and republished at most once
-    /// each, so an invalidation sweep costs one snapshot swap per
-    /// affected shard.
+    /// Remove every entry whose variant satisfies `pred`, returning the
+    /// `(key, producing request, variant)` triples. Shards are locked one
+    /// at a time and republished at most once each: a sweep costs one
+    /// snapshot swap per affected shard.
     pub fn remove_matching(
         &self,
         pred: impl Fn(&Variant) -> bool,
@@ -425,69 +392,11 @@ impl ShardedCache {
             }
             for key in &doomed {
                 if let Some(e) = w.map.remove(key) {
-                    self.resident
-                        .fetch_sub(e.variant.code_len, Ordering::AcqRel);
-                    self.count.fetch_sub(1, Ordering::AcqRel);
+                    self.account(-(e.variant.code_len as isize), -1);
                     out.push((*key, e.req.clone(), Arc::clone(&e.variant)));
                 }
             }
             self.publish(shard, &mut w);
-        }
-        out
-    }
-
-    /// Drop every entry and reset byte accounting. Returns the drained
-    /// variants so the caller can retire their symbol-table records.
-    pub fn clear(&self) -> Vec<Arc<Variant>> {
-        let mut dropped = Vec::new();
-        for shard in &self.shards {
-            let mut w = unpoison(shard.write.lock());
-            if w.map.is_empty() {
-                continue;
-            }
-            for (_, e) in w.map.drain() {
-                self.resident
-                    .fetch_sub(e.variant.code_len, Ordering::AcqRel);
-                self.count.fetch_sub(1, Ordering::AcqRel);
-                dropped.push(Arc::clone(&e.variant));
-            }
-            self.publish(shard, &mut w);
-        }
-        dropped
-    }
-
-    /// Snapshot `(hits, last_used, fingerprint, variant)` of every cached
-    /// variant of `func`, unordered — the manager sorts. Lock-free.
-    pub fn snapshot_func(&self, func: u64) -> Vec<(u64, u64, u64, Arc<Variant>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            self.read(shard, |snap| {
-                for e in snap.entries.values() {
-                    if e.variant.func == func {
-                        out.push((
-                            e.hits.load(Ordering::Relaxed),
-                            e.last_used.load(Ordering::Relaxed),
-                            e.key.fingerprint,
-                            Arc::clone(&e.variant),
-                        ));
-                    }
-                }
-            });
-        }
-        out
-    }
-
-    /// Snapshot every entry as a `(key, producing request, variant)`
-    /// triple, unordered — the persistence layer serializes from this.
-    /// Lock-free.
-    pub fn snapshot_all(&self) -> Vec<(CacheKey, SpecRequest, Arc<Variant>)> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            self.read(shard, |snap| {
-                for e in snap.entries.values() {
-                    out.push((e.key, e.req.clone(), Arc::clone(&e.variant)));
-                }
-            });
         }
         out
     }
@@ -542,6 +451,12 @@ mod tests {
         )
     }
 
+    fn hits(c: &ShardedCache) -> Vec<(CacheKey, u64)> {
+        let mut out = Vec::new();
+        c.each(|e| out.push((e.key, e.hits.load(Ordering::Relaxed))));
+        out
+    }
+
     fn dummy_entry(func: u64, entry: u64, code_len: usize) -> CacheEntry {
         let (key, variant, req) = dummy(func, entry, code_len);
         CacheEntry {
@@ -572,7 +487,7 @@ mod tests {
         let c = cache(4);
         for e in [10u64, 20, 30] {
             let (key, v, req) = dummy(1, e, 100);
-            c.insert(key, v, req);
+            c.insert(key, v, req, || true);
         }
         assert_eq!(c.len(), 3);
         assert_eq!(c.resident_bytes(), 300);
@@ -586,7 +501,7 @@ mod tests {
         assert_eq!(vk.fingerprint, v.entry);
         assert_eq!(c.resident_bytes(), 200);
 
-        c.clear();
+        c.remove_matching(|_| true);
         assert_eq!(c.len(), 0);
         assert_eq!(c.resident_bytes(), 0);
     }
@@ -595,9 +510,9 @@ mod tests {
     fn reinsert_same_key_replaces_bytes() {
         let c = cache(4);
         let (key, v, req) = dummy(1, 10, 100);
-        c.insert(key, v, req);
+        c.insert(key, v, req, || true);
         let (_, v2, req2) = dummy(1, 10, 40);
-        c.insert(key, v2, req2);
+        c.insert(key, v2, req2, || true);
         assert_eq!(c.len(), 1);
         assert_eq!(c.resident_bytes(), 40);
     }
@@ -606,25 +521,27 @@ mod tests {
     fn peek_does_not_bump_credit_does() {
         let c = cache(4);
         let (key, v, req) = dummy(1, 10, 100);
-        c.insert(key, v, req);
+        c.insert(key, v, req, || true);
         c.peek(&key).unwrap();
-        assert_eq!(c.snapshot_hits(), vec![(key, 0)], "peek left hits alone");
-        assert!(c.credit(&key, 5));
-        assert_eq!(c.snapshot_hits(), vec![(key, 5)]);
-        assert!(!c.credit(
-            &CacheKey {
-                func: 1,
-                fingerprint: 99
-            },
-            1
-        ));
+        assert_eq!(hits(&c), vec![(key, 0)], "peek left hits alone");
+        assert!(c.lookup(&key, 5).is_some());
+        assert_eq!(hits(&c), vec![(key, 5)]);
+        assert!(c
+            .lookup(
+                &CacheKey {
+                    func: 1,
+                    fingerprint: 99
+                },
+                1
+            )
+            .is_none());
     }
 
     #[test]
     fn remove_key_returns_request_and_accounts() {
         let c = cache(4);
         let (key, v, req) = dummy(1, 10, 100);
-        c.insert(key, v, req);
+        c.insert(key, v, req, || true);
         let (_, v) = c.remove_key(&key).unwrap();
         assert_eq!(v.entry, 10);
         assert_eq!(c.len(), 0);
@@ -637,7 +554,7 @@ mod tests {
         let c = cache(4);
         for (func, entry) in [(1u64, 10u64), (1, 20), (2, 30)] {
             let (key, v, req) = dummy(func, entry, 100);
-            c.insert(key, v, req);
+            c.insert(key, v, req, || true);
         }
         let removed = c.remove_matching(|v| v.func == 1);
         assert_eq!(removed.len(), 2);
@@ -653,12 +570,12 @@ mod tests {
         // entry, not the snapshot.
         let c = cache(1);
         let (key, v, req) = dummy(1, 10, 100);
-        c.insert(key, v, req);
-        c.lookup(&key).unwrap();
-        c.lookup(&key).unwrap();
+        c.insert(key, v, req, || true);
+        c.lookup(&key, 1).unwrap();
+        c.lookup(&key, 1).unwrap();
         let (k2, v2, r2) = dummy(1, 20, 100);
-        c.insert(k2, v2, r2); // republishes the shard
-        assert!(c.snapshot_hits().contains(&(key, 2)));
+        c.insert(k2, v2, r2, || true); // republishes the shard
+        assert!(hits(&c).contains(&(key, 2)));
     }
 
     #[test]
@@ -669,7 +586,7 @@ mod tests {
         let c = ShardedCache::new(1, Arc::clone(&m), Arc::new(FlightRecorder::new(64)));
         for e in 0..64u64 {
             let (key, v, req) = dummy(1, e, 8);
-            c.insert(key, v, req);
+            c.insert(key, v, req, || true);
         }
         let published = m.counter(Ctr::EpochPublished).get();
         let reclaimed = m.counter(Ctr::EpochReclaimed).get();
@@ -700,7 +617,7 @@ mod tests {
                             func: 1,
                             fingerprint: n % 8,
                         };
-                        if let Some(v) = c.lookup(&key) {
+                        if let Some(v) = c.lookup(&key, 1) {
                             assert_eq!(v.entry, key.fingerprint, "torn read on thread {t}");
                         }
                         n += 1;
@@ -710,7 +627,7 @@ mod tests {
             for round in 0..2_000u64 {
                 let e = round % 8;
                 let (key, v, req) = dummy(1, e, 16);
-                c.insert(key, v, req);
+                c.insert(key, v, req, || true);
                 if round % 3 == 0 {
                     c.remove_key(&key);
                 }

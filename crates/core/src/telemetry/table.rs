@@ -5,13 +5,12 @@
 //! Prometheus name, help. Row order is exposition order. Adding a manager
 //! decision is one row in the [`FlightKind`] table: wire discriminant, dump
 //! label, names and formats of the payload words, and the counters the
-//! decision bumps. The manager writes a decision with one
-//! `note(kind, words)` call at the site that takes it; the rest is derived
+//! decision bumps. The manager's decision core maps each `Decision` to its
+//! kind and words in one place (`manager/decide.rs`, `Decision::record`),
+//! and the shell writes it with one `note(kind, words)`; the rest is derived
 //! from the rows: the enums with their `ALL`/`name`/`help`, the dump line
 //! of a record and [`FlightKind::bumps`] (what
-//! [`MetricsRegistry::fold`](super::MetricsRegistry::fold) applies) — so a
-//! counter can no more disagree with the journal than a dump label with
-//! its kind.
+//! [`MetricsRegistry::fold`](super::MetricsRegistry::fold) applies).
 
 /// One row per metric: identifier, Prometheus name, help string.
 macro_rules! metric_ids {
@@ -201,10 +200,10 @@ macro_rules! decisions {
 // `MetricsRegistry::observe_rewrite`, as for `brew_rewrite_failures_total`
 // (a failed rewrite is journaled by its cause, not by a record of its own).
 // The `bar` word of `Promoted`/`Demoted` is the threshold the verdict was
-// taken against, written by `SpecializationManager::tick`. `Published` is
-// the journal line of one warm-loaded entry; the load's counters come off
-// its `PersistLoad` record. Discriminant 4 (`DEFERRED`, the retired deferred
-// mode) is never reused: old dumps still carry it.
+// taken against. `Published` is the journal line of one warm-loaded entry;
+// the load's counters come off its `PersistLoad` record. `Invalidated` also
+// journals a publish refused because an invalidation ran while it was
+// traced. Discriminant 4 (`DEFERRED`) is retired, never reused.
 decisions! {
     Hit = 1, "HIT", [("func", Hex), ("entry", Hex)], [CacheHits];
     Miss = 2, "MISS", [("func", Hex)], [CacheMisses];

@@ -365,6 +365,51 @@ fn panicking_gate_fails_its_request_not_the_caller() {
     assert_eq!(mgr.stats().hits, 2, "served from cache after the storm");
 }
 
+/// An invalidation that returns while a rewrite is in flight wins: the
+/// leader, parked in the publish gate across `apply_invalidation(Func)`,
+/// still hands its variant to its caller, but the variant is refused at
+/// publish (journaled `INVALIDATED`, its symbol retired), so the next
+/// request re-traces.
+#[test]
+fn an_invalidation_during_a_rewrite_refuses_its_publish() {
+    let (img, prog) = setup();
+    let poly = prog.func("poly").unwrap();
+    let parked = Arc::new(std::sync::Barrier::new(2));
+    let first = Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let (gate_parked, gate_first) = (Arc::clone(&parked), Arc::clone(&first));
+    let mgr = SpecializationManager::builder()
+        .publish_gate(Box::new(
+            move |_: &Image, _: u64, _: &SpecRequest, _: &RewriteResult| {
+                if gate_first.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                    gate_parked.wait(); // the leader is in the gate
+                    gate_parked.wait(); // the invalidation has returned
+                }
+                Ok(())
+            },
+        ))
+        .build();
+    let req = poly_req(5);
+    let v = std::thread::scope(|s| {
+        let leader = s.spawn(|| mgr.get_or_rewrite(&img, poly, &req));
+        parked.wait();
+        assert_eq!(mgr.apply_invalidation(Invalidation::Func(poly)), 0);
+        parked.wait();
+        leader.join().unwrap()
+    })
+    .expect("the caller still gets its variant");
+    let out = Machine::new()
+        .call(&img, v.entry, &CallArgs::new().int(2).int(0))
+        .unwrap();
+    assert_eq!(out.ret_int, 32);
+    assert!(!mgr.is_resident(poly, req.fingerprint()));
+    assert_eq!(mgr.stats().invalidated, 1);
+    assert!(mgr.symbols().resolve(v.entry).is_none(), "symbol retired");
+
+    mgr.request(&img, poly, &req).unwrap();
+    assert_eq!(mgr.stats().misses, 2, "the next request re-traced");
+    assert!(mgr.is_resident(poly, req.fingerprint()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

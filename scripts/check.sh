@@ -137,6 +137,12 @@ stage_hotpath() {
     if sed '/^#\[cfg(test)\]/,$d' crates/core/src/manager/mod.rs | grep -n 'RwLock\|EventSink'; then
         fail "a lock or a second decision channel in crates/core/src/manager/mod.rs"
     fi
+    # The manager chooses in one pure function: the decision core names no
+    # lock, atomic, journal, image, unwind or clock — the shell does that.
+    if sed '/^#\[cfg(test)\]/,$d' crates/core/src/manager/decide.rs |
+        grep -n 'Mutex\|Atomic\|\.lock(\|note(\|Image\|catch_unwind\|Instant'; then
+        fail "a side effect in the decision core (crates/core/src/manager/decide.rs)"
+    fi
     # Every manager decision runs on the caller's thread: the manager spawns
     # no thread and parks none on a condition variable of its own.
     for f in crates/core/src/manager/*.rs; do
