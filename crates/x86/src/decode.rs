@@ -4,13 +4,12 @@
 //! forms a compiler may emit (rel8 branches, `B8+r` immediate moves, both
 //! directions of register-register `mov`/ALU). Anything outside the subset
 //! yields an error — per the paper (§III.G), an undecodable instruction is a
-//! recoverable failure of the rewriting process, never a panic.
+//! recoverable failure of the rewriting process, never a panic. The forms
+//! are rows of the instruction-form table (`form.rs`), which the encoder
+//! reads too.
 
-use crate::alu::{AluOp, ShOp, UnOp};
-use crate::cond::Cond;
-use crate::inst::{Inst, ShiftCount, SseOp};
-use crate::operand::{MemRef, Operand};
-use crate::reg::{Gpr, Width, Xmm};
+use crate::form;
+use crate::inst::Inst;
 use std::fmt;
 
 /// A successfully decoded instruction and its encoded length.
@@ -59,609 +58,10 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    addr: u64,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn i8(&mut self) -> Result<i8, DecodeError> {
-        Ok(self.u8()? as i8)
-    }
-
-    fn i32(&mut self) -> Result<i32, DecodeError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or(DecodeError::Truncated)?;
-        self.pos += 4;
-        Ok(i32::from_le_bytes(s.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let s = self
-            .bytes
-            .get(self.pos..self.pos + 8)
-            .ok_or(DecodeError::Truncated)?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-    }
-
-    fn unsupported(&self, what: &'static str) -> DecodeError {
-        DecodeError::UnsupportedForm {
-            at: self.addr,
-            what,
-        }
-    }
-}
-
-/// REX prefix state.
-#[derive(Default, Clone, Copy)]
-struct Rex {
-    present: bool,
-    w: bool,
-    r: bool,
-    x: bool,
-    b: bool,
-}
-
-/// Decoded ModRM r/m side.
-enum Rm {
-    Reg(u8),
-    Mem(MemRef),
-}
-
-/// Parse ModRM (+ SIB + displacement). Returns (reg field, rm).
-fn modrm(c: &mut Cursor, rex: Rex) -> Result<(u8, Rm), DecodeError> {
-    let byte = c.u8()?;
-    let md = byte >> 6;
-    let reg = ((byte >> 3) & 7) | ((rex.r as u8) << 3);
-    let rm = byte & 7;
-    if md == 0b11 {
-        return Ok((reg, Rm::Reg(rm | ((rex.b as u8) << 3))));
-    }
-    // Memory forms.
-    let (base, index): (Option<Gpr>, Option<(Gpr, u8)>);
-    let mut disp32_forced = false;
-    if rm == 0b100 {
-        // SIB follows.
-        let sib = c.u8()?;
-        let scale = 1u8 << (sib >> 6);
-        let idx = ((sib >> 3) & 7) | ((rex.x as u8) << 3);
-        let bse = (sib & 7) | ((rex.b as u8) << 3);
-        index = if idx == 0b100 {
-            // "no index" encoding (RSP slot); note REX.X makes r12 a valid index.
-            None
-        } else {
-            Some((Gpr::from_number(idx), scale))
-        };
-        if md == 0b00 && (bse & 7) == 0b101 {
-            // No base, disp32 follows.
-            base = None;
-            disp32_forced = true;
-        } else {
-            base = Some(Gpr::from_number(bse));
-        }
-    } else if md == 0b00 && rm == 0b101 {
-        // RIP-relative; outside the subset.
-        return Err(c.unsupported("rip-relative addressing"));
-    } else {
-        base = Some(Gpr::from_number(rm | ((rex.b as u8) << 3)));
-        index = None;
-    }
-    let disp = match md {
-        0b00 => {
-            if disp32_forced {
-                c.i32()?
-            } else {
-                0
-            }
-        }
-        0b01 => c.i8()? as i32,
-        _ => c.i32()?,
-    };
-    Ok((reg, Rm::Mem(MemRef { base, index, disp })))
-}
-
-fn rm_gpr(rm: Rm) -> Operand {
-    match rm {
-        Rm::Reg(n) => Operand::Reg(Gpr::from_number(n)),
-        Rm::Mem(m) => Operand::Mem(m),
-    }
-}
-
-fn rm_xmm(rm: Rm) -> Operand {
-    match rm {
-        Rm::Reg(n) => Operand::Xmm(Xmm::from_number(n)),
-        Rm::Mem(m) => Operand::Mem(m),
-    }
-}
-
-fn width(rex: Rex) -> Width {
-    if rex.w {
-        Width::W64
-    } else {
-        Width::W32
-    }
-}
-
-fn alu_from_digit(c: &Cursor, d: u8) -> Result<AluOp, DecodeError> {
-    Ok(match d {
-        0 => AluOp::Add,
-        1 => AluOp::Or,
-        4 => AluOp::And,
-        5 => AluOp::Sub,
-        6 => AluOp::Xor,
-        7 => AluOp::Cmp,
-        _ => return Err(c.unsupported("adc/sbb immediate form")),
-    })
-}
-
-/// Byte registers 4..8 without a REX prefix would be AH/CH/DH/BH, which the
-/// subset does not model.
-fn check_byte_reg(c: &Cursor, rm: &Rm, rex: Rex) -> Result<(), DecodeError> {
-    if let Rm::Reg(n) = rm {
-        if (4..8).contains(n) && !rex.present {
-            return Err(c.unsupported("legacy high-byte register"));
-        }
-    }
-    Ok(())
-}
-
 /// Decode one instruction starting at `bytes[0]`, which lives at absolute
 /// address `addr` (used to resolve relative branch targets).
 pub fn decode(bytes: &[u8], addr: u64) -> Result<Decoded, DecodeError> {
-    let mut c = Cursor {
-        bytes,
-        pos: 0,
-        addr,
-    };
-
-    // Legacy prefixes we understand: 66 (packed SSE), F2 (scalar double).
-    let mut p66 = false;
-    let mut pf2 = false;
-    loop {
-        match c.peek() {
-            Some(0x66) => {
-                p66 = true;
-                c.pos += 1;
-            }
-            Some(0xF2) => {
-                pf2 = true;
-                c.pos += 1;
-            }
-            Some(0xF3) => return Err(c.unsupported("F3-prefixed instruction")),
-            _ => break,
-        }
-    }
-    if p66 && pf2 {
-        return Err(c.unsupported("conflicting 66 and F2 prefixes"));
-    }
-
-    // REX.
-    let mut rex = Rex::default();
-    if let Some(b) = c.peek() {
-        if (0x40..0x50).contains(&b) {
-            rex = Rex {
-                present: true,
-                w: b & 8 != 0,
-                r: b & 4 != 0,
-                x: b & 2 != 0,
-                b: b & 1 != 0,
-            };
-            c.pos += 1;
-        }
-    }
-
-    let op = c.u8()?;
-    // A legacy 66/F2 prefix is only meaningful on the SSE opcodes of the
-    // 0x0F map. Anywhere else it would change operand size (66) or
-    // semantics (F2) on real hardware, so decoding the unprefixed form
-    // would misrepresent the instruction — reject instead.
-    if (p66 || pf2) && op != 0x0F {
-        return Err(c.unsupported("66/F2 prefix outside the SSE subset"));
-    }
-    let inst = match op {
-        // ALU, store and load forms.
-        0x01 | 0x09 | 0x21 | 0x29 | 0x31 | 0x39 => {
-            let aop = match op {
-                0x01 => AluOp::Add,
-                0x09 => AluOp::Or,
-                0x21 => AluOp::And,
-                0x29 => AluOp::Sub,
-                0x31 => AluOp::Xor,
-                _ => AluOp::Cmp,
-            };
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Alu {
-                op: aop,
-                w: width(rex),
-                dst: rm_gpr(rm),
-                src: Operand::Reg(Gpr::from_number(reg)),
-            }
-        }
-        0x03 | 0x0B | 0x23 | 0x2B | 0x33 | 0x3B => {
-            let aop = match op {
-                0x03 => AluOp::Add,
-                0x0B => AluOp::Or,
-                0x23 => AluOp::And,
-                0x2B => AluOp::Sub,
-                0x33 => AluOp::Xor,
-                _ => AluOp::Cmp,
-            };
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Alu {
-                op: aop,
-                w: width(rex),
-                dst: Operand::Reg(Gpr::from_number(reg)),
-                src: rm_gpr(rm),
-            }
-        }
-        0x50..=0x57 => Inst::Push {
-            src: Operand::Reg(Gpr::from_number((op - 0x50) | ((rex.b as u8) << 3))),
-        },
-        0x58..=0x5F => Inst::Pop {
-            dst: Operand::Reg(Gpr::from_number((op - 0x58) | ((rex.b as u8) << 3))),
-        },
-        0x63 => {
-            if !rex.w {
-                return Err(c.unsupported("movsxd without REX.W"));
-            }
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Movsxd {
-                dst: Gpr::from_number(reg),
-                src: rm_gpr(rm),
-            }
-        }
-        0x68 => Inst::Push {
-            src: Operand::Imm(c.i32()? as i64),
-        },
-        0x69 | 0x6B => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            let imm = if op == 0x6B { c.i8()? as i32 } else { c.i32()? };
-            Inst::ImulImm {
-                w: width(rex),
-                dst: Gpr::from_number(reg),
-                src: rm_gpr(rm),
-                imm,
-            }
-        }
-        0x70..=0x7F => {
-            let rel = c.i8()? as i64;
-            let target = addr.wrapping_add(c.pos as u64).wrapping_add(rel as u64);
-            Inst::Jcc {
-                cond: Cond::from_code(op - 0x70),
-                target,
-            }
-        }
-        0x81 | 0x83 => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            let aop = alu_from_digit(&c, digit & 7)?;
-            let imm = if op == 0x83 {
-                c.i8()? as i64
-            } else {
-                c.i32()? as i64
-            };
-            Inst::Alu {
-                op: aop,
-                w: width(rex),
-                dst: rm_gpr(rm),
-                src: Operand::Imm(imm),
-            }
-        }
-        0x85 => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Test {
-                w: width(rex),
-                a: rm_gpr(rm),
-                b: Operand::Reg(Gpr::from_number(reg)),
-            }
-        }
-        0x88 => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            check_byte_reg(&c, &rm, rex)?;
-            Inst::Mov {
-                w: Width::W8,
-                dst: rm_gpr(rm),
-                src: Operand::Reg(Gpr::from_number(reg)),
-            }
-        }
-        0x8A => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            check_byte_reg(&c, &rm, rex)?;
-            Inst::Mov {
-                w: Width::W8,
-                dst: Operand::Reg(Gpr::from_number(reg)),
-                src: rm_gpr(rm),
-            }
-        }
-        0xC6 => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            if digit & 7 != 0 {
-                return Err(c.unsupported("C6 with nonzero digit"));
-            }
-            check_byte_reg(&c, &rm, rex)?;
-            let imm = c.i8()? as i64;
-            Inst::Mov {
-                w: Width::W8,
-                dst: rm_gpr(rm),
-                src: Operand::Imm(imm),
-            }
-        }
-        0x89 => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Mov {
-                w: width(rex),
-                dst: rm_gpr(rm),
-                src: Operand::Reg(Gpr::from_number(reg)),
-            }
-        }
-        0x8B => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            Inst::Mov {
-                w: width(rex),
-                dst: Operand::Reg(Gpr::from_number(reg)),
-                src: rm_gpr(rm),
-            }
-        }
-        0x8D => {
-            let (reg, rm) = modrm(&mut c, rex)?;
-            match rm {
-                Rm::Mem(m) => Inst::Lea {
-                    dst: Gpr::from_number(reg),
-                    src: m,
-                },
-                Rm::Reg(_) => return Err(c.unsupported("lea with register source")),
-            }
-        }
-        0x8F => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            if digit & 7 != 0 {
-                return Err(c.unsupported("8F with nonzero digit"));
-            }
-            Inst::Pop { dst: rm_gpr(rm) }
-        }
-        0x90 => Inst::Nop,
-        0x99 => Inst::Cqo { w: width(rex) },
-        0xB8..=0xBF => {
-            let dst = Gpr::from_number((op - 0xB8) | ((rex.b as u8) << 3));
-            if rex.w {
-                Inst::MovAbs { dst, imm: c.u64()? }
-            } else {
-                Inst::Mov {
-                    w: Width::W32,
-                    dst: Operand::Reg(dst),
-                    src: Operand::Imm(c.i32()? as u32 as i64),
-                }
-            }
-        }
-        0xC1 | 0xD1 | 0xD3 => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            let sop = match digit & 7 {
-                4 => ShOp::Shl,
-                5 => ShOp::Shr,
-                7 => ShOp::Sar,
-                _ => return Err(c.unsupported("rotate instruction")),
-            };
-            let count = match op {
-                0xC1 => ShiftCount::Imm(c.u8()?),
-                0xD1 => ShiftCount::Imm(1),
-                _ => ShiftCount::Cl,
-            };
-            Inst::Shift {
-                op: sop,
-                w: width(rex),
-                dst: rm_gpr(rm),
-                count,
-            }
-        }
-        0xC3 => Inst::Ret,
-        0xC7 => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            if digit & 7 != 0 {
-                return Err(c.unsupported("C7 with nonzero digit"));
-            }
-            let imm = c.i32()? as i64;
-            Inst::Mov {
-                w: width(rex),
-                dst: rm_gpr(rm),
-                src: Operand::Imm(imm),
-            }
-        }
-        0xE8 | 0xE9 => {
-            let rel = c.i32()? as i64;
-            let target = addr.wrapping_add(c.pos as u64).wrapping_add(rel as u64);
-            if op == 0xE8 {
-                Inst::CallRel { target }
-            } else {
-                Inst::JmpRel { target }
-            }
-        }
-        0xEB => {
-            let rel = c.i8()? as i64;
-            let target = addr.wrapping_add(c.pos as u64).wrapping_add(rel as u64);
-            Inst::JmpRel { target }
-        }
-        0xF7 => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            match digit & 7 {
-                0 => {
-                    let imm = c.i32()? as i64;
-                    Inst::Test {
-                        w: width(rex),
-                        a: rm_gpr(rm),
-                        b: Operand::Imm(imm),
-                    }
-                }
-                2 => Inst::Unary {
-                    op: UnOp::Not,
-                    w: width(rex),
-                    dst: rm_gpr(rm),
-                },
-                3 => Inst::Unary {
-                    op: UnOp::Neg,
-                    w: width(rex),
-                    dst: rm_gpr(rm),
-                },
-                7 => Inst::Idiv {
-                    w: width(rex),
-                    src: rm_gpr(rm),
-                },
-                _ => return Err(c.unsupported("F7 mul/div form")),
-            }
-        }
-        0xFF => {
-            let (digit, rm) = modrm(&mut c, rex)?;
-            match digit & 7 {
-                0 => Inst::Unary {
-                    op: UnOp::Inc,
-                    w: width(rex),
-                    dst: rm_gpr(rm),
-                },
-                1 => Inst::Unary {
-                    op: UnOp::Dec,
-                    w: width(rex),
-                    dst: rm_gpr(rm),
-                },
-                2 => Inst::CallInd { src: rm_gpr(rm) },
-                4 => Inst::JmpInd { src: rm_gpr(rm) },
-                6 => Inst::Push { src: rm_gpr(rm) },
-                _ => return Err(c.unsupported("FF form")),
-            }
-        }
-        0x0F => {
-            let op2 = c.u8()?;
-            // Same rule on the 0x0F map: the non-SSE opcodes here never
-            // take a 66/F2 prefix in the subset (66 0F AF would be a
-            // 16-bit imul, for example).
-            if (p66 || pf2) && matches!(op2, 0x0B | 0x80..=0x8F | 0x90..=0x9F | 0xAF | 0xB6) {
-                return Err(c.unsupported("66/F2 prefix outside the SSE subset"));
-            }
-            match op2 {
-                0x0B => Inst::Ud2,
-                0x10 | 0x11 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    let x = Xmm::from_number(reg);
-                    let (dst, src) = if op2 == 0x10 {
-                        (Operand::Xmm(x), rm_xmm(rm))
-                    } else {
-                        (rm_xmm(rm), Operand::Xmm(x))
-                    };
-                    if pf2 {
-                        Inst::MovSd { dst, src }
-                    } else if p66 {
-                        Inst::MovUpd { dst, src }
-                    } else {
-                        return Err(c.unsupported("movups/movss"));
-                    }
-                }
-                0x14 if p66 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Sse {
-                        op: SseOp::Unpcklpd,
-                        dst: Xmm::from_number(reg),
-                        src: rm_xmm(rm),
-                    }
-                }
-                0x2A if pf2 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Cvtsi2sd {
-                        w: width(rex),
-                        dst: Xmm::from_number(reg),
-                        src: rm_gpr(rm),
-                    }
-                }
-                0x2C if pf2 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Cvttsd2si {
-                        w: width(rex),
-                        dst: Gpr::from_number(reg),
-                        src: rm_xmm(rm),
-                    }
-                }
-                0x2E if p66 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Ucomisd {
-                        a: Xmm::from_number(reg),
-                        b: rm_xmm(rm),
-                    }
-                }
-                0x57 if p66 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Sse {
-                        op: SseOp::Xorpd,
-                        dst: Xmm::from_number(reg),
-                        src: rm_xmm(rm),
-                    }
-                }
-                0x58 | 0x59 | 0x5C | 0x5E if pf2 || p66 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    let sop = match (op2, pf2) {
-                        (0x58, true) => SseOp::Addsd,
-                        (0x59, true) => SseOp::Mulsd,
-                        (0x5C, true) => SseOp::Subsd,
-                        (0x5E, true) => SseOp::Divsd,
-                        (0x58, false) => SseOp::Addpd,
-                        (0x59, false) => SseOp::Mulpd,
-                        (0x5C, false) => SseOp::Subpd,
-                        _ => SseOp::Divpd,
-                    };
-                    Inst::Sse {
-                        op: sop,
-                        dst: Xmm::from_number(reg),
-                        src: rm_xmm(rm),
-                    }
-                }
-                0x80..=0x8F => {
-                    let rel = c.i32()? as i64;
-                    let target = addr.wrapping_add(c.pos as u64).wrapping_add(rel as u64);
-                    Inst::Jcc {
-                        cond: Cond::from_code(op2 - 0x80),
-                        target,
-                    }
-                }
-                0x90..=0x9F => {
-                    let (_, rm) = modrm(&mut c, rex)?;
-                    check_byte_reg(&c, &rm, rex)?;
-                    Inst::Setcc {
-                        cond: Cond::from_code(op2 - 0x90),
-                        dst: rm_gpr(rm),
-                    }
-                }
-                0xAF => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    Inst::Imul {
-                        w: width(rex),
-                        dst: Gpr::from_number(reg),
-                        src: rm_gpr(rm),
-                    }
-                }
-                0xB6 => {
-                    let (reg, rm) = modrm(&mut c, rex)?;
-                    check_byte_reg(&c, &rm, rex)?;
-                    Inst::Movzx8 {
-                        w: width(rex),
-                        dst: Gpr::from_number(reg),
-                        src: rm_gpr(rm),
-                    }
-                }
-                b => return Err(DecodeError::UnknownOpcode { at: addr, byte: b }),
-            }
-        }
-        b => return Err(DecodeError::UnknownOpcode { at: addr, byte: b }),
-    };
-    Ok(Decoded { inst, len: c.pos })
+    form::decode(bytes, addr)
 }
 
 /// Decode a whole byte range into `(address, instruction)` pairs, stopping
@@ -684,7 +84,12 @@ pub fn decode_all(bytes: &[u8], addr: u64) -> (Vec<(u64, Inst)>, Option<DecodeEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alu::{AluOp, ShOp, UnOp};
+    use crate::cond::Cond;
     use crate::encode::encode;
+    use crate::inst::{ShiftCount, SseOp};
+    use crate::operand::{MemRef, Operand};
+    use crate::reg::{Gpr, Width, Xmm};
 
     fn roundtrip(i: Inst) {
         let mut v = Vec::new();
@@ -952,6 +357,50 @@ mod tests {
             decode(&[0x66, 0x0F, 0x84, 0, 0, 0, 0], 0),
             Err(DecodeError::UnsupportedForm { .. })
         ));
+    }
+
+    fn unsupported(bytes: &[u8]) -> bool {
+        matches!(decode(bytes, 0), Err(DecodeError::UnsupportedForm { .. }))
+    }
+
+    #[test]
+    fn high_byte_register_in_modrm_reg_is_rejected() {
+        // 88 E0 is `mov al, ah` and 8A E0 `mov ah, al`: without REX, a
+        // ModRM.reg of 4..8 names AH/CH/DH/BH, not SPL/BPL/SIL/DIL.
+        assert!(unsupported(&[0x88, 0xE0]));
+        assert!(unsupported(&[0x8A, 0xE0]));
+        // With a bare REX the same bytes address SPL and stay valid.
+        assert_eq!(
+            decode(&[0x40, 0x88, 0xE0], 0).unwrap().inst,
+            Inst::Mov {
+                w: Width::W8,
+                dst: Gpr::Rax.into(),
+                src: Gpr::Rsp.into()
+            }
+        );
+    }
+
+    #[test]
+    fn xchg_with_an_extended_register_is_not_a_nop() {
+        // 41 90 is `xchg eax, r8d`, 49 90 `xchg rax, r8`.
+        assert!(unsupported(&[0x41, 0x90]));
+        assert!(unsupported(&[0x49, 0x90]));
+        for bytes in [&[0x90][..], &[0x40, 0x90], &[0x48, 0x90]] {
+            assert_eq!(decode(bytes, 0).unwrap().inst, Inst::Nop, "{bytes:02x?}");
+        }
+    }
+
+    #[test]
+    fn lea_without_rex_w_is_rejected() {
+        // 8D 04 24 is `lea eax, [rsp]`, a 32-bit result.
+        assert!(unsupported(&[0x8D, 0x04, 0x24]));
+        assert_eq!(
+            decode(&[0x48, 0x8D, 0x04, 0x24], 0).unwrap().inst,
+            Inst::Lea {
+                dst: Gpr::Rax,
+                src: MemRef::base(Gpr::Rsp)
+            }
+        );
     }
 
     #[test]

@@ -4,6 +4,13 @@
 //! for the 64-bit x86 subset the paper's prototype handles, with a decoder,
 //! an encoder, shared ALU/flag semantics, and def/use metadata.
 //!
+//! The subset's encodings are written down once, in a private table with
+//! one row per instruction form (`form.rs`): prefix, opcode, ModRM operand
+//! classes, REX.W rule, immediate, and whether the encoder may choose the
+//! row or only the decoder reads it. [`decode()`](decode::decode),
+//! [`encode()`](encode::encode) and [`encoded_len`] are thin entry points
+//! over it, so the two directions cannot drift apart.
+//!
 //! Everything downstream — the mini-C compiler (`brew-minic`), the CPU
 //! emulator (`brew-emu`) and the runtime rewriter itself (`brew-core`) —
 //! speaks this representation, which is what lets "emulate at rewrite time"
@@ -30,6 +37,7 @@ pub mod cond;
 pub mod decode;
 pub mod defuse;
 pub mod encode;
+mod form;
 pub mod hash;
 pub mod inst;
 pub mod operand;

@@ -82,6 +82,8 @@ stage_equiv() {
     # The prover must not panic on malformed input: no unwrap in the
     # brew-verify library code (tests are exempt).
     cargo clippy -p brew-verify --no-deps --offline -q -- -D clippy::unwrap_used
+    # Nor the decoder on whatever the JIT segment holds.
+    cargo clippy -p brew-x86 --no-deps --offline -q -- -D clippy::unwrap_used -D clippy::expect_used
 }
 
 stage_regalloc() {
@@ -104,7 +106,7 @@ stage_hotpath() {
         crates/core/src/dataflow/*.rs \
         crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs \
         crates/verify/src/equiv.rs crates/verify/src/term.rs crates/verify/src/frame.rs \
-        crates/x86/src/codetab.rs crates/emu/src/machine.rs; do
+        crates/x86/src/codetab.rs crates/x86/src/form.rs crates/emu/src/machine.rs; do
         # The eager oracle in mem.rs is test-only and keeps std's hasher on
         # purpose; everything from its `#[cfg(test)]` on is exempt.
         if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Hash\(Map\|Set\)::new()\|BTreeMap::new()'; then
@@ -148,6 +150,14 @@ stage_hotpath() {
     for f in crates/core/src/manager/*.rs; do
         if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::scope\|thread::spawn\|Condvar'; then
             fail "a thread or a condvar in the manager ($f)"
+        fi
+    done
+    # Every byte the decoder and the encoder know (prefix, REX, opcode,
+    # ModRM/SIB) is a row or a rule of the instruction-form table; the two
+    # entry points only call it.
+    for f in crates/x86/src/decode.rs crates/x86/src/encode.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '0x[0-9A-Fa-f]{2}\b'; then
+            fail "an opcode byte outside the form table (crates/x86/src/form.rs) in $f"
         fi
     done
     # The same paths by their work: one decode per distinct address traced,
