@@ -25,6 +25,7 @@ use super::liveness::{abi_ret, Live, LiveSet, SlotSet};
 use crate::capture::{reverse_postorder, CapturedBlock, CapturedInst, Terminator};
 use crate::config::RetKind;
 use crate::passes::OptLevel;
+use brew_x86::defuse::{FlagUse, Role, Site};
 use brew_x86::prelude::*;
 
 /// End of an [`Effect`] slot list.
@@ -207,10 +208,10 @@ impl Decoder {
         out
     }
 
-    /// Decode one instruction. One pass over its shape decides what the
-    /// x86 model's per-question projections (`defuse::for_each_read`,
-    /// `writes_flags`, `is_barrier`, ...) would each decide with a match of
-    /// their own; debug builds check the two agree.
+    /// Decode one instruction. What it reads, writes, wholly defines and
+    /// does to the flags is one fold over the operand-role table
+    /// ([`defuse::visit`]); the shape bits, the kind and the tracked `rsp`
+    /// movement are the passes' own match.
     pub fn decode(&mut self, ci: &CapturedInst) -> Effect {
         use bit::*;
         self.work.decodes += 1;
@@ -227,38 +228,23 @@ impl Decoder {
             load: [NO_SLOT; 3],
             store: [NO_SLOT; 3],
         };
-        let gpr = |r: Gpr| LiveSet::of(1 << r.number(), 0);
-        let xmm = |x: Xmm| LiveSet::of(0, 1 << x.number());
-        let rsp = gpr(Gpr::Rsp);
-        // The address registers of a memory operand (read even when the
-        // operand is a store destination), the registers a source operand
-        // reads, and the register a destination operand names.
-        let addr = |op: &Operand| match op {
-            Operand::Mem(m) => {
-                let base = m.base.map_or(LiveSet::EMPTY, gpr);
-                base.union(m.index.map_or(LiveSet::EMPTY, |(r, _)| gpr(r)))
-            }
-            _ => LiveSet::EMPTY,
+        let mut fold = Fold {
+            e: &mut e,
+            xmm_reads: 0,
+            rsp_named: false,
         };
-        let dest = |op: &Operand| match *op {
-            Operand::Reg(r) => gpr(r),
-            Operand::Xmm(x) => xmm(x),
-            _ => LiveSet::EMPTY,
+        let flags = defuse::visit(&mut { *inst }, &mut fold);
+        let (xmm_reads, rsp_named) = (fold.xmm_reads, fold.rsp_named);
+        e.so_skip = e.so_def & !xmm_reads;
+        e.bits |= match flags {
+            FlagUse::None => 0,
+            FlagUse::Read => READS_FLAGS,
+            FlagUse::Write => WRITES_FLAGS,
+            FlagUse::Define => WRITES_FLAGS | KILLS_FLAGS,
         };
-        let value = |op: &Operand| dest(op).union(addr(op));
-        // Does it overwrite its destination register(s) completely? 32-bit
-        // GPR writes zero-extend and count; 8-bit writes merge and do not.
-        let mut full_def = false;
-        let wide_reg = |w: Width, dst: &Operand| w != Width::W8 && matches!(dst, Operand::Reg(_));
         let plain = |r: Gpr| !matches!(r, Gpr::Rsp | Gpr::Rbp);
         match *inst {
             Inst::Mov { w, dst, src } => {
-                full_def = wide_reg(w, &dst);
-                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
-                if w == Width::W8 {
-                    // A byte write keeps the other 56 bits: a read.
-                    e.reads = e.reads.union(e.writes);
-                }
                 e.bits |= match (w, dst, src) {
                     (_, Operand::Mem(_), _) if w != Width::W64 => PLAIN_STORE,
                     (Width::W64, Operand::Mem(_), _) => PLAIN_STORE | FRAME_GPR,
@@ -271,31 +257,16 @@ impl Decoder {
                     _ => 0,
                 };
             }
-            Inst::MovAbs { dst, .. } => (full_def, e.writes) = (true, gpr(dst)),
-            Inst::Movsxd { dst, src }
-            | Inst::Movzx8 { dst, src, .. }
-            | Inst::Cvttsd2si { dst, src, .. } => {
-                (full_def, e.reads, e.writes) = (true, value(&src), gpr(dst));
-            }
-            Inst::Lea { dst, src } => {
-                (full_def, e.reads, e.writes) = (true, addr(&Operand::Mem(src)), gpr(dst));
-                if src.base == Some(dst) && src.index.is_none() {
-                    if src.disp == 0 {
-                        e.bits |= NOOP;
-                    }
-                    if dst == Gpr::Rsp {
-                        e.bits |= RSP_ADJUST;
-                        e.rsp = src.disp as i64;
-                    }
+            Inst::Lea { dst, src } if src.base == Some(dst) && src.index.is_none() => {
+                if src.disp == 0 {
+                    e.bits |= NOOP;
+                }
+                if dst == Gpr::Rsp {
+                    e.bits |= RSP_ADJUST;
+                    e.rsp = src.disp as i64;
                 }
             }
             Inst::Alu { op, w, dst, src } => {
-                full_def = op.writes_dst() && wide_reg(w, &dst);
-                e.reads = value(&src).union(value(&dst));
-                if op.writes_dst() {
-                    e.writes = dest(&dst);
-                }
-                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
                 if let (Width::W64, Operand::Reg(r), Operand::Imm(k)) = (w, dst, src) {
                     // `x + 0` and friends: only the flags change.
                     let identity = match op {
@@ -315,136 +286,59 @@ impl Decoder {
                     }
                 }
             }
-            Inst::Test { a, b, .. } => {
-                e.reads = value(&a).union(value(&b));
-                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
-            }
-            Inst::Ucomisd { a, b } => {
-                e.reads = xmm(a).union(value(&b));
-                e.bits |= KILLS_FLAGS | WRITES_FLAGS;
-            }
-            Inst::Imul { dst, src, .. } => {
-                (full_def, e.reads, e.writes) = (true, gpr(dst).union(value(&src)), gpr(dst));
-                e.bits |= WRITES_FLAGS;
-            }
-            Inst::ImulImm { w, dst, src, imm } => {
-                (full_def, e.reads, e.writes) = (true, value(&src), gpr(dst));
-                e.bits |= WRITES_FLAGS;
-                if w == Width::W64 && imm == 1 && src == Operand::Reg(dst) {
-                    e.bits |= VALUE_IDENTITY;
-                }
-            }
-            Inst::Unary { op, dst, .. } => {
-                (e.reads, e.writes) = (value(&dst), dest(&dst));
-                if op != UnOp::Not {
-                    e.bits |= WRITES_FLAGS;
-                }
-            }
-            Inst::Shift { dst, count, .. } => {
-                (e.reads, e.writes) = (value(&dst), dest(&dst));
-                if count == ShiftCount::Cl {
-                    e.reads = e.reads.union(gpr(Gpr::Rcx));
-                }
-                e.bits |= WRITES_FLAGS;
-            }
-            Inst::Cqo { .. } => (e.reads, e.writes) = (gpr(Gpr::Rax), gpr(Gpr::Rdx)),
-            Inst::Idiv { src, .. } => {
-                e.writes = gpr(Gpr::Rax).union(gpr(Gpr::Rdx));
-                e.reads = e.writes.union(value(&src));
-                e.bits |= WRITES_FLAGS;
-            }
-            Inst::Jcc { .. } => e.bits |= READS_FLAGS,
-            Inst::Setcc { dst, .. } => {
-                // Only the low byte of a register destination is written.
-                (e.reads, e.writes) = (value(&dst), dest(&dst));
-                e.bits |= READS_FLAGS;
+            Inst::ImulImm { w, dst, src, imm }
+                if w == Width::W64 && imm == 1 && src == Operand::Reg(dst) =>
+            {
+                e.bits |= VALUE_IDENTITY;
             }
             Inst::Push { src } => {
-                (e.reads, e.writes, e.rsp) = (rsp.union(value(&src)), rsp, -8);
+                e.rsp = -8;
                 if !src.is_mem() {
                     e.bits |= PUSH_RI;
                 }
             }
             Inst::Pop { dst } => {
-                (e.reads, e.writes, e.rsp) = (rsp.union(addr(&dst)), rsp.union(dest(&dst)), 8);
+                e.rsp = 8;
                 if matches!(dst, Operand::Reg(_)) {
-                    full_def = true;
                     e.bits |= POP_REG;
                 }
             }
-            Inst::Ret => (e.kind, e.reads, e.writes) = (Kind::Ret, rsp, rsp),
-            Inst::CallRel { .. } => {
-                (e.kind, e.reads, e.writes) = (Kind::Barrier, rsp, rsp);
+            Inst::Ret => e.kind = Kind::Ret,
+            Inst::CallRel { .. } | Inst::CallInd { .. } => {
+                e.kind = Kind::Barrier;
                 e.bits |= NON_SCALAR;
             }
-            Inst::CallInd { src } => {
-                (e.kind, e.reads, e.writes) = (Kind::Barrier, rsp.union(value(&src)), rsp);
-                e.bits |= NON_SCALAR;
-            }
-            Inst::JmpInd { src } => (e.kind, e.reads) = (Kind::Barrier, rsp.union(value(&src))),
-            Inst::Ud2 => e.kind = Kind::Barrier,
-            Inst::JmpRel { .. } => {}
+            Inst::JmpInd { .. } | Inst::Ud2 => e.kind = Kind::Barrier,
             Inst::Nop => e.bits |= NOOP,
             Inst::MovSd { dst, src } => {
-                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
-                match (dst, src) {
-                    // Register-to-register movsd keeps the destination's
-                    // high lane (a memory load zeroes it instead).
-                    (Operand::Xmm(d), Operand::Xmm(s)) => {
-                        e.reads = e.reads.union(xmm(d));
-                        e.so_def = 1 << d.number();
-                        e.so_skip = if d != s { e.so_def } else { 0 };
-                        e.bits |= if d != s { XMM_COPY } else { NOOP };
-                    }
-                    (Operand::Xmm(_), _) => {
-                        full_def = true;
-                        e.bits |= FRAME_XMM;
-                    }
-                    _ => e.bits |= PLAIN_STORE | FRAME_XMM,
-                }
+                e.bits |= match (dst, src) {
+                    (Operand::Xmm(d), Operand::Xmm(s)) if d != s => XMM_COPY,
+                    (Operand::Xmm(_), Operand::Xmm(_)) => NOOP,
+                    (Operand::Xmm(_), _) => FRAME_XMM,
+                    _ => PLAIN_STORE | FRAME_XMM,
+                };
             }
-            Inst::Cvtsi2sd { dst, src, .. } => {
-                // Only the low lane is written; the high lane survives.
-                (e.reads, e.writes) = (value(&src).union(xmm(dst)), xmm(dst));
-                e.so_def = 1 << dst.number();
-                e.so_skip = e.so_def;
-            }
-            Inst::MovUpd { dst, src } => {
-                full_def = matches!(dst, Operand::Xmm(_));
-                (e.reads, e.writes) = (value(&src).union(addr(&dst)), dest(&dst));
+            Inst::MovUpd { src, .. } => {
                 e.bits |= NON_SCALAR;
                 if matches!(src, Operand::Xmm(_)) {
                     e.bits |= HI_OBSERVED;
                 }
             }
-            Inst::Sse { op, dst, src } => {
-                (e.reads, e.writes) = (xmm(dst).union(value(&src)), xmm(dst));
-                if op.is_packed() {
-                    e.bits |= NON_SCALAR;
-                    let zeroing = op == SseOp::Xorpd && src == Operand::Xmm(dst);
-                    if op != SseOp::Unpcklpd && !zeroing {
-                        e.bits |= HI_OBSERVED;
-                    }
+            Inst::Sse { op, dst, src } if op.is_packed() => {
+                e.bits |= NON_SCALAR;
+                let zeroing = op == SseOp::Xorpd && src == Operand::Xmm(dst);
+                if op != SseOp::Unpcklpd && !zeroing {
+                    e.bits |= HI_OBSERVED;
                 }
             }
+            _ => {}
         }
-        if e.writes.has(Loc::Gpr(Gpr::Rsp)) && e.rsp == 0 && !e.is(RSP_ADJUST) {
+        // `rsp` moves by a tracked amount only by `push`/`pop` and an
+        // adjustment; an explicit `rsp` destination (`pop rsp` included)
+        // takes a value.
+        if e.writes.has(Loc::Gpr(Gpr::Rsp)) && !e.is(RSP_ADJUST) && (e.rsp == 0 || rsp_named) {
             e.rsp = RSP_LOST;
         }
-        if full_def {
-            e.defs = e.writes;
-        }
-        #[cfg(debug_assertions)]
-        {
-            let (mut reads, mut writes) = (LiveSet::EMPTY, LiveSet::EMPTY);
-            defuse::for_each_read(inst, &mut |l| reads.set(l));
-            defuse::for_each_write(inst, &mut |l| writes.set(l));
-            debug_assert_eq!((e.reads, e.writes), (reads, writes), "{inst}");
-        }
-        debug_assert_eq!(e.is(WRITES_FLAGS), inst.writes_flags(), "{inst}");
-        debug_assert_eq!(e.is(READS_FLAGS), inst.reads_flags(), "{inst}");
-        debug_assert_eq!(e.kind != Kind::Plain, defuse::is_barrier(inst), "{inst}");
-        debug_assert!(!e.is(PLAIN_STORE) || inst.mem_store().is_some(), "{inst}");
 
         let framed = ci.frame_store.is_some() || ci.frame_load.is_some();
         if framed && self.track_slots {
@@ -472,6 +366,45 @@ impl Decoder {
             e.scalar_only();
         }
         e
+    }
+}
+
+/// The def/use half of [`Decoder::decode`], folded over the operand-role
+/// table. `defs` is the destination operands in a `Write` role plus the
+/// read-modify-written GPR ones (whole: a byte-wide one is a `Merge`).
+/// Implicit writes stay out; `cqo`'s `rdx` is the only one not also read.
+/// An XMM merge becomes a def, and stops being a read unless another
+/// operand reads it, only in scalar-only code.
+struct Fold<'e> {
+    e: &'e mut Effect,
+    /// XMM registers read other than through a merge.
+    xmm_reads: u16,
+    /// An explicit operand writes `rsp`.
+    rsp_named: bool,
+}
+
+impl defuse::Sink for Fold<'_> {
+    #[inline(always)]
+    fn site(&mut self, role: Role, site: Site<'_>) {
+        let e = &mut *self.e;
+        if let Some(m) = site.mem() {
+            m.regs().for_each(|r| e.reads.set(Loc::Gpr(r)));
+        }
+        let Some(l) = site.loc() else { return };
+        let named = matches!(site, Site::Op(_));
+        if role.reads() {
+            e.reads.set(l);
+        }
+        if role.writes() {
+            e.writes.set(l);
+            self.rsp_named |= named && l == Loc::Gpr(Gpr::Rsp);
+        }
+        match (role, l) {
+            (Role::Write, _) | (Role::ReadWrite, Loc::Gpr(_)) if named => e.defs.set(l),
+            (Role::Merge, Loc::Xmm(x)) => e.so_def |= 1 << x.number(),
+            (Role::Read | Role::ReadWrite, Loc::Xmm(x)) => self.xmm_reads |= 1 << x.number(),
+            _ => {}
+        }
     }
 }
 
@@ -972,4 +905,48 @@ pub(crate) fn step_regs(live: &mut LiveSet, e: &Effect) {
         Kind::Plain => live.without(e.defs).union(e.reads),
         _ => LiveSet::ALL,
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn effect(inst: Inst) -> Effect {
+        let mut dec = Decoder {
+            slots: Vec::new(),
+            keys: Vec::new(),
+            track_slots: true,
+            ret_slots: SlotSet::default(),
+            so: false,
+            work: Work::default(),
+        };
+        dec.decode(&CapturedInst::plain(inst))
+    }
+
+    #[test]
+    fn only_push_pop_and_adjustments_move_rsp_by_a_tracked_amount() {
+        let (rax, rsp) = (Operand::Reg(Gpr::Rax), Operand::Reg(Gpr::Rsp));
+        let add = |w, by| Inst::Alu {
+            op: AluOp::Add,
+            w,
+            dst: rsp,
+            src: Operand::Imm(by),
+        };
+        assert_eq!(effect(Inst::Push { src: rax }).rsp, -8);
+        assert_eq!(effect(Inst::Pop { dst: rax }).rsp, 8);
+        assert_eq!(effect(add(Width::W64, 16)).rsp, 16);
+        assert_eq!(effect(rsp_bump(-24).inst).rsp, -24);
+        // `pop rsp` loads rsp from the slot; it does not move it by 8.
+        assert_eq!(effect(Inst::Pop { dst: rsp }).rsp, RSP_LOST);
+        // A 32-bit write zero-extends rsp.
+        assert_eq!(effect(add(Width::W32, 16)).rsp, RSP_LOST);
+        let mov = Inst::Mov {
+            w: Width::W64,
+            dst: rsp,
+            src: Operand::Reg(Gpr::Rbp),
+        };
+        assert_eq!(effect(mov).rsp, RSP_LOST);
+        assert_eq!(effect(Inst::Ret).rsp, RSP_LOST);
+        assert_eq!(effect(Inst::Nop).rsp, 0);
+    }
 }

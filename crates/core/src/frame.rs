@@ -35,7 +35,6 @@
 
 use crate::capture::{CapturedBlock, CapturedInst};
 use crate::dataflow::cx::{bit, rsp_bump, Kind, PassCx, RSP_LOST};
-use crate::regalloc::map_operands;
 use brew_x86::prelude::*;
 
 /// Run frame compression to a fixpoint; returns removed instruction count.
@@ -234,7 +233,7 @@ fn rebase_rsp(inst: &Inst) -> Inst {
         disp: m.disp - 8 * i32::from(m.base == Some(Gpr::Rsp)),
         ..m
     };
-    map_operands(inst, |r| r, |x| x, shift)
+    inst.map_operands(|r| r, |x| x, shift)
 }
 
 #[cfg(test)]

@@ -509,7 +509,7 @@ fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
             | Inst::Cvtsi2sd { .. }
             | Inst::Cvttsd2si { .. }
     );
-    accesses.then(|| map_operands(inst, |r| r, |x| x, |_| m))
+    accesses.then(|| inst.map_operands(|r| r, |x| x, |_| m))
 }
 
 /// `[mov a, b ;] [add/sub a, k ;] use [a+d]` → `use [b+d±k]` (with `b = a`
@@ -595,108 +595,6 @@ fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet, flags_out: bool)
 // Renaming machinery for the copy passes
 // ---------------------------------------------------------------------------
 
-/// `inst` with every general-purpose register it names (memory operands'
-/// included) passed through `g`, every XMM register through `x` and every
-/// memory operand through `m`. Instructions that name their registers
-/// implicitly (`cqo`, `idiv`'s `rdx:rax`, a `cl` shift count) and the
-/// barriers come back as they are: callers that must not meet one check
-/// first.
-pub(crate) fn map_operands(
-    inst: &Inst,
-    g: impl Fn(Gpr) -> Gpr,
-    x: impl Fn(Xmm) -> Xmm,
-    m: impl Fn(MemRef) -> MemRef,
-) -> Inst {
-    let mem = |r: MemRef| {
-        let r = m(r);
-        MemRef {
-            base: r.base.map(&g),
-            index: r.index.map(|(i, scale)| (g(i), scale)),
-            disp: r.disp,
-        }
-    };
-    let o = |op: Operand| match op {
-        Operand::Reg(r) => Operand::Reg(g(r)),
-        Operand::Xmm(v) => Operand::Xmm(x(v)),
-        Operand::Mem(r) => Operand::Mem(mem(r)),
-        imm => imm,
-    };
-    let (dst, src) = match *inst {
-        Inst::Mov { dst, src, .. }
-        | Inst::Alu { dst, src, .. }
-        | Inst::MovSd { dst, src }
-        | Inst::MovUpd { dst, src } => (o(dst), o(src)),
-        Inst::Test { a, b, .. } => (o(a), o(b)),
-        Inst::Unary { dst, .. }
-        | Inst::Shift { dst, .. }
-        | Inst::Pop { dst }
-        | Inst::Setcc { dst, .. } => (o(dst), o(dst)),
-        Inst::Movsxd { src, .. }
-        | Inst::Movzx8 { src, .. }
-        | Inst::Imul { src, .. }
-        | Inst::ImulImm { src, .. }
-        | Inst::Idiv { src, .. }
-        | Inst::Push { src }
-        | Inst::Sse { src, .. }
-        | Inst::Ucomisd { b: src, .. }
-        | Inst::Cvtsi2sd { src, .. }
-        | Inst::Cvttsd2si { src, .. } => (o(src), o(src)),
-        _ => (Operand::Imm(0), Operand::Imm(0)),
-    };
-    match *inst {
-        Inst::Mov { w, .. } => Inst::Mov { w, dst, src },
-        Inst::Alu { op, w, .. } => Inst::Alu { op, w, dst, src },
-        Inst::MovSd { .. } => Inst::MovSd { dst, src },
-        Inst::MovUpd { .. } => Inst::MovUpd { dst, src },
-        Inst::Test { w, .. } => Inst::Test { w, a: dst, b: src },
-        Inst::Unary { op, w, .. } => Inst::Unary { op, w, dst },
-        Inst::Shift { op, w, count, .. } => Inst::Shift { op, w, dst, count },
-        Inst::Pop { .. } => Inst::Pop { dst },
-        Inst::Setcc { cond, .. } => Inst::Setcc { cond, dst },
-        Inst::MovAbs { dst, imm } => Inst::MovAbs { dst: g(dst), imm },
-        Inst::Lea { dst, src } => Inst::Lea {
-            dst: g(dst),
-            src: mem(src),
-        },
-        Inst::Movsxd { dst, .. } => Inst::Movsxd { dst: g(dst), src },
-        Inst::Movzx8 { w, dst, .. } => Inst::Movzx8 {
-            w,
-            dst: g(dst),
-            src,
-        },
-        Inst::Imul { w, dst, .. } => Inst::Imul {
-            w,
-            dst: g(dst),
-            src,
-        },
-        Inst::ImulImm { w, dst, imm, .. } => Inst::ImulImm {
-            w,
-            dst: g(dst),
-            src,
-            imm,
-        },
-        Inst::Idiv { w, .. } => Inst::Idiv { w, src },
-        Inst::Push { .. } => Inst::Push { src },
-        Inst::Sse { op, dst, .. } => Inst::Sse {
-            op,
-            dst: x(dst),
-            src,
-        },
-        Inst::Ucomisd { a, .. } => Inst::Ucomisd { a: x(a), b: src },
-        Inst::Cvtsi2sd { w, dst, .. } => Inst::Cvtsi2sd {
-            w,
-            dst: x(dst),
-            src,
-        },
-        Inst::Cvttsd2si { w, dst, .. } => Inst::Cvttsd2si {
-            w,
-            dst: g(dst),
-            src,
-        },
-        other => other,
-    }
-}
-
 /// Structurally rename every occurrence of `from` to `to` in an instruction
 /// that names it. `None` means the instruction's shape (or an implicit
 /// register) cannot be renamed safely — callers must abort their transform.
@@ -714,7 +612,7 @@ fn rename(inst: &Inst, from: Loc, to: Loc) -> Option<Inst> {
                 _ => !inst.is_control() && !matches!(inst, Inst::Nop | Inst::Ud2),
             };
             let g = |r| if r == f { t } else { r };
-            explicit.then(|| map_operands(inst, g, |x| x, |m| m))
+            explicit.then(|| inst.map_operands(g, |x| x, |m| m))
         }
         (Loc::Xmm(f), Loc::Xmm(t)) => {
             let sse = matches!(
@@ -727,7 +625,7 @@ fn rename(inst: &Inst, from: Loc, to: Loc) -> Option<Inst> {
                     | Inst::Cvttsd2si { .. }
             );
             let x = |r| if r == f { t } else { r };
-            sse.then(|| map_operands(inst, |r| r, x, |m| m))
+            sse.then(|| inst.map_operands(|r| r, x, |m| m))
         }
         _ => None,
     }

@@ -1,21 +1,30 @@
 //! Differential check of the def/use model against the emulator.
 //!
-//! `brew_x86::defuse` is load-bearing twice over: the rewriter's
-//! optimization passes trust its read/write sets for liveness and dead-store
-//! elimination, and the static verifier trusts `for_each_write` to spot
-//! unmodeled RSP writes. A stale entry there silently corrupts variants, so
-//! this test cross-examines the model against ground truth — the emulator:
+//! `brew_x86::defuse::visit`, the operand-role table, is load-bearing many
+//! times over: the rewriter's optimization passes fold their read, write
+//! and definition sets and flag bits from it for liveness and dead-store
+//! elimination, the register allocator renames through it, and the static
+//! verifier trusts `for_each_write` to spot unmodeled RSP writes. A stale
+//! entry there silently corrupts variants, so this test cross-examines the
+//! model against ground truth — the emulator:
 //!
 //! * **write soundness** — every architectural register the emulator
 //!   actually changed must appear in `defuse::writes`;
 //! * **read soundness** — perturbing every register *outside*
 //!   `reads ∪ writes` must not change the instruction's effect (written
-//!   register values, flags, or touched memory).
+//!   register values, flags, or touched memory);
+//! * **whole definition** — perturbing a location in `writes \ reads`
+//!   must not change the effect either: a write the model does not pair
+//!   with a read is a definition liveness may kill;
+//! * **flag claims** — the flags stay put unless `writes_flags`; unless
+//!   `reads_flags`, flipping every input flag changes no register and no
+//!   byte; an instruction that defines every flag (`FlagUse::Define`)
+//!   computes them from its operands alone.
 
-use brew_emu::{Machine, Stats};
+use brew_emu::{CpuState, Machine, Stats};
 use brew_image::layout;
 use brew_image::Image;
-use brew_x86::defuse::{self, Loc};
+use brew_x86::defuse::{self, FlagUse, Loc, Role, Site};
 use brew_x86::{
     encode, AluOp, Cond, Flags, Gpr, Inst, MemRef, Operand, ShOp, ShiftCount, SseOp, UnOp, Width,
     Xmm,
@@ -95,6 +104,23 @@ fn sse_op() -> impl Strategy<Value = SseOp> {
     ]
 }
 
+fn un_op() -> impl Strategy<Value = UnOp> {
+    prop_oneof![
+        Just(UnOp::Neg),
+        Just(UnOp::Not),
+        Just(UnOp::Inc),
+        Just(UnOp::Dec)
+    ]
+}
+
+fn sh_op() -> impl Strategy<Value = ShOp> {
+    prop_oneof![Just(ShOp::Shl), Just(ShOp::Shr), Just(ShOp::Sar)]
+}
+
+fn shift_count() -> impl Strategy<Value = ShiftCount> {
+    prop_oneof![(0u8..64).prop_map(ShiftCount::Imm), Just(ShiftCount::Cl)]
+}
+
 fn cond() -> impl Strategy<Value = Cond> {
     proptest::sample::select(&Cond::ALL[..])
 }
@@ -156,33 +182,17 @@ fn inst() -> impl Strategy<Value = Inst> {
             src: Operand::Reg(s),
             imm,
         }),
-        (
-            prop_oneof![
-                Just(UnOp::Neg),
-                Just(UnOp::Not),
-                Just(UnOp::Inc),
-                Just(UnOp::Dec)
-            ],
-            width(),
-            gpr()
-        )
-            .prop_map(|(op, w, d)| Inst::Unary {
-                op,
-                w,
-                dst: Operand::Reg(d),
-            }),
-        (
-            prop_oneof![Just(ShOp::Shl), Just(ShOp::Shr), Just(ShOp::Sar)],
-            width(),
-            gpr(),
-            prop_oneof![(0u8..64).prop_map(ShiftCount::Imm), Just(ShiftCount::Cl)]
-        )
-            .prop_map(|(op, w, d, count)| Inst::Shift {
-                op,
-                w,
-                dst: Operand::Reg(d),
-                count,
-            }),
+        (un_op(), width(), gpr()).prop_map(|(op, w, d)| Inst::Unary {
+            op,
+            w,
+            dst: Operand::Reg(d),
+        }),
+        (sh_op(), width(), gpr(), shift_count()).prop_map(|(op, w, d, count)| Inst::Shift {
+            op,
+            w,
+            dst: Operand::Reg(d),
+            count,
+        }),
         width().prop_map(|w| Inst::Cqo { w }),
         gpr().prop_map(|r| Inst::Push {
             src: Operand::Reg(r)
@@ -223,6 +233,80 @@ fn inst() -> impl Strategy<Value = Inst> {
             src: Operand::Xmm(s),
         }),
         Just(Inst::Nop),
+        // Byte moves merge into a register and store one byte to memory.
+        (gpr(), int_rm()).prop_map(|(d, src)| Inst::Mov {
+            w: Width::W8,
+            dst: Operand::Reg(d),
+            src,
+        }),
+        (
+            mem(),
+            prop_oneof![
+                gpr().prop_map(Operand::Reg),
+                (-128i64..128).prop_map(Operand::Imm)
+            ]
+        )
+            .prop_map(|(m, src)| Inst::Mov {
+                w: Width::W8,
+                dst: Operand::Mem(m),
+                src,
+            }),
+        // Memory destinations and sources of the register-only shapes above.
+        (cond(), mem()).prop_map(|(c, m)| Inst::Setcc {
+            cond: c,
+            dst: Operand::Mem(m),
+        }),
+        (un_op(), width(), mem()).prop_map(|(op, w, m)| Inst::Unary {
+            op,
+            w,
+            dst: Operand::Mem(m),
+        }),
+        (sh_op(), width(), mem(), shift_count()).prop_map(|(op, w, m, count)| Inst::Shift {
+            op,
+            w,
+            dst: Operand::Mem(m),
+            count,
+        }),
+        (alu_op(), width(), mem(), -1000i64..1000).prop_map(|(op, w, m, k)| Inst::Alu {
+            op,
+            w,
+            dst: Operand::Mem(m),
+            src: Operand::Imm(k),
+        }),
+        (
+            width(),
+            int_rm(),
+            prop_oneof![
+                gpr().prop_map(Operand::Reg),
+                (-1000i64..1000).prop_map(Operand::Imm)
+            ]
+        )
+            .prop_map(|(w, a, b)| Inst::Test { w, a, b }),
+        int_rm().prop_map(|src| Inst::Push { src }),
+        mem().prop_map(|m| Inst::Pop {
+            dst: Operand::Mem(m)
+        }),
+        (width(), gpr(), mem()).prop_map(|(w, d, m)| Inst::Movzx8 {
+            w,
+            dst: d,
+            src: Operand::Mem(m),
+        }),
+        (width(), xmm(), mem()).prop_map(|(w, d, m)| Inst::Cvtsi2sd {
+            w,
+            dst: d,
+            src: Operand::Mem(m),
+        }),
+        (width(), gpr(), mem()).prop_map(|(w, d, m)| Inst::Cvttsd2si {
+            w,
+            dst: d,
+            src: Operand::Mem(m),
+        }),
+        (width(), gpr(), mem(), -1000i32..1000).prop_map(|(w, d, m, imm)| Inst::ImulImm {
+            w,
+            dst: d,
+            src: Operand::Mem(m),
+            imm,
+        }),
     ]
 }
 
@@ -311,7 +395,7 @@ fn xmm_inst() -> impl Strategy<Value = Inst> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(384))]
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     /// Lane-granular differential for the scalar-only contract:
     /// `defuse::xmm_hi_effect` and `defuse::xmm_read_is_hi_merge_only`
@@ -473,44 +557,123 @@ proptest! {
         fx.init(&mut m, &gprs, &xmms, flags);
         for g in OPERAND_GPRS {
             if !reads.contains(&Loc::Gpr(g)) && !writes.contains(&Loc::Gpr(g)) {
-                m.cpu.set(g, m.cpu.get(g) ^ 0x5A5A_5A5A_5A5A_5A5A);
+                scramble(&mut m, Loc::Gpr(g));
             }
         }
-        for (i, x) in Xmm::ALL.iter().enumerate().take(8) {
+        for x in &Xmm::ALL[..8] {
             if !reads.contains(&Loc::Xmm(*x)) && !writes.contains(&Loc::Xmm(*x)) {
-                m.cpu.xmm[i][0] ^= 0xA5A5_A5A5_A5A5_A5A5;
-                m.cpu.xmm[i][1] ^= 0xA5A5_A5A5_A5A5_A5A5;
+                scramble(&mut m, Loc::Xmm(*x));
             }
         }
         prop_assert!(m.step(&fx.img, &mut stats).is_ok());
-        prop_assert_eq!(m.cpu.rip, after_cpu.rip);
-        prop_assert_eq!(m.cpu.flags, after_cpu.flags,
-            "{}: flags depend on a register defuse::reads omits", inst);
-        for loc in &writes {
-            match loc {
-                Loc::Gpr(g) => prop_assert_eq!(
-                    m.cpu.get(*g),
-                    after_cpu.get(*g),
-                    "{}: result in {:?} depends on a register defuse::reads omits",
-                    inst,
-                    g
-                ),
-                Loc::Xmm(x) => prop_assert_eq!(
-                    m.cpu.xmm[x.number() as usize],
-                    after_cpu.xmm[x.number() as usize],
-                    "{}: result in {:?} depends on a register defuse::reads omits",
-                    inst,
-                    x
-                ),
+        same_effect(&inst, &m.cpu, &fx, (&after_cpu, &after_mem), &writes, "a register defuse::reads omits")?;
+
+        // Write-only means whole definition: the old value of a location
+        // written and not read reaches nothing the instruction produces.
+        for loc in writes.iter().filter(|l| !reads.contains(l)) {
+            fx.restore(&before_mem);
+            fx.init(&mut m, &gprs, &xmms, flags);
+            scramble(&mut m, *loc);
+            prop_assert!(m.step(&fx.img, &mut stats).is_ok());
+            let why = format!("the old value of {loc:?}, a write defuse::reads omits");
+            same_effect(&inst, &m.cpu, &fx, (&after_cpu, &after_mem), &writes, &why)?;
+        }
+
+        // Flag claims: no flag changes unless `writes_flags`; unless
+        // `reads_flags`, flipping every input flag changes no register and
+        // no byte, and an instruction that defines all flags computes them
+        // from its operands alone.
+        if !inst.writes_flags() {
+            prop_assert_eq!(after_cpu.flags, flags, "{}: flags changed, writes_flags says no", inst);
+        }
+        if !inst.reads_flags() {
+            let flipped = Flags {
+                cf: !flags.cf,
+                zf: !flags.zf,
+                sf: !flags.sf,
+                of: !flags.of,
+                pf: !flags.pf,
+            };
+            fx.restore(&before_mem);
+            fx.init(&mut m, &gprs, &xmms, flipped);
+            prop_assert!(m.step(&fx.img, &mut stats).is_ok());
+            let all: Vec<Loc> = (Gpr::ALL.iter().map(|g| Loc::Gpr(*g)))
+                .chain(Xmm::ALL[..8].iter().map(|x| Loc::Xmm(*x)))
+                .collect();
+            // The flags themselves are judged below.
+            let now = CpuState {
+                flags: after_cpu.flags,
+                ..m.cpu.clone()
+            };
+            same_effect(&inst, &now, &fx, (&after_cpu, &after_mem), &all, "the flags reads_flags denies")?;
+            match defuse::visit(&mut { inst }, &mut |_: Role, _: Site<'_>| {}) {
+                FlagUse::None => prop_assert_eq!(m.cpu.flags, flipped, "{}: flags not passed through", inst),
+                FlagUse::Define => prop_assert_eq!(m.cpu.flags, after_cpu.flags,
+                    "{}: claims to define every flag but output flags depend on input flags", inst),
+                FlagUse::Read | FlagUse::Write => {}
             }
         }
-        let final_mem = fx.snapshot();
-        prop_assert_eq!(
-            &final_mem.scratch[..],
-            &after_mem.scratch[..],
-            "{}: memory effect depends on a register defuse::reads omits",
-            inst
-        );
-        prop_assert_eq!(&final_mem.stack[..], &after_mem.stack[..]);
     }
+}
+
+/// Perturb every bit of one location.
+fn scramble(m: &mut Machine, loc: Loc) {
+    match loc {
+        Loc::Gpr(g) => m.cpu.set(g, m.cpu.get(g) ^ 0x5A5A_5A5A_5A5A_5A5A),
+        Loc::Xmm(x) => {
+            let lanes = &mut m.cpu.xmm[x.number() as usize];
+            lanes[0] ^= 0xA5A5_A5A5_A5A5_A5A5;
+            lanes[1] ^= 0xA5A5_A5A5_A5A5_A5A5;
+        }
+    }
+}
+
+/// `now` holds the reference run's `rip`, flags, values in `locs` and
+/// memory; `why` names what the difference would depend on.
+fn same_effect(
+    inst: &Inst,
+    now: &CpuState,
+    fx: &Fixture,
+    (cpu, mem): (&CpuState, &MemSnapshot),
+    locs: &[Loc],
+    why: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(now.rip, cpu.rip);
+    prop_assert_eq!(now.flags, cpu.flags, "{}: flags depend on {}", inst, why);
+    for loc in locs {
+        match loc {
+            Loc::Gpr(g) => prop_assert_eq!(
+                now.get(*g),
+                cpu.get(*g),
+                "{}: result in {:?} depends on {}",
+                inst,
+                g,
+                why
+            ),
+            Loc::Xmm(x) => prop_assert_eq!(
+                now.xmm[x.number() as usize],
+                cpu.xmm[x.number() as usize],
+                "{}: result in {:?} depends on {}",
+                inst,
+                x,
+                why
+            ),
+        }
+    }
+    let bytes = fx.snapshot();
+    prop_assert_eq!(
+        &bytes.scratch[..],
+        &mem.scratch[..],
+        "{}: memory effect depends on {}",
+        inst,
+        why
+    );
+    prop_assert_eq!(
+        &bytes.stack[..],
+        &mem.stack[..],
+        "{}: stack effect depends on {}",
+        inst,
+        why
+    );
+    Ok(())
 }

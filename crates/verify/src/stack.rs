@@ -4,7 +4,7 @@
 //! with immediate operands — anything else is unanalyzable and rejected.
 
 use crate::{Finding, Region, Rule, Severity, VerifyReport};
-use brew_x86::{defuse, AluOp, Gpr, Inst, MemRef, Operand};
+use brew_x86::{defuse, AluOp, Gpr, Inst, MemRef, Operand, Width};
 
 /// The RSP displacement of a frame-adjusting `lea rsp, [rsp+disp]`, the
 /// emitter's preferred frame idiom (it leaves flags untouched).
@@ -79,14 +79,17 @@ pub(crate) fn check_stack(region: &Region, report: &mut VerifyReport) {
         let next = at.map(|i| i + 1);
         match inst {
             Inst::Push { .. } => work.push((next, d + 8)),
-            Inst::Pop { .. } => {
+            // `pop rsp` loads the stack pointer: the other arm.
+            Inst::Pop { dst } if *dst != Operand::Reg(Gpr::Rsp) => {
                 if d < 8 {
                     err(addr, "pop below the caller's stack frame".into());
                 }
                 work.push((next, d - 8));
             }
+            // A 32-bit write zero-extends rsp: the other arm.
             Inst::Alu {
                 op: op @ (AluOp::Add | AluOp::Sub),
+                w: Width::W64,
                 dst: Operand::Reg(Gpr::Rsp),
                 src: Operand::Imm(imm),
                 ..
@@ -160,5 +163,69 @@ pub(crate) fn check_stack(region: &Region, report: &mut VerifyReport) {
                 work.push((next, d));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The findings of `check_stack` over straight-line `insts`.
+    fn findings(insts: &[Inst]) -> Vec<Finding> {
+        let at = |k: usize| 0x1000 + 4 * k as u64;
+        let region = Region {
+            entry: at(0),
+            end: at(insts.len()),
+            insts: (insts.iter().enumerate())
+                .map(|(k, i)| (at(k), *i, 4))
+                .collect(),
+        };
+        let mut report = VerifyReport::default();
+        check_stack(&region, &mut report);
+        report.findings
+    }
+
+    fn unmodeled(insts: &[Inst]) -> bool {
+        findings(insts).iter().any(|f| {
+            f.rule == Rule::StackDiscipline
+                && f.detail
+                    .contains("modifies RSP in a way the verifier cannot model")
+        })
+    }
+
+    fn rsp_imm(op: AluOp, w: Width) -> Inst {
+        Inst::Alu {
+            op,
+            w,
+            dst: Operand::Reg(Gpr::Rsp),
+            src: Operand::Imm(8),
+        }
+    }
+
+    #[test]
+    fn a_32_bit_rsp_adjustment_is_not_modeled() {
+        let balanced = [
+            rsp_imm(AluOp::Sub, Width::W64),
+            rsp_imm(AluOp::Add, Width::W64),
+        ];
+        assert!(findings(&[balanced[0], balanced[1], Inst::Ret]).is_empty());
+        // `sub esp, 8` zero-extends: rsp loses its upper half.
+        let narrow = [rsp_imm(AluOp::Sub, Width::W32), balanced[1], Inst::Ret];
+        assert!(unmodeled(&narrow), "{:?}", findings(&narrow));
+    }
+
+    #[test]
+    fn pop_rsp_is_not_modeled() {
+        let rax = Operand::Reg(Gpr::Rax);
+        let paired = [Inst::Push { src: rax }, Inst::Pop { dst: rax }, Inst::Ret];
+        assert!(findings(&paired).is_empty());
+        // `pop rsp` loads rsp from the slot instead of moving it by 8.
+        let pop_rsp = Operand::Reg(Gpr::Rsp);
+        let loaded = [
+            Inst::Push { src: rax },
+            Inst::Pop { dst: pop_rsp },
+            Inst::Ret,
+        ];
+        assert!(unmodeled(&loaded), "{:?}", findings(&loaded));
     }
 }

@@ -1,15 +1,27 @@
-//! Def/use analysis over the instruction model.
+//! The operand-role table, and every def/use view of an instruction.
 //!
-//! The rewriter's optimization passes (dead-store elimination, redundant-load
-//! elimination, liveness for the peephole pass) need to know which locations
-//! an instruction reads and writes. Calls and returns are *not* fully modeled
-//! here — their register effects depend on the ABI and the rewriter's
-//! configuration, so passes must treat them as barriers ([`is_barrier`]
-//! returns `true` for them).
+//! Every pass asks each captured instruction the same questions: which
+//! registers it reads, writes and wholly defines, what memory it loads and
+//! stores, what it does to the flags. [`visit`] answers them once: one match
+//! over [`Inst`] that names, per variant, each operand with its [`Role`] and
+//! each register the opcode implies, and returns the instruction's
+//! [`FlagUse`]. It reaches the operands through `&mut`, so the one match
+//! serves inspection (of a copy: `Inst` is `Copy`) and
+//! [`Inst::map_operands`]. Everything else here is a fold over it:
+//! [`for_each_read`], [`for_each_write`], [`xmm_hi_effect`],
+//! [`xmm_read_is_hi_merge_only`] and `Inst::{mem_load, mem_store,
+//! reads_flags, writes_flags}`; so is the rewriter's per-instruction
+//! `Effect`. `brew-emu`'s `defuse_differential` test holds the table
+//! against the emulator.
+//!
+//! Calls and returns are modelled only as far as `rsp`: their other
+//! register effects depend on the ABI and the rewriter's configuration, so
+//! passes treat them as barriers.
 
+use crate::alu::UnOp;
 use crate::inst::{Inst, ShiftCount};
-use crate::operand::Operand;
-use crate::reg::{Gpr, Xmm};
+use crate::operand::{MemRef, Operand};
+use crate::reg::{Gpr, Width, Xmm};
 
 /// A register-like location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,177 +32,267 @@ pub enum Loc {
     Xmm(Xmm),
 }
 
-fn operand_reads(op: &Operand, f: &mut impl FnMut(Loc)) {
-    match op {
-        Operand::Reg(r) => f(Loc::Gpr(*r)),
-        Operand::Xmm(x) => f(Loc::Xmm(*x)),
-        Operand::Mem(m) => {
-            for r in m.regs() {
-                f(Loc::Gpr(r));
+/// What an instruction does with one location it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Read only.
+    Read,
+    /// Written whole, the old value unread (a 32-bit GPR write
+    /// zero-extends).
+    Write,
+    /// A register written in part whose old value is no input but whose
+    /// other bits survive, so it is read too: a byte write into a GPR, a
+    /// register-to-register `movsd`, `cvtsi2sd`. A narrow memory
+    /// destination is a `Write`.
+    Merge,
+    /// Read, then written: an input to its own result.
+    ReadWrite,
+    /// The `lea` source: its address registers are read, memory is not.
+    Addr,
+}
+
+impl Role {
+    /// Is a register in this role read, or a memory operand loaded?
+    #[inline]
+    pub fn reads(self) -> bool {
+        matches!(self, Role::Read | Role::Merge | Role::ReadWrite)
+    }
+
+    /// Is the location written (a memory operand stored to)?
+    #[inline]
+    pub fn writes(self) -> bool {
+        matches!(self, Role::Write | Role::Merge | Role::ReadWrite)
+    }
+}
+
+/// What an instruction does to the arithmetic flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlagUse {
+    /// Nothing.
+    None,
+    /// Reads them (`jcc`, `setcc`).
+    Read,
+    /// Writes them, some left undefined (`imul`, shifts, `neg`/`inc`/`dec`,
+    /// `idiv`).
+    Write,
+    /// Defines every one of them from the operands alone (`alu`, `test`,
+    /// `ucomisd`).
+    Define,
+}
+
+/// A location [`visit`] reports.
+#[derive(Debug)]
+pub enum Site<'a> {
+    /// An operand the instruction names; writing through it rewrites the
+    /// instruction (keeping each operand's kind).
+    Op(&'a mut Operand),
+    /// A register the opcode implies: the `rsp` of `push`/`pop`/`call`/
+    /// `ret`, the `rdx:rax` of `cqo`/`idiv`, a shift count's `cl`.
+    Implicit(Gpr),
+}
+
+impl Site<'_> {
+    /// The register this site is, if it is one.
+    #[inline]
+    pub fn loc(&self) -> Option<Loc> {
+        match self {
+            Site::Op(Operand::Reg(r)) | Site::Implicit(r) => Some(Loc::Gpr(*r)),
+            Site::Op(Operand::Xmm(x)) => Some(Loc::Xmm(*x)),
+            _ => None,
+        }
+    }
+
+    /// The memory operand this site is, if it is one.
+    #[inline]
+    pub fn mem(&self) -> Option<MemRef> {
+        match self {
+            Site::Op(Operand::Mem(m)) => Some(*m),
+            _ => None,
+        }
+    }
+}
+
+/// What [`visit`] reports each site to. Every `FnMut(Role, Site)` closure
+/// is one; a fold on a per-instruction path implements it with
+/// `#[inline(always)]`, so that the table's match and the fold compile to
+/// one match.
+pub trait Sink {
+    /// One site and its role.
+    fn site(&mut self, role: Role, site: Site<'_>);
+}
+
+impl<F: FnMut(Role, Site<'_>)> Sink for F {
+    #[inline(always)]
+    fn site(&mut self, role: Role, site: Site<'_>) {
+        self(role, site)
+    }
+}
+
+/// Hands [`visit`]'s callback the typed fields of an [`Inst`] as operands.
+struct Visitor<'f, F>(&'f mut F);
+
+impl<F: Sink> Visitor<'_, F> {
+    #[inline(always)]
+    fn op(&mut self, role: Role, op: &mut Operand) {
+        self.0.site(role, Site::Op(op))
+    }
+
+    #[inline(always)]
+    fn field<T: Copy + Into<Operand>>(
+        &mut self,
+        role: Role,
+        t: &mut T,
+        back: fn(&Operand) -> Option<T>,
+    ) {
+        let mut op = (*t).into();
+        self.op(role, &mut op);
+        *t = back(&op).unwrap_or(*t);
+    }
+
+    #[inline(always)]
+    fn implicit(&mut self, role: Role, r: Gpr) {
+        self.0.site(role, Site::Implicit(r))
+    }
+}
+
+/// A byte write into a register keeps its other 56 bits.
+fn byte(w: Width, dst: &Operand, whole: Role) -> Role {
+    match dst {
+        Operand::Reg(_) if w == Width::W8 => Role::Merge,
+        _ => whole,
+    }
+}
+
+/// The operand-role table: report to `f` every location `inst` uses, with
+/// its role (sources first), and return what it does to the flags.
+#[inline(always)]
+pub fn visit(inst: &mut Inst, f: &mut impl Sink) -> FlagUse {
+    use Role::*;
+    let mut v = Visitor(f);
+    match inst {
+        Inst::Mov { w, dst, src } => {
+            v.op(Read, src);
+            v.op(byte(*w, dst, Write), dst);
+        }
+        Inst::MovAbs { dst, .. } => v.field(Write, dst, Operand::gpr),
+        Inst::Movsxd { dst, src }
+        | Inst::Movzx8 { dst, src, .. }
+        | Inst::Cvttsd2si { dst, src, .. } => {
+            v.op(Read, src);
+            v.field(Write, dst, Operand::gpr);
+        }
+        Inst::Lea { dst, src } => {
+            v.field(Addr, src, Operand::mem);
+            v.field(Write, dst, Operand::gpr);
+        }
+        Inst::Alu { op, w, dst, src } => {
+            v.op(Read, src);
+            let role = if op.writes_dst() { ReadWrite } else { Read };
+            v.op(byte(*w, dst, role), dst);
+            return FlagUse::Define;
+        }
+        Inst::Test { a, b, .. } => {
+            v.op(Read, a);
+            v.op(Read, b);
+            return FlagUse::Define;
+        }
+        Inst::Imul { dst, src, .. } => {
+            v.field(ReadWrite, dst, Operand::gpr);
+            v.op(Read, src);
+            return FlagUse::Write;
+        }
+        Inst::ImulImm { dst, src, .. } => {
+            v.op(Read, src);
+            v.field(Write, dst, Operand::gpr);
+            return FlagUse::Write;
+        }
+        Inst::Unary { op, w, dst } => {
+            v.op(byte(*w, dst, ReadWrite), dst);
+            if *op != UnOp::Not {
+                return FlagUse::Write;
             }
         }
-        Operand::Imm(_) => {}
-    }
-}
-
-/// Address registers of a memory operand count as reads even when the
-/// operand as a whole is a store destination.
-fn operand_addr_reads(op: &Operand, f: &mut impl FnMut(Loc)) {
-    if let Operand::Mem(m) = op {
-        for r in m.regs() {
-            f(Loc::Gpr(r));
+        Inst::Shift { w, dst, count, .. } => {
+            v.op(byte(*w, dst, ReadWrite), dst);
+            if *count == ShiftCount::Cl {
+                v.implicit(Read, Gpr::Rcx);
+            }
+            return FlagUse::Write;
+        }
+        Inst::Cqo { .. } => {
+            v.implicit(Read, Gpr::Rax);
+            v.implicit(Write, Gpr::Rdx);
+        }
+        Inst::Idiv { src, .. } => {
+            v.implicit(ReadWrite, Gpr::Rax);
+            v.implicit(ReadWrite, Gpr::Rdx);
+            v.op(Read, src);
+            return FlagUse::Write;
+        }
+        Inst::Push { src } | Inst::CallInd { src } => {
+            v.implicit(ReadWrite, Gpr::Rsp);
+            v.op(Read, src);
+        }
+        Inst::Pop { dst } => {
+            v.implicit(ReadWrite, Gpr::Rsp);
+            v.op(Write, dst);
+        }
+        Inst::CallRel { .. } | Inst::Ret => v.implicit(ReadWrite, Gpr::Rsp),
+        Inst::JmpInd { src } => v.op(Read, src),
+        Inst::Jcc { .. } => return FlagUse::Read,
+        Inst::JmpRel { .. } | Inst::Nop | Inst::Ud2 => {}
+        Inst::Setcc { dst, .. } => {
+            v.op(byte(Width::W8, dst, Write), dst);
+            return FlagUse::Read;
+        }
+        Inst::MovSd { dst, src } => {
+            v.op(Read, src);
+            // Register-to-register movsd keeps the destination's high lane
+            // (a load zeroes it).
+            let lane = matches!((&dst, &src), (Operand::Xmm(_), Operand::Xmm(_)));
+            v.op(if lane { Merge } else { Write }, dst);
+        }
+        Inst::MovUpd { dst, src } => {
+            v.op(Read, src);
+            v.op(Write, dst);
+        }
+        Inst::Sse { dst, src, .. } => {
+            v.field(ReadWrite, dst, Operand::xmm);
+            v.op(Read, src);
+        }
+        Inst::Ucomisd { a, b } => {
+            v.field(Read, a, Operand::xmm);
+            v.op(Read, b);
+            return FlagUse::Define;
+        }
+        Inst::Cvtsi2sd { dst, src, .. } => {
+            v.op(Read, src);
+            v.field(Merge, dst, Operand::xmm);
         }
     }
-}
-
-fn operand_write(op: &Operand, f: &mut impl FnMut(Loc)) {
-    match op {
-        Operand::Reg(r) => f(Loc::Gpr(*r)),
-        Operand::Xmm(x) => f(Loc::Xmm(*x)),
-        // Memory writes are tracked separately via `Inst::mem_store`.
-        Operand::Mem(_) | Operand::Imm(_) => {}
-    }
+    FlagUse::None
 }
 
 /// Invoke `f` for every register location the instruction reads (including
 /// address registers of memory operands and implicit operands).
 pub fn for_each_read(inst: &Inst, f: &mut impl FnMut(Loc)) {
-    match inst {
-        Inst::Mov { w, dst, src } => {
-            operand_reads(src, f);
-            operand_addr_reads(dst, f);
-            // A byte-wide register write merges into the low byte; the
-            // other 56 bits of the old value survive, so the destination
-            // is semantically read.
-            if *w == crate::reg::Width::W8 {
-                if let Operand::Reg(r) = dst {
-                    f(Loc::Gpr(*r));
-                }
-            }
-        }
-        Inst::MovAbs { .. } => {}
-        Inst::Movsxd { src, .. } | Inst::Movzx8 { src, .. } => operand_reads(src, f),
-        Inst::Lea { src, .. } => {
-            for r in src.regs() {
-                f(Loc::Gpr(r));
-            }
-        }
-        Inst::Alu { op, dst, src, .. } => {
-            operand_reads(src, f);
-            if op.writes_dst() {
-                operand_reads(dst, f); // read-modify-write
-            } else {
-                operand_reads(dst, f); // cmp reads both
-            }
-        }
-        Inst::Test { a, b, .. } => {
-            operand_reads(a, f);
-            operand_reads(b, f);
-        }
-        Inst::Imul { dst, src, .. } => {
-            f(Loc::Gpr(*dst));
-            operand_reads(src, f);
-        }
-        Inst::ImulImm { src, .. } => operand_reads(src, f),
-        Inst::Unary { dst, .. } => operand_reads(dst, f),
-        Inst::Shift { dst, count, .. } => {
-            operand_reads(dst, f);
-            if matches!(count, ShiftCount::Cl) {
-                f(Loc::Gpr(Gpr::Rcx));
-            }
-        }
-        Inst::Cqo { .. } => f(Loc::Gpr(Gpr::Rax)),
-        Inst::Idiv { src, .. } => {
-            f(Loc::Gpr(Gpr::Rax));
-            f(Loc::Gpr(Gpr::Rdx));
-            operand_reads(src, f);
-        }
-        Inst::Push { src } => {
-            f(Loc::Gpr(Gpr::Rsp));
-            operand_reads(src, f);
-        }
-        Inst::Pop { dst } => {
-            f(Loc::Gpr(Gpr::Rsp));
-            operand_addr_reads(dst, f);
-        }
-        Inst::CallRel { .. } | Inst::Ret => f(Loc::Gpr(Gpr::Rsp)),
-        Inst::CallInd { src } | Inst::JmpInd { src } => {
-            f(Loc::Gpr(Gpr::Rsp));
-            operand_reads(src, f);
-        }
-        Inst::JmpRel { .. } | Inst::Jcc { .. } | Inst::Nop | Inst::Ud2 => {}
-        Inst::Setcc { dst, .. } => {
-            operand_addr_reads(dst, f);
-            // setcc writes only the low byte of a register destination.
-            if let Operand::Reg(r) = dst {
-                f(Loc::Gpr(*r));
-            }
-        }
-        Inst::MovSd { dst, src } => {
-            operand_reads(src, f);
-            operand_addr_reads(dst, f);
-            // Register-to-register movsd keeps the destination's high
-            // lane (a memory load zeroes it instead).
-            if let (Operand::Xmm(d), Operand::Xmm(_)) = (dst, src) {
-                f(Loc::Xmm(*d));
-            }
-        }
-        Inst::MovUpd { dst, src } => {
-            operand_reads(src, f);
-            operand_addr_reads(dst, f);
-        }
-        Inst::Sse { dst, src, .. } => {
-            f(Loc::Xmm(*dst));
-            operand_reads(src, f);
-        }
-        Inst::Ucomisd { a, b } => {
-            f(Loc::Xmm(*a));
-            operand_reads(b, f);
-        }
-        Inst::Cvtsi2sd { src, dst, .. } => {
-            operand_reads(src, f);
-            // cvtsi2sd writes only the low lane; the high lane survives.
-            f(Loc::Xmm(*dst));
-        }
-        Inst::Cvttsd2si { src, .. } => operand_reads(src, f),
-    }
+    visit(
+        &mut { *inst },
+        &mut |role: Role, site: Site<'_>| match site.mem() {
+            Some(m) => m.regs().for_each(|r| f(Loc::Gpr(r))),
+            None if role.reads() => site.loc().into_iter().for_each(&mut *f),
+            None => {}
+        },
+    );
 }
 
 /// Invoke `f` for every register location the instruction writes.
 pub fn for_each_write(inst: &Inst, f: &mut impl FnMut(Loc)) {
-    match inst {
-        Inst::Mov { dst, .. } => operand_write(dst, f),
-        Inst::MovAbs { dst, .. }
-        | Inst::Movsxd { dst, .. }
-        | Inst::Movzx8 { dst, .. }
-        | Inst::Lea { dst, .. }
-        | Inst::Imul { dst, .. }
-        | Inst::ImulImm { dst, .. }
-        | Inst::Cvttsd2si { dst, .. } => f(Loc::Gpr(*dst)),
-        Inst::Alu { op, dst, .. } => {
-            if op.writes_dst() {
-                operand_write(dst, f);
-            }
+    visit(&mut { *inst }, &mut |role: Role, site: Site<'_>| {
+        if role.writes() {
+            site.loc().into_iter().for_each(&mut *f);
         }
-        Inst::Test { .. } | Inst::Ucomisd { .. } => {}
-        Inst::Unary { dst, .. } | Inst::Shift { dst, .. } => operand_write(dst, f),
-        Inst::Cqo { .. } => f(Loc::Gpr(Gpr::Rdx)),
-        Inst::Idiv { .. } => {
-            f(Loc::Gpr(Gpr::Rax));
-            f(Loc::Gpr(Gpr::Rdx));
-        }
-        Inst::Push { .. } => f(Loc::Gpr(Gpr::Rsp)),
-        Inst::Pop { dst } => {
-            f(Loc::Gpr(Gpr::Rsp));
-            operand_write(dst, f);
-        }
-        Inst::CallRel { .. } | Inst::CallInd { .. } | Inst::Ret => f(Loc::Gpr(Gpr::Rsp)),
-        Inst::JmpRel { .. } | Inst::JmpInd { .. } | Inst::Jcc { .. } | Inst::Nop | Inst::Ud2 => {}
-        Inst::Setcc { dst, .. } => operand_write(dst, f),
-        Inst::MovSd { dst, .. } | Inst::MovUpd { dst, .. } => operand_write(dst, f),
-        Inst::Sse { dst, .. } => f(Loc::Xmm(*dst)),
-        Inst::Cvtsi2sd { dst, .. } => f(Loc::Xmm(*dst)),
-    }
+    });
 }
 
 /// How an instruction affects the high lane (bits 127:64) of the XMM
@@ -215,56 +317,38 @@ pub enum XmmHi {
 /// The high-lane effect on the XMM register destination, or `None` when
 /// the instruction writes no XMM register.
 pub fn xmm_hi_effect(inst: &Inst) -> Option<(Xmm, XmmHi)> {
-    match inst {
-        Inst::MovSd {
-            dst: Operand::Xmm(d),
-            src: Operand::Xmm(_),
-        } => Some((*d, XmmHi::Preserved)),
-        Inst::MovSd {
-            dst: Operand::Xmm(d),
-            src: Operand::Mem(_),
-        } => Some((*d, XmmHi::Zeroed)),
-        Inst::Cvtsi2sd { dst, .. } => Some((*dst, XmmHi::Preserved)),
-        Inst::Sse { op, dst, .. } => Some((
-            *dst,
-            if op.is_packed() {
-                XmmHi::Written
-            } else {
-                XmmHi::Preserved
-            },
-        )),
-        Inst::MovUpd {
-            dst: Operand::Xmm(d),
-            ..
-        } => Some((*d, XmmHi::Written)),
-        _ => None,
-    }
+    let mut dst = None;
+    visit(&mut { *inst }, &mut |role: Role, site: Site<'_>| {
+        if let (true, Some(Loc::Xmm(x))) = (role.writes(), site.loc()) {
+            dst = Some((x, role));
+        }
+    });
+    // The 16-byte forms (packed SSE, `movupd`) compute the high lane; of
+    // the 8-byte ones a whole write (`movsd xmm, m64`) zeroes it.
+    dst.map(|(x, role)| match role {
+        _ if inst.mem_width() == 16 => (x, XmmHi::Written),
+        Role::Write => (x, XmmHi::Zeroed),
+        _ => (x, XmmHi::Preserved),
+    })
 }
 
 /// `true` when the instruction's *only* dependence on its XMM destination
 /// is the preserved high lane — the merge-artifact read that scalar-only
-/// register allocation may ignore. Scalar RMW ops (`mulsd` etc.) also
-/// preserve the high lane but genuinely read the low one, so they are
-/// excluded here.
+/// register allocation may ignore: a [`Role::Merge`] destination no other
+/// operand reads. Scalar RMW ops (`mulsd` etc.) also preserve the high
+/// lane but genuinely read the low one, so they are excluded here.
 pub fn xmm_read_is_hi_merge_only(inst: &Inst) -> bool {
-    match inst {
-        Inst::MovSd {
-            dst: Operand::Xmm(d),
-            src: Operand::Xmm(s),
-        } => d != s,
-        Inst::Cvtsi2sd { .. } => true,
-        _ => false,
-    }
-}
-
-/// `true` for instructions whose side effects passes cannot reason about
-/// locally (calls, returns, indirect jumps): they must be treated as full
-/// barriers for memory and register analyses.
-pub fn is_barrier(inst: &Inst) -> bool {
-    matches!(
-        inst,
-        Inst::CallRel { .. } | Inst::CallInd { .. } | Inst::Ret | Inst::JmpInd { .. } | Inst::Ud2
-    )
+    let (mut merged, mut read) = (0u16, 0u16);
+    visit(&mut { *inst }, &mut |role: Role, site: Site<'_>| {
+        if let Some(Loc::Xmm(x)) = site.loc() {
+            match role {
+                Role::Merge => merged |= 1 << x.number(),
+                _ if role.reads() => read |= 1 << x.number(),
+                _ => {}
+            }
+        }
+    });
+    merged != 0 && merged & read == 0
 }
 
 /// Collected def/use sets (convenience wrapper for tests and simple passes).
@@ -287,6 +371,77 @@ pub fn writes(inst: &Inst) -> Vec<Loc> {
         }
     });
     v
+}
+
+/// The views of the table on the instruction itself.
+impl Inst {
+    fn flag_use(&self) -> FlagUse {
+        visit(&mut { *self }, &mut |_: Role, _: Site<'_>| {})
+    }
+
+    /// `true` if executing the instruction writes the arithmetic flags.
+    pub fn writes_flags(&self) -> bool {
+        matches!(self.flag_use(), FlagUse::Write | FlagUse::Define)
+    }
+
+    /// `true` if the instruction's behaviour depends on the flags.
+    pub fn reads_flags(&self) -> bool {
+        self.flag_use() == FlagUse::Read
+    }
+
+    /// The memory reference this instruction loads from, if any.
+    pub fn mem_load(&self) -> Option<MemRef> {
+        let mut found = None;
+        visit(&mut { *self }, &mut |role: Role, site: Site<'_>| {
+            if role.reads() {
+                found = found.or(site.mem());
+            }
+        });
+        found
+    }
+
+    /// The memory reference this instruction stores to, if any.
+    pub fn mem_store(&self) -> Option<MemRef> {
+        let mut found = None;
+        visit(&mut { *self }, &mut |role: Role, site: Site<'_>| {
+            if role.writes() {
+                found = found.or(site.mem());
+            }
+        });
+        found
+    }
+
+    /// The instruction with every general-purpose register it names
+    /// (memory operands' included) passed through `g`, every XMM register
+    /// through `x` and every memory operand through `m`. Registers it names
+    /// implicitly (`rsp` of a `push`, `cqo`'s and `idiv`'s `rdx:rax`, a `cl`
+    /// shift count) stay: callers that must not meet one check first.
+    pub fn map_operands(
+        &self,
+        g: impl Fn(Gpr) -> Gpr,
+        x: impl Fn(Xmm) -> Xmm,
+        m: impl Fn(MemRef) -> MemRef,
+    ) -> Inst {
+        let mut out = *self;
+        visit(&mut out, &mut |_: Role, site: Site<'_>| {
+            if let Site::Op(op) = site {
+                *op = match *op {
+                    Operand::Reg(r) => Operand::Reg(g(r)),
+                    Operand::Xmm(v) => Operand::Xmm(x(v)),
+                    Operand::Mem(r) => {
+                        let r = m(r);
+                        Operand::Mem(MemRef {
+                            base: r.base.map(&g),
+                            index: r.index.map(|(i, scale)| (g(i), scale)),
+                            disp: r.disp,
+                        })
+                    }
+                    imm => imm,
+                };
+            }
+        });
+        out
+    }
 }
 
 #[cfg(test)]
@@ -446,13 +601,5 @@ mod tests {
         };
         assert_eq!(xmm_hi_effect(&packed), Some((Xmm::Xmm0, XmmHi::Written)));
         assert_eq!(xmm_hi_effect(&Inst::Nop), None);
-    }
-
-    #[test]
-    fn barriers() {
-        assert!(is_barrier(&Inst::Ret));
-        assert!(is_barrier(&Inst::CallRel { target: 0 }));
-        assert!(!is_barrier(&Inst::JmpRel { target: 0 }));
-        assert!(!is_barrier(&Inst::Nop));
     }
 }

@@ -206,52 +206,6 @@ impl Inst {
         }
     }
 
-    /// `true` if executing the instruction writes the arithmetic flags.
-    pub fn writes_flags(&self) -> bool {
-        match self {
-            Inst::Alu { .. }
-            | Inst::Test { .. }
-            | Inst::Imul { .. }
-            | Inst::ImulImm { .. }
-            | Inst::Shift { .. }
-            | Inst::Idiv { .. }
-            | Inst::Ucomisd { .. } => true,
-            Inst::Unary { op, .. } => !matches!(op, UnOp::Not),
-            _ => false,
-        }
-    }
-
-    /// `true` if the instruction's behaviour depends on the flags.
-    pub fn reads_flags(&self) -> bool {
-        matches!(self, Inst::Jcc { .. } | Inst::Setcc { .. })
-    }
-
-    /// The memory reference this instruction loads from, if any.
-    pub fn mem_load(&self) -> Option<MemRef> {
-        match self {
-            Inst::Mov { dst, src, .. } if !dst.is_mem() => src.mem(),
-            Inst::Movsxd { src, .. }
-            | Inst::Movzx8 { src, .. }
-            | Inst::Imul { src, .. }
-            | Inst::ImulImm { src, .. }
-            | Inst::Idiv { src, .. }
-            | Inst::Push { src }
-            | Inst::CallInd { src }
-            | Inst::JmpInd { src }
-            | Inst::Ucomisd { b: src, .. }
-            | Inst::Cvtsi2sd { src, .. }
-            | Inst::Cvttsd2si { src, .. }
-            | Inst::Sse { src, .. } => src.mem(),
-            Inst::MovSd { dst, src } | Inst::MovUpd { dst, src } if !dst.is_mem() => src.mem(),
-            // Read-modify-write destinations and memory sources both load;
-            // at most one side can be memory.
-            Inst::Alu { dst, src, .. } => dst.mem().or_else(|| src.mem()),
-            Inst::Test { a, b, .. } => a.mem().or_else(|| b.mem()),
-            Inst::Unary { dst, .. } | Inst::Shift { dst, .. } => dst.mem(),
-            _ => None,
-        }
-    }
-
     /// Bytes the instruction's memory operand (or, for `push`/`pop`, its
     /// implicit stack slot) covers; meaningless without such an access.
     pub fn mem_width(&self) -> u8 {
@@ -270,20 +224,6 @@ impl Inst {
             Inst::MovUpd { .. } => 16,
             Inst::Sse { op, .. } if op.is_packed() => 16,
             _ => 8,
-        }
-    }
-
-    /// The memory reference this instruction stores to, if any.
-    pub fn mem_store(&self) -> Option<MemRef> {
-        match self {
-            Inst::Mov { dst, .. }
-            | Inst::Setcc { dst, .. }
-            | Inst::Pop { dst }
-            | Inst::Unary { dst, .. }
-            | Inst::Shift { dst, .. } => dst.mem(),
-            Inst::Alu { op, dst, .. } if op.writes_dst() => dst.mem(),
-            Inst::MovSd { dst, .. } | Inst::MovUpd { dst, .. } => dst.mem(),
-            _ => None,
         }
     }
 }

@@ -11,6 +11,13 @@
 //! [`encode()`](encode::encode) and [`encoded_len`] are thin entry points
 //! over it, so the two directions cannot drift apart.
 //!
+//! What each instruction does with its operands is written down once too:
+//! [`defuse::visit`] is one match over [`Inst`] that names every operand's
+//! role (read, written whole, merged, read-modify-written, address only),
+//! every register the opcode implies, and what the instruction does to the
+//! flags. Def/use, [`Inst::mem_load`]/[`Inst::mem_store`], the flag queries
+//! and [`Inst::map_operands`] are folds over it.
+//!
 //! Everything downstream — the mini-C compiler (`brew-minic`), the CPU
 //! emulator (`brew-emu`) and the runtime rewriter itself (`brew-core`) —
 //! speaks this representation, which is what lets "emulate at rewrite time"

@@ -80,6 +80,7 @@ impl MemRef {
     }
 
     /// Registers read when computing the effective address.
+    #[inline]
     pub fn regs(&self) -> impl Iterator<Item = Gpr> + '_ {
         self.base.into_iter().chain(self.index.map(|(r, _)| r))
     }

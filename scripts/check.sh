@@ -88,6 +88,9 @@ stage_equiv() {
 
 stage_regalloc() {
     t -p brew-suite --test regalloc_differential
+    # The allocator's def/use is the operand-role table's; the emulator
+    # differential is its only second opinion.
+    t -p brew-emu --test defuse_differential
     t -p brew-suite --test differential
     gates regalloc_ e2_
 }
@@ -160,6 +163,12 @@ stage_hotpath() {
             fail "an opcode byte outside the form table (crates/x86/src/form.rs) in $f"
         fi
     done
+    # What an instruction reads, writes, loads, stores and renames to is one
+    # match in crates/x86/src/defuse.rs; no other crate walks `Inst` for it.
+    if grep -rnE --include='*.rs' 'fn (map_operands|for_each_read|for_each_write)\b' \
+        crates benchmark/src examples tests | grep -v '^crates/x86/src/'; then
+        fail "a def/use or operand-mapping walk outside crates/x86/src/"
+    fi
     # The same paths by their work: one decode per distinct address traced,
     # full world comparisons only where a digest matches.
     gates trace_
