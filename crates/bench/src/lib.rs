@@ -369,6 +369,9 @@ pub struct ProofRow {
     /// Edges of the captured CFG into a block at or before their source in
     /// reverse postorder: the edges that close a loop.
     pub retreating: u64,
+    /// Blocks of the captured CFG that lie on a cycle: the only ones the
+    /// proof may walk again.
+    pub on_cycle: u64,
     /// The proof's counters.
     pub work: ProofWork,
 }
@@ -388,9 +391,25 @@ fn proof_row(img: &brew_image::Image, label: &str, func: u64, req: &SpecRequest)
         let succs = cap.blocks[b].term.successors();
         succs.filter(move |s| pos[s.0] <= pos[b])
     });
+    // A block is on a cycle when it is reachable from its own successors.
+    let on_cycle = rpo.iter().filter(|&&b| {
+        let mut seen = vec![false; cap.blocks.len()];
+        let succs = |x: usize| cap.blocks[x].term.successors().map(|s| s.0);
+        let mut stack: Vec<usize> = succs(b).collect();
+        while let Some(x) = stack.pop() {
+            if x == b {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[x], true) {
+                stack.extend(succs(x));
+            }
+        }
+        false
+    });
     ProofRow {
         label: label.to_string(),
         retreating: retreating.count() as u64,
+        on_cycle: on_cycle.count() as u64,
         work: report.proof,
     }
 }

@@ -370,9 +370,9 @@ impl Decoder {
 }
 
 /// The def/use half of [`Decoder::decode`], folded over the operand-role
-/// table. `defs` is the destination operands in a `Write` role plus the
-/// read-modify-written GPR ones (whole: a byte-wide one is a `Merge`).
-/// Implicit writes stay out; `cqo`'s `rdx` is the only one not also read.
+/// table. `defs` is every location in a `Write` role, implicit ones too
+/// (`cqo`'s `rdx`, the only implicit write not also read), plus the
+/// read-modify-written GPR operands (whole: a byte-wide one is a `Merge`).
 /// An XMM merge becomes a def, and stops being a read unless another
 /// operand reads it, only in scalar-only code.
 struct Fold<'e> {
@@ -400,7 +400,8 @@ impl defuse::Sink for Fold<'_> {
             self.rsp_named |= named && l == Loc::Gpr(Gpr::Rsp);
         }
         match (role, l) {
-            (Role::Write, _) | (Role::ReadWrite, Loc::Gpr(_)) if named => e.defs.set(l),
+            (Role::Write, _) => e.defs.set(l),
+            (Role::ReadWrite, Loc::Gpr(_)) if named => e.defs.set(l),
             (Role::Merge, Loc::Xmm(x)) => e.so_def |= 1 << x.number(),
             (Role::Read | Role::ReadWrite, Loc::Xmm(x)) => self.xmm_reads |= 1 << x.number(),
             _ => {}

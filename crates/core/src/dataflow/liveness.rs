@@ -379,6 +379,17 @@ mod tests {
         assert_eq!(out.len(), 3, "rax is live, add rax, 0 still goes: {out:?}");
     }
 
+    /// `cqo` writes all of `rdx` (the sign of `rax`) without reading it:
+    /// a value left in `rdx` just before it is dead.
+    #[test]
+    fn a_write_to_rdx_before_cqo_is_dead() {
+        let cqo = Inst::Cqo { w: Width::W64 };
+        let tail = [cqo, mov(Gpr::Rax, Gpr::Rdx), Inst::Ret];
+        let mut insts = vec![mov(Gpr::Rdx, 5i64)];
+        insts.extend(tail);
+        assert_eq!(run(insts, true), tail);
+    }
+
     #[test]
     fn untracked_load_is_kept_even_when_dead() {
         let insts = vec![mov(Gpr::Rcx, MemRef::base(Gpr::Rdi)), Inst::Ret];

@@ -2038,6 +2038,8 @@ impl Tracer<'_> {
             if cx.w.rsp_off() != frame.rsp_at_call {
                 return Err(RewriteError::StackImbalance { addr });
             }
+            // The callee's frame is dead memory now, as after a kept call.
+            cx.w.invalidate_frame_below(frame.rsp_at_call);
             cx.enter_fn(frame.caller_fn, self.opts_for(frame.caller_fn));
             self.elided();
             return Ok(Step::Continue(frame.ret_addr));
@@ -2155,5 +2157,57 @@ fn sse_compute(op: SseOp, d: [Value; 2], s: [Value; 2]) -> Option<[Value; 2]> {
             _ => Some([Value::Unknown, Value::Unknown]),
         },
         SseOp::Unpcklpd => Some([d[0], s[0]]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{FuncOpts, RewriteConfig};
+    use brew_image::Image;
+
+    const CALLER: u64 = 0x40_1000;
+    const CALLEE: u64 = 0x40_2000;
+
+    /// An inlined `ret` leaves the callee's frame behind as dead memory:
+    /// the caller keeps its own slots and the one at the call's `rsp`,
+    /// and tracks nothing below it.
+    #[test]
+    fn an_inlined_return_forgets_the_callees_frame() {
+        let (img, cfg) = (Image::new(), RewriteConfig::new());
+        let mut t = Tracer::new(&img, &cfg, Vec::new());
+        let mut w = World::entry(CALLER);
+        w.set_reg(
+            Gpr::Rsp,
+            RegState {
+                val: Value::StackRel(-16),
+                synced: true,
+            },
+        );
+        w.inline_stack.push(InlineFrame {
+            ret_addr: CALLER + 5,
+            rsp_at_call: -16,
+            caller_fn: CALLER,
+        });
+        w.cur_fn = CALLEE;
+        for (off, v) in [(-8, 1), (-16, 2), (-24, 3), (-32, 4)] {
+            w.set_frame_slot(off, Value::Const(v));
+        }
+        let mut cx = TraceCtx {
+            w,
+            opts: FuncOpts::default(),
+            out: Vec::new(),
+            wrote_flags: false,
+            reads_flags_on_entry: false,
+        };
+        let step = t.exec_inst(&mut cx, &Inst::Ret, CALLEE + 0x10, CALLEE + 0x11);
+        assert!(matches!(step, Ok(Step::Continue(a)) if a == CALLER + 5));
+        assert_eq!(cx.w.cur_fn, CALLER);
+        let tracked: Vec<_> = cx.w.frame.iter().collect();
+        assert_eq!(
+            tracked,
+            [(-16, Value::Const(2)), (-8, Value::Const(1))],
+            "only the caller's frame is tracked"
+        );
     }
 }

@@ -270,39 +270,49 @@ impl<'a> Tracer<'a> {
             return self.compensation_block(&plan, world.rsp_off(), bid);
         }
 
-        // 2. No compatible variant: demote toward the closest one and
-        //    create the demoted variant (terminates at the fully demoted
-        //    world, which every state can migrate to).
-        let closest = self.variants[&addr]
+        // 2. No compatible variant: migrate into an anchor that knows less.
+        //    The first time, demote toward the closest variant; when that
+        //    changes nothing, or an anchor exists, keep what the world shares
+        //    with every variant. One variant short of the hard cap, forget
+        //    everything: every state of this stack shape can migrate there.
+        let worlds = self.variants[&addr]
             .iter()
-            .map(|v| &self.worlds[v.world_idx])
+            .map(|v| &self.worlds[v.world_idx]);
+        let first = count == opts.max_variants as usize;
+        let anchor = if count + 1 >= hard_cap(&opts) {
+            world.fully_demoted()
+        } else if let Some(demoted) = (worlds.clone().filter(|_| first))
             .min_by_key(|w| world_distance(world, w))
-            .expect("threshold exceeded implies candidates exist");
-        let mut demoted = world.demote_toward(closest);
-        if demoted == *world || !world.can_migrate_to(&demoted) {
-            demoted = world.fully_demoted();
+            .map(|closest| world.demote_toward(closest))
+            .filter(|d| d != world && world.can_migrate_to(d))
+        {
+            demoted
+        } else {
+            worlds.fold(world.clone(), |met, w| met.meet(w))
+        };
+        if anchor == *world {
+            // The world knows nothing the variants do not all agree on (or
+            // nothing at all, at the cap) and could migrate into none of
+            // them, so it knows less than each: it becomes the anchor
+            // itself (bounded by the hard cap in create_block).
+            return self.create_block(addr, anchor, digest, untrusted);
         }
-        if demoted == *world {
-            // Already fully demoted and still no target: allow one variant
-            // past the threshold (bounded by the hard cap in create_block).
-            return self.create_block(addr, demoted, digest, untrusted);
-        }
-        debug_assert!(world.can_migrate_to(&demoted));
+        debug_assert!(world.can_migrate_to(&anchor));
         let edge_untrusted =
-            untrusted || (world.flags.known().is_some() && demoted.flags.known().is_none());
-        let plan = world.migration_plan(&demoted);
-        // The demoted variant is the loop-closure anchor: reuse it if it
-        // already exists, otherwise create it directly (it is exempt from
-        // the soft threshold; the hard cap in create_block still applies).
-        let demoted_digest = demoted.digest();
-        let bid = match self.find_variant(addr, demoted_digest, &demoted).0 {
+            untrusted || (world.flags.known().is_some() && anchor.flags.known().is_none());
+        let plan = world.migration_plan(&anchor);
+        // Reuse the anchor if it already exists, otherwise create it
+        // directly (it is exempt from the soft threshold; the hard cap in
+        // create_block still applies).
+        let anchor_digest = anchor.digest();
+        let bid = match self.find_variant(addr, anchor_digest, &anchor).0 {
             Some(b) => {
                 if edge_untrusted {
                     self.mark_untrusted(addr, b)?;
                 }
                 b
             }
-            None => self.create_block(addr, demoted, demoted_digest, edge_untrusted)?,
+            None => self.create_block(addr, anchor, anchor_digest, edge_untrusted)?,
         };
         if plan.is_empty() {
             return Ok(bid);
@@ -329,10 +339,9 @@ impl<'a> Tracer<'a> {
         if self.blocks.len() >= self.cfg.max_blocks {
             return Err(RewriteError::BlockBudget);
         }
-        let opts = self.opts_for(world.cur_fn);
-        let hard_cap = opts.max_variants as usize * 4 + 16;
+        let cap = hard_cap(&self.opts_for(world.cur_fn));
         let variants = self.variants.entry(addr).or_default();
-        if variants.len() >= hard_cap {
+        if variants.len() >= cap {
             return Err(RewriteError::BlockBudget);
         }
         let block = BlockId(self.blocks.len());
@@ -510,6 +519,11 @@ pub(crate) fn materialize_gpr_inst(r: Gpr, v: Value, rsp_off: i64) -> Result<Ins
     }
 }
 
+/// How many variants one address may hold, anchors included.
+fn hard_cap(opts: &FuncOpts) -> usize {
+    opts.max_variants as usize * 4 + 16
+}
+
 /// Rough distance between worlds for choosing a demotion anchor: the
 /// registers, flags and frame slots that differ, and the global slots of `a`
 /// that `b` does not hold equal.
@@ -626,5 +640,96 @@ mod tests {
         assert_eq!(fork(&mut t), arms);
         assert_eq!((stored(&t), t.worlds.capacity()), ((2, 2, 2), capacity));
         assert_eq!(t.compares, 2, "one full comparison per arm found");
+    }
+
+    /// A tracer whose functions take `max_variants` variants per address
+    /// before migrating.
+    fn with_variants<R>(max_variants: u32, f: impl FnOnce(&mut Tracer) -> R) -> R {
+        let img = Image::new();
+        let mut cfg = RewriteConfig::new();
+        cfg.default_opts.max_variants = max_variants;
+        let mut t = Tracer::new(&img, &cfg, Vec::new());
+        f(&mut t)
+    }
+
+    /// The entry world with `rcx`, `r8` and the frame slot at -8 set.
+    fn world(rcx: Value, r8: u64, slot: u64) -> World {
+        let mut w = World::entry(ADDR);
+        let known = |v| RegState {
+            val: v,
+            synced: true,
+        };
+        w.set_reg(Gpr::Rcx, known(rcx));
+        w.set_reg(Gpr::R8, known(Value::Const(r8)));
+        w.set_frame_slot(-8, Value::Const(slot));
+        w
+    }
+
+    /// The world of the variant created last.
+    fn last<'t>(t: &'t Tracer) -> &'t World {
+        t.worlds.last().unwrap()
+    }
+
+    /// A world that knows less than every variant and migrates into none
+    /// becomes the loop's anchor as it is: it keeps the frame slot and the
+    /// register all variants agree on.
+    #[test]
+    fn a_world_below_every_variant_is_its_own_anchor() {
+        with_variants(2, |t| {
+            for rcx in [1, 2] {
+                t.enqueue(ADDR, &world(Value::Const(rcx), 4, 5), false)
+                    .unwrap();
+            }
+            let below = world(Value::Unknown, 4, 5);
+            let bid = t.enqueue(ADDR, &below, false).unwrap();
+            assert_eq!(t.stats.migrations, 1);
+            assert_eq!((bid, last(t)), (BlockId(2), &below));
+            assert_eq!(last(t).frame_slot(-8), Value::Const(5));
+        });
+    }
+
+    /// Once an address holds an anchor, a world that fits no variant
+    /// migrates into its meet with all of them: what every variant and the
+    /// world agree on survives, the rest is unknown.
+    #[test]
+    fn a_second_overflow_meets_the_world_against_every_variant() {
+        with_variants(2, |t| {
+            for rcx in [1, 2] {
+                t.enqueue(ADDR, &world(Value::Const(rcx), 4, 5), false)
+                    .unwrap();
+            }
+            t.enqueue(ADDR, &world(Value::Unknown, 4, 5), false)
+                .unwrap();
+            let arriving = world(Value::Const(1), 4, 6);
+            let met = t.worlds.iter().fold(arriving.clone(), |m, w| m.meet(w));
+            t.enqueue(ADDR, &arriving, false).unwrap();
+            assert_eq!((t.stats.migrations, t.worlds.len()), (2, 4));
+            assert_eq!(last(t), &met);
+            assert_eq!(met.reg(Gpr::Rcx).val, Value::Unknown);
+            assert_eq!(met.reg(Gpr::R8).val, Value::Const(4));
+            assert_eq!(met.frame_slot(-8), Value::Unknown);
+        });
+    }
+
+    /// One variant short of the hard cap the anchor forgets everything, so
+    /// every later world of the same stack shape still finds a target and
+    /// the rewrite does not run out of variants.
+    #[test]
+    fn one_variant_short_of_the_cap_the_anchor_is_fully_demoted() {
+        with_variants(1, |t| {
+            let cap = hard_cap(&t.opts_for(ADDR));
+            for rcx in 0..cap as u64 - 1 {
+                let w = world(Value::Const(rcx), 1, 5);
+                t.create_block(ADDR, w.clone(), w.digest(), false).unwrap();
+            }
+            let arriving = world(Value::Const(100), 1, 5);
+            t.enqueue(ADDR, &arriving, false).unwrap();
+            assert_eq!(t.worlds.len(), cap);
+            assert_eq!(last(t), &arriving.fully_demoted());
+            // At the cap, a world no other variant accepts still migrates.
+            t.enqueue(ADDR, &world(Value::Const(101), 2, 6), false)
+                .unwrap();
+            assert_eq!(t.worlds.len(), cap);
+        });
     }
 }

@@ -11,7 +11,7 @@
 //!/ compensation code), abstract flags, the shadow stack frame, the shadow
 //! of emitted global stores, and the inline call stack. Block identity is
 //! `(guest address, World)`, searched by [`World::digest`]; migration
-//! compares and demotes worlds.
+//! compares worlds, demotes them and takes their [`World::meet`].
 
 use crate::value::{FlagsVal, Value};
 use brew_x86::reg::{Gpr, Xmm};
@@ -256,7 +256,7 @@ impl World {
     }
 
     /// Forget every frame slot strictly below `off` (dead temp space after
-    /// a non-inlined call returns).
+    /// a call returns, kept or inlined).
     pub fn invalidate_frame_below(&mut self, off: i64) {
         self.frame.retain(|k, _| k >= off);
     }
@@ -386,10 +386,12 @@ impl World {
         out
     }
 
-    /// Build the demoted world `W''` used when no existing variant is a
+    /// Build the demoted world `W''` used the first time an address has no
     /// migration target: keep locations that agree with `closest`, demote
     /// the rest to unknown (the paper's "migrate to a state where
-    /// corresponding values become unknown").
+    /// corresponding values become unknown"). Where this changes nothing,
+    /// or the address already holds such an anchor, the tracer takes the
+    /// [`World::meet`] with every variant instead.
     pub fn demote_toward(&self, closest: &World) -> World {
         // A slot keeps its value where both agree; the rest of ours, and
         // every frame slot only `closest` tracks, is unknown.
@@ -425,11 +427,66 @@ impl World {
         w
     }
 
+    /// What `self` and `other` agree on: each register, xmm register, frame
+    /// slot and the flags keep `self`'s state where `other` holds the same
+    /// value, and are unknown elsewhere; a global slot either side stored
+    /// to is poisoned unless both hold the same value there. `self`'s frame
+    /// slots stay tracked (an absent slot reads as unknown), so a world
+    /// that knows nothing beyond what `other` knows is its own meet. The
+    /// stack depth, inline context, escape state and function are `self`'s,
+    /// and a world that differs from `self` in any of them is ignored: no
+    /// path in `self` can migrate into it. `self` can always migrate into
+    /// the result, and folding a set of worlds in gives the same result in
+    /// any order.
+    pub fn meet(&self, other: &World) -> World {
+        if self.cur_fn != other.cur_fn
+            || self.rsp_off() != other.rsp_off()
+            || self.frame_escaped != other.frame_escaped
+            || self.inline_stack != other.inline_stack
+        {
+            return self.clone();
+        }
+        // Our value where `other` holds the same one, else unknown.
+        let agreed = |s: Value, o| if o == Some(s) { s } else { Value::Unknown };
+        let frame = self.frame.merge(&other.frame);
+        let gshadow = self.gshadow.merge(&other.gshadow);
+        let mut w = World {
+            frame: Slots(
+                frame
+                    .filter_map(|(k, s, o)| Some((k, agreed(s?, o))))
+                    .collect(),
+            ),
+            gshadow: Slots(
+                gshadow
+                    .map(|(k, s, o)| (k, s.map_or(Value::Unknown, |s| agreed(s, o))))
+                    .collect(),
+            ),
+            inline_stack: self.inline_stack.clone(),
+            ..*self
+        };
+        for (r, o) in w.regs.iter_mut().zip(&other.regs) {
+            if r.val != o.val {
+                *r = RegState::UNKNOWN;
+            }
+        }
+        for (x, o) in w.xmm.iter_mut().zip(&other.xmm) {
+            if x.lanes != o.lanes {
+                *x = XmmState::UNKNOWN;
+            }
+        }
+        if w.flags != other.flags {
+            w.flags = FlagsVal::Unknown;
+        }
+        w
+    }
+
     /// Fully demoted world: everything unknown except stack *structure* —
     /// RSP and every stack-relative value (frame pointers of the traced
     /// activations) stay tracked, since epilogues need them and they are
-    /// invariant across loop iterations anyway. Termination anchor of the
-    /// migration algorithm.
+    /// invariant across loop iterations anyway. The tracer's last resort,
+    /// taken only when an address is one variant short of its hard cap: a
+    /// loop anchor is otherwise a [`World::meet`], which keeps what the
+    /// variants agree on.
     pub fn fully_demoted(&self) -> World {
         let mut w = World::entry(self.cur_fn);
         w.cur_fn = self.cur_fn;
@@ -612,6 +669,38 @@ mod tests {
         let full = a.fully_demoted();
         assert!(a.can_migrate_to(&full));
         assert!(b.can_migrate_to(&full));
+    }
+
+    /// A world no path of ours can migrate into, whatever it knows, takes
+    /// nothing away from the meet.
+    #[test]
+    fn meet_ignores_a_world_of_another_stack_shape() {
+        let mut a = World::entry(0x400000);
+        a.set_reg(
+            Gpr::Rcx,
+            RegState {
+                val: Value::Const(1),
+                synced: false,
+            },
+        );
+        let mut deeper = World::entry(0x400000);
+        deeper.set_reg(
+            Gpr::Rsp,
+            RegState {
+                val: Value::StackRel(-16),
+                synced: true,
+            },
+        );
+        assert_eq!(a.meet(&deeper), a);
+        let mut inlined = World::entry(0x400000);
+        inlined.inline_stack.push(InlineFrame {
+            ret_addr: 0x400005,
+            rsp_at_call: 0,
+            caller_fn: 0x400000,
+        });
+        assert_eq!(a.meet(&inlined), a);
+        // The same shape meets: rcx differs, so it goes.
+        assert_eq!(a.meet(&World::entry(0x400000)), World::entry(0x400000));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests over the known-world state algebra (§III.F): the
-//! migration compatibility relation, demotion and the digest must obey the
-//! laws the tracer's block-identity and loop-closure logic relies on, and
+//! migration compatibility relation, demotion, the meet and the digest must
+//! obey the laws the tracer's block-identity and loop-closure logic relies on, and
 //! the slot vector under a world's shadows must behave as the map it is.
 
 use brew_core::value::{FlagsVal, Value};
@@ -117,6 +117,26 @@ proptest! {
             a.can_migrate_to(&d),
             "source must migrate into its own demotion\n{a:#?}\n{d:#?}"
         );
+    }
+
+    /// The loop anchor the tracer builds: the arriving world met with every
+    /// variant of the address. It is a target the world can always migrate
+    /// into, meeting a world again changes nothing, and the variants may be
+    /// met in any order.
+    #[test]
+    fn meet_is_a_target_idempotent_and_order_free(
+        w in arb_world(),
+        a in arb_world(),
+        b in arb_world(),
+    ) {
+        let m = w.meet(&a);
+        prop_assert!(w.can_migrate_to(&m), "\n{w:#?}\n{m:#?}");
+        prop_assert_eq!(&w.meet(&w), &w);
+        prop_assert_eq!(&m.meet(&a), &m);
+        prop_assert_eq!(&m.meet(&w), &m);
+        let ab = m.meet(&b);
+        prop_assert!(w.can_migrate_to(&ab));
+        prop_assert_eq!(&ab, &w.meet(&b).meet(&a));
     }
 
     #[test]

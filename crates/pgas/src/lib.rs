@@ -280,6 +280,27 @@ mod tests {
         assert_eq!(spec.calls, 0, "abstraction calls inlined away");
     }
 
+    /// The descriptor is loop-invariant known memory: the loop's anchor
+    /// keeps its pointer, so no emitted instruction reads it back.
+    #[test]
+    fn specialized_sum_never_touches_the_descriptor() {
+        let mut p = PgasArray::new(64, 4, 2);
+        let res = p.specialize_gsum().unwrap();
+        let code = p.img.code_window(res.entry, res.code_len).unwrap();
+        let (insts, err) = brew_x86::decode::decode_all(&code, res.entry);
+        assert!(err.is_none(), "{err:?}");
+        let dist = p.dist()..p.dist() + 24;
+        for (at, inst) in &insts {
+            for m in inst.mem_load().into_iter().chain(inst.mem_store()) {
+                let absolute = m.base.is_none() && m.index.is_none();
+                assert!(
+                    !(absolute && dist.contains(&(m.disp as i64 as u64))),
+                    "{at:#x}: {inst} addresses the descriptor"
+                );
+            }
+        }
+    }
+
     #[test]
     fn remote_detection_counts_non_local_accesses() {
         let mut p = PgasArray::new(40, 4, 1);

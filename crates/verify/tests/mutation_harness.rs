@@ -152,21 +152,22 @@ const EQUIVALENCE_REJECTIONS: &[(&str, &str, u64)] = &[
     ("dotk known xs", "folded-imm-off-by-one", 0x9001a0),
     ("sum n=6 kept loop", "branch-off-by-two", 0x900260),
     ("sum n=6 kept loop", "wild-jump", 0x900260),
-    ("sum n=6 kept loop", "dropped-push", 0x900317),
-    ("sum n=6 kept loop", "dropped-pop", 0x9002fb),
-    ("sum n=6 kept loop", "frame-skew", 0x900317),
-    ("sum n=6 kept loop", "wrong-reg-sub", 0x90030e),
-    ("sum n=6 kept loop", "clobber-callee-saved", 0x900317),
-    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x900305),
+    ("sum n=6 kept loop", "dropped-push", 0x9002fc),
+    ("sum n=6 kept loop", "dropped-pop", 0x9002e9),
+    ("sum n=6 kept loop", "frame-skew", 0x9002fc),
+    ("sum n=6 kept loop", "wrong-reg-sub", 0x9002f3),
+    ("sum n=6 kept loop", "clobber-callee-saved", 0x9002fc),
+    ("sum n=6 kept loop", "stale-slot-const", 0x9002e9),
+    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x9002e9),
     ("sum n=6 kept loop", "dropped-flag-writer", 0x900260),
-    ("held across a kept call", "call-into-data", 0x900330),
-    ("held across a kept call", "dropped-push", 0x900330),
-    ("held across a kept call", "dropped-pop", 0x900330),
-    ("held across a kept call", "frame-skew", 0x900330),
-    ("held across a kept call", "wrong-reg-sub", 0x900330),
-    ("held across a kept call", "clobber-callee-saved", 0x900330),
-    ("held across a kept call", "dropped-spill-store", 0x900330),
-    ("held across a kept call", "folded-imm-off-by-one", 0x900330),
+    ("held across a kept call", "call-into-data", 0x900310),
+    ("held across a kept call", "dropped-push", 0x900310),
+    ("held across a kept call", "dropped-pop", 0x900310),
+    ("held across a kept call", "frame-skew", 0x900310),
+    ("held across a kept call", "wrong-reg-sub", 0x900310),
+    ("held across a kept call", "clobber-callee-saved", 0x900310),
+    ("held across a kept call", "dropped-spill-store", 0x900310),
+    ("held across a kept call", "folded-imm-off-by-one", 0x900310),
 ];
 
 /// The dataflow-pass-shaped kinds are invisible to the five structural

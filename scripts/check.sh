@@ -169,6 +169,14 @@ stage_hotpath() {
         crates benchmark/src examples tests | grep -v '^crates/x86/src/'; then
         fail "a def/use or operand-mapping walk outside crates/x86/src/"
     fi
+    # A loop closes into what its variants agree on (`World::meet`); the
+    # all-unknown world is only the fallback one variant short of the
+    # per-address hard cap, and the one call to it sits under that test.
+    demoted="$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/tracer.rs | grep -n -B1 'fully_demoted')" || true
+    if [ "$(printf '%s\n' "$demoted" | grep -c 'fully_demoted')" -ne 1 ] ||
+        ! printf '%s\n' "$demoted" | grep -q 'hard_cap('; then
+        fail "crates/core/src/tracer.rs falls back to fully_demoted outside its hard-cap fallback"
+    fi
     # The same paths by their work: one decode per distinct address traced,
     # full world comparisons only where a digest matches.
     gates trace_

@@ -387,8 +387,8 @@ fn second_run_of_the_passes_residual_is_pinned() {
         ("clamp", 0),
         ("scale", 0),
         ("sum.4", 0),
-        ("gsum.64", 27),
-        ("sweep_generic.u4", 14),
+        ("gsum.64", 12),
+        ("sweep_generic.u4", 10),
     ];
     let img = Image::new();
     let seen: Vec<(String, u64)> = corpus::cold(&img)
