@@ -127,7 +127,6 @@ pub fn level_label(level: OptLevel) -> &'static str {
     match level {
         OptLevel::None => "no passes (paper prototype)",
         OptLevel::Peephole => "+ peephole",
-        OptLevel::DeadStores => "+ dead-store elim",
         OptLevel::SlotAlloc => "+ slot allocation",
         OptLevel::FrameCompression => "+ frame compression",
         OptLevel::Regalloc => "+ register allocation",

@@ -40,9 +40,10 @@ impl Terminator {
     }
 }
 
-/// One captured instruction with the frame-offset metadata the global
-/// dead-store pass needs (rsp-relative operands in different blocks have
-/// different RSP bases, so offsets are recorded in entry-RSP terms here).
+/// One captured instruction with the frame-offset metadata the passes'
+/// frame-slot liveness needs (rsp-relative operands in different blocks
+/// have different RSP bases, so offsets are recorded in entry-RSP terms
+/// here).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapturedInst {
     /// The rewritten instruction.

@@ -63,6 +63,9 @@ pub(crate) mod bit {
     pub const PUSH_RI: u32 = 1 << 12;
     /// `pop reg`.
     pub const POP_REG: u32 = 1 << 13;
+    /// A kept call (a [`super::Kind::Barrier`] the private frame's slots
+    /// pass through).
+    pub const CALL: u32 = 1 << 14;
     /// `x + 0`, `x * 1`, ... at full width: only the flags change.
     pub const VALUE_IDENTITY: u32 = 1 << 16;
     /// `mov [m], reg/imm` or `movsd [m], xmm`.
@@ -80,7 +83,11 @@ pub(crate) mod bit {
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) enum Kind {
     Plain,
-    /// Kept call, indirect jump or `ud2`: everything is live across it.
+    /// Kept call, indirect jump or `ud2`: every register and the flags are
+    /// live across it. So is every frame slot, except across a kept call
+    /// ([`bit::CALL`]): a callee cannot name the private frame (`minic`
+    /// passes no stack arguments), so its slots pass through unchanged,
+    /// and the call reads only the slot it may jump through.
     Barrier,
     Ret,
 }
@@ -306,7 +313,7 @@ impl Decoder {
             Inst::Ret => e.kind = Kind::Ret,
             Inst::CallRel { .. } | Inst::CallInd { .. } => {
                 e.kind = Kind::Barrier;
-                e.bits |= NON_SCALAR;
+                e.bits |= NON_SCALAR | CALL;
             }
             Inst::JmpInd { .. } | Inst::Ud2 => e.kind = Kind::Barrier,
             Inst::Nop => e.bits |= NOOP,
@@ -458,10 +465,11 @@ pub(crate) struct PassCx<'a> {
     pub frame_escaped: bool,
     /// Registers live after `ret` ([`abi_ret`]).
     pub ret_live: LiveSet,
-    /// Flag writers, frame stores and `push`/`pop` are dead-code candidates
-    /// too, and `ret` reads exactly `ret_live` and the caller's frame. Off,
-    /// the sweep removes only flag-neutral register moves and `ret` reads
-    /// everything — what the manager's conservative re-emission runs.
+    /// Flag writers and `push`/`pop` are dead-code candidates too, and
+    /// `ret` reads exactly `ret_live`. Off, the sweep removes only
+    /// flag-neutral register moves and plain stores into dead frame slots,
+    /// and `ret` reads every register — what the manager's conservative
+    /// re-emission runs. Frame slots are tracked either way.
     pub full: bool,
     pub dec: Decoder,
     /// Instructions left that set `bit::NON_SCALAR` / `bit::HI_OBSERVED`.
@@ -700,48 +708,61 @@ impl<'a> PassCx<'a> {
     // -----------------------------------------------------------------
 
     /// The kill half of [`PassCx::step_back`]: drop from `live` what the
-    /// instruction overwrites (a barrier or `ret` decides everything).
+    /// instruction overwrites (a barrier or `ret` decides everything but
+    /// the slots a kept call lets through).
     #[inline]
     fn kill(&self, live: &mut Live, e: &Effect) {
         if e.kind != Kind::Plain {
+            let slots = live.slots;
             *live = Live::default();
+            if e.is(bit::CALL) {
+                live.slots = slots;
+            }
             return;
         }
         live.regs = live.regs.without(e.defs);
         live.flags &= !e.is(bit::KILLS_FLAGS);
-        if self.full && e.is(bit::STORE_KILLS) {
+        if e.is(bit::STORE_KILLS) {
             tracked(&e.store).for_each(|i| live.slots.clear(i));
         }
     }
 
     /// Backward transfer of one instruction over the whole live state.
+    /// Frame slots follow one rule at every level: a load reads its slots
+    /// (a kept `call [rsp+d]` included), a whole store kills them, an
+    /// `rsp`-based read the tracer left no offset for reads them all, and
+    /// `ret` reads the caller's.
     #[inline]
     pub fn step_back(&self, live: &mut Live, e: &Effect) {
         self.kill(live, e);
         match e.kind {
             // Flags are not part of the return ABI; the frame below the
             // return address is gone.
-            Kind::Ret if self.full => {
-                live.regs = self.ret_live;
+            Kind::Ret => {
+                live.regs = if self.full {
+                    self.ret_live
+                } else {
+                    LiveSet::ALL
+                };
                 live.regs.set(Loc::Gpr(Gpr::Rsp));
                 live.slots = self.dec.ret_slots;
+                return;
             }
-            Kind::Ret | Kind::Barrier => {
-                *live = Live {
-                    flags: e.kind == Kind::Barrier,
-                    ..Live::ALL
+            Kind::Barrier => {
+                live.regs = LiveSet::ALL;
+                live.flags = true;
+                if !e.is(bit::CALL) {
+                    live.slots = SlotSet::ALL;
                 }
             }
             Kind::Plain => {
                 live.regs = live.regs.union(e.reads);
                 live.flags |= e.is(bit::READS_FLAGS);
-                if self.full {
-                    tracked(&e.load).for_each(|i| live.slots.set(i));
-                    if e.is(bit::READS_ALL_SLOTS) && self.dec.track_slots {
-                        live.slots = SlotSet::ALL;
-                    }
-                }
             }
+        }
+        tracked(&e.load).for_each(|i| live.slots.set(i));
+        if e.is(bit::READS_ALL_SLOTS) && self.dec.track_slots {
+            live.slots = SlotSet::ALL;
         }
     }
 
@@ -801,8 +822,9 @@ impl<'a> PassCx<'a> {
             out = out.union(self.lv.blocks.get(s.0).map_or(Live::ALL, |b| b.live_in));
         }
         match term {
-            // The `ret` instruction itself sets the contract when
-            // `self.full`; a ret block without one keeps it here.
+            // The `ret` instruction itself sets the contract (its register
+            // half only when `self.full`); a ret block without one keeps it
+            // here.
             Terminator::Ret => {
                 out.regs = self.ret_live;
                 out.slots = self.dec.ret_slots;

@@ -14,8 +14,15 @@
 //!
 //! Frame slots are named by the entry-rsp-relative offsets the tracer left
 //! in `CapturedInst::frame_load` / `CapturedInst::frame_store` and are
-//! only reasoned about while the frame has not escaped; an rsp-based access
-//! without that metadata reads every slot and kills none.
+//! only reasoned about while the frame has not escaped. This solution is
+//! the only one in the pass pipeline that says whether a slot is read
+//! again: the dead-code sweep removes stores by it at every level, and the
+//! slot allocator takes its extents from it. One aliasing rule holds
+//! throughout: an rsp-based read without that metadata reads every slot
+//! (the tracer tags every access it emits, hook save areas included), an
+//! indirect jump or `ud2` reads every slot, and a kept call only the slot
+//! it jumps through (`call [rsp+d]`) — a callee cannot name the private
+//! frame.
 
 use super::cx::{bit, rsp_bump, slots_dead, Kind, PassCx, NO_SLOT};
 use crate::config::RetKind;
@@ -109,9 +116,6 @@ impl SlotSet {
     pub fn union(self, o: SlotSet) -> SlotSet {
         SlotSet(std::array::from_fn(|i| self.0[i] | o.0[i]))
     }
-    pub fn without(self, o: SlotSet) -> SlotSet {
-        SlotSet(std::array::from_fn(|i| self.0[i] & !o.0[i]))
-    }
 }
 
 /// Everything live at one program point.
@@ -189,7 +193,8 @@ fn side_effect_free(inst: &Inst) -> bool {
 }
 
 /// One backward sweep over block `b` from its live-out state: delete every
-/// instruction whose writes are all dead, and (when `cx.full`) turn a `pop`
+/// instruction whose writes are all dead (a plain store into dead frame
+/// slots included, at every level), and (when `cx.full`) turn a `pop`
 /// into a dead register and a `push` into a dead slot into plain `rsp`
 /// adjustments. Returns the number of instructions removed or simplified;
 /// the block's live-in state is updated to what remains.
@@ -218,16 +223,19 @@ pub(crate) fn sweep(cx: &mut PassCx, b: usize) -> u64 {
         // Only a candidate — nothing it writes is wanted — is looked at.
         let inst = &cx.insts(b)[idx].inst;
         let keeps_rsp = !e.writes.has(Loc::Gpr(Gpr::Rsp));
+        let removable = || {
+            if cx.full {
+                keeps_rsp && side_effect_free(inst) && !(e.is(bit::WRITES_FLAGS) && live.flags)
+            } else {
+                e.writes != LiveSet::EMPTY && keeps_rsp && is_plain_move(inst)
+            }
+        };
+        // Or, at every level, a plain store into a frame slot nothing reads
+        // again.
         let dead = regs_dead
             && e.kind == Kind::Plain
-            && if !cx.full {
-                e.writes != LiveSet::EMPTY && keeps_rsp && is_plain_move(inst)
-            } else if keeps_rsp && side_effect_free(inst) {
-                !(e.is(bit::WRITES_FLAGS) && live.flags)
-            } else {
-                // A plain store into a frame slot nothing reads again.
-                e.is(bit::PLAIN_STORE) && e.load[0] == NO_SLOT && { slots_dead(&live, &e.store) }
-            };
+            && (removable()
+                || e.is(bit::PLAIN_STORE) && e.load[0] == NO_SLOT && slots_dead(&live, &e.store));
         if dead {
             keep[idx] = false;
         } else {
@@ -416,8 +424,9 @@ mod tests {
         // The caller's side of the frame is live at ret.
         let arg = frame(st(Gpr::Rdi).inst, Some(16), None);
         assert_eq!(run_ci(vec![arg], true).len(), 1);
-        // Off: frame stores are none of the sweep's business.
-        assert_eq!(run_ci(vec![st(Gpr::Rdi)], false).len(), 1);
+        // The conservative sweep goes by the same slot liveness.
+        let out = run_ci(vec![st(Gpr::Rdi), st(Gpr::Rsi), ld, st(Gpr::Rdx)], false);
+        assert_eq!(out, vec![st(Gpr::Rsi).inst, ld.inst]);
     }
 
     #[test]

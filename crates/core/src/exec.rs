@@ -32,8 +32,11 @@ pub(crate) enum HookArg {
 }
 
 /// The register-preserving call sequence around an injected handler:
-/// save all caller-visible registers, load RDI, call, restore.
-pub(crate) fn build_hook_sequence(hook: u64, arg: HookArg) -> Vec<Inst> {
+/// save all caller-visible registers, load RDI, call, restore. Every access
+/// to the save area carries its entry-relative frame offset, counted from
+/// `rsp_off`, the depth the sequence starts at: the passes' liveness then
+/// knows which saved values are read again instead of assuming every slot.
+pub(crate) fn build_hook_sequence(hook: u64, arg: HookArg, rsp_off: i64) -> Vec<CapturedInst> {
     const SAVED: [Gpr; 9] = [
         Gpr::Rax,
         Gpr::Rcx,
@@ -46,60 +49,59 @@ pub(crate) fn build_hook_sequence(hook: u64, arg: HookArg) -> Vec<Inst> {
         Gpr::R11,
     ];
     let mut out = Vec::with_capacity(9 * 2 + 16 * 2 + 5);
-    for r in SAVED {
-        out.push(Inst::Push {
-            src: Operand::Reg(r),
-        });
+    let at = |inst, frame_store, frame_load| CapturedInst {
+        inst,
+        frame_store,
+        frame_load,
+    };
+    let plain = CapturedInst::plain;
+    // The GPR saves from `rsp_off - 8` down, the XMM area below them.
+    let gpr = |k: usize| rsp_off - 8 * (k as i64 + 1);
+    let xmm = |i: u8| rsp_off - HOOK_SAVE_BYTES + 8 * i as i64;
+    let area = |i: u8| MemRef::base_disp(Gpr::Rsp, i as i32 * 8);
+    for (k, r) in SAVED.into_iter().enumerate() {
+        let src = Operand::Reg(r);
+        out.push(at(Inst::Push { src }, Some(gpr(k)), None));
     }
-    out.push(Inst::Alu {
+    out.push(plain(Inst::Alu {
         op: AluOp::Sub,
         w: Width::W64,
         dst: Operand::Reg(Gpr::Rsp),
         src: Operand::Imm(128),
-    });
+    }));
     for i in 0..16u8 {
-        out.push(Inst::MovSd {
-            dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, i as i32 * 8)),
-            src: Operand::Xmm(Xmm::from_number(i)),
-        });
+        let (dst, src) = (Operand::Mem(area(i)), Operand::Xmm(Xmm::from_number(i)));
+        out.push(at(Inst::MovSd { dst, src }, Some(xmm(i)), None));
     }
-    match arg {
-        HookArg::Ea(m) => out.push(Inst::Lea {
+    out.push(plain(match arg {
+        HookArg::Ea(m) => Inst::Lea {
             dst: Gpr::Rdi,
             src: m,
-        }),
-        HookArg::Const(c) => {
-            if (c as i64) == (c as i64 as i32) as i64 {
-                out.push(Inst::Mov {
-                    w: Width::W64,
-                    dst: Operand::Reg(Gpr::Rdi),
-                    src: Operand::Imm(c as i64),
-                });
-            } else {
-                out.push(Inst::MovAbs {
-                    dst: Gpr::Rdi,
-                    imm: c,
-                });
-            }
-        }
-    }
-    out.push(Inst::CallRel { target: hook });
+        },
+        HookArg::Const(c) if (c as i64) == (c as i64 as i32) as i64 => Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rdi),
+            src: Operand::Imm(c as i64),
+        },
+        HookArg::Const(c) => Inst::MovAbs {
+            dst: Gpr::Rdi,
+            imm: c,
+        },
+    }));
+    out.push(plain(Inst::CallRel { target: hook }));
     for i in 0..16u8 {
-        out.push(Inst::MovSd {
-            dst: Operand::Xmm(Xmm::from_number(i)),
-            src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, i as i32 * 8)),
-        });
+        let (dst, src) = (Operand::Xmm(Xmm::from_number(i)), Operand::Mem(area(i)));
+        out.push(at(Inst::MovSd { dst, src }, None, Some(xmm(i))));
     }
-    out.push(Inst::Alu {
+    out.push(plain(Inst::Alu {
         op: AluOp::Add,
         w: Width::W64,
         dst: Operand::Reg(Gpr::Rsp),
         src: Operand::Imm(128),
-    });
-    for r in SAVED.iter().rev() {
-        out.push(Inst::Pop {
-            dst: Operand::Reg(*r),
-        });
+    }));
+    for (k, r) in SAVED.into_iter().enumerate().rev() {
+        let dst = Operand::Reg(r);
+        out.push(at(Inst::Pop { dst }, None, Some(gpr(k))));
     }
     out
 }
@@ -335,7 +337,7 @@ impl Tracer<'_> {
     /// stack-relative addresses onto RSP, use absolute addressing for fully
     /// known addresses (the Figure-6 form). Returns the rewritten operand
     /// and, when the address is a tracked frame slot, its entry-relative
-    /// offset for the dead-store pass.
+    /// offset for the passes' frame-slot liveness.
     fn subst_mem(
         &mut self,
         cx: &mut TraceCtx,
@@ -553,8 +555,8 @@ impl Tracer<'_> {
             ),
             a => a,
         };
-        for inst in build_hook_sequence(hook, arg) {
-            self.emit(cx, inst);
+        for ci in build_hook_sequence(hook, arg, cx.w.rsp_off()) {
+            self.emit_mem(cx, ci.inst, ci.frame_store, ci.frame_load);
         }
         // Shadow slots under the save area are clobbered.
         let rsp_off = cx.w.rsp_off();
@@ -2209,5 +2211,80 @@ mod tests {
             [(-16, Value::Const(2)), (-8, Value::Const(1))],
             "only the caller's frame is tracked"
         );
+    }
+
+    /// Every `rsp`-based access of a hook sequence names its frame slot:
+    /// the save area's pushes, pops and `movsd`s, stored once and loaded
+    /// once each, all inside the `HOOK_SAVE_BYTES` below the depth the
+    /// sequence starts at.
+    #[test]
+    fn every_save_area_access_carries_its_frame_offset() {
+        let ea = HookArg::Ea(MemRef::base_disp(Gpr::Rsp, 8 + HOOK_SAVE_BYTES as i32));
+        for (arg, at) in [(HookArg::Const(CALLER), 0), (ea, -24)] {
+            let seq = build_hook_sequence(CALLEE, arg, at);
+            let (mut stores, mut loads) = (Vec::new(), Vec::new());
+            for ci in &seq {
+                let i = ci.inst;
+                let on_rsp = |m: Option<MemRef>| m.is_some_and(|m| m.base == Some(Gpr::Rsp));
+                let store = matches!(i, Inst::Push { .. }) || on_rsp(i.mem_store());
+                let load = matches!(i, Inst::Pop { .. }) || on_rsp(i.mem_load());
+                assert_eq!(
+                    (store, load),
+                    (ci.frame_store.is_some(), ci.frame_load.is_some()),
+                    "{i}"
+                );
+                stores.extend(ci.frame_store);
+                loads.extend(ci.frame_load);
+            }
+            assert_eq!(stores.len(), 25);
+            assert!(stores
+                .iter()
+                .all(|o| (at - HOOK_SAVE_BYTES..at).contains(o)));
+            stores.sort();
+            stores.dedup();
+            loads.sort();
+            assert_eq!(stores, loads, "each slot stored once and loaded once");
+        }
+    }
+
+    /// With every access the tracer emits tagged, hook code included, no
+    /// stack read makes the shared liveness assume every slot read; and the
+    /// slot table of code carrying all three hooks stays well inside
+    /// `SlotSet::CAP` (past it, slots go untracked).
+    #[test]
+    fn hooked_code_reads_no_untracked_slot_and_its_slot_table_fits() {
+        use crate::dataflow::cx::{bit, PassCx};
+        use crate::dataflow::liveness::SlotSet;
+        use crate::{OptLevel, RetKind, Rewriter, SpecRequest};
+        let img = Image::new();
+        let src = "void tick(int f) {} void seen(int a) {}
+            int sum(int* p, int n) { int s = 0; for (int i = 0; i < n; i++) s += p[i]; return s; }";
+        let prog = brew_minic::compile_into(src, &img).unwrap();
+        let f = |name| prog.func(name).unwrap();
+        let req = SpecRequest::new()
+            .unknown_int()
+            .known_int(4)
+            .ret(RetKind::Int)
+            .entry_hook(f("tick"))
+            .exit_hook(f("tick"))
+            .mem_access_hook(f("seen"))
+            .func(f("tick"), |o| o.inline = false)
+            .func(f("seen"), |o| o.inline = false);
+        let res = Rewriter::new(&img).rewrite(f("sum"), &req).unwrap();
+        assert_eq!(res.stats.hooks_injected, 6);
+        let cap = res.equiv.unwrap();
+        assert!(!cap.frame_escaped);
+        let mut blocks = cap.blocks;
+        let cx = PassCx::new(&mut blocks, OptLevel::default(), false, RetKind::Int);
+        for b in 0..cx.len() {
+            for (ci, e) in cx.insts(b).iter().zip(cx.effects(b)) {
+                assert!(
+                    !e.is(bit::READS_ALL_SLOTS),
+                    "untracked stack read: {}",
+                    ci.inst
+                );
+            }
+        }
+        assert_eq!((cx.slot_count(), SlotSet::CAP), (30, 256));
     }
 }

@@ -286,12 +286,8 @@ impl<'a> Rewriter<'a> {
         // §III.D: inject the profiling call at function begin as a
         // synthetic block in front of the traced entry.
         if let Some(h) = cfg.entry_hook {
-            let insts = exec::build_hook_sequence(h, exec::HookArg::Const(func))
-                .into_iter()
-                .map(capture::CapturedInst::plain)
-                .collect();
             let mut b = capture::CapturedBlock::pending(0);
-            b.insts = insts;
+            b.insts = exec::build_hook_sequence(h, exec::HookArg::Const(func), 0);
             b.term = capture::Terminator::Jmp(entry_block);
             b.traced = true;
             blocks.push(b);

@@ -6,8 +6,8 @@
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
 use crate::capture::{CapturedBlock, CapturedInst};
-use crate::dataflow::cx::{bit, rsp_bump, slots_dead, tracked, PassCx, Work};
-use crate::dataflow::liveness::{self, Live, SlotSet};
+use crate::dataflow::cx::{bit, rsp_bump, PassCx, Work};
+use crate::dataflow::liveness;
 use crate::dataflow::propagate_constants;
 use crate::{frame, regalloc};
 use brew_x86::prelude::*;
@@ -21,10 +21,10 @@ use brew_x86::prelude::*;
 pub enum OptLevel {
     /// No passes (paper-prototype fidelity mode).
     None,
-    /// Remove no-op moves and lea identities, cancel dead stack-temp pairs.
+    /// Remove no-op moves and lea identities, cancel dead stack-temp pairs,
+    /// and sweep out flag-neutral register moves and plain frame stores
+    /// that the shared liveness proves dead.
     Peephole,
-    /// Remove stores to frame slots that no emitted instruction reads.
-    DeadStores,
     /// Move whole frame slots into provably-free scratch registers
     /// (`regalloc::allocate_slots`).
     SlotAlloc,
@@ -51,10 +51,9 @@ pub enum OptLevel {
 
 impl OptLevel {
     /// Every level, lowest first.
-    pub const ALL: [OptLevel; 8] = [
+    pub const ALL: [OptLevel; 7] = [
         OptLevel::None,
         OptLevel::Peephole,
-        OptLevel::DeadStores,
         OptLevel::SlotAlloc,
         OptLevel::FrameCompression,
         OptLevel::Regalloc,
@@ -90,9 +89,6 @@ struct Stage {
     /// Its count is of instructions converted, not removed (the slot
     /// allocator's): it does not add to the total.
     converts: bool,
-    /// Argues from the frame being private: skipped once its address
-    /// escaped.
-    private_frame: bool,
 }
 
 const fn stage(name: &'static str, from: OptLevel, run: fn(&mut PassCx) -> u64) -> Stage {
@@ -101,7 +97,6 @@ const fn stage(name: &'static str, from: OptLevel, run: fn(&mut PassCx) -> u64) 
         from,
         run,
         converts: false,
-        private_frame: false,
     }
 }
 
@@ -109,16 +104,13 @@ fn peephole_round(cx: &mut PassCx, merge_bumps: bool) -> u64 {
     (0..cx.len()).map(|b| peephole(cx, b, merge_bumps)).sum()
 }
 
-/// The stages in execution order. With the forward pass on, every
-/// dead-code sweep also judges flag writers, frame stores and push/pop
-/// (`PassCx::full`); off, the sweeps keep to flag-neutral register moves.
-const LADDER: [Stage; 8] = [
+/// The stages in execution order. Every dead-code sweep removes plain
+/// stores into frame slots the shared liveness proves dead; with the
+/// forward pass on it also judges flag writers and push/pop
+/// (`PassCx::full`), off it keeps to flag-neutral register moves besides.
+const LADDER: [Stage; 7] = [
     stage("const-prop", OptLevel::Dataflow, propagate_constants),
-    stage("dce", OptLevel::Dataflow, liveness::eliminate_dead_code),
-    Stage {
-        private_frame: true,
-        ..stage("dead-store-elim", OptLevel::DeadStores, dead_frame_stores)
-    },
+    stage("dce", OptLevel::Peephole, liveness::eliminate_dead_code),
     // Converts memory moves to register moves (not removals, but the
     // conversions enable the peephole below to drop self-moves).
     Stage {
@@ -170,8 +162,7 @@ pub fn run_passes_traced(
     let mut cx = PassCx::new(blocks, level, frame_escaped, ret);
     let mut billed = Work::default();
     let mut removed = 0;
-    let on = |st: &&Stage| level >= st.from && !(st.private_frame && frame_escaped);
-    for st in LADDER.iter().filter(on) {
+    for st in LADDER.iter().filter(|st| level >= st.from) {
         cx.refresh_scalar_only();
         let n = (st.run)(&mut cx);
         if !st.converts {
@@ -196,31 +187,6 @@ pub fn run_passes_traced(
         }
     }
     removed
-}
-
-/// Global frame dead-store elimination: a plain store (`mov`/`movsd` to a
-/// tracked frame slot) is dead when no emitted instruction anywhere loads
-/// that slot. Pushes and read-modify-writes are kept (they have additional
-/// effects). Sound because the frame is dead after return and, with no
-/// escaped frame address, no untracked access can alias it.
-fn dead_frame_stores(cx: &mut PassCx) -> u64 {
-    let mut loaded = SlotSet::default();
-    for e in (0..cx.len()).flat_map(|b| cx.effects(b)) {
-        tracked(&e.load).for_each(|i| loaded.set(i));
-    }
-    // Dead only when no load touches any slot the store covers.
-    let loaded = Live {
-        slots: loaded,
-        ..Live::default()
-    };
-    (0..cx.len())
-        .map(|b| match cx.shape(b) & bit::PLAIN_STORE {
-            0 => 0,
-            _ => cx.retain(b, |_, e| {
-                !(e.is(bit::PLAIN_STORE) && slots_dead(&loaded, &e.store))
-            }),
-        })
-        .sum()
 }
 
 /// Remove no-op instructions and cancel dead stack-temp pairs left behind
@@ -364,21 +330,29 @@ mod tests {
         }
     }
 
-    fn dead_frame_stores(blocks: &mut [CapturedBlock]) -> u64 {
+    /// The dead-code sweep alone, under the conservative contract (the
+    /// lowest rung that runs it) or the full one.
+    fn dce(blocks: &mut [CapturedBlock], escaped: bool, full: bool) -> u64 {
+        let level = if full {
+            OptLevel::Dataflow
+        } else {
+            OptLevel::Peephole
+        };
         let ret = crate::config::RetKind::Int;
-        super::dead_frame_stores(&mut PassCx::new(blocks, OptLevel::DeadStores, false, ret))
+        liveness::eliminate_dead_code(&mut PassCx::new(blocks, level, escaped, ret))
     }
 
     #[test]
     fn dse_removes_unloaded_stores() {
-        let mut blocks = vec![block(vec![
-            mov_store(-8, Gpr::Rdi),  // never loaded -> dead
-            mov_store(-16, Gpr::Rsi), // loaded below -> kept
-            mov_load(Gpr::Rax, -16),
-        ])];
-        let removed = dead_frame_stores(&mut blocks);
-        assert_eq!(removed, 1);
-        assert_eq!(blocks[0].insts.len(), 2);
+        for full in [false, true] {
+            let mut blocks = vec![block(vec![
+                mov_store(-8, Gpr::Rdi),  // never loaded -> dead
+                mov_store(-16, Gpr::Rsi), // loaded below -> kept
+                mov_load(Gpr::Rax, -16),
+            ])];
+            assert_eq!(dce(&mut blocks, false, full), 1);
+            assert_eq!(blocks[0].insts.len(), 2);
+        }
     }
 
     #[test]
@@ -391,21 +365,84 @@ mod tests {
             dst: Operand::Reg(Gpr::Rax),
             src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -4)),
         };
-        let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi), narrow])];
-        assert_eq!(dead_frame_stores(&mut blocks), 0);
-        assert_eq!(blocks[0].insts.len(), 2);
+        for full in [false, true] {
+            let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi), narrow])];
+            assert_eq!(dce(&mut blocks, false, full), 0);
+            assert_eq!(blocks[0].insts.len(), 2);
+        }
     }
 
     #[test]
     fn dse_respects_escape() {
-        let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi)])];
-        let removed = run_passes(
-            &mut blocks,
-            OptLevel::default(),
-            true,
-            crate::config::RetKind::Int,
+        for level in [OptLevel::Peephole, OptLevel::default()] {
+            let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi)])];
+            let ret = crate::config::RetKind::Int;
+            assert_eq!(run_passes(&mut blocks, level, true, ret), 0);
+        }
+    }
+
+    /// `mov [rsp-8], rdi` ahead of `barrier`, then whatever `after` is:
+    /// how many instructions survive the sweep under each contract.
+    fn store_across(barrier: Inst, after: Vec<CapturedInst>, escaped: bool) -> [usize; 2] {
+        [false, true].map(|full| {
+            let mut insts = vec![mov_store(-8, Gpr::Rdi), CapturedInst::plain(barrier)];
+            insts.extend(after.iter().copied());
+            let mut blocks = vec![block(insts)];
+            dce(&mut blocks, escaped, full);
+            blocks[0].insts.len()
+        })
+    }
+
+    #[test]
+    fn a_private_slot_stored_before_a_kept_call_and_never_loaded_again_dies() {
+        let call = Inst::CallRel { target: 0x40_0000 };
+        assert_eq!(store_across(call, vec![], false), [1, 1]);
+        // Loaded before the call only: dead after it all the same.
+        let mut blocks = vec![block(vec![
+            mov_store(-8, Gpr::Rdi),
+            mov_load(Gpr::Rax, -8),
+            mov_store(-8, Gpr::Rsi),
+            CapturedInst::plain(call),
+        ])];
+        assert_eq!(dce(&mut blocks, false, true), 1);
+        assert_eq!(blocks[0].insts.len(), 3);
+    }
+
+    #[test]
+    fn a_store_survives_a_load_after_the_call_an_escape_or_an_opaque_barrier() {
+        let call = Inst::CallRel { target: 0x40_0000 };
+        assert_eq!(
+            store_across(call, vec![mov_load(Gpr::Rax, -8)], false),
+            [3, 3]
         );
-        assert_eq!(removed, 0);
+        assert_eq!(store_across(call, vec![], true), [2, 2]);
+        let jmp = Inst::JmpInd {
+            src: Operand::Reg(Gpr::Rax),
+        };
+        assert_eq!(store_across(jmp, vec![], false), [2, 2]);
+        assert_eq!(store_across(Inst::Ud2, vec![], false), [2, 2]);
+    }
+
+    #[test]
+    fn a_store_the_kept_call_jumps_through_survives() {
+        // `mov [rsp-8], rdi; call [rsp-8]`: the callee pointer is the
+        // call's own frame read, tagged by the tracer or not.
+        let through = Inst::CallInd {
+            src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -8)),
+        };
+        for tagged in [true, false] {
+            let mut call = CapturedInst::plain(through);
+            call.frame_load = tagged.then_some(-8);
+            for full in [false, true] {
+                let mut blocks = vec![block(vec![mov_store(-8, Gpr::Rdi), call])];
+                assert_eq!(
+                    dce(&mut blocks, false, full),
+                    0,
+                    "tagged {tagged} full {full}"
+                );
+                assert_eq!(blocks[0].insts.len(), 2);
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!           max_trace_insts:u64 max_blocks:u64 max_code_bytes:u64
 //!           (flag:u8 addr:u64){3}    (mem_access, entry, exit hooks)
 //!           level:u8                 (`OptLevel` discriminant; version 1
-//!                                    carried a 7-bit pass mask here)
+//!                                    carried a 7-bit pass mask here,
+//!                                    version 2 one more rung)
 //! opts   := inline:u8 fresh:u8 branch:u8 max_variants:u32
 //! ```
 //!
@@ -74,7 +75,7 @@ pub const MAGIC: [u8; 8] = *b"BREWVARS";
 /// Current format version; bumped on any layout change. Loads of other
 /// versions fail with [`PersistError::BadVersion`] — there is no
 /// cross-version migration, a cold start is always correct.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Why a persisted-variant file (or one entry of it) was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -632,9 +633,10 @@ mod tests {
         bad[0] ^= 0xFF;
         assert_eq!(decode_variants(&bad), Err(PersistError::BadMagic));
 
-        // Version 1 carried a pass mask where the level byte is now: it is
+        // Version 1 carried a pass mask where the level byte is now, and
+        // version 2 numbered the levels with a rung since deleted: each is
         // refused whole, like any other foreign version.
-        for found in [1, 99] {
+        for found in [1, 2, 99] {
             let mut bad = bytes.clone();
             bad[8] = found;
             assert_eq!(

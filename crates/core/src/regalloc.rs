@@ -12,13 +12,13 @@
 //!    slots; after specialization deletes the surrounding computation those
 //!    round-trips often dominate. §IV of the paper argues such cleanups
 //!    "can be much simpler than corresponding compiler passes, as being
-//!    tailored to specific cases": per-block live-in/live-out for every
-//!    frame slot that is only ever accessed by aligned plain 8-byte moves,
-//!    a slot *extent* (the set of blocks the slot's value must survive
-//!    across, including loop back-edge paths), and a linear scan over the
-//!    caller-saved scratch pools (`r8`–`r11`, `xmm8`–`xmm15`) that assigns
-//!    a register no instruction names in any extent block or in any block
-//!    reachable from one. Spill fallback is the identity: a slot with no
+//!    tailored to specific cases": for every frame slot that is only ever
+//!    accessed by aligned plain 8-byte moves, a slot *extent* (the blocks
+//!    that access it or have it live in or out in the shared liveness —
+//!    the one solution every pass reads — loop back-edge paths included),
+//!    and a linear scan over the caller-saved scratch pools (`r8`–`r11`,
+//!    `xmm8`–`xmm15`) that assigns a register no instruction names in any
+//!    extent block or in any block reachable from one. Spill fallback is the identity: a slot with no
 //!    free register simply stays in memory, so the pass can never make
 //!    code worse. A kept call, indirect jump or `ud2` in or ahead of an
 //!    extent block keeps the slot in memory (the callee may read or
@@ -48,9 +48,9 @@
 //!    * forward copy propagation: `mov d, s` is removed by rewriting the
 //!      downstream reads of `d` to `s` while `s` is unclobbered.
 //!
-//! `frame_escaped` blocks phase 1 exactly as it blocks dead-store
-//! elimination: an escaped frame address means untracked loads may alias
-//! any slot. Phase 2 still runs — it touches only registers and balanced
+//! `frame_escaped` blocks phase 1 exactly as it blocks the removal of dead
+//! frame stores: an escaped frame address means untracked loads may alias
+//! any slot, so the shared liveness tracks no slot at all. Phase 2 still runs — it touches only registers and balanced
 //! `rsp` pairs. The output must (and does: see `tests/differential.rs` and
 //! the verifier suites) stay bit-identical under the emulator and pass the
 //! static verifier unchanged — rsp-pair removal is balanced so stack
@@ -174,10 +174,10 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
     let mut uses = vec![0u64; slots];
     const KEPT: u32 = u32::MAX;
 
-    // Per-block slot gen (read before write) / kill (written) sets, then a
-    // backward fixpoint for slot live-in/out. The extent — every block the
-    // slot's value must survive — is access ∪ live-through, which is what
-    // a linearized interval would get wrong across loop back-edges.
+    // Per block: the slots it accesses, then (from the shared liveness) the
+    // ones live into or out of it — together the blocks each slot's value
+    // must survive, its extent, which is what a linearized interval would
+    // get wrong across loop back-edges.
     //
     // Register availability per block: every register referenced in the
     // block or in any block reachable from it — a superset of what is live
@@ -185,24 +185,16 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
     // reads. A kept call, indirect jump or `ud2` (and an edge that leaves
     // the capture) may read or clobber anything; `ret` reads the return and
     // callee-saved registers, never a pool register, so it is no barrier.
-    #[derive(Clone, Copy, Default)]
-    struct Flow {
-        gen: SlotSet,
-        kill: SlotSet,
-        /// Accessed, live-in or live-out: the block is in the extent.
-        extent: SlotSet,
-        live_in: SlotSet,
-        busy: LiveSet,
-    }
-    let mut flow = vec![Flow::default(); n];
-    for (b, f) in flow.iter_mut().enumerate() {
+    let mut extent = vec![SlotSet::default(); n];
+    let mut busy = vec![LiveSet::EMPTY; n];
+    for b in 0..n {
         for e in cx.effects(b) {
-            f.busy = match e.kind {
+            busy[b] = match e.kind {
                 Kind::Barrier => LiveSet::ALL,
-                _ => f.busy.union(e.reads).union(e.writes),
+                _ => busy[b].union(e.reads).union(e.writes),
             };
             let c = e.bits & (bit::FRAME_GPR | bit::FRAME_XMM);
-            for (list, stores) in [(&e.load, false), (&e.store, true)] {
+            for list in [&e.load, &e.store] {
                 if list[0] == NO_SLOT {
                     continue;
                 }
@@ -212,18 +204,11 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
                 } else {
                     tracked(list).for_each(|i| class[i] = KEPT);
                 }
-                for i in tracked(list) {
-                    f.extent.set(i);
-                    if stores {
-                        f.kill.set(i);
-                    } else if !f.kill.has(i) {
-                        f.gen.set(i);
-                    }
-                }
+                tracked(list).for_each(|i| extent[b].set(i));
             }
         }
         if cx.block(b).term.successors().any(|t| t.0 >= n) {
-            f.busy = LiveSet::ALL;
+            busy[b] = LiveSet::ALL;
         }
     }
     // Hottest first.
@@ -234,20 +219,19 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
         return 0;
     }
     cands.sort_by_key(|&s| (std::cmp::Reverse(uses[s]), cx.slot_key(s)));
+    cx.solve();
+    for (b, ext) in extent.iter_mut().enumerate() {
+        *ext = ext.union(cx.live_in(b).slots).union(cx.live_out(b).slots);
+    }
     loop {
         let mut changed = false;
         for i in (0..n).rev() {
-            let (mut out, mut ahead) = (SlotSet::default(), flow[i].busy);
+            let mut ahead = busy[i];
             for t in cx.block(i).term.successors().filter(|t| t.0 < n) {
-                out = out.union(flow[t.0].live_in);
-                ahead = ahead.union(flow[t.0].busy);
+                ahead = ahead.union(busy[t.0]);
             }
-            let f = &mut flow[i];
-            let live_in = f.gen.union(out.without(f.kill));
-            changed |= live_in != f.live_in || ahead != f.busy;
-            f.live_in = live_in;
-            f.busy = ahead;
-            f.extent = f.extent.union(out).union(live_in);
+            changed |= ahead != busy[i];
+            busy[i] = ahead;
         }
         if !changed {
             break;
@@ -258,19 +242,19 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
     // is free for a slot iff it is busy in none of the extent's blocks;
     // with none free the slot stays in memory.
     let mut assigned: Vec<Option<Loc>> = vec![None; slots];
-    let mut extent: Vec<usize> = Vec::with_capacity(n);
+    let mut blocks: Vec<usize> = Vec::with_capacity(n);
     for &s in &cands {
-        extent.clear();
-        extent.extend((0..n).filter(|&i| flow[i].extent.has(s)));
+        blocks.clear();
+        blocks.extend((0..n).filter(|&i| extent[i].has(s)));
         let pool: &[Loc] = match class[s] {
             bit::FRAME_GPR => &GPR_POOL,
             _ => &XMM_POOL,
         };
-        let free = |r: &&Loc| extent.iter().all(|&i| !flow[i].busy.has(**r));
+        let free = |r: &&Loc| blocks.iter().all(|&i| !busy[i].has(**r));
         if let Some(&r) = pool.iter().find(free) {
             assigned[s] = Some(r);
-            for &i in &extent {
-                flow[i].busy.set(r);
+            for &i in &blocks {
+                busy[i].set(r);
             }
         }
     }

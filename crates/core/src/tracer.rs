@@ -78,8 +78,8 @@ pub struct Tracer<'a> {
     /// on `&self` value-reading paths; the tracer is single-threaded per
     /// rewrite.
     pub(crate) read_set: std::cell::RefCell<crate::snapshot::ReadSet>,
-    /// Any traced path leaked a frame address (disables frame dead-store
-    /// elimination).
+    /// Any traced path leaked a frame address (turns the passes' frame-slot
+    /// reasoning off).
     pub(crate) escaped: bool,
     /// The function being rewritten (passed to entry/exit hooks).
     pub(crate) entry_fn: u64,

@@ -2,7 +2,7 @@
 //!
 //! `brew_x86::defuse::visit`, the operand-role table, is load-bearing many
 //! times over: the rewriter's optimization passes fold their read, write
-//! and definition sets and flag bits from it for liveness and dead-store
+//! and definition sets and flag bits from it for liveness and dead-code
 //! elimination, the register allocator renames through it, and the static
 //! verifier trusts `for_each_write` to spot unmodeled RSP writes. A stale
 //! entry there silently corrupts variants, so this test cross-examines the

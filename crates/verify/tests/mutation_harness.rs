@@ -132,42 +132,42 @@ const EQUIVALENCE_REJECTIONS: &[(&str, &str, u64)] = &[
     ("clamp unknown bounds", "dropped-flag-writer", 0x900050),
     ("hooked sum", "call-into-data", 0x9000b0),
     ("hooked sum", "dropped-push", 0x9000b0),
-    ("hooked sum", "dropped-pop", 0x900194),
+    ("hooked sum", "dropped-pop", 0x90013c),
     ("hooked sum", "frame-skew", 0x9000b0),
     ("hooked sum", "folded-imm-tweak", 0x9000b0),
-    ("hooked sum", "wrong-reg-sub", 0x900194),
+    ("hooked sum", "wrong-reg-sub", 0x90013c),
     ("hooked sum", "clobber-callee-saved", 0x9000b0),
-    ("hooked sum", "stale-slot-const", 0x900194),
-    ("hooked sum", "folded-imm-off-by-one", 0x900194),
-    ("dotk known xs", "dropped-push", 0x90024f),
-    ("dotk known xs", "dropped-pop", 0x90024f),
-    ("dotk known xs", "frame-skew", 0x90024f),
-    ("dotk known xs", "store-into-known", 0x9001a0),
-    ("dotk known xs", "store-into-jit", 0x9001a0),
-    ("dotk known xs", "dangling-data-ref", 0x9001a0),
-    ("dotk known xs", "load-from-code", 0x9001a0),
-    ("dotk known xs", "wrong-reg-sub", 0x90024f),
-    ("dotk known xs", "clobber-callee-saved", 0x90024f),
-    ("dotk known xs", "stale-slot-const", 0x90024f),
-    ("dotk known xs", "folded-imm-off-by-one", 0x9001a0),
-    ("sum n=6 kept loop", "branch-off-by-two", 0x900260),
-    ("sum n=6 kept loop", "wild-jump", 0x900260),
-    ("sum n=6 kept loop", "dropped-push", 0x9002fc),
-    ("sum n=6 kept loop", "dropped-pop", 0x9002e9),
-    ("sum n=6 kept loop", "frame-skew", 0x9002fc),
-    ("sum n=6 kept loop", "wrong-reg-sub", 0x9002f3),
-    ("sum n=6 kept loop", "clobber-callee-saved", 0x9002fc),
-    ("sum n=6 kept loop", "stale-slot-const", 0x9002e9),
-    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x9002e9),
-    ("sum n=6 kept loop", "dropped-flag-writer", 0x900260),
-    ("held across a kept call", "call-into-data", 0x900310),
-    ("held across a kept call", "dropped-push", 0x900310),
-    ("held across a kept call", "dropped-pop", 0x900310),
-    ("held across a kept call", "frame-skew", 0x900310),
-    ("held across a kept call", "wrong-reg-sub", 0x900310),
-    ("held across a kept call", "clobber-callee-saved", 0x900310),
-    ("held across a kept call", "dropped-spill-store", 0x900310),
-    ("held across a kept call", "folded-imm-off-by-one", 0x900310),
+    ("hooked sum", "stale-slot-const", 0x90013c),
+    ("hooked sum", "folded-imm-off-by-one", 0x90013c),
+    ("dotk known xs", "dropped-push", 0x9001ff),
+    ("dotk known xs", "dropped-pop", 0x9001ff),
+    ("dotk known xs", "frame-skew", 0x9001ff),
+    ("dotk known xs", "store-into-known", 0x900150),
+    ("dotk known xs", "store-into-jit", 0x900150),
+    ("dotk known xs", "dangling-data-ref", 0x900150),
+    ("dotk known xs", "load-from-code", 0x900150),
+    ("dotk known xs", "wrong-reg-sub", 0x9001ff),
+    ("dotk known xs", "clobber-callee-saved", 0x9001ff),
+    ("dotk known xs", "stale-slot-const", 0x9001ff),
+    ("dotk known xs", "folded-imm-off-by-one", 0x900150),
+    ("sum n=6 kept loop", "branch-off-by-two", 0x900210),
+    ("sum n=6 kept loop", "wild-jump", 0x900210),
+    ("sum n=6 kept loop", "dropped-push", 0x9002ac),
+    ("sum n=6 kept loop", "dropped-pop", 0x900299),
+    ("sum n=6 kept loop", "frame-skew", 0x9002ac),
+    ("sum n=6 kept loop", "wrong-reg-sub", 0x9002a3),
+    ("sum n=6 kept loop", "clobber-callee-saved", 0x9002ac),
+    ("sum n=6 kept loop", "stale-slot-const", 0x900299),
+    ("sum n=6 kept loop", "folded-imm-off-by-one", 0x900299),
+    ("sum n=6 kept loop", "dropped-flag-writer", 0x900210),
+    ("held across a kept call", "call-into-data", 0x9002c0),
+    ("held across a kept call", "dropped-push", 0x9002c0),
+    ("held across a kept call", "dropped-pop", 0x9002c0),
+    ("held across a kept call", "frame-skew", 0x9002c0),
+    ("held across a kept call", "wrong-reg-sub", 0x9002c0),
+    ("held across a kept call", "clobber-callee-saved", 0x9002c0),
+    ("held across a kept call", "dropped-spill-store", 0x9002c0),
+    ("held across a kept call", "folded-imm-off-by-one", 0x9002c0),
 ];
 
 /// The dataflow-pass-shaped kinds are invisible to the five structural

@@ -169,6 +169,15 @@ stage_hotpath() {
         crates benchmark/src examples tests | grep -v '^crates/x86/src/'; then
         fail "a def/use or operand-mapping walk outside crates/x86/src/"
     fi
+    # Whether a frame slot is read again is one answer, the shared liveness
+    # (`PassCx::solve` in crates/core/src/dataflow/cx.rs): no pass file
+    # keeps slot gen/kill/live-in sets of its own.
+    for f in crates/core/src/regalloc.rs crates/core/src/passes.rs crates/core/src/frame.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" |
+            grep -nE '\b(gen|kill|live_in|live_out|loaded)\b *: *SlotSet|let mut (gen|kill|live_in|live_out|loaded)\b.*SlotSet'; then
+            fail "a frame-slot liveness of its own in $f (read the shared solve)"
+        fi
+    done
     # A loop closes into what its variants agree on (`World::meet`); the
     # all-unknown world is only the fallback one variant short of the
     # per-address hard cap, and the one call to it sits under that test.
