@@ -14,7 +14,7 @@
 //!    apply, whole-sweep rewrite, PGAS sum) is checked; any
 //!    `Rule::Equivalence` error is a soundness false positive, and a
 //!    gated manager must publish every one of them at the first attempt;
-//! 2. **miscompiles** — the seven pass-shaped corruption kinds from
+//! 2. **miscompiles** — the eight pass-shaped corruption kinds from
 //!    `brew_verify::mutate` seeded into every corpus variant must be
 //!    rejected *by the equivalence rule* (the structural rules are blind
 //!    to them by construction);
@@ -170,6 +170,7 @@ pub fn equiv_study() -> EquivV2Report {
         mutate::Mutation::StaleSlotConst,
         mutate::Mutation::FoldedImmOffByOne,
         mutate::Mutation::DroppedFlagWriter,
+        mutate::Mutation::StaleSlotReg,
     ];
     let mut kinds: Vec<MiscompileRow> = new_kinds
         .iter()
@@ -189,6 +190,7 @@ pub fn equiv_study() -> EquivV2Report {
                 mutate::Mutation::StaleSlotConst
                     | mutate::Mutation::FoldedImmOffByOne
                     | mutate::Mutation::DroppedFlagWriter
+                    | mutate::Mutation::StaleSlotReg
             );
             if dataflow_shaped && req.pass_config() < OptLevel::Dataflow {
                 continue;

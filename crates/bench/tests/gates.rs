@@ -143,7 +143,7 @@ fn equiv_clean_corpus_proves_without_reemission_and_every_miscompile_is_rejected
         assert_eq!((c.equiv_errors, c.errors), (0, 0), "{}", c.label);
     }
     assert_eq!(r.fallbacks, 0, "conservative re-emissions");
-    assert_eq!(r.kinds.len(), 7);
+    assert_eq!(r.kinds.len(), 8);
     for k in &r.kinds {
         assert!(k.applied > 0 && k.detected == k.applied, "{k:?}");
     }

@@ -66,6 +66,8 @@ pub(crate) mod bit {
     /// A kept call (a [`super::Kind::Barrier`] the private frame's slots
     /// pass through).
     pub const CALL: u32 = 1 << 14;
+    /// An `rsp`-based store the tracer left no offset for: may be any slot.
+    pub const STORES_UNTAGGED: u32 = 1 << 15;
     /// `x + 0`, `x * 1`, ... at full width: only the flags change.
     pub const VALUE_IDENTITY: u32 = 1 << 16;
     /// `mov [m], reg/imm` or `movsd [m], xmm`.
@@ -360,14 +362,25 @@ impl Decoder {
         } else if !framed {
             e.bits &= !(FRAME_GPR | FRAME_XMM);
         }
-        // An rsp-based read the tracer left no offset for.
+        // An rsp-based read or store the tracer left no offset for (a
+        // tagged instruction's one memory operand is the tagged one).
+        let on_rsp = |m: Option<MemRef>| m.is_some_and(|m| m.regs().any(|r| r == Gpr::Rsp));
         if ci.frame_load.is_none()
             && !e.is(STORE_KILLS)
             && e.reads.has(Loc::Gpr(Gpr::Rsp))
-            && (matches!(inst, Inst::Pop { .. })
-                || (inst.mem_load()).is_some_and(|m| m.regs().any(|r| r == Gpr::Rsp)))
+            && (matches!(inst, Inst::Pop { .. }) || on_rsp(inst.mem_load()))
         {
             e.bits |= READS_ALL_SLOTS;
+        }
+        if ci.frame_store.is_none()
+            && (matches!(inst, Inst::Push { .. })
+                || (!framed
+                    && e.kind == Kind::Plain
+                    && !e.is(RSP_ADJUST)
+                    && e.reads.has(Loc::Gpr(Gpr::Rsp))
+                    && on_rsp(inst.mem_store())))
+        {
+            e.bits |= STORES_UNTAGGED;
         }
         if self.so {
             e.scalar_only();
@@ -457,6 +470,51 @@ impl Liveness {
     }
 }
 
+/// Which columns a block reloads, whether a frame move comes before a
+/// reload of its column (a reload may find its slot held by what the block
+/// itself did), and which registers its frame moves name.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct AvailBlock {
+    reloads: SlotSet,
+    local: bool,
+    /// The registers its frame moves name.
+    regs: LiveSet,
+}
+
+impl AvailBlock {
+    const NONE: AvailBlock = AvailBlock {
+        reloads: SlotSet::EMPTY,
+        local: false,
+        regs: LiveSet::EMPTY,
+    };
+}
+
+/// The forward must-availability of frame-slot values in registers: entry
+/// `c` of a state is the set of registers that still hold the value of the
+/// slot in column `c`. Only a slot some frame move reloads has a column;
+/// the columns are fixed by the first solve (the cleanup only ever removes
+/// reloads), and per-block rows are stored flat.
+struct Avail {
+    /// The column of each slot index, [`NO_SLOT`] for none.
+    col: Vec<u16>,
+    width: usize,
+    /// The state each block is entered with.
+    ins: Vec<LiveSet>,
+    /// What each block holds at its end when entered with nothing, and
+    /// which registers of what it is entered with still hold their slots
+    /// there.
+    gens: Vec<LiveSet>,
+    keeps: Vec<LiveSet>,
+    blocks: Vec<AvailBlock>,
+    /// Edited since its summary was taken.
+    dirty: Vec<bool>,
+    /// The fixpoint's worklist and meet, kept for reuse.
+    pending: Vec<bool>,
+    meet: Vec<LiveSet>,
+    /// The registers frame moves named at the last solve.
+    regs: LiveSet,
+}
+
 /// See the module docs.
 pub(crate) struct PassCx<'a> {
     blocks: &'a mut [CapturedBlock],
@@ -472,8 +530,7 @@ pub(crate) struct PassCx<'a> {
     /// re-emission runs. Frame slots are tracked either way.
     pub full: bool,
     pub dec: Decoder,
-    /// Instructions left that set `bit::NON_SCALAR` / `bit::HI_OBSERVED`.
-    lanes: [usize; 2],
+    census: Census,
     /// Predecessors of every block (one entry per edge; block `b`'s are
     /// `pred_list[pred_start[b]..pred_start[b + 1]]`), and the blocks
     /// reachable from the entry block in reverse postorder (empty without
@@ -485,10 +542,12 @@ pub(crate) struct PassCx<'a> {
     /// backward fixpoint converges fastest in.
     backward: Vec<usize>,
     lv: Liveness,
+    av: Avail,
     /// Reusable per-visit buffers.
     pub keep: Vec<bool>,
     pub after: Vec<LiveSet>,
     pub renamed: Vec<(usize, Inst)>,
+    pub held: Vec<LiveSet>,
     spare: Vec<Effect>,
 }
 
@@ -542,20 +601,33 @@ impl<'a> PassCx<'a> {
             ret_live: abi_ret(level >= OptLevel::Aggressive, ret),
             full: level >= OptLevel::Dataflow,
             dec,
-            lanes: [0; 2],
+            census: Census::default(),
             pred_start,
             pred_list,
             lv: Liveness::new(n),
+            av: Avail {
+                col: Vec::new(),
+                width: 0,
+                ins: Vec::new(),
+                gens: Vec::new(),
+                keeps: Vec::new(),
+                blocks: vec![AvailBlock::NONE; n],
+                dirty: vec![true; n],
+                pending: Vec::new(),
+                meet: Vec::new(),
+                regs: LiveSet::EMPTY,
+            },
             keep: Vec::new(),
             after: Vec::new(),
             renamed: Vec::new(),
+            held: Vec::new(),
             spare: Vec::new(),
             effects,
         };
         for b in 0..n {
             for e in &cx.effects[b] {
                 cx.lv.blocks[b].shape |= e.bits;
-                count(&mut cx.lanes, e, 1);
+                cx.census.count(e, 1);
             }
         }
         cx.refresh_scalar_only();
@@ -565,19 +637,21 @@ impl<'a> PassCx<'a> {
     /// Called between stages: once the last high-lane writer is gone the
     /// scalar moves become full definitions, everywhere at once.
     pub fn refresh_scalar_only(&mut self) {
-        if !self.dec.so && self.lanes[0] == 0 {
+        if !self.dec.so && self.census.lanes[0] == 0 {
             self.dec.so = true;
             for e in self.effects.iter_mut().flatten() {
                 e.scalar_only();
             }
             self.lv.blocks.iter_mut().for_each(|b| b.dirty = true);
+            self.av.dirty.fill(true);
+            self.census.moved = true;
         }
     }
 
     /// No instruction reads an XMM high lane, so a scalar load (which
     /// zeroes it) and a register move (which keeps it) are interchangeable.
     pub fn hi_lanes_unobserved(&self) -> bool {
-        self.lanes[1] == 0
+        self.census.lanes[1] == 0
     }
 
     pub fn len(&self) -> usize {
@@ -618,14 +692,18 @@ impl<'a> PassCx<'a> {
 
     fn touch(&mut self, b: usize) {
         self.lv.blocks[b].dirty = true;
+        self.av.dirty[b] = true;
     }
 
     /// Put `ci` in place of instruction `i` of block `b`.
     pub fn replace(&mut self, b: usize, i: usize, ci: CapturedInst) {
         let e = self.dec.decode(&ci);
         self.dec.work.rewritten += 1;
-        count(&mut self.lanes, &self.effects[b][i], -1);
-        count(&mut self.lanes, &e, 1);
+        let old = &self.effects[b][i];
+        self.census.count(old, -1);
+        self.census.count(&e, 1);
+        // A write the new instruction makes too is no kill gone.
+        self.census.went(old.writes.without(e.writes));
         self.blocks[b].insts[i] = ci;
         self.effects[b][i] = e;
         self.lv.blocks[b].shape |= e.bits;
@@ -647,7 +725,8 @@ impl<'a> PassCx<'a> {
 
     pub fn drain(&mut self, b: usize, range: std::ops::Range<usize>) {
         for e in &self.effects[b][range.clone()] {
-            count(&mut self.lanes, e, -1);
+            self.census.count(e, -1);
+            self.census.went(e.writes);
         }
         self.blocks[b].insts.drain(range.clone());
         self.effects[b].drain(range);
@@ -667,7 +746,8 @@ impl<'a> PassCx<'a> {
                 }
                 kept += 1;
             } else {
-                count(&mut self.lanes, &effects[i], -1);
+                self.census.count(&effects[i], -1);
+                self.census.went(effects[i].writes);
             }
         }
         let gone = effects.len() - kept;
@@ -684,7 +764,10 @@ impl<'a> PassCx<'a> {
     /// stage wrote. `body` is left holding the old instructions.
     pub fn set_body(&mut self, b: usize, body: &mut Vec<CapturedInst>, origin: &[Option<u32>]) {
         let (old, dec) = (&self.effects[b], &mut self.dec);
-        old.iter().for_each(|e| count(&mut self.lanes, e, -1));
+        for e in old {
+            self.census.count(e, -1);
+            self.census.went(e.writes);
+        }
         self.spare.clear();
         self.spare
             .extend(body.iter().zip(origin).map(|(ci, o)| match o {
@@ -698,7 +781,7 @@ impl<'a> PassCx<'a> {
         std::mem::swap(&mut self.blocks[b].insts, body);
         for e in &self.effects[b] {
             self.lv.blocks[b].shape |= e.bits;
-            count(&mut self.lanes, e, 1);
+            self.census.count(e, 1);
         }
         self.touch(b);
     }
@@ -878,6 +961,272 @@ impl<'a> PassCx<'a> {
         }
     }
 
+    // -----------------------------------------------------------------
+    // Availability
+    // -----------------------------------------------------------------
+
+    /// The registers a pair may name: every GPR but `rsp` and `rbp`, and
+    /// the XMM registers only in scalar-only code (a scalar reload zeroes
+    /// the high lane a register move keeps).
+    pub fn avail_regs(&self) -> LiveSet {
+        let gprs = !(1 << Gpr::Rsp.number() | 1 << Gpr::Rbp.number());
+        LiveSet::of(gprs, if self.dec.so { !0 } else { 0 })
+    }
+
+    /// The column of a tracked slot, if it has one.
+    fn col(&self, slot: usize) -> Option<usize> {
+        let c = *self.av.col.get(slot)?;
+        (c != NO_SLOT).then_some(c as usize)
+    }
+
+    /// `(column, register, is_load)` of a plain 8-byte move between one
+    /// tracked frame slot with a column and a register a pair may name:
+    /// what pairs the two.
+    pub fn frame_move(&self, e: &Effect, inst: &Inst) -> Option<(usize, Loc, bool)> {
+        if !e.is(bit::FRAME_GPR | bit::FRAME_XMM) {
+            return None;
+        }
+        let (reg, load) = match *inst {
+            Inst::Mov {
+                dst: Operand::Reg(r),
+                src: Operand::Mem(_),
+                ..
+            } => (Loc::Gpr(r), true),
+            Inst::Mov {
+                dst: Operand::Mem(_),
+                src: Operand::Reg(r),
+                ..
+            } => (Loc::Gpr(r), false),
+            Inst::MovSd {
+                dst: Operand::Xmm(x),
+                src: Operand::Mem(_),
+            } => (Loc::Xmm(x), true),
+            Inst::MovSd {
+                dst: Operand::Mem(_),
+                src: Operand::Xmm(x),
+            } => (Loc::Xmm(x), false),
+            _ => return None,
+        };
+        let (one, none) = if load {
+            (&e.load, &e.store)
+        } else {
+            (&e.store, &e.load)
+        };
+        if one[0] >= UNTRACKED || one[1] != NO_SLOT || none[0] != NO_SLOT {
+            return None;
+        }
+        let c = self.col(one[0] as usize)?;
+        self.avail_regs().has(reg).then_some((c, reg, load))
+    }
+
+    /// Forward transfer of one instruction, whose [`PassCx::frame_move`]
+    /// is `mv`, over an availability state; `held` is a superset of the
+    /// registers the state names. A write to a register kills the pairs
+    /// that name it, a store to a slot (`push`, narrow and unaligned ones
+    /// included) the pairs of the slot, and a barrier, `ret` or `rsp`-based
+    /// store with no slot tag every pair; a frame move then pairs its slot
+    /// and register.
+    pub fn step_avail(
+        &self,
+        st: &mut [LiveSet],
+        held: &mut LiveSet,
+        e: &Effect,
+        mv: Option<(usize, Loc, bool)>,
+    ) {
+        if e.kind != Kind::Plain || e.is(bit::STORES_UNTAGGED) {
+            if *held != LiveSet::EMPTY {
+                st.fill(LiveSet::EMPTY);
+                *held = LiveSet::EMPTY;
+            }
+            return;
+        }
+        let gone = e.writes.intersect(*held);
+        if gone != LiveSet::EMPTY {
+            st.iter_mut().for_each(|a| *a = a.without(gone));
+            *held = held.without(gone);
+        }
+        if e.store[0] != NO_SLOT {
+            tracked(&e.store)
+                .filter_map(|s| self.col(s))
+                .for_each(|c| st[c] = LiveSet::EMPTY);
+        }
+        if let Some((c, r, _)) = mv {
+            st[c].set(r);
+            held.set(r);
+        }
+    }
+
+    /// What block `b` holds at its end when entered with nothing, what it
+    /// keeps of what it is entered with (nothing of a slot it stores to, or
+    /// past a barrier, `ret` or untagged `rsp` store), which columns it
+    /// reloads, and whether a frame move comes before a reload of its
+    /// column. One walk back: a pair is held at the end unless an
+    /// instruction after the move that makes it kills it.
+    fn summarize_avail(&mut self, b: usize) {
+        let row = b * self.av.width..(b + 1) * self.av.width;
+        let (mut gens, mut keeps) = (
+            std::mem::take(&mut self.av.gens),
+            std::mem::take(&mut self.av.keeps),
+        );
+        let (st, keep) = (&mut gens[row.clone()], &mut keeps[row]);
+        st.fill(LiveSet::EMPTY);
+        // What the instructions after the current one write and store to,
+        // and whether one of them lets nothing through.
+        let (mut written, mut stored, mut all) = (LiveSet::EMPTY, SlotSet::EMPTY, false);
+        let (mut reloaded, mut sum) = (SlotSet::EMPTY, AvailBlock::NONE);
+        let moves = self.shape(b) & (bit::FRAME_GPR | bit::FRAME_XMM) != 0;
+        for (e, ci) in self.effects[b].iter().zip(&self.blocks[b].insts).rev() {
+            if let Some((c, r, load)) = moves.then(|| self.frame_move(e, &ci.inst)).flatten() {
+                if !all && !stored.has(c) && !written.has(r) {
+                    st[c].set(r);
+                }
+                sum.local |= reloaded.has(c);
+                if load {
+                    reloaded.set(c);
+                }
+                sum.regs.set(r);
+            }
+            all |= e.kind != Kind::Plain || e.is(bit::STORES_UNTAGGED);
+            written = written.union(e.writes);
+            if e.store[0] != NO_SLOT {
+                tracked(&e.store)
+                    .filter_map(|s| self.col(s))
+                    .for_each(|c| stored.set(c));
+            }
+        }
+        let through = if all {
+            LiveSet::EMPTY
+        } else {
+            LiveSet::ALL.without(written)
+        };
+        for (c, k) in keep.iter_mut().enumerate() {
+            *k = if stored.has(c) {
+                LiveSet::EMPTY
+            } else {
+                through
+            };
+        }
+        (self.av.gens, self.av.keeps) = (gens, keeps);
+        sum.reloads = reloaded;
+        self.av.blocks[b] = sum;
+        self.av.dirty[b] = false;
+    }
+
+    /// The greatest fixpoint of the forward availability equations over
+    /// the blocks as they are now: the entry block and a block the entry
+    /// does not reach start with nothing held, every other block with what
+    /// all its predecessors hand over. Re-summarizes only the blocks edited
+    /// since the last solve. Returns whether a reload may find more than
+    /// the last solve let it: `false` without a slot to solve for, or when
+    /// no edit since could bring a pair back.
+    pub fn solve_avail(&mut self) -> bool {
+        let n = self.len();
+        if self.av.col.is_empty() {
+            // A frame move that reloads one tracked slot.
+            let reload = |e: &Effect| {
+                e.is(bit::FRAME_GPR | bit::FRAME_XMM)
+                    && e.store[0] == NO_SLOT
+                    && e.load[0] < UNTRACKED
+                    && e.load[1] == NO_SLOT
+            };
+            let mut col = vec![NO_SLOT; self.slot_count().max(1)];
+            let mut w = 0;
+            for e in self.effects.iter().flatten().filter(|e| reload(e)) {
+                if col[e.load[0] as usize] == NO_SLOT {
+                    col[e.load[0] as usize] = w;
+                    w += 1;
+                }
+            }
+            self.av.col = col;
+            self.av.width = w as usize;
+            self.av.ins = vec![LiveSet::EMPTY; n * w as usize];
+            self.av.gens = vec![LiveSet::EMPTY; n * w as usize];
+            self.av.keeps = vec![LiveSet::EMPTY; n * w as usize];
+        }
+        let w = self.av.width;
+        // Only a new frame move or a kill that went can hold a pair the last
+        // solve did not; a write that went kills a pair only if a frame
+        // move names its register.
+        let gone = self.census.gone.intersect(self.av.regs) != LiveSet::EMPTY;
+        if w == 0 || (self.census.avail && !self.census.moved && !gone) {
+            return false;
+        }
+        (self.census.moved, self.census.gone) = (false, LiveSet::EMPTY);
+        self.census.avail = true;
+        self.av.regs = LiveSet::EMPTY;
+        for b in 0..n {
+            if self.av.dirty[b] {
+                self.summarize_avail(b);
+            }
+            self.av.regs = self.av.regs.union(self.av.blocks[b].regs);
+        }
+        let top = self.avail_regs();
+        let Avail {
+            ins,
+            gens,
+            keeps,
+            pending,
+            meet,
+            ..
+        } = &mut self.av;
+        let (starts, list, blocks) = (&self.pred_start, &self.pred_list, &*self.blocks);
+        // The entry block's row and an unreached block's stay empty.
+        let inner = self.rpo.get(1..).unwrap_or_default();
+        for &b in inner {
+            ins[b * w..(b + 1) * w].fill(top);
+        }
+        // Each block once in reverse postorder, then again only where a
+        // predecessor's state changed after it was visited (a back edge).
+        pending.clear();
+        pending.resize(n, true);
+        meet.resize(w, top);
+        loop {
+            let mut changed = false;
+            for &b in inner {
+                if !std::mem::replace(&mut pending[b], false) {
+                    continue;
+                }
+                meet.fill(top);
+                for &p in &list[starts[b] as usize..starts[b + 1] as usize] {
+                    let at = p as usize * w..(p as usize + 1) * w;
+                    let out = gens[at.clone()]
+                        .iter()
+                        .zip(&ins[at.clone()])
+                        .zip(&keeps[at]);
+                    for (m, ((&g, &i), &k)) in meet.iter_mut().zip(out) {
+                        *m = m.intersect(g.union(i.intersect(k)));
+                    }
+                }
+                let row = &mut ins[b * w..(b + 1) * w];
+                if row != &meet[..] {
+                    row.copy_from_slice(meet);
+                    changed = true;
+                    let succs = blocks[b].term.successors().filter(|t| t.0 < n);
+                    succs.for_each(|t| pending[t.0] = true);
+                }
+            }
+            if !changed {
+                return true;
+            }
+        }
+    }
+
+    /// Can a reload in block `b` find its slot held: does the block itself
+    /// hold one for it, or enter holding a slot it reloads (as of the last
+    /// [`PassCx::solve_avail`])?
+    pub fn may_forward(&self, b: usize) -> bool {
+        let sum = &self.av.blocks[b];
+        let row = self.avail_in(b);
+        sum.local || (0..row.len()).any(|c| sum.reloads.has(c) && row[c] != LiveSet::EMPTY)
+    }
+
+    /// Which registers hold each column's slot when block `b` is entered,
+    /// as of the last [`PassCx::solve_avail`].
+    pub fn avail_in(&self, b: usize) -> &[LiveSet] {
+        let w = self.av.width;
+        &self.av.ins[b * w..(b + 1) * w]
+    }
+
     /// The work counters so far.
     pub fn work(&self) -> Work {
         self.dec.work
@@ -887,9 +1236,9 @@ impl<'a> PassCx<'a> {
         self.dec.work.visits += 1;
     }
 
-    /// Every cached effect equals a fresh decode of its instruction, and
-    /// every summarized block's live-in state equals a from-scratch
-    /// solution's.
+    /// Every cached effect equals a fresh decode of its instruction, every
+    /// summarized block's live-in state equals a from-scratch solution's,
+    /// and so does every clean block's availability summary.
     pub fn assert_coherent(&mut self) {
         let work = self.dec.work;
         for (b, block) in self.blocks.iter().enumerate() {
@@ -909,15 +1258,60 @@ impl<'a> PassCx<'a> {
             }
             self.lv.blocks = kept;
         }
+        if !self.av.col.is_empty() {
+            let kept = (self.av.gens.clone(), self.av.keeps.clone());
+            let sums = self.av.blocks.clone();
+            let clean: Vec<usize> = (0..self.len()).filter(|&b| !self.av.dirty[b]).collect();
+            clean.into_iter().for_each(|b| self.summarize_avail(b));
+            assert_eq!(kept.0, self.av.gens, "stale availability gens");
+            assert_eq!(kept.1, self.av.keeps, "stale availability keeps");
+            assert_eq!(sums, self.av.blocks, "stale availability summaries");
+        }
         self.dec.work = work;
     }
 }
 
-/// Keep the `NON_SCALAR` / `HI_OBSERVED` populations in step with an edit.
-fn count(lanes: &mut [usize; 2], e: &Effect, by: isize) {
-    for (n, bit) in lanes.iter_mut().zip([bit::NON_SCALAR, bit::HI_OBSERVED]) {
-        if e.is(bit) {
-            *n = n.wrapping_add_signed(by);
+/// What the edits added and removed: the instructions left that set
+/// `bit::NON_SCALAR` / `bit::HI_OBSERVED`, and, since the last availability
+/// solve (`avail`: there has been one), the registers whose writes went and
+/// whether a frame move came or a barrier or untagged `rsp` store went.
+#[derive(Default)]
+struct Census {
+    lanes: [usize; 2],
+    avail: bool,
+    gone: LiveSet,
+    moved: bool,
+}
+
+impl Census {
+    /// Keep the census in step with an edit that adds (`by` 1) or removes
+    /// (`by` -1) `e`.
+    fn count(&mut self, e: &Effect, by: isize) {
+        for (n, bit) in self
+            .lanes
+            .iter_mut()
+            .zip([bit::NON_SCALAR, bit::HI_OBSERVED])
+        {
+            if e.is(bit) {
+                *n = n.wrapping_add_signed(by);
+            }
+        }
+        // What a pair can come back by: a frame move that names another
+        // register, or a kill that went (the editors note the writes that
+        // went, `went`). A store the sweep deletes is dead: no reload
+        // reads the slot before the next store.
+        if self.avail {
+            self.moved |= match by > 0 {
+                true => e.is(bit::FRAME_GPR | bit::FRAME_XMM),
+                false => e.kind != Kind::Plain || e.is(bit::STORES_UNTAGGED),
+            };
+        }
+    }
+
+    /// Writes to `regs` went.
+    fn went(&mut self, regs: LiveSet) {
+        if self.avail {
+            self.gone = self.gone.union(regs);
         }
     }
 }

@@ -74,6 +74,14 @@ impl LiveSet {
     pub fn intersect(self, o: LiveSet) -> LiveSet {
         LiveSet(self.0 & o.0)
     }
+    /// The lowest-numbered register in the set.
+    pub fn first(self) -> Option<Loc> {
+        match self.0.trailing_zeros() {
+            32 => None,
+            n @ 0..16 => Some(Loc::Gpr(Gpr::from_number(n as u8))),
+            n => Some(Loc::Xmm(Xmm::from_number(n as u8 - 16))),
+        }
+    }
 }
 
 /// The `ret`-boundary live-out contract. Conservative mode is
@@ -102,6 +110,7 @@ pub(crate) struct SlotSet([u64; 4]);
 
 impl SlotSet {
     pub const CAP: usize = 256;
+    pub const EMPTY: SlotSet = SlotSet([0; 4]);
     pub const ALL: SlotSet = SlotSet([!0; 4]);
 
     pub fn has(&self, i: usize) -> bool {

@@ -38,9 +38,11 @@ pub enum OptLevel {
     Regalloc,
     /// Forward dataflow over the captured CFG: propagate constants and
     /// copies through registers and frame slots, then collect what that
-    /// kills with the flags- and slot-aware dead-code elimination. From
-    /// here up a variant is publishable only when the translation-
-    /// validation proof in `brew-verify` passes.
+    /// kills with the flags- and slot-aware dead-code elimination; and in
+    /// the register-allocation cleanup, the frame-reload rule (a reload of
+    /// a slot whose value a register still holds becomes a move from it),
+    /// which starts here. From here up a variant is publishable only when
+    /// the translation-validation proof in `brew-verify` passes.
     #[default]
     Dataflow,
     /// Narrow the conservative `ABI_RET` live-out contract to exactly the
@@ -79,6 +81,22 @@ pub fn run_passes(
     ret: crate::config::RetKind,
 ) -> u64 {
     run_passes_traced(blocks, level, frame_escaped, ret, None)
+}
+
+/// The frame-reload rule of the register-allocation cleanup (from
+/// [`OptLevel::Dataflow`] up, a reload of a slot whose value a register
+/// still holds becomes a move from it) run once more over `blocks`: how
+/// many reloads it rewrites. The cleanup runs the rule to its fixpoint, so
+/// on what [`run_passes`] left at those levels this reads 0.
+pub fn forward_frame_reloads(
+    blocks: &mut [CapturedBlock],
+    level: OptLevel,
+    frame_escaped: bool,
+    ret: crate::config::RetKind,
+) -> u64 {
+    let mut cx = PassCx::new(blocks, level, frame_escaped, ret);
+    let mut settled = vec![None; cx.len()];
+    regalloc::forward_reloads(&mut cx, &mut settled)
 }
 
 /// One rung of the execution order: a stage runs from level `from` up.

@@ -48,6 +48,11 @@
 //!    * forward copy propagation: `mov d, s` is removed by rewriting the
 //!      downstream reads of `d` to `s` while `s` is unclobbered.
 //!
+//!    From `OptLevel::Dataflow` up each round opens with one more rule,
+//!    justified by the context's forward availability solve instead: a
+//!    frame reload of a slot whose value a register still holds on every
+//!    path becomes a move from that register (or nothing).
+//!
 //! `frame_escaped` blocks phase 1 exactly as it blocks the removal of dead
 //! frame stores: an escaped frame address means untracked loads may alias
 //! any slot, so the shared liveness tracks no slot at all. Phase 2 still runs — it touches only registers and balanced
@@ -68,18 +73,25 @@ use brew_x86::prelude::*;
 /// (`liveness::abi_ret`) narrows from everything an observer might read to
 /// — translation-validated by `brew-verify` before publication — exactly
 /// the declared return class plus the callee-saved set. From
-/// [`OptLevel::Dataflow`] the dead-code sweep is the full one.
+/// [`OptLevel::Dataflow`] the dead-code sweep is the full one, and each
+/// round opens with [`forward_reloads`]; a reload it turns into a move
+/// counts as one.
 pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
     let aggressive = cx.level >= OptLevel::Aggressive;
     let n = cx.len();
-    cx.solve();
     // The live-out state a block was last processed under, while nothing
     // has touched the block since: processing it again would find nothing.
     let mut settled: Vec<Option<Live>> = vec![None; n];
     let mut removed = 0;
     loop {
         loop {
-            let mut round = 0;
+            // One availability solve per round serves every block; the
+            // liveness solve after it sees the registers the new moves read.
+            let mut round = match cx.level >= OptLevel::Dataflow {
+                true => forward_reloads(cx, &mut settled),
+                false => 0,
+            };
+            cx.solve();
             for (i, done) in settled.iter_mut().enumerate() {
                 let out = cx.live_out(i);
                 if *done == Some(out) {
@@ -103,7 +115,6 @@ pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
             if round == 0 {
                 break;
             }
-            cx.solve();
         }
         // Nothing cancels any more: what is left of adjacent adjustments
         // can become one.
@@ -454,6 +465,75 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
     drop.sort_unstable_by(|a, b| b.cmp(a));
     drop.iter().for_each(|&(b, i)| cx.remove(b, i));
     drop.len() as u64
+}
+
+// ---------------------------------------------------------------------------
+// Phase 2b': frame reloads of a value a register still holds
+// ---------------------------------------------------------------------------
+
+/// A frame reload `mov d, [s]` (`movsd` in scalar-only code) of a slot
+/// whose value register `r` still holds on every path, by the availability
+/// solve, becomes `mov d, r`, or nothing when `d` is `r`. The store it read
+/// is then the sweep's to delete once nothing reads the slot, and the move
+/// the copy passes'. Returns the reloads rewritten; a rewritten block is
+/// unsettled.
+pub(crate) fn forward_reloads(cx: &mut PassCx, settled: &mut [Option<Live>]) -> u64 {
+    if !cx.solve_avail() {
+        return 0;
+    }
+    let mut st = std::mem::take(&mut cx.held);
+    let mut forwarded = 0;
+    for (b, done) in settled.iter_mut().enumerate() {
+        if !cx.may_forward(b) {
+            continue;
+        }
+        st.clear();
+        st.extend_from_slice(cx.avail_in(b));
+        let mut held = st.iter().fold(LiveSet::EMPTY, |a, &s| a.union(s));
+        let mut i = 0;
+        while i < cx.insts(b).len() {
+            let e = cx.effects(b)[i];
+            let mv = cx.frame_move(&e, &cx.insts(b)[i].inst);
+            if let Some((c, d, true)) = mv {
+                let class = match d {
+                    Loc::Gpr(_) => LiveSet::of(!0, 0),
+                    Loc::Xmm(_) => LiveSet::of(0, !0),
+                };
+                let from = st[c].intersect(class);
+                if from.has(d) {
+                    // `d` already holds the slot: nothing changes.
+                    cx.remove(b, i);
+                    (forwarded, *done) = (forwarded + 1, None);
+                    continue;
+                }
+                if let Some(r) = from.first() {
+                    let copy = match (d, r) {
+                        (Loc::Gpr(d), Loc::Gpr(r)) => gmov(d, r),
+                        (Loc::Xmm(d), Loc::Xmm(r)) => Inst::MovSd {
+                            dst: Operand::Xmm(d),
+                            src: Operand::Xmm(r),
+                        },
+                        _ => unreachable!("a reload reads its own class"),
+                    };
+                    cx.replace(b, i, CapturedInst::plain(copy));
+                    (forwarded, *done) = (forwarded + 1, None);
+                }
+            }
+            // The reload's own transfer: `d` holds the slot either way.
+            cx.step_avail(&mut st, &mut held, &e, mv);
+            i += 1;
+        }
+    }
+    cx.held = st;
+    forwarded
+}
+
+fn gmov(dst: Gpr, src: Gpr) -> Inst {
+    Inst::Mov {
+        w: Width::W64,
+        dst: Operand::Reg(dst),
+        src: Operand::Reg(src),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,14 +1214,6 @@ mod tests {
         }
     }
 
-    fn gmov(dst: Gpr, src: Gpr) -> Inst {
-        Inst::Mov {
-            w: Width::W64,
-            dst: Operand::Reg(dst),
-            src: Operand::Reg(src),
-        }
-    }
-
     fn call() -> CapturedInst {
         CapturedInst::plain(Inst::CallRel { target: 0x40_0000 })
     }
@@ -1338,6 +1410,234 @@ mod tests {
                 Inst::Ret,
             ]
         );
+    }
+
+    // --- frame reloads of a value a register still holds ---
+
+    /// The reload rule once over `blocks` (block 0 the entry) at
+    /// `Dataflow`: how many reloads it rewrote.
+    fn forward(blocks: &mut [CapturedBlock], escaped: bool) -> u64 {
+        blocks[0].is_entry = true;
+        crate::passes::forward_frame_reloads(blocks, OptLevel::Dataflow, escaped, RetKind::Int)
+    }
+
+    fn jcc_block(insts: Vec<CapturedInst>, taken: usize, fall: usize) -> CapturedBlock {
+        let mut b = jmp_block(insts, taken);
+        b.term = Terminator::Jcc {
+            cond: Cond::L,
+            taken: BlockId(taken),
+            fall: BlockId(fall),
+        };
+        b
+    }
+
+    fn set(dst: Gpr, k: i64) -> CapturedInst {
+        CapturedInst::plain(Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(dst),
+            src: Operand::Imm(k),
+        })
+    }
+
+    #[test]
+    fn a_reload_within_its_block_reads_the_register() {
+        let mut blocks = vec![ret_block(vec![
+            gstore(-8, Gpr::Rdi),
+            gload(Gpr::Rax, -8),
+            gload(Gpr::Rdi, -8),
+        ])];
+        assert_eq!(forward(&mut blocks, false), 2);
+        // The second reload is into the register itself: it goes.
+        assert_eq!(
+            insts_of(&blocks[0]),
+            vec![
+                gstore(-8, Gpr::Rdi).inst,
+                gmov(Gpr::Rax, Gpr::Rdi),
+                Inst::Ret
+            ]
+        );
+        // An XMM slot's too, in scalar-only code.
+        let mut blocks = vec![ret_block(vec![fstore(-8, Xmm::Xmm1), fload(Xmm::Xmm0, -8)])];
+        assert_eq!(forward(&mut blocks, false), 1);
+        let copy = Inst::MovSd {
+            dst: Operand::Xmm(Xmm::Xmm0),
+            src: Operand::Xmm(Xmm::Xmm1),
+        };
+        assert_eq!(blocks[0].insts[1].inst, copy);
+    }
+
+    #[test]
+    fn a_reload_after_a_diamond_whose_arms_store_the_same_register_reads_it() {
+        let diamond = |left: Gpr, right: Gpr| {
+            vec![
+                jcc_block(vec![], 1, 2),
+                jmp_block(vec![gstore(-8, left)], 3),
+                jmp_block(vec![gstore(-8, right)], 3),
+                ret_block(vec![gload(Gpr::Rax, -8)]),
+            ]
+        };
+        let mut blocks = diamond(Gpr::Rdi, Gpr::Rdi);
+        assert_eq!(forward(&mut blocks, false), 1);
+        assert_eq!(blocks[3].insts[0].inst, gmov(Gpr::Rax, Gpr::Rdi));
+        // Arms that store different registers agree on none.
+        let mut blocks = diamond(Gpr::Rdi, Gpr::Rsi);
+        assert_eq!(forward(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn a_reload_in_a_loop_whose_back_edge_keeps_the_pair_reads_the_register() {
+        let bump = CapturedInst::plain(Inst::Alu {
+            op: AluOp::Add,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Imm(1),
+        });
+        let mut blocks = vec![
+            jmp_block(vec![gstore(-8, Gpr::Rdi)], 1),
+            jcc_block(vec![gload(Gpr::Rax, -8), bump], 1, 2),
+            ret_block(vec![]),
+        ];
+        assert_eq!(forward(&mut blocks, false), 1);
+        assert_eq!(blocks[1].insts[0].inst, gmov(Gpr::Rax, Gpr::Rdi));
+    }
+
+    #[test]
+    fn a_reload_after_the_register_is_redefined_stays() {
+        let mut blocks = vec![ret_block(vec![
+            gstore(-8, Gpr::Rdi),
+            set(Gpr::Rdi, 5),
+            gload(Gpr::Rax, -8),
+        ])];
+        assert_eq!(forward(&mut blocks, false), 0);
+        // Redefined on the back edge: the loop header holds nothing.
+        let mut blocks = vec![
+            jmp_block(vec![gstore(-8, Gpr::Rdi)], 1),
+            jcc_block(vec![gload(Gpr::Rax, -8), set(Gpr::Rdi, 5)], 1, 2),
+            ret_block(vec![]),
+        ];
+        assert_eq!(forward(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn a_reload_of_an_overwritten_slot_stays() {
+        let tagged = |inst, off| CapturedInst {
+            inst,
+            frame_store: Some(off),
+            frame_load: None,
+        };
+        let push = Inst::Push {
+            src: Operand::Reg(Gpr::Rax),
+        };
+        let store = |w, off| Inst::Mov {
+            w,
+            dst: Operand::Mem(MemRef::base_disp(Gpr::Rsp, off)),
+            src: Operand::Reg(Gpr::Rsi),
+        };
+        let over = [
+            tagged(push, -8),
+            tagged(store(Width::W32, -8), -8),
+            tagged(store(Width::W64, -4), -4),
+            // An `rsp`-based store with no slot tag may be any slot.
+            CapturedInst::plain(store(Width::W64, -8)),
+        ];
+        for over in over {
+            let mut blocks = vec![ret_block(vec![
+                gstore(-8, Gpr::Rdi),
+                over,
+                gload(Gpr::Rax, -8),
+            ])];
+            assert_eq!(forward(&mut blocks, false), 0, "{:?}", over.inst);
+            // Overwritten in a block of its own.
+            let mut blocks = vec![
+                jmp_block(vec![gstore(-8, Gpr::Rdi)], 1),
+                jmp_block(vec![over], 2),
+                ret_block(vec![gload(Gpr::Rax, -8)]),
+            ];
+            assert_eq!(forward(&mut blocks, false), 0, "{:?}", over.inst);
+        }
+        // A store of another register: the reload reads that one.
+        let mut blocks = vec![ret_block(vec![
+            gstore(-8, Gpr::Rcx),
+            gstore(-8, Gpr::Rsi),
+            gload(Gpr::Rax, -8),
+        ])];
+        assert_eq!(forward(&mut blocks, false), 1);
+        assert_eq!(blocks[0].insts[2].inst, gmov(Gpr::Rax, Gpr::Rsi));
+    }
+
+    #[test]
+    fn a_loop_header_entered_without_the_store_keeps_its_reload() {
+        let body = || vec![gload(Gpr::Rax, -8), gstore(-8, Gpr::Rdi)];
+        let mut blocks = vec![
+            jmp_block(vec![], 1),
+            jcc_block(body(), 1, 2),
+            ret_block(vec![]),
+        ];
+        assert_eq!(forward(&mut blocks, false), 0);
+        // The entry block itself: the function's own entry edge holds
+        // nothing.
+        let mut blocks = vec![jcc_block(body(), 0, 1), ret_block(vec![])];
+        assert_eq!(forward(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn a_reload_across_a_kept_call_stays() {
+        let through = CapturedInst {
+            inst: Inst::CallInd {
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, -16)),
+            },
+            frame_store: None,
+            frame_load: Some(-16),
+        };
+        for call in [call(), through] {
+            let mut blocks = vec![ret_block(vec![
+                gstore(-16, Gpr::Rsi),
+                gstore(-8, Gpr::Rbx),
+                call,
+                gload(Gpr::Rax, -8),
+            ])];
+            assert_eq!(forward(&mut blocks, false), 0, "{:?}", call.inst);
+            // The far side of a block that ends in the call.
+            let mut blocks = vec![
+                jmp_block(vec![gstore(-16, Gpr::Rsi), gstore(-8, Gpr::Rbx), call], 1),
+                ret_block(vec![gload(Gpr::Rax, -8)]),
+            ];
+            assert_eq!(forward(&mut blocks, false), 0, "{:?}", call.inst);
+        }
+    }
+
+    #[test]
+    fn an_escaped_frame_forwards_nothing() {
+        let mut blocks = vec![ret_block(vec![gstore(-8, Gpr::Rdi), gload(Gpr::Rax, -8)])];
+        assert_eq!(forward(&mut blocks, true), 0);
+    }
+
+    #[test]
+    fn an_xmm_reload_stays_while_high_lanes_are_observable() {
+        let packed = CapturedInst::plain(Inst::MovUpd {
+            dst: Operand::Xmm(Xmm::Xmm7),
+            src: Operand::Mem(MemRef::abs(0x601000)),
+        });
+        let mut blocks = vec![ret_block(vec![
+            packed,
+            fstore(-8, Xmm::Xmm1),
+            fload(Xmm::Xmm0, -8),
+        ])];
+        assert_eq!(forward(&mut blocks, false), 0);
+    }
+
+    #[test]
+    fn the_cleanup_forwards_reloads_and_drops_their_stores_from_dataflow_up_only() {
+        let insts = vec![gstore(-8, Gpr::Rdi), gload(Gpr::Rax, -8)];
+        let mut blocks = vec![ret_block(insts.clone())];
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::Dataflow);
+        assert_eq!(
+            insts_of(&blocks[0]),
+            vec![gmov(Gpr::Rax, Gpr::Rdi), Inst::Ret]
+        );
+        let mut blocks = vec![ret_block(insts.clone())];
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
+        assert_eq!(blocks[0].insts[..2], insts[..]);
     }
 
     #[test]

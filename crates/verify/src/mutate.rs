@@ -12,7 +12,7 @@
 
 use brew_core::RewriteResult;
 use brew_image::{layout, Image};
-use brew_x86::{decode, encode, AluOp, Gpr, Inst, MemRef, Operand, SseOp};
+use brew_x86::{decode, encode, AluOp, Gpr, Inst, Loc, MemRef, Operand, SseOp, Width};
 
 use crate::Rule;
 
@@ -74,12 +74,17 @@ pub enum Mutation {
     /// replaced by NOPs — dead-code elimination with the flags left out of
     /// liveness.
     DroppedFlagWriter,
+    /// A frame reload (`mov d, [rsp+x]` / `movsd d, [rsp+x]`) that follows,
+    /// in straight-line code, a store of register `r` to the same slot and
+    /// a write to `r`, turned into `mov d, r` (NOPs when `d` is `r`) — the
+    /// register allocator's reload rule with its kill check left out.
+    StaleSlotReg,
 }
 
 impl Mutation {
     /// Every mutation kind, grouped by the rule family expected to
     /// catch it.
-    pub const ALL: [Mutation; 20] = [
+    pub const ALL: [Mutation; 21] = [
         Mutation::UnknownOpcode,
         Mutation::TruncatedTail,
         Mutation::BranchOffByTwo,
@@ -100,6 +105,7 @@ impl Mutation {
         Mutation::StaleSlotConst,
         Mutation::FoldedImmOffByOne,
         Mutation::DroppedFlagWriter,
+        Mutation::StaleSlotReg,
     ];
 
     /// Short stable name (used in the V1 table).
@@ -125,6 +131,7 @@ impl Mutation {
             Mutation::StaleSlotConst => "stale-slot-const",
             Mutation::FoldedImmOffByOne => "folded-imm-off-by-one",
             Mutation::DroppedFlagWriter => "dropped-flag-writer",
+            Mutation::StaleSlotReg => "stale-slot-reg",
         }
     }
 
@@ -153,7 +160,8 @@ impl Mutation {
             | Mutation::CommutedNonCommutative
             | Mutation::StaleSlotConst
             | Mutation::FoldedImmOffByOne
-            | Mutation::DroppedFlagWriter => Rule::Equivalence,
+            | Mutation::DroppedFlagWriter
+            | Mutation::StaleSlotReg => Rule::Equivalence,
         }
     }
 }
@@ -521,7 +529,166 @@ pub fn apply(img: &Image, res: &RewriteResult, kind: Mutation) -> Option<Applied
                 patch(img, *addr, &vec![0x90; *len], kind)
             })
         }
+        Mutation::StaleSlotReg => insts.iter().enumerate().find_map(|(k, (_, inst, _))| {
+            let (r, slot) = frame_move(inst, false)?;
+            let (addr, d, len) = stale_reload(&insts[k + 1..], r, slot)?;
+            let mut bytes = match d == r {
+                true => Vec::new(),
+                false => {
+                    let copy = match (d, r) {
+                        (Operand::Reg(d), Operand::Reg(r)) => Inst::Mov {
+                            w: Width::W64,
+                            dst: Operand::Reg(d),
+                            src: Operand::Reg(r),
+                        },
+                        (dst, src) => Inst::MovSd { dst, src },
+                    };
+                    let mut v = Vec::new();
+                    encode(&copy, addr, &mut v).ok()?;
+                    v
+                }
+            };
+            (bytes.len() <= len).then_some(())?;
+            bytes.resize(len, 0x90);
+            patch(img, addr, &bytes, kind)
+        }),
     }
+}
+
+/// `(register, rsp displacement)` of a plain 8-byte move between a
+/// register and `[rsp+x]`: a reload when `load`, else a store.
+fn frame_move(inst: &Inst, load: bool) -> Option<(Operand, i32)> {
+    let (reg, mem) = match *inst {
+        Inst::Mov {
+            w: Width::W64,
+            dst,
+            src,
+        }
+        | Inst::MovSd { dst, src } => match load {
+            true => (dst, src),
+            false => (src, dst),
+        },
+        _ => return None,
+    };
+    let Operand::Mem(MemRef {
+        base: Some(Gpr::Rsp),
+        index: None,
+        disp,
+    }) = mem
+    else {
+        return None;
+    };
+    let plain = matches!(reg, Operand::Reg(r) if r != Gpr::Rsp) || matches!(reg, Operand::Xmm(_));
+    (plain && matches!(inst, Inst::Mov { .. }) == matches!(reg, Operand::Reg(_)))
+        .then_some((reg, disp))
+}
+
+/// After a store of `r` to `[rsp+slot]`, the first reload of the slot (of
+/// `r`'s class) that comes, in straight-line code with the slot untouched,
+/// after a write to `r`, and whose value the code after it reads: its
+/// address, destination and length. `rsp` is followed through pushes, pops
+/// and adjustments; a call writes every caller-saved register (and must
+/// leave the slot alone: at or above `rsp`).
+fn stale_reload(
+    after: &[(u64, Inst, usize)],
+    r: Operand,
+    slot: i32,
+) -> Option<(u64, Operand, usize)> {
+    // `rsp` below its value at the store, and whether `r` was written.
+    let (mut down, mut written) = (0i64, false);
+    let reg = |op: Operand| match op {
+        Operand::Reg(g) => Some(Loc::Gpr(g)),
+        Operand::Xmm(x) => Some(Loc::Xmm(x)),
+        _ => None,
+    };
+    let r_loc = reg(r)?;
+    // Does `[rsp+disp, +len)` now overlap the slot?
+    let hits = |down: i64, disp: i64, len: i64| {
+        let at = disp - down;
+        at < i64::from(slot) + 8 && i64::from(slot) < at + len
+    };
+    for (k, &(addr, inst, len)) in after.iter().enumerate() {
+        if let Some((d, disp)) = frame_move(&inst, true) {
+            let same_class = std::mem::discriminant(&d) == std::mem::discriminant(&r);
+            if same_class && i64::from(disp) - down == i64::from(slot) {
+                if written && read_before_written(&after[k + 1..], reg(d)?) {
+                    return Some((addr, d, len));
+                }
+                // `d` now holds the slot; so does `r` if it is `d`.
+                written &= d != r;
+                continue;
+            }
+        }
+        match inst {
+            Inst::CallRel { .. } | Inst::CallInd { .. } if i64::from(slot) + down >= 0 => {
+                written |= !matches!(r, Operand::Reg(g) if g.is_callee_saved());
+                continue;
+            }
+            _ if inst.is_control() || matches!(inst, Inst::Ud2) => return None,
+            Inst::Push { .. } => {
+                down += 8;
+                if hits(down, 0, 8) {
+                    return None;
+                }
+                continue;
+            }
+            Inst::Pop { dst } => {
+                down -= 8;
+                written |= reg(dst) == Some(r_loc);
+                continue;
+            }
+            Inst::Alu {
+                op: op @ (AluOp::Add | AluOp::Sub),
+                w: Width::W64,
+                dst: Operand::Reg(Gpr::Rsp),
+                src: Operand::Imm(k),
+            } => {
+                down += if op == AluOp::Sub { k } else { -k };
+                continue;
+            }
+            Inst::Lea {
+                dst: Gpr::Rsp,
+                src:
+                    MemRef {
+                        base: Some(Gpr::Rsp),
+                        index: None,
+                        disp,
+                    },
+            } => {
+                down -= i64::from(disp);
+                continue;
+            }
+            _ => {}
+        }
+        if let Some(m) = inst.mem_store() {
+            let on_rsp = m.regs().any(|g| g == Gpr::Rsp);
+            if on_rsp && (m.index.is_some() || hits(down, i64::from(m.disp), 16)) {
+                return None;
+            }
+        }
+        let mut clobbers = false;
+        brew_x86::defuse::for_each_write(&inst, &mut |l| {
+            clobbers |= l == Loc::Gpr(Gpr::Rsp);
+            written |= l == r_loc;
+        });
+        if clobbers {
+            return None;
+        }
+    }
+    None
+}
+
+/// Does straight-line code read `l` before it writes it?
+fn read_before_written(code: &[(u64, Inst, usize)], l: Loc) -> bool {
+    for (_, inst, _) in code {
+        let (mut read, mut written) = (false, false);
+        brew_x86::defuse::for_each_read(inst, &mut |x| read |= x == l);
+        brew_x86::defuse::for_each_write(inst, &mut |x| written |= x == l);
+        if read || written || inst.is_control() {
+            return read;
+        }
+    }
+    false
 }
 
 /// The constant a `mov`/`push` moves (into a register or a slot).

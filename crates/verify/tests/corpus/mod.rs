@@ -120,6 +120,9 @@ pub fn v1(img: &Image) -> Vec<Case> {
 }
 
 const V2_PROG: &str = r#"
+    int hits;
+    void tick(int f) { hits += 1; }
+
     int poly(int x, int n) {
         int r = 1;
         for (int i = 0; i < n; i++) r *= x;
@@ -137,6 +140,11 @@ const V2_PROG: &str = r#"
         for (int i = 0; i < n; i++) s += p[i];
         return s;
     }
+    int held(int x, int k) {
+        int y = x * k;
+        tick(0);
+        return y + x;
+    }
 "#;
 
 /// The pass configurations V2 proves every function under.
@@ -148,7 +156,7 @@ pub fn pass_points() -> [(&'static str, OptLevel); 3] {
     ]
 }
 
-/// The V2 corpus (`tables --exp equiv`): five functions at every pass point.
+/// The V2 corpus (`tables --exp equiv`): six functions at every pass point.
 pub fn v2(img: &Image) -> Vec<Case> {
     let prog = brew_minic::compile_into(V2_PROG, img).unwrap();
     let f = |n: &str| prog.func(n).unwrap();
@@ -177,6 +185,16 @@ pub fn v2(img: &Image) -> Vec<Case> {
                 o.branch_unknown = true;
                 o.max_variants = 2;
             }),
+        ),
+        // Reloads survive the passes only across the kept call: the site
+        // of the stale-slot-reg mutant.
+        case(
+            "held across a kept call",
+            f("held"),
+            int()
+                .unknown_int()
+                .known_int(3)
+                .func(f("tick"), |o| o.inline = false),
         ),
     ];
     base.iter()

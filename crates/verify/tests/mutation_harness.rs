@@ -168,6 +168,7 @@ const EQUIVALENCE_REJECTIONS: &[(&str, &str, u64)] = &[
     ("held across a kept call", "clobber-callee-saved", 0x9002c0),
     ("held across a kept call", "dropped-spill-store", 0x9002c0),
     ("held across a kept call", "folded-imm-off-by-one", 0x9002c0),
+    ("held across a kept call", "stale-slot-reg", 0x9002c0),
 ];
 
 /// The dataflow-pass-shaped kinds are invisible to the five structural
@@ -180,8 +181,9 @@ fn pass_shaped_mutants_are_caught_by_equivalence_alone() {
         mutate::Mutation::StaleSlotConst,
         mutate::Mutation::FoldedImmOffByOne,
         mutate::Mutation::DroppedFlagWriter,
+        mutate::Mutation::StaleSlotReg,
     ];
-    let mut applied = [0usize; 3];
+    let mut applied = [0usize; 4];
     for case in &corpus(&img) {
         for (k, kind) in kinds.into_iter().enumerate() {
             let Some(m) = mutate::apply(&img, &case.res, kind) else {

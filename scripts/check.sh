@@ -87,6 +87,9 @@ stage_equiv() {
 }
 
 stage_regalloc() {
+    # The allocator's own unit tests: the frame-reload rule's kill checks
+    # each have one.
+    t -p brew-core --lib regalloc::
     t -p brew-suite --test regalloc_differential
     # The allocator's def/use is the operand-role table's; the emulator
     # differential is its only second opinion.
