@@ -128,7 +128,6 @@ pub fn level_label(level: OptLevel) -> &'static str {
         OptLevel::None => "no passes (paper prototype)",
         OptLevel::Peephole => "+ peephole",
         OptLevel::SlotAlloc => "+ slot allocation",
-        OptLevel::FrameCompression => "+ frame compression",
         OptLevel::Regalloc => "+ register allocation",
         OptLevel::Dataflow => "+ const-prop + DCE (default)",
         OptLevel::Aggressive => "+ aggressive coalescing (proof-gated)",

@@ -199,11 +199,7 @@ fn regalloc_passes_decode_each_instruction_once() {
         for w in &stages[1..] {
             assert_eq!(w.decodes, w.rewritten, "{label}: {w:?}");
         }
-        let no_liveness = ["peephole", "frame-compression"];
-        for w in stages
-            .iter()
-            .filter(|w| no_liveness.contains(&w.pass.as_str()))
-        {
+        for w in stages.iter().filter(|w| w.pass == "peephole") {
             assert_eq!(w.solves, 0, "{label}: {w:?}");
         }
         let slot_alloc = stages.iter().find(|w| w.pass == "slot-alloc");

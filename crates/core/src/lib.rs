@@ -65,7 +65,6 @@ pub mod dataflow;
 pub mod emit;
 pub mod error;
 mod exec;
-pub mod frame;
 pub mod guard;
 pub mod manager;
 pub mod passes;

@@ -5,12 +5,11 @@
 //! these passes close part of the remaining gap to the manual version; the
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
-use crate::capture::{CapturedBlock, CapturedInst};
+use crate::capture::CapturedBlock;
 use crate::dataflow::cx::{bit, rsp_bump, PassCx, Work};
 use crate::dataflow::liveness;
 use crate::dataflow::propagate_constants;
-use crate::{frame, regalloc};
-use brew_x86::prelude::*;
+use crate::regalloc;
 
 /// How far up the optimization ladder a rewrite goes. The levels are
 /// cumulative: each one runs everything below it plus the stage it is
@@ -21,16 +20,14 @@ use brew_x86::prelude::*;
 pub enum OptLevel {
     /// No passes (paper-prototype fidelity mode).
     None,
-    /// Remove no-op moves and lea identities, cancel dead stack-temp pairs,
-    /// and sweep out flag-neutral register moves and plain frame stores
-    /// that the shared liveness proves dead.
+    /// Remove no-op moves and lea identities, cancel balanced stack pairs
+    /// (`regalloc::cancel_rsp_pairs`, the one rule for them), and sweep out
+    /// flag-neutral register moves and plain frame stores that the shared
+    /// liveness proves dead.
     Peephole,
     /// Move whole frame slots into provably-free scratch registers
     /// (`regalloc::allocate_slots`).
     SlotAlloc,
-    /// Remove dead push/pop pairs from inlined frames (§VIII "improved
-    /// inlining of small functions and deep call chains").
-    FrameCompression,
     /// Liveness-driven copy coalescing and address folding over the CFG
     /// (paper §IV "register renaming"). The highest level that stands on a
     /// local argument alone — what the manager re-emits at after an
@@ -53,11 +50,10 @@ pub enum OptLevel {
 
 impl OptLevel {
     /// Every level, lowest first.
-    pub const ALL: [OptLevel; 7] = [
+    pub const ALL: [OptLevel; 6] = [
         OptLevel::None,
         OptLevel::Peephole,
         OptLevel::SlotAlloc,
-        OptLevel::FrameCompression,
         OptLevel::Regalloc,
         OptLevel::Dataflow,
         OptLevel::Aggressive,
@@ -126,7 +122,7 @@ fn peephole_round(cx: &mut PassCx, merge_bumps: bool) -> u64 {
 /// stores into frame slots the shared liveness proves dead; with the
 /// forward pass on it also judges flag writers and push/pop
 /// (`PassCx::full`), off it keeps to flag-neutral register moves besides.
-const LADDER: [Stage; 7] = [
+const LADDER: [Stage; 6] = [
     stage("const-prop", OptLevel::Dataflow, propagate_constants),
     stage("dce", OptLevel::Peephole, liveness::eliminate_dead_code),
     // Converts memory moves to register moves (not removals, but the
@@ -135,20 +131,17 @@ const LADDER: [Stage; 7] = [
         converts: true,
         ..stage("slot-alloc", OptLevel::SlotAlloc, regalloc::allocate_slots)
     },
-    // First peephole round: cancel adjacent stack-temp pairs so frame
-    // compression sees the minimal push population.
+    // First peephole round: cancel the stack pairs the converted slots
+    // and the sweep's dead pushes left. It merges no bumps: merging here
+    // measured worse (`corpus-cold` `spec_cycles_pct` 13.5280 -> 13.5289,
+    // P1 gsum 20 999 -> 21 177 cycles).
     stage("peephole", OptLevel::Peephole, |cx| {
         peephole_round(cx, false)
     }),
-    stage(
-        "frame-compression",
-        OptLevel::FrameCompression,
-        frame::compress,
-    ),
     // Coalesce the copy chains slot allocation leaves behind.
     stage("regalloc", OptLevel::Regalloc, regalloc::allocate),
-    // Second round: merge the RSP bumps frame compression introduced and
-    // drop register writes orphaned by removed consumers.
+    // Second round: merge the RSP bumps no pair claimed and drop register
+    // writes orphaned by removed consumers.
     stage("peephole-2", OptLevel::Peephole, |cx| {
         let mut n = peephole_round(cx, true);
         // The allocator's own sweep has left nothing dead behind.
@@ -207,11 +200,10 @@ pub fn run_passes_traced(
     removed
 }
 
-/// Remove no-op instructions and cancel dead stack-temp pairs left behind
-/// by constant folding (`push X; lea rsp,[rsp+8]`, `push X; pop Y`, ...).
-/// Runs to a fixpoint so cancellations cascade. `merge_bumps` also folds
-/// adjacent `lea rsp` bumps into one — not before frame compression, which
-/// pairs a single-slot bump with its release.
+/// Remove no-op instructions and cancel stack pairs (the one rule,
+/// `regalloc::cancel_rsp_pairs`, with the flags taken as live out of the
+/// block). Runs to a fixpoint so cancellations cascade. `merge_bumps` also
+/// folds adjacent `lea rsp` bumps into one.
 fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
     if cx.shape(b) & bit::PEEPHOLE == 0 {
         return 0;
@@ -221,7 +213,10 @@ fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
     loop {
         let n = cx.insts(b).len();
         cx.retain(b, |_, e| !e.is(bit::NOOP));
-        peephole_pairs(cx, b, merge_bumps);
+        regalloc::cancel_rsp_pairs(cx, b, true);
+        if merge_bumps {
+            merge_adjacent_bumps(cx, b);
+        }
         if cx.insts(b).len() == n {
             break;
         }
@@ -229,43 +224,19 @@ fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
     (before - cx.insts(b).len()) as u64
 }
 
-fn peephole_pairs(cx: &mut PassCx, b: usize, merge_bumps: bool) {
-    let mov = |dst: Gpr, src: Operand| {
-        CapturedInst::plain(Inst::Mov {
-            w: Width::W64,
-            dst: Operand::Reg(dst),
-            src,
-        })
-    };
+/// `lea rsp,[rsp+a] ; lea rsp,[rsp+b]`  →  one combined bump, or nothing.
+fn merge_adjacent_bumps(cx: &mut PassCx, b: usize) {
     let mut i = 0;
     while i + 1 < cx.insts(b).len() {
         let (ea, ec) = (cx.effects(b)[i], cx.effects(b)[i + 1]);
-        // What the pair becomes: nothing, or one instruction.
-        let pair = match (cx.insts(b)[i].inst, cx.insts(b)[i + 1].inst) {
-            // push X ; lea rsp,[rsp+8]  →  nothing (slot is below RSP and
-            // dead afterwards; neither instruction touches flags).
-            _ if ea.is(bit::PUSH_RI) && ec.is_bump() && ec.rsp == 8 => Some(None),
-            // push X ; pop Y  →  mov Y, X (or nothing when X == Y).
-            (
-                Inst::Push { src },
-                Inst::Pop {
-                    dst: Operand::Reg(d),
-                },
-            ) if ea.is(bit::PUSH_RI) => Some((src != Operand::Reg(d)).then(|| mov(d, src))),
-            // lea rsp,[rsp+a] ; lea rsp,[rsp+b]  →  one combined bump.
-            _ if merge_bumps && ea.is_bump() && ec.is_bump() => {
-                let d = i32::try_from(ea.rsp + ec.rsp).ok();
-                d.map(|d| (d != 0).then(|| rsp_bump(d)))
-            }
-            _ => None,
-        };
-        match pair {
-            Some(Some(ci)) => {
-                cx.replace(b, i, ci);
+        let sum = (ea.is_bump() && ec.is_bump()).then(|| i32::try_from(ea.rsp + ec.rsp).ok());
+        match sum.flatten() {
+            Some(0) => cx.drain(b, i..i + 2),
+            Some(d) => {
+                cx.replace(b, i, rsp_bump(d));
                 cx.remove(b, i + 1);
                 i += 1;
             }
-            Some(None) => cx.drain(b, i..i + 2),
             None => i += 1,
         }
     }
@@ -274,7 +245,8 @@ fn peephole_pairs(cx: &mut PassCx, b: usize, merge_bumps: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::Terminator;
+    use crate::capture::{CapturedInst, Terminator};
+    use brew_x86::prelude::*;
 
     fn block(insts: Vec<CapturedInst>) -> CapturedBlock {
         let mut b = CapturedBlock::pending(0x1000);
@@ -565,6 +537,28 @@ mod tests {
     }
 
     #[test]
+    fn the_peephole_cancels_stack_pairs() {
+        // push rbp; mov rax, [rsp+16]; pop rbp  →  mov rax, [rsp+8]
+        let load = |disp| Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Mem(MemRef::base_disp(Gpr::Rsp, disp)),
+        };
+        let rbp = Operand::Reg(Gpr::Rbp);
+        let insts = [
+            Inst::Push { src: rbp },
+            load(16),
+            Inst::Pop { dst: rbp },
+            Inst::Ret,
+        ];
+        let mut blocks = vec![block(insts.map(CapturedInst::plain).to_vec())];
+        let ret = crate::config::RetKind::Int;
+        assert_eq!(run_passes(&mut blocks, OptLevel::Peephole, false, ret), 2);
+        let left: Vec<Inst> = blocks[0].insts.iter().map(|ci| ci.inst).collect();
+        assert_eq!(left, vec![load(8), Inst::Ret]);
+    }
+
+    #[test]
     fn w32_mov_self_not_removed() {
         // mov eax, eax zero-extends: not a no-op.
         let mut blocks = vec![block(vec![CapturedInst::plain(Inst::Mov {
@@ -585,7 +579,8 @@ mod tests {
 #[cfg(test)]
 mod dead_write_tests {
     use super::*;
-    use crate::capture::Terminator;
+    use crate::capture::{CapturedInst, Terminator};
+    use brew_x86::prelude::*;
 
     /// The dead-code sweep on its own: conservative (`full = false`, what
     /// `dead_reg_writes` used to do block by block) or with flags, frame

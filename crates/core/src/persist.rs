@@ -30,7 +30,7 @@
 //!           (flag:u8 addr:u64){3}    (mem_access, entry, exit hooks)
 //!           level:u8                 (`OptLevel` discriminant; version 1
 //!                                    carried a 7-bit pass mask here,
-//!                                    version 2 one more rung)
+//!                                    versions 2 and 3 more rungs)
 //! opts   := inline:u8 fresh:u8 branch:u8 max_variants:u32
 //! ```
 //!
@@ -75,7 +75,7 @@ pub const MAGIC: [u8; 8] = *b"BREWVARS";
 /// Current format version; bumped on any layout change. Loads of other
 /// versions fail with [`PersistError::BadVersion`] — there is no
 /// cross-version migration, a cold start is always correct.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a persisted-variant file (or one entry of it) was rejected.
 #[derive(Debug, Clone, PartialEq)]
@@ -634,9 +634,9 @@ mod tests {
         assert_eq!(decode_variants(&bad), Err(PersistError::BadMagic));
 
         // Version 1 carried a pass mask where the level byte is now, and
-        // version 2 numbered the levels with a rung since deleted: each is
-        // refused whole, like any other foreign version.
-        for found in [1, 2, 99] {
+        // versions 2 and 3 numbered the levels with rungs since deleted:
+        // each is refused whole, like any other foreign version.
+        for found in [1, 2, 3, 99] {
             let mut bad = bytes.clone();
             bad[8] = found;
             assert_eq!(

@@ -2,10 +2,9 @@
 //! prototype's named next step; ROADMAP item 1).
 //!
 //! Two phases, both driven by the `x86::defuse` sets validated
-//! differentially against the emulator in PR 5; `run_passes` calls each
-//! once, the first before the peephole and frame compression (whose pairs
-//! only line up once the spill traffic between them is gone), the second
-//! after:
+//! differentially against the emulator; `run_passes` calls each once, the
+//! first before the first peephole round (whose stack pairs only line up
+//! once the spill traffic between them is gone), the second after it:
 //!
 //! 1. **Slot allocation** (`allocate_slots`). The rewriter's input code
 //!    (like any compiler's spill code) round-trips values through frame
@@ -32,9 +31,12 @@
 //!    address-computation triples. Five sub-passes run to a fixpoint, each
 //!    justified by CFG register liveness (not the "everything is live-out"
 //!    assumption the intra-block peephole must make):
-//!    * cancellation of balanced `sub rsp, k` / `add rsp, k` pairs with no
-//!      intervening `rsp` reference, gated on the removed ALU's flags
-//!      being dead;
+//!    * the stack-pair rule (`cancel_rsp_pairs`, which every peephole
+//!      round runs too): an allocation of `k` bytes or a `push` closes at
+//!      its balancing release (or, for a push, at a `pop` that becomes a
+//!      register move) when the only `rsp` references between are plain
+//!      accesses above the `k` bytes, which it rebases; a removed ALU
+//!      adjustment's flags must be dead;
 //!    * the shared dead-code sweep ([`crate::dataflow`]): any
 //!      side-effect-free instruction (including a load from an
 //!      `rsp`-relative or absolute address, which cannot fault) whose
@@ -55,8 +57,9 @@
 //!
 //! `frame_escaped` blocks phase 1 exactly as it blocks the removal of dead
 //! frame stores: an escaped frame address means untracked loads may alias
-//! any slot, so the shared liveness tracks no slot at all. Phase 2 still runs — it touches only registers and balanced
-//! `rsp` pairs. The output must (and does: see `tests/differential.rs` and
+//! any slot, so the shared liveness tracks no slot at all. Phase 2 still
+//! runs — it touches only registers and balanced `rsp` pairs. The output
+//! must (and does: see `tests/differential.rs` and
 //! the verifier suites) stay bit-identical under the emulator and pass the
 //! static verifier unchanged — rsp-pair removal is balanced so stack
 //! discipline holds, and no transform introduces a memory write.
@@ -65,6 +68,7 @@ use crate::capture::CapturedInst;
 use crate::dataflow::cx::{bit, rsp_bump, step_regs, tracked, Kind, PassCx, NO_SLOT, UNTRACKED};
 use crate::dataflow::liveness::{self, Live, LiveSet, SlotSet};
 use crate::passes::OptLevel;
+use brew_x86::defuse::{Role, Site};
 use brew_x86::prelude::*;
 
 /// Run the cleanup phase; returns the number of instructions removed.
@@ -99,7 +103,7 @@ pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
                 }
                 let mut edits = liveness::sweep(cx, i);
                 // A sub-pass runs where the block holds its shape at all.
-                if cx.shape(i) & bit::RSP_ADJUST != 0 {
+                if cx.shape(i) & (bit::RSP_ADJUST | bit::PUSH_RI) != 0 {
                     edits += cancel_rsp_pairs(cx, i, out.flags);
                 }
                 if cx.shape(i) & bit::FOLD_HEAD != 0 {
@@ -299,39 +303,107 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2a: balanced rsp-pair cancellation
+// Phase 2a: the stack-pair rule
 // ---------------------------------------------------------------------------
 
-fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
+/// Cancel the balanced stack-pointer pairs of block `b`, the one rule every
+/// peephole round and every cleanup round runs; returns the instructions
+/// removed.
+///
+/// * An *opener* allocates `k` bytes: `sub rsp, k`, `lea rsp, [rsp-k]`, or
+///   a `push x` of a register or an immediate (`k` = 8).
+/// * It closes at the next live instruction that moves `rsp`, when no
+///   barrier comes first and that instruction is the balancing release or,
+///   for a push, a `pop y` with `x` unwritten since: the pop becomes
+///   `mov y, x`, or nothing when `x` is `y`.
+/// * In between, `rsp` may only be the base of unindexed memory operands
+///   (no `lea`) at displacement `k` or more: nothing reads the `k` bytes,
+///   and each such access is rebased by `-k`. Its frame tags stay, since
+///   they are entry-relative and still name the same bytes.
+///
+/// Removing an ALU adjustment drops a flags write: those must be dead
+/// (`flags_out` says whether the block's successors read them). Openers
+/// are taken innermost first, so nested pairs cancel in one call.
+pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
     let rsp = Loc::Gpr(Gpr::Rsp);
-    let nn = cx.insts(b).len();
-    let mut keep = std::mem::take(&mut cx.keep);
-    keep.clear();
-    keep.resize(nn, true);
-    let es = cx.effects(b);
-    // Removing an ALU adjustment drops a flags write: they must be dead.
-    let flags_ok =
-        |at: usize| !es[at].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, at + 1, flags_out);
-    for i in 0..nn {
-        if !keep[i] || !es[i].is(bit::RSP_ADJUST) {
+    let mut removed = 0;
+    // A cancellation edits the block at and after its opener only.
+    for i in (0..cx.insts(b).len()).rev() {
+        let ei = cx.effects(b)[i];
+        let pushed = match cx.insts(b)[i].inst {
+            Inst::Push { src } if ei.is(bit::PUSH_RI) => Some(src),
+            _ if ei.is(bit::RSP_ADJUST) && ei.rsp < 0 => None,
+            _ => continue,
+        };
+        let k = -ei.rsp;
+        // The first instruction past the opener that moves `rsp` or is no
+        // plain one; every `rsp` reference before it is an access.
+        let mut x_written = false;
+        let Some(j) = (i + 1..cx.insts(b).len()).find(|&j| {
+            let e = cx.effects(b)[j];
+            let close = e.kind != Kind::Plain || e.writes.has(rsp);
+            x_written |=
+                !close && matches!(pushed, Some(Operand::Reg(x)) if e.writes.has(Loc::Gpr(x)));
+            close
+        }) else {
+            continue;
+        };
+        let ej = cx.effects(b)[j];
+        let into = match (pushed, cx.insts(b)[j].inst) {
+            _ if ej.is(bit::RSP_ADJUST) && ej.rsp == k => None,
+            (Some(src), Inst::Pop { dst }) if ej.is(bit::POP_REG) && !x_written => (src != dst)
+                .then_some(Inst::Mov {
+                    w: Width::W64,
+                    dst,
+                    src,
+                }),
+            _ => continue,
+        };
+        let flags_dead = |at: usize| {
+            !cx.effects(b)[at].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, at + 1, flags_out)
+        };
+        let rebasable = (i + 1..j)
+            .filter(|&m| cx.effects(b)[m].refs(rsp))
+            .all(|m| rebased(&cx.insts(b)[m].inst, k).is_some());
+        if !(flags_dead(i) && flags_dead(j) && rebasable) {
             continue;
         }
-        // The next live instruction that references rsp, if no barrier
-        // comes first, decides: the balancing adjustment closes the pair,
-        // anything else leaves it open.
-        let next = (i + 1..nn)
-            .filter(|&j| keep[j])
-            .find(|&j| es[j].kind != Kind::Plain || es[j].refs(rsp));
-        if let Some(j) = next.filter(|&j| es[j].is(bit::RSP_ADJUST)) {
-            if es[i].rsp + es[j].rsp == 0 && flags_ok(i) && flags_ok(j) {
-                keep[i] = false;
-                keep[j] = false;
+        for m in i + 1..j {
+            if cx.effects(b)[m].refs(rsp) {
+                let ci = cx.insts(b)[m];
+                let inst = rebased(&ci.inst, k).expect("checked above");
+                cx.replace(b, m, CapturedInst { inst, ..ci });
             }
         }
+        match into {
+            Some(inst) => cx.replace(b, j, CapturedInst::plain(inst)),
+            None => {
+                cx.remove(b, j);
+                removed += 1;
+            }
+        }
+        cx.remove(b, i);
+        removed += 1;
     }
-    let removed = cx.retain(b, |i, _| keep[i]);
-    cx.keep = keep;
     removed
+}
+
+/// `inst`, which names `rsp`, with its memory operand `[rsp+d]` moved down
+/// to `[rsp+d-k]`: when the operand has no index, `d >= k`, the instruction
+/// is no `lea`, and it names `rsp` nowhere else.
+fn rebased(inst: &Inst, k: i64) -> Option<Inst> {
+    if matches!(inst, Inst::Lea { .. }) {
+        return None;
+    }
+    let on_rsp = |m: &MemRef| m.regs().any(|r| r == Gpr::Rsp);
+    let (mut out, mut other) = (*inst, false);
+    defuse::visit(&mut out, &mut |_: Role, site: Site<'_>| match site {
+        Site::Op(Operand::Mem(m)) if m.index.is_none() && i64::from(m.disp) >= k && on_rsp(m) => {
+            m.disp -= k as i32;
+        }
+        s => other |= s.loc() == Some(Loc::Gpr(Gpr::Rsp)) || s.mem().is_some_and(|m| on_rsp(&m)),
+    });
+    (!other).then_some(out)
 }
 
 /// Merge adjacent rsp adjustments into one — what a dead `push` next to a
@@ -455,10 +527,12 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
             drop.extend([p, q]);
         }
     }
-    // Dead saves: one push, one pop, and no other instruction names the
-    // register.
+    // Dead saves, once no adjustment survives: one push, one pop, and no
+    // other instruction names the register. (A surviving adjustment may
+    // release the save slot along with its own bytes.)
+    let frameless = drop.len() == adjusts.len();
     for (r, [push, pop]) in saves.iter().enumerate() {
-        if push.0 == 1 && pop.0 == 1 && named[r] == 2 {
+        if frameless && push.0 == 1 && pop.0 == 1 && named[r] == 2 {
             drop.extend([push.1, pop.1]);
         }
     }
@@ -892,6 +966,11 @@ mod tests {
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
+    /// `lea rsp, [rsp+by]`.
+    fn bump(by: i32) -> Inst {
+        rsp_bump(by).inst
+    }
+
     fn movsd_load(dst: Xmm, addr: i32) -> Inst {
         Inst::MovSd {
             dst: Operand::Xmm(dst),
@@ -953,6 +1032,14 @@ mod tests {
         ];
         let out = run(insts);
         assert_eq!(out.len(), 3, "setcc reads the add's flags: {out:?}");
+        // Nor may the allocation go while its own flags are read.
+        let setcc = Inst::Setcc {
+            cond: Cond::E,
+            dst: Operand::Reg(Gpr::Rax),
+        };
+        let insts = vec![rsp_alu(AluOp::Sub, 8), setcc, rsp_alu(AluOp::Add, 8)];
+        let out = run(insts);
+        assert_eq!(out.len(), 3, "setcc reads the sub's flags: {out:?}");
     }
 
     #[test]
@@ -977,6 +1064,275 @@ mod tests {
             },
         ]);
         assert_eq!(out.len(), 3, "interior store uses the slot: {out:?}");
+    }
+
+    // --- the stack-pair rule ---
+
+    /// The rule once over `insts`, flags dead past the block: how many
+    /// instructions it removed, and what is left.
+    fn pairs(insts: Vec<CapturedInst>) -> (u64, Vec<CapturedInst>) {
+        let mut blocks = vec![block(vec![])];
+        blocks[0].insts = insts;
+        let mut cx = PassCx::new(&mut blocks, OptLevel::Peephole, false, RetKind::Int);
+        let n = cancel_rsp_pairs(&mut cx, 0, false);
+        (n, blocks[0].insts.clone())
+    }
+
+    /// [`pairs`] over untagged instructions.
+    fn pairs_of(insts: Vec<Inst>) -> (u64, Vec<Inst>) {
+        let (n, left) = pairs(insts.into_iter().map(CapturedInst::plain).collect());
+        (n, left.iter().map(|ci| ci.inst).collect())
+    }
+
+    fn push(r: Gpr) -> Inst {
+        Inst::Push {
+            src: Operand::Reg(r),
+        }
+    }
+
+    fn pop(r: Gpr) -> Inst {
+        Inst::Pop {
+            dst: Operand::Reg(r),
+        }
+    }
+
+    fn mov(dst: Operand, src: Operand) -> Inst {
+        Inst::Mov {
+            w: Width::W64,
+            dst,
+            src,
+        }
+    }
+
+    /// `mov rax, [rsp+disp]`.
+    fn load(disp: i32) -> Inst {
+        mov(
+            Operand::Reg(Gpr::Rax),
+            Operand::Mem(MemRef::base_disp(Gpr::Rsp, disp)),
+        )
+    }
+
+    fn rsp_alu(op: AluOp, k: i64) -> Inst {
+        Inst::Alu {
+            op,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rsp),
+            src: Operand::Imm(k),
+        }
+    }
+
+    #[test]
+    fn removes_dead_push_pop_pair() {
+        let one = mov(Operand::Reg(Gpr::Rax), Operand::Imm(1));
+        let (n, left) = pairs_of(vec![push(Gpr::Rbp), one, pop(Gpr::Rbp), Inst::Ret]);
+        assert_eq!((n, left), (2, vec![one, Inst::Ret]));
+    }
+
+    #[test]
+    fn bump_left_by_a_dead_push_pairs_with_its_release() {
+        // lea rsp,[rsp-8]; mov rax,[rsp+16]; lea rsp,[rsp+8]  →  mov rax,[rsp+8]
+        // — and a pair that cannot be rewritten does not hide the next one.
+        let (n, left) = pairs_of(vec![
+            bump(-8),
+            load(16),
+            bump(8),
+            // The slot itself is read: this pair must stay.
+            bump(-8),
+            load(0),
+            bump(8),
+        ]);
+        assert_eq!(n, 2);
+        assert_eq!(left, vec![load(8), bump(-8), load(0), bump(8)]);
+    }
+
+    #[test]
+    fn rebases_intervening_rsp_operands() {
+        // push rbp; mov rax, [rsp+16]; pop rbp  →  mov rax, [rsp+8]
+        let (n, left) = pairs_of(vec![push(Gpr::Rbp), load(16), pop(Gpr::Rbp)]);
+        assert_eq!((n, left), (2, vec![load(8)]));
+    }
+
+    #[test]
+    fn keeps_pair_when_register_is_used() {
+        let insts = vec![
+            push(Gpr::Rbp),
+            mov(Operand::Reg(Gpr::Rbp), Operand::Imm(0)),
+            pop(Gpr::Rbp),
+        ];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+    }
+
+    #[test]
+    fn keeps_pair_when_slot_is_read() {
+        let insts = vec![push(Gpr::Rbp), load(0), pop(Gpr::Rbp)];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+    }
+
+    #[test]
+    fn keeps_pair_across_calls() {
+        // A callee must see a well-formed stack; so must whatever a trap
+        // hands the state to.
+        for barrier in [Inst::CallRel { target: 0x40_0000 }, Inst::Ud2] {
+            let insts = vec![push(Gpr::Rbp), barrier, pop(Gpr::Rbp)];
+            assert_eq!(pairs_of(insts.clone()), (0, insts));
+            let insts = vec![bump(-8), load(16), barrier, bump(8)];
+            assert_eq!(pairs_of(insts.clone()), (0, insts));
+        }
+    }
+
+    #[test]
+    fn elided_pop_close_requires_dead_slot() {
+        // push rbx; lea rsp,[rsp+8] (an elided pop): the pushed value is
+        // dead, so the pair goes whatever rbx holds.
+        let three = mov(Operand::Reg(Gpr::Rax), Operand::Imm(3));
+        let (n, left) = pairs_of(vec![push(Gpr::Rbx), three, bump(8)]);
+        assert_eq!((n, left), (2, vec![three]));
+    }
+
+    #[test]
+    fn nested_pairs_cascade() {
+        // Innermost first: the outer pair closes once the inner one is gone.
+        let one = mov(Operand::Reg(Gpr::Rax), Operand::Imm(1));
+        let (n, left) = pairs_of(vec![
+            push(Gpr::Rbp),
+            push(Gpr::Rbx),
+            one,
+            pop(Gpr::Rbx),
+            pop(Gpr::Rbp),
+        ]);
+        assert_eq!((n, left), (4, vec![one]));
+    }
+
+    #[test]
+    fn mismatched_depth_is_left_alone() {
+        // push rbp; sub rsp, 8; pop rbp — the pop is NOT at the slot depth;
+        // nor does a release of 8 balance an allocation of 16.
+        let insts = vec![push(Gpr::Rbp), rsp_alu(AluOp::Sub, 8), pop(Gpr::Rbp)];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+        let insts = vec![bump(-16), load(16), bump(8)];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+    }
+
+    #[test]
+    fn fib_like_nested_frames_cancel() {
+        // Two nested inlined frames, each a save and a 16-byte allocation.
+        let frame = |body: Vec<Inst>| {
+            let mut v = vec![push(Gpr::Rbp), rsp_alu(AluOp::Sub, 0x10)];
+            v.extend(body);
+            v.extend([bump(0x10), pop(Gpr::Rbp)]);
+            v
+        };
+        let (n, left) = pairs_of(frame(frame(vec![])));
+        assert_eq!((n, left), (8, vec![]));
+    }
+
+    #[test]
+    fn a_pop_into_another_register_becomes_a_move() {
+        let (n, left) = pairs_of(vec![push(Gpr::Rbx), load(16), pop(Gpr::Rcx)]);
+        let copy = mov(Operand::Reg(Gpr::Rcx), Operand::Reg(Gpr::Rbx));
+        assert_eq!((n, left), (1, vec![load(8), copy]));
+        let seven = Inst::Push {
+            src: Operand::Imm(7),
+        };
+        let (n, left) = pairs_of(vec![seven, pop(Gpr::Rcx)]);
+        let set = mov(Operand::Reg(Gpr::Rcx), Operand::Imm(7));
+        assert_eq!((n, left), (1, vec![set]));
+    }
+
+    #[test]
+    fn a_pop_stays_when_the_pushed_register_is_written_between() {
+        let insts = vec![push(Gpr::Rbx), load(16), pop(Gpr::Rcx)];
+        let mut clobbered = insts.clone();
+        clobbered.insert(1, mov(Operand::Reg(Gpr::Rbx), Operand::Imm(0)));
+        assert_eq!(pairs_of(clobbered.clone()), (0, clobbered));
+        // A pushed memory operand is no value a register still holds.
+        let cell = Operand::Mem(MemRef::base(Gpr::Rdi));
+        let insts = vec![
+            Inst::Push { src: cell },
+            mov(cell, Operand::Imm(0)),
+            pop(Gpr::Rcx),
+        ];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+        // And a pop into memory is no register move.
+        let insts = vec![push(Gpr::Rbx), Inst::Pop { dst: cell }];
+        assert_eq!(pairs_of(insts.clone()), (0, insts));
+    }
+
+    #[test]
+    fn a_pair_stays_around_an_access_it_cannot_rebase() {
+        let rsp_mem = |disp, index| {
+            Operand::Mem(MemRef {
+                base: Some(Gpr::Rsp),
+                index,
+                disp,
+            })
+        };
+        let rax = Operand::Reg(Gpr::Rax);
+        let between = [
+            // Into the allocated bytes.
+            mov(rsp_mem(8, None), rax),
+            // Anywhere.
+            mov(rax, rsp_mem(16, Some((Gpr::Rcx, 8)))),
+            // A frame address taken.
+            Inst::Lea {
+                dst: Gpr::Rax,
+                src: MemRef::base_disp(Gpr::Rsp, 16),
+            },
+            // `rsp` as a value too.
+            mov(rsp_mem(16, None), Operand::Reg(Gpr::Rsp)),
+        ];
+        for inst in between {
+            let insts = vec![bump(-16), inst, bump(16)];
+            assert_eq!(pairs_of(insts.clone()), (0, insts), "{inst}");
+        }
+    }
+
+    #[test]
+    fn a_rebased_access_keeps_its_frame_tag() {
+        let (n, left) = pairs(vec![
+            CapturedInst::plain(bump(-16)),
+            gload(Gpr::Rax, 24),
+            CapturedInst::plain(bump(16)),
+        ]);
+        assert_eq!(n, 2);
+        assert_eq!(left[0].inst, load(8));
+        assert_eq!(left[0].frame_load, Some(24));
+    }
+
+    #[test]
+    fn the_cleanup_cancels_a_push_pair_in_a_block_without_adjustments() {
+        let mut blocks = vec![ret_block(vec![
+            CapturedInst::plain(push(Gpr::Rbx)),
+            CapturedInst::plain(load(16)),
+            CapturedInst::plain(pop(Gpr::Rbx)),
+        ])];
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
+        assert_eq!(insts_of(&blocks[0]), vec![load(8), Inst::Ret]);
+    }
+
+    #[test]
+    fn a_dead_save_stays_while_an_adjustment_survives() {
+        // Exit B releases the save slot with the frame in one merged bump:
+        // dropping `push rbp`/`pop rbp` would leave it 8 bytes short.
+        let cmp = Inst::Alu {
+            op: AluOp::Cmp,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rdi),
+            src: Operand::Imm(0),
+        };
+        let rbp = Operand::Reg(Gpr::Rbp);
+        let entry = [Inst::Push { src: rbp }, rsp_alu(AluOp::Sub, 0x20), cmp];
+        let exit_a = [bump(0x20), Inst::Pop { dst: rbp }];
+        let mut blocks = vec![
+            jcc_block(entry.map(CapturedInst::plain).to_vec(), 1, 2),
+            ret_block(exit_a.map(CapturedInst::plain).to_vec()),
+            ret_block(vec![CapturedInst::plain(bump(0x28))]),
+        ];
+        blocks[0].is_entry = true;
+        allocate(&mut blocks, false, RetKind::Int, OptLevel::Aggressive);
+        assert_eq!(insts_of(&blocks[0])[0], Inst::Push { src: rbp });
+        assert_eq!(insts_of(&blocks[1])[1], Inst::Pop { dst: rbp });
+        assert_eq!(insts_of(&blocks[2])[0], bump(0x28));
     }
 
     #[test]

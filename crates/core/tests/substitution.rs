@@ -629,56 +629,3 @@ fn rewrite_stats_display_is_informative() {
     let text = res.stats.to_string();
     assert!(text.contains("traced") && text.contains("bytes"), "{text}");
 }
-#[test]
-fn fib_like_nested_frames_convert() {
-    use brew_core::frame::compress_frames;
-    // mimic two nested inlined frames
-    let insts = vec![
-        Inst::Push {
-            src: Operand::Reg(Gpr::Rbp),
-        },
-        Inst::Alu {
-            op: AluOp::Sub,
-            w: Width::W64,
-            dst: Operand::Reg(Gpr::Rsp),
-            src: Operand::Imm(0x10),
-        },
-        Inst::Push {
-            src: Operand::Reg(Gpr::Rbp),
-        },
-        Inst::Alu {
-            op: AluOp::Sub,
-            w: Width::W64,
-            dst: Operand::Reg(Gpr::Rsp),
-            src: Operand::Imm(0x10),
-        },
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src: MemRef::base_disp(Gpr::Rsp, 0x10),
-        },
-        Inst::Pop {
-            dst: Operand::Reg(Gpr::Rbp),
-        },
-        Inst::Lea {
-            dst: Gpr::Rsp,
-            src: MemRef::base_disp(Gpr::Rsp, 0x10),
-        },
-        Inst::Pop {
-            dst: Operand::Reg(Gpr::Rbp),
-        },
-    ];
-    let mut b = brew_core::capture::CapturedBlock::pending(0);
-    b.insts = insts
-        .into_iter()
-        .map(brew_core::capture::CapturedInst::plain)
-        .collect();
-    b.term = brew_core::capture::Terminator::Ret;
-    b.traced = true;
-    let mut blocks = vec![b];
-    let n = compress_frames(&mut blocks);
-    println!("converted: {n}");
-    for ci in &blocks[0].insts {
-        println!("{}", ci.inst);
-    }
-    assert!(n >= 2);
-}

@@ -171,13 +171,17 @@ fn wrong_format_version_is_rejected_wholesale() {
     let (_, bytes) = checkpoint(&img, &prog, known);
     let (img2, _, _, mgr2) = restarted();
 
-    let mut patched = bytes.clone();
-    patched[8] = persist::FORMAT_VERSION as u8 + 1; // version is LE at [8..12]
-    let err = mgr2.load_variant_bytes(&img2, &patched).unwrap_err();
-    assert!(
-        matches!(err, PersistError::BadVersion { found } if found == persist::FORMAT_VERSION + 1),
-        "{err:?}"
-    );
+    // A newer file, and the one before: its level byte numbers the rungs
+    // differently, so it must not decode.
+    for found in [persist::FORMAT_VERSION + 1, persist::FORMAT_VERSION - 1] {
+        let mut patched = bytes.clone();
+        patched[8] = found as u8; // version is LE at [8..12]
+        let err = mgr2.load_variant_bytes(&img2, &patched).unwrap_err();
+        assert!(
+            matches!(err, PersistError::BadVersion { found: f } if f == found),
+            "{err:?}"
+        );
+    }
 
     let mut garbled = bytes.clone();
     garbled[0] ^= 0xFF;
@@ -185,7 +189,7 @@ fn wrong_format_version_is_rejected_wholesale() {
     assert!(matches!(err, PersistError::BadMagic), "{err:?}");
 
     assert_eq!(mgr2.len(), 0);
-    assert_eq!(rejected_total(&mgr2), 2);
+    assert_eq!(rejected_total(&mgr2), 3);
 }
 
 #[test]

@@ -88,7 +88,7 @@ stage_equiv() {
 
 stage_regalloc() {
     # The allocator's own unit tests: the frame-reload rule's kill checks
-    # each have one.
+    # each have one, and so does each guard of the stack-pair rule.
     t -p brew-core --lib regalloc::
     t -p brew-suite --test regalloc_differential
     # The allocator's def/use is the operand-role table's; the emulator
@@ -108,11 +108,13 @@ stage_regalloc() {
 # and a `BTreeMap` pays a tree walk per key where two of them are compared.
 stage_hotpath() {
     for f in crates/core/src/tracer.rs crates/core/src/exec.rs crates/core/src/world.rs \
-        crates/core/src/passes.rs crates/core/src/frame.rs crates/core/src/regalloc.rs \
+        crates/core/src/passes.rs crates/core/src/regalloc.rs \
         crates/core/src/dataflow/*.rs \
         crates/verify/src/stack.rs crates/verify/src/cfg.rs crates/verify/src/mem.rs \
         crates/verify/src/equiv.rs crates/verify/src/term.rs crates/verify/src/frame.rs \
         crates/x86/src/codetab.rs crates/x86/src/form.rs crates/emu/src/machine.rs; do
+        # A listed file that is gone would pass the grep below unseen.
+        [ -f "$f" ] || fail "$f is listed but does not exist"
         # The eager oracle in mem.rs is test-only and keeps std's hasher on
         # purpose; everything from its `#[cfg(test)]` on is exempt.
         if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Hash\(Map\|Set\)::new()\|BTreeMap::new()'; then
@@ -175,7 +177,8 @@ stage_hotpath() {
     # Whether a frame slot is read again is one answer, the shared liveness
     # (`PassCx::solve` in crates/core/src/dataflow/cx.rs): no pass file
     # keeps slot gen/kill/live-in sets of its own.
-    for f in crates/core/src/regalloc.rs crates/core/src/passes.rs crates/core/src/frame.rs; do
+    for f in crates/core/src/regalloc.rs crates/core/src/passes.rs; do
+        [ -f "$f" ] || fail "$f is listed but does not exist"
         if sed '/^#\[cfg(test)\]/,$d' "$f" |
             grep -nE '\b(gen|kill|live_in|live_out|loaded)\b *: *SlotSet|let mut (gen|kill|live_in|live_out|loaded)\b.*SlotSet'; then
             fail "a frame-slot liveness of its own in $f (read the shared solve)"
