@@ -7,6 +7,7 @@
 //! bytes (`tests/tables_pins.txt`); wall-clock figures are the benchmark's
 //! (`benchmark/`, EXPERIMENTS.md names the metric for each).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 #[path = "../../verify/tests/corpus/mod.rs"]

@@ -13,7 +13,7 @@
 //!    emulator against host ground truth.
 //! 3. **Serving**: reader threads hammer `request` with a zipfian draw
 //!    over the warm keys. Every dispatch must come back `Specialized` — a
-//!    hit through the epoch-pinned, lock-free shard read path. One extra
+//!    hit through the lock-free snapshot read path. One extra
 //!    row runs the same draws while a writer thread churns the index
 //!    (publish + invalidate on a sibling function).
 //! 4. **Corruption sweep**: every entry of the checkpoint is bit-flipped
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The serving kernels: `madd` is the served family (one variant per
 /// known `b`); `churn` is the sibling the writer thread republishes and
-/// invalidates to keep the shard index swapping during measurement.
+/// invalidates to keep the cache's snapshot swapping during measurement.
 const PROG: &str = r#"
     int madd(int x, int b) {
         int acc = 0;
@@ -68,7 +68,7 @@ const CHURN_KEYS: i64 = 6;
 pub struct ServeRow {
     /// Reader threads dispatching concurrently.
     pub threads: u32,
-    /// Whether a writer thread churned the shard index during the row.
+    /// Whether a writer thread churned the cache's snapshot during the row.
     pub churn: bool,
     /// Total dispatches across all readers.
     pub dispatches: u64,
@@ -152,7 +152,7 @@ fn gated_manager() -> SpecializationManager {
 /// One serving row: `threads` readers each send `draws` dispatches
 /// through the hit path; with `churn`, a writer concurrently
 /// publishes and invalidates `churn`-function variants so every reader
-/// lookup races index swaps and epoch reclamation.
+/// lookup races snapshot swaps and their reclamation.
 fn serving_row(
     img: &Image,
     mgr: &SpecializationManager,

@@ -126,11 +126,6 @@ impl Effect {
         self.reads.has(l) || self.writes.has(l)
     }
 
-    /// `lea rsp, [rsp+d]`, the flag-neutral stack adjustment.
-    pub fn is_bump(&self) -> bool {
-        self.is(bit::RSP_ADJUST) && !self.is(bit::WRITES_FLAGS)
-    }
-
     fn scalar_only(&mut self) {
         self.reads = self.reads.without(LiveSet::of(0, self.so_skip));
         self.defs = self.defs.union(LiveSet::of(0, self.so_def));

@@ -57,6 +57,7 @@
 //! lands in two places, its [`MetricsRegistry`] and its
 //! [`FlightRecorder`] journal.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capture;

@@ -2,10 +2,11 @@
 //! [`SpecializationManager`].
 //!
 //! Four knobs, each one a value some caller sets: the byte budget, the
-//! negative-cache policy, adaptive tiering and the publish gate. Shard
-//! count and flight-journal capacity are constants, there is no worker
-//! count because the manager spawns no threads, and persistence is bytes
-//! in, bytes out — a caller that wants a file owns the file.
+//! negative-cache policy, adaptive tiering and the publish gate. The
+//! per-thread snapshot slots and flight-journal capacity are constants,
+//! there is no worker count because the manager spawns no threads, and
+//! persistence is bytes in, bytes out — a caller that wants a file owns
+//! the file.
 //!
 //! ```
 //! use brew_core::manager::{NegativePolicy, PublishRejection, SpecializationManager, TieringConfig};
@@ -25,8 +26,8 @@
 //! assert_eq!(mgr.budget_bytes(), 64 * 1024);
 //! ```
 
+use super::cache::VariantCache;
 use super::negative::{NegativeCache, NegativePolicy};
-use super::shards::{ShardedCache, DEFAULT_SHARDS};
 use super::tiering::{Tiering, TieringConfig};
 use super::{InflightTable, PublishGate, SpecializationManager};
 use crate::telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
@@ -114,14 +115,14 @@ impl ManagerBuilder {
                 state: Default::default(),
             }
         });
-        // Both caches keep their own gauges, and the epoch machinery
-        // journals from inside the shard writers: each holds clones of
-        // what it writes to instead of a reference to the manager.
+        // Both caches keep their own gauges, and the variant cache journals
+        // its publishes from inside its writer: each holds clones of what
+        // it writes to instead of a reference to the manager.
         let metrics = Arc::new(MetricsRegistry::new());
         let flight = Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY));
         SpecializationManager {
-            cache: ShardedCache::new(DEFAULT_SHARDS, Arc::clone(&metrics), Arc::clone(&flight)),
-            negative: NegativeCache::new(DEFAULT_SHARDS, self.negative, Arc::clone(&metrics)),
+            cache: VariantCache::new(Arc::clone(&metrics), Arc::clone(&flight)),
+            negative: NegativeCache::new(self.negative, Arc::clone(&metrics)),
             inflight: InflightTable::default(),
             budget_bytes: self.budget_bytes,
             tiering,

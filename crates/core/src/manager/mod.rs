@@ -19,10 +19,11 @@
 //!   revalidation's rebuilds share one front end and differ only in their
 //!   origin; the checkpoint load and eviction ask the same table.
 //!
-//! What the shell executes against: a **sharded variant cache** under
+//! What the shell executes against: a **variant cache** under
 //! `(function, request fingerprint)` ([`SpecRequest::fingerprint`]) whose
-//! hit is one lock-free probe, bounded by a global byte budget (the
-//! highest `staleness × code bytes / (hits + 1)` is evicted first);
+//! hit is one lock-free probe of a published snapshot, bounded by a byte
+//! budget (the highest `staleness × code bytes / (hits + 1)` is evicted
+//! first);
 //! **single flight**, so each fingerprint is traced once however many
 //! threads race for it, on the calling thread (the manager spawns none);
 //! the **negative cache** ([`negative`]), which memoizes failures with a
@@ -42,12 +43,12 @@
 //! tiering, publish gate.
 
 mod builder;
+mod cache;
 mod checkpoint;
 mod decide;
 mod dispatch;
 mod inflight;
 pub mod negative;
-mod shards;
 pub mod tiering;
 
 use crate::capture::RewriteStats;
@@ -61,12 +62,12 @@ use crate::telemetry::{
 use crate::{OptLevel, Rewriter};
 use brew_image::Image;
 pub use builder::ManagerBuilder;
+use cache::VariantCache;
 pub use checkpoint::{LoadReport, SaveReport};
 use decide::{decide, Decision, Gate, Heat, Origin, Stage, View};
 use inflight::{InflightTable, Join};
 use negative::NegativeCache;
 pub use negative::NegativePolicy;
-use shards::ShardedCache;
 use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -255,7 +256,7 @@ impl Dispatch {
 /// methods take `&self`; share it across threads by reference (e.g. from
 /// scoped threads) or in an `Arc`. See the module docs for the design.
 pub struct SpecializationManager {
-    cache: ShardedCache,
+    cache: VariantCache,
     negative: NegativeCache,
     inflight: InflightTable,
     budget_bytes: usize,

@@ -4,17 +4,17 @@
 //! that failed (undecodable instruction, trace budget blown, division
 //! fault on known operands) fails again; without memoization every repeat
 //! pays the full trace to rediscover it. The cache remembers the failure
-//! per [`CacheKey`] and answers repeats at shard-lookup cost. Failures
-//! need not be permanent (the data a trace faulted on may be fixed), so an
-//! entry denies `base_backoff << (attempts - 1)` requests, then lets one
-//! retry through (single flight coalesces concurrent retriers); at
-//! `attempt_cap` failures it denies for good.
+//! per [`CacheKey`] and answers repeats at the cost of one map lookup.
+//! Failures need not be permanent (the data a trace faulted on may be
+//! fixed), so an entry denies `base_backoff << (attempts - 1)` requests,
+//! then lets one retry through (single flight coalesces concurrent
+//! retriers); at `attempt_cap` failures it denies for good.
 //!
 //! The arithmetic is `decide::Negative::of`, applied here under the
-//! entry's shard lock so a verdict and its spend are one step. Only
-//! callers spend the window (`request`, `get_or_rewrite`); the policy's
-//! promotions and rebuilds take the same verdict without spending it. The
-//! cache keeps its own count, and the `brew_negative_entries` gauge with it.
+//! cache's lock so a verdict and its spend are one step. Only callers
+//! spend the window (`request`, `get_or_rewrite`); the policy's promotions
+//! and rebuilds take the same verdict without spending it. The cache keeps
+//! its own count, and the `brew_negative_entries` gauge with it.
 
 use super::decide::{Negative, Origin};
 use super::{unpoison, CacheKey};
@@ -53,34 +53,28 @@ struct NegEntry {
     denials: u64,
 }
 
-type Shard = Mutex<HashMap<CacheKey, NegEntry>>;
-
-/// Sharded `(func, fingerprint) -> NegEntry` map. Sharding mirrors the
-/// positive cache so a hot failure path contends no worse than a hot hit
-/// path.
+/// The `(func, fingerprint) -> NegEntry` map, under one lock.
 pub(super) struct NegativeCache {
-    shards: Vec<Shard>,
+    map: Mutex<HashMap<CacheKey, NegEntry>>,
     policy: NegativePolicy,
-    /// Entries across all shards.
+    /// Entries in `map`, readable without the lock.
     count: AtomicUsize,
     metrics: Arc<MetricsRegistry>,
 }
 
 impl NegativeCache {
-    /// A negative cache with `shards` shards under `policy`.
-    pub fn new(shards: usize, policy: NegativePolicy, metrics: Arc<MetricsRegistry>) -> Self {
+    /// An empty negative cache under `policy`.
+    pub fn new(policy: NegativePolicy, metrics: Arc<MetricsRegistry>) -> Self {
         NegativeCache {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            map: Mutex::default(),
             policy,
             count: AtomicUsize::new(0),
             metrics,
         }
     }
 
-    fn lock(&self, key: &CacheKey) -> MutexGuard<'_, HashMap<CacheKey, NegEntry>> {
-        let mix = key.fingerprint ^ key.func.rotate_left(17);
-        let shard = &self.shards[(mix as usize) % self.shards.len()];
-        unpoison(shard.lock())
+    fn lock(&self) -> MutexGuard<'_, HashMap<CacheKey, NegEntry>> {
+        unpoison(self.map.lock())
     }
 
     /// Move the entry count by `d` and the gauge with it.
@@ -95,7 +89,7 @@ impl NegativeCache {
     /// caller (`origin.spends()`) counts against the backoff window;
     /// nothing else mutates the entry.
     pub fn consult(&self, key: &CacheKey, origin: Origin) -> (Negative, Option<RewriteError>) {
-        let mut map = self.lock(key);
+        let mut map = self.lock();
         let Some(e) = map.get_mut(key) else {
             return (Negative::None, None);
         };
@@ -110,15 +104,15 @@ impl NegativeCache {
 
     /// Memoize a failed attempt for `key` — bump the attempt count, reset
     /// the denial window, remember the newest error — if `current()`
-    /// still holds under the shard lock (no invalidation since the
-    /// attempt began).
+    /// still holds under the lock (no invalidation since the attempt
+    /// began).
     pub fn record_failure(
         &self,
         key: &CacheKey,
         err: &RewriteError,
         current: impl FnOnce() -> bool,
     ) {
-        let mut map = self.lock(key);
+        let mut map = self.lock();
         if !current() {
             return;
         }
@@ -136,30 +130,27 @@ impl NegativeCache {
 
     /// The memoized error for `key`, if any.
     pub fn failure_of(&self, key: &CacheKey) -> Option<RewriteError> {
-        self.lock(key).get(key).map(|e| e.err.clone())
+        self.lock().get(key).map(|e| e.err.clone())
     }
 
     /// Drop the entry for `key` (a retry succeeded).
     pub fn forget(&self, key: &CacheKey) {
-        let gone = self.lock(key).remove(key).is_some();
+        let gone = self.lock().remove(key).is_some();
         self.account(-(gone as isize));
     }
 
     /// Drop every entry for `func` (the function was invalidated — its
     /// failure may have been data-dependent).
     pub fn forget_func(&self, func: u64) -> usize {
-        let mut gone = 0;
-        for s in &self.shards {
-            let mut map = unpoison(s.lock());
-            let before = map.len();
-            map.retain(|k, _| k.func != func);
-            gone += before - map.len();
-        }
+        let mut map = self.lock();
+        let before = map.len();
+        map.retain(|k, _| k.func != func);
+        let gone = before - map.len();
         self.account(-(gone as isize));
         gone
     }
 
-    /// Live entries across all shards.
+    /// Live entries.
     pub fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
@@ -176,12 +167,12 @@ mod tests {
         }
     }
 
-    fn cache(shards: usize, base_backoff: u64, attempt_cap: u32) -> NegativeCache {
+    fn cache(base_backoff: u64, attempt_cap: u32) -> NegativeCache {
         let policy = NegativePolicy {
             base_backoff,
             attempt_cap,
         };
-        NegativeCache::new(shards, policy, Arc::new(MetricsRegistry::new()))
+        NegativeCache::new(policy, Arc::new(MetricsRegistry::new()))
     }
 
     fn fail(neg: &NegativeCache, k: &CacheKey, err: RewriteError) {
@@ -194,7 +185,7 @@ mod tests {
 
     #[test]
     fn miss_then_deny_then_retry() {
-        let neg = cache(4, 2, 10);
+        let neg = cache(2, 10);
         let k = key(0x1000, 42);
         assert_eq!(verdict(&neg, &k), Negative::None);
         fail(&neg, &k, RewriteError::TraceBudget);
@@ -214,7 +205,7 @@ mod tests {
 
     #[test]
     fn capped_attempts_deny_forever() {
-        let neg = cache(1, 1, 2);
+        let neg = cache(1, 2);
         let k = key(0x2000, 7);
         fail(&neg, &k, RewriteError::TraceBudget);
         fail(&neg, &k, RewriteError::TraceBudget);
@@ -228,7 +219,7 @@ mod tests {
     /// `forget` and report `attempts = 0` for a denial that happened.
     #[test]
     fn a_denial_carries_the_attempts_it_was_decided_on() {
-        let neg = cache(1, 1, 10);
+        let neg = cache(1, 10);
         let k = key(0x1000, 42);
         for n in 1..=3u32 {
             fail(&neg, &k, RewriteError::TraceBudget);
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn policy_origins_probe_without_spending_the_window() {
-        let neg = cache(1, 2, 10);
+        let neg = cache(2, 10);
         let k = key(0x1000, 42);
         let probe = |o| neg.consult(&k, o).0;
         assert_eq!(probe(Origin::Promote), Negative::None);
@@ -261,7 +252,7 @@ mod tests {
 
     #[test]
     fn forget_and_forget_func() {
-        let neg = cache(4, 8, 10);
+        let neg = cache(8, 10);
         let ka = key(0x1000, 1);
         let kb = key(0x1000, 2);
         let kc = key(0x3000, 3);
@@ -279,7 +270,7 @@ mod tests {
 
     #[test]
     fn newest_error_wins() {
-        let neg = cache(1, 8, 10);
+        let neg = cache(8, 10);
         let k = key(0x1000, 1);
         fail(&neg, &k, RewriteError::TraceBudget);
         fail(&neg, &k, RewriteError::BlockBudget);
@@ -290,10 +281,10 @@ mod tests {
     }
 
     /// A failure whose attempt began before an invalidation is not
-    /// memoized: the check runs under the shard lock `forget_func` sweeps.
+    /// memoized: the check runs under the lock `forget_func` sweeps.
     #[test]
     fn a_failure_from_before_an_invalidation_is_not_memoized() {
-        let neg = cache(1, 8, 10);
+        let neg = cache(8, 10);
         let k = key(0x1000, 1);
         neg.record_failure(&k, &RewriteError::TraceBudget, || false);
         assert_eq!((verdict(&neg, &k), neg.len()), (Negative::None, 0));

@@ -25,8 +25,8 @@
 //!   kept for a later promotion. After a revalidation, only stale variants
 //!   whose heat clears the demote bar are *re-specialized*.
 //!
-//! Every promotion and demotion is an index writer in the sharded store's
-//! epoch/RCU scheme (DESIGN.md §11): dispatch-site readers never wait on
+//! Every promotion and demotion is a writer of the variant cache's
+//! published snapshot (DESIGN.md §11): dispatch-site readers never wait on
 //! it, and a demoted variant's code stays callable for a reader that still
 //! holds it — the C5 rows measure flat p99 latency under writer churn.
 //!

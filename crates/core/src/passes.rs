@@ -6,7 +6,7 @@
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
 use crate::capture::CapturedBlock;
-use crate::dataflow::cx::{bit, rsp_bump, PassCx, Work};
+use crate::dataflow::cx::{bit, PassCx, Work};
 use crate::dataflow::liveness;
 use crate::dataflow::propagate_constants;
 use crate::regalloc;
@@ -203,7 +203,8 @@ pub fn run_passes_traced(
 /// Remove no-op instructions and cancel stack pairs (the one rule,
 /// `regalloc::cancel_rsp_pairs`, with the flags taken as live out of the
 /// block). Runs to a fixpoint so cancellations cascade. `merge_bumps` also
-/// folds adjacent `lea rsp` bumps into one.
+/// merges adjacent `rsp` adjustments (`regalloc::merge_rsp_adjustments`,
+/// the cleanup's rule, under the same flags assumption).
 fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
     if cx.shape(b) & bit::PEEPHOLE == 0 {
         return 0;
@@ -215,31 +216,13 @@ fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
         cx.retain(b, |_, e| !e.is(bit::NOOP));
         regalloc::cancel_rsp_pairs(cx, b, true);
         if merge_bumps {
-            merge_adjacent_bumps(cx, b);
+            regalloc::merge_rsp_adjustments(cx, b, true);
         }
         if cx.insts(b).len() == n {
             break;
         }
     }
     (before - cx.insts(b).len()) as u64
-}
-
-/// `lea rsp,[rsp+a] ; lea rsp,[rsp+b]`  →  one combined bump, or nothing.
-fn merge_adjacent_bumps(cx: &mut PassCx, b: usize) {
-    let mut i = 0;
-    while i + 1 < cx.insts(b).len() {
-        let (ea, ec) = (cx.effects(b)[i], cx.effects(b)[i + 1]);
-        let sum = (ea.is_bump() && ec.is_bump()).then(|| i32::try_from(ea.rsp + ec.rsp).ok());
-        match sum.flatten() {
-            Some(0) => cx.drain(b, i..i + 2),
-            Some(d) => {
-                cx.replace(b, i, rsp_bump(d));
-                cx.remove(b, i + 1);
-                i += 1;
-            }
-            None => i += 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -534,6 +517,37 @@ mod tests {
         );
         assert_eq!(removed, 3);
         assert_eq!(blocks[0].insts.len(), 1);
+    }
+
+    #[test]
+    fn the_peephole_merges_alu_adjustments_only_over_dead_flags() {
+        // sub rsp, 8; sub rsp, 16  →  sub rsp, 24 when a later write kills
+        // the flags both wrote; kept apart when the flags leave the block.
+        let sub = |imm| Inst::Alu {
+            op: AluOp::Sub,
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rsp),
+            src: Operand::Imm(imm),
+        };
+        let kill = Inst::Alu {
+            op: AluOp::Xor,
+            w: Width::W32,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Reg(Gpr::Rax),
+        };
+        let ret = crate::config::RetKind::Int;
+        for (tail, want) in [
+            (vec![kill], vec![sub(24), kill]),
+            (vec![], vec![sub(8), sub(16)]),
+        ] {
+            let insts = [sub(8), sub(16)].into_iter().chain(tail);
+            let mut blocks = vec![block(insts.map(CapturedInst::plain).collect())];
+            let mut cx = PassCx::new(&mut blocks, OptLevel::Peephole, false, ret);
+            peephole(&mut cx, 0, true);
+            drop(cx);
+            let left: Vec<Inst> = blocks[0].insts.iter().map(|ci| ci.inst).collect();
+            assert_eq!(left, want);
+        }
     }
 
     #[test]

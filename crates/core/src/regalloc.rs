@@ -407,11 +407,12 @@ fn rebased(inst: &Inst, k: i64) -> Option<Inst> {
 }
 
 /// Merge adjacent rsp adjustments into one — what a dead `push` next to a
-/// frame allocation leaves behind. Runs once nothing cancels any more: a
-/// merged adjustment has lost its partner. A removed ALU adjustment must
+/// frame allocation leaves behind. The cleanup runs it once nothing cancels
+/// any more (a merged adjustment has lost its partner), the peephole's
+/// second round after each cancellation. A removed ALU adjustment must
 /// not leave flags anyone reads; the merged one is flag-neutral unless the
 /// second of the pair already wrote (dead) flags.
-fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
+pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
     let mut removed = 0;
     let mut i = 0;
     while i + 1 < cx.insts(b).len() {

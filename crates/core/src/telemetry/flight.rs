@@ -5,8 +5,8 @@
 //! "what happened, in what order, and why" — a fixed-capacity ring of
 //! seqlock-stamped event records that every manager path (dispatch
 //! outcomes, tiering decisions with their heat score and threshold,
-//! epoch publish/reclaim, persistence, panic containment) writes into
-//! with monotonic nanosecond timestamps. Think of an aircraft flight
+//! variant-cache snapshot publishes, persistence, panic containment)
+//! writes into with monotonic nanosecond timestamps. Think of an aircraft flight
 //! recorder: it is always on, it never blocks or allocates on the hot
 //! path, and when something goes wrong the last `capacity` events are
 //! right there to dump.

@@ -1,7 +1,7 @@
 //! The lock-free metrics registry.
 //!
 //! Every metric is a plain atomic — no locks anywhere on the update path,
-//! so the registry is safe to hammer from the manager's sharded hit path
+//! so the registry is safe to hammer from the manager's hit path
 //! on every caller thread at once. A disabled registry (see
 //! [`MetricsRegistry::set_enabled`]) reduces every update to one relaxed
 //! load-and-branch.

@@ -23,7 +23,7 @@
 //!
 //! - [`flight`] — a lock-free, allocation-free [`FlightRecorder`] ring
 //!   journal of every manager decision (tiering verdicts with the heat
-//!   and threshold that justified them, epoch publish/reclaim, persist
+//!   and threshold that justified them, cache snapshot publishes, persist
 //!   save/load, panics), dumpable on demand or on panic and exportable
 //!   merged with the span tree on one chrome://tracing timeline.
 //! - [`profile`] — [`DispatchProfiler`] attributes measured model

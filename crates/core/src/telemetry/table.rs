@@ -71,10 +71,8 @@ metric_ids! {
             "Cold resident variants demoted (evicted) by the tiering layer";
         TierRespecialized "brew_tier_respecialized_total"
             "Stale variants rebuilt because their heat cleared the bar";
-        EpochPublished "brew_read_epoch_published_total"
-            "Shard snapshots published (rebuild + pointer swap)";
-        EpochReclaimed "brew_read_epoch_reclaimed_total"
-            "Retired shard snapshots freed by epoch advances";
+        SnapPublished "brew_cache_snapshots_published_total"
+            "Variant-cache snapshots published (map copy + swap)";
         PersistSaved "brew_persist_saved_total" "Variants serialized to the persistence file";
         PersistLoaded "brew_persist_loaded_total"
             "Persisted variants re-verified and published on load";
@@ -105,8 +103,6 @@ metric_ids! {
             "Keys with live tiering heat scores as of the last tick";
         HeatMax "brew_tier_heat_max_milli" "Hottest tiering heat score (x1000) as of the last tick";
         HeatMean "brew_tier_heat_mean_milli" "Mean tiering heat score (x1000) as of the last tick";
-        ReadEpoch "brew_read_epoch" "Sum of per-shard reclamation epochs of the variant cache";
-        EpochLimbo "brew_read_epoch_limbo" "Retired shard snapshots awaiting epoch reclamation";
     }
 }
 
@@ -203,7 +199,8 @@ macro_rules! decisions {
 // taken against. `Published` is the journal line of one warm-loaded entry;
 // the load's counters come off its `PersistLoad` record. `Invalidated` also
 // journals a publish refused because an invalidation ran while it was
-// traced. Discriminant 4 (`DEFERRED`) is retired, never reused.
+// traced. Discriminants 4 (`DEFERRED`) and 18 (`EPOCH_FREE`) are retired,
+// never reused.
 decisions! {
     Hit = 1, "HIT", [("func", Hex), ("entry", Hex)], [CacheHits];
     Miss = 2, "MISS", [("func", Hex)], [CacheMisses];
@@ -227,9 +224,7 @@ decisions! {
     TickBegin = 15, "TICK_BEGIN", [("tick", Dec)], [];
     TickEnd = 16, "TICK_END",
         [("tick", Dec), ("sampled", Dec), ("promoted", Dec), ("demoted", Dec)], [];
-    EpochPublish = 17, "EPOCH_PUB", [("shard", Dec), ("epoch", Dec)], [EpochPublished];
-    EpochReclaim = 18, "EPOCH_FREE", [("shard", Dec), ("freed", Dec)],
-        [EpochReclaimed += arg 1];
+    SnapPublish = 17, "SNAP_PUB", [("gen", Dec), ("entries", Dec)], [SnapPublished];
     PersistSave = 19, "SAVE", [("variants", Dec), ("bytes", Dec), ("unportable", Dec)],
         [PersistSaved += arg 0, PersistSaveUnportable += arg 2];
     PersistLoad = 20, "LOAD", [("published", Dec), ("rejected", Dec)],
@@ -265,10 +260,10 @@ mod tests {
         let mut names: Vec<&str> = Ctr::ALL.iter().map(|c| c.name()).collect();
         names.extend(Gge::ALL.iter().map(|g| g.name()));
         names.extend(Hst::ALL.iter().map(|h| h.name()));
-        assert_eq!(names.len(), 44);
+        assert_eq!(names.len(), 41);
         assert!(names.iter().all(|n| n.starts_with("brew_")));
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 44);
+        assert_eq!(names.len(), 41);
     }
 }

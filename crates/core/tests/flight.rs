@@ -1,6 +1,6 @@
 //! Flight-recorder torture: dumping concurrently with writers must never
 //! block, tear, or mis-account — at the raw-ring level, under real
-//! manager RCU churn, and on the panic-containment path.
+//! manager publish churn, and on the panic-containment path.
 
 use brew_core::telemetry::flight::FlightKind;
 use brew_core::{
@@ -197,9 +197,9 @@ fn forced_lap_is_classified_lapped_not_torn() {
 }
 
 /// Real manager churn: rewriters, an invalidator, and a flight dumper all
-/// run concurrently. Dumps must stay consistent while epochs retire
-/// variants under RCU, and at quiescence the symbol table must agree
-/// with the resident set.
+/// run concurrently. Dumps must stay consistent while publishes retire
+/// cache snapshots, and at quiescence the symbol table must agree with
+/// the resident set.
 #[test]
 fn manager_rcu_churn_with_concurrent_dumps() {
     let (img, poly) = setup();
@@ -277,7 +277,7 @@ fn manager_rcu_churn_with_concurrent_dumps() {
     assert!(kinds.contains(&FlightKind::Rewritten));
     assert!(kinds.contains(&FlightKind::SymbolPublish));
     assert!(kinds.contains(&FlightKind::SymbolRetire));
-    assert!(kinds.contains(&FlightKind::EpochPublish));
+    assert!(kinds.contains(&FlightKind::SnapPublish));
 }
 
 /// A contained panic freezes a flight dump: the events leading up to the

@@ -163,7 +163,7 @@ fn journal_records_miss_rewrite_hit_and_dispatch() {
             Miss,
             Rewritten,
             SymbolPublish,
-            EpochPublish,
+            SnapPublish,
             Hit,
             DispatcherBuilt,
             SymbolPublish

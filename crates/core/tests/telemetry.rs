@@ -302,7 +302,7 @@ fn exposition_and_flight_lines_are_pinned() {
         assert_eq!(a, b, "telemetry_pins.txt line {}", i + 1);
     }
     assert_eq!(now.lines().count(), pinned.lines().count());
-    assert_eq!(FlightKind::ALL.len(), 27);
+    assert_eq!(FlightKind::ALL.len(), 26);
 }
 
 const LIFE: &str = r#"

@@ -26,6 +26,7 @@
 //! assert_eq!(out.ret_int as i64, 40);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asm;

@@ -21,6 +21,7 @@
 //! * [`PgasArray::redistribute`]: the Chapel domain-map scenario (§VI) —
 //!   change the distribution at runtime and re-specialize.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use brew_core::{RetKind, RewriteResult, Rewriter, SpecRequest};

@@ -12,6 +12,8 @@
 //! the test name and case index, so failures reproduce across runs. There
 //! is no shrinking — the failing case is printed instead.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 /// Deterministic splitmix64 generator; the only entropy source.

@@ -7,6 +7,7 @@
 //! matrix with model-cycle accounting, a host-side reference for
 //! validation, and the rewriting recipes of Figure 5.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod programs;

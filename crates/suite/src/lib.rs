@@ -16,6 +16,7 @@
 //! See `examples/quickstart.rs` for the Figure-2 experience in thirty
 //! lines.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use brew_core as core;

@@ -36,6 +36,7 @@
 //! assert_eq!(inst.to_string(), "mulsd xmm0, [0x615100]");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alu;

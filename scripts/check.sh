@@ -192,6 +192,12 @@ stage_hotpath() {
         ! printf '%s\n' "$demoted" | grep -q 'hard_cap('; then
         fail "crates/core/src/tracer.rs falls back to fully_demoted outside its hard-cap fallback"
     fi
+    # Every library crate is safe Rust, and says so where the compiler
+    # holds it to that: a crate root without the attribute could take
+    # `unsafe` back unseen.
+    for f in crates/*/src/lib.rs; do
+        grep -q '^#!\[forbid(unsafe_code)\]' "$f" || fail "$f does not forbid unsafe_code"
+    done
     # The same paths by their work: one decode per distinct address traced,
     # full world comparisons only where a digest matches.
     gates trace_
