@@ -193,15 +193,18 @@ fn regalloc_passes_decode_each_instruction_once() {
         );
         // One analysis under every stage: past the context's construction
         // (on the first stage's bill) a stage decodes what it wrote and
-        // nothing else, the stages that argue no liveness solve none, and
-        // the slot allocator reads its extents off at most one solve of the
+        // nothing else, every local rule runs in the one cleanup, and the
+        // slot allocator reads its extents off at most one solve of the
         // shared liveness (it keeps no fixpoint of its own).
         for w in &stages[1..] {
             assert_eq!(w.decodes, w.rewritten, "{label}: {w:?}");
         }
-        for w in stages.iter().filter(|w| w.pass == "peephole") {
-            assert_eq!(w.solves, 0, "{label}: {w:?}");
-        }
+        let names: Vec<&str> = stages.iter().map(|w| w.pass.as_str()).collect();
+        assert_eq!(
+            names,
+            ["const-prop", "dce", "slot-alloc", "cleanup"],
+            "{label}"
+        );
         let slot_alloc = stages.iter().find(|w| w.pass == "slot-alloc");
         assert!(
             slot_alloc.is_some_and(|w| w.solves <= 1),

@@ -754,14 +754,9 @@ impl Prop {
         }
     }
 
-    /// Product lattice value of a multiply, with `x * 0 = 0`.
+    /// Product lattice value of a multiply (`x * 0 = 0` included).
     fn imul(&mut self, st: &mut State, w: Width, a: AVal, b: AVal) -> AVal {
-        let zero = AVal::Const(0);
-        let (res, fl) = if a == zero || b == zero {
-            imul_value(w, Value::Const(0), Value::Const(0))
-        } else {
-            imul_value(w, a.value(), b.value())
-        };
+        let (res, fl) = imul_value(w, a.value(), b.value());
         Self::set_flags(st, fl);
         self.known_or_fresh(res)
     }

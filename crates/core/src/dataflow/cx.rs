@@ -77,8 +77,7 @@ pub(crate) mod bit {
     /// Reads an XMM high lane.
     pub const HI_OBSERVED: u32 = 1 << 19;
 
-    /// What each block-local stage looks for, for [`super::PassCx::shape`].
-    pub const PEEPHOLE: u32 = NOOP | PUSH_RI | RSP_ADJUST;
+    /// What the copy rules look for, for [`super::PassCx::shape`].
     pub const COPY: u32 = GPR_COPY | XMM_COPY;
 }
 
@@ -450,7 +449,8 @@ impl Liveness {
     fn new(n: usize) -> Liveness {
         let fresh = BlockLive {
             through: (Live::default(), Live::ALL),
-            live_in: Live::default(),
+            // Before the first solve every edge is taken as live.
+            live_in: Live::ALL,
             dirty: true,
             shape: 0,
         };
@@ -891,8 +891,8 @@ impl<'a> PassCx<'a> {
     }
 
     /// What is live when block `b` hands over. Edges that leave the block
-    /// list stay conservative; the stack pointer is structural and never
-    /// dead.
+    /// list stay conservative, and so does every edge before the first
+    /// [`PassCx::solve`]; the stack pointer is structural and never dead.
     pub fn live_out(&self, b: usize) -> Live {
         let term = self.blocks[b].term;
         let mut out = Live::default();
@@ -930,8 +930,8 @@ impl<'a> PassCx<'a> {
 
     /// Are the flags as left by instruction `pos - 1` of block `b` provably
     /// never read? (`ret` ends their life: they are not part of the return
-    /// ABI.)
-    pub fn flags_dead_at(&self, b: usize, pos: usize, flags_out: bool) -> bool {
+    /// ABI.) Past the block, [`PassCx::live_out`] says.
+    pub fn flags_dead_at(&self, b: usize, pos: usize) -> bool {
         for e in &self.effects[b][pos..] {
             if e.kind == Kind::Ret || e.is(bit::KILLS_FLAGS) {
                 return true;
@@ -940,7 +940,7 @@ impl<'a> PassCx<'a> {
                 return false;
             }
         }
-        !flags_out
+        !self.live_out(b).flags
     }
 
     /// Fill [`PassCx::after`] with the registers live just after each

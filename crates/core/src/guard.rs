@@ -220,40 +220,9 @@ pub fn make_guard(
     specialized: u64,
     original: u64,
 ) -> Result<u64, RewriteError> {
-    if param >= Gpr::SYSV_ARGS.len() {
-        return Err(RewriteError::BadConfig(format!(
-            "guard parameter index {param} out of ABI range"
-        )));
-    }
-    let reg = Gpr::SYSV_ARGS[param];
-
-    // r11 is caller-saved and never an argument register: safe scratch.
-    let mut insts: Vec<Inst> = Vec::new();
-    if expected == (expected as i32) as i64 {
-        insts.push(Inst::Alu {
-            op: AluOp::Cmp,
-            w: Width::W64,
-            dst: Operand::Reg(reg),
-            src: Operand::Imm(expected),
-        });
-    } else {
-        insts.push(Inst::MovAbs {
-            dst: Gpr::R11,
-            imm: expected as u64,
-        });
-        insts.push(Inst::Alu {
-            op: AluOp::Cmp,
-            w: Width::W64,
-            dst: Operand::Reg(reg),
-            src: Operand::Reg(Gpr::R11),
-        });
-    }
     // je specialized; jmp original — both tail jumps keep all argument
     // registers and the return address intact.
-    insts.push(Inst::Jcc {
-        cond: Cond::E,
-        target: specialized,
-    });
+    let mut insts = compare_and_jump(param, expected, Cond::E, specialized)?;
     insts.push(Inst::JmpRel { target: original });
 
     let total: usize = insts.iter().map(|i| encoded_len(i).unwrap_or(16)).sum();
@@ -270,8 +239,13 @@ pub fn make_guard(
     Ok(base)
 }
 
-/// Instructions testing one condition; the jump target is patched later.
-fn cond_insts(param: usize, expected: i64) -> Result<Vec<Inst>, RewriteError> {
+/// `cmp` integer parameter `param` with `expected`, then `j<cond> target`.
+fn compare_and_jump(
+    param: usize,
+    expected: i64,
+    cond: Cond,
+    target: u64,
+) -> Result<Vec<Inst>, RewriteError> {
     if param >= Gpr::SYSV_ARGS.len() {
         return Err(RewriteError::BadConfig(format!(
             "guard parameter index {param} out of ABI range"
@@ -299,12 +273,7 @@ fn cond_insts(param: usize, expected: i64) -> Result<Vec<Inst>, RewriteError> {
             src: Operand::Reg(Gpr::R11),
         });
     }
-    // Placeholder target: `jne` to the next case, patched in pass two.
-    // Jcc/JmpRel always encode a rel32, so lengths don't depend on it.
-    insts.push(Inst::Jcc {
-        cond: Cond::Ne,
-        target: 0,
-    });
+    insts.push(Inst::Jcc { cond, target });
     Ok(insts)
 }
 
@@ -379,7 +348,10 @@ fn chain_impl(
         }
         let mut insts = Vec::new();
         for &(param, expected) in &case.conds {
-            insts.extend(cond_insts(param, expected)?);
+            // Placeholder target: `jne` to the next case, patched in pass
+            // two. Jcc/JmpRel always encode a rel32, so lengths don't
+            // depend on it.
+            insts.extend(compare_and_jump(param, expected, Cond::Ne, 0)?);
         }
         if let Some(page) = counters {
             // Every compare of the case has passed; flags are dead at the

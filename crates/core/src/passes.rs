@@ -6,7 +6,7 @@
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
 use crate::capture::CapturedBlock;
-use crate::dataflow::cx::{bit, PassCx, Work};
+use crate::dataflow::cx::{PassCx, Work};
 use crate::dataflow::liveness;
 use crate::dataflow::propagate_constants;
 use crate::regalloc;
@@ -20,8 +20,10 @@ use crate::regalloc;
 pub enum OptLevel {
     /// No passes (paper-prototype fidelity mode).
     None,
-    /// Remove no-op moves and lea identities, cancel balanced stack pairs
-    /// (`regalloc::cancel_rsp_pairs`, the one rule for them), and sweep out
+    /// The cleanup's local rules (`regalloc::cleanup`) under the solved
+    /// liveness: remove no-op moves and lea identities, cancel balanced
+    /// stack pairs (`regalloc::cancel_rsp_pairs`, the one rule for them)
+    /// and merge what is left of adjacent `rsp` adjustments, and sweep out
     /// flag-neutral register moves and plain frame stores that the shared
     /// liveness proves dead.
     Peephole,
@@ -114,43 +116,22 @@ const fn stage(name: &'static str, from: OptLevel, run: fn(&mut PassCx) -> u64) 
     }
 }
 
-fn peephole_round(cx: &mut PassCx, merge_bumps: bool) -> u64 {
-    (0..cx.len()).map(|b| peephole(cx, b, merge_bumps)).sum()
-}
-
 /// The stages in execution order. Every dead-code sweep removes plain
 /// stores into frame slots the shared liveness proves dead; with the
 /// forward pass on it also judges flag writers and push/pop
 /// (`PassCx::full`), off it keeps to flag-neutral register moves besides.
-const LADDER: [Stage; 6] = [
+const LADDER: [Stage; 4] = [
     stage("const-prop", OptLevel::Dataflow, propagate_constants),
     stage("dce", OptLevel::Peephole, liveness::eliminate_dead_code),
     // Converts memory moves to register moves (not removals, but the
-    // conversions enable the peephole below to drop self-moves).
+    // conversions enable the cleanup below to drop self-moves).
     Stage {
         converts: true,
         ..stage("slot-alloc", OptLevel::SlotAlloc, regalloc::allocate_slots)
     },
-    // First peephole round: cancel the stack pairs the converted slots
-    // and the sweep's dead pushes left. It merges no bumps: merging here
-    // measured worse (`corpus-cold` `spec_cycles_pct` 13.5280 -> 13.5289,
-    // P1 gsum 20 999 -> 21 177 cycles).
-    stage("peephole", OptLevel::Peephole, |cx| {
-        peephole_round(cx, false)
-    }),
-    // Coalesce the copy chains slot allocation leaves behind.
-    stage("regalloc", OptLevel::Regalloc, regalloc::allocate),
-    // Second round: merge the RSP bumps no pair claimed and drop register
-    // writes orphaned by removed consumers.
-    stage("peephole-2", OptLevel::Peephole, |cx| {
-        let mut n = peephole_round(cx, true);
-        // The allocator's own sweep has left nothing dead behind.
-        if cx.level < OptLevel::Regalloc {
-            n += liveness::eliminate_dead_code(cx);
-            n += peephole_round(cx, true);
-        }
-        n
-    }),
+    // Every block-local rule the level selects, under the one liveness,
+    // to a fixpoint.
+    stage("cleanup", OptLevel::Peephole, regalloc::cleanup),
 ];
 
 /// [`run_passes`] with optional span recording: each stage gets a
@@ -200,35 +181,10 @@ pub fn run_passes_traced(
     removed
 }
 
-/// Remove no-op instructions and cancel stack pairs (the one rule,
-/// `regalloc::cancel_rsp_pairs`, with the flags taken as live out of the
-/// block). Runs to a fixpoint so cancellations cascade. `merge_bumps` also
-/// merges adjacent `rsp` adjustments (`regalloc::merge_rsp_adjustments`,
-/// the cleanup's rule, under the same flags assumption).
-fn peephole(cx: &mut PassCx, b: usize, merge_bumps: bool) -> u64 {
-    if cx.shape(b) & bit::PEEPHOLE == 0 {
-        return 0;
-    }
-    cx.visit();
-    let before = cx.insts(b).len();
-    loop {
-        let n = cx.insts(b).len();
-        cx.retain(b, |_, e| !e.is(bit::NOOP));
-        regalloc::cancel_rsp_pairs(cx, b, true);
-        if merge_bumps {
-            regalloc::merge_rsp_adjustments(cx, b, true);
-        }
-        if cx.insts(b).len() == n {
-            break;
-        }
-    }
-    (before - cx.insts(b).len()) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{CapturedInst, Terminator};
+    use crate::capture::{BlockId, CapturedInst, Terminator};
     use brew_x86::prelude::*;
 
     fn block(insts: Vec<CapturedInst>) -> CapturedBlock {
@@ -519,35 +475,60 @@ mod tests {
         assert_eq!(blocks[0].insts.len(), 1);
     }
 
-    #[test]
-    fn the_peephole_merges_alu_adjustments_only_over_dead_flags() {
-        // sub rsp, 8; sub rsp, 16  →  sub rsp, 24 when a later write kills
-        // the flags both wrote; kept apart when the flags leave the block.
-        let sub = |imm| Inst::Alu {
-            op: AluOp::Sub,
+    fn rsp_alu(op: AluOp, imm: i64) -> Inst {
+        Inst::Alu {
+            op,
             w: Width::W64,
             dst: Operand::Reg(Gpr::Rsp),
             src: Operand::Imm(imm),
-        };
+        }
+    }
+
+    /// `insts` in an entry block that jumps to a block of `tail` ending in
+    /// `ret`, run at `OptLevel::Peephole`: what is left of the entry block.
+    fn peephole_before(insts: Vec<Inst>, tail: Vec<Inst>) -> Vec<Inst> {
+        let mut blocks = vec![block(vec![]), block(vec![])];
+        blocks[0].insts = insts.into_iter().map(CapturedInst::plain).collect();
+        blocks[0].term = Terminator::Jmp(BlockId(1));
+        blocks[1].insts = tail.into_iter().map(CapturedInst::plain).collect();
+        blocks[1].is_entry = false;
+        let ret = crate::config::RetKind::Int;
+        run_passes(&mut blocks, OptLevel::Peephole, false, ret);
+        blocks[0].insts.iter().map(|ci| ci.inst).collect()
+    }
+
+    #[test]
+    fn the_peephole_merges_alu_adjustments_only_over_dead_flags() {
+        // sub rsp, 8; sub rsp, 16  →  sub rsp, 24 when a later write kills
+        // the flags both wrote; kept apart when a successor reads them.
+        let sub = |imm| rsp_alu(AluOp::Sub, imm);
         let kill = Inst::Alu {
             op: AluOp::Xor,
             w: Width::W32,
             dst: Operand::Reg(Gpr::Rax),
             src: Operand::Reg(Gpr::Rax),
         };
-        let ret = crate::config::RetKind::Int;
-        for (tail, want) in [
-            (vec![kill], vec![sub(24), kill]),
-            (vec![], vec![sub(8), sub(16)]),
-        ] {
-            let insts = [sub(8), sub(16)].into_iter().chain(tail);
-            let mut blocks = vec![block(insts.map(CapturedInst::plain).collect())];
-            let mut cx = PassCx::new(&mut blocks, OptLevel::Peephole, false, ret);
-            peephole(&mut cx, 0, true);
-            drop(cx);
-            let left: Vec<Inst> = blocks[0].insts.iter().map(|ci| ci.inst).collect();
-            assert_eq!(left, want);
-        }
+        let setcc = Inst::Setcc {
+            cond: Cond::B,
+            dst: Operand::Reg(Gpr::Rax),
+        };
+        let left = peephole_before(vec![sub(8), sub(16), kill], vec![Inst::Ret]);
+        assert_eq!(left, vec![sub(24), kill]);
+        let left = peephole_before(vec![sub(8), sub(16)], vec![setcc, Inst::Ret]);
+        assert_eq!(left, vec![sub(8), sub(16)]);
+    }
+
+    #[test]
+    fn the_peephole_cancels_a_pair_whose_flags_die_at_a_later_ret() {
+        // sub rsp, 8; mov rax, 1; add rsp, 8, then a jump to `ret`: the
+        // flags the closing add writes are read by nobody past the block.
+        let one = Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Imm(1),
+        };
+        let pair = vec![rsp_alu(AluOp::Sub, 8), one, rsp_alu(AluOp::Add, 8)];
+        assert_eq!(peephole_before(pair, vec![Inst::Ret]), vec![one]);
     }
 
     #[test]

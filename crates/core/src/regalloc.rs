@@ -2,9 +2,10 @@
 //! prototype's named next step; ROADMAP item 1).
 //!
 //! Two phases, both driven by the `x86::defuse` sets validated
-//! differentially against the emulator; `run_passes` calls each once, the
-//! first before the first peephole round (whose stack pairs only line up
-//! once the spill traffic between them is gone), the second after it:
+//! differentially against the emulator; `run_passes` calls each once, slot
+//! allocation from `OptLevel::SlotAlloc` up, then the cleanup, the last
+//! stage from `OptLevel::Peephole` up (stack pairs only line up once the
+//! spill traffic between them is gone):
 //!
 //! 1. **Slot allocation** (`allocate_slots`). The rewriter's input code
 //!    (like any compiler's spill code) round-trips values through frame
@@ -25,35 +26,35 @@
 //!    caller-saved register to survive the call it made, so the pools are
 //!    dead there whatever the conservative sweeps assume.
 //!
-//! 2. **Cleanup** (`allocate`) — the rename work that makes phase 1 pay
-//!    off. Allocation leaves chains of register-to-register moves, paired
-//!    `rsp` adjustments around now-registerized temporaries, and
-//!    address-computation triples. Five sub-passes run to a fixpoint, each
-//!    justified by CFG register liveness (not the "everything is live-out"
-//!    assumption the intra-block peephole must make):
-//!    * the stack-pair rule (`cancel_rsp_pairs`, which every peephole
-//!      round runs too): an allocation of `k` bytes or a `push` closes at
-//!      its balancing release (or, for a push, at a `pop` that becomes a
-//!      register move) when the only `rsp` references between are plain
-//!      accesses above the `k` bytes, which it rebases; a removed ALU
-//!      adjustment's flags must be dead;
-//!    * the shared dead-code sweep ([`crate::dataflow`]): any
+//! 2. **Cleanup** (`cleanup`) — the rename work that makes phase 1 pay
+//!    off, and the one engine of every local rule. Allocation leaves
+//!    chains of register-to-register moves, paired `rsp` adjustments
+//!    around now-registerized temporaries, and address-computation
+//!    triples. The rules run in one round loop to a fixpoint, each from
+//!    the level named and justified by the solved CFG liveness:
+//!    * no-op removal (`Peephole`): self-moves, `lea r, [r]`, `nop`;
+//!    * the shared dead-code sweep ([`crate::dataflow`], `Peephole`): any
 //!      side-effect-free instruction (including a load from an
 //!      `rsp`-relative or absolute address, which cannot fault) whose
 //!      writes are dead across the block boundary;
-//!    * address folding: `mov a, b; add a, k; ... [a+d] ...` becomes
-//!      `[b+d+k]` when `a` dies at the use;
-//!    * backward copy coalescing: `mov d, s` where `s` dies is removed by
-//!      renaming `s` to `d` across the window back to `s`'s full
+//!    * the stack-pair rule (`cancel_rsp_pairs`, `Peephole`): an
+//!      allocation of `k` bytes or a `push` closes at its balancing
+//!      release (or, for a push, at a `pop` that becomes a register move)
+//!      when the only `rsp` references between are plain accesses above
+//!      the `k` bytes, which it rebases; a removed ALU adjustment's flags
+//!      must be dead; what no pair claims may merge with its neighbour;
+//!    * address folding (`Regalloc`): `mov a, b; add a, k; ... [a+d] ...`
+//!      becomes `[b+d+k]` when `a` dies at the use;
+//!    * backward copy coalescing (`Regalloc`): `mov d, s` where `s` dies is
+//!      removed by renaming `s` to `d` across the window back to `s`'s full
 //!      definition — deliberately walking *through* read-modify-write
 //!      instructions of `s` (the accumulator pattern) to the real def;
-//!    * forward copy propagation: `mov d, s` is removed by rewriting the
-//!      downstream reads of `d` to `s` while `s` is unclobbered.
-//!
-//!    From `OptLevel::Dataflow` up each round opens with one more rule,
-//!    justified by the context's forward availability solve instead: a
-//!    frame reload of a slot whose value a register still holds on every
-//!    path becomes a move from that register (or nothing).
+//!    * forward copy propagation (`Regalloc`): `mov d, s` is removed by
+//!      rewriting the downstream reads of `d` to `s` while `s` is
+//!      unclobbered;
+//!    * the frame-reload rule (`Dataflow`), which opens each round and is
+//!      justified by the forward availability solve instead: a reload of
+//!      a slot a register still holds on every path becomes a move.
 //!
 //! `frame_escaped` blocks phase 1 exactly as it blocks the removal of dead
 //! frame stores: an escaped frame address means untracked loads may alias
@@ -71,16 +72,15 @@ use crate::passes::OptLevel;
 use brew_x86::defuse::{Role, Site};
 use brew_x86::prelude::*;
 
-/// Run the cleanup phase; returns the number of instructions removed.
-///
-/// From [`OptLevel::Aggressive`] the `ret`-boundary live-out contract
-/// (`liveness::abi_ret`) narrows from everything an observer might read to
-/// — translation-validated by `brew-verify` before publication — exactly
-/// the declared return class plus the callee-saved set. From
-/// [`OptLevel::Dataflow`] the dead-code sweep is the full one, and each
-/// round opens with [`forward_reloads`]; a reload it turns into a move
-/// counts as one.
-pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
+/// Run the cleanup phase, each rule from its level (the module doc lists
+/// them); returns the number of instructions removed, a reload turned into
+/// a move counting as one. From [`OptLevel::Aggressive`] the `ret`-boundary
+/// live-out contract (`liveness::abi_ret`) narrows from everything an
+/// observer might read to — translation-validated by `brew-verify` before
+/// publication — exactly the declared return class plus the callee-saved
+/// set, and the frame and dead saves go across blocks.
+pub(crate) fn cleanup(cx: &mut PassCx) -> u64 {
+    let regalloc = cx.level >= OptLevel::Regalloc;
     let aggressive = cx.level >= OptLevel::Aggressive;
     let n = cx.len();
     // The live-out state a block was last processed under, while nothing
@@ -101,15 +101,19 @@ pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
                 if *done == Some(out) {
                     continue;
                 }
-                let mut edits = liveness::sweep(cx, i);
-                // A sub-pass runs where the block holds its shape at all.
+                // A rule runs where the block holds its shape at all.
+                let mut edits = match cx.shape(i) & bit::NOOP != 0 {
+                    true => cx.retain(i, |_, e| !e.is(bit::NOOP)),
+                    false => 0,
+                };
+                edits += liveness::sweep(cx, i);
                 if cx.shape(i) & (bit::RSP_ADJUST | bit::PUSH_RI) != 0 {
-                    edits += cancel_rsp_pairs(cx, i, out.flags);
+                    edits += cancel_rsp_pairs(cx, i);
                 }
-                if cx.shape(i) & bit::FOLD_HEAD != 0 {
-                    edits += fold_addresses(cx, i, out.regs, out.flags);
+                if regalloc && cx.shape(i) & bit::FOLD_HEAD != 0 {
+                    edits += fold_addresses(cx, i, out.regs);
                 }
-                if cx.shape(i) & bit::COPY != 0 {
+                if regalloc && cx.shape(i) & bit::COPY != 0 {
                     edits += coalesce_backward(cx, i, out.regs) + propagate_copies(cx, i, out.regs);
                 }
                 *done = (edits == 0).then_some(out);
@@ -125,8 +129,7 @@ pub(crate) fn allocate(cx: &mut PassCx) -> u64 {
         let mut extra = 0;
         for (i, done) in settled.iter_mut().enumerate() {
             if cx.shape(i) & bit::RSP_ADJUST != 0 {
-                let flags_out = cx.live_out(i).flags;
-                let merged = merge_rsp_adjustments(cx, i, flags_out);
+                let merged = merge_rsp_adjustments(cx, i);
                 if merged > 0 {
                     *done = None;
                 }
@@ -306,9 +309,8 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
 // Phase 2a: the stack-pair rule
 // ---------------------------------------------------------------------------
 
-/// Cancel the balanced stack-pointer pairs of block `b`, the one rule every
-/// peephole round and every cleanup round runs; returns the instructions
-/// removed.
+/// Cancel the balanced stack-pointer pairs of block `b`, the one rule for
+/// them, which every cleanup round runs; returns the instructions removed.
 ///
 /// * An *opener* allocates `k` bytes: `sub rsp, k`, `lea rsp, [rsp-k]`, or
 ///   a `push x` of a register or an immediate (`k` = 8).
@@ -321,10 +323,10 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
 ///   and each such access is rebased by `-k`. Its frame tags stay, since
 ///   they are entry-relative and still name the same bytes.
 ///
-/// Removing an ALU adjustment drops a flags write: those must be dead
-/// (`flags_out` says whether the block's successors read them). Openers
-/// are taken innermost first, so nested pairs cancel in one call.
-pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
+/// Removing an ALU adjustment drops a flags write: those must be dead,
+/// by the solved liveness past the block. Openers are taken innermost
+/// first, so nested pairs cancel in one call.
+pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize) -> u64 {
     let rsp = Loc::Gpr(Gpr::Rsp);
     let mut removed = 0;
     // A cancellation edits the block at and after its opener only.
@@ -359,9 +361,8 @@ pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, flags_out: bool) -> u6
                 }),
             _ => continue,
         };
-        let flags_dead = |at: usize| {
-            !cx.effects(b)[at].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, at + 1, flags_out)
-        };
+        let flags_dead =
+            |at: usize| !cx.effects(b)[at].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, at + 1);
         let rebasable = (i + 1..j)
             .filter(|&m| cx.effects(b)[m].refs(rsp))
             .all(|m| rebased(&cx.insts(b)[m].inst, k).is_some());
@@ -408,11 +409,10 @@ fn rebased(inst: &Inst, k: i64) -> Option<Inst> {
 
 /// Merge adjacent rsp adjustments into one — what a dead `push` next to a
 /// frame allocation leaves behind. The cleanup runs it once nothing cancels
-/// any more (a merged adjustment has lost its partner), the peephole's
-/// second round after each cancellation. A removed ALU adjustment must
-/// not leave flags anyone reads; the merged one is flag-neutral unless the
-/// second of the pair already wrote (dead) flags.
-pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, flags_out: bool) -> u64 {
+/// any more (a merged adjustment has lost its partner). A removed ALU
+/// adjustment must not leave flags anyone reads; the merged one is
+/// flag-neutral unless the second of the pair already wrote (dead) flags.
+pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize) -> u64 {
     let mut removed = 0;
     let mut i = 0;
     while i + 1 < cx.insts(b).len() {
@@ -421,7 +421,7 @@ pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, flags_out: bool) 
         let net = (e1.is(bit::RSP_ADJUST) && e2.is(bit::RSP_ADJUST))
             .then(|| i32::try_from(e1.rsp + e2.rsp).ok())
             .flatten()
-            .filter(|_| (!f1 && !f2) || cx.flags_dead_at(b, i + 2, flags_out));
+            .filter(|_| (!f1 && !f2) || cx.flags_dead_at(b, i + 2));
         let Some(d) = net else {
             i += 1;
             continue;
@@ -517,7 +517,7 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
     }
     let mut drop: Vec<(usize, usize)> = Vec::new();
     let flags_ok = |(b, i): (usize, usize)| {
-        !cx.effects(b)[i].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, i + 1, cx.live_out(b).flags)
+        !cx.effects(b)[i].is(bit::WRITES_FLAGS) || cx.flags_dead_at(b, i + 1)
     };
     // The frame pair. Exactly two adjustments that balance: correct input
     // code executes the allocation before the release on every path, so
@@ -654,7 +654,7 @@ fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
 /// `[mov a, b ;] [add/sub a, k ;] use [a+d]` → `use [b+d±k]` (with `b = a`
 /// when there is no copy) when `a` dies at the use and the (removed) ALU's
 /// flags are dead.
-fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet, flags_out: bool) -> u64 {
+fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
     // Registers live after each instruction, by its index as of now: a
     // fold only ever edits below the position it asks about.
     cx.fill_after(b, live_out);
@@ -707,7 +707,7 @@ fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet, flags_out: bool)
             if cx.after[j + removed].has(Loc::Gpr(a)) {
                 return None;
             }
-            if adjust.is_some() && !cx.flags_dead_at(b, j, flags_out) {
+            if adjust.is_some() && !cx.flags_dead_at(b, j) {
                 return None;
             }
             replace_mem(
@@ -940,8 +940,8 @@ mod tests {
     use crate::capture::{BlockId, CapturedBlock, Terminator};
     use crate::config::RetKind;
 
-    fn allocate(blocks: &mut [CapturedBlock], escaped: bool, ret: RetKind, level: OptLevel) -> u64 {
-        super::allocate(&mut PassCx::new(blocks, level, escaped, ret))
+    fn cleanup(blocks: &mut [CapturedBlock], escaped: bool, ret: RetKind, level: OptLevel) -> u64 {
+        super::cleanup(&mut PassCx::new(blocks, level, escaped, ret))
     }
 
     fn allocate_slots(blocks: &mut [CapturedBlock], escaped: bool) -> u64 {
@@ -963,7 +963,7 @@ mod tests {
 
     fn run(insts: Vec<Inst>) -> Vec<Inst> {
         let mut blocks = vec![block(insts)];
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::default());
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::default());
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
     }
 
@@ -1069,13 +1069,13 @@ mod tests {
 
     // --- the stack-pair rule ---
 
-    /// The rule once over `insts`, flags dead past the block: how many
+    /// The rule once over `insts` in a `ret` block: how many
     /// instructions it removed, and what is left.
     fn pairs(insts: Vec<CapturedInst>) -> (u64, Vec<CapturedInst>) {
         let mut blocks = vec![block(vec![])];
         blocks[0].insts = insts;
         let mut cx = PassCx::new(&mut blocks, OptLevel::Peephole, false, RetKind::Int);
-        let n = cancel_rsp_pairs(&mut cx, 0, false);
+        let n = cancel_rsp_pairs(&mut cx, 0);
         (n, blocks[0].insts.clone())
     }
 
@@ -1307,7 +1307,7 @@ mod tests {
             CapturedInst::plain(load(16)),
             CapturedInst::plain(pop(Gpr::Rbx)),
         ])];
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
         assert_eq!(insts_of(&blocks[0]), vec![load(8), Inst::Ret]);
     }
 
@@ -1330,7 +1330,7 @@ mod tests {
             ret_block(vec![CapturedInst::plain(bump(0x28))]),
         ];
         blocks[0].is_entry = true;
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::Aggressive);
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::Aggressive);
         assert_eq!(insts_of(&blocks[0])[0], Inst::Push { src: rbp });
         assert_eq!(insts_of(&blocks[1])[1], Inst::Pop { dst: rbp });
         assert_eq!(insts_of(&blocks[2])[0], bump(0x28));
@@ -1518,7 +1518,7 @@ mod tests {
             src: Operand::Reg(Gpr::Rcx),
         }]);
         let mut blocks = vec![b0, b1];
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::default());
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::default());
         assert_eq!(blocks[0].insts.len(), 1, "def feeds the successor");
     }
 
@@ -1987,13 +1987,13 @@ mod tests {
     fn the_cleanup_forwards_reloads_and_drops_their_stores_from_dataflow_up_only() {
         let insts = vec![gstore(-8, Gpr::Rdi), gload(Gpr::Rax, -8)];
         let mut blocks = vec![ret_block(insts.clone())];
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::Dataflow);
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::Dataflow);
         assert_eq!(
             insts_of(&blocks[0]),
             vec![gmov(Gpr::Rax, Gpr::Rdi), Inst::Ret]
         );
         let mut blocks = vec![ret_block(insts.clone())];
-        allocate(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
+        cleanup(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
         assert_eq!(blocks[0].insts[..2], insts[..]);
     }
 

@@ -131,8 +131,16 @@ pub fn test_value(w: Width, a: Value, b: Value) -> FlagsVal {
     }
 }
 
-/// Abstract two-operand signed multiply.
+/// Abstract two-operand signed multiply. A known zero factor decides the
+/// product and its flags whatever the other one is: `imul`'s flags depend
+/// only on the result and on overflow, both those of `0 * 0`.
 pub fn imul_value(w: Width, a: Value, b: Value) -> (Value, FlagsVal) {
+    let zero = Value::Const(0);
+    let (a, b) = if a == zero || b == zero {
+        (zero, zero)
+    } else {
+        (a, b)
+    };
     match (a, b) {
         (Value::Const(x), Value::Const(y)) => {
             let (r, f) = alu::imul(w, x, y);
@@ -230,6 +238,20 @@ mod tests {
         let (v, f) = alu_value(AluOp::Cmp, Width::W64, Value::Const(5), Value::Const(5));
         assert_eq!(v, Value::Const(5), "cmp must not change dst");
         assert!(f.known().unwrap().cond(Cond::E));
+    }
+
+    #[test]
+    fn a_known_zero_factor_decides_the_product_and_its_flags() {
+        let zero = Value::Const(0);
+        let exact = imul_value(Width::W64, zero, zero);
+        assert_eq!(exact.0, zero);
+        assert!(exact.1.known().is_some());
+        for w in [Width::W32, Width::W64] {
+            for other in [Value::Unknown, Value::StackRel(-8), Value::Const(7)] {
+                assert_eq!(imul_value(w, other, zero), imul_value(w, zero, zero));
+                assert_eq!(imul_value(w, zero, other), imul_value(w, zero, zero));
+            }
+        }
     }
 
     #[test]

@@ -121,8 +121,8 @@ fn cold_race_on_one_fingerprint_traces_once() {
     assert_eq!(st.hits + st.coalesced, THREADS as u64 - 1);
 }
 
-/// Budget enforcement stays global when eviction races across shards:
-/// after quiescence the resident set fits the budget, evictions actually
+/// Budget enforcement holds when threads race to insert and evict: after
+/// quiescence the resident set fits the budget, evictions actually
 /// happened, and the cache still answers correctly.
 #[test]
 fn concurrent_eviction_respects_global_budget() {

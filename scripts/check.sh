@@ -88,8 +88,10 @@ stage_equiv() {
 
 stage_regalloc() {
     # The allocator's own unit tests: the frame-reload rule's kill checks
-    # each have one, and so does each guard of the stack-pair rule.
+    # each have one, and so does each guard of the stack-pair rule; the
+    # ladder's, the cleanup's rules at `OptLevel::Peephole` among them.
     t -p brew-core --lib regalloc::
+    t -p brew-core --lib passes::
     t -p brew-suite --test regalloc_differential
     # The allocator's def/use is the operand-role table's; the emulator
     # differential is its only second opinion.

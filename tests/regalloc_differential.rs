@@ -632,6 +632,37 @@ fn allocated_stencil_and_grouped_variants_verify_and_agree() {
     }
 }
 
+/// A generator program the dataflow rung must not grow: while the tracer
+/// kept `imul rax, rax, 0` for `(a / ..) * (c < c)`, `t` stayed unknown
+/// and so did both arms of `if (t)`, and `Dataflow` emitted 370 bytes to
+/// `Regalloc`'s 366. A known zero factor decides the product, its flags
+/// and the branch.
+#[test]
+fn a_known_zero_factor_keeps_the_dataflow_rung_from_growing_the_code() {
+    let src = "int f(int a, int b, int c) { int t = 0; \
+               t = ((c * ((-8) - t)) - ((a / ((b) % 13 + 14)) * (c < c))); \
+               if (t) { t = t + c; } else { t = t - 3; } \
+               for (int i = 0; i < 3; i++) { \
+               t += (((a + a) + ((-96) / ((a) % 13 + 14))) - (-(t * b))); } \
+               return t; }";
+    let img = Image::new();
+    let f = compile_into(src, &img).unwrap().func("f").unwrap();
+    let req = SpecRequest::new()
+        .unknown_int()
+        .unknown_int()
+        .known_int(-34)
+        .ret(RetKind::Int);
+    let (off, on) = rewrite_pair(OptLevel::Dataflow, &img, f, &req).expect("traces cleanly");
+    assert_verifier_clean(&img, f, &req, &on);
+    let mut m = Machine::new();
+    for (a, b) in [(0, 0), (7, -3), (-1000, 41), (123_456, 9)] {
+        let call = CallArgs::new().int(a).int(b).int(-34);
+        let orig = m.call(&img, f, &call).unwrap().ret_int;
+        assert_eq!(m.call(&img, off.entry, &call).unwrap().ret_int, orig);
+        assert_eq!(m.call(&img, on.entry, &call).unwrap().ret_int, orig);
+    }
+}
+
 /// Both emissions of one request with the dataflow pair off and on, for
 /// the named workloads below (which must all trace).
 fn dataflow_pair(img: &Image, f: u64, req: &SpecRequest) -> (RewriteResult, RewriteResult) {
