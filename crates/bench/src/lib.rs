@@ -384,16 +384,18 @@ fn proof_row(img: &brew_image::Image, label: &str, func: u64, req: &SpecRequest)
         .equiv
         .as_ref()
         .expect("a fresh rewrite keeps its capture");
-    let rpo = reverse_postorder(&cap.blocks, cap.entry_block);
-    let pos = &positions(&rpo, cap.blocks.len());
+    // The CFG the proof walks: the straightened one the emitter laid out.
+    let blocks = cap.straightened();
+    let rpo = reverse_postorder(&blocks, cap.entry_block);
+    let pos = &positions(&rpo, blocks.len());
     let retreating = rpo.iter().flat_map(|&b| {
-        let succs = cap.blocks[b].term.successors();
+        let succs = blocks[b].term.successors();
         succs.filter(move |s| pos[s.0] <= pos[b])
     });
     // A block is on a cycle when it is reachable from its own successors.
     let on_cycle = rpo.iter().filter(|&&b| {
-        let mut seen = vec![false; cap.blocks.len()];
-        let succs = |x: usize| cap.blocks[x].term.successors().map(|s| s.0);
+        let mut seen = vec![false; blocks.len()];
+        let succs = |x: usize| blocks[x].term.successors().map(|s| s.0);
         let mut stack: Vec<usize> = succs(b).collect();
         while let Some(x) = stack.pop() {
             if x == b {

@@ -264,11 +264,11 @@ fn equiv_walks_a_block_again_only_inside_a_loop() {
     // entry state of its head still changes: (blocks, visits) as measured,
     // and never more re-walks than blocks on a cycle of the captured CFG.
     // The sweeps also stay within 10 % of one walk; `gsum.64` is too small
-    // for a percentage (its five re-walks are its whole five-block loop).
+    // for a percentage (its four re-walks are its whole four-block loop).
     for (label, blocks, visits, pct) in [
-        ("gsum.64", 15, 20, None),
-        ("sweep_generic.u4", 76, 79, Some(110)),
-        ("sweep_unrolled.12x12.v16", 187, 195, Some(110)),
+        ("gsum.64", 12, 16, None),
+        ("sweep_generic.u4", 35, 38, Some(110)),
+        ("sweep_unrolled.12x12.v16", 92, 98, Some(110)),
     ] {
         let r = of(label);
         assert!(r.retreating > 0, "{r:?}");

@@ -136,6 +136,73 @@ pub fn reverse_postorder(blocks: &[CapturedBlock], entry: usize) -> Vec<usize> {
     order
 }
 
+/// The straight-line runs of `blocks`: every block that only its
+/// predecessor's unconditional `Jmp` reaches continues that predecessor's
+/// run, but for the entry block and a target outside `blocks`. Each run is
+/// `(head, range)` over one list of the blocks the head absorbs, in order.
+fn runs(blocks: &[CapturedBlock]) -> (Vec<(usize, std::ops::Range<usize>)>, Vec<usize>) {
+    let n = blocks.len();
+    let mut preds = vec![0u32; n];
+    for b in blocks {
+        b.term
+            .successors()
+            .filter(|s| s.0 < n)
+            .for_each(|s| preds[s.0] += 1);
+    }
+    let next = |b: usize| match blocks[b].term {
+        Terminator::Jmp(BlockId(s)) if s < n && preds[s] == 1 && !blocks[s].is_entry => Some(s),
+        _ => None,
+    };
+    let mut continues = vec![false; n];
+    (0..n).filter_map(next).for_each(|s| continues[s] = true);
+    // A run starts at a block that continues nothing, so a cycle of one-
+    // predecessor jumps (a self-loop included) joins nothing, and the walk
+    // from a head cannot close one.
+    let (mut heads, mut members) = (Vec::new(), Vec::new());
+    for h in (0..n).filter(|&h| !continues[h]) {
+        let start = members.len();
+        let mut at = h;
+        while let Some(s) = next(at) {
+            members.push(s);
+            at = s;
+        }
+        if members.len() > start {
+            heads.push((h, start..members.len()));
+        }
+    }
+    (heads, members)
+}
+
+/// Join every straight-line run into its first block, so a run is one
+/// block; returns how many blocks were absorbed. In place: an absorbed
+/// block is left empty with a `Ret` terminator and no predecessor, so block
+/// ids (and the emitter's per-block addresses) keep their meaning.
+/// `joined(head, run)` is called once the bodies of `run` moved, in order,
+/// to the end of `head`'s.
+pub fn straighten_with(
+    blocks: &mut [CapturedBlock],
+    mut joined: impl FnMut(usize, &[usize]),
+) -> usize {
+    let (heads, members) = runs(blocks);
+    for (h, range) in heads {
+        let run = &members[range];
+        let len = run.iter().map(|&m| blocks[m].insts.len()).sum();
+        blocks[h].insts.reserve_exact(len);
+        for &m in run {
+            let body = std::mem::take(&mut blocks[m].insts);
+            blocks[h].insts.extend(body);
+            blocks[h].term = std::mem::replace(&mut blocks[m].term, Terminator::Ret);
+        }
+        joined(h, run);
+    }
+    members.len()
+}
+
+/// [`straighten_with`] with nothing to move along.
+pub fn straighten(blocks: &mut [CapturedBlock]) -> usize {
+    straighten_with(blocks, |_, _| {})
+}
+
 /// Where each of `n` blocks sits in `order`; `usize::MAX` for a block that
 /// is not in it.
 pub fn positions(order: &[usize], n: usize) -> Vec<usize> {
@@ -271,5 +338,131 @@ mod tests {
         assert_eq!(s, vec![BlockId(1), BlockId(2)]);
         assert_eq!(Terminator::Ret.successors().count(), 0);
         assert_eq!(Terminator::Jmp(BlockId(7)).successors().count(), 1);
+    }
+
+    /// Blocks `0..terms.len()` with the given terminators, block `b`'s
+    /// body the one marker `mov rax, b`; block 0 is the entry.
+    fn cfg(terms: &[Terminator]) -> Vec<CapturedBlock> {
+        use brew_x86::prelude::{Gpr, Operand, Width};
+        let mark = |b: usize| {
+            CapturedInst::plain(Inst::Mov {
+                w: Width::W64,
+                dst: Operand::Reg(Gpr::Rax),
+                src: Operand::Imm(b as i64),
+            })
+        };
+        let mut blocks: Vec<CapturedBlock> = terms
+            .iter()
+            .enumerate()
+            .map(|(b, &term)| {
+                let mut blk = CapturedBlock::pending(0x1000 + b as u64);
+                blk.insts = vec![mark(b)];
+                blk.term = term;
+                blk
+            })
+            .collect();
+        blocks[0].is_entry = true;
+        blocks
+    }
+
+    /// `(body length, terminator)` per block.
+    fn shape(blocks: &[CapturedBlock]) -> Vec<(usize, Terminator)> {
+        blocks.iter().map(|b| (b.insts.len(), b.term)).collect()
+    }
+
+    const fn jmp(b: usize) -> Terminator {
+        Terminator::Jmp(BlockId(b))
+    }
+
+    #[test]
+    fn a_chain_of_one_predecessor_jumps_becomes_one_block() {
+        let mut blocks = cfg(&[jmp(1), jmp(2), Terminator::Ret]);
+        let mut joins = Vec::new();
+        assert_eq!(
+            straighten_with(&mut blocks, |h, run| joins.push((h, run.to_vec()))),
+            2
+        );
+        assert_eq!(joins, [(0, vec![1, 2])]);
+        let ret = Terminator::Ret;
+        assert_eq!(shape(&blocks), [(3, ret), (0, ret), (0, ret)]);
+        let marks: Vec<String> = blocks[0].insts.iter().map(|c| c.inst.to_string()).collect();
+        assert_eq!(marks, ["movq rax, 0x0", "movq rax, 0x1", "movq rax, 0x2"]);
+    }
+
+    #[test]
+    fn a_successor_with_a_second_predecessor_is_kept() {
+        // 0 -> 2 and 1 -> 2: block 2 is a join point.
+        let mut blocks = cfg(&[jmp(2), jmp(2), Terminator::Ret]);
+        blocks[0].term = Terminator::Jcc {
+            cond: Cond::E,
+            taken: BlockId(1),
+            fall: BlockId(2),
+        };
+        let before = shape(&blocks);
+        assert_eq!(straighten(&mut blocks), 0);
+        assert_eq!(shape(&blocks), before);
+    }
+
+    #[test]
+    fn the_entry_block_is_never_absorbed() {
+        // 1 -> 0 is the only edge into the entry block 0.
+        let mut blocks = cfg(&[Terminator::Ret, jmp(0)]);
+        assert_eq!(straighten(&mut blocks), 0);
+        assert_eq!(shape(&blocks), [(1, Terminator::Ret), (1, jmp(0))]);
+    }
+
+    #[test]
+    fn a_self_loop_is_kept() {
+        let mut blocks = cfg(&[jmp(1), jmp(1)]);
+        // Block 1 has two predecessors (0 and itself): nothing joins.
+        assert_eq!(straighten(&mut blocks), 0);
+        // Nor when it is its own only one.
+        let mut blocks = cfg(&[Terminator::Ret, jmp(1)]);
+        assert_eq!(straighten(&mut blocks), 0);
+        // A two-block loop entered only through its head collapses into a
+        // self-loop of the head, and stops there.
+        let mut blocks = cfg(&[jmp(1), jmp(2), jmp(1)]);
+        assert_eq!(straighten(&mut blocks), 1);
+        assert_eq!(
+            shape(&blocks),
+            [(1, jmp(1)), (2, jmp(1)), (0, Terminator::Ret)]
+        );
+    }
+
+    #[test]
+    fn a_jcc_edge_is_kept() {
+        let mut blocks = cfg(&[Terminator::Ret, Terminator::Ret, Terminator::Ret]);
+        blocks[0].term = Terminator::Jcc {
+            cond: Cond::L,
+            taken: BlockId(1),
+            fall: BlockId(2),
+        };
+        let before = shape(&blocks);
+        assert_eq!(straighten(&mut blocks), 0);
+        assert_eq!(shape(&blocks), before);
+    }
+
+    #[test]
+    fn an_edge_that_leaves_the_block_list_is_kept() {
+        let mut blocks = cfg(&[jmp(5), Terminator::Ret]);
+        assert_eq!(straighten(&mut blocks), 0);
+        assert_eq!(shape(&blocks), [(1, jmp(5)), (1, Terminator::Ret)]);
+    }
+
+    #[test]
+    fn straightening_twice_changes_nothing() {
+        // 0 -> 1 -> {2, 3}; 2 -> 4; 3 -> 4; 4 -> 5 -> ret.
+        let branch = Terminator::Jcc {
+            cond: Cond::E,
+            taken: BlockId(2),
+            fall: BlockId(3),
+        };
+        let mut blocks = cfg(&[jmp(1), branch, jmp(4), jmp(4), jmp(5), Terminator::Ret]);
+        assert_eq!(straighten(&mut blocks), 2);
+        let once = shape(&blocks);
+        assert_eq!(straighten(&mut blocks), 0);
+        assert_eq!(shape(&blocks), once);
+        assert_eq!(once[0], (2, branch));
+        assert_eq!(once[4], (2, Terminator::Ret));
     }
 }

@@ -22,7 +22,7 @@
 //! costs.
 
 use super::liveness::{abi_ret, Live, LiveSet, SlotSet};
-use crate::capture::{reverse_postorder, CapturedBlock, CapturedInst, Terminator};
+use crate::capture::{self, reverse_postorder, CapturedBlock, CapturedInst, Terminator};
 use crate::config::RetKind;
 use crate::passes::OptLevel;
 use brew_x86::defuse::{FlagUse, Role, Site};
@@ -76,6 +76,9 @@ pub(crate) mod bit {
     pub const NON_SCALAR: u32 = 1 << 18;
     /// Reads an XMM high lane.
     pub const HI_OBSERVED: u32 = 1 << 19;
+    /// `add/sub r, imm` at full width, `r` not `rsp`: an addend the
+    /// cleanup may sum with another.
+    pub const ADDEND: u32 = 1 << 20;
 
     /// What the copy rules look for, for [`super::PassCx::shape`].
     pub const COPY: u32 = GPR_COPY | XMM_COPY;
@@ -285,6 +288,8 @@ impl Decoder {
                         if r == Gpr::Rsp {
                             e.bits |= RSP_ADJUST;
                             e.rsp = if op == AluOp::Add { k } else { -k };
+                        } else {
+                            e.bits |= ADDEND;
                         }
                     }
                 }
@@ -567,29 +572,9 @@ impl<'a> PassCx<'a> {
             .iter()
             .map(|b| b.insts.iter().map(|ci| dec.decode(ci)).collect())
             .collect();
-        let edges = || {
-            let from = |(i, b): (usize, &CapturedBlock)| b.term.successors().map(move |s| (i, s.0));
-            blocks.iter().enumerate().flat_map(from).filter(|e| e.1 < n)
-        };
-        let mut pred_start = vec![0u32; n + 1];
-        edges().for_each(|(_, s)| pred_start[s + 1] += 1);
-        for s in 0..n {
-            pred_start[s + 1] += pred_start[s];
-        }
-        let mut pred_list = vec![0u32; pred_start[n] as usize];
-        let mut fill = pred_start.clone();
-        for (i, s) in edges() {
-            pred_list[fill[s] as usize] = i as u32;
-            fill[s] += 1;
-        }
-        let entry = blocks.iter().position(|b| b.is_entry);
-        let rpo = entry.map_or_else(Vec::new, |e| reverse_postorder(blocks, e));
-        let mut reached = vec![false; n];
-        rpo.iter().for_each(|&b| reached[b] = true);
-        let unreached = (0..n).rev().filter(|&b| !reached[b]);
         let mut cx = PassCx {
-            backward: rpo.iter().rev().copied().chain(unreached).collect(),
-            rpo,
+            backward: Vec::new(),
+            rpo: Vec::new(),
             blocks,
             level,
             frame_escaped,
@@ -597,8 +582,8 @@ impl<'a> PassCx<'a> {
             full: level >= OptLevel::Dataflow,
             dec,
             census: Census::default(),
-            pred_start,
-            pred_list,
+            pred_start: Vec::new(),
+            pred_list: Vec::new(),
             lv: Liveness::new(n),
             av: Avail {
                 col: Vec::new(),
@@ -619,6 +604,7 @@ impl<'a> PassCx<'a> {
             spare: Vec::new(),
             effects,
         };
+        cx.link();
         for b in 0..n {
             for e in &cx.effects[b] {
                 cx.lv.blocks[b].shape |= e.bits;
@@ -627,6 +613,59 @@ impl<'a> PassCx<'a> {
         }
         cx.refresh_scalar_only();
         cx
+    }
+
+    /// Derive the predecessor lists and both block orders from the
+    /// terminators as they are now.
+    fn link(&mut self) {
+        let (blocks, n) = (&*self.blocks, self.blocks.len());
+        let edges = || {
+            let from = |(i, b): (usize, &CapturedBlock)| b.term.successors().map(move |s| (i, s.0));
+            blocks.iter().enumerate().flat_map(from).filter(|e| e.1 < n)
+        };
+        let mut pred_start = vec![0u32; n + 1];
+        edges().for_each(|(_, s)| pred_start[s + 1] += 1);
+        for s in 0..n {
+            pred_start[s + 1] += pred_start[s];
+        }
+        let mut pred_list = vec![0u32; pred_start[n] as usize];
+        let mut fill = pred_start.clone();
+        for (i, s) in edges() {
+            pred_list[fill[s] as usize] = i as u32;
+            fill[s] += 1;
+        }
+        let entry = blocks.iter().position(|b| b.is_entry);
+        let rpo = entry.map_or_else(Vec::new, |e| reverse_postorder(blocks, e));
+        let mut reached = vec![false; n];
+        rpo.iter().for_each(|&b| reached[b] = true);
+        let unreached = (0..n).rev().filter(|&b| !reached[b]);
+        self.backward = rpo.iter().rev().copied().chain(unreached).collect();
+        (self.rpo, self.pred_start, self.pred_list) = (rpo, pred_start, pred_list);
+    }
+
+    /// [`capture::straighten`] over the blocks the context holds: each
+    /// instruction's effect moves with it (nothing is decoded again), the
+    /// joined blocks are dirty, and the CFG is derived again. Returns how
+    /// many blocks were absorbed.
+    pub fn straighten(&mut self) -> usize {
+        let (effects, lv, av) = (&mut self.effects, &mut self.lv, &mut self.av);
+        let absorbed = capture::straighten_with(self.blocks, |head, run| {
+            let len = run.iter().map(|&m| effects[m].len()).sum();
+            effects[head].reserve_exact(len);
+            for &m in run {
+                let moved = std::mem::take(&mut effects[m]);
+                effects[head].extend(moved);
+                lv.blocks[head].shape |= std::mem::take(&mut lv.blocks[m].shape);
+                (lv.blocks[m].dirty, av.dirty[m]) = (true, true);
+            }
+            (lv.blocks[head].dirty, av.dirty[head]) = (true, true);
+        });
+        if absorbed > 0 {
+            self.link();
+            // The availability meet runs over the new edges.
+            self.census.moved = true;
+        }
+        absorbed
     }
 
     /// Called between stages: once the last high-lane writer is gone the
@@ -806,42 +845,53 @@ impl<'a> PassCx<'a> {
     }
 
     /// Backward transfer of one instruction over the whole live state.
-    /// Frame slots follow one rule at every level: a load reads its slots
-    /// (a kept `call [rsp+d]` included), a whole store kills them, an
-    /// `rsp`-based read the tracer left no offset for reads them all, and
-    /// `ret` reads the caller's.
+    /// Registers follow [`PassCx::step_regs`]. Frame slots follow one rule
+    /// at every level: a load reads its slots (a kept `call [rsp+d]`
+    /// included), a whole store kills them, an `rsp`-based read the tracer
+    /// left no offset for reads them all, and `ret` reads the caller's.
     #[inline]
     pub fn step_back(&self, live: &mut Live, e: &Effect) {
+        let mut regs = live.regs;
+        self.step_regs(&mut regs, e);
         self.kill(live, e);
+        live.regs = regs;
         match e.kind {
             // Flags are not part of the return ABI; the frame below the
             // return address is gone.
             Kind::Ret => {
-                live.regs = if self.full {
-                    self.ret_live
-                } else {
-                    LiveSet::ALL
-                };
-                live.regs.set(Loc::Gpr(Gpr::Rsp));
                 live.slots = self.dec.ret_slots;
                 return;
             }
             Kind::Barrier => {
-                live.regs = LiveSet::ALL;
                 live.flags = true;
                 if !e.is(bit::CALL) {
                     live.slots = SlotSet::ALL;
                 }
             }
-            Kind::Plain => {
-                live.regs = live.regs.union(e.reads);
-                live.flags |= e.is(bit::READS_FLAGS);
-            }
+            Kind::Plain => live.flags |= e.is(bit::READS_FLAGS),
         }
         tracked(&e.load).for_each(|i| live.slots.set(i));
         if e.is(bit::READS_ALL_SLOTS) && self.dec.track_slots {
             live.slots = SlotSet::ALL;
         }
+    }
+
+    /// Backward transfer of one instruction over registers alone, the one
+    /// register rule of the liveness and of the block-local rules: a
+    /// barrier reads every register, and `ret` reads the return contract
+    /// ([`PassCx::ret_live`]) and `rsp` when `full`, every register
+    /// otherwise.
+    #[inline]
+    pub fn step_regs(&self, live: &mut LiveSet, e: &Effect) {
+        *live = match e.kind {
+            Kind::Plain => live.without(e.defs).union(e.reads),
+            Kind::Ret if self.full => {
+                let mut regs = self.ret_live;
+                regs.set(Loc::Gpr(Gpr::Rsp));
+                regs
+            }
+            _ => LiveSet::ALL,
+        };
     }
 
     /// Every transfer is `gen ∪ (x − kill)`, so one backward pass gives
@@ -945,15 +995,17 @@ impl<'a> PassCx<'a> {
 
     /// Fill [`PassCx::after`] with the registers live just after each
     /// instruction of block `b` as it is now, for the block-local
-    /// cleanups: every barrier, `ret` included, reads everything.
+    /// cleanups ([`PassCx::step_regs`]).
     pub fn fill_after(&mut self, b: usize, live_out: LiveSet) {
         let mut live = live_out;
-        self.after.clear();
-        self.after.resize(self.effects[b].len(), LiveSet::EMPTY);
-        for (slot, e) in self.after.iter_mut().zip(&self.effects[b]).rev() {
+        let mut after = std::mem::take(&mut self.after);
+        after.clear();
+        after.resize(self.effects[b].len(), LiveSet::EMPTY);
+        for (slot, e) in after.iter_mut().zip(&self.effects[b]).rev() {
             *slot = live;
-            step_regs(&mut live, e);
+            self.step_regs(&mut live, e);
         }
+        self.after = after;
     }
 
     // -----------------------------------------------------------------
@@ -1309,14 +1361,6 @@ impl Census {
             self.gone = self.gone.union(regs);
         }
     }
-}
-
-/// Backward transfer over registers alone, every barrier reading all.
-pub(crate) fn step_regs(live: &mut LiveSet, e: &Effect) {
-    *live = match e.kind {
-        Kind::Plain => live.without(e.defs).union(e.reads),
-        _ => LiveSet::ALL,
-    };
 }
 
 #[cfg(test)]

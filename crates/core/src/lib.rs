@@ -112,8 +112,11 @@ use world::{RegState, World, XmmState};
 /// reemit_conservative`]) without tracing again.
 #[derive(Debug, Clone)]
 pub struct EquivCapture {
-    /// The captured blocks exactly as handed to the optimization passes
-    /// (entry-hook block included, nothing removed or renamed yet).
+    /// The captured blocks as handed to the optimization passes
+    /// (entry-hook block included, nothing removed, renamed or joined yet):
+    /// a replay of the passes over them repeats the live path. The passes
+    /// straighten them before the emitter lays them out; the prover walks
+    /// [`EquivCapture::straightened`].
     pub blocks: Vec<capture::CapturedBlock>,
     /// Index of the entry block within [`EquivCapture::blocks`].
     pub entry_block: usize,
@@ -121,8 +124,21 @@ pub struct EquivCapture {
     /// validator both treat the frame as externally observable then).
     pub frame_escaped: bool,
     /// Emitted start address per block id; `u64::MAX` for blocks the
-    /// layout never reached (unreachable from the entry).
+    /// layout never reached (unreachable from the entry, a block the
+    /// straightening absorbed among them).
     pub block_addrs: Vec<u64>,
+}
+
+impl EquivCapture {
+    /// The captured blocks in the partition the passes hand to the emitter
+    /// (and whose ids [`EquivCapture::block_addrs`] index): every
+    /// straight-line run one block ([`capture::straighten`]), as the passes
+    /// leave it at every level.
+    pub fn straightened(&self) -> Vec<capture::CapturedBlock> {
+        let mut blocks = self.blocks.clone();
+        capture::straighten(&mut blocks);
+        blocks
+    }
 }
 
 /// Result of a successful rewrite.

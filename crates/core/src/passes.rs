@@ -5,7 +5,7 @@
 //! these passes close part of the remaining gap to the manual version; the
 //! A2 ablation experiment walks them as one cumulative ladder, [`OptLevel`].
 
-use crate::capture::CapturedBlock;
+use crate::capture::{self, CapturedBlock};
 use crate::dataflow::cx::{PassCx, Work};
 use crate::dataflow::liveness;
 use crate::dataflow::propagate_constants;
@@ -23,9 +23,10 @@ pub enum OptLevel {
     /// The cleanup's local rules (`regalloc::cleanup`) under the solved
     /// liveness: remove no-op moves and lea identities, cancel balanced
     /// stack pairs (`regalloc::cancel_rsp_pairs`, the one rule for them)
-    /// and merge what is left of adjacent `rsp` adjustments, and sweep out
+    /// and merge what is left of adjacent `rsp` adjustments, fold the
+    /// immediate addends of a register into one, and sweep out
     /// flag-neutral register moves and plain frame stores that the shared
-    /// liveness proves dead.
+    /// liveness proves dead — over one block per straight-line run.
     Peephole,
     /// Move whole frame slots into provably-free scratch registers
     /// (`regalloc::allocate_slots`).
@@ -148,6 +149,9 @@ pub fn run_passes_traced(
     mut rec: Option<&mut crate::telemetry::SpanRecorder>,
 ) -> u64 {
     if level == OptLevel::None {
+        // The cleanup straightens at every other level: the emitter and
+        // the prover see one block partition whatever the level.
+        capture::straighten(blocks);
         return 0;
     }
     let mut t0 = rec.as_ref().map(|r| r.now_ns());
@@ -486,12 +490,15 @@ mod tests {
 
     /// `insts` in an entry block that jumps to a block of `tail` ending in
     /// `ret`, run at `OptLevel::Peephole`: what is left of the entry block.
+    /// A second (unreached) predecessor keeps the tail a block of its own.
     fn peephole_before(insts: Vec<Inst>, tail: Vec<Inst>) -> Vec<Inst> {
-        let mut blocks = vec![block(vec![]), block(vec![])];
+        let mut blocks = vec![block(vec![]), block(vec![]), block(vec![])];
         blocks[0].insts = insts.into_iter().map(CapturedInst::plain).collect();
         blocks[0].term = Terminator::Jmp(BlockId(1));
         blocks[1].insts = tail.into_iter().map(CapturedInst::plain).collect();
         blocks[1].is_entry = false;
+        blocks[2].term = Terminator::Jmp(BlockId(1));
+        blocks[2].is_entry = false;
         let ret = crate::config::RetKind::Int;
         run_passes(&mut blocks, OptLevel::Peephole, false, ret);
         blocks[0].insts.iter().map(|ci| ci.inst).collect()
@@ -551,6 +558,175 @@ mod tests {
         assert_eq!(run_passes(&mut blocks, OptLevel::Peephole, false, ret), 2);
         let left: Vec<Inst> = blocks[0].insts.iter().map(|ci| ci.inst).collect();
         assert_eq!(left, vec![load(8), Inst::Ret]);
+    }
+
+    /// `insts` as one entry block ending in `ret`, run at `level`.
+    fn passes_over(insts: Vec<Inst>, level: OptLevel, ret: crate::config::RetKind) -> Vec<Inst> {
+        let mut blocks = vec![block(insts.into_iter().map(CapturedInst::plain).collect())];
+        run_passes(&mut blocks, level, false, ret);
+        blocks[0].insts.iter().map(|ci| ci.inst).collect()
+    }
+
+    fn alu(op: AluOp, w: Width, r: Gpr, src: Operand) -> Inst {
+        Inst::Alu {
+            op,
+            w,
+            dst: Operand::Reg(r),
+            src,
+        }
+    }
+
+    fn add_rax(k: i64) -> Inst {
+        alu(AluOp::Add, Width::W64, Gpr::Rax, Operand::Imm(k))
+    }
+
+    /// The addend rule alone: at `Peephole`, where `ret` reads every
+    /// register and no copy rule runs.
+    fn addends(mut insts: Vec<Inst>) -> Vec<Inst> {
+        insts.push(Inst::Ret);
+        let mut out = passes_over(insts, OptLevel::Peephole, crate::config::RetKind::Int);
+        assert_eq!(out.pop(), Some(Inst::Ret));
+        out
+    }
+
+    const ADD_RCX: Inst = Inst::Alu {
+        op: AluOp::Add,
+        w: Width::W64,
+        dst: Operand::Reg(Gpr::Rax),
+        src: Operand::Reg(Gpr::Rcx),
+    };
+
+    #[test]
+    fn an_addend_moves_forward_into_the_next_across_a_register_sum() {
+        let sub_rax = |k| alu(AluOp::Sub, Width::W64, Gpr::Rax, Operand::Imm(k));
+        let left = addends(vec![add_rax(8), ADD_RCX, sub_rax(24)]);
+        assert_eq!(left, vec![ADD_RCX, add_rax(-16)]);
+        // Not across a sum that reads `rax` twice, nor a kept call.
+        let twice = alu(AluOp::Add, Width::W64, Gpr::Rax, Operand::Reg(Gpr::Rax));
+        let through = alu(
+            AluOp::Add,
+            Width::W64,
+            Gpr::Rax,
+            Operand::Mem(MemRef::base_disp(Gpr::Rax, 8)),
+        );
+        let call = Inst::CallRel { target: 0x40_0000 };
+        for between in [twice, through, call] {
+            let kept = vec![add_rax(8), between, add_rax(16)];
+            assert_eq!(addends(kept.clone()), kept, "{between}");
+        }
+    }
+
+    #[test]
+    fn a_mov_of_an_immediate_absorbs_the_addend() {
+        let mov = |k| Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Imm(k),
+        };
+        let left = addends(vec![mov(5), ADD_RCX, add_rax(16), ADD_RCX, add_rax(1)]);
+        assert_eq!(left, vec![mov(22), ADD_RCX, ADD_RCX]);
+        // Not to a sum the provenance rule would question.
+        let kept = vec![mov(0xffff), ADD_RCX, add_rax(1)];
+        assert_eq!(addends(kept.clone()), kept);
+        // A large constant brought back under it is fine.
+        let left = addends(vec![mov(0x1_0000), ADD_RCX, add_rax(-1)]);
+        assert_eq!(left, vec![mov(0xffff), ADD_RCX]);
+    }
+
+    #[test]
+    fn a_flag_reader_in_between_blocks_the_fold() {
+        let setb = Inst::Setcc {
+            cond: Cond::B,
+            dst: Operand::Reg(Gpr::Rdx),
+        };
+        let kept = vec![add_rax(8), setb, add_rax(16)];
+        assert_eq!(addends(kept.clone()), kept);
+    }
+
+    #[test]
+    fn live_flags_after_the_last_instruction_block_the_fold() {
+        let setb = Inst::Setcc {
+            cond: Cond::B,
+            dst: Operand::Reg(Gpr::Rdx),
+        };
+        let kept = vec![add_rax(8), ADD_RCX, add_rax(16), setb];
+        assert_eq!(addends(kept.clone()), kept);
+        let mov = Inst::Mov {
+            w: Width::W64,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Imm(5),
+        };
+        let kept = vec![mov, ADD_RCX, add_rax(16), setb];
+        assert_eq!(addends(kept.clone()), kept);
+        // Dead once a later write defines them all.
+        let cmp = alu(AluOp::Cmp, Width::W64, Gpr::Rdx, Operand::Imm(0));
+        let left = addends(vec![add_rax(8), add_rax(16), cmp, setb]);
+        assert_eq!(left, vec![add_rax(24), cmp, setb]);
+    }
+
+    #[test]
+    fn a_32_bit_op_blocks_the_fold() {
+        // A 32-bit add zero-extends: it is no addend, and no sum to cross.
+        let add_eax = |src| alu(AluOp::Add, Width::W32, Gpr::Rax, src);
+        let kept = vec![add_eax(Operand::Imm(8)), add_eax(Operand::Imm(16))];
+        assert_eq!(addends(kept.clone()), kept);
+        let kept = vec![add_rax(8), add_eax(Operand::Reg(Gpr::Rcx)), add_rax(16)];
+        assert_eq!(addends(kept.clone()), kept);
+        let kept = vec![add_rax(8), add_eax(Operand::Imm(16))];
+        assert_eq!(addends(kept.clone()), kept);
+        // `mov eax, -1` zero-extends: 16 more is not `mov eax, 15`.
+        let mov_eax = Inst::Mov {
+            w: Width::W32,
+            dst: Operand::Reg(Gpr::Rax),
+            src: Operand::Imm(-1),
+        };
+        let kept = vec![mov_eax, add_rax(16)];
+        assert_eq!(addends(kept.clone()), kept);
+    }
+
+    /// `madd`'s unrolled iterations, two small constants each: the sums
+    /// stop short of 2^16, past which a folded constant is an immediate the
+    /// structural tier's provenance rule cannot trace to the request.
+    #[test]
+    fn a_sum_stays_a_small_immediate() {
+        let left = addends(vec![add_rax(0x8000), ADD_RCX, add_rax(0x7fff)]);
+        assert_eq!(left, vec![ADD_RCX, add_rax(0xffff)]);
+        let kept = vec![add_rax(0x8000), ADD_RCX, add_rax(0x8000)];
+        assert_eq!(addends(kept.clone()), kept);
+        let kept = vec![add_rax(-0x8000), add_rax(-0x8000)];
+        assert_eq!(addends(kept.clone()), kept);
+        // An addend that would cross the limit starts a new sum.
+        let run = [0x6000, 0x6000, 0x6000, 0x10, 0x20].map(add_rax);
+        let left = addends(run.to_vec());
+        assert_eq!(left, vec![add_rax(0xc000), add_rax(0x6030)]);
+    }
+
+    #[test]
+    fn an_imm32_overflow_blocks_the_fold() {
+        let kept = vec![add_rax(0x7fff_fff0), ADD_RCX, add_rax(0x20)];
+        assert_eq!(addends(kept.clone()), kept);
+        let kept = vec![add_rax(-0x7fff_fff0), add_rax(-0x20)];
+        assert_eq!(addends(kept.clone()), kept);
+    }
+
+    #[test]
+    fn a_ret_in_the_block_reads_only_the_return_contract_at_aggressive() {
+        // rax, an address, dies at the `ret` of an F64 function: its
+        // adjustment folds into the load (every register was live there
+        // while the block-local rules let `ret` read them all).
+        let load = |disp| Inst::MovSd {
+            dst: Operand::Xmm(Xmm::Xmm1),
+            src: Operand::Mem(MemRef::base_disp(Gpr::Rax, disp)),
+        };
+        let sum = Inst::Sse {
+            op: SseOp::Addsd,
+            dst: Xmm::Xmm0,
+            src: Operand::Xmm(Xmm::Xmm1),
+        };
+        let insts = vec![add_rax(0x200), load(0), sum, Inst::Ret];
+        let f64 = crate::config::RetKind::F64;
+        let left = passes_over(insts, OptLevel::Aggressive, f64);
+        assert_eq!(left, vec![load(0x200), sum, Inst::Ret]);
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //!    off, and the one engine of every local rule. Allocation leaves
 //!    chains of register-to-register moves, paired `rsp` adjustments
 //!    around now-registerized temporaries, and address-computation
-//!    triples. The rules run in one round loop to a fixpoint, each from
-//!    the level named and justified by the solved CFG liveness:
+//!    triples. The cleanup first straightens the CFG (one block per
+//!    straight-line run, `capture::straighten`), so no rule stops where an
+//!    unrolled iteration ended. The rules run in one round loop to a
+//!    fixpoint, each from the level named and justified by the solved CFG
+//!    liveness:
 //!    * no-op removal (`Peephole`): self-moves, `lea r, [r]`, `nop`;
 //!    * the shared dead-code sweep ([`crate::dataflow`], `Peephole`): any
 //!      side-effect-free instruction (including a load from an
@@ -43,6 +46,10 @@
 //!      when the only `rsp` references between are plain accesses above
 //!      the `k` bytes, which it rebases; a removed ALU adjustment's flags
 //!      must be dead; what no pair claims may merge with its neighbour;
+//!    * the addend rule (`fold_addends`, `Peephole`): `add/sub r, k` joins
+//!      a `mov r, c` before it or the next `add/sub r, k'`, across
+//!      instructions that leave the sum `r` holds the same, when the flags
+//!      the window leaves are dead;
 //!    * address folding (`Regalloc`): `mov a, b; add a, k; ... [a+d] ...`
 //!      becomes `[b+d+k]` when `a` dies at the use;
 //!    * backward copy coalescing (`Regalloc`): `mov d, s` where `s` dies is
@@ -66,7 +73,7 @@
 //! discipline holds, and no transform introduces a memory write.
 
 use crate::capture::CapturedInst;
-use crate::dataflow::cx::{bit, rsp_bump, step_regs, tracked, Kind, PassCx, NO_SLOT, UNTRACKED};
+use crate::dataflow::cx::{bit, rsp_bump, tracked, Kind, PassCx, NO_SLOT, UNTRACKED};
 use crate::dataflow::liveness::{self, Live, LiveSet, SlotSet};
 use crate::passes::OptLevel;
 use brew_x86::defuse::{Role, Site};
@@ -82,6 +89,10 @@ use brew_x86::prelude::*;
 pub(crate) fn cleanup(cx: &mut PassCx) -> u64 {
     let regalloc = cx.level >= OptLevel::Regalloc;
     let aggressive = cx.level >= OptLevel::Aggressive;
+    // One block per straight-line run: the local rules see across what
+    // were unrolled iterations. Not before slot allocation, which decides
+    // register availability per block.
+    cx.straighten();
     let n = cx.len();
     // The live-out state a block was last processed under, while nothing
     // has touched the block since: processing it again would find nothing.
@@ -109,6 +120,9 @@ pub(crate) fn cleanup(cx: &mut PassCx) -> u64 {
                 edits += liveness::sweep(cx, i);
                 if cx.shape(i) & (bit::RSP_ADJUST | bit::PUSH_RI) != 0 {
                     edits += cancel_rsp_pairs(cx, i);
+                }
+                if cx.shape(i) & bit::ADDEND != 0 {
+                    edits += fold_addends(cx, i);
                 }
                 if regalloc && cx.shape(i) & bit::FOLD_HEAD != 0 {
                     edits += fold_addresses(cx, i, out.regs);
@@ -440,6 +454,129 @@ pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize) -> u64 {
         removed += 1;
     }
     removed
+}
+
+/// `add/sub r, k` at full width with `r` not `rsp`: `(r, ±k)`.
+fn addend(inst: &Inst) -> Option<(Gpr, i64)> {
+    match *inst {
+        Inst::Alu {
+            op: op @ (AluOp::Add | AluOp::Sub),
+            w: Width::W64,
+            dst: Operand::Reg(r),
+            src: Operand::Imm(k),
+        } if r != Gpr::Rsp => Some((r, if op == AluOp::Add { k } else { -k })),
+        _ => None,
+    }
+}
+
+/// The magnitude every immediate the addend rule makes stays below. The
+/// structural tier's provenance rule (R5) questions no immediate under it,
+/// and a larger sum of many folded constants has no one known value it
+/// traces back to: under `strict_provenance` it would be rejected.
+const SMALL_SUM: u64 = 1 << 16;
+
+/// `k` when it is under [`SMALL_SUM`] in magnitude.
+fn small(k: Option<i64>) -> Option<i64> {
+    k.filter(|k| k.unsigned_abs() < SMALL_SUM)
+}
+
+/// May an addend of `r` move across instruction `i` of block `b`? When it
+/// reads no flags and either does not name `r` or is a full-width
+/// `add/sub r, x` whose `x` does not name `r`: `r` then ends up holding
+/// the same sum in either order.
+fn crossable(cx: &PassCx, b: usize, i: usize, r: Gpr) -> bool {
+    let e = &cx.effects(b)[i];
+    if e.kind != Kind::Plain || e.is(bit::READS_FLAGS) {
+        return false;
+    }
+    if !e.refs(Loc::Gpr(r)) {
+        return true;
+    }
+    match cx.insts(b)[i].inst {
+        Inst::Alu {
+            op: AluOp::Add | AluOp::Sub,
+            w: Width::W64,
+            dst: Operand::Reg(d),
+            src,
+        } if d == r => match src {
+            Operand::Reg(x) => x != r,
+            Operand::Mem(m) => m.regs().all(|x| x != r),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// The addend rule. A full-width `add/sub r, k` (`r` not `rsp`) joins a
+/// `mov r, c` before it, or else moves forward into the next `add/sub r,
+/// k'`, across [`crossable`] instructions only. Nothing in between reads
+/// the flags, the flags the window's last instruction leaves must be dead
+/// (the sums in between and the one left differ in carry and overflow),
+/// and the sum must stay under [`SMALL_SUM`], so neither bytes nor
+/// instructions grow and no immediate loses its provenance. Returns the
+/// addends removed.
+fn fold_addends(cx: &mut PassCx, b: usize) -> u64 {
+    // The addends that went, in order: removed at the end in one pass, as
+    // a joined run can be hundreds of instructions long.
+    let mut gone = Vec::new();
+    // Per register, the last instruction before `i` that an addend of it
+    // may not cross: the one a backward search would stop at.
+    let mut wall: [Option<usize>; 16] = [None; 16];
+    for i in 0..cx.insts(b).len() {
+        let e = cx.effects(b)[i];
+        if let Some((r, k)) = e
+            .is(bit::ADDEND)
+            .then(|| addend(&cx.insts(b)[i].inst))
+            .flatten()
+        {
+            let into_mov = wall[r.number() as usize].and_then(|h| match cx.insts(b)[h].inst {
+                Inst::Mov {
+                    w: Width::W64,
+                    dst: Operand::Reg(d),
+                    src: Operand::Imm(c),
+                } if d == r && cx.flags_dead_at(b, i + 1) => {
+                    let inst = Inst::Mov {
+                        w: Width::W64,
+                        dst: Operand::Reg(r),
+                        src: Operand::Imm(small(c.checked_add(k))?),
+                    };
+                    Some((h, inst))
+                }
+                _ => None,
+            });
+            // Else forward into the next addend of `r` (one of another
+            // register is crossable).
+            let into = into_mov.or_else(|| {
+                let j = (i + 1..cx.insts(b).len()).find(|&j| !crossable(cx, b, j, r))?;
+                let (_, k2) = addend(&cx.insts(b)[j].inst)?;
+                let inst = Inst::Alu {
+                    op: AluOp::Add,
+                    w: Width::W64,
+                    dst: Operand::Reg(r),
+                    src: Operand::Imm(small(k.checked_add(k2))?),
+                };
+                cx.flags_dead_at(b, j + 1).then_some((j, inst))
+            });
+            if let Some((at, inst)) = into {
+                cx.replace(b, at, CapturedInst::plain(inst));
+                gone.push(i);
+                continue;
+            }
+        }
+        let mut named = match e.kind != Kind::Plain || e.is(bit::READS_FLAGS) {
+            true => u16::MAX,
+            false => e.reads.union(e.writes).gpr(),
+        };
+        while named != 0 {
+            let r = named.trailing_zeros() as usize;
+            named &= named - 1;
+            if !crossable(cx, b, i, Gpr::from_number(r as u8)) {
+                wall[r] = Some(i);
+            }
+        }
+    }
+    let mut gone = gone.into_iter().peekable();
+    cx.retain(b, |i, _| gone.next_if_eq(&i).is_none())
 }
 
 // ---------------------------------------------------------------------------
@@ -810,7 +947,7 @@ fn coalesce_backward(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
         let dying = as_copy(cx, b, j).filter(|&(_, s)| !live.has(s));
         let Some(drop_def) = dying.and_then(|(d, s)| rename_window(cx, b, j, d, s, &mut renamed))
         else {
-            step_regs(&mut live, &cx.effects(b)[j]);
+            cx.step_regs(&mut live, &cx.effects(b)[j]);
             continue;
         };
         for &(k, inst) in &renamed {

@@ -1022,7 +1022,10 @@ pub(crate) fn check(
     region: &Region,
     report: &mut VerifyReport,
 ) {
-    let nblocks = cap.blocks.len();
+    // The partition the emitter laid out: the passes straighten at every
+    // level.
+    let blocks = cap.straightened();
+    let nblocks = blocks.len();
     if cap.entry_block >= nblocks || cap.block_addrs.len() != nblocks {
         reject(report, res.entry, "malformed equivalence capture".into());
         return;
@@ -1036,7 +1039,7 @@ pub(crate) fn check(
     let mut next = 0;
     while let Some(&b) = order.get(next) {
         next += 1;
-        for s in cap.blocks[b].term.successors() {
+        for s in blocks[b].term.successors() {
             if !std::mem::replace(&mut reach[s.0], true) {
                 order.push(s.0);
             }
@@ -1073,7 +1076,7 @@ pub(crate) fn check(
 
     let mut plans: Vec<Option<BlockPlan>> = (0..nblocks).map(|_| None).collect();
     for &b in &order {
-        let blk = &cap.blocks[b];
+        let blk = &blocks[b];
         let addr = cap.block_addrs[b];
         let next = sorted_addrs.partition_point(|&a| a <= addr);
         let mut end = sorted_addrs.get(next).copied().unwrap_or(region.end);
@@ -1146,7 +1149,7 @@ pub(crate) fn check(
     // block earliest in reverse postorder goes next: every predecessor that
     // is not inside a loop with it has delivered by then, so a block outside
     // a loop is walked once and a loop body once per change at its head.
-    let rpo = reverse_postorder(&cap.blocks, cap.entry_block);
+    let rpo = reverse_postorder(&blocks, cap.entry_block);
     let pos = positions(&rpo, nblocks);
     let mut states: Vec<Option<[SideState; 2]>> = (0..nblocks).map(|_| None).collect();
     let mut visits = vec![0u32; nblocks];
@@ -1164,7 +1167,7 @@ pub(crate) fn check(
         let (Some(plan), Some([spre, spost])) = (plans[b].as_mut(), states[b].as_ref()) else {
             continue;
         };
-        let pre = cap.blocks[b].insts.iter().map(|ci| &ci.inst);
+        let pre = blocks[b].insts.iter().map(|ci| &ci.inst);
         let post = region.insts[plan.post.clone()].iter().map(|(_, i, _)| i);
         let (ev_pre, halt_pre) = px.walk(0, b as u32, spre, pre, plan.branch);
         let (ev_post, halt_post) = px.walk(1, b as u32, spost, post, plan.branch);
@@ -1172,7 +1175,7 @@ pub(crate) fn check(
         if halt_pre || halt_post {
             continue;
         }
-        for s in cap.blocks[b].term.successors().map(|s| s.0) {
+        for s in blocks[b].term.successors().map(|s| s.0) {
             let changed = match states[s].as_mut() {
                 None => {
                     states[s] = Some(px.out.clone());
@@ -1201,7 +1204,7 @@ pub(crate) fn check(
     }
 
     #[cfg(test)]
-    tests::check_retained_streams(&mut px, cap, region, &plans, &states);
+    tests::check_retained_streams(&mut px, &blocks, region, &plans, &states);
 
     // With stable per-block entry states, compare the observable event
     // streams of the two sides block by block.
@@ -1258,7 +1261,7 @@ mod tests {
     /// makes.
     pub(super) fn check_retained_streams(
         px: &mut Prover,
-        cap: &EquivCapture,
+        blocks: &[brew_core::capture::CapturedBlock],
         region: &Region,
         plans: &[Option<BlockPlan>],
         states: &[Option<[SideState; 2]>],
@@ -1269,7 +1272,7 @@ mod tests {
             let (Some(plan), Some([spre, spost])) = (plan, st) else {
                 continue;
             };
-            let pre = cap.blocks[b].insts.iter().map(|ci| &ci.inst);
+            let pre = blocks[b].insts.iter().map(|ci| &ci.inst);
             let post = region.insts[plan.post.clone()].iter().map(|(_, i, _)| i);
             let again = [
                 px.walk(0, b as u32, spre, pre, plan.branch).0,

@@ -25,7 +25,7 @@ const WALK_BUDGET: usize = 50_000;
 
 /// Immediate magnitude below which provenance is not questioned: loop
 /// bounds, offsets and small constants are ubiquitous and meaningless to
-/// track.
+/// track. The cleanup's addend rule keeps every sum it makes under it.
 const SMALL_IMM: u64 = 65_536;
 
 /// What the original function (plus configured hooks) statically

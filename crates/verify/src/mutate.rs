@@ -79,12 +79,16 @@ pub enum Mutation {
     /// a write to `r`, turned into `mov d, r` (NOPs when `d` is `r`) — the
     /// register allocator's reload rule with its kill check left out.
     StaleSlotReg,
+    /// An `add r, k` or `mov r, k` whose `k` no instruction of the captured
+    /// code carries (a sum the cleanup folded) short by one addend the
+    /// captured code adds to a register — the addend rule losing a term.
+    DroppedAddend,
 }
 
 impl Mutation {
     /// Every mutation kind, grouped by the rule family expected to
     /// catch it.
-    pub const ALL: [Mutation; 21] = [
+    pub const ALL: [Mutation; 22] = [
         Mutation::UnknownOpcode,
         Mutation::TruncatedTail,
         Mutation::BranchOffByTwo,
@@ -106,6 +110,7 @@ impl Mutation {
         Mutation::FoldedImmOffByOne,
         Mutation::DroppedFlagWriter,
         Mutation::StaleSlotReg,
+        Mutation::DroppedAddend,
     ];
 
     /// Short stable name (used in the V1 table).
@@ -132,6 +137,7 @@ impl Mutation {
             Mutation::FoldedImmOffByOne => "folded-imm-off-by-one",
             Mutation::DroppedFlagWriter => "dropped-flag-writer",
             Mutation::StaleSlotReg => "stale-slot-reg",
+            Mutation::DroppedAddend => "dropped-addend",
         }
     }
 
@@ -161,7 +167,8 @@ impl Mutation {
             | Mutation::StaleSlotConst
             | Mutation::FoldedImmOffByOne
             | Mutation::DroppedFlagWriter
-            | Mutation::StaleSlotReg => Rule::Equivalence,
+            | Mutation::StaleSlotReg
+            | Mutation::DroppedAddend => Rule::Equivalence,
         }
     }
 }
@@ -449,7 +456,7 @@ pub fn apply(img: &Image, res: &RewriteResult, kind: Mutation) -> Option<Applied
             // constant should have ended up.
             let cap = res.equiv.as_ref()?;
             let mut stores: Vec<(i64, i64, usize)> = Vec::new();
-            for (b, blk) in cap.blocks.iter().enumerate() {
+            for (b, blk) in cap.straightened().iter().enumerate() {
                 for ci in &blk.insts {
                     let (Some(off), Some(c)) = (ci.frame_store, stored_const(&ci.inst)) else {
                         continue;
@@ -552,6 +559,60 @@ pub fn apply(img: &Image, res: &RewriteResult, kind: Mutation) -> Option<Applied
             bytes.resize(len, 0x90);
             patch(img, addr, &bytes, kind)
         }),
+        Mutation::DroppedAddend => {
+            // Every immediate the captured code carries, and the addends
+            // among them: what the addend rule sums.
+            let cap = res.equiv.as_ref()?;
+            let captured = cap.blocks.iter().flat_map(|b| &b.insts);
+            let mut imms: Vec<i64> = Vec::new();
+            let mut addends: Vec<i64> = Vec::new();
+            for ci in captured {
+                match ci.inst {
+                    Inst::Alu {
+                        op: op @ (AluOp::Add | AluOp::Sub),
+                        w: Width::W64,
+                        dst: Operand::Reg(r),
+                        src: Operand::Imm(k),
+                    } if r != Gpr::Rsp && k != 0 => {
+                        addends.push(if op == AluOp::Add { k } else { -k });
+                        imms.push(k);
+                    }
+                    Inst::Alu {
+                        src: Operand::Imm(k),
+                        ..
+                    }
+                    | Inst::Mov {
+                        src: Operand::Imm(k),
+                        ..
+                    } => imms.push(k),
+                    _ => {}
+                }
+            }
+            insts.iter().find_map(|(addr, inst, len)| {
+                let folded = match *inst {
+                    Inst::Alu {
+                        op: AluOp::Add,
+                        w: Width::W64,
+                        dst: Operand::Reg(r),
+                        src: Operand::Imm(k),
+                    }
+                    | Inst::Mov {
+                        w: Width::W64,
+                        dst: Operand::Reg(r),
+                        src: Operand::Imm(k),
+                    } if r != Gpr::Rsp && !imms.contains(&k) => k,
+                    _ => return None,
+                };
+                addends.iter().find_map(|&a| {
+                    let mut m = *inst;
+                    if let Inst::Alu { src, .. } | Inst::Mov { src, .. } = &mut m {
+                        *src = Operand::Imm(folded.checked_sub(a)?);
+                    }
+                    let bytes = encode_same_len(&m, *addr, *len)?;
+                    patch(img, *addr, &bytes, kind)
+                })
+            })
+        }
     }
 }
 

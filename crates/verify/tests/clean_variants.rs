@@ -39,6 +39,14 @@ fn minic_integer_variants_verify_clean() {
             if (x > hi) return hi;
             return x;
         }
+        int madd(int x, int b) {
+            int acc = 0;
+            for (int i = 0; i < b; i++) {
+                int k = (i * 3 + b) * (i * 5 + 7);
+                acc = acc + x + k + i;
+            }
+            return acc;
+        }
     "#;
     let img = Image::new();
     let prog = brew_minic::compile_into(src, &img).unwrap();
@@ -71,6 +79,17 @@ fn minic_integer_variants_verify_clean() {
             .known_int(9_999_999)
             .ret(RetKind::Int),
         "clamp big bounds",
+    );
+    // Fully unrolled, 96 small constants whose total (0xcee68) no known
+    // value explains: the passes fold them only into sums that stay small.
+    assert_clean(
+        &img,
+        prog.func("madd").unwrap(),
+        &SpecRequest::new()
+            .unknown_int()
+            .known_int(48)
+            .ret(RetKind::Int),
+        "madd b=48",
     );
 }
 

@@ -55,6 +55,14 @@ const V1_PROG: &str = r#"
         tick(0);
         return y + x;
     }
+    int madd(int x, int b) {
+        int acc = 0;
+        for (int i = 0; i < b; i++) {
+            int k = (i * 3 + b) * (i * 5 + 7);
+            acc = acc + x + k + i;
+        }
+        return acc;
+    }
 "#;
 
 /// Six `i64`s (`100 + 7 i`) in the heap: the known vector `dotk` folds.
@@ -116,6 +124,9 @@ pub fn v1(img: &Image) -> Vec<Case> {
                 .known_int(3)
                 .func(f("tick"), |o| o.inline = false),
         ),
+        // Unrolled straight-line sums: the cleanup folds the immediates of
+        // 48 iterations into a few small ones, the dropped-addend sites.
+        case("madd b=48", f("madd"), int().unknown_int().known_int(48)),
     ]
 }
 

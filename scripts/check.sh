@@ -89,9 +89,12 @@ stage_equiv() {
 stage_regalloc() {
     # The allocator's own unit tests: the frame-reload rule's kill checks
     # each have one, and so does each guard of the stack-pair rule; the
-    # ladder's, the cleanup's rules at `OptLevel::Peephole` among them.
+    # ladder's, the cleanup's rules at `OptLevel::Peephole` among them (each
+    # guard of the addend rule too); and the straightening the cleanup
+    # starts with, each edge it must keep.
     t -p brew-core --lib regalloc::
     t -p brew-core --lib passes::
+    t -p brew-core --lib capture::
     t -p brew-suite --test regalloc_differential
     # The allocator's def/use is the operand-role table's; the emulator
     # differential is its only second opinion.

@@ -1,6 +1,6 @@
 //! The random mini-C program generator of the differential suite: an
 //! expression AST over `a`, `b`, `c`, `t` and a function body built from
-//! locals, an if/else, a bounded loop and arithmetic. Its own file so that
+//! locals, an if/else, two bounded loops and arithmetic. Its own file so that
 //! `tests/differential.rs` and the verifier's oracle test
 //! (`crates/verify/src/mem.rs`) draw from one corpus; both include it by
 //! path.
@@ -67,7 +67,8 @@ pub fn arb_expr() -> impl Strategy<Value = E> {
     })
 }
 
-/// A random function body: locals, an if/else, a bounded loop, arithmetic.
+/// A random function body: locals, an if/else, a bounded loop, a
+/// `madd`-shaped loop, arithmetic.
 #[derive(Debug, Clone)]
 pub struct Prog {
     init: E,
@@ -76,28 +77,43 @@ pub struct Prog {
     else_e: E,
     loop_n: u8,
     loop_e: E,
+    /// Trip count, step constant and per-iteration term of the second
+    /// loop: each iteration adds the term and a constant of its counter to
+    /// `t`, so a known count unrolls into one straight-line sum whose
+    /// immediates the cleanup folds.
+    madd_n: u8,
+    madd_k: i8,
+    madd_e: E,
     ret: E,
 }
 
 pub fn arb_prog() -> impl Strategy<Value = Prog> {
     (
-        arb_expr(),
-        arb_expr(),
-        arb_expr(),
-        arb_expr(),
-        0u8..6,
-        arb_expr(),
-        arb_expr(),
+        (
+            arb_expr(),
+            arb_expr(),
+            arb_expr(),
+            arb_expr(),
+            0u8..6,
+            arb_expr(),
+            arb_expr(),
+        ),
+        (0u8..9, any::<i8>(), arb_expr()),
     )
-        .prop_map(|(init, cond, then_e, else_e, loop_n, loop_e, ret)| Prog {
-            init,
-            cond,
-            then_e,
-            else_e,
-            loop_n,
-            loop_e,
-            ret,
-        })
+        .prop_map(
+            |((init, cond, then_e, else_e, loop_n, loop_e, ret), (madd_n, madd_k, madd_e))| Prog {
+                init,
+                cond,
+                then_e,
+                else_e,
+                loop_n,
+                loop_e,
+                madd_n,
+                madd_k,
+                madd_e,
+                ret,
+            },
+        )
 }
 
 impl Prog {
@@ -115,6 +131,9 @@ impl Prog {
                 for (int i = 0; i < {n}; i++) {{
                     t += {loop_e};
                 }}
+                for (int j = 0; j < {m}; j++) {{
+                    t = t + {madd_e} + (j * 3 + ({k})) * (j * 5 + 7) + j;
+                }}
                 return t + {ret};
             }}
             "#,
@@ -124,6 +143,9 @@ impl Prog {
             else_e = self.else_e.render(),
             n = self.loop_n,
             loop_e = self.loop_e.render(),
+            m = self.madd_n,
+            k = self.madd_k,
+            madd_e = self.madd_e.render(),
             ret = self.ret.render(),
         )
     }

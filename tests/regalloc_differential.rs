@@ -369,7 +369,7 @@ fn passes_replay_coherently_on_the_twelve_kernels() {
 }
 
 /// What the fixed stage order leaves behind: a second `run_passes` over its
-/// own output still finds work on three of the ten corpus kernels. Pinned,
+/// own output still finds work on two of the ten corpus kernels. Pinned,
 /// not asserted away — the numbers are the measured headroom of a
 /// driver-owned fixpoint (ROADMAP items 3b and 9) and move only when a
 /// stage or the order changes on purpose.
@@ -380,7 +380,7 @@ fn second_run_of_the_passes_residual_is_pinned() {
         ("apply_grouped", 0),
         ("poly.16", 0),
         ("madd.48", 0),
-        ("dotk", 3),
+        ("dotk", 0),
         ("clamp", 0),
         ("scale", 0),
         ("sum.4", 0),
