@@ -185,6 +185,24 @@ pub struct PassWork {
     pub visits: u64,
     /// Liveness fixpoints run.
     pub solves: u64,
+    /// The cleanup's rules, in table order: only the cleanup's span
+    /// carries them.
+    pub rules: Vec<RuleWork>,
+}
+
+/// What one rule of the cleanup cost on one rewrite.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RuleWork {
+    /// Rule name (a row of the cleanup's rule table).
+    pub rule: String,
+    /// Runs: over one block, or over the function.
+    pub visits: u64,
+    /// Instructions removed (a frame reload made a move counts as one).
+    pub edits: u64,
+    /// Instructions in the blocks its visits covered.
+    pub scanned: u64,
+    /// Of those, in the cleanup's rounds after its first.
+    pub rescanned: u64,
 }
 
 /// The count a span carries under `key`, if it carries one.
@@ -193,11 +211,36 @@ fn span_count(e: &brew_core::telemetry::SpanEvent, key: &str) -> Option<u64> {
     found.map(|(_, v)| v.parse().expect("a count"))
 }
 
-/// The pass spans of one traced rewrite of `func`, and how many
-/// instructions the trace captured for the passes to work on.
-fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>) {
-    let f = s.prog.func(func).unwrap();
-    let (res, rec) = Rewriter::new(&s.img)
+/// The `<rule>.<counter>` arguments of a cleanup span, one row per rule.
+fn rule_work(e: &brew_core::telemetry::SpanEvent) -> Vec<RuleWork> {
+    let mut rows: Vec<RuleWork> = Vec::new();
+    for (key, v) in &e.args {
+        let Some((rule, counter)) = key.split_once('.') else {
+            continue;
+        };
+        if rows.last().is_none_or(|r| r.rule != rule) {
+            rows.push(RuleWork {
+                rule: rule.to_string(),
+                ..RuleWork::default()
+            });
+        }
+        let row = rows.last_mut().expect("pushed above");
+        let n = v.parse().expect("a count");
+        match counter {
+            "visits" => row.visits = n,
+            "edits" => row.edits = n,
+            "scanned" => row.scanned = n,
+            "rescanned" => row.rescanned = n,
+            _ => panic!("unknown rule counter {key}"),
+        }
+    }
+    rows
+}
+
+/// The pass spans of one traced rewrite of `f`, and how many instructions
+/// the trace captured for the passes to work on.
+fn pass_spans(img: &brew_image::Image, f: u64, req: SpecRequest) -> (u64, Vec<PassWork>) {
+    let (res, rec) = Rewriter::new(img)
         .rewrite_with_trace(f, &req)
         .expect("traced rewrite");
     let spans = rec.events_in("pass");
@@ -211,6 +254,7 @@ fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>)
             rewritten: arg("rewritten"),
             visits: arg("visits"),
             solves: arg("solves"),
+            rules: rule_work(e),
         }
     });
     let cap = res
@@ -221,15 +265,21 @@ fn pass_spans(s: &Stencil, func: &str, req: SpecRequest) -> (u64, Vec<PassWork>)
     (captured, work.collect())
 }
 
-/// The stages' work on the specialized `apply` and on the whole-sweep
-/// rewrite at unroll 4: `(label, captured instructions, per-stage work)`.
+/// The stages' work on the specialized `apply`, on the whole-sweep rewrite
+/// at unroll 4 and on the served `madd` at `b` = 64 (one straight-line
+/// run): `(label, captured instructions, per-stage work)`.
 pub fn pass_work(xs: i64, ys: i64) -> Vec<(&'static str, u64, Vec<PassWork>)> {
     let s = Stencil::new(xs, ys);
-    let (apply, apply_work) = pass_spans(&s, "apply", s.apply_request());
-    let (sweep, sweep_work) = pass_spans(&s, "sweep_generic", s.sweep_request(4));
+    let func = |name: &str| s.prog.func(name).unwrap();
+    let (apply, apply_work) = pass_spans(&s.img, func("apply"), s.apply_request());
+    let sweep = s.sweep_request(4);
+    let (sweep, sweep_work) = pass_spans(&s.img, func("sweep_generic"), sweep);
+    let (img, madd, req) = serve::madd_kernel(64);
+    let (madd, madd_work) = pass_spans(&img, madd, req);
     vec![
         ("apply", apply, apply_work),
         ("sweep_generic.u4", sweep, sweep_work),
+        ("madd.64", madd, madd_work),
     ]
 }
 

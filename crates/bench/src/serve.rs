@@ -143,6 +143,13 @@ fn boot() -> (Image, u64, u64) {
     (img, madd, churn)
 }
 
+/// The served `madd` kernel in a fresh image and the request for a known
+/// `b`: one straight-line variant.
+pub(crate) fn madd_kernel(b: i64) -> (Image, u64, SpecRequest) {
+    let (img, madd, _) = boot();
+    (img, madd, req_of(b))
+}
+
 fn gated_manager() -> SpecializationManager {
     SpecializationManager::builder()
         .publish_gate(brew_verify::publish_gate())

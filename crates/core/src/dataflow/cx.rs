@@ -8,12 +8,18 @@
 //!
 //! **Edit contract.** A stage reads instructions and effects through the
 //! context and changes them only through [`PassCx::replace`],
-//! [`PassCx::set_inst`], [`PassCx::remove`], [`PassCx::drain`],
-//! [`PassCx::retain`] and [`PassCx::set_body`]: each keeps the effects in
-//! step (a written instruction is decoded once, a removed one never again)
-//! and marks the block dirty. [`PassCx::solve`] re-summarizes exactly the
-//! dirty blocks before it runs the block-level fixpoint; until then the
-//! live-in states are the ones the last solve or sweep left.
+//! [`PassCx::set_inst`], [`PassCx::remove`], [`PassCx::retain`] and
+//! [`PassCx::set_body`]: each keeps the effects and the census in step (a
+//! written instruction is decoded once, a removed one never again), counts
+//! an edit of the block and marks it dirty. [`PassCx::remove`] marks the
+//! instruction dead and moves no index: its slot holds a `nop` with
+//! [`Effect::DEAD`], which every scan steps over, until
+//! [`PassCx::compact`] drops it. Whoever removes compacts the block before
+//! handing it on (the cleanup's driver after each rule, `retain` itself);
+//! no removed instruction survives a stage. [`PassCx::solve`]
+//! re-summarizes exactly the dirty blocks before it runs the block-level
+//! fixpoint; until then the live-in states are the ones the last solve or
+//! sweep left.
 //!
 //! The context lives for one call and is never stored on a
 //! `CapturedBlock`: the captured CFG is what the equivalence prover, the
@@ -79,6 +85,9 @@ pub(crate) mod bit {
     /// `add/sub r, imm` at full width, `r` not `rsp`: an addend the
     /// cleanup may sum with another.
     pub const ADDEND: u32 = 1 << 20;
+    /// A removed instruction's slot ([`super::Effect::DEAD`]) until the
+    /// block is compacted.
+    pub const DEAD: u32 = 1 << 21;
 
     /// What the copy rules look for, for [`super::PassCx::shape`].
     pub const COPY: u32 = GPR_COPY | XMM_COPY;
@@ -119,6 +128,26 @@ pub(crate) struct Effect {
 }
 
 impl Effect {
+    const EMPTY: Effect = Effect {
+        reads: LiveSet::EMPTY,
+        writes: LiveSet::EMPTY,
+        defs: LiveSet::EMPTY,
+        so_skip: 0,
+        so_def: 0,
+        kind: Kind::Plain,
+        bits: 0,
+        rsp: 0,
+        load: [NO_SLOT; 3],
+        store: [NO_SLOT; 3],
+    };
+
+    /// What a removed instruction leaves until its block is compacted: it
+    /// reads, writes and moves nothing, so every scan steps over it.
+    pub const DEAD: Effect = Effect {
+        bits: bit::DEAD,
+        ..Effect::EMPTY
+    };
+
     pub fn is(&self, bits: u32) -> bool {
         self.bits & bits != 0
     }
@@ -183,6 +212,22 @@ pub(crate) struct Work {
     pub visits: u64,
     /// Runs of the liveness fixpoint.
     pub solves: u64,
+    /// Per row of the cleanup's rule table (`regalloc::RULES`).
+    pub rules: [RuleWork; RULE_ROWS],
+}
+
+/// The rows of `regalloc::RULES`.
+pub(crate) const RULE_ROWS: usize = 10;
+
+/// What one rule of the cleanup cost: runs (over a block, or over the
+/// function), its count, the instructions in the blocks its runs covered,
+/// and of those the ones in the cleanup's rounds after its first.
+#[derive(Clone, Copy, Default, PartialEq, Debug)]
+pub(crate) struct RuleWork {
+    pub visits: u64,
+    pub edits: u64,
+    pub scanned: u64,
+    pub rescanned: u64,
 }
 
 impl Decoder {
@@ -222,18 +267,7 @@ impl Decoder {
         use bit::*;
         self.work.decodes += 1;
         let inst = &ci.inst;
-        let mut e = Effect {
-            reads: LiveSet::EMPTY,
-            writes: LiveSet::EMPTY,
-            defs: LiveSet::EMPTY,
-            so_skip: 0,
-            so_def: 0,
-            kind: Kind::Plain,
-            bits: 0,
-            rsp: 0,
-            load: [NO_SLOT; 3],
-            store: [NO_SLOT; 3],
-        };
+        let mut e = Effect::EMPTY;
         let mut fold = Fold {
             e: &mut e,
             xmm_reads: 0,
@@ -543,6 +577,13 @@ pub(crate) struct PassCx<'a> {
     backward: Vec<usize>,
     lv: Liveness,
     av: Avail,
+    /// Per block, the instructions [`PassCx::remove`] marked dead and no
+    /// compaction has dropped yet.
+    tombs: Vec<u32>,
+    /// Per block, how many edits it has had.
+    edits: Vec<u64>,
+    /// What a whole-function rule of the cleanup walked, for its ledger.
+    pub scanned: u64,
     /// Reusable per-visit buffers.
     pub keep: Vec<bool>,
     pub after: Vec<LiveSet>,
@@ -597,6 +638,9 @@ impl<'a> PassCx<'a> {
                 meet: Vec::new(),
                 regs: LiveSet::EMPTY,
             },
+            tombs: vec![0; n],
+            edits: vec![0; n],
+            scanned: 0,
             keep: Vec::new(),
             after: Vec::new(),
             renamed: Vec::new(),
@@ -727,6 +771,12 @@ impl<'a> PassCx<'a> {
     fn touch(&mut self, b: usize) {
         self.lv.blocks[b].dirty = true;
         self.av.dirty[b] = true;
+        self.edits[b] += 1;
+    }
+
+    /// How many edits block `b` has had: equal counts, the same block.
+    pub fn edits(&self, b: usize) -> u64 {
+        self.edits[b]
     }
 
     /// Put `ci` in place of instruction `i` of block `b`.
@@ -753,44 +803,54 @@ impl<'a> PassCx<'a> {
         self.replace(b, i, ci);
     }
 
+    /// Mark instruction `i` of block `b` removed: its slot holds a `nop`
+    /// with [`Effect::DEAD`] until [`PassCx::compact`] drops it, so no
+    /// other index moves.
     pub fn remove(&mut self, b: usize, i: usize) {
-        self.drain(b, i..i + 1);
-    }
-
-    pub fn drain(&mut self, b: usize, range: std::ops::Range<usize>) {
-        for e in &self.effects[b][range.clone()] {
-            self.census.count(e, -1);
-            self.census.went(e.writes);
-        }
-        self.blocks[b].insts.drain(range.clone());
-        self.effects[b].drain(range);
+        let e = std::mem::replace(&mut self.effects[b][i], Effect::DEAD);
+        debug_assert!(!e.is(bit::DEAD), "removed twice");
+        self.census.count(&e, -1);
+        self.census.went(e.writes);
+        self.blocks[b].insts[i] = CapturedInst::plain(Inst::Nop);
+        self.tombs[b] += 1;
         self.touch(b);
     }
 
+    /// Drop what [`PassCx::remove`] left in block `b`: one pass over the
+    /// block, none when nothing there was removed.
+    pub fn compact(&mut self, b: usize) {
+        if self.tombs[b] > 0 {
+            self.retain(b, |_, _| true);
+        }
+    }
+
     /// Keep the instructions of block `b` that `keep` (called with index
-    /// and effect) says to; returns how many went.
+    /// and effect of each one not already removed) says to, and compact
+    /// the block; returns how many `keep` refused.
     pub fn retain(&mut self, b: usize, mut keep: impl FnMut(usize, &Effect) -> bool) -> u64 {
         let (insts, effects) = (&mut self.blocks[b].insts, &mut self.effects[b]);
-        let mut kept = 0;
+        let (mut kept, mut gone) = (0, 0);
         for i in 0..effects.len() {
-            if keep(i, &effects[i]) {
+            let dead = effects[i].is(bit::DEAD);
+            if !dead && keep(i, &effects[i]) {
                 if kept < i {
                     insts[kept] = insts[i];
                     effects[kept] = effects[i];
                 }
                 kept += 1;
-            } else {
+            } else if !dead {
                 self.census.count(&effects[i], -1);
                 self.census.went(effects[i].writes);
+                gone += 1;
             }
         }
-        let gone = effects.len() - kept;
+        insts.truncate(kept);
+        effects.truncate(kept);
+        self.tombs[b] = 0;
         if gone > 0 {
-            insts.truncate(kept);
-            effects.truncate(kept);
             self.touch(b);
         }
-        gone as u64
+        gone
     }
 
     /// Swap in a rewritten body for block `b`: `origin[k]` is the index
@@ -1283,12 +1343,15 @@ impl<'a> PassCx<'a> {
         self.dec.work.visits += 1;
     }
 
-    /// Every cached effect equals a fresh decode of its instruction, every
-    /// summarized block's live-in state equals a from-scratch solution's,
-    /// and so does every clean block's availability summary.
+    /// No removed instruction is left uncompacted, every cached effect
+    /// equals a fresh decode of its instruction, every summarized block's
+    /// live-in state equals a from-scratch solution's, and so does every
+    /// clean block's availability summary.
     pub fn assert_coherent(&mut self) {
         let work = self.dec.work;
         for (b, block) in self.blocks.iter().enumerate() {
+            let dead = self.effects[b].iter().any(|e| e.is(bit::DEAD));
+            assert!(!dead, "block {b} holds a removed instruction");
             let fresh: Vec<Effect> = block.insts.iter().map(|ci| self.dec.decode(ci)).collect();
             assert_eq!(fresh, self.effects[b], "stale effects in block {b}");
         }

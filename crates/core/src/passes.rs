@@ -94,8 +94,9 @@ pub fn forward_frame_reloads(
     ret: crate::config::RetKind,
 ) -> u64 {
     let mut cx = PassCx::new(blocks, level, frame_escaped, ret);
-    let mut settled = vec![None; cx.len()];
-    regalloc::forward_reloads(&mut cx, &mut settled)
+    let forwarded = regalloc::forward_reloads(&mut cx);
+    (0..cx.len()).for_each(|b| cx.compact(b));
+    forwarded
 }
 
 /// One rung of the execution order: a stage runs from level `from` up.
@@ -140,7 +141,10 @@ const LADDER: [Stage; 4] = [
 /// carries its conversion count) and, after it, the work it took: effects
 /// decoded, of which for instructions it rewrote, blocks visited and
 /// liveness fixpoints run. The context's own construction is on the first
-/// stage's bill.
+/// stage's bill. The cleanup's span then carries each rule it ran as
+/// `<rule>.visits`, `.edits`, `.scanned` and `.rescanned` (the
+/// instructions its visits covered, in all rounds and in those after the
+/// first), in table order.
 pub fn run_passes_traced(
     blocks: &mut [CapturedBlock],
     level: OptLevel,
@@ -176,8 +180,22 @@ pub fn run_passes_traced(
                 ("visits", w.visits - billed.visits),
                 ("solves", w.solves - billed.solves),
             ];
-            let args = args.map(|(k, v)| (k.to_string(), v.to_string()));
-            r.complete(st.name, "pass", start, args.to_vec());
+            let mut args = args.map(|(k, v)| (k.to_string(), v.to_string())).to_vec();
+            for (rule, (now, then)) in regalloc::RULES
+                .iter()
+                .zip(w.rules.iter().zip(&billed.rules))
+            {
+                if now.visits > then.visits {
+                    let ledger = [
+                        ("visits", now.visits - then.visits),
+                        ("edits", now.edits - then.edits),
+                        ("scanned", now.scanned - then.scanned),
+                        ("rescanned", now.rescanned - then.rescanned),
+                    ];
+                    args.extend(ledger.map(|(k, v)| (format!("{}.{k}", rule.name), v.to_string())));
+                }
+            }
+            r.complete(st.name, "pass", start, args);
             billed = w;
             t0 = Some(r.now_ns());
         }

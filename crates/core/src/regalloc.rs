@@ -32,9 +32,15 @@
 //!    around now-registerized temporaries, and address-computation
 //!    triples. The cleanup first straightens the CFG (one block per
 //!    straight-line run, `capture::straighten`), so no rule stops where an
-//!    unrolled iteration ended. The rules run in one round loop to a
-//!    fixpoint, each from the level named and justified by the solved CFG
-//!    liveness:
+//!    unrolled iteration ended. One driver runs the rows of `RULES`:
+//!    rounds to a fixpoint, each rule over every block whose code or
+//!    live-out state changed since its own last run there, then the
+//!    settling rows. A rule removes by tombstone (`PassCx::remove`) and the
+//!    driver compacts the block after it. In table order, each from the
+//!    level named and justified by the solved CFG liveness:
+//!    * the frame-reload rule (`Dataflow`), justified by the forward
+//!      availability solve instead: a reload of a slot a register still
+//!      holds on every path becomes a move;
 //!    * no-op removal (`Peephole`): self-moves, `lea r, [r]`, `nop`;
 //!    * the shared dead-code sweep ([`crate::dataflow`], `Peephole`): any
 //!      side-effect-free instruction (including a load from an
@@ -45,7 +51,7 @@
 //!      release (or, for a push, at a `pop` that becomes a register move)
 //!      when the only `rsp` references between are plain accesses above
 //!      the `k` bytes, which it rebases; a removed ALU adjustment's flags
-//!      must be dead; what no pair claims may merge with its neighbour;
+//!      must be dead;
 //!    * the addend rule (`fold_addends`, `Peephole`): `add/sub r, k` joins
 //!      a `mov r, c` before it or the next `add/sub r, k'`, across
 //!      instructions that leave the sum `r` holds the same, when the flags
@@ -59,9 +65,9 @@
 //!    * forward copy propagation (`Regalloc`): `mov d, s` is removed by
 //!      rewriting the downstream reads of `d` to `s` while `s` is
 //!      unclobbered;
-//!    * the frame-reload rule (`Dataflow`), which opens each round and is
-//!      justified by the forward availability solve instead: a reload of
-//!      a slot a register still holds on every path becomes a move.
+//!    * settling: what no pair claims merges with its neighbour
+//!      (`Peephole`), and the frame and dead saves go across blocks
+//!      (`Aggressive`).
 //!
 //! `frame_escaped` blocks phase 1 exactly as it blocks the removal of dead
 //! frame stores: an escaped frame address means untracked loads may alias
@@ -73,100 +79,173 @@
 //! discipline holds, and no transform introduces a memory write.
 
 use crate::capture::CapturedInst;
-use crate::dataflow::cx::{bit, rsp_bump, tracked, Kind, PassCx, NO_SLOT, UNTRACKED};
+use crate::dataflow::cx::{bit, rsp_bump, tracked, Kind, PassCx, NO_SLOT, RULE_ROWS, UNTRACKED};
 use crate::dataflow::liveness::{self, Live, LiveSet, SlotSet};
 use crate::passes::OptLevel;
 use brew_x86::defuse::{Role, Site};
 use brew_x86::prelude::*;
 
-/// Run the cleanup phase, each rule from its level (the module doc lists
-/// them); returns the number of instructions removed, a reload turned into
-/// a move counting as one. From [`OptLevel::Aggressive`] the `ret`-boundary
-/// live-out contract (`liveness::abi_ret`) narrows from everything an
-/// observer might read to — translation-validated by `brew-verify` before
-/// publication — exactly the declared return class plus the callee-saved
-/// set, and the frame and dead saves go across blocks.
+/// When, and over what, a row of [`RULES`] runs: at the start of every
+/// round (before its solve); in every round over a block, given the
+/// registers live out of it; once the rounds change nothing over every
+/// block, and last over the function after a solve (an edit there starts
+/// the rounds again).
+#[derive(Clone, Copy)]
+enum Run {
+    Round(fn(&mut PassCx) -> u64),
+    Block(fn(&mut PassCx, usize, LiveSet) -> u64),
+    Settle(fn(&mut PassCx, usize, LiveSet) -> u64),
+    Last(fn(&mut PassCx) -> u64),
+}
+
+/// A rule: from level `from` up, over a block whose shape holds one of the
+/// `shape` bits (any block for 0). It counts what it removes, a reload made
+/// a move counting one.
+pub(crate) struct Rule {
+    pub name: &'static str,
+    from: OptLevel,
+    shape: u32,
+    run: Run,
+}
+
+macro_rules! rules {
+    ($($name:literal $from:ident $shape:expr => $run:expr;)*) => {
+        [$(Rule { name: $name, from: OptLevel::$from, shape: $shape, run: $run },)*]
+    };
+}
+
+/// The cleanup's rules in the order a round runs them; the module doc says
+/// what each does and why its level justifies it.
+pub(crate) const RULES: [Rule; RULE_ROWS] = rules! {
+    "frame-reloads" Dataflow 0 => Run::Round(forward_reloads);
+    "noops" Peephole bit::NOOP => Run::Block(|cx, b, _| cx.retain(b, |_, e| !e.is(bit::NOOP)));
+    "sweep" Peephole 0 => Run::Block(|cx, b, _| liveness::sweep(cx, b));
+    "stack-pairs" Peephole bit::RSP_ADJUST | bit::PUSH_RI => Run::Block(cancel_rsp_pairs);
+    "addends" Peephole bit::ADDEND => Run::Block(fold_addends);
+    "addresses" Regalloc bit::FOLD_HEAD => Run::Block(fold_addresses);
+    "coalesce" Regalloc bit::COPY => Run::Block(coalesce_backward);
+    "propagate" Regalloc bit::COPY => Run::Block(propagate_copies);
+    "merge-adjustments" Peephole bit::RSP_ADJUST => Run::Settle(merge_rsp_adjustments);
+    "frame-and-saves" Aggressive 0 => Run::Last(elide_frame_and_saves);
+};
+
+/// Run the cleanup: the rounds of every row [`RULES`] selects at the level
+/// to a fixpoint, then the settling rows, again until nothing changes.
+/// Returns the number of instructions removed. From
+/// [`OptLevel::Aggressive`] the `ret`-boundary live-out contract
+/// (`liveness::abi_ret`) narrows from everything an observer might read to
+/// — translation-validated by `brew-verify` before publication — exactly
+/// the declared return class plus the callee-saved set.
 pub(crate) fn cleanup(cx: &mut PassCx) -> u64 {
-    let regalloc = cx.level >= OptLevel::Regalloc;
-    let aggressive = cx.level >= OptLevel::Aggressive;
     // One block per straight-line run: the local rules see across what
     // were unrolled iterations. Not before slot allocation, which decides
     // register availability per block.
     cx.straighten();
-    let n = cx.len();
-    // The live-out state a block was last processed under, while nothing
-    // has touched the block since: processing it again would find nothing.
-    let mut settled: Vec<Option<Live>> = vec![None; n];
-    let mut removed = 0;
+    // Per block, its edit count (`PassCx::edits`) and live-out state when
+    // a round last visited it, and per row the edit count when the row last
+    // ran over it. A rule reads nothing but the block and its live-out
+    // state: run again where neither moved, it would find nothing.
+    let mut visited: Vec<Option<(u64, Live)>> = vec![None; cx.len()];
+    let mut ran = vec![[u64::MAX; RULE_ROWS]; cx.len()];
+    let (mut first, mut removed) = (true, 0);
     loop {
         loop {
-            // One availability solve per round serves every block; the
-            // liveness solve after it sees the registers the new moves read.
-            let mut round = match cx.level >= OptLevel::Dataflow {
-                true => forward_reloads(cx, &mut settled),
-                false => 0,
-            };
+            let mut round = run_whole(cx, false, first);
             cx.solve();
-            for (i, done) in settled.iter_mut().enumerate() {
-                let out = cx.live_out(i);
-                if *done == Some(out) {
-                    continue;
+            for (b, ran) in ran.iter_mut().enumerate() {
+                let now = Some((cx.edits(b), cx.live_out(b)));
+                let moved = visited[b].map(|v| v.1) != now.map(|v| v.1);
+                if std::mem::replace(&mut visited[b], now) != now {
+                    round += run_block(cx, b, ran, false, moved, first);
                 }
-                // A rule runs where the block holds its shape at all.
-                let mut edits = match cx.shape(i) & bit::NOOP != 0 {
-                    true => cx.retain(i, |_, e| !e.is(bit::NOOP)),
-                    false => 0,
-                };
-                edits += liveness::sweep(cx, i);
-                if cx.shape(i) & (bit::RSP_ADJUST | bit::PUSH_RI) != 0 {
-                    edits += cancel_rsp_pairs(cx, i);
-                }
-                if cx.shape(i) & bit::ADDEND != 0 {
-                    edits += fold_addends(cx, i);
-                }
-                if regalloc && cx.shape(i) & bit::FOLD_HEAD != 0 {
-                    edits += fold_addresses(cx, i, out.regs);
-                }
-                if regalloc && cx.shape(i) & bit::COPY != 0 {
-                    edits += coalesce_backward(cx, i, out.regs) + propagate_copies(cx, i, out.regs);
-                }
-                *done = (edits == 0).then_some(out);
-                round += edits;
             }
-            removed += round;
+            (first, removed) = (false, removed + round);
             if round == 0 {
                 break;
             }
         }
-        // Nothing cancels any more: what is left of adjacent adjustments
-        // can become one.
         let mut extra = 0;
-        for (i, done) in settled.iter_mut().enumerate() {
-            if cx.shape(i) & bit::RSP_ADJUST != 0 {
-                let merged = merge_rsp_adjustments(cx, i);
-                if merged > 0 {
-                    *done = None;
-                }
-                extra += merged;
-            }
+        for (b, ran) in ran.iter_mut().enumerate() {
+            extra += run_block(cx, b, ran, true, true, false);
         }
-        // The cross-block eliminations only run in aggressive mode: their
-        // justification is the translation-validation proof that gates the
-        // variant before publication, not a local syntactic argument.
-        if aggressive {
-            cx.solve();
-            let elided = elide_frame_and_saves(cx);
-            if elided > 0 {
-                settled.fill(None);
-            }
-            extra += elided;
-        }
+        extra += run_whole(cx, true, false);
         removed += extra;
         if extra == 0 {
             return removed;
         }
         cx.solve();
     }
+}
+
+/// The rows the level selects, with their index.
+fn rows(level: OptLevel) -> impl Iterator<Item = (usize, &'static Rule)> {
+    RULES
+        .iter()
+        .enumerate()
+        .filter(move |(_, r)| level >= r.from)
+}
+
+/// Enter a run of row `ix` in its ledger: `edits` over `scanned`
+/// instructions, in the cleanup's `first` round or a later one.
+fn bill(cx: &mut PassCx, ix: usize, first: bool, edits: u64, scanned: u64) {
+    let w = &mut cx.dec.work.rules[ix];
+    (w.visits, w.edits, w.scanned) = (w.visits + 1, w.edits + edits, w.scanned + scanned);
+    w.rescanned += if first { 0 } else { scanned };
+}
+
+/// The whole-function rows of a round (or, `last`, the last ones, each
+/// after a solve), every block compacted after each.
+fn run_whole(cx: &mut PassCx, last: bool, first: bool) -> u64 {
+    let mut edits = 0;
+    for (ix, r) in rows(cx.level) {
+        let run = match r.run {
+            Run::Round(run) if !last => run,
+            Run::Last(run) if last => run,
+            _ => continue,
+        };
+        if last {
+            cx.solve();
+        }
+        cx.scanned = 0;
+        let e = run(cx);
+        (0..cx.len()).for_each(|b| cx.compact(b));
+        bill(cx, ix, first, e, cx.scanned);
+        edits += e;
+    }
+    edits
+}
+
+/// The block rows of a round (or, `settle`, the settling ones) over block
+/// `b`, each where the block holds its shape and its live-out state
+/// `moved` or it was edited since the row last ran over it (`ran`), the
+/// block compacted after each.
+fn run_block(
+    cx: &mut PassCx,
+    b: usize,
+    ran: &mut [u64],
+    settle: bool,
+    moved: bool,
+    first: bool,
+) -> u64 {
+    let (mut edits, out) = (0, cx.live_out(b).regs);
+    for (ix, r) in rows(cx.level) {
+        let run = match r.run {
+            Run::Block(run) if !settle => run,
+            Run::Settle(run) if settle => run,
+            _ => continue,
+        };
+        let shaped = r.shape == 0 || cx.shape(b) & r.shape != 0;
+        if !shaped || (!moved && ran[ix] == cx.edits(b)) {
+            continue;
+        }
+        ran[ix] = cx.edits(b);
+        let scanned = cx.insts(b).len() as u64;
+        let e = run(cx, b, out);
+        cx.compact(b);
+        bill(cx, ix, first, e, scanned);
+        edits += e;
+    }
+    edits
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +419,7 @@ pub(crate) fn allocate_slots(cx: &mut PassCx) -> u64 {
 /// Removing an ALU adjustment drops a flags write: those must be dead,
 /// by the solved liveness past the block. Openers are taken innermost
 /// first, so nested pairs cancel in one call.
-pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize) -> u64 {
+pub(crate) fn cancel_rsp_pairs(cx: &mut PassCx, b: usize, _: LiveSet) -> u64 {
     let rsp = Loc::Gpr(Gpr::Rsp);
     let mut removed = 0;
     // A cancellation edits the block at and after its opener only.
@@ -426,10 +505,9 @@ fn rebased(inst: &Inst, k: i64) -> Option<Inst> {
 /// any more (a merged adjustment has lost its partner). A removed ALU
 /// adjustment must not leave flags anyone reads; the merged one is
 /// flag-neutral unless the second of the pair already wrote (dead) flags.
-pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize) -> u64 {
+fn merge_rsp_adjustments(cx: &mut PassCx, b: usize, _: LiveSet) -> u64 {
     let mut removed = 0;
-    let mut i = 0;
-    while i + 1 < cx.insts(b).len() {
+    for i in 0..cx.insts(b).len().saturating_sub(1) {
         let (e1, e2) = (cx.effects(b)[i], cx.effects(b)[i + 1]);
         let (f1, f2) = (e1.is(bit::WRITES_FLAGS), e2.is(bit::WRITES_FLAGS));
         let net = (e1.is(bit::RSP_ADJUST) && e2.is(bit::RSP_ADJUST))
@@ -437,7 +515,6 @@ pub(crate) fn merge_rsp_adjustments(cx: &mut PassCx, b: usize) -> u64 {
             .flatten()
             .filter(|_| (!f1 && !f2) || cx.flags_dead_at(b, i + 2));
         let Some(d) = net else {
-            i += 1;
             continue;
         };
         let merged = match f2 {
@@ -515,7 +592,7 @@ fn crossable(cx: &PassCx, b: usize, i: usize, r: Gpr) -> bool {
 /// and the sum must stay under [`SMALL_SUM`], so neither bytes nor
 /// instructions grow and no immediate loses its provenance. Returns the
 /// addends removed.
-fn fold_addends(cx: &mut PassCx, b: usize) -> u64 {
+fn fold_addends(cx: &mut PassCx, b: usize, _: LiveSet) -> u64 {
     // The addends that went, in order: removed at the end in one pass, as
     // a joined run can be hundreds of instructions long.
     let mut gone = Vec::new();
@@ -613,6 +690,7 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
     let mut saves = [[(0u32, (0usize, 0usize)); 2]; 16];
     let mut named = [0u32; 16];
     for b in 0..cx.len() {
+        cx.scanned += cx.insts(b).len() as u64;
         for (i, (ci, e)) in cx.insts(b).iter().zip(cx.effects(b)).enumerate() {
             // Nothing here is safe around a kept call: the callee observes
             // both the frame and the stack alignment the saves establish.
@@ -674,7 +752,6 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
             drop.extend([push.1, pop.1]);
         }
     }
-    drop.sort_unstable_by(|a, b| b.cmp(a));
     drop.iter().for_each(|&(b, i)| cx.remove(b, i));
     drop.len() as u64
 }
@@ -687,23 +764,23 @@ fn elide_frame_and_saves(cx: &mut PassCx) -> u64 {
 /// whose value register `r` still holds on every path, by the availability
 /// solve, becomes `mov d, r`, or nothing when `d` is `r`. The store it read
 /// is then the sweep's to delete once nothing reads the slot, and the move
-/// the copy passes'. Returns the reloads rewritten; a rewritten block is
-/// unsettled.
-pub(crate) fn forward_reloads(cx: &mut PassCx, settled: &mut [Option<Live>]) -> u64 {
+/// the copy passes'. Returns the reloads rewritten; a reload it removes is
+/// a tombstone until the block is compacted.
+pub(crate) fn forward_reloads(cx: &mut PassCx) -> u64 {
     if !cx.solve_avail() {
         return 0;
     }
     let mut st = std::mem::take(&mut cx.held);
     let mut forwarded = 0;
-    for (b, done) in settled.iter_mut().enumerate() {
+    for b in 0..cx.len() {
         if !cx.may_forward(b) {
             continue;
         }
+        cx.scanned += cx.insts(b).len() as u64;
         st.clear();
         st.extend_from_slice(cx.avail_in(b));
         let mut held = st.iter().fold(LiveSet::EMPTY, |a, &s| a.union(s));
-        let mut i = 0;
-        while i < cx.insts(b).len() {
+        for i in 0..cx.insts(b).len() {
             let e = cx.effects(b)[i];
             let mv = cx.frame_move(&e, &cx.insts(b)[i].inst);
             if let Some((c, d, true)) = mv {
@@ -715,7 +792,7 @@ pub(crate) fn forward_reloads(cx: &mut PassCx, settled: &mut [Option<Live>]) -> 
                 if from.has(d) {
                     // `d` already holds the slot: nothing changes.
                     cx.remove(b, i);
-                    (forwarded, *done) = (forwarded + 1, None);
+                    forwarded += 1;
                     continue;
                 }
                 if let Some(r) = from.first() {
@@ -728,12 +805,11 @@ pub(crate) fn forward_reloads(cx: &mut PassCx, settled: &mut [Option<Live>]) -> 
                         _ => unreachable!("a reload reads its own class"),
                     };
                     cx.replace(b, i, CapturedInst::plain(copy));
-                    (forwarded, *done) = (forwarded + 1, None);
+                    forwarded += 1;
                 }
             }
             // The reload's own transfer: `d` holds the slot either way.
             cx.step_avail(&mut st, &mut held, &e, mv);
-            i += 1;
         }
     }
     cx.held = st;
@@ -792,8 +868,9 @@ fn replace_mem(inst: &Inst, m: MemRef) -> Option<Inst> {
 /// when there is no copy) when `a` dies at the use and the (removed) ALU's
 /// flags are dead.
 fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
-    // Registers live after each instruction, by its index as of now: a
-    // fold only ever edits below the position it asks about.
+    // Registers live after each instruction as the visit found it: a fold
+    // only ever edits at and below the position it asks about, and a
+    // removal moves no index.
     cx.fill_after(b, live_out);
     let mut removed = 0;
     let mut i = 0;
@@ -841,7 +918,7 @@ fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
             let m = sole_base_use(&cj.inst, a)?;
             let disp = i64::from(m.disp).checked_add(adjust.map_or(0, |(_, k)| k))?;
             let disp = i32::try_from(disp).ok()?;
-            if cx.after[j + removed].has(Loc::Gpr(a)) {
+            if cx.after[j].has(Loc::Gpr(a)) {
                 return None;
             }
             if adjust.is_some() && !cx.flags_dead_at(b, j) {
@@ -858,8 +935,9 @@ fn fold_addresses(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
         });
         if let Some(new) = fold {
             cx.set_inst(b, j, new);
-            cx.drain(b, i..j);
+            (i..j).for_each(|k| cx.remove(b, k));
             removed += j - i;
+            i = j;
         } else {
             i += 1;
         }
@@ -959,7 +1037,6 @@ fn coalesce_backward(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
         if let Some(w) = drop_def {
             cx.remove(b, w);
             removed += 1;
-            j = j.saturating_sub(1);
         }
     }
     cx.renamed = renamed;
@@ -1063,8 +1140,7 @@ fn propagate_copies(cx: &mut PassCx, b: usize, live_out: LiveSet) -> u64 {
         for &(k, inst) in &renamed {
             cx.set_inst(b, k, inst);
         }
-        i -= 1;
-        cx.remove(b, i);
+        cx.remove(b, i - 1);
         removed += 1;
     }
     cx.renamed = renamed;
@@ -1212,7 +1288,8 @@ mod tests {
         let mut blocks = vec![block(vec![])];
         blocks[0].insts = insts;
         let mut cx = PassCx::new(&mut blocks, OptLevel::Peephole, false, RetKind::Int);
-        let n = cancel_rsp_pairs(&mut cx, 0);
+        let n = cancel_rsp_pairs(&mut cx, 0, LiveSet::EMPTY);
+        cx.compact(0);
         (n, blocks[0].insts.clone())
     }
 
@@ -1941,7 +2018,8 @@ mod tests {
             gload(Gpr::Rdi, -8),
         ])];
         assert_eq!(forward(&mut blocks, false), 2);
-        // The second reload is into the register itself: it goes.
+        // The second reload is into the register itself: it goes, and no
+        // `nop` is left where it was.
         assert_eq!(
             insts_of(&blocks[0]),
             vec![
@@ -2132,6 +2210,101 @@ mod tests {
         let mut blocks = vec![ret_block(insts.clone())];
         cleanup(&mut blocks, false, RetKind::Int, OptLevel::Regalloc);
         assert_eq!(blocks[0].insts[..2], insts[..]);
+    }
+
+    // --- removal by tombstone: a rule's indices stay put until the block
+    // is compacted ---
+
+    /// The registers `regs` as a set.
+    fn regs(regs: &[Gpr]) -> LiveSet {
+        LiveSet::of(regs.iter().fold(0, |m, r| m | 1 << r.number()), 0)
+    }
+
+    /// `rule` once over `insts` at `Regalloc`, the block compacted after.
+    fn once(
+        rule: fn(&mut PassCx, usize, LiveSet) -> u64,
+        insts: Vec<Inst>,
+        out: LiveSet,
+    ) -> Vec<Inst> {
+        let mut blocks = vec![block(insts)];
+        let mut cx = PassCx::new(&mut blocks, OptLevel::Regalloc, false, RetKind::Int);
+        rule(&mut cx, 0, out);
+        cx.compact(0);
+        insts_of(&blocks[0])
+    }
+
+    #[test]
+    fn an_address_fold_after_a_fold_reads_the_liveness_at_its_own_use() {
+        let gr = |r| Operand::Reg(r);
+        let xload = |x, base| Inst::MovSd {
+            dst: Operand::Xmm(x),
+            src: Operand::Mem(MemRef::base(base)),
+        };
+        let rest = vec![
+            mov(gr(Gpr::Rax), Operand::Imm(0)),
+            mov(gr(Gpr::Rcx), gr(Gpr::R10)),
+            xload(Xmm::Xmm1, Gpr::Rcx),
+            // `rcx` is read after the second use: that fold must not go,
+            // though two instructions further on `rcx` is dead.
+            mov(gr(Gpr::Rdx), gr(Gpr::Rcx)),
+            mov(gr(Gpr::Rcx), Operand::Imm(0)),
+            mov(gr(Gpr::Rcx), Operand::Imm(1)),
+        ];
+        let mut insts = vec![
+            mov(gr(Gpr::Rax), gr(Gpr::R11)),
+            Inst::Alu {
+                op: AluOp::Add,
+                w: Width::W64,
+                dst: gr(Gpr::Rax),
+                src: Operand::Imm(16),
+            },
+            xload(Xmm::Xmm0, Gpr::Rax),
+        ];
+        insts.extend(rest.iter().copied());
+        let folded = Inst::MovSd {
+            dst: Operand::Xmm(Xmm::Xmm0),
+            src: Operand::Mem(MemRef::base_disp(Gpr::R11, 16)),
+        };
+        let mut want = vec![folded];
+        want.extend(rest);
+        assert_eq!(once(fold_addresses, insts, LiveSet::ALL), want);
+    }
+
+    #[test]
+    fn a_coalesce_that_drops_its_inverse_copy_walks_on_from_the_copy() {
+        let (rax, rcx, rdx, rsi) = (Gpr::Rax, Gpr::Rcx, Gpr::Rdx, Gpr::Rsi);
+        let add = |d, s| Inst::Alu {
+            op: AluOp::Add,
+            w: Width::W64,
+            dst: Operand::Reg(d),
+            src: Operand::Reg(s),
+        };
+        let insts = vec![
+            mov(Operand::Reg(rdx), Operand::Imm(7)),
+            // `rdx` is read below: this copy stays.
+            gmov(rsi, rdx),
+            gmov(rcx, rax),
+            add(rcx, rdx),
+            gmov(rax, rcx),
+        ];
+        let want = vec![insts[0], insts[1], add(rax, rdx)];
+        assert_eq!(once(coalesce_backward, insts, regs(&[rax, rsi])), want);
+    }
+
+    #[test]
+    fn propagation_goes_on_after_the_copy_it_drops() {
+        // Two copies in a row, each propagated: the second is found after
+        // the first is gone.
+        let (rax, rcx, rdx, r10, r11) = (Gpr::Rax, Gpr::Rcx, Gpr::Rdx, Gpr::R10, Gpr::R11);
+        let read = |d, base| mov(Operand::Reg(d), Operand::Mem(MemRef::base(base)));
+        let insts = vec![
+            gmov(rcx, r11),
+            gmov(rdx, r10),
+            read(rax, rcx),
+            read(rax, rdx),
+        ];
+        let want = vec![read(rax, r11), read(rax, r10)];
+        assert_eq!(once(propagate_copies, insts, regs(&[rax])), want);
     }
 
     #[test]

@@ -100,6 +100,9 @@ stage_regalloc() {
     # differential is its only second opinion.
     t -p brew-emu --test defuse_differential
     t -p brew-suite --test differential
+    # `regalloc_cleanup_rescans_only_dirty_windows` pins the cleanup's
+    # per-rule ledger (runs, removals, instructions scanned in all rounds
+    # and after the first) on `apply`, `sweep_generic.u4` and `madd.64`.
     gates regalloc_ e2_
 }
 
@@ -179,6 +182,14 @@ stage_hotpath() {
         crates benchmark/src examples tests | grep -v '^crates/x86/src/'; then
         fail "a def/use or operand-mapping walk outside crates/x86/src/"
     fi
+    # A rule removes by tombstone (`PassCx::remove`) and the block is
+    # compacted once after it (`PassCx::compact`): draining the rest of a
+    # block per removal is quadratic over a joined straight-line run.
+    for f in crates/core/src/regalloc.rs crates/core/src/dataflow/cx.rs; do
+        if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n '\.drain('; then
+            fail "a Vec::drain in $f: remove by tombstone and compact once"
+        fi
+    done
     # Whether a frame slot is read again is one answer, the shared liveness
     # (`PassCx::solve` in crates/core/src/dataflow/cx.rs): no pass file
     # keeps slot gen/kill/live-in sets of its own.
